@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race bench bench-gate soak-1m profile vet fmt fmt-check lint lint-json ci experiments examples clean
+.PHONY: all build test test-race bench bench-gate perfbench perfbench-smoke soak-1m profile vet fmt fmt-check lint lint-json ci experiments examples clean
 
 all: build vet lint test
 
@@ -45,6 +45,7 @@ ci: build vet fmt-check lint
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./internal/sim/... ./internal/harness/... ./internal/telemetry/... ./internal/dynamics/... ./internal/channel/... ./internal/topology/...
 	$(GO) test -race ./internal/harness/... ./internal/experiment/... ./internal/trace/... ./internal/sim/... ./internal/telemetry/... ./internal/dynamics/... ./internal/diag/...
 	$(MAKE) bench-gate
+	$(MAKE) perfbench-smoke
 
 # Bench-regression gate: take a fresh cmd/ndperf snapshot and diff it
 # against the committed BENCH_3.json with cmd/ndstat. The 50% threshold is
@@ -54,6 +55,21 @@ bench-gate:
 	@tmp="$$(mktemp)"; trap 'rm -f "$$tmp"' EXIT; \
 	$(GO) run ./cmd/ndperf -out "$$tmp" && \
 	$(GO) run ./cmd/ndstat -gate -threshold 50 BENCH_3.json "$$tmp"
+
+# The repository benchmark (_perfbench/, its own module): builds it from
+# source into .bench_build/ and runs it with ARGS, e.g.
+#   make perfbench ARGS='--workload sync-n200 --seconds 5 --trace 0'
+# It prints a metrics table and, last, one JSON line (see BENCHMARK.json).
+perfbench:
+	bash _perfbench/run.sh $(ARGS)
+
+# One-second sync-n200 run of the repository benchmark; fails unless the
+# JSON line reports no failed runs (every trial complete, within the
+# Theorem 3 bound, tables equal to the ground truth).
+perfbench-smoke:
+	@out="$$($(MAKE) --no-print-directory perfbench ARGS='--workload sync-n200 --seconds 1 --trace 0')" || exit 1; \
+	echo "$$out"; \
+	echo "$$out" | grep '^{' | grep -Eq '"failed":0[,}]' || { echo "perfbench-smoke: runs failed" >&2; exit 1; }
 
 # One full pass of every reproduction benchmark (one iteration each), then
 # the engine throughput snapshot: cmd/ndperf rewrites BENCH_3.json with

@@ -73,10 +73,14 @@ func (p *Acknowledging) Deliver(msg radio.Message) {
 // Neighbors returns the wrapped protocol's discovery output (in-neighbors).
 func (p *Acknowledging) Neighbors() *NeighborTable { return p.inner.Neighbors() }
 
-// Heard implements sim.HeardReporter: the in-neighbors discovered so far,
-// piggybacked on every outgoing message.
-func (p *Acknowledging) Heard() []topology.NodeID {
-	return p.inner.Neighbors().Neighbors()
+// ReserveNeighbors forwards the engine's size hint to the wrapped table.
+func (p *Acknowledging) ReserveNeighbors(expected int) { p.inner.Neighbors().Reserve(expected) }
+
+// AppendHeard implements sim.HeardReporter: it appends the in-neighbors
+// discovered so far, ascending, to dst — the list piggybacked on every
+// outgoing message.
+func (p *Acknowledging) AppendHeard(dst []topology.NodeID) []topology.NodeID {
+	return p.inner.Neighbors().AppendNeighbors(dst)
 }
 
 // Confirmed returns the nodes known to hear this node (acknowledged

@@ -74,14 +74,14 @@ func TestAcknowledgingHeardMirrorsTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Heard()) != 0 {
+	if len(p.AppendHeard(nil)) != 0 {
 		t.Fatal("fresh wrapper reports heard nodes")
 	}
 	p.Deliver(radio.Message{From: 4, Avail: channel.NewSet(0)})
 	p.Deliver(radio.Message{From: 2, Avail: channel.NewSet(0)})
-	heard := p.Heard()
-	if len(heard) != 2 || heard[0] != 2 || heard[1] != 4 {
-		t.Fatalf("Heard = %v, want [2 4]", heard)
+	heard := p.AppendHeard([]topology.NodeID{9})
+	if len(heard) != 3 || heard[0] != 9 || heard[1] != 2 || heard[2] != 4 {
+		t.Fatalf("AppendHeard([9]) = %v, want [9 2 4]", heard)
 	}
 	// Step passes through to the inner schedule.
 	a := p.Step(0)

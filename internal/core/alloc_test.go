@@ -6,7 +6,7 @@ import (
 	"m2hew/internal/channel"
 )
 
-// TestNeighborTableSteadyStateAllocs pins the dense table's hot path: once
+// TestNeighborTableSteadyStateAllocs pins the table's hot path: once
 // a neighbor is known and its span is settled, re-recording it — the case
 // every redundant delivery hits — must not allocate at all.
 func TestNeighborTableSteadyStateAllocs(t *testing.T) {

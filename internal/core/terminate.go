@@ -84,6 +84,9 @@ func (p *SyncTerminating) Deliver(msg radio.Message) {
 // Neighbors returns the inner protocol's discovery output.
 func (p *SyncTerminating) Neighbors() *NeighborTable { return p.inner.Neighbors() }
 
+// ReserveNeighbors forwards the engine's size hint to the wrapped table.
+func (p *SyncTerminating) ReserveNeighbors(expected int) { p.inner.Neighbors().Reserve(expected) }
+
 // Terminated reports whether the node has gone permanently quiet.
 func (p *SyncTerminating) Terminated() bool { return p.done }
 
@@ -138,6 +141,9 @@ func (p *AsyncTerminating) Deliver(msg radio.Message) {
 
 // Neighbors returns the inner protocol's discovery output.
 func (p *AsyncTerminating) Neighbors() *NeighborTable { return p.inner.Neighbors() }
+
+// ReserveNeighbors forwards the engine's size hint to the wrapped table.
+func (p *AsyncTerminating) ReserveNeighbors(expected int) { p.inner.Neighbors().Reserve(expected) }
 
 // Terminated reports whether the node has gone permanently quiet.
 func (p *AsyncTerminating) Terminated() bool { return p.done }

@@ -19,7 +19,7 @@
 //     in a field, element or outer variable, sending it on a channel, or
 //     returning it. Spread-copying (append(dst, e.Actions...)) and passing
 //     it to a function are fine: copies are the documented boundary
-//     discipline (see sim.copyHeard);
+//     discipline (see radio.Message.Heard);
 //   - re-entering the engines (sim.RunSync / RunAsync / RunAsyncOnline)
 //     from inside a callback, which would recursively recycle the very
 //     buffers the outer callback is holding.

@@ -104,7 +104,8 @@ func (o *suppressedObserver) OnEvent(e sim.Event) {
 	o.last = e.Actions
 }
 
-// goodProtocol boundary-copies Heard, like core's copyHeard discipline.
+// goodProtocol copies Heard before keeping it: the engine lends its
+// snapshot buffer for the Deliver call only.
 type goodProtocol struct{ heard []int }
 
 func (p *goodProtocol) Deliver(msg radio.Message) {

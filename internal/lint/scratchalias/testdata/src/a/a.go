@@ -123,3 +123,62 @@ func inlineEmit(sc *runScratch, n int) {
 		emit(event{actions: acts})
 	}
 }
+
+// targetIndex mimics metrics.TargetIndex: a coverage target in CSR form,
+// built once per network and shared read-only by every run's coverage.
+type targetIndex struct {
+	off []int64
+	to  []int
+}
+
+// coverage mimics metrics.Coverage: a shared target plus per-run state.
+type coverage struct {
+	index *targetIndex
+	off   []int64
+	at    []float64
+}
+
+// indexScratch mimics sim.SyncScratch's network-keyed target cache.
+type indexScratch struct {
+	key    int
+	index  *targetIndex
+	offBuf []int64
+}
+
+// targetOffsets rebuilds the row offsets into a recycled buffer whenever
+// the network changes: a coverage from an earlier network that kept the
+// slice would silently describe the new one.
+func (sc *indexScratch) targetOffsets(key, rows int) []int64 {
+	if sc.key != key {
+		sc.key = key
+		sc.offBuf = sc.offBuf[:0]
+		for r := 0; r <= rows; r++ {
+			sc.offBuf = append(sc.offBuf, int64(r))
+		}
+	}
+	return sc.offBuf
+}
+
+// targetIndexFor allocates a fresh immutable index per network and shares
+// it by pointer; an old index is dropped, never rewritten.
+func (sc *indexScratch) targetIndexFor(key, rows int) *targetIndex {
+	if sc.key != key || sc.index == nil {
+		sc.key = key
+		sc.index = &targetIndex{off: make([]int64, rows+1)}
+	}
+	return sc.index
+}
+
+// coverageOnRecycledOffsets builds a returned coverage around the
+// recycled offset buffer: the next network switch rewrites it in place.
+func coverageOnRecycledOffsets(sc *indexScratch, key, rows int) *coverage {
+	off := sc.targetOffsets(key, rows)
+	return &coverage{off: off, at: make([]float64, rows)} // want "scratch-owned slice off aliased into a composite literal"
+}
+
+// coverageOnSharedIndex is the sanctioned shape: the coverage holds the
+// per-network index by pointer and owns only its per-run times.
+func coverageOnSharedIndex(sc *indexScratch, key, rows int) *coverage {
+	idx := sc.targetIndexFor(key, rows)
+	return &coverage{index: idx, at: make([]float64, rows)}
+}

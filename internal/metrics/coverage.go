@@ -9,17 +9,103 @@
 package metrics
 
 import (
+	"cmp"
 	"fmt"
-	"math/bits"
+	"slices"
 	"sort"
 
 	"m2hew/internal/topology"
 )
 
-// denseCoverageLimit caps the node-ID stride of the dense backing: a stride
-// of 1024 bounds the first-coverage array at stride² float64s = 8 MiB.
-// Targets with larger IDs use the map backing.
-const denseCoverageLimit = 1024
+// TargetIndex is a static coverage target in CSR form: the links sorted
+// ascending by (From, To) and stored as row offsets plus ascending
+// destination lists, so memory is O(links) and a membership query is one
+// binary search in the sender's row. An index is immutable once built; it
+// is meant to be built once per network and shared read-only by every
+// run's Coverage on that network (see NewCoverageOn).
+type TargetIndex struct {
+	// off[v] .. off[v+1] is row v's window into to; len(off) is one past
+	// the largest From.
+	off []int64
+	to  []topology.NodeID
+}
+
+// NewTargetIndex builds the CSR index of links. Input in
+// Network.DiscoverableLinks order (strictly ascending by (From, To)) is
+// indexed as is; any other order is sorted and deduplicated on a copy, so
+// the caller's slice is never modified. It returns nil when a link has a
+// negative endpoint — such links have no CSR row.
+func NewTargetIndex(links []topology.Link) *TargetIndex {
+	sorted := true
+	for i, l := range links {
+		if l.From < 0 || l.To < 0 {
+			return nil
+		}
+		if i > 0 && cmpLink(links[i-1], l) >= 0 {
+			sorted = false
+		}
+	}
+	if !sorted {
+		links = slices.Clone(links)
+		slices.SortFunc(links, cmpLink)
+		links = slices.Compact(links)
+	}
+	rows := 0
+	if len(links) > 0 {
+		rows = int(links[len(links)-1].From) + 1
+	}
+	idx := &TargetIndex{
+		off: make([]int64, rows+1),
+		to:  make([]topology.NodeID, len(links)),
+	}
+	row := 0
+	for i, l := range links {
+		for row < int(l.From) {
+			row++
+			idx.off[row] = int64(i)
+		}
+		idx.to[i] = l.To
+	}
+	for row < rows {
+		row++
+		idx.off[row] = int64(len(links))
+	}
+	return idx
+}
+
+// cmpLink orders links ascending by (From, To).
+func cmpLink(a, b topology.Link) int {
+	if a.From != b.From {
+		return cmp.Compare(a.From, b.From)
+	}
+	return cmp.Compare(a.To, b.To)
+}
+
+// Len returns the number of target links.
+func (x *TargetIndex) Len() int { return len(x.to) }
+
+// find returns link l's position in the index, or -1 when l is not a
+// target link.
+//
+//nd:hotpath
+func (x *TargetIndex) find(l topology.Link) int {
+	if l.From < 0 || int(l.From) >= len(x.off)-1 {
+		return -1
+	}
+	lo, hi := x.off[l.From], x.off[l.From+1]
+	for lo < hi {
+		mid := (lo + hi) >> 1
+		if x.to[mid] < l.To {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < x.off[l.From+1] && x.to[lo] == l.To {
+		return int(lo)
+	}
+	return -1
+}
 
 // Coverage tracks first-coverage times for a target set of directed links.
 // Times are unitless float64s: slot indexes for synchronous runs, real time
@@ -31,40 +117,24 @@ const denseCoverageLimit = 1024
 // — first coverage minus birth — stays well-defined for links that did not
 // exist at time zero.
 //
-// Three interchangeable backings implement the same observable behaviour:
-// a dense one (bitmaps plus a flat first-coverage array, chosen when the
-// constructor target's node IDs all fall under denseCoverageLimit) that
-// keeps the per-delivery Observe call off the map hardware; a CSR one for
-// large-n static targets (chosen when the constructor links arrive sorted
-// ascending by (From, To) — Network.DiscoverableLinks order — with IDs
-// past the dense limit), storing the target as row offsets plus ascending
-// destination lists so memory is O(links) instead of O(n²) and Observe is
-// one binary search in the receiver row; and a map one for everything
-// else. An AddTarget whose link exceeds the dense ID range (or misses the
-// CSR target — a dynamic run growing links) migrates the state into maps;
-// results are identical with every backing.
+// Two interchangeable backings implement the same observable behaviour.
+// Static targets use a CSR one: a shared read-only TargetIndex plus the
+// run's own first-coverage times and covered bitmap, both O(links), with
+// Observe one binary search in the sender's row. Dynamic targets — an
+// empty constructor target grown by AddTarget — use a map one. An
+// AddTarget outside a CSR target migrates the state into maps without
+// touching the shared index; results are identical with either backing.
 type Coverage struct {
-	// Map backing. Active (non-nil) iff stride == 0 and csrTo == nil.
+	// CSR backing, active iff index != nil: link i of the index was first
+	// covered at at[i], meaningful only where covered has bit i. The index
+	// is shared and never written.
+	index   *TargetIndex
+	at      []float64
+	covered []uint64
+
+	// Map backing, active iff index == nil.
 	first  map[topology.Link]float64
 	target map[topology.Link]bool
-
-	// Dense backing, active iff stride > 0: link (v,u) lives at flat index
-	// v*stride+u. denseAt[idx] is meaningful only where covered has the bit.
-	stride     int
-	targetBits []uint64
-	covered    []uint64
-	denseAt    []float64
-	targetSize int
-
-	// CSR backing, active iff csrTo != nil: link i has From = the row whose
-	// [csrOff[row], csrOff[row+1]) window contains i and To = csrTo[i].
-	// Rows are ascending, csrTo ascends within each row, csrCovered is a
-	// bitset over link indexes, and csrAt[i] is meaningful only where
-	// csrCovered has the bit.
-	csrOff     []int64
-	csrTo      []topology.NodeID
-	csrAt      []float64
-	csrCovered []uint64
 
 	born      map[topology.Link]float64 // lazily allocated; absent link ⇒ born at 0
 	remaining int
@@ -72,28 +142,14 @@ type Coverage struct {
 }
 
 // NewCoverage returns a Coverage whose completion target is the given links
-// (typically Network.DiscoverableLinks()).
+// (typically Network.DiscoverableLinks()). A non-empty target is indexed
+// once for this Coverage; callers running many trials on one network build
+// the index once with NewTargetIndex and use NewCoverageOn instead.
 func NewCoverage(links []topology.Link) *Coverage {
-	if stride := denseStride(links); stride > 0 {
-		c := &Coverage{
-			stride:     stride,
-			targetBits: make([]uint64, (stride*stride+63)/64),
-			covered:    make([]uint64, (stride*stride+63)/64),
-			denseAt:    make([]float64, stride*stride),
+	if len(links) > 0 {
+		if idx := NewTargetIndex(links); idx != nil {
+			return NewCoverageOn(idx)
 		}
-		for _, l := range links {
-			idx := int(l.From)*stride + int(l.To)
-			w, bit := idx>>6, uint64(1)<<(uint(idx)&63)
-			if c.targetBits[w]&bit == 0 {
-				c.targetBits[w] |= bit
-				c.targetSize++
-			}
-		}
-		c.remaining = c.targetSize
-		return c
-	}
-	if c := newCSRCoverage(links); c != nil {
-		return c
 	}
 	target := make(map[topology.Link]bool, len(links))
 	for _, l := range links {
@@ -106,104 +162,37 @@ func NewCoverage(links []topology.Link) *Coverage {
 	}
 }
 
-// newCSRCoverage builds the CSR backing, or returns nil when it does not
-// apply: the links must be non-empty, non-negative, and strictly ascending
-// by (From, To) — the order Network.DiscoverableLinks produces. Duplicate
-// or unsorted input falls back to the map backing rather than silently
-// mis-counting.
-func newCSRCoverage(links []topology.Link) *Coverage {
-	if len(links) == 0 || links[0].From < 0 || links[0].To < 0 {
-		return nil
+// NewCoverageOn returns a Coverage whose completion target is the indexed
+// links. The index is shared, not copied: the Coverage only reads it, so
+// one index serves any number of concurrent or later runs. A nil index
+// gives an empty target, like NewCoverage(nil).
+func NewCoverageOn(idx *TargetIndex) *Coverage {
+	if idx == nil {
+		return NewCoverage(nil)
 	}
-	for i := 1; i < len(links); i++ {
-		a, b := links[i-1], links[i]
-		if b.To < 0 || b.From < a.From || (b.From == a.From && b.To <= a.To) {
-			return nil
-		}
+	return &Coverage{
+		index:     idx,
+		at:        make([]float64, idx.Len()),
+		covered:   make([]uint64, (idx.Len()+63)/64),
+		remaining: idx.Len(),
 	}
-	rows := int(links[len(links)-1].From) + 1
-	c := &Coverage{
-		csrOff:     make([]int64, rows+1),
-		csrTo:      make([]topology.NodeID, len(links)),
-		csrAt:      make([]float64, len(links)),
-		csrCovered: make([]uint64, (len(links)+63)/64),
-		targetSize: len(links),
-		remaining:  len(links),
-	}
-	row := 0
-	for i, l := range links {
-		for row < int(l.From) {
-			row++
-			c.csrOff[row] = int64(i)
-		}
-		c.csrTo[i] = l.To
-	}
-	for row < rows {
-		row++
-		c.csrOff[row] = int64(len(links))
-	}
-	return c
 }
 
-// csrIndex returns link l's index in the CSR target, or -1 when l is not a
-// target link.
-//
-//nd:hotpath
-func (c *Coverage) csrIndex(l topology.Link) int {
-	if l.From < 0 || int(l.From) >= len(c.csrOff)-1 {
-		return -1
-	}
-	lo, hi := c.csrOff[l.From], c.csrOff[l.From+1]
-	for lo < hi {
-		mid := (lo + hi) >> 1
-		if c.csrTo[mid] < l.To {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < c.csrOff[l.From+1] && c.csrTo[lo] == l.To {
-		return int(lo)
-	}
-	return -1
-}
-
-// forEachTargetCSR visits every CSR target link in ascending (From, To)
-// order with its coverage state. CSR backing only.
-func (c *Coverage) forEachTargetCSR(fn func(l topology.Link, covered bool, at float64)) {
+// forEachTarget visits every CSR target link in ascending (From, To) order
+// with its coverage state. CSR backing only.
+func (c *Coverage) forEachTarget(fn func(l topology.Link, covered bool, at float64)) {
 	row := 0
-	for i, to := range c.csrTo {
-		for int64(i) >= c.csrOff[row+1] {
+	for i := range c.index.to {
+		for int64(i) >= c.index.off[row+1] {
 			row++
 		}
-		fn(topology.Link{From: topology.NodeID(row), To: to},
-			c.csrCovered[i>>6]&(uint64(1)<<(uint(i)&63)) != 0, c.csrAt[i])
+		fn(topology.Link{From: topology.NodeID(row), To: c.index.to[i]}, c.isCovered(i), c.at[i])
 	}
 }
 
-// denseStride returns the dense-backing stride for the target links (one
-// past the largest endpoint ID), or 0 when the dense backing does not apply
-// (no links, a negative ID, or an ID at or beyond denseCoverageLimit).
-func denseStride(links []topology.Link) int {
-	if len(links) == 0 {
-		return 0
-	}
-	maxID := topology.NodeID(0)
-	for _, l := range links {
-		if l.From < 0 || l.To < 0 {
-			return 0
-		}
-		if l.From > maxID {
-			maxID = l.From
-		}
-		if l.To > maxID {
-			maxID = l.To
-		}
-	}
-	if int(maxID) >= denseCoverageLimit {
-		return 0
-	}
-	return int(maxID) + 1
+// isCovered reports whether CSR link i has been covered.
+func (c *Coverage) isCovered(i int) bool {
+	return c.covered[i>>6]&(uint64(1)<<(uint(i)&63)) != 0
 }
 
 // Observe records that link l was covered at the given time. It returns true
@@ -215,37 +204,17 @@ func denseStride(links []topology.Link) int {
 //
 //nd:hotpath
 func (c *Coverage) Observe(l topology.Link, at float64) bool {
-	if c.stride > 0 {
-		if l.From < 0 || l.To < 0 || int(l.From) >= c.stride || int(l.To) >= c.stride {
-			c.nonTarget++
-			return false
-		}
-		idx := int(l.From)*c.stride + int(l.To)
-		w, bit := idx>>6, uint64(1)<<(uint(idx)&63)
-		if c.covered[w]&bit != 0 {
-			return false
-		}
-		if c.targetBits[w]&bit == 0 {
-			c.nonTarget++
-			return false
-		}
-		c.covered[w] |= bit
-		c.denseAt[idx] = at
-		c.remaining--
-		return true
-	}
-	if c.csrTo != nil {
-		i := c.csrIndex(l)
+	if c.index != nil {
+		i := c.index.find(l)
 		if i < 0 {
 			c.nonTarget++
 			return false
 		}
-		w, bit := i>>6, uint64(1)<<(uint(i)&63)
-		if c.csrCovered[w]&bit != 0 {
+		if c.isCovered(i) {
 			return false
 		}
-		c.csrCovered[w] |= bit
-		c.csrAt[i] = at
+		c.covered[i>>6] |= uint64(1) << (uint(i) & 63)
+		c.at[i] = at
 		c.remaining--
 		return true
 	}
@@ -268,24 +237,8 @@ func (c *Coverage) Observe(l topology.Link, at float64) bool {
 // covered cannot occur in engine use — an engine only observes links it was
 // already told exist — and are rejected as no-ops too.
 func (c *Coverage) AddTarget(l topology.Link, at float64) bool {
-	if c.stride > 0 {
-		if l.From < 0 || l.To < 0 || int(l.From) >= c.stride || int(l.To) >= c.stride {
-			c.migrate()
-		} else {
-			idx := int(l.From)*c.stride + int(l.To)
-			w, bit := idx>>6, uint64(1)<<(uint(idx)&63)
-			if c.targetBits[w]&bit != 0 {
-				return false
-			}
-			c.targetBits[w] |= bit
-			c.targetSize++
-			c.remaining++
-			c.recordBirth(l, at)
-			return true
-		}
-	}
-	if c.csrTo != nil {
-		if c.csrIndex(l) >= 0 {
+	if c.index != nil {
+		if c.index.find(l) >= 0 {
 			return false
 		}
 		// A link outside the static CSR target: a dynamic run growing its
@@ -297,55 +250,28 @@ func (c *Coverage) AddTarget(l topology.Link, at float64) bool {
 	}
 	c.target[l] = true
 	c.remaining++
-	c.recordBirth(l, at)
-	return true
-}
-
-func (c *Coverage) recordBirth(l topology.Link, at float64) {
 	if at != 0 {
 		if c.born == nil {
 			c.born = make(map[topology.Link]float64)
 		}
 		c.born[l] = at
 	}
+	return true
 }
 
-// migrate converts the dense or CSR backing into the map backing,
-// preserving every observable. Only an AddTarget the active backing cannot
-// represent triggers it (dense: an ID beyond the stride; CSR: any link
-// outside the fixed target).
+// migrate converts the CSR backing into the map backing, preserving every
+// observable. Only an AddTarget outside the fixed target triggers it. The
+// shared index is dropped, never written.
 func (c *Coverage) migrate() {
-	c.first = make(map[topology.Link]float64, c.targetSize)
-	c.target = make(map[topology.Link]bool, c.targetSize)
-	visit := c.forEachTarget
-	if c.csrTo != nil {
-		visit = c.forEachTargetCSR
-	}
-	visit(func(l topology.Link, covered bool, at float64) {
+	c.first = make(map[topology.Link]float64, c.index.Len())
+	c.target = make(map[topology.Link]bool, c.index.Len())
+	c.forEachTarget(func(l topology.Link, covered bool, at float64) {
 		c.target[l] = true
 		if covered {
 			c.first[l] = at
 		}
 	})
-	c.stride, c.targetBits, c.covered, c.denseAt, c.targetSize = 0, nil, nil, nil, 0
-	c.csrOff, c.csrTo, c.csrAt, c.csrCovered = nil, nil, nil, nil
-}
-
-// forEachTarget visits every dense target link in ascending (From, To)
-// order with its coverage state. Dense backing only.
-func (c *Coverage) forEachTarget(fn func(l topology.Link, covered bool, at float64)) {
-	for w, word := range c.targetBits {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &= word - 1
-			idx := w<<6 + b
-			l := topology.Link{
-				From: topology.NodeID(idx / c.stride),
-				To:   topology.NodeID(idx % c.stride),
-			}
-			fn(l, c.covered[w]&(uint64(1)<<uint(b)) != 0, c.denseAt[idx])
-		}
-	}
+	c.index, c.at, c.covered = nil, nil, nil
 }
 
 // BirthTime returns when link l entered the target set: the AddTarget time,
@@ -359,15 +285,8 @@ func (c *Coverage) BirthTime(l topology.Link) (float64, bool) {
 }
 
 func (c *Coverage) inTarget(l topology.Link) bool {
-	if c.stride > 0 {
-		if l.From < 0 || l.To < 0 || int(l.From) >= c.stride || int(l.To) >= c.stride {
-			return false
-		}
-		idx := int(l.From)*c.stride + int(l.To)
-		return c.targetBits[idx>>6]&(uint64(1)<<(uint(idx)&63)) != 0
-	}
-	if c.csrTo != nil {
-		return c.csrIndex(l) >= 0
+	if c.index != nil {
+		return c.index.find(l) >= 0
 	}
 	return c.target[l]
 }
@@ -376,22 +295,16 @@ func (c *Coverage) inTarget(l topology.Link) bool {
 // time — of every covered target link, sorted ascending. For static runs
 // (all links born at 0) this is simply the sorted first-coverage times.
 func (c *Coverage) Latencies() []float64 {
-	covered := c.TargetSize() - c.remaining
-	out := make([]float64, 0, covered)
-	switch {
-	case c.stride > 0:
-		c.forEachTarget(func(l topology.Link, cov bool, at float64) {
-			if cov {
-				out = append(out, at-c.born[l])
+	out := make([]float64, 0, c.TargetSize()-c.remaining)
+	if c.index != nil {
+		// Every CSR link is a constructor link, born at 0: AddTarget of a
+		// new link migrates to the map backing before recording a birth.
+		for i, at := range c.at {
+			if c.isCovered(i) {
+				out = append(out, at)
 			}
-		})
-	case c.csrTo != nil:
-		c.forEachTargetCSR(func(l topology.Link, cov bool, at float64) {
-			if cov {
-				out = append(out, at-c.born[l])
-			}
-		})
-	default:
+		}
+	} else {
 		for l, at := range c.first {
 			out = append(out, at-c.born[l])
 		}
@@ -414,8 +327,8 @@ func (c *Coverage) Remaining() int { return c.remaining }
 
 // TargetSize returns the number of target links.
 func (c *Coverage) TargetSize() int {
-	if c.stride > 0 || c.csrTo != nil {
-		return c.targetSize
+	if c.index != nil {
+		return c.index.Len()
 	}
 	return len(c.target)
 }
@@ -433,22 +346,12 @@ func (c *Coverage) Progress() float64 {
 // FirstCovered returns when link l was first covered. Only target links are
 // ever recorded.
 func (c *Coverage) FirstCovered(l topology.Link) (float64, bool) {
-	if c.stride > 0 {
-		if l.From < 0 || l.To < 0 || int(l.From) >= c.stride || int(l.To) >= c.stride {
+	if c.index != nil {
+		i := c.index.find(l)
+		if i < 0 || !c.isCovered(i) {
 			return 0, false
 		}
-		idx := int(l.From)*c.stride + int(l.To)
-		if c.covered[idx>>6]&(uint64(1)<<(uint(idx)&63)) == 0 {
-			return 0, false
-		}
-		return c.denseAt[idx], true
-	}
-	if c.csrTo != nil {
-		i := c.csrIndex(l)
-		if i < 0 || c.csrCovered[i>>6]&(uint64(1)<<(uint(i)&63)) == 0 {
-			return 0, false
-		}
-		return c.csrAt[i], true
+		return c.at[i], true
 	}
 	at, ok := c.first[l]
 	return at, ok
@@ -461,20 +364,12 @@ func (c *Coverage) CompletionTime() (float64, bool) {
 		return 0, false
 	}
 	maxAt := 0.0
-	if c.stride > 0 {
-		c.forEachTarget(func(l topology.Link, cov bool, at float64) {
-			if cov && at > maxAt {
+	if c.index != nil {
+		for _, at := range c.at { // complete: every entry is a coverage time
+			if at > maxAt {
 				maxAt = at
 			}
-		})
-		return maxAt, true
-	}
-	if c.csrTo != nil {
-		c.forEachTargetCSR(func(l topology.Link, cov bool, at float64) {
-			if cov && at > maxAt {
-				maxAt = at
-			}
-		})
+		}
 		return maxAt, true
 	}
 	for l := range c.target {
@@ -489,33 +384,20 @@ func (c *Coverage) CompletionTime() (float64, bool) {
 // order. Useful in failure diagnostics.
 func (c *Coverage) Uncovered() []topology.Link {
 	var out []topology.Link
-	if c.stride > 0 {
+	if c.index != nil {
 		c.forEachTarget(func(l topology.Link, cov bool, at float64) {
 			if !cov {
 				out = append(out, l)
 			}
 		})
-		return out // forEachTarget already ascends (From, To)
-	}
-	if c.csrTo != nil {
-		c.forEachTargetCSR(func(l topology.Link, cov bool, at float64) {
-			if !cov {
-				out = append(out, l)
-			}
-		})
-		return out // CSR construction order is ascending (From, To)
+		return out // the index is ascending (From, To)
 	}
 	for l := range c.target {
 		if _, ok := c.first[l]; !ok {
 			out = append(out, l)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		return out[i].To < out[j].To
-	})
+	slices.SortFunc(out, cmpLink)
 	return out
 }
 
@@ -523,22 +405,14 @@ func (c *Coverage) Uncovered() []topology.Link {
 // over target links, sorted by time. The curve starts implicitly at (−∞, 0);
 // each point is the cumulative count at that coverage instant.
 func (c *Coverage) Curve() []CurvePoint {
-	covered := c.TargetSize() - c.remaining
-	times := make([]float64, 0, covered)
-	switch {
-	case c.stride > 0:
-		c.forEachTarget(func(l topology.Link, cov bool, at float64) {
-			if cov {
+	times := make([]float64, 0, c.TargetSize()-c.remaining)
+	if c.index != nil {
+		for i, at := range c.at {
+			if c.isCovered(i) {
 				times = append(times, at)
 			}
-		})
-	case c.csrTo != nil:
-		c.forEachTargetCSR(func(l topology.Link, cov bool, at float64) {
-			if cov {
-				times = append(times, at)
-			}
-		})
-	default:
+		}
+	} else {
 		for l := range c.target {
 			if at, ok := c.first[l]; ok {
 				times = append(times, at)

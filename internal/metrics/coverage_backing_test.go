@@ -1,60 +1,204 @@
 package metrics
 
+// Property tests for Coverage against a map oracle: random operation
+// streams over small-ID targets (the range a dense n² backing once served;
+// the CSR backing serves it now) must agree with an independent reference
+// model after every operation, including across the migration to the map
+// backing that an out-of-target AddTarget forces. The test names predate
+// the removal of the dense backing and are kept so their history stays
+// traceable.
+
 import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"m2hew/internal/rng"
 	"m2hew/internal/topology"
 )
 
-// compareCoverage asserts every observable of the two backings agrees.
-// probe is the set of links worth asking point queries about (targets,
+// coverageView is the observable surface of Coverage, implemented by the
+// oracle too.
+type coverageView interface {
+	Complete() bool
+	Remaining() int
+	TargetSize() int
+	NonTargetObservations() int
+	Progress() float64
+	String() string
+	Latencies() []float64
+	Uncovered() []topology.Link
+	Curve() []CurvePoint
+	CompletionTime() (float64, bool)
+	FirstCovered(l topology.Link) (float64, bool)
+	BirthTime(l topology.Link) (float64, bool)
+}
+
+// coverageOracle is the reference model: three maps and the definitions.
+type coverageOracle struct {
+	target    map[topology.Link]bool
+	first     map[topology.Link]float64
+	born      map[topology.Link]float64
+	nonTarget int
+}
+
+func newCoverageOracle(links []topology.Link) *coverageOracle {
+	o := &coverageOracle{
+		target: map[topology.Link]bool{},
+		first:  map[topology.Link]float64{},
+		born:   map[topology.Link]float64{},
+	}
+	for _, l := range links {
+		o.target[l] = true
+	}
+	return o
+}
+
+func (o *coverageOracle) Observe(l topology.Link, at float64) bool {
+	if !o.target[l] {
+		o.nonTarget++
+		return false
+	}
+	if _, ok := o.first[l]; ok {
+		return false
+	}
+	o.first[l] = at
+	return true
+}
+
+func (o *coverageOracle) AddTarget(l topology.Link, at float64) bool {
+	if o.target[l] {
+		return false
+	}
+	o.target[l] = true
+	if at != 0 {
+		o.born[l] = at
+	}
+	return true
+}
+
+func (o *coverageOracle) Complete() bool             { return o.Remaining() == 0 }
+func (o *coverageOracle) Remaining() int             { return len(o.target) - len(o.first) }
+func (o *coverageOracle) TargetSize() int            { return len(o.target) }
+func (o *coverageOracle) NonTargetObservations() int { return o.nonTarget }
+
+func (o *coverageOracle) Progress() float64 {
+	if len(o.target) == 0 {
+		return 1
+	}
+	return float64(len(o.first)) / float64(len(o.target))
+}
+
+func (o *coverageOracle) String() string {
+	return fmt.Sprintf("covered %d/%d links", len(o.first), len(o.target))
+}
+
+func (o *coverageOracle) Latencies() []float64 {
+	out := make([]float64, 0, len(o.first))
+	for l, at := range o.first {
+		out = append(out, at-o.born[l])
+	}
+	sort.Float64s(out)
+	return out
+}
+
+func (o *coverageOracle) Uncovered() []topology.Link {
+	var out []topology.Link
+	for l := range o.target {
+		if _, ok := o.first[l]; !ok {
+			out = append(out, l)
+		}
+	}
+	slices.SortFunc(out, cmpLink)
+	return out
+}
+
+func (o *coverageOracle) Curve() []CurvePoint {
+	var times []float64
+	for _, at := range o.first {
+		times = append(times, at)
+	}
+	sort.Float64s(times)
+	points := make([]CurvePoint, len(times))
+	for i, at := range times {
+		points[i] = CurvePoint{Time: at, Covered: i + 1}
+	}
+	return points
+}
+
+func (o *coverageOracle) CompletionTime() (float64, bool) {
+	if !o.Complete() {
+		return 0, false
+	}
+	maxAt := 0.0
+	for _, at := range o.first {
+		if at > maxAt {
+			maxAt = at
+		}
+	}
+	return maxAt, true
+}
+
+func (o *coverageOracle) FirstCovered(l topology.Link) (float64, bool) {
+	at, ok := o.first[l]
+	return at, ok
+}
+
+func (o *coverageOracle) BirthTime(l topology.Link) (float64, bool) {
+	if !o.target[l] {
+		return 0, false
+	}
+	return o.born[l], true
+}
+
+// compareCoverage asserts every observable of got agrees with want. probe
+// is the set of links worth asking point queries about (targets,
 // non-targets, out-of-range).
-func compareCoverage(t *testing.T, step string, dense, mapped *Coverage, probe []topology.Link) {
+func compareCoverage(t *testing.T, step string, got, want coverageView, probe []topology.Link) {
 	t.Helper()
-	if a, b := dense.Complete(), mapped.Complete(); a != b {
+	if a, b := got.Complete(), want.Complete(); a != b {
 		t.Fatalf("%s: Complete %v vs %v", step, a, b)
 	}
-	if a, b := dense.Remaining(), mapped.Remaining(); a != b {
+	if a, b := got.Remaining(), want.Remaining(); a != b {
 		t.Fatalf("%s: Remaining %d vs %d", step, a, b)
 	}
-	if a, b := dense.TargetSize(), mapped.TargetSize(); a != b {
+	if a, b := got.TargetSize(), want.TargetSize(); a != b {
 		t.Fatalf("%s: TargetSize %d vs %d", step, a, b)
 	}
-	if a, b := dense.NonTargetObservations(), mapped.NonTargetObservations(); a != b {
+	if a, b := got.NonTargetObservations(), want.NonTargetObservations(); a != b {
 		t.Fatalf("%s: NonTargetObservations %d vs %d", step, a, b)
 	}
-	if a, b := dense.Progress(), mapped.Progress(); a != b && !(math.IsNaN(a) && math.IsNaN(b)) {
+	if a, b := got.Progress(), want.Progress(); a != b && !(math.IsNaN(a) && math.IsNaN(b)) {
 		t.Fatalf("%s: Progress %v vs %v", step, a, b)
 	}
-	if a, b := dense.String(), mapped.String(); a != b {
+	if a, b := got.String(), want.String(); a != b {
 		t.Fatalf("%s: String %q vs %q", step, a, b)
 	}
-	if a, b := dense.Latencies(), mapped.Latencies(); !reflect.DeepEqual(a, b) {
+	if a, b := got.Latencies(), want.Latencies(); !reflect.DeepEqual(a, b) {
 		t.Fatalf("%s: Latencies %v vs %v", step, a, b)
 	}
-	if a, b := dense.Uncovered(), mapped.Uncovered(); !reflect.DeepEqual(a, b) {
+	if a, b := got.Uncovered(), want.Uncovered(); !reflect.DeepEqual(a, b) {
 		t.Fatalf("%s: Uncovered %v vs %v", step, a, b)
 	}
-	if a, b := dense.Curve(), mapped.Curve(); !reflect.DeepEqual(a, b) {
+	if a, b := got.Curve(), want.Curve(); !reflect.DeepEqual(a, b) {
 		t.Fatalf("%s: Curve %v vs %v", step, a, b)
 	}
-	at1, ok1 := dense.CompletionTime()
-	at2, ok2 := mapped.CompletionTime()
+	at1, ok1 := got.CompletionTime()
+	at2, ok2 := want.CompletionTime()
 	if at1 != at2 || ok1 != ok2 {
 		t.Fatalf("%s: CompletionTime (%v,%v) vs (%v,%v)", step, at1, ok1, at2, ok2)
 	}
 	for _, l := range probe {
-		fa, foka := dense.FirstCovered(l)
-		fb, fokb := mapped.FirstCovered(l)
+		fa, foka := got.FirstCovered(l)
+		fb, fokb := want.FirstCovered(l)
 		if fa != fb || foka != fokb {
 			t.Fatalf("%s: FirstCovered(%v) (%v,%v) vs (%v,%v)", step, l, fa, foka, fb, fokb)
 		}
-		ba, boka := dense.BirthTime(l)
-		bb, bokb := mapped.BirthTime(l)
+		ba, boka := got.BirthTime(l)
+		bb, bokb := want.BirthTime(l)
 		if ba != bb || boka != bokb {
 			t.Fatalf("%s: BirthTime(%v) (%v,%v) vs (%v,%v)", step, l, ba, boka, bb, bokb)
 		}
@@ -62,12 +206,13 @@ func compareCoverage(t *testing.T, step string, dense, mapped *Coverage, probe [
 }
 
 // TestCoverageDenseMapEquivalence drives identical random operation streams
-// through a dense-backed Coverage and a map-backed twin (same constructor
-// target, migrated up-front) and requires every observable to agree after
-// every operation. The stream mixes first and repeat observations, in- and
-// out-of-target links, negative and over-range IDs, AddTarget growth with
-// zero and non-zero birth times, and finally an out-of-range AddTarget that
-// forces the dense side through its natural migration path.
+// through a Coverage on a small-ID target and the oracle and requires every
+// observable to agree after every operation. Targets come unsorted and
+// with duplicates; odd trials build the Coverage on a shared TargetIndex
+// (NewCoverageOn), even trials through NewCoverage. The stream mixes first
+// and repeat observations, in- and out-of-target links, negative and
+// over-range IDs, AddTarget of existing links, and finally a novel
+// AddTarget that forces the CSR side through its migration to maps.
 func TestCoverageDenseMapEquivalence(t *testing.T) {
 	root := rng.New(20260811)
 	for trial := 0; trial < 50; trial++ {
@@ -82,20 +227,21 @@ func TestCoverageDenseMapEquivalence(t *testing.T) {
 					To:   topology.NodeID(r.IntN(span)),
 				})
 			}
-			dense := NewCoverage(links)
-			if dense.stride == 0 {
-				t.Fatal("constructor did not pick the dense backing")
+			var cov *Coverage
+			if trial%2 == 1 {
+				cov = NewCoverageOn(NewTargetIndex(links))
+			} else {
+				cov = NewCoverage(links)
 			}
-			mapped := NewCoverage(links)
-			mapped.migrate()
-			if mapped.stride != 0 {
-				t.Fatal("migrate left the twin dense")
+			if cov.index == nil {
+				t.Fatal("a non-negative static target did not choose the CSR backing")
 			}
+			oracle := newCoverageOracle(links)
 
 			probe := append([]topology.Link(nil), links...)
 			probe = append(probe,
 				topology.Link{From: -1, To: 0},
-				topology.Link{From: 0, To: denseCoverageLimit + 5},
+				topology.Link{From: 0, To: 1 << 20},
 				topology.Link{From: span + 1, To: span + 2},
 			)
 
@@ -119,79 +265,92 @@ func TestCoverageDenseMapEquivalence(t *testing.T) {
 			ops := r.IntN(60) + 20
 			for op := 0; op < ops; op++ {
 				at := float64(op)
-				if r.Bernoulli(0.2) {
-					l := randomLink()
-					birth := 0.0
-					if r.Bernoulli(0.5) {
-						birth = at
+				if r.Bernoulli(0.1) {
+					// Re-adding an existing target link is a no-op that keeps
+					// the CSR backing.
+					l := links[r.IntN(len(links))]
+					if a, b := cov.AddTarget(l, at), oracle.AddTarget(l, at); a || b {
+						t.Fatalf("op %d: re-AddTarget(%v) %v/%v", op, l, a, b)
 					}
-					a := dense.AddTarget(l, birth)
-					b := mapped.AddTarget(l, birth)
-					if a != b {
-						t.Fatalf("op %d: AddTarget(%v) %v vs %v", op, l, a, b)
+					if cov.index == nil {
+						t.Fatalf("op %d: re-AddTarget migrated the CSR backing", op)
 					}
-					probe = append(probe, l)
 				} else {
 					var l topology.Link
-					if len(links) > 0 && r.Bernoulli(0.7) {
+					if r.Bernoulli(0.7) {
 						l = links[r.IntN(len(links))]
 					} else {
 						l = randomLink()
 					}
-					a := dense.Observe(l, at)
-					b := mapped.Observe(l, at)
-					if a != b {
+					if a, b := cov.Observe(l, at), oracle.Observe(l, at); a != b {
 						t.Fatalf("op %d: Observe(%v) %v vs %v", op, l, a, b)
 					}
 				}
-				compareCoverage(t, fmt.Sprintf("op %d", op), dense, mapped, probe)
+				compareCoverage(t, fmt.Sprintf("op %d", op), cov, oracle, probe)
 			}
 
-			// Out-of-range AddTarget: the dense side migrates, the map side
-			// just grows. Equivalence must survive the transition and the
-			// operations after it.
-			big := topology.Link{From: denseCoverageLimit + 1, To: 0}
-			if a, b := dense.AddTarget(big, 3.5), mapped.AddTarget(big, 3.5); a != b {
+			// A novel AddTarget migrates the CSR side to maps; the oracle
+			// just grows. Agreement must survive the transition and the
+			// operations after it, including further AddTarget growth.
+			big := topology.Link{From: 1<<20 + 1, To: 0}
+			if a, b := cov.AddTarget(big, 3.5), oracle.AddTarget(big, 3.5); a != b {
 				t.Fatalf("big AddTarget %v vs %v", a, b)
 			}
-			if dense.stride != 0 {
-				t.Fatal("out-of-range AddTarget did not migrate the dense backing")
+			if cov.index != nil {
+				t.Fatal("novel AddTarget did not migrate the CSR backing")
 			}
 			probe = append(probe, big)
-			compareCoverage(t, "post-migrate", dense, mapped, probe)
-			for op := 0; op < 10; op++ {
+			compareCoverage(t, "post-migrate", cov, oracle, probe)
+			for op := 0; op < 20; op++ {
+				at := 1000 + float64(op)
 				l := randomLink()
 				if r.Bernoulli(0.3) {
 					l = big
 				}
-				a := dense.Observe(l, 1000+float64(op))
-				b := mapped.Observe(l, 1000+float64(op))
-				if a != b {
+				if r.Bernoulli(0.2) {
+					birth := 0.0
+					if r.Bernoulli(0.5) {
+						birth = at
+					}
+					if a, b := cov.AddTarget(l, birth), oracle.AddTarget(l, birth); a != b {
+						t.Fatalf("post-migrate op %d: AddTarget(%v) %v vs %v", op, l, a, b)
+					}
+					probe = append(probe, l)
+				} else if a, b := cov.Observe(l, at), oracle.Observe(l, at); a != b {
 					t.Fatalf("post-migrate op %d: Observe(%v) %v vs %v", op, l, a, b)
 				}
-				compareCoverage(t, fmt.Sprintf("post-migrate op %d", op), dense, mapped, probe)
+				compareCoverage(t, fmt.Sprintf("post-migrate op %d", op), cov, oracle, probe)
 			}
 		})
 	}
 }
 
-// TestCoverageDenseStrideSelection pins the backing-selection boundary:
-// IDs strictly under denseCoverageLimit stay dense, anything at or past it
-// (or negative) falls back to maps, and an empty target is map-backed.
+// TestCoverageDenseStrideSelection pins backing selection for small-ID
+// targets, the range the removed dense backing used to take: a non-empty
+// non-negative target — sorted or not, duplicated or not — is CSR-indexed
+// (unsorted input on a sorted, deduplicated copy, never in place); an
+// empty or negative-ID target is map-backed.
 func TestCoverageDenseStrideSelection(t *testing.T) {
-	if c := NewCoverage(nil); c.stride != 0 {
-		t.Error("empty target chose dense backing")
+	if c := NewCoverage(nil); c.index != nil {
+		t.Error("empty target chose the CSR backing")
 	}
-	edge := topology.Link{From: denseCoverageLimit - 1, To: 0}
-	if c := NewCoverage([]topology.Link{edge}); c.stride != denseCoverageLimit {
-		t.Errorf("limit-1 ID: stride %d, want %d", c.stride, denseCoverageLimit)
+	if c := NewCoverageOn(nil); c.index != nil || c.TargetSize() != 0 || !c.Complete() {
+		t.Error("nil index did not give an empty map-backed target")
 	}
-	over := topology.Link{From: denseCoverageLimit, To: 0}
-	if c := NewCoverage([]topology.Link{over}); c.stride != 0 {
-		t.Error("limit ID chose dense backing")
+	edge := []topology.Link{{From: 1023, To: 0}}
+	if c := NewCoverage(edge); c.index == nil || len(c.at) != 1 || len(c.covered) != 1 {
+		t.Errorf("single small-ID link: want one CSR slot")
 	}
-	neg := topology.Link{From: -1, To: 0}
-	if c := NewCoverage([]topology.Link{neg}); c.stride != 0 {
-		t.Error("negative ID chose dense backing")
+	unsorted := []topology.Link{{From: 3, To: 1}, {From: 0, To: 2}, {From: 3, To: 1}, {From: 0, To: 1}}
+	orig := slices.Clone(unsorted)
+	c := NewCoverage(unsorted)
+	if c.index == nil || c.TargetSize() != 3 {
+		t.Fatalf("unsorted duplicated target: index %v, size %d, want CSR of 3", c.index != nil, c.TargetSize())
+	}
+	if !slices.Equal(unsorted, orig) {
+		t.Errorf("indexing modified the caller's links: %v", unsorted)
+	}
+	if c := NewCoverage([]topology.Link{{From: -1, To: 0}}); c.index != nil {
+		t.Error("negative ID chose the CSR backing")
 	}
 }

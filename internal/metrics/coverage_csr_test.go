@@ -1,12 +1,14 @@
 package metrics
 
-// Differential tests for the CSR coverage backing: large-ID sorted targets
-// (Network.DiscoverableLinks order) must behave identically to the map
-// backing under identical operation streams, including the migration an
-// out-of-target AddTarget forces.
+// Property tests for the CSR coverage backing on large-ID sorted targets
+// (Network.DiscoverableLinks order): identical operation streams through
+// the Coverage and the map oracle must agree, including across the
+// migration an out-of-target AddTarget forces, and a TargetIndex shared by
+// several coverages is never written.
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -14,10 +16,13 @@ import (
 	"m2hew/internal/topology"
 )
 
+// bigID is a node ID well past any small-network range.
+const bigID = 1 << 12
+
 // sortedBigLinks draws a random strictly-ascending (From, To) link set with
-// IDs past the dense limit, so NewCoverage selects the CSR backing.
+// IDs past bigID.
 func sortedBigLinks(r *rng.Source) []topology.Link {
-	span := denseCoverageLimit * 4
+	span := bigID * 4
 	n := r.IntN(30) + 2
 	seen := make(map[topology.Link]bool, n)
 	var links []topology.Link
@@ -31,8 +36,8 @@ func sortedBigLinks(r *rng.Source) []topology.Link {
 			links = append(links, l)
 		}
 	}
-	// Force at least one ID past the dense limit.
-	links[0].From = topology.NodeID(denseCoverageLimit + r.IntN(span))
+	// Force at least one ID past bigID.
+	links[0].From = topology.NodeID(bigID + r.IntN(span))
 	sort.Slice(links, func(i, j int) bool {
 		if links[i].From != links[j].From {
 			return links[i].From < links[j].From
@@ -49,7 +54,7 @@ func sortedBigLinks(r *rng.Source) []topology.Link {
 }
 
 // TestCoverageCSRMapEquivalence drives identical random operation streams
-// through a CSR-backed Coverage and a map-backed twin and requires every
+// through a CSR-backed Coverage and the map oracle and requires every
 // observable to agree after every operation, including across the
 // migration a novel AddTarget forces on the CSR side.
 func TestCoverageCSRMapEquivalence(t *testing.T) {
@@ -59,14 +64,10 @@ func TestCoverageCSRMapEquivalence(t *testing.T) {
 		t.Run(fmt.Sprintf("trial%02d", trial), func(t *testing.T) {
 			links := sortedBigLinks(r)
 			csr := NewCoverage(links)
-			if csr.csrTo == nil {
+			if csr.index == nil {
 				t.Fatal("constructor did not pick the CSR backing")
 			}
-			mapped := NewCoverage(links)
-			mapped.migrate()
-			if mapped.csrTo != nil {
-				t.Fatal("migrate left the twin on CSR")
-			}
+			mapped := newCoverageOracle(links)
 
 			probe := append([]topology.Link(nil), links...)
 			probe = append(probe,
@@ -78,8 +79,8 @@ func TestCoverageCSRMapEquivalence(t *testing.T) {
 					return links[r.IntN(len(links))]
 				}
 				return topology.Link{
-					From: topology.NodeID(r.IntN(denseCoverageLimit * 5)),
-					To:   topology.NodeID(r.IntN(denseCoverageLimit * 5)),
+					From: topology.NodeID(r.IntN(bigID * 5)),
+					To:   topology.NodeID(r.IntN(bigID * 5)),
 				}
 			}
 
@@ -95,7 +96,7 @@ func TestCoverageCSRMapEquivalence(t *testing.T) {
 					if a || b {
 						t.Fatalf("op %d: re-AddTarget(%v) %v/%v", op, l, a, b)
 					}
-					if csr.csrTo == nil {
+					if csr.index == nil {
 						t.Fatalf("op %d: re-AddTarget migrated the CSR backing", op)
 					}
 				} else {
@@ -115,7 +116,7 @@ func TestCoverageCSRMapEquivalence(t *testing.T) {
 			if a, b := csr.AddTarget(novel, 2.5), mapped.AddTarget(novel, 2.5); a != b {
 				t.Fatalf("novel AddTarget %v vs %v", a, b)
 			}
-			if csr.csrTo != nil {
+			if csr.index != nil {
 				t.Fatal("novel AddTarget did not migrate the CSR backing")
 			}
 			probe = append(probe, novel)
@@ -136,35 +137,28 @@ func TestCoverageCSRMapEquivalence(t *testing.T) {
 	}
 }
 
-// TestCoverageCSRSelection pins the backing-selection rules: sorted
-// large-ID targets go CSR; unsorted, duplicated or negative input falls
-// back to maps; small-ID targets stay dense.
+// TestCoverageCSRSelection pins the CSR index's construction: sorted
+// input is indexed as is, unsorted or duplicated input on a sorted
+// deduplicated copy, negative IDs fall back to maps, and the row table is
+// sized by From IDs, not quadratically.
 func TestCoverageCSRSelection(t *testing.T) {
-	big := topology.NodeID(denseCoverageLimit + 1)
-	if c := NewCoverage([]topology.Link{{From: big, To: 0}, {From: big, To: 2}}); c.csrTo == nil {
+	big := topology.NodeID(bigID + 1)
+	if c := NewCoverage([]topology.Link{{From: big, To: 0}, {From: big, To: 2}}); c.index == nil {
 		t.Error("sorted large-ID target did not choose the CSR backing")
 	}
-	if c := NewCoverage([]topology.Link{{From: big, To: 2}, {From: big, To: 0}}); c.csrTo != nil {
-		t.Error("unsorted target chose the CSR backing")
+	if c := NewCoverage([]topology.Link{{From: big, To: 2}, {From: big, To: 0}}); c.index == nil || c.TargetSize() != 2 {
+		t.Error("unsorted target was not indexed")
 	}
-	if c := NewCoverage([]topology.Link{{From: big, To: 2}, {From: big, To: 2}}); c.csrTo != nil {
-		t.Error("duplicated target chose the CSR backing")
+	if c := NewCoverage([]topology.Link{{From: big, To: 2}, {From: big, To: 2}}); c.index == nil || c.TargetSize() != 1 {
+		t.Error("duplicated target was not deduplicated")
 	}
-	if c := NewCoverage([]topology.Link{{From: big, To: -2}}); c.csrTo != nil {
+	if c := NewCoverage([]topology.Link{{From: big, To: -2}}); c.index != nil {
 		t.Error("negative-ID target chose the CSR backing")
 	}
-	if c := NewCoverage([]topology.Link{{From: 1, To: 2}}); c.csrTo != nil || c.stride == 0 {
-		t.Error("small-ID target left the dense backing")
-	}
-	// The CSR row table is sized by From IDs, not by links: a sparse huge-ID
-	// target must not allocate quadratically.
 	far := topology.NodeID(1 << 20)
-	c := NewCoverage([]topology.Link{{From: far, To: 1}, {From: far, To: 2}})
-	if c.csrTo == nil {
-		t.Fatal("huge-ID target did not choose the CSR backing")
-	}
-	if len(c.csrOff) != int(far)+2 || len(c.csrTo) != 2 {
-		t.Errorf("CSR sizes: off %d, to %d", len(c.csrOff), len(c.csrTo))
+	x := NewTargetIndex([]topology.Link{{From: far, To: 1}, {From: far, To: 2}})
+	if x == nil || len(x.off) != int(far)+2 || len(x.to) != 2 {
+		t.Fatalf("CSR sizes for a huge-ID target: %+v", x)
 	}
 }
 
@@ -172,12 +166,12 @@ func TestCoverageCSRSelection(t *testing.T) {
 // target links on the CSR backing allocates nothing.
 func TestCoverageCSRObserveAllocs(t *testing.T) {
 	links := []topology.Link{
-		{From: denseCoverageLimit + 1, To: 4},
-		{From: denseCoverageLimit + 1, To: 9},
-		{From: denseCoverageLimit + 3, To: 4},
+		{From: bigID + 1, To: 4},
+		{From: bigID + 1, To: 9},
+		{From: bigID + 3, To: 4},
 	}
 	c := NewCoverage(links)
-	if c.csrTo == nil {
+	if c.index == nil {
 		t.Fatal("target did not choose the CSR backing")
 	}
 	allocs := testing.AllocsPerRun(100, func() {
@@ -187,5 +181,34 @@ func TestCoverageCSRObserveAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("CSR Observe allocated %.1f objects per sweep", allocs)
+	}
+}
+
+// TestTargetIndexShared pins the sharing contract: coverages built on one
+// index keep independent state, a migration of one leaves the index and
+// the others untouched, and a run's Coverage allocates only its own
+// first-coverage times and covered bitmap.
+func TestTargetIndexShared(t *testing.T) {
+	links := []topology.Link{{From: 0, To: 1}, {From: 1, To: 0}, {From: 1, To: 2}, {From: 2, To: 1}}
+	x := NewTargetIndex(links)
+	off, to := slices.Clone(x.off), slices.Clone(x.to)
+	a, b := NewCoverageOn(x), NewCoverageOn(x)
+	a.Observe(links[0], 3)
+	b.Observe(links[1], 5)
+	a.AddTarget(topology.Link{From: 7, To: 0}, 9) // migrates a only
+	if a.index != nil || b.index != x {
+		t.Fatal("migration reached the other coverage")
+	}
+	if !slices.Equal(off, x.off) || !slices.Equal(to, x.to) {
+		t.Fatal("the shared index was written")
+	}
+	if at, ok := b.FirstCovered(links[1]); !ok || at != 5 || b.Remaining() != 3 {
+		t.Fatalf("b: FirstCovered %v %v, remaining %d", at, ok, b.Remaining())
+	}
+	if _, ok := b.FirstCovered(links[0]); ok {
+		t.Fatal("a's observation leaked into b")
+	}
+	if allocs := testing.AllocsPerRun(50, func() { _ = NewCoverageOn(x) }); allocs > 3 {
+		t.Errorf("NewCoverageOn allocated %.0f objects, want at most 3 (the Coverage, its times, its bitmap)", allocs)
 	}
 }

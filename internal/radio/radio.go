@@ -99,7 +99,8 @@ type Message struct {
 	// receiver finding its own ID here learns that its transmissions reach
 	// the sender. Nil when the sending protocol does not report a heard
 	// list (the paper's plain algorithms). Engines snapshot the sender's
-	// list at delivery time, so the slice is owned by this message and
-	// stays valid even as the sender keeps discovering.
+	// list at delivery time into a buffer they reuse for the next
+	// delivery: the slice is borrowed for the Deliver call only, and a
+	// receiver that keeps it past the call must copy it.
 	Heard []topology.NodeID
 }

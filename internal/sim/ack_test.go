@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"m2hew/internal/channel"
@@ -100,5 +101,44 @@ func TestAckTriangleRoundTrip(t *testing.T) {
 		if len(w.Confirmed()) != 2 {
 			t.Fatalf("node %d confirmed %v, want both others", u, w.Confirmed())
 		}
+	}
+}
+
+// TestAckTiledMatchesSingleThreaded runs the acknowledgment extension on
+// the tiled path: tiles snapshot a sender's heard-list into their own
+// buffers, concurrently (AppendHeard only reads the sender's table, which
+// no one writes while it transmits), and the confirmations and coverage
+// must match the single-threaded engine's exactly.
+func TestAckTiledMatchesSingleThreaded(t *testing.T) {
+	nw := tiledNet(t, 31, 48, 0.3)
+	const maxSlots = 600
+	run := func(tl *topology.Tiling) (*SyncResult, []*core.Acknowledging, Internals) {
+		protos, wrappers := wrapAck(t, nw, 16, 77)
+		rec := &InternalsRecorder{}
+		res, err := RunSync(SyncConfig{
+			Network: nw, Protocols: protos, MaxSlots: maxSlots, RunToMaxSlots: true,
+			Tiling: tl, Observer: rec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, wrappers, rec.Last
+	}
+	base, baseAck, _ := run(nil)
+	got, gotAck, in := run(mustTiling(t, nw, 2, 2))
+	if in.TiledSlots != maxSlots {
+		t.Fatalf("tiled path ran %d of %d slots", in.TiledSlots, maxSlots)
+	}
+	sameCoverage(t, "ack tiled", base.Coverage, got.Coverage)
+	confirmed := 0
+	for u := range baseAck {
+		want, have := baseAck[u].Confirmed(), gotAck[u].Confirmed()
+		if fmt.Sprint(want) != fmt.Sprint(have) {
+			t.Fatalf("node %d confirmed %v tiled, %v single-threaded", u, have, want)
+		}
+		confirmed += len(want)
+	}
+	if confirmed == 0 {
+		t.Fatal("no confirmations; the heard-list path was not exercised")
 	}
 }

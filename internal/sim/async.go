@@ -221,7 +221,10 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 	// node, so appends never reallocate); before a listening frame
 	// resolves, every candidate transmitter is generated out to the frame's
 	// end, which is exactly the coverage collectSlots needs.
-	cands, msgAvail := sc.networkTables(nw)
+	cands, msgAvail, target := sc.networkTables(nw)
+	for u := range cfg.Nodes {
+		reserveNeighbors(cfg.Nodes[u].Protocol, cands[u])
+	}
 	env := sc.envFor(nw, cands, frames, starts, timelines, slotsPerFrame, cfg.Loss)
 	env.world = cfg.Dynamics
 	deliveries := sc.deliveryBuf()
@@ -273,11 +276,12 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 
 	sc.deliveries = deliveries[:0] // keep any capacity the run grew
 
-	coverage := asyncCoverage(nw, cfg.Dynamics, maxEnd)
+	coverage := asyncCoverage(target, cfg.Dynamics, maxEnd)
 	for _, d := range deliveries {
 		msg := radio.Message{From: d.from, Avail: msgAvail[d.from]}
 		if hr, ok := cfg.Nodes[d.from].Protocol.(HeardReporter); ok {
-			msg.Heard = copyHeard(hr.Heard())
+			sc.heard = hr.AppendHeard(sc.heard[:0])
+			msg.Heard = borrowHeard(sc.heard)
 		}
 		cfg.Nodes[d.to].Protocol.Deliver(msg)
 		coverage.Observe(topology.Link{From: d.from, To: d.to}, d.at)
@@ -352,12 +356,13 @@ func (env *asyncEnv) generate(v int, st Stepper) error {
 }
 
 // asyncCoverage builds an asynchronous run's coverage target: the static
-// network's discoverable links, or — for dynamic runs — the union of epoch
-// link sets through the epoch containing horizon (a real time), each link
-// born at the start time of its first epoch.
-func asyncCoverage(nw *topology.Network, world *dynamics.World, horizon float64) *metrics.Coverage {
+// network's discoverable links (the scratch's shared target index), or —
+// for dynamic runs — the union of epoch link sets through the epoch
+// containing horizon (a real time), each link born at the start time of
+// its first epoch.
+func asyncCoverage(target *metrics.TargetIndex, world *dynamics.World, horizon float64) *metrics.Coverage {
 	if world == nil {
-		return metrics.NewCoverage(nw.DiscoverableLinks())
+		return metrics.NewCoverageOn(target)
 	}
 	coverage := metrics.NewCoverage(nil)
 	last := world.EpochOf(horizon)

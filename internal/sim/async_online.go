@@ -53,7 +53,10 @@ func RunAsyncOnline(cfg AsyncConfig) (*AsyncResult, error) {
 	slotBudget := cfg.MaxFrames * slotsPerFrame
 	timelines := sc.timelineSlice(n)
 	frames, starts := sc.frameTables(n, cfg.MaxFrames, 0) // appended to as frames generate
-	cands, msgAvail := sc.networkTables(nw)
+	cands, msgAvail, target := sc.networkTables(nw)
+	for u := range cfg.Nodes {
+		reserveNeighbors(cfg.Nodes[u].Protocol, cands[u])
+	}
 	env := sc.envFor(nw, cands, frames, starts, timelines, slotsPerFrame, cfg.Loss)
 	env.world = cfg.Dynamics
 	ts := 0.0
@@ -106,7 +109,7 @@ func RunAsyncOnline(cfg AsyncConfig) (*AsyncResult, error) {
 	// existed in the epoch of its listening frame's start, which the
 	// advance below reaches before that frame resolves.
 	world := cfg.Dynamics
-	coverage := asyncCoverage(nw, world, 0)
+	coverage := asyncCoverage(target, world, 0)
 	result := &AsyncResult{Ts: ts, Coverage: coverage, Timelines: timelines, FrameBudget: cfg.MaxFrames} //ndlint:ignore scratchalias Timelines ownership transfers per the RecycleTimelines contract
 
 	announceEpoch := func(e int) {
@@ -180,7 +183,8 @@ func RunAsyncOnline(cfg AsyncConfig) (*AsyncResult, error) {
 		for _, d := range env.resolveFrame(uid, g) {
 			msg := radio.Message{From: d.from, Avail: msgAvail[d.from]}
 			if hr, ok := cfg.Nodes[d.from].Protocol.(HeardReporter); ok {
-				msg.Heard = copyHeard(hr.Heard())
+				sc.heard = hr.AppendHeard(sc.heard[:0])
+				msg.Heard = borrowHeard(sc.heard)
 			}
 			cfg.Nodes[d.to].Protocol.Deliver(msg)
 			coverage.Observe(topology.Link{From: d.from, To: d.to}, d.at)

@@ -1,10 +1,10 @@
 package sim
 
 // Regression tests for engine hot-path hazards fixed alongside the resolver
-// rework: the Heard-list aliasing seam (engines must snapshot a reporter's
-// list at delivery time, not alias its backing array) and the
-// FullFrames/MinFullFrames frame-budget clamp (bound audits must not count
-// frames past the simulated horizon).
+// rework: the Heard-list seam (engines must snapshot a reporter's list at
+// delivery time into their own buffer, and lend it to the receiver for the
+// Deliver call only) and the FullFrames/MinFullFrames frame-budget clamp
+// (bound audits must not count frames past the simulated horizon).
 
 import (
 	"testing"
@@ -14,9 +14,7 @@ import (
 )
 
 // mutatingHeardSync transmits every slot and reports a Heard list whose
-// backing array it overwrites in place on every step — the exact aliasing
-// hazard: an engine that stores the returned slice instead of copying it
-// would see all its delivered messages rewritten retroactively.
+// backing array it overwrites in place on every step.
 type mutatingHeardSync struct {
 	h []topology.NodeID
 }
@@ -25,16 +23,27 @@ func (p *mutatingHeardSync) Step(s int) radio.Action {
 	p.h[0] = topology.NodeID(s)
 	return radio.Action{Mode: radio.Transmit, Channel: 0}
 }
-func (p *mutatingHeardSync) Deliver(radio.Message)    {}
-func (p *mutatingHeardSync) Heard() []topology.NodeID { return p.h }
-
-// recordingSync listens on one channel and retains every delivered message.
-type recordingSync struct {
-	msgs []radio.Message
+func (p *mutatingHeardSync) Deliver(radio.Message) {}
+func (p *mutatingHeardSync) AppendHeard(dst []topology.NodeID) []topology.NodeID {
+	return append(dst, p.h...)
 }
 
-func (p *recordingSync) Step(int) radio.Action     { return radio.Action{Mode: radio.Receive, Channel: 0} }
-func (p *recordingSync) Deliver(msg radio.Message) { p.msgs = append(p.msgs, msg) }
+// recordingSync listens on one channel and keeps a copy of every delivered
+// heard-list (the slice itself is borrowed for the call), noting whether
+// the engine handed it the reporter's own array.
+type recordingSync struct {
+	heard   [][]topology.NodeID
+	aliased bool
+	owner   []topology.NodeID
+}
+
+func (p *recordingSync) Step(int) radio.Action { return radio.Action{Mode: radio.Receive, Channel: 0} }
+func (p *recordingSync) Deliver(msg radio.Message) {
+	if len(msg.Heard) > 0 && len(p.owner) > 0 && &msg.Heard[0] == &p.owner[0] {
+		p.aliased = true
+	}
+	p.heard = append(p.heard, append([]topology.NodeID(nil), msg.Heard...))
+}
 
 func TestSyncHeardSnapshotNotAliased(t *testing.T) {
 	nw, err := topology.Clique(2)
@@ -45,7 +54,7 @@ func TestSyncHeardSnapshotNotAliased(t *testing.T) {
 		t.Fatal(err)
 	}
 	sender := &mutatingHeardSync{h: make([]topology.NodeID, 1)}
-	receiver := &recordingSync{}
+	receiver := &recordingSync{owner: sender.h}
 	if _, err := RunSync(SyncConfig{
 		Network:       nw,
 		Protocols:     []SyncProtocol{sender, receiver},
@@ -54,13 +63,16 @@ func TestSyncHeardSnapshotNotAliased(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(receiver.msgs) != 8 {
-		t.Fatalf("received %d messages, want 8", len(receiver.msgs))
+	if len(receiver.heard) != 8 {
+		t.Fatalf("received %d messages, want 8", len(receiver.heard))
 	}
-	for slot, msg := range receiver.msgs {
-		if len(msg.Heard) != 1 || msg.Heard[0] != topology.NodeID(slot) {
-			t.Fatalf("slot %d message Heard = %v, want [%d] — the engine aliased the reporter's slice",
-				slot, msg.Heard, slot)
+	if receiver.aliased {
+		t.Fatal("the engine lent the reporter's own array instead of its snapshot")
+	}
+	for slot, heard := range receiver.heard {
+		if len(heard) != 1 || heard[0] != topology.NodeID(slot) {
+			t.Fatalf("slot %d message Heard = %v, want [%d] — not the sender's list at delivery time",
+				slot, heard, slot)
 		}
 	}
 }
@@ -74,18 +86,28 @@ type heardAsync struct {
 func (p *heardAsync) NextFrame(int) radio.Action {
 	return radio.Action{Mode: radio.Transmit, Channel: 0}
 }
-func (p *heardAsync) Deliver(radio.Message)    {}
-func (p *heardAsync) Heard() []topology.NodeID { return p.h }
+func (p *heardAsync) Deliver(radio.Message) {}
+func (p *heardAsync) AppendHeard(dst []topology.NodeID) []topology.NodeID {
+	return append(dst, p.h...)
+}
 
-// recordingAsync listens every frame and retains every delivered message.
+// recordingAsync listens every frame and keeps a copy of every delivered
+// heard-list, noting whether the engine lent the reporter's own array.
 type recordingAsync struct {
-	msgs []radio.Message
+	heard   [][]topology.NodeID
+	aliased bool
+	owner   []topology.NodeID
 }
 
 func (p *recordingAsync) NextFrame(int) radio.Action {
 	return radio.Action{Mode: radio.Receive, Channel: 0}
 }
-func (p *recordingAsync) Deliver(msg radio.Message) { p.msgs = append(p.msgs, msg) }
+func (p *recordingAsync) Deliver(msg radio.Message) {
+	if len(msg.Heard) > 0 && &msg.Heard[0] == &p.owner[0] {
+		p.aliased = true
+	}
+	p.heard = append(p.heard, append([]topology.NodeID(nil), msg.Heard...))
+}
 
 func TestAsyncHeardSnapshotNotAliased(t *testing.T) {
 	for _, tc := range []struct {
@@ -104,7 +126,7 @@ func TestAsyncHeardSnapshotNotAliased(t *testing.T) {
 				t.Fatal(err)
 			}
 			sender := &heardAsync{h: []topology.NodeID{42}}
-			receiver := &recordingAsync{}
+			receiver := &recordingAsync{owner: sender.h}
 			if _, err := tc.run(AsyncConfig{
 				Network:   nw,
 				Nodes:     []AsyncNode{{Protocol: sender}, {Protocol: receiver}},
@@ -113,14 +135,16 @@ func TestAsyncHeardSnapshotNotAliased(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			if len(receiver.msgs) == 0 {
+			if len(receiver.heard) == 0 {
 				t.Fatal("no deliveries; the aliasing check tests nothing")
 			}
-			sender.h[0] = 99 // the hazard: mutate the reporter's array post-run
-			for i, msg := range receiver.msgs {
-				if len(msg.Heard) != 1 || msg.Heard[0] != 42 {
-					t.Fatalf("message %d Heard = %v, want [42] — the engine aliased the reporter's slice",
-						i, msg.Heard)
+			if receiver.aliased {
+				t.Fatal("the engine lent the reporter's own array instead of its snapshot")
+			}
+			sender.h[0] = 99 // mutating the reporter's array post-run changes no copy
+			for i, heard := range receiver.heard {
+				if len(heard) != 1 || heard[0] != 42 {
+					t.Fatalf("message %d Heard = %v, want [42]", i, heard)
 				}
 			}
 		})

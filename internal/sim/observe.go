@@ -368,19 +368,15 @@ func EnergyObserver(m *metrics.EnergyMeter) Observer {
 	}))
 }
 
-// copyHeard snapshots a protocol's reported heard-list at the engine
-// boundary. Message construction is the ownership seam: a reporting
-// protocol keeps mutating its list as it discovers more neighbors, so
-// handing the live slice to a receiver would retroactively rewrite
-// messages delivered earlier. Nil stays nil (the paper's plain algorithms
-// report no list).
-func copyHeard(heard []topology.NodeID) []topology.NodeID {
-	if len(heard) == 0 {
+// borrowHeard returns the message view of a heard-list snapshot the
+// engine took into its reused buffer: nil for an empty list (as for the
+// paper's plain algorithms, which report none), the buffer otherwise —
+// lent to the receiver for one Deliver call (see radio.Message.Heard).
+func borrowHeard(snapshot []topology.NodeID) []topology.NodeID {
+	if len(snapshot) == 0 {
 		return nil
 	}
-	out := make([]topology.NodeID, len(heard))
-	copy(out, heard)
-	return out
+	return snapshot
 }
 
 // DeliverObserver adapts a delivery callback: f is invoked for every

@@ -3,6 +3,7 @@ package sim
 import (
 	"m2hew/internal/channel"
 	"m2hew/internal/clock"
+	"m2hew/internal/metrics"
 	"m2hew/internal/radio"
 	"m2hew/internal/topology"
 )
@@ -24,7 +25,11 @@ type SyncScratch struct {
 	cands    [][]topology.Candidate
 	msgAvail []channel.Set
 	masks    *topology.CandidateMasks
-	links    []topology.Link
+	// target is the coverage target index (CSR over the discoverable
+	// links), shared read-only by every run's Coverage on this network. A
+	// network switch allocates a new index and never rewrites the old one,
+	// so a Coverage returned earlier stays valid.
+	target *metrics.TargetIndex
 
 	// Tiled-resolver state (see sync_tiled.go), cached keyed by (network,
 	// tiling) pair: the halo-local candidate masks and the per-tile scratch.
@@ -51,6 +56,7 @@ type SyncScratch struct {
 	ovl       []uint64
 	covered   []uint64
 	hrs       []HeardReporter
+	heard     []topology.NodeID
 	us        []topology.NodeID
 	ks        []int
 	dec       []radio.Action
@@ -77,7 +83,7 @@ func (sc *SyncScratch) Reset() {
 	sc.cands = nil
 	sc.msgAvail = nil
 	sc.masks = nil
-	sc.links = nil
+	sc.target = nil
 	sc.tileNW = nil
 	sc.tileTL = nil
 	sc.tileMasks = nil
@@ -87,10 +93,11 @@ func (sc *SyncScratch) Reset() {
 // networkTables returns the network-derived tables — the inbound-candidate
 // table, the shared message availability sets, the channel-major candidate
 // masks (nil when over the word budget; the run falls back to the scalar
-// resolver) and the discoverable-link target — rebuilding them only when
-// the network changed since the last run. hit reports whether the cached
-// tables were reused (the engine-internals scratch hit/miss counter).
-func (sc *SyncScratch) networkTables(nw *topology.Network) (_ [][]topology.Candidate, _ []channel.Set, _ *topology.CandidateMasks, _ []topology.Link, hit bool) {
+// resolver) and the discoverable-link coverage target index — rebuilding
+// them only when the network changed since the last run. hit reports
+// whether the cached tables were reused (the engine-internals scratch
+// hit/miss counter).
+func (sc *SyncScratch) networkTables(nw *topology.Network) (_ [][]topology.Candidate, _ []channel.Set, _ *topology.CandidateMasks, _ *metrics.TargetIndex, hit bool) {
 	hit = sc.nwKey == nw
 	if !hit {
 		sc.nwKey = nw
@@ -101,9 +108,9 @@ func (sc *SyncScratch) networkTables(nw *topology.Network) (_ [][]topology.Candi
 			channels = int(id) + 1
 		}
 		sc.masks = topology.NewCandidateMasks(sc.cands, channels, syncMaskWordBudget)
-		sc.links = nw.DiscoverableLinks()
+		sc.target = metrics.NewTargetIndex(nw.DiscoverableLinks())
 	}
-	return sc.cands, sc.msgAvail, sc.masks, sc.links, hit
+	return sc.cands, sc.msgAvail, sc.masks, sc.target, hit
 }
 
 // syncTileMaskWordBudget returns the tiled resolver's packed-mask budget:
@@ -299,6 +306,7 @@ type AsyncScratch struct {
 	nwKey    *topology.Network
 	cands    [][]topology.Candidate
 	msgAvail []channel.Set
+	target   *metrics.TargetIndex // shared read-only, as in SyncScratch
 
 	timelines  []*clock.Timeline
 	rateBufs   [][]float64
@@ -310,6 +318,9 @@ type AsyncScratch struct {
 	// Online-engine per-run buffers.
 	nextEnd []float64
 	pending []int
+
+	// heard is the heard-list snapshot lent to each Deliver call.
+	heard []topology.NodeID
 }
 
 // NewAsyncScratch returns an empty scratch ready for use.
@@ -322,16 +333,18 @@ func (sc *AsyncScratch) Reset() {
 	sc.nwKey = nil
 	sc.cands = nil
 	sc.msgAvail = nil
+	sc.target = nil
 }
 
 // networkTables mirrors SyncScratch.networkTables.
-func (sc *AsyncScratch) networkTables(nw *topology.Network) ([][]topology.Candidate, []channel.Set) {
+func (sc *AsyncScratch) networkTables(nw *topology.Network) ([][]topology.Candidate, []channel.Set, *metrics.TargetIndex) {
 	if sc.nwKey != nw {
 		sc.nwKey = nw
 		sc.cands = nw.InboundCandidates()
 		sc.msgAvail = sharedMsgAvail(nw)
+		sc.target = metrics.NewTargetIndex(nw.DiscoverableLinks())
 	}
-	return sc.cands, sc.msgAvail
+	return sc.cands, sc.msgAvail, sc.target
 }
 
 // timelineFor returns the timeline for node u initialized with the given

@@ -254,3 +254,52 @@ func TestRunAsyncSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state RunAsync allocates %.0f/run; ceiling 150", steady)
 	}
 }
+
+// TestSyncScratchCoverageSurvivesNetworkSwitch pins the shared coverage
+// target contract: every run's Coverage reads the scratch's per-network
+// target index, so a scratch switching networks must build a new index and
+// never rewrite the old one — a Coverage returned earlier keeps describing
+// its own run after the scratch has run a different network.
+func TestSyncScratchCoverageSurvivesNetworkSwitch(t *testing.T) {
+	nwA := scratchTestNetwork(t, 24, 0.4, 21)
+	nwB := scratchTestNetwork(t, 31, 0.35, 22)
+	scratch := NewSyncScratch()
+	run := func(nw *topology.Network, seed uint64) *SyncResult {
+		root := rng.New(seed)
+		protos := make([]SyncProtocol, nw.N())
+		for u := range protos {
+			p, err := core.NewSyncUniform(nw.Avail(topology.NodeID(u)), 4, root.Split())
+			if err != nil {
+				t.Fatal(err)
+			}
+			protos[u] = p
+		}
+		res, err := RunSync(SyncConfig{Network: nw, Protocols: protos, MaxSlots: 60, Scratch: scratch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	describe := func(res *SyncResult, nw *topology.Network) string {
+		var sb strings.Builder
+		cov := res.Coverage
+		fmt.Fprintf(&sb, "%s uncovered=%v latencies=%v\n", cov, cov.Uncovered(), cov.Latencies())
+		for _, l := range nw.DiscoverableLinks() {
+			at, ok := cov.FirstCovered(l)
+			fmt.Fprintf(&sb, "%v %v %v\n", l, at, ok)
+		}
+		return sb.String()
+	}
+
+	resA := run(nwA, 3)
+	before := describe(resA, nwA)
+	targetA := scratch.target
+	run(nwB, 4)
+	if scratch.target == targetA {
+		t.Fatal("the scratch reused the old network's target index for a new network")
+	}
+	run(nwB, 5)
+	if after := describe(resA, nwA); after != before {
+		t.Fatalf("an earlier Coverage changed after the scratch ran another network:\nbefore:\n%s\nafter:\n%s", before, after)
+	}
+}

@@ -45,9 +45,14 @@ import (
 // their discovered in-neighbor list on outgoing messages (the
 // acknowledgment extension for asymmetric graphs, core.Acknowledging).
 // Engines query it at delivery time, so the list reflects everything the
-// sender had heard before the delivered transmission.
+// sender had heard before the delivered transmission. AppendHeard appends
+// the list, ascending, to dst and returns the extended slice; it must only
+// read the reporter's state (the tiled engine queries one sender from
+// several workers at once). The engines pass a buffer they reuse across
+// deliveries and lend it to the receiver as radio.Message.Heard for the
+// Deliver call only.
 type HeardReporter interface {
-	Heard() []topology.NodeID
+	AppendHeard(dst []topology.NodeID) []topology.NodeID
 }
 
 // SyncProtocol is a per-node protocol driven by the synchronous engine.
@@ -221,14 +226,14 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 	if sc == nil {
 		sc = NewSyncScratch()
 	}
-	cands, msgAvail, masks, links, tablesHit := sc.networkTables(nw)
+	cands, msgAvail, masks, target, tablesHit := sc.networkTables(nw)
 	var coverage *metrics.Coverage
 	epochSlots := 0
 	if world != nil {
 		epochSlots, _ = world.EpochSlots()  // error ruled out by validate
 		coverage = metrics.NewCoverage(nil) // grows at epoch boundaries below
 	} else {
-		coverage = metrics.NewCoverage(links)
+		coverage = metrics.NewCoverageOn(target)
 	}
 	maxID := channel.ID(-1)
 	if id, ok := nw.Universe().Max(); ok {
@@ -341,8 +346,9 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 	for u, p := range cfg.Protocols {
 		hr, _ := p.(HeardReporter)
 		run.hrs[u] = hr
+		reserveNeighbors(p, cands[u])
 	}
-	reserveSyncProtocols(cfg.Protocols, n)
+	run.heard = sc.heard[:0]
 
 	// Dynamic-run state: the current epoch snapshot (its candidate table
 	// shadows the static table through run.curCands, so the scalar resolver
@@ -459,6 +465,7 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 		}
 	}
 	sc.txTouched = run.txTouched[:0] // keep any capacity the run grew
+	sc.heard = run.heard[:0]
 	if run.rx != nil {
 		sc.rxTouched = run.rxTouched[:0]
 	}

@@ -65,6 +65,7 @@ type syncRun struct {
 	ovl       []uint64
 	covered   []uint64
 	hrs       []HeardReporter
+	heard     []topology.NodeID // heard-list snapshot lent to each Deliver
 	us        []topology.NodeID
 	ks        []int
 	dec       []radio.Action
@@ -106,21 +107,23 @@ type syncRun struct {
 }
 
 // NeighborReserver is optionally implemented by protocols whose discovery
-// state can be pre-sized to the network: the engines call it once per run
-// with the node count, replacing per-discovery growth cascades with one
-// sized allocation. Implementations must not change results — reserving
+// state can be pre-sized: the engines call it once per run with the
+// expected number of discoveries — the node's inbound candidate count, the
+// neighbors it can ever hear on the static network — replacing
+// per-discovery growth cascades with one sized allocation. The hint must
+// stay lazy: implementations allocate at the first discovery, not in this
+// call, so a large run whose nodes mostly discover little pays only for
+// what they record. Implementations must not change results — reserving
 // moves allocation timing only (core's NeighborTable.Reserve is the model).
 type NeighborReserver interface {
-	ReserveNeighbors(n int)
+	ReserveNeighbors(expected int)
 }
 
-// reserveSyncProtocols announces the network size to every protocol that
-// can use it.
-func reserveSyncProtocols(protos []SyncProtocol, n int) {
-	for _, p := range protos {
-		if r, ok := p.(NeighborReserver); ok {
-			r.ReserveNeighbors(n)
-		}
+// reserveNeighbors announces a node's inbound candidate count to its
+// protocol, when the protocol can use it.
+func reserveNeighbors(p any, cands []topology.Candidate) {
+	if r, ok := p.(NeighborReserver); ok {
+		r.ReserveNeighbors(len(cands))
 	}
 }
 
@@ -443,7 +446,8 @@ func (r *syncRun) resolveScalar(slot int) {
 func (r *syncRun) deliver(sender, uid topology.NodeID, c channel.ID, slot int) {
 	msg := radio.Message{From: sender, Avail: r.msgAvail[sender]}
 	if hr := r.hrs[sender]; hr != nil {
-		msg.Heard = copyHeard(hr.Heard())
+		r.heard = hr.AppendHeard(r.heard[:0])
+		msg.Heard = borrowHeard(r.heard)
 	}
 	r.protos[uid].Deliver(msg)
 	if r.covered != nil {

@@ -101,6 +101,7 @@ type tileState struct {
 	haloLive  []bool   // per channel: any transmitter present at last assembly
 
 	deliv []tileDelivery
+	heard []topology.NodeID // heard-list snapshot lent to each in-tile Deliver
 
 	err     error
 	errNode topology.NodeID
@@ -387,7 +388,8 @@ func (r *syncRun) tileSlotB(ti int) {
 func (r *syncRun) tiledDeliver(ts *tileState, sender, uid topology.NodeID) {
 	msg := radio.Message{From: sender, Avail: r.msgAvail[sender]}
 	if hr := r.hrs[sender]; hr != nil {
-		msg.Heard = copyHeard(hr.Heard())
+		ts.heard = hr.AppendHeard(ts.heard[:0])
+		msg.Heard = borrowHeard(ts.heard)
 	}
 	r.protos[uid].Deliver(msg)
 	ts.deliv = append(ts.deliv, tileDelivery{from: sender, to: uid})
