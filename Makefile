@@ -63,13 +63,17 @@ bench-gate:
 perfbench:
 	bash _perfbench/run.sh $(ARGS)
 
-# One-second sync-n200 run of the repository benchmark; fails unless the
-# JSON line reports no failed runs (every trial complete, within the
-# Theorem 3 bound, tables equal to the ground truth).
+# One-second runs of the repository benchmark's sync-n200 and scale-100k
+# workloads; fails unless each JSON line reports no failed runs (sync-n200:
+# every trial complete, within the Theorem 3 bound, tables equal to the
+# ground truth; scale-100k: every slot of the 100k-node runs on the tiled
+# path, which guards the derived tables the tiled resolver reads).
 perfbench-smoke:
-	@out="$$($(MAKE) --no-print-directory perfbench ARGS='--workload sync-n200 --seconds 1 --trace 0')" || exit 1; \
-	echo "$$out"; \
-	echo "$$out" | grep '^{' | grep -Eq '"failed":0[,}]' || { echo "perfbench-smoke: runs failed" >&2; exit 1; }
+	@for wl in sync-n200 scale-100k; do \
+		out="$$($(MAKE) --no-print-directory perfbench ARGS="--workload $$wl --seconds 1 --trace 0")" || exit 1; \
+		echo "$$out"; \
+		echo "$$out" | grep '^{' | grep -Eq '"failed":0[,}]' || { echo "perfbench-smoke: $$wl runs failed" >&2; exit 1; }; \
+	done
 
 # One full pass of every reproduction benchmark (one iteration each), then
 # the engine throughput snapshot: cmd/ndperf rewrites BENCH_3.json with

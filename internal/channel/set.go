@@ -46,6 +46,15 @@ func NewSet(channels ...ID) Set {
 	return s
 }
 
+// ArenaSet returns an empty set backed by buf, for carving many sets out of
+// one []uint64 arena instead of allocating each: used as the dst of an
+// *Into operation (IntersectInto, CopyInto, UnionInto) it receives the
+// result in buf's storage, allocating only if cap(buf) is too small. The
+// set shares storage with buf, so pass a full slice expression
+// (arena[i:j:j]) to keep a later grow from writing into the next set's
+// words. Table builders hand such sets out read-only.
+func ArenaSet(buf []uint64) Set { return Set{words: buf[:0]} }
+
 // Range returns the set {0, 1, ..., n-1}, the canonical universal set of
 // size n. It returns an empty set for n <= 0.
 func Range(n int) Set {

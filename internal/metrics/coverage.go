@@ -73,6 +73,48 @@ func NewTargetIndex(links []topology.Link) *TargetIndex {
 	return idx
 }
 
+// NewTargetIndexFromCandidates builds the CSR index of the discoverable
+// links straight from an InboundCandidates table, by a counting-sort
+// transpose: link (v, u) is discoverable exactly when v is an inbound
+// candidate of u, so row v lists every u with v ∈ cands[u], in ascending u.
+// The result equals NewTargetIndex(nw.DiscoverableLinks()) for the network
+// the table was built from, without materializing or sorting the link list:
+// two O(links) arrays, filled in one pass over the table.
+func NewTargetIndexFromCandidates(cands [][]topology.Candidate) *TargetIndex {
+	// Rows run to the largest transmitter, as NewTargetIndex sizes them.
+	rows, links := 0, 0
+	for _, list := range cands {
+		if k := len(list); k > 0 {
+			links += k
+			rows = max(rows, int(list[k-1].From)+1)
+		}
+	}
+	idx := &TargetIndex{
+		off: make([]int64, rows+1),
+		to:  make([]topology.NodeID, links),
+	}
+	// off[v+1] counts row v; the prefix sum turns off[v] into row v's start.
+	for _, list := range cands {
+		for _, c := range list {
+			idx.off[c.From+1]++
+		}
+	}
+	for v := 1; v <= rows; v++ {
+		idx.off[v] += idx.off[v-1]
+	}
+	// Scatter in ascending receiver order, using off[v] as row v's cursor;
+	// afterwards off[v] holds row v's end, so shift it back by one row.
+	for u, list := range cands {
+		for _, c := range list {
+			idx.to[idx.off[c.From]] = topology.NodeID(u)
+			idx.off[c.From]++
+		}
+	}
+	copy(idx.off[1:], idx.off[:rows])
+	idx.off[0] = 0
+	return idx
+}
+
 // cmpLink orders links ascending by (From, To).
 func cmpLink(a, b topology.Link) int {
 	if a.From != b.From {

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"testing"
 
+	"m2hew/internal/channel"
 	"m2hew/internal/rng"
 	"m2hew/internal/topology"
 )
@@ -210,5 +211,74 @@ func TestTargetIndexShared(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(50, func() { _ = NewCoverageOn(x) }); allocs > 3 {
 		t.Errorf("NewCoverageOn allocated %.0f objects, want at most 3 (the Coverage, its times, its bitmap)", allocs)
+	}
+}
+
+// transposeTestNetwork draws a random network for the transpose test:
+// Erdős–Rényi or streamed geometric graphs (sparse draws leave isolated
+// nodes), available sets without feasibility repair (empty sets and
+// empty-span edges), dropped directions, and span overrides that may empty
+// a span.
+func transposeTestNetwork(t *testing.T, r *rng.Source) *topology.Network {
+	t.Helper()
+	n := r.IntN(90) + 1
+	var (
+		nw  *topology.Network
+		err error
+	)
+	if r.Bernoulli(0.5) {
+		nw, err = topology.ErdosRenyi(n, r.Float64()*0.25, r)
+	} else {
+		nw, err = topology.GeometricCSR(n, 0.03+r.Float64()*0.25, r)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	randomSet := func(universe int, q float64) channel.Set {
+		var s channel.Set
+		for c := 0; c < universe; c++ {
+			if r.Bernoulli(q) {
+				s.Add(channel.ID(c))
+			}
+		}
+		return s
+	}
+	universe := r.IntN(100) + 1
+	for u := 0; u < n; u++ {
+		nw.SetAvail(topology.NodeID(u), randomSet(universe, 0.1+r.Float64()*0.5))
+	}
+	if r.Bernoulli(0.6) {
+		if err := topology.DropRandomDirections(nw, r.Float64()*0.7, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r.Bernoulli(0.6) {
+		for u := 0; u < n; u++ {
+			for _, v := range nw.Neighbors(topology.NodeID(u)) {
+				if v > topology.NodeID(u) && r.Bernoulli(0.3) {
+					if err := nw.RestrictSpan(topology.NodeID(u), v, randomSet(universe, 0.3)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+	return nw
+}
+
+// TestTargetIndexFromCandidatesMatchesLinks pins the counting-sort
+// transpose of the inbound-candidate table to the index of the
+// discoverable-link list, field for field, on random networks with dropped
+// directions, span overrides, empty-span edges and isolated nodes.
+func TestTargetIndexFromCandidatesMatchesLinks(t *testing.T) {
+	root := rng.New(1405)
+	for trial := 0; trial < 300; trial++ {
+		nw := transposeTestNetwork(t, root.Split())
+		got := NewTargetIndexFromCandidates(nw.InboundCandidates())
+		want := NewTargetIndex(nw.DiscoverableLinks())
+		if !slices.Equal(got.off, want.off) || !slices.Equal(got.to, want.to) {
+			t.Fatalf("trial %d (n=%d): transposed index\n off %v\n to  %v\nwant\n off %v\n to  %v",
+				trial, nw.N(), got.off, got.to, want.off, want.to)
+		}
 	}
 }

@@ -376,13 +376,25 @@ func asyncCoverage(target *metrics.TargetIndex, world *dynamics.World, horizon f
 	return coverage
 }
 
-// sharedMsgAvail clones each node's available set once per run; every
+// sharedMsgAvail copies each node's available set once per network; every
 // message from the same sender shares the copy (see radio.Message for the
-// read-only contract). One clone per node replaces one clone per delivery.
+// read-only contract). One copy per node replaces one clone per delivery,
+// and the copies share one word arena, so the table costs two allocations
+// at any n.
 func sharedMsgAvail(nw *topology.Network) []channel.Set {
 	out := make([]channel.Set, nw.N())
+	words := 0
 	for u := range out {
-		out[u] = nw.Avail(topology.NodeID(u)).Clone()
+		words += len(nw.Avail(topology.NodeID(u)).Words())
+	}
+	arena := make([]uint64, words)
+	words = 0
+	for u := range out {
+		avail := nw.Avail(topology.NodeID(u))
+		if w := len(avail.Words()); w > 0 {
+			out[u] = avail.CopyInto(channel.ArenaSet(arena[words : words+w : words+w]))
+			words += w
+		}
 	}
 	return out
 }

@@ -93,8 +93,10 @@ func (sc *SyncScratch) Reset() {
 // networkTables returns the network-derived tables — the inbound-candidate
 // table, the shared message availability sets, the channel-major candidate
 // masks (nil when over the word budget; the run falls back to the scalar
-// resolver) and the discoverable-link coverage target index — rebuilding
-// them only when the network changed since the last run. hit reports
+// resolver) and the discoverable-link coverage target index, transposed
+// from the candidate table — rebuilding them only when the network changed
+// since the last run. A cold build makes a constant number of allocations
+// at any network size. hit reports
 // whether the cached tables were reused (the engine-internals scratch
 // hit/miss counter).
 func (sc *SyncScratch) networkTables(nw *topology.Network) (_ [][]topology.Candidate, _ []channel.Set, _ *topology.CandidateMasks, _ *metrics.TargetIndex, hit bool) {
@@ -108,7 +110,7 @@ func (sc *SyncScratch) networkTables(nw *topology.Network) (_ [][]topology.Candi
 			channels = int(id) + 1
 		}
 		sc.masks = topology.NewCandidateMasks(sc.cands, channels, syncMaskWordBudget)
-		sc.target = metrics.NewTargetIndex(nw.DiscoverableLinks())
+		sc.target = metrics.NewTargetIndexFromCandidates(sc.cands)
 	}
 	return sc.cands, sc.msgAvail, sc.masks, sc.target, hit
 }
@@ -342,7 +344,7 @@ func (sc *AsyncScratch) networkTables(nw *topology.Network) ([][]topology.Candid
 		sc.nwKey = nw
 		sc.cands = nw.InboundCandidates()
 		sc.msgAvail = sharedMsgAvail(nw)
-		sc.target = metrics.NewTargetIndex(nw.DiscoverableLinks())
+		sc.target = metrics.NewTargetIndexFromCandidates(sc.cands)
 	}
 	return sc.cands, sc.msgAvail, sc.target
 }

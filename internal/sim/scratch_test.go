@@ -303,3 +303,41 @@ func TestSyncScratchCoverageSurvivesNetworkSwitch(t *testing.T) {
 		t.Fatalf("an earlier Coverage changed after the scratch ran another network:\nbefore:\n%s\nafter:\n%s", before, after)
 	}
 }
+
+// TestNetworkTablesAllocsConstant pins the cold derived-table build —
+// candidates, shared message sets, candidate masks and coverage target —
+// to a constant number of allocations for both engines' scratches: the
+// same count at n=500 and n=5000, so the build cannot grow per-node or
+// per-edge allocations again. Grid networks keep the candidate masks
+// within their word budget at both sizes, so both builds take the same
+// branches.
+func TestNetworkTablesAllocsConstant(t *testing.T) {
+	allocs := func(rows int) (syncAllocs, asyncAllocs float64) {
+		nw, err := topology.Grid(rows, 50)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := topology.AssignUniformK(nw, 8, 4, rng.New(uint64(rows))); err != nil {
+			t.Fatal(err)
+		}
+		ss, as := NewSyncScratch(), NewAsyncScratch()
+		syncAllocs = testing.AllocsPerRun(3, func() {
+			ss.Reset()
+			if _, _, masks, _, _ := ss.networkTables(nw); masks == nil {
+				t.Fatal("candidate masks over budget")
+			}
+		})
+		asyncAllocs = testing.AllocsPerRun(3, func() {
+			as.Reset()
+			as.networkTables(nw)
+		})
+		return syncAllocs, asyncAllocs
+	}
+	sync500, async500 := allocs(10)
+	sync5000, async5000 := allocs(100)
+	t.Logf("cold networkTables allocs: sync %v/%v, async %v/%v (n=500/5000)", sync500, sync5000, async500, async5000)
+	if sync500 != sync5000 || async500 != async5000 {
+		t.Fatalf("cold networkTables allocations grow with n: sync %v -> %v, async %v -> %v (n=500 -> 5000)",
+			sync500, sync5000, async500, async5000)
+	}
+}

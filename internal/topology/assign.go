@@ -170,28 +170,38 @@ func repairFeasibility(nw *Network, universe channel.Set, r *rng.Source) error {
 			nw.SetAvail(NodeID(u), s)
 		}
 	}
-	for _, l := range nw.DirectedLinks() {
-		if l.From > l.To {
-			continue // handle each undirected edge once
+	// Each undirected edge once, as its directed link (a, b>a) in
+	// DirectedLinks order; an edge whose a→b direction was dropped is
+	// skipped. Repairs change only available sets, never the walk.
+	for u := 0; u < nw.N(); u++ {
+		a := NodeID(u)
+		for _, b := range nw.adj[u] {
+			if b < a || !nw.undropped(a, b) || nw.spanSize(a, b) > 0 {
+				continue
+			}
+			if err := repairEdge(nw, a, b, r); err != nil {
+				return err
+			}
 		}
-		if !nw.Span(l.From, l.To).IsEmpty() {
-			continue
-		}
-		a, b := l.From, l.To
-		// Grant one of the larger set's channels to the smaller set, keeping
-		// set sizes balanced.
-		donor, recipient := a, b
-		if nw.Avail(a).Size() < nw.Avail(b).Size() {
-			donor, recipient = b, a
-		}
-		c, err := nw.Avail(donor).Pick(r)
-		if err != nil {
-			return fmt.Errorf("topology: repair edge {%d,%d}: %w", a, b, err)
-		}
-		s := nw.Avail(recipient).Clone()
-		s.Add(c)
-		nw.SetAvail(recipient, s)
 	}
+	return nil
+}
+
+// repairEdge gives the empty-span edge {a,b} a common channel: one of the
+// larger set's channels is granted to the smaller set, keeping set sizes
+// balanced.
+func repairEdge(nw *Network, a, b NodeID, r *rng.Source) error {
+	donor, recipient := a, b
+	if nw.Avail(a).Size() < nw.Avail(b).Size() {
+		donor, recipient = b, a
+	}
+	c, err := nw.Avail(donor).Pick(r)
+	if err != nil {
+		return fmt.Errorf("topology: repair edge {%d,%d}: %w", a, b, err)
+	}
+	s := nw.Avail(recipient).Clone()
+	s.Add(c)
+	nw.SetAvail(recipient, s)
 	return nil
 }
 

@@ -3,7 +3,7 @@ package topology
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"m2hew/internal/rng"
 )
@@ -65,7 +65,7 @@ func visitGeometricPairs(nodes []Node, radius float64, visit func(i, j int32)) {
 			}
 		}
 		// Bucket visit order is spatial; restore ascending-j emission order.
-		sort.Slice(cand, func(a, b int) bool { return cand[a] < cand[b] })
+		slices.Sort(cand)
 		for _, j := range cand {
 			dx, dy := nodes[i].X-nodes[j].X, nodes[i].Y-nodes[j].Y
 			if math.Hypot(dx, dy) <= radius {
@@ -120,7 +120,7 @@ func GeometricCSR(n int, radius float64, r *rng.Source) (*Network, error) {
 	for i := 0; i < n; i++ {
 		adj[i] = arena[off[i]:off[i+1]:off[i+1]]
 	}
-	return &Network{nodes: nodes, adj: adj, universeStale: true}, nil
+	return &Network{nodes: nodes, adj: adj}, nil
 }
 
 // GeometricConnectedCSR retries GeometricCSR until the graph is connected,

@@ -113,8 +113,11 @@ func TestGeometricStreamStatsMatchesGraph(t *testing.T) {
 	}
 }
 
-// TestInboundCandidatesMatchesNaive pins the flat shared-span table to the
-// original row-at-a-time build across asymmetric drops and span overrides.
+// TestInboundCandidatesMatchesNaive pins the arena-backed shared-span table
+// to the original row-at-a-time build across asymmetric drops and span
+// overrides, on Erdős–Rényi graphs with repaired Bernoulli sets, streamed
+// geometric graphs with uniform-k sets, and unrepaired random networks with
+// empty sets, empty spans and isolated nodes.
 func TestInboundCandidatesMatchesNaive(t *testing.T) {
 	root := rng.New(73)
 	for trial := 0; trial < 50; trial++ {
@@ -127,32 +130,61 @@ func TestInboundCandidatesMatchesNaive(t *testing.T) {
 		if err := AssignBernoulli(nw, r.IntN(5)+1, 0.7, r); err != nil {
 			t.Fatal(err)
 		}
-		if r.Bernoulli(0.5) {
-			if err := DropRandomDirections(nw, 0.4, r); err != nil {
-				t.Fatal(err)
-			}
+		perturbCandidateNetwork(t, nw, r)
+		checkInboundCandidates(t, fmt.Sprintf("erdos-renyi trial %d", trial), nw)
+	}
+	for trial := 0; trial < 50; trial++ {
+		r := root.Split()
+		nw, err := GeometricCSR(r.IntN(300)+2, 0.05+r.Float64()*0.15, r)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if r.Bernoulli(0.3) {
-			if err := RestrictSpansRandomly(nw, 1, r); err != nil {
-				t.Fatal(err)
-			}
+		k := r.IntN(6) + 1
+		if err := AssignUniformK(nw, k+r.IntN(70), k, r); err != nil {
+			t.Fatal(err)
 		}
-		got, want := nw.InboundCandidates(), nw.inboundCandidatesNaive()
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: %d rows, want %d", trial, len(got), len(want))
+		perturbCandidateNetwork(t, nw, r)
+		checkInboundCandidates(t, fmt.Sprintf("geometric-csr trial %d", trial), nw)
+	}
+	for trial := 0; trial < 50; trial++ {
+		checkInboundCandidates(t, fmt.Sprintf("unrepaired trial %d", trial), tableTestNetwork(t, root.Split()))
+	}
+}
+
+// perturbCandidateNetwork drops random directions and caps random spans,
+// each on about half the networks.
+func perturbCandidateNetwork(t *testing.T, nw *Network, r *rng.Source) {
+	t.Helper()
+	if r.Bernoulli(0.5) {
+		if err := DropRandomDirections(nw, 0.4, r); err != nil {
+			t.Fatal(err)
 		}
-		for u := range want {
-			if len(got[u]) != len(want[u]) {
-				t.Fatalf("trial %d node %d: %d candidates, want %d", trial, u, len(got[u]), len(want[u]))
+	}
+	if r.Bernoulli(0.3) {
+		if err := RestrictSpansRandomly(nw, 1, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// checkInboundCandidates compares InboundCandidates with the naive build
+// row by row: same transmitters in the same order, equal spans.
+func checkInboundCandidates(t *testing.T, name string, nw *Network) {
+	t.Helper()
+	got, want := nw.InboundCandidates(), nw.inboundCandidatesNaive()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, want %d", name, len(got), len(want))
+	}
+	for u := range want {
+		if len(got[u]) != len(want[u]) {
+			t.Fatalf("%s node %d: %d candidates, want %d", name, u, len(got[u]), len(want[u]))
+		}
+		for i := range want[u] {
+			if got[u][i].From != want[u][i].From {
+				t.Fatalf("%s node %d cand %d: From %d, want %d", name, u, i, got[u][i].From, want[u][i].From)
 			}
-			for i := range want[u] {
-				if got[u][i].From != want[u][i].From {
-					t.Fatalf("trial %d node %d cand %d: From %d, want %d",
-						trial, u, i, got[u][i].From, want[u][i].From)
-				}
-				if !got[u][i].Span.Equal(want[u][i].Span) {
-					t.Fatalf("trial %d node %d cand %d: spans differ", trial, u, i)
-				}
+			if !got[u][i].Span.Equal(want[u][i].Span) {
+				t.Fatalf("%s node %d cand %d: span %v, want %v", name, u, i, got[u][i].Span, want[u][i].Span)
 			}
 		}
 	}

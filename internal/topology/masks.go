@@ -51,6 +51,7 @@ func NewCandidateMasks(cands [][]Candidate, channels, budgetWords int) *Candidat
 		lo[r] = int32(n >> 6) // past any real word; hi < lo marks empty
 		hi[r] = -1
 	}
+	running := 0
 	for u, list := range cands {
 		base := u * channels
 		for _, cand := range list {
@@ -70,6 +71,18 @@ func NewCandidateMasks(cands [][]Candidate, channels, budgetWords int) *Candidat
 						hi[r] = vw
 					}
 				}
+			}
+		}
+		// Rows of listener u are final once its list is done: keep a running
+		// total and stop as soon as the budget is exceeded.
+		if budgetWords > 0 {
+			for r := base; r < base+channels; r++ {
+				if hi[r] >= lo[r] {
+					running += int(hi[r]-lo[r]) + 1
+				}
+			}
+			if running > budgetWords {
+				return nil
 			}
 		}
 	}

@@ -19,6 +19,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"m2hew/internal/channel"
 )
@@ -49,12 +51,15 @@ type Link struct {
 type Network struct {
 	nodes []Node
 	adj   [][]NodeID // sorted adjacency lists
-	// universe caches the union of all Avail sets. universeStale defers the
-	// O(n) recomputation to the next Universe() read: assigners call
-	// SetAvail once per node, and an eager refresh there would make bulk
-	// channel assignment O(n²) — minutes at 100k nodes.
+	// universe caches the union of all Avail sets. SetAvail clears
+	// universeFresh, deferring the O(n) recomputation to the next Universe()
+	// read: assigners call SetAvail once per node, and an eager refresh there
+	// would make bulk channel assignment O(n²) — minutes at 100k nodes.
+	// universeMu serializes the refresh, so concurrent first reads (trial
+	// workers sharing one network) do not race on the cache.
 	universe      channel.Set
-	universeStale bool
+	universeFresh atomic.Bool
+	universeMu    sync.Mutex
 	// spanOverride optionally restricts the span of specific undirected
 	// edges below A(u)∩A(v), modeling diverse propagation characteristics
 	// (an extension the paper mentions in Section II). Keys are canonical
@@ -102,7 +107,7 @@ func newNetwork(nodes []Node, edges [][2]NodeID) (*Network, error) {
 	for _, neighbors := range adj {
 		sort.Slice(neighbors, func(i, j int) bool { return neighbors[i] < neighbors[j] })
 	}
-	return &Network{nodes: nodes, adj: adj, universeStale: true}, nil
+	return &Network{nodes: nodes, adj: adj}, nil
 }
 
 func canonicalEdge(a, b NodeID) [2]NodeID {
@@ -129,15 +134,31 @@ func (nw *Network) Nodes() []Node {
 }
 
 // Universe returns the universal channel set (union of all available sets).
-// The first read after a SetAvail recomputes the cached union, so the first
-// call must not race with other Network accesses; every engine resolves it
-// during single-threaded setup.
+// The first read after a SetAvail recomputes the cached union under a lock,
+// so any number of goroutines may call Universe concurrently — trial
+// workers sharing one network do. Like every read, it must not run
+// concurrently with SetAvail or another mutator: mutation belongs to
+// single-threaded construction.
 func (nw *Network) Universe() channel.Set {
-	if nw.universeStale {
-		nw.refreshUniverse()
-		nw.universeStale = false
+	return nw.universeSet().Clone()
+}
+
+// universeSet returns the cached universal set, refreshing it first if a
+// SetAvail made it stale. Shared storage — do not modify.
+func (nw *Network) universeSet() channel.Set {
+	if !nw.universeFresh.Load() {
+		nw.universeMu.Lock()
+		if !nw.universeFresh.Load() {
+			var u channel.Set
+			for _, node := range nw.nodes {
+				u = u.UnionInto(node.Avail, u)
+			}
+			nw.universe = u
+			nw.universeFresh.Store(true)
+		}
+		nw.universeMu.Unlock()
 	}
-	return nw.universe.Clone()
+	return nw.universe
 }
 
 // Avail returns A(u). The returned set shares storage with the network and
@@ -218,28 +239,52 @@ func (nw *Network) Symmetric() bool { return len(nw.dropped) == 0 }
 // use it during construction.
 func (nw *Network) SetAvail(u NodeID, a channel.Set) {
 	nw.nodes[u].Avail = a.Clone()
-	nw.universeStale = true
+	nw.universeFresh.Store(false)
 }
 
-func (nw *Network) refreshUniverse() {
-	var u channel.Set
-	for _, node := range nw.nodes {
-		u = u.Union(node.Avail)
+// undropped reports whether v's transmissions reach u across the edge
+// {u,v}: the caller guarantees adjacency, so only dropped is consulted —
+// and only when some direction was dropped at all.
+func (nw *Network) undropped(v, u NodeID) bool {
+	return nw.dropped == nil || !nw.dropped[[2]NodeID{v, u}]
+}
+
+// spanSize returns |span(u,v)| of the edge {u,v}; the caller guarantees
+// adjacency. Only an overridden edge materializes its span.
+func (nw *Network) spanSize(u, v NodeID) int {
+	if nw.spanOverride != nil {
+		if _, ok := nw.spanOverride[canonicalEdge(u, v)]; ok {
+			return nw.Span(u, v).Size()
+		}
 	}
-	nw.universe = u
+	return channel.OverlapCount(nw.nodes[u].Avail.Words(), nw.nodes[v].Avail.Words())
+}
+
+// edgeSpanContains reports whether channel c ∈ span(u,v) of the edge
+// {u,v}, without allocating. The caller guarantees adjacency.
+func (nw *Network) edgeSpanContains(u, v NodeID, c channel.ID) bool {
+	if !nw.nodes[u].Avail.Contains(c) || !nw.nodes[v].Avail.Contains(c) {
+		return false
+	}
+	if nw.spanOverride != nil {
+		if mask, ok := nw.spanOverride[canonicalEdge(u, v)]; ok {
+			return mask.Contains(c)
+		}
+	}
+	return true
 }
 
 // DirectedLinks returns every directed link (u,v) whose transmissions can
 // arrive (adjacent, direction not dropped), regardless of span. Order is
 // deterministic: ascending (From, To).
 func (nw *Network) DirectedLinks() []Link {
-	var links []Link
+	links := make([]Link, 0, 2*nw.EdgeCount())
 	for u := range nw.nodes {
+		uid := NodeID(u)
 		for _, v := range nw.adj[u] {
-			if !nw.Reaches(NodeID(u), v) {
-				continue
+			if nw.undropped(uid, v) {
+				links = append(links, Link{From: uid, To: v})
 			}
-			links = append(links, Link{From: NodeID(u), To: v})
 		}
 	}
 	return links
@@ -249,10 +294,13 @@ func (nw *Network) DirectedLinks() []Link {
 // links any neighbor-discovery algorithm can possibly cover, and therefore
 // the completion target of every experiment.
 func (nw *Network) DiscoverableLinks() []Link {
-	var links []Link
-	for _, l := range nw.DirectedLinks() {
-		if !nw.Span(l.From, l.To).IsEmpty() {
-			links = append(links, l)
+	links := make([]Link, 0, 2*nw.EdgeCount())
+	for u := range nw.nodes {
+		uid := NodeID(u)
+		for _, v := range nw.adj[u] {
+			if nw.undropped(uid, v) && nw.spanSize(uid, v) > 0 {
+				links = append(links, Link{From: uid, To: v})
+			}
 		}
 	}
 	return links
@@ -269,7 +317,9 @@ type Candidate struct {
 	From NodeID
 	// Span is span(receiver, From): the channels on which From's
 	// transmissions can be decoded by the receiver. Shared storage — do
-	// not modify.
+	// not modify: InboundCandidates carves every span of a table out of one
+	// word arena (channel.ArenaSet), and both directions of an edge share
+	// one span.
 	Span channel.Set
 }
 
@@ -282,35 +332,35 @@ type Candidate struct {
 // snapshots the network: calls to RestrictSpan, DropDirection or SetAvail
 // after construction are not reflected.
 //
-// Rows are subslices of one flat arena, and span(u,v) — symmetric by
-// definition — is resolved once per undirected edge and shared by both
-// directions' entries (Candidate.Span is already shared-storage by
-// contract). Relative to the row-at-a-time build this halves the span
-// intersections and replaces O(n) append-grown slices with two O(E)
-// allocations, which is what keeps the table affordable at n≥100k.
+// The build is O(E) with a constant number of allocations, which is what
+// keeps it affordable at n≥100k. Rows are subslices of one flat candidate
+// arena, and span(u,v) — symmetric by definition — is resolved once per
+// undirected edge into one shared word arena and shared by both
+// directions' entries. The adjacency walk needs no membership searches
+// (the pairs come from the adjacency itself), and the dropped-direction
+// and span-override maps are consulted only when they exist.
 // inboundCandidatesNaive is the differential-test reference.
 func (nw *Network) InboundCandidates() [][]Candidate {
 	n := len(nw.nodes)
-	// Pass 1: resolve each undirected edge's span once, in ascending
-	// (u, v>u) order, and count the surviving entries per receiver row.
-	spans := make([]channel.Set, 0, nw.EdgeCount())
+	// Pass 1: in ascending (u, v>u) edge order, count the surviving entries
+	// per receiver row and the span words the edges that keep an entry need.
 	counts := make([]int32, n+1)
+	words := 0
 	for u := range nw.nodes {
 		uid := NodeID(u)
 		for _, v := range nw.adj[u] {
-			if v <= uid {
+			if v <= uid || nw.spanSize(uid, v) == 0 {
 				continue
 			}
-			span := nw.Span(uid, v)
-			spans = append(spans, span)
-			if span.IsEmpty() {
-				continue
-			}
-			if nw.Reaches(v, uid) {
+			in, out := nw.undropped(v, uid), nw.undropped(uid, v)
+			if in {
 				counts[u]++
 			}
-			if nw.Reaches(uid, v) {
+			if out {
 				counts[v]++
+			}
+			if in || out {
+				words += nw.spanWords(uid, v)
 			}
 		}
 	}
@@ -319,30 +369,38 @@ func (nw *Network) InboundCandidates() [][]Candidate {
 		off[u+1] = off[u] + counts[u]
 	}
 	arena := make([]Candidate, off[n])
-	// Pass 2: scatter both directions of each edge through per-row cursors.
-	// Row u receives each transmitter v<u while the outer index is v
-	// (ascending v), then each v>u while the outer index is u (ascending
-	// adjacency order), so rows come out in ascending From order without a
-	// sort.
+	spanArena := make([]uint64, words)
+	// Pass 2: resolve each kept edge's span into the word arena, then
+	// scatter both directions through per-row cursors. Row u receives each
+	// transmitter v<u while the outer index is v (ascending v), then each
+	// v>u while the outer index is u (ascending adjacency order), so rows
+	// come out in ascending From order without a sort.
 	cur := counts[:n]
 	copy(cur, off[:n])
-	ei := 0
+	words = 0
 	for u := range nw.nodes {
 		uid := NodeID(u)
 		for _, v := range nw.adj[u] {
-			if v <= uid {
+			if v <= uid || nw.spanSize(uid, v) == 0 {
 				continue
 			}
-			span := spans[ei]
-			ei++
-			if span.IsEmpty() {
+			in, out := nw.undropped(v, uid), nw.undropped(uid, v)
+			if !in && !out {
 				continue
 			}
-			if nw.Reaches(v, uid) {
+			w := nw.spanWords(uid, v)
+			span := nw.nodes[u].Avail.IntersectInto(nw.nodes[v].Avail, channel.ArenaSet(spanArena[words:words+w:words+w]))
+			words += w
+			if nw.spanOverride != nil {
+				if mask, ok := nw.spanOverride[canonicalEdge(uid, v)]; ok {
+					span = span.IntersectInto(mask, span)
+				}
+			}
+			if in {
 				arena[cur[u]] = Candidate{From: v, Span: span}
 				cur[u]++
 			}
-			if nw.Reaches(uid, v) {
+			if out {
 				arena[cur[v]] = Candidate{From: uid, Span: span}
 				cur[v]++
 			}
@@ -353,6 +411,12 @@ func (nw *Network) InboundCandidates() [][]Candidate {
 		table[u] = arena[off[u]:off[u+1]:off[u+1]]
 	}
 	return table
+}
+
+// spanWords returns the word length of A(u)∩A(v) as Intersect sizes it:
+// the shorter operand's. An override only ever shortens it.
+func (nw *Network) spanWords(u, v NodeID) int {
+	return min(len(nw.nodes[u].Avail.Words()), len(nw.nodes[v].Avail.Words()))
 }
 
 // inboundCandidatesNaive is the original row-at-a-time build, kept verbatim
@@ -381,11 +445,11 @@ func (nw *Network) inboundCandidatesNaive() [][]Candidate {
 // DegreeOn returns Δ(u,c): the number of neighbors whose transmissions can
 // arrive at u on channel c, i.e. nodes v with Reaches(v,u) and c ∈
 // span(u,v). This in-degree is the contention-relevant quantity: it counts
-// the transmitters that can collide at u.
+// the transmitters that can collide at u. It allocates nothing.
 func (nw *Network) DegreeOn(u NodeID, c channel.ID) int {
 	d := 0
 	for _, v := range nw.adj[u] {
-		if nw.Reaches(v, u) && nw.Span(u, v).Contains(c) {
+		if nw.undropped(v, u) && nw.edgeSpanContains(u, v, c) {
 			d++
 		}
 	}
@@ -396,7 +460,7 @@ func (nw *Network) DegreeOn(u NodeID, c channel.ID) int {
 // construction), adjacency symmetric, every node has a non-empty available
 // set, and every edge has a non-empty span. The last two conditions are what
 // channel assigners must establish; Validate is how tests and tools audit
-// them.
+// them. A valid network is checked without allocating.
 func (nw *Network) Validate() error {
 	for u := range nw.nodes {
 		for _, v := range nw.adj[u] {
@@ -408,9 +472,13 @@ func (nw *Network) Validate() error {
 			return fmt.Errorf("topology: node %d has empty available channel set", u)
 		}
 	}
-	for _, l := range nw.DirectedLinks() {
-		if nw.Span(l.From, l.To).IsEmpty() {
-			return fmt.Errorf("topology: edge {%d,%d} has empty span", l.From, l.To)
+	// Every directed link, in DirectedLinks order.
+	for u := range nw.nodes {
+		uid := NodeID(u)
+		for _, v := range nw.adj[u] {
+			if nw.undropped(uid, v) && nw.spanSize(uid, v) == 0 {
+				return fmt.Errorf("topology: edge {%d,%d} has empty span", u, v)
+			}
 		}
 	}
 	return nil

@@ -3,6 +3,9 @@ package topology
 import (
 	"fmt"
 	"math"
+	"math/bits"
+
+	"m2hew/internal/channel"
 )
 
 // Params are the derived analysis parameters of a network, exactly the
@@ -33,40 +36,55 @@ type Params struct {
 	EmptySpanLinks int `json:"emptySpanLinks"`
 }
 
-// ComputeParams derives Params from the network.
+// ComputeParams derives Params from the network. It walks the adjacency
+// and the available sets' words directly, so it allocates nothing beyond a
+// stale universe's refresh (and one span per link that carries a span
+// override).
 func (nw *Network) ComputeParams() Params {
 	p := Params{
 		N:            nw.N(),
-		UniverseSize: nw.Universe().Size(),
+		UniverseSize: nw.universeSet().Size(),
 		Rho:          1,
 		Edges:        nw.EdgeCount(),
 	}
 	for u := range nw.nodes {
-		if size := nw.nodes[u].Avail.Size(); size > p.S {
+		uid := NodeID(u)
+		avail := nw.nodes[u].Avail
+		if size := avail.Size(); size > p.S {
 			p.S = size
 		}
 		if d := len(nw.adj[u]); d > p.MaxGraphDegree {
 			p.MaxGraphDegree = d
 		}
-		for _, c := range nw.nodes[u].Avail.IDs() {
-			if d := nw.DegreeOn(NodeID(u), c); d > p.Delta {
-				p.Delta = d
+		for wi, w := range avail.Words() {
+			for w != 0 {
+				c := channel.ID(wi*64 + bits.TrailingZeros64(w))
+				w &= w - 1
+				if d := nw.DegreeOn(uid, c); d > p.Delta {
+					p.Delta = d
+				}
 			}
 		}
 	}
 	sawLink := false
-	for _, l := range nw.DirectedLinks() {
-		span := nw.Span(l.From, l.To)
-		if span.IsEmpty() {
-			p.EmptySpanLinks++
-			continue
-		}
-		p.DiscoverableLinks++
-		// Paper: span-ratio of (u,v) is |span(u,v)| / |A(v)|.
-		ratio := float64(span.Size()) / float64(nw.nodes[l.To].Avail.Size())
-		if !sawLink || ratio < p.Rho {
-			p.Rho = ratio
-			sawLink = true
+	for u := range nw.nodes {
+		uid := NodeID(u)
+		for _, v := range nw.adj[u] {
+			if !nw.undropped(uid, v) {
+				continue
+			}
+			size := nw.spanSize(uid, v)
+			if size == 0 {
+				p.EmptySpanLinks++
+				continue
+			}
+			p.DiscoverableLinks++
+			// Paper: span-ratio of (u,v) is |span(u,v)| / |A(v)|.
+			ratio := float64(size) / float64(nw.nodes[v].Avail.Size())
+			if !sawLink || ratio < p.Rho {
+				p.Rho = ratio
+				sawLink = true
+			}
 		}
 	}
 	return p

@@ -297,6 +297,7 @@ func NewTileMasks(tl *Tiling, cands [][]Candidate, channels, budgetWords int) *T
 		lo[r] = sentinel
 		hi[r] = -1
 	}
+	running := 0
 	for u, list := range cands {
 		t := int(tl.tileOf[u])
 		base := u * channels
@@ -321,6 +322,18 @@ func NewTileMasks(tl *Tiling, cands [][]Candidate, channels, budgetWords int) *T
 						hi[r] = vw
 					}
 				}
+			}
+		}
+		// Rows of listener u are final once its list is done: keep a running
+		// total and stop as soon as the budget is exceeded.
+		if budgetWords > 0 {
+			for r := base; r < base+channels; r++ {
+				if hi[r] >= lo[r] {
+					running += int(hi[r]-lo[r]) + 1
+				}
+			}
+			if running > budgetWords {
+				return nil
 			}
 		}
 	}
