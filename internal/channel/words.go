@@ -65,29 +65,6 @@ func OverlapResolve(a, b []uint64) (count, first int) {
 	return count, first
 }
 
-// OverlapInto writes a ∧ b into dst's backing array (grown once if too
-// small) and returns it with length min(len(a), len(b)) — the batched
-// candidate-mask intersection used by the lossy slot resolver to prune
-// silent listeners before any ordered erasure draws. Use as with append:
-//
-//	buf = OverlapInto(buf, a, b)
-//
-//nd:hotpath
-func OverlapInto(dst, a, b []uint64) []uint64 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	if cap(dst) < n {
-		dst = make([]uint64, n)
-	}
-	dst = dst[:n]
-	for i := 0; i < n; i++ {
-		dst[i] = a[i] & b[i]
-	}
-	return dst
-}
-
 // OrInto ORs src into dst, growing dst (zero-extended) once when src is
 // longer, and returns dst — the word-OR accumulation pass that merges
 // partial transmitter masks (per-tile masks in the sharded engine inherit

@@ -9,7 +9,6 @@
 package metrics
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -41,13 +40,13 @@ func NewTargetIndex(links []topology.Link) *TargetIndex {
 		if l.From < 0 || l.To < 0 {
 			return nil
 		}
-		if i > 0 && cmpLink(links[i-1], l) >= 0 {
+		if i > 0 && topology.CompareLinks(links[i-1], l) >= 0 {
 			sorted = false
 		}
 	}
 	if !sorted {
 		links = slices.Clone(links)
-		slices.SortFunc(links, cmpLink)
+		slices.SortFunc(links, topology.CompareLinks)
 		links = slices.Compact(links)
 	}
 	rows := 0
@@ -113,14 +112,6 @@ func NewTargetIndexFromCandidates(cands [][]topology.Candidate) *TargetIndex {
 	copy(idx.off[1:], idx.off[:rows])
 	idx.off[0] = 0
 	return idx
-}
-
-// cmpLink orders links ascending by (From, To).
-func cmpLink(a, b topology.Link) int {
-	if a.From != b.From {
-		return cmp.Compare(a.From, b.From)
-	}
-	return cmp.Compare(a.To, b.To)
 }
 
 // Len returns the number of target links.
@@ -439,7 +430,7 @@ func (c *Coverage) Uncovered() []topology.Link {
 			out = append(out, l)
 		}
 	}
-	slices.SortFunc(out, cmpLink)
+	slices.SortFunc(out, topology.CompareLinks)
 	return out
 }
 

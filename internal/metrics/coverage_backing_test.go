@@ -112,7 +112,7 @@ func (o *coverageOracle) Uncovered() []topology.Link {
 			out = append(out, l)
 		}
 	}
-	slices.SortFunc(out, cmpLink)
+	slices.SortFunc(out, topology.CompareLinks)
 	return out
 }
 

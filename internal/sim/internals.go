@@ -28,10 +28,11 @@ type Internals struct {
 	// SlotsSimulated mirrors SyncResult.SlotsSimulated.
 	SlotsSimulated int64
 	// TiledSlots, BatchedSlots, KernelSlots and ScalarSlots attribute the
-	// run's slots to the resolver path that executed them. Path selection
-	// is fixed for a whole run, so exactly one of the four equals
-	// SlotsSimulated and the other three are zero — their sum always
-	// equals SlotsSimulated.
+	// run's slots to the resolver path that executed them; their sum
+	// always equals SlotsSimulated. Path selection is fixed for a whole
+	// run, so one counter carries every slot — except that a dynamic run's
+	// over-budget epochs move their slots from the run's kernel path to
+	// ScalarSlots.
 	TiledSlots   int64
 	BatchedSlots int64
 	KernelSlots  int64
@@ -43,10 +44,10 @@ type Internals struct {
 	// active nodes) rather than per slot.
 	HaloExchanges   int64
 	HaloWordsCopied int64
-	// MaskBudgetOverruns is 1 when a static run's packed candidate-mask
-	// table exceeded its word budget, forcing the scalar path on a network
-	// the kernels could otherwise have served; 0 otherwise (dynamic runs
-	// take the scalar path by design and do not count).
+	// MaskBudgetOverruns counts packed candidate-mask tables that exceeded
+	// their word budget, forcing the scalar path on slots the kernels could
+	// otherwise have served: 1 for an over-budget static run, and one per
+	// over-budget epoch table of a dynamic run.
 	MaskBudgetOverruns int64
 	// StepperBatches counts decision-pull batches (one per slot);
 	// StepperBatchNodes sums their sizes (decisions pulled), so the mean

@@ -69,8 +69,11 @@ func TestInternalsPathAttributionSumsToSlots(t *testing.T) {
 		{"kernel-full-observer", SyncConfig{}, true, func(in Internals) int64 { return in.KernelSlots }},
 		// Loss forces per-listener erasure draws: kernel even when masked off.
 		{"kernel-lossy", SyncConfig{Loss: loss()}, false, func(in Internals) int64 { return in.KernelSlots }},
-		// Dynamics runs resolve on the scalar path by design.
-		{"scalar-dynamics", SyncConfig{Dynamics: world()}, false, func(in Internals) int64 { return in.ScalarSlots }},
+		// Dynamic runs resolve on the kernel paths over per-epoch masks:
+		// batched when loss-free and masked off, kernel under a full
+		// observer.
+		{"batched-dynamics", SyncConfig{Dynamics: world()}, false, func(in Internals) int64 { return in.BatchedSlots }},
+		{"kernel-dynamics-full-observer", SyncConfig{Dynamics: world()}, true, func(in Internals) int64 { return in.KernelSlots }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.label, func(t *testing.T) {
@@ -145,23 +148,25 @@ func TestInternalsScratchTableReuse(t *testing.T) {
 	}
 }
 
-// TestInternalsMaskBudgetOverrun pins the overrun attribution at the unit
-// level (an end-to-end overrun needs a packed table past the 8 MB budget,
-// i.e. a multi-thousand-node dense network): a run that fell back to the
-// scalar path because its mask table was over budget reports the overrun;
-// batched and dynamic-scalar runs never do.
+// TestInternalsMaskBudgetOverrun pins what finalizeInternals derives from
+// the run's tallies: the slots the scalar fallback did not take land on the
+// run's kernel or batched path, and the scratch-table flag is reported.
+// Overrun counting itself (one per over-budget table, the scalar slots of
+// over-budget epochs) is pinned end to end in sync_dynamic_test.go by
+// TestSyncStaticMaskOverrun and TestSyncDynamicMixedBudget.
 func TestInternalsMaskBudgetOverrun(t *testing.T) {
-	over := (&syncRun{}).finalizeInternals(100, true, false)
-	if over.MaskBudgetOverruns != 1 || over.ScalarSlots != 100 {
-		t.Errorf("over-budget run: %+v, want 1 overrun, 100 scalar slots", over)
+	kernel := &syncRun{}
+	kernel.internals.ScalarSlots = 40
+	if in := kernel.finalizeInternals(100, false); in.ScalarSlots != 40 || in.KernelSlots != 60 || in.BatchedSlots != 0 || in.ScratchTableMisses != 1 {
+		t.Errorf("kernel run with 40 scalar slots: %+v, want 40 scalar, 60 kernel slots, table miss", in)
 	}
-	batched := (&syncRun{batched: true, useKernel: true}).finalizeInternals(100, false, true)
-	if batched.MaskBudgetOverruns != 0 || batched.BatchedSlots != 100 || batched.ScratchTableHits != 1 {
-		t.Errorf("batched run: %+v, want no overrun, 100 batched slots, table hit", batched)
+	batched := &syncRun{batched: true}
+	batched.internals.ScalarSlots = 100
+	if in := batched.finalizeInternals(100, true); in.ScalarSlots != 100 || in.BatchedSlots != 0 || in.KernelSlots != 0 || in.ScratchTableHits != 1 {
+		t.Errorf("batched run with every epoch over budget: %+v, want 100 scalar slots, table hit", in)
 	}
-	dynamic := (&syncRun{}).finalizeInternals(100, false, false)
-	if dynamic.MaskBudgetOverruns != 0 || dynamic.ScalarSlots != 100 {
-		t.Errorf("dynamic scalar run: %+v, want no overrun, 100 scalar slots", dynamic)
+	if in := (&syncRun{batched: true}).finalizeInternals(100, true); in.BatchedSlots != 100 || in.ScalarSlots != 0 || in.ScratchTableHits != 1 {
+		t.Errorf("batched run: %+v, want 100 batched slots, table hit", in)
 	}
 }
 

@@ -25,6 +25,15 @@ type SyncScratch struct {
 	cands    [][]topology.Candidate
 	msgAvail []channel.Set
 	masks    *topology.CandidateMasks
+	// epochMasks is the dynamic runs' candidate-mask table, repacked in
+	// place from each changed epoch snapshot (see epochMasksFor); it never
+	// aliases masks, the static network's cached table.
+	epochMasks *topology.CandidateMasks
+	// maskBudget, when positive, replaces syncMaskWordBudget for this
+	// scratch's mask tables — the hook tests shrink to force the scalar
+	// fallback on small networks. Set it before the scratch's first run:
+	// the static table is cached per network.
+	maskBudget int
 	// target is the coverage target index (CSR over the discoverable
 	// links), shared read-only by every run's Coverage on this network. A
 	// network switch allocates a new index and never rewrites the old one,
@@ -45,15 +54,14 @@ type SyncScratch struct {
 
 	// Batched-resolver state (see sync_resolve.go): per-slot transmitter
 	// word masks (channel-major, wordsPer words per channel), per-channel
-	// listener buckets, the lossy path's overlap buffer, the covered-link
-	// dedup bitmap, and the per-run pull/dispatch buffers.
+	// listener buckets, the covered-link dedup bitmap, and the per-run
+	// pull/dispatch buffers.
 	txWords   []uint64
 	avail1    []uint64
 	rx        [][]topology.NodeID
 	rxTouched []channel.ID
 	rxList    []topology.NodeID
 	rxChs     []channel.ID
-	ovl       []uint64
 	covered   []uint64
 	hrs       []HeardReporter
 	heard     []topology.NodeID
@@ -63,8 +71,9 @@ type SyncScratch struct {
 }
 
 // syncMaskWordBudget caps the packed candidate-mask table at 8 MB; larger
-// networks stay on the scalar resolver (the sharded engine's tiled layout
-// is the planned path to large n, not a giant flat table).
+// networks — and dynamic epochs whose table would pass it — stay on the
+// scalar resolver (the tiled layout is the path to large n, not a giant
+// flat table).
 const syncMaskWordBudget = 1 << 20
 
 // syncCoveredNodeBudget caps the covered-link dedup bitmap (n² bits) at
@@ -109,10 +118,32 @@ func (sc *SyncScratch) networkTables(nw *topology.Network) (_ [][]topology.Candi
 		if id, ok := nw.Universe().Max(); ok {
 			channels = int(id) + 1
 		}
-		sc.masks = topology.NewCandidateMasks(sc.cands, channels, syncMaskWordBudget)
+		sc.masks = topology.NewCandidateMasks(sc.cands, channels, sc.maskWords())
 		sc.target = metrics.NewTargetIndexFromCandidates(sc.cands)
 	}
 	return sc.cands, sc.msgAvail, sc.masks, sc.target, hit
+}
+
+// maskWords returns the flat candidate-mask table's word budget.
+func (sc *SyncScratch) maskWords() int {
+	if sc.maskBudget > 0 {
+		return sc.maskBudget
+	}
+	return syncMaskWordBudget
+}
+
+// epochMasksFor repacks a dynamic run's epoch candidate table into the
+// scratch-owned epoch mask table, reusing its storage across epochs and
+// runs, and returns it — or nil when the table is over budget, sending the
+// epoch's slots to the scalar resolver.
+func (sc *SyncScratch) epochMasksFor(cands [][]topology.Candidate, channels int) *topology.CandidateMasks {
+	if sc.epochMasks == nil {
+		sc.epochMasks = new(topology.CandidateMasks)
+	}
+	if !sc.epochMasks.Rebuild(cands, channels, sc.maskWords()) {
+		return nil
+	}
+	return sc.epochMasks
 }
 
 // syncTileMaskWordBudget returns the tiled resolver's packed-mask budget:
@@ -230,16 +261,6 @@ func (sc *SyncScratch) rxBuckets(channels int) ([][]topology.NodeID, []channel.I
 		sc.rxTouched = make([]channel.ID, 0, 16)
 	}
 	return sc.rx, sc.rxTouched[:0]
-}
-
-// ovlBuf returns the lossy resolver's overlap buffer with capacity for
-// wordsPer words (no row is wider than the full NodeID range, so
-// OverlapInto never regrows it mid-run).
-func (sc *SyncScratch) ovlBuf(wordsPer int) []uint64 {
-	if cap(sc.ovl) < wordsPer {
-		sc.ovl = make([]uint64, wordsPer)
-	}
-	return sc.ovl[:0]
 }
 
 // coveredBuf returns the covered-link dedup bitmap (n² bits, bit

@@ -126,7 +126,12 @@ type SyncConfig struct {
 	// (births at the epoch's first slot), so Complete is reachable only
 	// when links stop appearing; discovery latency comes from
 	// Coverage.Latencies. Mutually exclusive with StartSlots — churn
-	// schedules subsume staggered starts.
+	// schedules subsume staggered starts. Dynamic runs resolve on the
+	// static runs' word-kernel paths (batched when loss-free with no
+	// per-listener subscription, kernel otherwise) over a candidate-mask
+	// table repacked whenever the epoch's candidate table changes; an
+	// epoch whose table exceeds the mask budget resolves on the scalar
+	// path. Results are identical on every path.
 	Dynamics *dynamics.World
 }
 
@@ -253,7 +258,7 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 	run.coverage = coverage
 	run.curCands = cands    //ndlint:ignore scratchalias syncRun is a run-scoped local; the field dies with the run, before the scratch is recycled
 	run.msgAvail = msgAvail // covered by the directive above (own line + next)
-	run.masks = masks
+	run.masks = masks       // a dynamic run swaps in each epoch's table below
 	run.actions = sc.actionBuf(n)
 	run.txOn, run.txTouched = sc.txIndex(maxID)
 	if maxID < 64 {
@@ -270,7 +275,14 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 		}
 	}
 	run.lossFree = cfg.Loss == nil || cfg.Loss.Prob <= 0
-	run.useKernel = world == nil && masks != nil
+	// The word kernels serve every run with a mask table: a static run
+	// whose table fit its budget, and every dynamic run, whose epochs
+	// repack their own tables (an epoch over budget resolves on the
+	// scalar path until the next table change).
+	kernels := world != nil || masks != nil
+	if !kernels {
+		run.internals.MaskBudgetOverruns = 1
+	}
 	// The observer's subscription (EventMasker; AllEvents when undeclared)
 	// gates each emission site, and an observer subscribed to no
 	// per-listener kind frees the engine from the per-listener event order
@@ -322,21 +334,18 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 			}
 		}
 	}
-	run.batched = run.tiled == nil && run.useKernel && run.lossFree && !perListener
-	run.storeActions = run.wantSlot || (run.tiled == nil && !run.useKernel)
-	if run.useKernel && run.tiled == nil {
+	run.batched = run.tiled == nil && kernels && run.lossFree && !perListener
+	run.storeActions = run.wantSlot || (run.tiled == nil && masks == nil)
+	if kernels && run.tiled == nil {
 		run.wordsPer = (n + 63) / 64
 		run.txWords = sc.txWordsBuf((int(maxID) + 1) * run.wordsPer)
-		if !run.lossFree {
-			run.ovl = sc.ovlBuf(run.wordsPer)
-		}
 	}
 	if run.batched {
 		run.rx, run.rxTouched = sc.rxBuckets(int(maxID) + 1)
-	} else if run.useKernel && run.tiled == nil {
+	} else if kernels && run.tiled == nil {
 		run.rxList, run.rxChs = sc.rxListBufs(n)
 	}
-	if world == nil && n <= syncCoveredNodeBudget {
+	if n <= syncCoveredNodeBudget {
 		run.covered = sc.coveredBuf(n)
 	}
 	run.hrs, run.us, run.ks, run.dec = sc.runBufs(n)
@@ -351,11 +360,10 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 	run.heard = sc.heard[:0]
 
 	// Dynamic-run state: the current epoch snapshot (its candidate table
-	// shadows the static table through run.curCands, so the scalar resolver
-	// reads one variable on both paths) and per-node local-slot counters — a
-	// node's decision index is its count of active slots, not the global
-	// slot, so a churned node's private rng stream pauses while it is out of
-	// the network.
+	// replaces the static one in run.curCands and, packed, in run.masks)
+	// and per-node local-slot counters — a node's decision index is its
+	// count of active slots, not the global slot, so a churned node's
+	// private rng stream pauses while it is out of the network.
 	var cur *dynamics.Epoch
 	var locals []int
 	if world != nil {
@@ -370,8 +378,18 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 		// original birth).
 		if world != nil {
 			if e := slot / epochSlots; cur == nil || (e != cur.Index && e < world.Horizon()) {
+				first := cur == nil
 				cur = world.At(e)
-				run.curCands = cur.Cands
+				// Unchanged epochs share their predecessor's table, so the
+				// masks are repacked only when the table itself changed.
+				if first || !sameTable(cur.Cands, run.curCands) {
+					run.curCands = cur.Cands
+					run.masks = sc.epochMasksFor(cur.Cands, int(maxID)+1)
+					if run.masks == nil {
+						run.internals.MaskBudgetOverruns++
+					}
+					run.storeActions = run.wantSlot || run.masks == nil
+				}
 				if mask.Has(EventEpoch) {
 					cfg.Observer.OnEvent(Event{
 						Kind: EventEpoch, Time: float64(slot), Slot: slot, Epoch: cur.Index,
@@ -445,12 +463,13 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 		// preserves it — see syncRun for why the batched path may reorder
 		// the rest).
 		switch {
+		case run.masks == nil:
+			run.resolveScalar(slot)
+			run.internals.ScalarSlots++
 		case run.batched:
 			run.resolveBatched(slot)
-		case run.useKernel:
-			run.resolveKernel(slot)
 		default:
-			run.resolveScalar(slot)
+			run.resolveKernel(slot)
 		}
 
 		// Reset the per-slot indexes for the next slot.
@@ -476,17 +495,17 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 		result.CompletionSlot = int(at)
 	}
 	if sink != nil {
-		sink.OnInternals(run.finalizeInternals(int64(result.SlotsSimulated), world == nil && masks == nil, tablesHit))
+		sink.OnInternals(run.finalizeInternals(int64(result.SlotsSimulated), tablesHit))
 	}
 	return result, nil
 }
 
 // finalizeInternals completes the run's internals report. Path selection is
-// fixed per run, so the per-path slot attribution is free: the whole run's
-// slot count lands on whichever resolver actually executed. overBudget is
-// the static-run mask-table overrun (dynamic runs take the scalar path by
-// design and do not count); tablesHit reports scratch network-table reuse.
-func (r *syncRun) finalizeInternals(slots int64, overBudget, tablesHit bool) Internals {
+// fixed per run except for the scalar fallback, whose slots (and mask-table
+// overruns) the run counted as they happened; every other slot lands on
+// whichever path the run selected. tablesHit reports scratch network-table
+// reuse.
+func (r *syncRun) finalizeInternals(slots int64, tablesHit bool) Internals {
 	in := r.internals
 	in.SlotsSimulated = slots
 	switch {
@@ -504,14 +523,9 @@ func (r *syncRun) finalizeInternals(slots int64, overBudget, tablesHit bool) Int
 			in.HaloWordsCopied += ts.haloWordsCopied
 		}
 	case r.batched:
-		in.BatchedSlots = slots
-	case r.useKernel:
-		in.KernelSlots = slots
+		in.BatchedSlots = slots - in.ScalarSlots
 	default:
-		in.ScalarSlots = slots
-	}
-	if overBudget {
-		in.MaskBudgetOverruns = 1
+		in.KernelSlots = slots - in.ScalarSlots
 	}
 	if tablesHit {
 		in.ScratchTableHits = 1
@@ -519,4 +533,10 @@ func (r *syncRun) finalizeInternals(slots int64, overBudget, tablesHit bool) Int
 		in.ScratchTableMisses = 1
 	}
 	return in
+}
+
+// sameTable reports whether two candidate tables are the same table — the
+// identity a dynamics.World gives an epoch that shares its predecessor's.
+func sameTable(a, b [][]topology.Candidate) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }

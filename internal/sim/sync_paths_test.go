@@ -4,7 +4,7 @@ package sim
 // syncRun in sync_resolve.go). The engine picks among three resolvers —
 // batched channel-major, listener-major word kernel, and the scalar
 // candidate scan — based on the observer's event subscription, the loss
-// model, dynamics, and the mask-table budget. Every path must behave as if
+// model, and the mask-table budget. Every path must behave as if
 // it executed resolveSlotNaive's listener-major loop; these tests replay
 // the same seeded scenarios through each engine configuration that selects
 // a different path and pin them all to the naive reference.
@@ -372,10 +372,12 @@ func TestSyncBatchedPathSteadyStateAllocs(t *testing.T) {
 }
 
 // TestSyncDynamicsObserverInvariance covers the dynamics axis of the
-// resolver sweep: churn and primary-user epochs force the scalar path, and
-// the observer's subscription (full, deliveries-only, slot-only, none)
-// changes only which events are constructed — never coverage. A want-gate
-// that accidentally guarded a delivery or a loss draw would split these.
+// resolver sweep: churn and primary-user epochs resolve on the kernel
+// paths over per-epoch masks (TestSyncDynamicPathsMatchScalar pins them to
+// the scalar scan), and the observer's subscription (full, deliveries-only,
+// slot-only, none) changes only which events are constructed — never
+// coverage. A want-gate that accidentally guarded a delivery or a loss draw
+// would split these.
 func TestSyncDynamicsObserverInvariance(t *testing.T) {
 	const maxSlots, epochSlots = 4000, 200
 	nw := diffNet(t, 9, 12)

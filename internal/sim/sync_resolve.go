@@ -16,28 +16,34 @@ import (
 // of one megafunction, and so the three resolution paths share one
 // delivery tail.
 //
-// Path selection, decided once per run:
+// Path selection, decided once per run (the scalar fallback aside):
 //
-//   - batched (channel-major): static run, no loss, no observer, mask
-//     table within budget. Listeners resolve grouped by channel
-//     (resolveBatched): only channels that actually carry a transmission
-//     are visited, so silent channels and their listeners cost nothing.
+//   - batched (channel-major): no loss, no per-listener event
+//     subscription, mask table within budget. Listeners resolve grouped
+//     by channel (resolveBatched): only channels that actually carry a
+//     transmission are visited, so silent channels and their listeners
+//     cost nothing.
 //     Reordering listeners is invisible here: with no observer there is
 //     no event order to preserve, with no loss there are no shared-rng
 //     draws whose order matters, each listener receives at most one
 //     delivery per slot on its own state, and a slot's transmitters are
 //     never receivers (half duplex), so no HeardReporter's state can
 //     change mid-slot.
-//   - kernel (listener-major): static run with an observer or a loss
-//     model. Listeners resolve in ascending NodeID order — preserving
+//   - kernel (listener-major): a per-listener event subscription or a
+//     loss model. Listeners resolve in ascending NodeID order — preserving
 //     the event contract and the loss-model draw order — each through
 //     one word-kernel intersection (candidate-mask row × transmitter
 //     mask) instead of a candidate scan; the lossy variant walks the
 //     surviving overlap bits in candidate order, drawing exactly as the
 //     scalar scan would.
-//   - scalar: dynamic worlds (per-epoch candidate tables) and networks
-//     whose mask table exceeded its budget keep the candidate-list
-//     scan.
+//   - scalar: the candidate-list scan, for slots without a mask table —
+//     a static network whose table exceeded its budget (the whole run),
+//     or a dynamic epoch whose table did (until the next table change).
+//
+// Both kernel paths serve dynamic worlds too: masks then holds the current
+// epoch's candidate table, repacked in scratch-owned storage whenever the
+// world's table changes (Epoch.Cands lists candidates ascending by From,
+// so mask bits enumerate them in the scalar scan's order).
 type syncRun struct {
 	nw       *topology.Network
 	n        int
@@ -62,7 +68,6 @@ type syncRun struct {
 	rxTouched []channel.ID
 	rxList    []topology.NodeID
 	rxChs     []channel.ID
-	ovl       []uint64
 	covered   []uint64
 	hrs       []HeardReporter
 	heard     []topology.NodeID // heard-list snapshot lent to each Deliver
@@ -70,12 +75,11 @@ type syncRun struct {
 	ks        []int
 	dec       []radio.Action
 
-	lossFree  bool
-	useKernel bool
-	batched   bool
+	lossFree bool
+	batched  bool
 	// tiled, when non-nil, routes every slot through the tiled parallel
-	// resolver (sync_tiled.go); batched/useKernel are then irrelevant for
-	// path selection but still describe what the fallback would have been.
+	// resolver (sync_tiled.go); batched is then irrelevant for path
+	// selection but still describes what the fallback would have been.
 	tiled *tiledRun
 
 	// Engine-internals tallies (see internals.go): integer arithmetic on
@@ -95,7 +99,8 @@ type syncRun struct {
 	// storeActions gates the per-decision actions[u] stores: the scalar
 	// resolver reads them back and the slot event borrows the slice, but
 	// on the kernel and batched paths with EventSlot unsubscribed nothing
-	// ever reads them.
+	// ever reads them. A dynamic run re-derives it whenever its mask table
+	// appears or vanishes.
 	storeActions bool
 
 	// ev is the slot-scoped event template: Time and Slot are set once per
@@ -325,20 +330,21 @@ func (r *syncRun) resolveKernel(slot int) {
 	}
 }
 
-// resolveLossy resolves one lossy listener: the word-kernel intersection
-// prunes certain silence without consuming any erasure draws, then the
-// surviving overlap bits are walked in ascending candidate order drawing
-// exactly as the scalar scan would — one draw per candidate transmitting
-// on the listener's channel over an operating link, stopping at the
-// second surviving transmission.
+// resolveLossy resolves one lossy listener: it intersects the listener's
+// mask row with the transmitter mask word by word and walks the overlap
+// bits in ascending candidate order, drawing exactly as the scalar scan
+// would — one draw per candidate transmitting on the listener's channel
+// over an operating link, stopping at the second surviving transmission.
+// Words without overlap consume no draws, so certain silence costs none.
 //
 //nd:hotpath
 func (r *syncRun) resolveLossy(uid topology.NodeID, c channel.ID, row, txw []uint64, lo, slot int) {
-	r.ovl = channel.OverlapInto(r.ovl, row, txw[lo:])
+	txw = txw[lo:]
 	var sender, firstSender topology.NodeID
 	senders := 0
 scan:
-	for i, w := range r.ovl {
+	for i, rw := range row {
+		w := rw & txw[i]
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
 			w &= w - 1
@@ -372,8 +378,8 @@ scan:
 	}
 }
 
-// resolveScalar is the candidate-list scan retained for dynamic worlds
-// (per-epoch tables) and over-budget networks; it is the original Phase 2
+// resolveScalar is the candidate-list scan retained for slots without a
+// mask table (over-budget networks and epochs); it is the original Phase 2
 // loop of the listener-major engine.
 //
 //nd:hotpath
@@ -438,9 +444,11 @@ func (r *syncRun) resolveScalar(slot int) {
 
 // deliver is the shared delivery tail: message construction with the
 // per-run heard-reporter cache, protocol delivery, covered-link
-// deduplication in front of the coverage oracle (static runs; a repeat
-// observation of a seen link is a no-op there, so skipping it is pure),
-// and the delivery event.
+// deduplication in front of the coverage oracle, and the delivery event.
+// Skipping a repeat observation is pure: a delivered link is always in the
+// coverage target (a dynamic run adds each epoch's links before resolving
+// its first slot, and delivers only over that epoch's candidates), and
+// observing a covered target link again is a no-op.
 //
 //nd:hotpath
 func (r *syncRun) deliver(sender, uid topology.NodeID, c channel.ID, slot int) {

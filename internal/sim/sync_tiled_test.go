@@ -333,7 +333,9 @@ func TestSyncTiledFallsBack(t *testing.T) {
 		}
 		want, _ := run(nil)
 		got, in := run(tl)
-		if in.TiledSlots != 0 || in.ScalarSlots != in.SlotsSimulated {
+		// Dynamic worlds fall back to the single-threaded batched path
+		// (per-epoch masks; loss-free with a mask-0 recorder).
+		if in.TiledSlots != 0 || in.BatchedSlots != in.SlotsSimulated {
 			t.Fatalf("dynamic run path attribution: %+v", in)
 		}
 		sameCoverage(t, "dynamics fallback", want.Coverage, got.Coverage)

@@ -365,7 +365,7 @@ func NewAggregate(reg *Registry, opts ...AggregateOption) *Aggregate {
 	a.batchedSlots = reg.Counter("nd_resolver_batched_slots_total", "sync slots resolved on the channel-major batched path")
 	a.kernelSlots = reg.Counter("nd_resolver_kernel_slots_total", "sync slots resolved on the listener-major kernel path")
 	a.scalarSlots = reg.Counter("nd_resolver_scalar_slots_total", "sync slots resolved on the scalar candidate-scan path")
-	a.maskOverruns = reg.Counter("nd_mask_budget_overruns_total", "static sync runs whose candidate-mask table exceeded its word budget")
+	a.maskOverruns = reg.Counter("nd_mask_budget_overruns_total", "sync candidate-mask tables (a static run's, or a dynamic epoch's) that exceeded their word budget")
 	a.stepperBatches = reg.Counter("nd_stepper_batches_total", "sync decision-pull batches (one per slot)")
 	a.stepperNodes = reg.Counter("nd_stepper_batch_nodes_total", "decisions pulled across all sync stepper batches")
 	a.batchSteps = reg.Counter("nd_stepper_batch_calls_total", "stepper batches served by a single NextBatch call")

@@ -1,7 +1,8 @@
 package topology
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"m2hew/internal/channel"
 )
@@ -66,10 +67,14 @@ func DeriveGeometricCandidates(nodes []Node, radius float64, active []bool, bloc
 // epoch's link set so growable coverage targets enumerate births in the
 // same order static targets do.
 func SortLinks(links []Link) {
-	sort.Slice(links, func(a, b int) bool {
-		if links[a].From != links[b].From {
-			return links[a].From < links[b].From
-		}
-		return links[a].To < links[b].To
-	})
+	slices.SortFunc(links, CompareLinks)
+}
+
+// CompareLinks orders links ascending by (From, To), the total order
+// SortLinks sorts by.
+func CompareLinks(a, b Link) int {
+	if a.From != b.From {
+		return cmp.Compare(a.From, b.From)
+	}
+	return cmp.Compare(a.To, b.To)
 }

@@ -11,8 +11,9 @@ import (
 // over transmitter NodeIDs v with Reaches(v, u) and c ∈ span(u, v) — the
 // only nodes whose transmission on c can be decoded at u. The synchronous
 // engine's batched slot resolver intersects one row against the slot's
-// transmitters-on-c mask with word-level kernels (channel.OverlapResolve /
-// channel.OverlapInto) instead of scanning the candidate list per listener.
+// transmitters-on-c mask with word-level kernels (channel.OverlapResolve,
+// or a word-by-word overlap walk on the lossy path) instead of scanning the
+// candidate list per listener.
 //
 // Rows are indexed r = u·C + c and stored packed: only the word window
 // [Lo(r), Lo(r)+rowLen) that actually contains candidate bits is kept, so
@@ -29,6 +30,7 @@ type CandidateMasks struct {
 	lo       []int32 // per row: first packed word's index in the full range
 	off      []int32 // per row: start offset into words; len rows+1
 	words    []uint64
+	hi       []int32 // Rebuild scratch: the packing listener's per-channel window ends
 }
 
 // NewCandidateMasks packs the candidate table channel-major. channels is
@@ -38,22 +40,44 @@ type CandidateMasks struct {
 // is returned and the caller stays on the scalar resolver. A budget of 0
 // means unbounded.
 func NewCandidateMasks(cands [][]Candidate, channels, budgetWords int) *CandidateMasks {
-	n := len(cands)
-	if n == 0 || channels <= 0 {
+	m := new(CandidateMasks)
+	if !m.Rebuild(cands, channels, budgetWords) {
 		return nil
 	}
-	rows := n * channels
+	return m
+}
 
-	// Pass 1: per-row word windows.
-	lo := make([]int32, rows)
-	hi := make([]int32, rows)
-	for r := range lo {
-		lo[r] = int32(n >> 6) // past any real word; hi < lo marks empty
-		hi[r] = -1
+// Rebuild repacks m in place from cands, with NewCandidateMasks's
+// arguments and result: the table afterwards equals a fresh
+// NewCandidateMasks(cands, channels, budgetWords). Storage is reused, so a
+// rebuild whose table fits m's capacity allocates nothing — the engine
+// rebuilds one scratch-owned table per changed epoch of a dynamic world.
+// On false (over budget or nothing to pack) m's contents are unspecified
+// and must not be read until a later Rebuild succeeds.
+func (m *CandidateMasks) Rebuild(cands [][]Candidate, channels, budgetWords int) bool {
+	n := len(cands)
+	if n == 0 || channels <= 0 {
+		return false
 	}
-	running := 0
+	rows := n * channels
+	m.channels = channels
+	m.lo = resize(m.lo, rows)
+	m.off = resize(m.off, rows+1)
+	m.hi = resize(m.hi, channels)
+	lo, hi, off := m.lo, m.hi, m.off
+
+	// Pass 1: per-row word windows and offsets. A listener's rows are final
+	// once its list is done, so the window ends need only a per-channel
+	// buffer, its offsets are laid down at once, and the budget check can
+	// stop at the first listener that passes it.
+	total := 0
+	off[0] = 0
 	for u, list := range cands {
 		base := u * channels
+		for c := 0; c < channels; c++ {
+			lo[base+c] = int32(n >> 6) // at or past every candidate word; hi < lo marks empty
+			hi[c] = -1
+		}
 		for _, cand := range list {
 			vw := int32(int(cand.From) >> 6)
 			for wi, w := range cand.Span.Words() {
@@ -63,46 +87,33 @@ func NewCandidateMasks(cands [][]Candidate, channels, budgetWords int) *Candidat
 					if c >= channels {
 						break
 					}
-					r := base + c
-					if vw < lo[r] {
-						lo[r] = vw
+					if vw < lo[base+c] {
+						lo[base+c] = vw
 					}
-					if vw > hi[r] {
-						hi[r] = vw
+					if vw > hi[c] {
+						hi[c] = vw
 					}
 				}
 			}
 		}
-		// Rows of listener u are final once its list is done: keep a running
-		// total and stop as soon as the budget is exceeded.
-		if budgetWords > 0 {
-			for r := base; r < base+channels; r++ {
-				if hi[r] >= lo[r] {
-					running += int(hi[r]-lo[r]) + 1
-				}
+		for c := 0; c < channels; c++ {
+			r := base + c
+			if hi[c] >= lo[r] {
+				total += int(hi[c]-lo[r]) + 1
+			} else {
+				lo[r] = 0
 			}
-			if running > budgetWords {
-				return nil
-			}
+			off[r+1] = int32(total)
 		}
-	}
-
-	total := 0
-	off := make([]int32, rows+1)
-	for r := 0; r < rows; r++ {
-		if hi[r] >= lo[r] {
-			total += int(hi[r]-lo[r]) + 1
-		} else {
-			lo[r] = 0
+		if budgetWords > 0 && total > budgetWords {
+			return false
 		}
-		off[r+1] = int32(total)
-	}
-	if budgetWords > 0 && total > budgetWords {
-		return nil
 	}
 
 	// Pass 2: fill the packed rows.
-	words := make([]uint64, total)
+	m.words = resize(m.words, total)
+	words := m.words
+	clear(words)
 	for u, list := range cands {
 		base := u * channels
 		for _, cand := range list {
@@ -121,7 +132,16 @@ func NewCandidateMasks(cands [][]Candidate, channels, budgetWords int) *Candidat
 			}
 		}
 	}
-	return &CandidateMasks{channels: channels, lo: lo, off: off, words: words}
+	return true
+}
+
+// resize returns s re-sliced to length n, reallocating (exactly) only
+// when its capacity falls short; contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Row returns listener u's packed transmitter bitset for channel c and the

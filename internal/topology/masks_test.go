@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"m2hew/internal/channel"
@@ -132,5 +133,102 @@ func TestCandidateMasksRowWindows(t *testing.T) {
 	// 200 nodes × ≤2 words bounds the whole table well under 200×4.
 	if m.PackedWords() > 400 {
 		t.Fatalf("packed size %d exceeds the windowed bound", m.PackedWords())
+	}
+}
+
+// randomCandTable returns an n-listener candidate table with ascending
+// From lists; a listener's list is empty with probability pEmpty, and spans
+// draw from universe channels, which may exceed the packed channel count.
+func randomCandTable(r *rng.Source, n, universe int, density, pEmpty float64) [][]Candidate {
+	cands := make([][]Candidate, n)
+	for u := range cands {
+		if r.Bernoulli(pEmpty) {
+			continue
+		}
+		for v := 0; v < n; v++ {
+			if v == u || !r.Bernoulli(density) {
+				continue
+			}
+			var span channel.Set
+			for c := 0; c < universe; c++ {
+				if r.Bernoulli(0.5) {
+					span.Add(channel.ID(c))
+				}
+			}
+			if !span.IsEmpty() {
+				cands[u] = append(cands[u], Candidate{From: NodeID(v), Span: span})
+			}
+		}
+	}
+	return cands
+}
+
+// sameMasks reports whether two tables pack identically.
+func sameMasks(a, b *CandidateMasks) bool {
+	return a.channels == b.channels && slices.Equal(a.lo, b.lo) &&
+		slices.Equal(a.off, b.off) && slices.Equal(a.words, b.words)
+}
+
+// TestCandidateMasksRebuildInPlace rebuilds one table in place over a
+// sequence that grows, shrinks, changes channel count, has empty rows, is
+// entirely empty, has no listeners, and overruns its budget; after every
+// step the table must equal a fresh NewCandidateMasks of the same input
+// (and both must refuse the same inputs).
+func TestCandidateMasksRebuildInPlace(t *testing.T) {
+	r := rng.New(77)
+	type step struct {
+		n, universe, channels int
+		density, pEmpty       float64
+		budget                int
+	}
+	steps := []step{
+		{n: 20, universe: 3, channels: 3, density: 0.3, pEmpty: 0.2},
+		{n: 150, universe: 6, channels: 6, density: 0.2, pEmpty: 0.1},   // grows past two words
+		{n: 9, universe: 4, channels: 2, density: 0.5, pEmpty: 0.3},     // shrinks; spans past the channel count
+		{n: 70, universe: 5, channels: 5, density: 0.1, pEmpty: 0.6},    // many empty rows
+		{n: 40, universe: 3, channels: 3, density: 0, pEmpty: 0},        // every row empty
+		{n: 0, universe: 3, channels: 3},                                // nothing to pack
+		{n: 130, universe: 6, channels: 6, density: 0.3, budget: 50},    // over budget
+		{n: 90, universe: 6, channels: 7, density: 0.15, pEmpty: 0.2},   // after a refused rebuild
+		{n: 1, universe: 2, channels: 2},                                // a lone listener
+		{n: 128, universe: 8, channels: 8, density: 0.25, pEmpty: 0.05}, // exactly two words
+	}
+	m := new(CandidateMasks)
+	for i, s := range steps {
+		cands := randomCandTable(r, s.n, s.universe, s.density, s.pEmpty)
+		fresh := NewCandidateMasks(cands, s.channels, s.budget)
+		ok := m.Rebuild(cands, s.channels, s.budget)
+		if ok != (fresh != nil) {
+			t.Fatalf("step %d: Rebuild ok=%v, NewCandidateMasks nil=%v", i, ok, fresh == nil)
+		}
+		if ok && !sameMasks(m, fresh) {
+			t.Fatalf("step %d: in-place rebuild differs from a fresh build", i)
+		}
+	}
+}
+
+// TestCandidateMasksRebuildAllocs: once a table has grown to the largest
+// input, rebuilding it in place from smaller ones allocates nothing.
+func TestCandidateMasksRebuildAllocs(t *testing.T) {
+	r := rng.New(78)
+	big := randomCandTable(r, 200, 8, 0.3, 0)
+	small := [][][]Candidate{
+		randomCandTable(r, 150, 8, 0.2, 0.1),
+		randomCandTable(r, 30, 6, 0.5, 0.3),
+		randomCandTable(r, 200, 8, 0.05, 0.5),
+	}
+	m := NewCandidateMasks(big, 8, 0)
+	if m == nil {
+		t.Fatal("unbudgeted build returned nil")
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, cands := range small {
+			if !m.Rebuild(cands, 8, 0) {
+				t.Fatal("rebuild refused an in-budget table")
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("in-place rebuilds allocated %.1f objects per run, want 0", allocs)
 	}
 }
