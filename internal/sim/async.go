@@ -193,7 +193,7 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 	// drift rng, exactly as they did when frames were generated eagerly.
 	slotBudget := cfg.MaxFrames * slotsPerFrame
 	timelines := sc.timelineSlice(n)
-	frames, starts := sc.frameTables(n, cfg.MaxFrames, 0) // appended to as frames generate
+	frames := sc.frameTables(n, cfg.MaxFrames)
 	ts := 0.0
 	for u := 0; u < n; u++ {
 		nc := cfg.Nodes[u]
@@ -225,7 +225,7 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 	for u := range cfg.Nodes {
 		reserveNeighbors(cfg.Nodes[u].Protocol, cands[u])
 	}
-	env := sc.envFor(nw, cands, frames, starts, timelines, slotsPerFrame, cfg.Loss)
+	env := sc.envFor(nw, cands, frames, timelines, slotsPerFrame, cfg.Loss)
 	env.world = cfg.Dynamics
 	deliveries := sc.deliveryBuf()
 	maxEnd := 0.0
@@ -247,8 +247,12 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 					Node: uid, Action: g.action,
 				})
 			}
+			// A listening frame's candidate row is looked up once: it
+			// drives both the generation below and the resolution.
+			var row []topology.Candidate
 			if g.action.Mode == radio.Receive {
-				for _, cand := range env.candsFor(uid, g) {
+				row = env.candsFor(uid, g)
+				for _, cand := range row {
 					w := int(cand.From)
 					for len(env.frames[w]) < cfg.MaxFrames {
 						if last := len(env.frames[w]); last > 0 && env.frames[w][last-1].end >= g.end {
@@ -260,7 +264,7 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 					}
 				}
 			}
-			ds := env.resolveFrame(uid, g)
+			ds := env.resolveFrame(uid, g, row)
 			deliveries = append(deliveries, ds...)
 			if cfg.Observer != nil && g.action.Mode == radio.Receive {
 				cfg.Observer.OnEvent(Event{
@@ -351,7 +355,6 @@ func (env *asyncEnv) generate(v int, st Stepper) error {
 	}
 	fs, fe := env.timelines[v].FrameInterval(f)
 	env.frames[v] = append(env.frames[v], asyncFrame{start: fs, end: fe, action: a})
-	env.starts[v] = append(env.starts[v], fs)
 	return nil
 }
 

@@ -52,12 +52,12 @@ func RunAsyncOnline(cfg AsyncConfig) (*AsyncResult, error) {
 	}
 	slotBudget := cfg.MaxFrames * slotsPerFrame
 	timelines := sc.timelineSlice(n)
-	frames, starts := sc.frameTables(n, cfg.MaxFrames, 0) // appended to as frames generate
+	frames := sc.frameTables(n, cfg.MaxFrames)
 	cands, msgAvail, target := sc.networkTables(nw)
 	for u := range cfg.Nodes {
 		reserveNeighbors(cfg.Nodes[u].Protocol, cands[u])
 	}
-	env := sc.envFor(nw, cands, frames, starts, timelines, slotsPerFrame, cfg.Loss)
+	env := sc.envFor(nw, cands, frames, timelines, slotsPerFrame, cfg.Loss)
 	env.world = cfg.Dynamics
 	ts := 0.0
 	for u := 0; u < n; u++ {
@@ -179,8 +179,12 @@ func RunAsyncOnline(cfg AsyncConfig) (*AsyncResult, error) {
 				Node: uid, Action: g.action,
 			})
 		}
+		var row []topology.Candidate
+		if g.action.Mode == radio.Receive {
+			row = env.candsFor(uid, g)
+		}
 		delivered := 0
-		for _, d := range env.resolveFrame(uid, g) {
+		for _, d := range env.resolveFrame(uid, g, row) {
 			msg := radio.Message{From: d.from, Avail: msgAvail[d.from]}
 			if hr, ok := cfg.Nodes[d.from].Protocol.(HeardReporter); ok {
 				sc.heard = hr.AppendHeard(sc.heard[:0])

@@ -44,11 +44,16 @@ type asyncEnv struct {
 	nw            *topology.Network
 	cands         [][]topology.Candidate // per listener: decodable transmitters
 	world         *dynamics.World        // nil for static runs
-	frames        [][]asyncFrame
-	starts        [][]float64 // frame start times per node, for binary search
+	frames        [][]asyncFrame         // per node, in start order; appended as generated
 	timelines     []*clock.Timeline
 	slotsPerFrame int
 	loss          *LossModel
+
+	// cursor holds, per sender, the frame index the last search of that
+	// sender's frames returned: only a hint seekFrame resumes from, so stale
+	// values (another listener, another run) cost a longer search, never a
+	// wrong answer. Sized to n by envFor.
+	cursor []int32
 
 	// Scratch buffers, reused across resolveFrame calls:
 	txBuf    []txSlot   // collected candidate slots, in collection order
@@ -81,7 +86,8 @@ func (env *asyncEnv) candsFor(uid topology.NodeID, g asyncFrame) []topology.Cand
 }
 
 // resolveFrame computes the clear receptions of node u during its listening
-// frame g:
+// frame g, whose candidate transmitters are cands (the row candsFor returns
+// for uid and g; the caller looks it up once per frame):
 //
 //   - every transmission slot on g's channel from a neighbor that reaches u
 //     and overlaps g is collected (erased slots are dropped when a loss
@@ -93,10 +99,10 @@ func (env *asyncEnv) candsFor(uid topology.NodeID, g asyncFrame) []topology.Cand
 //     time of the earliest clear slot.
 //
 // The overlap test runs as a sort-by-start interval sweep (see clearFlags)
-// instead of the quadratic all-pairs scan resolveFrameNaive keeps as the
-// reference implementation; differential tests pin the two to identical
-// output, including loss-model draw order (all draws happen during
-// collection, which both share).
+// instead of a quadratic all-pairs scan; differential tests pin it to the
+// reference resolver in resolver_test.go, which restates collection and
+// the all-pairs scan from first principles, including loss-model draw
+// order (all draws happen during collection).
 //
 // Frames of neighbors must cover the real-time extent of g; the caller
 // guarantees this (RunAsync generates everything up front, RunAsyncOnline
@@ -104,12 +110,12 @@ func (env *asyncEnv) candsFor(uid topology.NodeID, g asyncFrame) []topology.Cand
 // the env and is invalidated by the next resolveFrame call.
 //
 //nd:hotpath
-func (env *asyncEnv) resolveFrame(uid topology.NodeID, g asyncFrame) []delivery {
+func (env *asyncEnv) resolveFrame(uid topology.NodeID, g asyncFrame, cands []topology.Candidate) []delivery {
 	env.lastCollected = 0
 	if g.action.Mode != radio.Receive {
 		return nil
 	}
-	slots := env.collectSlots(uid, g)
+	slots := env.collectSlots(g, cands)
 	env.lastCollected = len(slots)
 	if len(slots) == 0 {
 		return nil
@@ -143,13 +149,13 @@ func (env *asyncEnv) resolveFrame(uid topology.NodeID, g asyncFrame) []delivery 
 }
 
 // collectSlots gathers, into the env's reused buffer, every transmission
-// slot on g's channel from a neighbor that reaches uid and overlaps g.
+// slot on g's channel from a candidate in cands that overlaps g.
 // Collection order — ascending neighbor, then frame, then slot — is part of
 // the reproducibility contract: the loss model consumes exactly one erasure
 // draw per overlapping slot, in this order.
 //
 //nd:hotpath
-func (env *asyncEnv) collectSlots(uid topology.NodeID, g asyncFrame) []txSlot {
+func (env *asyncEnv) collectSlots(g asyncFrame, cands []topology.Candidate) []txSlot {
 	c := g.action.Channel
 	slots := env.txBuf[:0]
 	// The candidate table walks the same ascending-neighbor order as
@@ -157,27 +163,15 @@ func (env *asyncEnv) collectSlots(uid topology.NodeID, g asyncFrame) []txSlot {
 	// front; both filters precede every loss draw, so the draw sequence is
 	// unchanged (a neighbor with an empty span fails the Contains check
 	// below before drawing anything).
-	for _, cand := range env.candsFor(uid, g) {
+	for _, cand := range cands {
 		if !cand.Span.Contains(c) {
 			continue
 		}
 		w := cand.From
 		wf := env.frames[w]
 		// First frame of w possibly overlapping g: the one before the
-		// first frame starting at or after g.start. Hand-rolled lower
-		// bound — equivalent to sort.SearchFloat64s, minus the per-probe
-		// closure call that dominated the resolver's profile.
-		ws := env.starts[w][:len(wf)]
-		lo, hi := 0, len(ws)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if ws[mid] < g.start {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		idx := lo
+		// first frame starting at or after g.start.
+		idx := env.seekFrame(w, wf, g.start)
 		if idx > 0 {
 			idx--
 		}
@@ -207,6 +201,61 @@ func (env *asyncEnv) collectSlots(uid topology.NodeID, g asyncFrame) []txSlot {
 	}
 	env.txBuf = slots
 	return slots
+}
+
+// seekFrame returns the index of sender w's first frame starting at or
+// after start (len(wf) if none) and leaves it in w's cursor. A listener's
+// frames resolve in ascending start order and a sender's frames only grow
+// by appending, so the answer is usually at or a few frames past the
+// cursor, where a from-scratch binary search over up to MaxFrames frames
+// takes a dozen cache-missing probes. The search gallops from the cursor
+// (1, 2, 4, … frames) in the direction the frame before it points, then
+// binary-searches the last bracket: O(log distance). The cursor is a hint,
+// not an invariant: one left by another listener, epoch or run (past the
+// end included) costs a longer gallop, never a different answer.
+//
+//nd:hotpath
+func (env *asyncEnv) seekFrame(w topology.NodeID, wf []asyncFrame, start float64) int {
+	c := min(int(env.cursor[w]), len(wf))
+	// Invariant: wf[i].start < start for i < lo, wf[i].start >= start for i >= hi.
+	lo, hi := 0, len(wf)
+	if c == 0 || wf[c-1].start < start {
+		lo = c
+		for step := 1; ; step <<= 1 {
+			p := lo + step - 1
+			if p >= hi {
+				break
+			}
+			if wf[p].start >= start {
+				hi = p
+				break
+			}
+			lo = p + 1
+		}
+	} else {
+		hi = c - 1
+		for step := 1; ; step <<= 1 {
+			p := hi - step
+			if p < lo {
+				break
+			}
+			if wf[p].start < start {
+				lo = p + 1
+				break
+			}
+			hi = p
+		}
+	}
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if wf[mid].start < start {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	env.cursor[w] = int32(lo)
+	return lo
 }
 
 // cmpIdxSlotStart orders sweep slots by start time. Ties may sort either
@@ -322,42 +371,4 @@ func (env *asyncEnv) clearFlags(slots []txSlot) []bool {
 		}
 	}
 	return flags
-}
-
-// resolveFrameNaive is the reference resolver: the pre-optimization
-// quadratic clear-check kept verbatim, allocating fresh state per frame, so
-// differential tests can pin the sweep-based resolveFrame to it. The
-// loss-model draw order lives entirely in the shared collection phase, so
-// the two consume identical draw sequences. Production engines never call
-// this.
-func (env *asyncEnv) resolveFrameNaive(uid topology.NodeID, g asyncFrame) []delivery {
-	if g.action.Mode != radio.Receive {
-		return nil
-	}
-	slots := env.collectSlots(uid, g)
-	var out []delivery
-	delivered := make(map[topology.NodeID]bool)
-	for i, cand := range slots {
-		if delivered[cand.from] {
-			continue
-		}
-		if cand.start < g.start || cand.end > g.end {
-			continue // partially heard: cannot be decoded
-		}
-		clear := true
-		for j, other := range slots {
-			if i == j || other.from == cand.from {
-				continue
-			}
-			if other.start < cand.end && cand.start < other.end {
-				clear = false
-				break
-			}
-		}
-		if clear {
-			delivered[cand.from] = true
-			out = append(out, delivery{at: cand.end, from: cand.from, to: uid, ch: g.action.Channel})
-		}
-	}
-	return out
 }

@@ -20,6 +20,7 @@ package sim
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"m2hew/internal/clock"
@@ -143,42 +144,135 @@ func TestSyncLossDrawOrderLocked(t *testing.T) {
 	}
 }
 
-// scriptedAsyncEnv builds an asyncEnv directly from per-node frame scripts,
-// the way the engines do, so resolver tests can drive resolveFrame without
-// a full engine run.
-func scriptedAsyncEnv(t *testing.T, nw *topology.Network, script [][]radio.Action,
-	starts []float64, frameLen float64, slotsPerFrame int, loss *LossModel) *asyncEnv {
+// scriptTables builds per-node frame tables and timelines from frame
+// scripts, the way the engines' generate step fills them.
+func scriptTables(t *testing.T, script [][]radio.Action, starts []float64,
+	frameLen float64, slotsPerFrame int) ([][]asyncFrame, []*clock.Timeline) {
 	t.Helper()
-	n := nw.N()
-	env := &asyncEnv{
-		nw:            nw,
-		cands:         nw.InboundCandidates(),
-		frames:        make([][]asyncFrame, n),
-		starts:        make([][]float64, n),
-		timelines:     make([]*clock.Timeline, n),
-		slotsPerFrame: slotsPerFrame,
-		loss:          loss,
-	}
+	n := len(script)
+	frames := make([][]asyncFrame, n)
+	timelines := make([]*clock.Timeline, n)
 	for u := 0; u < n; u++ {
 		tl, err := clock.NewTimeline(starts[u], frameLen, slotsPerFrame, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		env.timelines[u] = tl
-		env.frames[u] = make([]asyncFrame, len(script[u]))
-		env.starts[u] = make([]float64, len(script[u]))
+		timelines[u] = tl
+		frames[u] = make([]asyncFrame, len(script[u]))
 		for f, a := range script[u] {
 			fs, fe := tl.FrameInterval(f)
-			env.frames[u][f] = asyncFrame{start: fs, end: fe, action: a}
-			env.starts[u][f] = fs
+			frames[u][f] = asyncFrame{start: fs, end: fe, action: a}
 		}
 	}
-	return env
+	return frames, timelines
 }
 
-// randomAsyncScript builds a random network plus per-node frame scripts and
-// start offsets for resolver-level tests.
-func randomAsyncScript(t *testing.T, r *rng.Source) (*topology.Network, [][]radio.Action, []float64, float64, int) {
+// scriptedAsyncEnv builds an asyncEnv from per-node frame scripts and primes
+// it through a fresh scratch's envFor, as the engines do (which also sizes
+// the frame-search cursors), so resolver tests can drive resolveFrame
+// without a full engine run.
+func scriptedAsyncEnv(t *testing.T, nw *topology.Network, script [][]radio.Action,
+	starts []float64, frameLen float64, slotsPerFrame int, loss *LossModel) *asyncEnv {
+	t.Helper()
+	frames, timelines := scriptTables(t, script, starts, frameLen, slotsPerFrame)
+	return NewAsyncScratch().envFor(nw, nw.InboundCandidates(), frames, timelines, slotsPerFrame, loss)
+}
+
+// resolveScripted resolves uid's frame f the way the engines do: the
+// listener's candidate row is looked up once and handed to resolveFrame.
+func resolveScripted(env *asyncEnv, uid topology.NodeID, f int) []delivery {
+	g := env.frames[uid][f]
+	return env.resolveFrame(uid, g, env.candsFor(uid, g))
+}
+
+// resolveFrameNaive is the asynchronous reference resolver: frame reception
+// restated from first principles, allocating fresh state per frame. Each
+// candidate's first overlapping frame comes from a plain lower bound over
+// its frame starts (no cursor: it shares no search state with production),
+// and the clear check is the quadratic all-pairs scan. Collection walks
+// candidates, then frames, then slots in the same ascending order as
+// collectSlots and draws one erasure per overlapping slot, so identically
+// seeded loss models consume identical draw sequences.
+func (env *asyncEnv) resolveFrameNaive(uid topology.NodeID, g asyncFrame) []delivery {
+	if g.action.Mode != radio.Receive {
+		return nil
+	}
+	c := g.action.Channel
+	var slots []txSlot
+	for _, cand := range env.candsFor(uid, g) {
+		if !cand.Span.Contains(c) {
+			continue
+		}
+		w := cand.From
+		wf := env.frames[w]
+		first := sort.Search(len(wf), func(i int) bool { return wf[i].start >= g.start })
+		for f := max(first-1, 0); f < len(wf); f++ {
+			fr := wf[f]
+			if fr.start >= g.end {
+				break
+			}
+			if fr.end <= g.start || fr.action.Mode != radio.Transmit || fr.action.Channel != c {
+				continue
+			}
+			for s := 0; s < env.slotsPerFrame; s++ {
+				ss, se := env.timelines[w].FrameSlotInterval(f, s)
+				if se <= g.start || ss >= g.end {
+					continue
+				}
+				if env.loss.erased() {
+					continue
+				}
+				slots = append(slots, txSlot{start: ss, end: se, from: w})
+			}
+		}
+	}
+	var out []delivery
+	delivered := make(map[topology.NodeID]bool)
+	for i, cand := range slots {
+		if delivered[cand.from] {
+			continue
+		}
+		if cand.start < g.start || cand.end > g.end {
+			continue // partially heard: cannot be decoded
+		}
+		clear := true
+		for j, other := range slots {
+			if i == j || other.from == cand.from {
+				continue
+			}
+			if other.start < cand.end && cand.start < other.end {
+				clear = false
+				break
+			}
+		}
+		if clear {
+			delivered[cand.from] = true
+			out = append(out, delivery{at: cand.end, from: cand.from, to: uid, ch: c})
+		}
+	}
+	return out
+}
+
+// sameDeliveries fails the test unless the resolver's deliveries for node u
+// frame f equal the reference's.
+func sameDeliveries(t *testing.T, u, f int, got, want []delivery) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("node %d frame %d: fast %d deliveries, naive %d\nfast: %v\nnaive: %v",
+			u, f, len(got), len(want), got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("node %d frame %d delivery %d: fast %+v, naive %+v",
+				u, f, i, got[i], want[i])
+		}
+	}
+}
+
+// randomAsyncScript builds a random network plus per-node frame scripts
+// (4 to frameSpan+3 frames per node) and start offsets for resolver-level
+// tests.
+func randomAsyncScript(t *testing.T, r *rng.Source, frameSpan int) (*topology.Network, [][]radio.Action, []float64, float64, int) {
 	t.Helper()
 	n := r.IntN(5) + 2
 	universe := r.IntN(3) + 1
@@ -195,7 +289,7 @@ func randomAsyncScript(t *testing.T, r *rng.Source) (*topology.Network, [][]radi
 		}
 	}
 	slotsPerFrame := r.IntN(3) + 1
-	frames := r.IntN(16) + 4
+	frames := r.IntN(frameSpan) + 4
 	frameLen := 1 + r.Float64()*4
 	script := make([][]radio.Action, n)
 	starts := make([]float64, n)
@@ -235,7 +329,7 @@ func TestResolveFrameMatchesNaive(t *testing.T) {
 	for trial := 0; trial < 120; trial++ {
 		r := root.Split()
 		t.Run(fmt.Sprintf("scenario%03d", trial), func(t *testing.T) {
-			nw, script, starts, frameLen, slotsPerFrame := randomAsyncScript(t, r)
+			nw, script, starts, frameLen, slotsPerFrame := randomAsyncScript(t, r, 16)
 
 			var fastLoss, naiveLoss *LossModel
 			if r.Bernoulli(0.6) {
@@ -255,21 +349,75 @@ func TestResolveFrameMatchesNaive(t *testing.T) {
 			for u := 0; u < nw.N(); u++ {
 				uid := topology.NodeID(u)
 				for f := range script[u] {
-					got := fast.resolveFrame(uid, fast.frames[u][f])
+					got := resolveScripted(fast, uid, f)
 					want := naive.resolveFrameNaive(uid, naive.frames[u][f])
-					if len(got) != len(want) {
-						t.Fatalf("node %d frame %d: fast %d deliveries, naive %d\nfast: %v\nnaive: %v",
-							u, f, len(got), len(want), got, want)
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("node %d frame %d delivery %d: fast %+v, naive %+v",
-								u, f, i, got[i], want[i])
-						}
-					}
+					sameDeliveries(t, u, f, got, want)
 				}
 			}
 		})
+	}
+}
+
+// TestResolveFrameCursorRobust pins the frame-search cursors to the
+// reference under call orders the engines never produce: every frame of a
+// scenario resolved in shuffled order, some frames twice in a row, and one
+// scratch env reused across scenarios of different n and frame counts, so
+// cursors left by one scenario point anywhere in — or past the end of — the
+// next one's tables. The cursors are only search hints: every delivery list
+// must equal the reference's. Both envs resolve the same sequence with
+// identically seeded loss models, so draw order is compared too.
+func TestResolveFrameCursorRobust(t *testing.T) {
+	root := rng.New(15150)
+	sc := NewAsyncScratch() // one env for every scenario
+	prevFrames, shrank := 0, 0
+	for trial := 0; trial < 80; trial++ {
+		r := root.Split()
+		t.Run(fmt.Sprintf("scenario%03d", trial), func(t *testing.T) {
+			nw, script, starts, frameLen, slotsPerFrame := randomAsyncScript(t, r, 60)
+			if len(script[0]) < prevFrames {
+				shrank++
+			}
+			prevFrames = len(script[0])
+
+			var fastLoss, naiveLoss *LossModel
+			if r.Bernoulli(0.5) {
+				lossSeed := r.Uint64()
+				var err error
+				if fastLoss, err = NewLossModel(0.3, rng.New(lossSeed)); err != nil {
+					t.Fatal(err)
+				}
+				if naiveLoss, err = NewLossModel(0.3, rng.New(lossSeed)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			frames, timelines := scriptTables(t, script, starts, frameLen, slotsPerFrame)
+			fast := sc.envFor(nw, nw.InboundCandidates(), frames, timelines, slotsPerFrame, fastLoss)
+			naive := scriptedAsyncEnv(t, nw, script, starts, frameLen, slotsPerFrame, naiveLoss)
+
+			type frameRef struct{ u, f int }
+			var order []frameRef
+			for u := range script {
+				for f := range script[u] {
+					order = append(order, frameRef{u, f})
+				}
+			}
+			r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+			for _, o := range order {
+				uid := topology.NodeID(o.u)
+				repeats := 1
+				if r.Bernoulli(0.2) {
+					repeats = 2
+				}
+				for k := 0; k < repeats; k++ {
+					got := resolveScripted(fast, uid, o.f)
+					want := naive.resolveFrameNaive(uid, naive.frames[o.u][o.f])
+					sameDeliveries(t, o.u, o.f, got, want)
+				}
+			}
+		})
+	}
+	if shrank == 0 {
+		t.Fatal("no scenario followed a longer one; stale out-of-range cursors went untested")
 	}
 }
 
@@ -310,7 +458,7 @@ func TestResolveFrameSteadyStateNoAllocs(t *testing.T) {
 		for u := 0; u < nw.N(); u++ {
 			uid := topology.NodeID(u)
 			for f := range script[u] {
-				env.resolveFrame(uid, env.frames[u][f])
+				resolveScripted(env, uid, f)
 			}
 		}
 	}

@@ -334,7 +334,6 @@ type AsyncScratch struct {
 	timelines  []*clock.Timeline
 	rateBufs   [][]float64
 	frames     [][]asyncFrame
-	starts     [][]float64
 	deliveries []delivery
 	env        asyncEnv
 
@@ -407,45 +406,41 @@ func (sc *AsyncScratch) timelineSlice(n int) []*clock.Timeline {
 	return sc.timelines[:n]
 }
 
-// frameTables returns the per-node frame and frame-start tables, each inner
-// slice re-sliced to length frames (fully overwritten by the pre-generating
-// engine) or 0 (appended to by the online engine) with capacity for
-// maxFrames entries.
-func (sc *AsyncScratch) frameTables(n, maxFrames, frames int) ([][]asyncFrame, [][]float64) {
+// frameTables returns the per-node frame tables, each inner slice empty
+// with capacity for maxFrames entries (both engines append as frames
+// generate).
+func (sc *AsyncScratch) frameTables(n, maxFrames int) [][]asyncFrame {
 	if cap(sc.frames) < n {
 		fr := make([][]asyncFrame, n)
 		copy(fr, sc.frames)
 		sc.frames = fr
-		st := make([][]float64, n)
-		copy(st, sc.starts)
-		sc.starts = st
 	}
 	sc.frames = sc.frames[:n]
-	sc.starts = sc.starts[:n]
 	for u := 0; u < n; u++ {
 		if cap(sc.frames[u]) < maxFrames {
 			sc.frames[u] = make([]asyncFrame, maxFrames)
-			sc.starts[u] = make([]float64, maxFrames)
 		}
-		sc.frames[u] = sc.frames[u][:frames]
-		sc.starts[u] = sc.starts[u][:frames]
+		sc.frames[u] = sc.frames[u][:0]
 	}
-	return sc.frames, sc.starts
+	return sc.frames
 }
 
 // envFor primes the embedded resolver env for a run. The env's internal
 // buffers (txBuf, sweepBuf, flagBuf, outBuf, seenBuf) persist across runs by
 // design: resolveFrame already reuses them frame-to-frame and overwrites
-// before reading.
-func (sc *AsyncScratch) envFor(nw *topology.Network, cands [][]topology.Candidate, frames [][]asyncFrame, starts [][]float64, timelines []*clock.Timeline, slotsPerFrame int, loss *LossModel) *asyncEnv {
+// before reading. The frame-search cursors persist too, grown to n: a stale
+// cursor is only a search hint (see seekFrame).
+func (sc *AsyncScratch) envFor(nw *topology.Network, cands [][]topology.Candidate, frames [][]asyncFrame, timelines []*clock.Timeline, slotsPerFrame int, loss *LossModel) *asyncEnv {
 	env := &sc.env
 	env.nw = nw
 	env.cands = cands
 	env.frames = frames
-	env.starts = starts
 	env.timelines = timelines
 	env.slotsPerFrame = slotsPerFrame
 	env.loss = loss
+	if len(env.cursor) < nw.N() {
+		env.cursor = make([]int32, nw.N())
+	}
 	env.world = nil // engines running on a dynamic world set it after
 	env.lastCollected = 0
 	return env

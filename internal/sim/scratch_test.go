@@ -14,6 +14,7 @@ import (
 
 	"m2hew/internal/clock"
 	"m2hew/internal/core"
+	"m2hew/internal/dynamics"
 	"m2hew/internal/rng"
 	"m2hew/internal/topology"
 )
@@ -67,23 +68,55 @@ func syncFingerprint(t *testing.T, nw *topology.Network, seed uint64, maxSlots i
 	return sb.String()
 }
 
+// asyncTrial is one asynchronous run of the scratch-reuse tests: seed draws
+// the protocols and drifts, then the dynamic world and loss stream when
+// spec or loss is set.
+type asyncTrial struct {
+	nw        *topology.Network
+	seed      uint64
+	maxFrames int
+	spec      *dynamics.Spec // nil: static network
+	loss      float64        // 0: reliable channels
+}
+
 // asyncFingerprint does the same for an asynchronous engine (RunAsync or
-// RunAsyncOnline). Timelines are deliberately not part of the fingerprint:
-// with RecycleTimelines they are pooled and not stable across runs.
-func asyncFingerprint(t *testing.T, engine func(AsyncConfig) (*AsyncResult, error), nw *topology.Network, seed uint64, maxFrames int, scratch *AsyncScratch) string {
+// RunAsyncOnline), adding each listening frame's collected and delivered
+// counts. Timelines are deliberately not part of the fingerprint: with
+// RecycleTimelines they are pooled and not stable across runs.
+func asyncFingerprint(t *testing.T, engine func(AsyncConfig) (*AsyncResult, error), tr asyncTrial, scratch *AsyncScratch) string {
 	t.Helper()
-	root := rng.New(seed)
-	nodes := benchAsyncNodesT(t, nw, 4, root)
+	root := rng.New(tr.seed)
+	nodes := benchAsyncNodesT(t, tr.nw, 4, root)
+	var world *dynamics.World
+	if tr.spec != nil {
+		horizon := int(float64(tr.maxFrames)*3*1.1/tr.spec.EpochLen) + 2
+		var err error
+		if world, err = dynamics.NewWorld(tr.nw, *tr.spec, horizon, root.Split()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var loss *LossModel
+	if tr.loss > 0 {
+		var err error
+		if loss, err = NewLossModel(tr.loss, root.Split()); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var sb strings.Builder
 	res, err := engine(AsyncConfig{
-		Network:   nw,
+		Network:   tr.nw,
 		Nodes:     nodes,
 		FrameLen:  3,
-		MaxFrames: maxFrames,
+		MaxFrames: tr.maxFrames,
+		Loss:      loss,
+		Dynamics:  world,
 		Scratch:   scratch,
 		Observer: ObserverFunc(func(e Event) {
-			if e.Kind == EventDeliver {
+			switch e.Kind {
+			case EventDeliver:
 				fmt.Fprintf(&sb, "%v %d>%d ch%d\n", e.Time, e.From, e.To, e.Channel)
+			case EventFrameResolve:
+				fmt.Fprintf(&sb, "resolve %d/%d %d %d\n", e.Node, e.Slot, e.Collected, e.Delivered)
 			}
 		}),
 	})
@@ -139,16 +172,28 @@ func TestRunSyncScratchMatchesFresh(t *testing.T) {
 }
 
 // TestRunAsyncScratchMatchesFresh covers both asynchronous engines and, for
-// RunAsync, both scratch modes (with and without timeline recycling).
+// RunAsync, both scratch modes (with and without timeline recycling). The
+// churn and mobility trials, some lossy, resolve each listening frame
+// against its epoch's candidate row while the scratch's frame-search
+// cursors carry over from other listeners, epochs and runs of different n
+// and frame budgets.
 func TestRunAsyncScratchMatchesFresh(t *testing.T) {
 	nwA := scratchTestNetwork(t, 10, 0.5, 3)
 	nwB := scratchTestNetwork(t, 6, 0.6, 4)
-	trials := []struct {
-		nw        *topology.Network
-		seed      uint64
-		maxFrames int
-	}{
-		{nwA, 200, 120}, {nwB, 201, 80}, {nwA, 202, 120}, {nwB, 203, 40},
+	churn := &dynamics.Spec{
+		EpochLen: 45,
+		Churn:    &dynamics.Churn{JoinFraction: 0.4, JoinWindow: 4, LeaveFraction: 0.3, LeaveWindow: 6},
+		Primary:  &dynamics.Primary{Events: 3, Duration: 3, Radius: 0.4},
+	}
+	mobility := &dynamics.Spec{
+		EpochLen: 30,
+		Mobility: &dynamics.Mobility{Speed: 0.1, Radius: 0.3, Pause: 1},
+		Primary:  &dynamics.Primary{Events: 2, Duration: 4, Radius: 0.3},
+	}
+	trials := []asyncTrial{
+		{nwA, 200, 120, nil, 0}, {nwB, 201, 80, nil, 0}, {nwA, 202, 120, nil, 0}, {nwB, 203, 40, nil, 0},
+		{nwA, 300, 150, churn, 0}, {nwB, 301, 60, mobility, 0.2}, {nwA, 302, 90, churn, 0.2},
+		{nwB, 303, 150, mobility, 0}, {nwA, 304, 50, mobility, 0.2}, {nwB, 305, 120, churn, 0},
 	}
 	engines := []struct {
 		name   string
@@ -165,8 +210,8 @@ func TestRunAsyncScratchMatchesFresh(t *testing.T) {
 			scratch := NewAsyncScratch()
 			scratch.RecycleTimelines = recycle
 			for i, tr := range trials {
-				fresh := asyncFingerprint(t, eng.engine, tr.nw, tr.seed, tr.maxFrames, nil)
-				reused := asyncFingerprint(t, eng.engine, tr.nw, tr.seed, tr.maxFrames, scratch)
+				fresh := asyncFingerprint(t, eng.engine, tr, nil)
+				reused := asyncFingerprint(t, eng.engine, tr, scratch)
 				if fresh != reused {
 					t.Fatalf("%s recycle=%v trial %d: scratch-reuse run diverged from fresh run\nfresh:\n%s\nreused:\n%s",
 						eng.name, recycle, i, fresh, reused)
