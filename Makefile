@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race bench bench-gate perfbench perfbench-smoke soak-1m profile vet fmt fmt-check lint lint-json ci experiments examples clean
+.PHONY: all build test test-race bench bench-gate perfbench perfbench-smoke golden-update soak-1m profile vet fmt fmt-check lint lint-json ci experiments examples clean
 
 all: build vet lint test
 
@@ -77,6 +77,16 @@ perfbench-smoke:
 		echo "$$out"; \
 		echo "$$out" | grep '^{' | grep -Eq '"failed":0[,}]' || { echo "perfbench-smoke: $$wl runs failed" >&2; exit 1; }; \
 	done
+
+# Rewrite the ndsim golden digests (cmd/ndsim/testdata/golden.sha256) from
+# the current code and print which scenarios moved. TestGoldenDigests pins
+# them on every test run; update only for an intended output change.
+golden-update:
+	@f=cmd/ndsim/testdata/golden.sha256; rm -f "$$f.got"; \
+	if $(GO) test -count=1 -run '^TestGoldenDigests$$' ./cmd/ndsim >/dev/null; then echo "golden-update: no scenario moved"; exit 0; fi; \
+	[ -f "$$f.got" ] || { echo "golden-update: TestGoldenDigests failed without writing new digests" >&2; exit 1; }; \
+	awk 'NR == FNR { old[$$1 " " $$2] = $$3; next } old[$$1 " " $$2] != $$3 { print "moved: " $$1 " (" $$2 ")" }' "$$f" "$$f.got"; \
+	mv "$$f.got" "$$f"
 
 # One full pass of every reproduction benchmark (one iteration each), then
 # the engine throughput snapshot: cmd/ndperf rewrites BENCH_3.json with

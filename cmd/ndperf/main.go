@@ -8,7 +8,7 @@
 // the same large-n scenarios on a churn / mobility world so the epoch
 // boundary-crossing cost stays measured, and kernel rows that isolate the
 // channel package's word-level bitset primitives (the word-OR transmitter
-// mask pass and the batched candidate-mask intersection) from the engines
+// mask pass and the candidate-mask intersection) from the engines
 // built on them. `make bench` refreshes the
 // committed snapshot; CI runs it as a smoke and uploads the artifact, so a
 // hot-path regression shows up as a diff instead of an anecdote.
@@ -372,7 +372,7 @@ func benchAsync(name string, engine func(sim.AsyncConfig) (*sim.AsyncResult, err
 // a slot-resolution-shaped workload (the 200-node scenario's dimensions:
 // 200 nodes, 16 channels, 4 words per mask). KernelWordOr is the word-OR
 // pass that accumulates per-channel transmitter masks from node channel
-// sets; KernelOverlapResolve is the batched candidate-mask intersection
+// sets; KernelOverlapResolve is the candidate-mask intersection
 // that resolves every listener against its channel's mask. slots_per_op is
 // the number of kernel calls per op; the delivery columns do not apply.
 func benchKernels() []benchRow {

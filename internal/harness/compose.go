@@ -42,7 +42,8 @@ type multiInstrument []Instrument
 // with the per-member observers TrialDone routes back. It re-exports the
 // combined observer's subscription mask and internals sink: embedding
 // alone would erase them (the wrapper's method set would shrink to
-// OnEvent), silently flipping engines off their batched path.
+// OnEvent), silently flipping engines off their event-free fast paths
+// (the tiled path, the kernel's idle and collision event skips).
 type composedObs struct {
 	combined sim.Observer
 	parts    []sim.Observer

@@ -160,10 +160,10 @@ func TestInstrumentsForwardsInternals(t *testing.T) {
 	if !ok {
 		t.Fatalf("combined observer %T lost OnInternals", obs)
 	}
-	sink.OnInternals(sim.Internals{SlotsSimulated: 9, BatchedSlots: 9})
+	sink.OnInternals(sim.Internals{SlotsSimulated: 9, KernelSlots: 9})
 	for i, rec := range []*sim.InternalsRecorder{recA, recC} {
-		if rec.Reports != 1 || rec.Total.BatchedSlots != 9 {
-			t.Errorf("recorder %d: reports %d, batched %d; want 1 report of 9", i, rec.Reports, rec.Total.BatchedSlots)
+		if rec.Reports != 1 || rec.Total.KernelSlots != 9 {
+			t.Errorf("recorder %d: reports %d, kernel %d; want 1 report of 9", i, rec.Reports, rec.Total.KernelSlots)
 		}
 	}
 }

@@ -69,12 +69,6 @@ type AsyncConfig struct {
 	// means the run allocates a private scratch; results are identical
 	// either way.
 	Scratch *AsyncScratch
-	// Stepper optionally overrides where frame decisions come from. Nil —
-	// the default — pulls each decision lazily from Nodes' protocols; a
-	// PregenStepper replays a pre-generated schedule instead (differential
-	// reference, sound for oblivious protocols only). Nodes remain required
-	// either way: they carry clocks and are the Deliver targets.
-	Stepper Stepper
 	// Dynamics, if non-nil, runs the simulation on a time-varying world:
 	// each listening frame resolves against the reception structure of the
 	// epoch containing the frame's start (see internal/dynamics; EpochLen is
@@ -151,19 +145,19 @@ func (c *AsyncConfig) validate() error {
 
 // RunAsync executes an asynchronous simulation.
 //
-// Frame decisions are pulled incrementally through the stepper seam: a
-// node's next frame is generated when the resolution pass first needs it —
+// Frame decisions are generated incrementally: a node's protocol is asked
+// for its next frame (NextFrame) when the resolution pass first needs it —
 // either because the pass reached the frame itself, or because the frame
 // might overlap a neighbor's listening frame under resolution. Each node's
-// decisions are still pulled in ascending frame order from its own private
+// decisions are still drawn in ascending frame order from its own private
 // rng stream, so the cross-node interleaving (which differs from the old
 // generate-everything-first pass) is invisible in results; every node ends
 // the run having generated exactly MaxFrames decisions. Resolution walks
 // frames node-major; deliveries are applied in chronological order
 // afterwards, so protocols see messages only after all decisions are made —
 // behaviorally equivalent for oblivious protocols, which is why the
-// differential tests can pin this engine to RunAsyncOnline and to
-// PregenStepper replays. Adaptive protocols need RunAsyncOnline.
+// differential tests can pin this engine to RunAsyncOnline and to replays
+// of pre-generated decisions. Adaptive protocols need RunAsyncOnline.
 //
 //nd:hotpath
 func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
@@ -180,10 +174,6 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 	sc := cfg.Scratch
 	if sc == nil {
 		sc = NewAsyncScratch()
-	}
-	st := cfg.Stepper
-	if st == nil {
-		st = asyncStepper{nodes: cfg.Nodes}
 	}
 
 	// Phase 1: clocks. Timelines and drift memos are pre-sized to the slot
@@ -233,7 +223,7 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 		uid := topology.NodeID(u)
 		for f := 0; f < cfg.MaxFrames; f++ {
 			if len(env.frames[u]) <= f {
-				if err := env.generate(u, st); err != nil {
+				if err := env.generate(u, cfg.Nodes[u].Protocol); err != nil {
 					return nil, err
 				}
 			}
@@ -258,7 +248,7 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 						if last := len(env.frames[w]); last > 0 && env.frames[w][last-1].end >= g.end {
 							break
 						}
-						if err := env.generate(w, st); err != nil {
+						if err := env.generate(w, cfg.Nodes[w].Protocol); err != nil {
 							return nil, err
 						}
 					}
@@ -340,16 +330,16 @@ func cmpDelivery(a, b delivery) int {
 	}
 }
 
-// generate pulls node v's next frame decision from the stepper, validates
+// generate asks node v's protocol p for its next frame decision, validates
 // it, and appends the frame to the env's tables (capacity was reserved for
 // the whole budget, so appends never reallocate). Both asynchronous engines
 // generate exclusively through it, always in ascending frame order per
 // node.
 //
 //nd:hotpath
-func (env *asyncEnv) generate(v int, st Stepper) error {
+func (env *asyncEnv) generate(v int, p AsyncProtocol) error {
 	f := len(env.frames[v])
-	a := st.Next(topology.NodeID(v), f)
+	a := p.NextFrame(f)
 	if err := a.Validate(env.nw.Avail(topology.NodeID(v))); err != nil {
 		return fmt.Errorf("sim: node %d frame %d: %w", v, f, err)
 	}

@@ -46,10 +46,6 @@ func RunAsyncOnline(cfg AsyncConfig) (*AsyncResult, error) {
 	if sc == nil {
 		sc = NewAsyncScratch()
 	}
-	st := cfg.Stepper
-	if st == nil {
-		st = asyncStepper{nodes: cfg.Nodes}
-	}
 	slotBudget := cfg.MaxFrames * slotsPerFrame
 	timelines := sc.timelineSlice(n)
 	frames := sc.frameTables(n, cfg.MaxFrames)
@@ -74,14 +70,14 @@ func RunAsyncOnline(cfg AsyncConfig) (*AsyncResult, error) {
 		timelines[u] = tl
 	}
 
-	// generate appends node u's next frame through the shared stepper pull
-	// (env.generate). Returns false once the node hit its frame budget.
+	// generate appends node u's next frame (env.generate). Returns false
+	// once the node hit its frame budget.
 	generate := func(u int) (float64, bool, error) {
 		f := len(env.frames[u])
 		if f >= cfg.MaxFrames {
 			return 0, false, nil
 		}
-		if err := env.generate(u, st); err != nil {
+		if err := env.generate(u, cfg.Nodes[u].Protocol); err != nil {
 			return 0, false, err
 		}
 		return env.frames[u][f].end, true, nil
@@ -210,12 +206,8 @@ func RunAsyncOnline(cfg AsyncConfig) (*AsyncResult, error) {
 		pending[u]++
 
 		// Generate u's next frame (its protocol has now seen everything it
-		// could have heard).
-		if pending[u] < len(env.frames[u]) {
-			// Shouldn't happen: we generate one frame ahead of resolution.
-			nextEnd[u] = env.frames[u][pending[u]].end
-			continue
-		}
+		// could have heard). Only the popped node ever generates its own
+		// frames, one at a time, so the resolved frame was u's last.
 		end, ok, err := generate(u)
 		if err != nil {
 			return nil, err

@@ -105,8 +105,9 @@ func (env *asyncEnv) candsFor(uid topology.NodeID, g asyncFrame) []topology.Cand
 // order (all draws happen during collection).
 //
 // Frames of neighbors must cover the real-time extent of g; the caller
-// guarantees this (RunAsync generates everything up front, RunAsyncOnline
-// maintains it as a scheduling invariant). The returned slice is owned by
+// guarantees this (RunAsync generates every candidate sender's frames out
+// to g's end before resolving g, RunAsyncOnline maintains it as a
+// scheduling invariant). The returned slice is owned by
 // the env and is invalidated by the next resolveFrame call.
 //
 //nd:hotpath

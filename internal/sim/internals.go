@@ -2,8 +2,8 @@ package sim
 
 // This file is the engine-internals reporting seam: a once-per-run summary
 // of what the engine machinery itself did — which resolver path ran, how
-// the stepper batches filled, whether the scratch's network tables were
-// reused — as opposed to what happened in the simulated network (the Event
+// many protocol decisions each slot drew, whether the scratch's network
+// tables were reused — as opposed to what happened in the simulated network (the Event
 // stream). The two ride the same Observer attachment point so composition,
 // masking and the nil fast path need no second seam: an observer that also
 // implements InternalsSink receives exactly one OnInternals call when the
@@ -16,10 +16,10 @@ package sim
 //     beyond one dead boolean test per slot.
 //   - Zero allocation when used: Internals is a plain value passed by
 //     value; per-slot tallying is integer arithmetic on run-local fields.
-//   - Zero perturbation: a sink whose EventMask is zero keeps the batched
-//     resolver path and the engine's event-free fast paths — reading the
-//     internals never changes which internals there are to read. (A full
-//     observer still flips batched → kernel, exactly as it did before this
+//   - Zero perturbation: a sink whose EventMask is zero keeps the tiled
+//     path and the engine's event-free fast paths — reading the internals
+//     never changes which internals there are to read. (A full observer
+//     still moves a tiled run to the kernel, exactly as it did before this
 //     seam existed; the report then says so.)
 
 // Internals is one synchronous run's engine-internals summary. All fields
@@ -27,20 +27,22 @@ package sim
 type Internals struct {
 	// SlotsSimulated mirrors SyncResult.SlotsSimulated.
 	SlotsSimulated int64
-	// TiledSlots, BatchedSlots, KernelSlots and ScalarSlots attribute the
-	// run's slots to the resolver path that executed them; their sum
-	// always equals SlotsSimulated. Path selection is fixed for a whole
-	// run, so one counter carries every slot — except that a dynamic run's
-	// over-budget epochs move their slots from the run's kernel path to
-	// ScalarSlots.
-	TiledSlots   int64
+	// TiledSlots, KernelSlots and ScalarSlots attribute the run's slots to
+	// the resolver path that executed them; their sum always equals
+	// SlotsSimulated. Path selection is fixed for a whole run, so one
+	// counter carries every slot — except that a dynamic run's over-budget
+	// epochs move their slots from the kernel to ScalarSlots.
+	TiledSlots  int64
+	KernelSlots int64
+	ScalarSlots int64
+	// BatchedSlots is always zero: the channel-major batched resolver it
+	// counted is gone and its slots run on the kernel. The field stays
+	// until the repository benchmark stops reading it.
 	BatchedSlots int64
-	KernelSlots  int64
-	ScalarSlots  int64
 	// HaloExchanges counts tiled-path halo segment copies from a NEIGHBOR
 	// tile (a tile reading its own transmitter mask does not count);
 	// HaloWordsCopied sums their word widths. Both are zero off the tiled
-	// path. Tiled runs attribute stepper batches per (slot, tile with
+	// path. Tiled runs attribute decision rounds per (slot, tile with
 	// active nodes) rather than per slot.
 	HaloExchanges   int64
 	HaloWordsCopied int64
@@ -49,15 +51,13 @@ type Internals struct {
 	// otherwise have served: 1 for an over-budget static run, and one per
 	// over-budget epoch table of a dynamic run.
 	MaskBudgetOverruns int64
-	// StepperBatches counts decision-pull batches (one per slot);
-	// StepperBatchNodes sums their sizes (decisions pulled), so the mean
-	// batch size is StepperBatchNodes/StepperBatches. MaxStepperBatch is
-	// the largest single batch. BatchSteps counts the batches served by a
-	// single BatchStepper.NextBatch call rather than per-node Next calls.
+	// StepperBatches counts the slots' decision rounds (one per slot);
+	// StepperBatchNodes sums their sizes (protocol Step calls), so the
+	// mean round size is StepperBatchNodes/StepperBatches. MaxStepperBatch
+	// is the largest single round.
 	StepperBatches    int64
 	StepperBatchNodes int64
 	MaxStepperBatch   int64
-	BatchSteps        int64
 	// ScratchTableHits / ScratchTableMisses report whether the run reused
 	// the scratch's cached network tables (hit) or rebuilt them (miss);
 	// one of the two is 1, the other 0. Across a trial batch on one
@@ -72,7 +72,6 @@ func (in *Internals) Merge(o Internals) {
 	in.TiledSlots += o.TiledSlots
 	in.HaloExchanges += o.HaloExchanges
 	in.HaloWordsCopied += o.HaloWordsCopied
-	in.BatchedSlots += o.BatchedSlots
 	in.KernelSlots += o.KernelSlots
 	in.ScalarSlots += o.ScalarSlots
 	in.MaskBudgetOverruns += o.MaskBudgetOverruns
@@ -81,7 +80,6 @@ func (in *Internals) Merge(o Internals) {
 	if o.MaxStepperBatch > in.MaxStepperBatch {
 		in.MaxStepperBatch = o.MaxStepperBatch
 	}
-	in.BatchSteps += o.BatchSteps
 	in.ScratchTableHits += o.ScratchTableHits
 	in.ScratchTableMisses += o.ScratchTableMisses
 }
@@ -113,7 +111,7 @@ func (m maskedObserver) OnInternals(in Internals) {
 }
 
 // InternalsRecorder captures engine-internals reports while subscribing to
-// no events at all, so attaching one preserves the engine's batched path
+// no events at all, so attaching one preserves the engine's tiled path
 // and event-free fast paths — the production shape for counters that must
 // not perturb what they measure, and the reference observer for the
 // perturbation guards in the tests.

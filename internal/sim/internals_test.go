@@ -4,8 +4,8 @@ package sim
 // differential guarantee that the resolver-path slot attribution sums to
 // the run's slot count on every path, the scratch-reuse and stepper
 // tallies, and the perturbation guards — attaching an InternalsRecorder
-// must keep the batched path, identical results, and the allocation
-// profile of an unobserved run.
+// must keep the unobserved run's path, identical results, and the
+// allocation profile of an unobserved run.
 
 import (
 	"testing"
@@ -37,7 +37,7 @@ func internalsRun(t *testing.T, nw *topology.Network, obs Observer, cfg SyncConf
 // TestInternalsPathAttributionSumsToSlots is the differential test for the
 // resolver-path counters: on every configuration that selects a different
 // path, exactly one path counter carries the run's whole slot count and
-// the three always sum to SlotsSimulated.
+// the path counters always sum to SlotsSimulated.
 func TestInternalsPathAttributionSumsToSlots(t *testing.T) {
 	nw := diffNet(t, 9, 12)
 	world := func() *dynamics.World {
@@ -60,19 +60,16 @@ func TestInternalsPathAttributionSumsToSlots(t *testing.T) {
 	cases := []struct {
 		label string
 		cfg   SyncConfig
-		full  bool // wrap the recorder with a full observer (flips to kernel)
+		full  bool // wrap the recorder with a full observer (per-listener events)
 		want  func(in Internals) int64
 	}{
-		// A mask-0 recorder alone keeps the batched channel-major path.
-		{"batched", SyncConfig{}, false, func(in Internals) int64 { return in.BatchedSlots }},
-		// A full observer demands per-listener events: kernel path.
+		// Without a tiling every run with a mask table resolves on the
+		// listener-major kernel, whatever the observer subscribes to.
+		{"kernel", SyncConfig{}, false, func(in Internals) int64 { return in.KernelSlots }},
 		{"kernel-full-observer", SyncConfig{}, true, func(in Internals) int64 { return in.KernelSlots }},
-		// Loss forces per-listener erasure draws: kernel even when masked off.
 		{"kernel-lossy", SyncConfig{Loss: loss()}, false, func(in Internals) int64 { return in.KernelSlots }},
-		// Dynamic runs resolve on the kernel paths over per-epoch masks:
-		// batched when loss-free and masked off, kernel under a full
-		// observer.
-		{"batched-dynamics", SyncConfig{Dynamics: world()}, false, func(in Internals) int64 { return in.BatchedSlots }},
+		// Dynamic runs resolve on the kernel over per-epoch masks.
+		{"kernel-dynamics", SyncConfig{Dynamics: world()}, false, func(in Internals) int64 { return in.KernelSlots }},
 		{"kernel-dynamics-full-observer", SyncConfig{Dynamics: world()}, true, func(in Internals) int64 { return in.KernelSlots }},
 	}
 	for _, tc := range cases {
@@ -90,9 +87,12 @@ func TestInternalsPathAttributionSumsToSlots(t *testing.T) {
 			if in.SlotsSimulated != int64(res.SlotsSimulated) {
 				t.Errorf("SlotsSimulated = %d, result says %d", in.SlotsSimulated, res.SlotsSimulated)
 			}
-			if sum := in.BatchedSlots + in.KernelSlots + in.ScalarSlots; sum != in.SlotsSimulated {
-				t.Errorf("path attribution sum = %d, want %d (batched %d, kernel %d, scalar %d)",
-					sum, in.SlotsSimulated, in.BatchedSlots, in.KernelSlots, in.ScalarSlots)
+			if in.BatchedSlots != 0 {
+				t.Errorf("BatchedSlots = %d; the batched path is gone", in.BatchedSlots)
+			}
+			if sum := in.TiledSlots + in.KernelSlots + in.ScalarSlots; sum != in.SlotsSimulated {
+				t.Errorf("path attribution sum = %d, want %d (tiled %d, kernel %d, scalar %d)",
+					sum, in.SlotsSimulated, in.TiledSlots, in.KernelSlots, in.ScalarSlots)
 			}
 			if got := tc.want(in); got != in.SlotsSimulated {
 				t.Errorf("expected path carries %d of %d slots: %+v", got, in.SlotsSimulated, in)
@@ -101,9 +101,9 @@ func TestInternalsPathAttributionSumsToSlots(t *testing.T) {
 	}
 }
 
-// TestInternalsStepperTallies bounds the decision-batch accounting: one
-// batch per simulated slot, batch sizes between 1 and n, and the max is a
-// batch size that actually occurred.
+// TestInternalsStepperTallies bounds the decision-round accounting: one
+// round per simulated slot, round sizes between 1 and n, and the max is a
+// round size that actually occurred.
 func TestInternalsStepperTallies(t *testing.T) {
 	nw := diffNet(t, 9, 12)
 	rec := &InternalsRecorder{}
@@ -150,7 +150,7 @@ func TestInternalsScratchTableReuse(t *testing.T) {
 
 // TestInternalsMaskBudgetOverrun pins what finalizeInternals derives from
 // the run's tallies: the slots the scalar fallback did not take land on the
-// run's kernel or batched path, and the scratch-table flag is reported.
+// kernel, and the scratch-table flag is reported.
 // Overrun counting itself (one per over-budget table, the scalar slots of
 // over-budget epochs) is pinned end to end in sync_dynamic_test.go by
 // TestSyncStaticMaskOverrun and TestSyncDynamicMixedBudget.
@@ -160,13 +160,13 @@ func TestInternalsMaskBudgetOverrun(t *testing.T) {
 	if in := kernel.finalizeInternals(100, false); in.ScalarSlots != 40 || in.KernelSlots != 60 || in.BatchedSlots != 0 || in.ScratchTableMisses != 1 {
 		t.Errorf("kernel run with 40 scalar slots: %+v, want 40 scalar, 60 kernel slots, table miss", in)
 	}
-	batched := &syncRun{batched: true}
-	batched.internals.ScalarSlots = 100
-	if in := batched.finalizeInternals(100, true); in.ScalarSlots != 100 || in.BatchedSlots != 0 || in.KernelSlots != 0 || in.ScratchTableHits != 1 {
-		t.Errorf("batched run with every epoch over budget: %+v, want 100 scalar slots, table hit", in)
+	overBudget := &syncRun{}
+	overBudget.internals.ScalarSlots = 100
+	if in := overBudget.finalizeInternals(100, true); in.ScalarSlots != 100 || in.KernelSlots != 0 || in.ScratchTableHits != 1 {
+		t.Errorf("run with every epoch over budget: %+v, want 100 scalar slots, table hit", in)
 	}
-	if in := (&syncRun{batched: true}).finalizeInternals(100, true); in.BatchedSlots != 100 || in.ScalarSlots != 0 || in.ScratchTableHits != 1 {
-		t.Errorf("batched run: %+v, want 100 batched slots, table hit", in)
+	if in := (&syncRun{}).finalizeInternals(100, true); in.KernelSlots != 100 || in.ScalarSlots != 0 || in.ScratchTableHits != 1 {
+		t.Errorf("kernel run: %+v, want 100 kernel slots, table hit", in)
 	}
 }
 
@@ -174,10 +174,10 @@ func TestInternalsMaskBudgetOverrun(t *testing.T) {
 // MaxStepperBatch takes the max.
 func TestInternalsMergeAcrossRuns(t *testing.T) {
 	var total Internals
-	total.Merge(Internals{SlotsSimulated: 10, BatchedSlots: 10, StepperBatches: 10, StepperBatchNodes: 40, MaxStepperBatch: 8, ScratchTableMisses: 1})
+	total.Merge(Internals{SlotsSimulated: 10, TiledSlots: 10, StepperBatches: 10, StepperBatchNodes: 40, MaxStepperBatch: 8, ScratchTableMisses: 1})
 	total.Merge(Internals{SlotsSimulated: 20, KernelSlots: 20, StepperBatches: 20, StepperBatchNodes: 60, MaxStepperBatch: 5, ScratchTableHits: 1})
 	want := Internals{
-		SlotsSimulated: 30, BatchedSlots: 10, KernelSlots: 20,
+		SlotsSimulated: 30, TiledSlots: 10, KernelSlots: 20,
 		StepperBatches: 30, StepperBatchNodes: 100, MaxStepperBatch: 8,
 		ScratchTableHits: 1, ScratchTableMisses: 1,
 	}
@@ -187,7 +187,7 @@ func TestInternalsMergeAcrossRuns(t *testing.T) {
 }
 
 // TestInternalsRecorderDoesNotPerturb is the observer-invariance guard for
-// the seam: a run with an InternalsRecorder attached stays on the batched
+// the seam: a run with an InternalsRecorder attached stays on the kernel
 // path and produces coverage identical to the unobserved run, for static
 // and dynamic configurations alike.
 func TestInternalsRecorderDoesNotPerturb(t *testing.T) {
@@ -216,13 +216,13 @@ func TestInternalsRecorderDoesNotPerturb(t *testing.T) {
 		if got.SlotsSimulated != base.SlotsSimulated {
 			t.Errorf("%s: slots %d with recorder, %d without", tc.label, got.SlotsSimulated, base.SlotsSimulated)
 		}
-		if tc.label == "static" && rec.Last.BatchedSlots != rec.Last.SlotsSimulated {
-			t.Errorf("recorder flipped the run off the batched path: %+v", rec.Last)
+		if tc.label == "static" && rec.Last.KernelSlots != rec.Last.SlotsSimulated {
+			t.Errorf("recorder flipped the run off the kernel path: %+v", rec.Last)
 		}
 	}
 }
 
-// TestInternalsRecorderSteadyStateAllocs extends the batched-path alloc
+// TestInternalsRecorderSteadyStateAllocs extends the kernel-path alloc
 // guard: tallying internals for an attached recorder must not add
 // allocations to the scratch-reusing hot loop.
 func TestInternalsRecorderSteadyStateAllocs(t *testing.T) {
@@ -264,9 +264,9 @@ func TestInternalsRecorderSteadyStateAllocs(t *testing.T) {
 	}
 	run() // warm the scratch
 	if allocs := testing.AllocsPerRun(10, run); allocs > 80 {
-		t.Errorf("recorder-attached batched run allocated %.0f objects per scratch-reusing run", allocs)
+		t.Errorf("recorder-attached kernel run allocated %.0f objects per scratch-reusing run", allocs)
 	}
-	if rec.Last.BatchedSlots != 64 {
-		t.Errorf("alloc guard ran off the batched path: %+v", rec.Last)
+	if rec.Last.KernelSlots != 64 {
+		t.Errorf("alloc guard ran off the kernel path: %+v", rec.Last)
 	}
 }

@@ -52,22 +52,16 @@ type SyncScratch struct {
 	txTouched []channel.ID
 	locals    []int
 
-	// Batched-resolver state (see sync_resolve.go): per-slot transmitter
-	// word masks (channel-major, wordsPer words per channel), per-channel
-	// listener buckets, the covered-link dedup bitmap, and the per-run
-	// pull/dispatch buffers.
-	txWords   []uint64
-	avail1    []uint64
-	rx        [][]topology.NodeID
-	rxTouched []channel.ID
-	rxList    []topology.NodeID
-	rxChs     []channel.ID
-	covered   []uint64
-	hrs       []HeardReporter
-	heard     []topology.NodeID
-	us        []topology.NodeID
-	ks        []int
-	dec       []radio.Action
+	// Word-kernel state (see sync_resolve.go): per-slot transmitter word
+	// masks (channel-major, wordsPer words per channel), single-word
+	// availability masks, the slot's listener list, and the per-run
+	// heard-reporter cache and heard-list snapshot.
+	txWords []uint64
+	avail1  []uint64
+	rxList  []topology.NodeID
+	rxChs   []channel.ID
+	hrs     []HeardReporter
+	heard   []topology.NodeID
 }
 
 // syncMaskWordBudget caps the packed candidate-mask table at 8 MB; larger
@@ -75,11 +69,6 @@ type SyncScratch struct {
 // scalar resolver (the tiled layout is the path to large n, not a giant
 // flat table).
 const syncMaskWordBudget = 1 << 20
-
-// syncCoveredNodeBudget caps the covered-link dedup bitmap (n² bits) at
-// n = 4096 — 2 MB; beyond that deliveries deduplicate in Coverage's map as
-// before.
-const syncCoveredNodeBudget = 4096
 
 // NewSyncScratch returns an empty scratch ready for use.
 func NewSyncScratch() *SyncScratch {
@@ -244,50 +233,13 @@ func (sc *SyncScratch) rxListBufs(n int) ([]topology.NodeID, []channel.ID) {
 	return sc.rxList[:0], sc.rxChs[:0]
 }
 
-// rxBuckets returns the per-channel listener buckets and their touched
-// list, each bucket re-sliced empty: an errored previous run may have
-// returned mid-slot with listeners still queued.
-func (sc *SyncScratch) rxBuckets(channels int) ([][]topology.NodeID, []channel.ID) {
-	if cap(sc.rx) < channels {
-		rx := make([][]topology.NodeID, channels)
-		copy(rx, sc.rx)
-		sc.rx = rx
-	}
-	sc.rx = sc.rx[:channels]
-	for i := range sc.rx {
-		sc.rx[i] = sc.rx[i][:0]
-	}
-	if sc.rxTouched == nil {
-		sc.rxTouched = make([]channel.ID, 0, 16)
-	}
-	return sc.rx, sc.rxTouched[:0]
-}
-
-// coveredBuf returns the covered-link dedup bitmap (n² bits, bit
-// from·n+to), zeroed: every run starts with no link covered.
-func (sc *SyncScratch) coveredBuf(n int) []uint64 {
-	words := (n*n + 63) / 64
-	if cap(sc.covered) < words {
-		sc.covered = make([]uint64, words)
-	}
-	cov := sc.covered[:words]
-	for i := range cov {
-		cov[i] = 0
-	}
-	return cov
-}
-
-// runBufs returns the per-run dispatch buffers: the heard-reporter cache
-// (fully overwritten by the run's setup) and the batched decision-pull
-// triple (written before read every slot).
-func (sc *SyncScratch) runBufs(n int) ([]HeardReporter, []topology.NodeID, []int, []radio.Action) {
+// heardReporters returns the per-run heard-reporter cache, grown to n;
+// the run's setup overwrites every entry.
+func (sc *SyncScratch) heardReporters(n int) []HeardReporter {
 	if cap(sc.hrs) < n {
 		sc.hrs = make([]HeardReporter, n)
-		sc.us = make([]topology.NodeID, n)
-		sc.ks = make([]int, n)
-		sc.dec = make([]radio.Action, n)
 	}
-	return sc.hrs[:n], sc.us[:n], sc.ks[:n], sc.dec[:n]
+	return sc.hrs[:n]
 }
 
 // localSlotBuf returns the per-node local-slot counters of a dynamic run,

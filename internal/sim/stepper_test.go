@@ -1,23 +1,107 @@
 package sim
 
-// Differential testing of the stepper seam: the incremental default path
-// (decisions pulled lazily, in whatever order the engine needs them) must
-// be byte-identical to PregenStepper (every decision drawn node-major up
-// front — the pre-incremental engines' order) for oblivious protocols,
+// Differential testing of incremental decision generation: the engines
+// (each decision drawn lazily, in whatever order the engine needs it) must
+// be byte-identical to replays of decisions pre-generated node-major up
+// front — the pre-incremental engines' order — for oblivious protocols,
 // across both engines, with and without loss models and dynamic worlds.
 // Divergence means decision indexing leaked engine scheduling into a
 // node's private rng stream.
 
 import (
+	"fmt"
 	"testing"
 
 	"m2hew/internal/clock"
 	"m2hew/internal/core"
 	"m2hew/internal/dynamics"
 	"m2hew/internal/metrics"
+	"m2hew/internal/radio"
 	"m2hew/internal/rng"
 	"m2hew/internal/topology"
 )
+
+// syncReplay replays a wrapped protocol's pre-generated decisions from
+// Step and forwards everything else — Deliver, ReserveNeighbors and (via
+// syncReplayHeard) AppendHeard — to it. Pre-generation is sound only for
+// oblivious protocols, whose decisions never depend on what they receive.
+type syncReplay struct {
+	SyncProtocol
+	decisions []radio.Action
+}
+
+// Step replays decision k; it panics past the pre-generated horizon.
+func (p *syncReplay) Step(k int) radio.Action { return p.decisions[k] }
+
+func (p *syncReplay) ReserveNeighbors(expected int) {
+	if r, ok := p.SyncProtocol.(NeighborReserver); ok {
+		r.ReserveNeighbors(expected)
+	}
+}
+
+// syncReplayHeard is a syncReplay of a HeardReporter; a separate type so
+// replays of non-reporters do not become reporters.
+type syncReplayHeard struct {
+	*syncReplay
+	HeardReporter
+}
+
+// pregenSync pre-generates horizon decisions from every protocol,
+// node-major (all of node 0's, then node 1's, …), and returns replays.
+func pregenSync(t *testing.T, protos []SyncProtocol, horizon int) []SyncProtocol {
+	t.Helper()
+	out := make([]SyncProtocol, len(protos))
+	for u, p := range protos {
+		r := &syncReplay{SyncProtocol: p, decisions: make([]radio.Action, horizon)}
+		for k := range r.decisions {
+			r.decisions[k] = p.Step(k)
+		}
+		out[u] = r
+		if hr, ok := p.(HeardReporter); ok {
+			out[u] = syncReplayHeard{r, hr}
+		}
+	}
+	return out
+}
+
+// asyncReplay is syncReplay for asynchronous protocols: NextFrame replays.
+type asyncReplay struct {
+	AsyncProtocol
+	decisions []radio.Action
+}
+
+// NextFrame replays decision k; it panics past the pre-generated horizon.
+func (p *asyncReplay) NextFrame(k int) radio.Action { return p.decisions[k] }
+
+func (p *asyncReplay) ReserveNeighbors(expected int) {
+	if r, ok := p.AsyncProtocol.(NeighborReserver); ok {
+		r.ReserveNeighbors(expected)
+	}
+}
+
+type asyncReplayHeard struct {
+	*asyncReplay
+	HeardReporter
+}
+
+// pregenAsync returns nodes whose protocols replay horizon frame decisions
+// pre-generated node-major; clocks and starts are shared with nodes.
+func pregenAsync(t *testing.T, nodes []AsyncNode, horizon int) []AsyncNode {
+	t.Helper()
+	out := append([]AsyncNode(nil), nodes...)
+	for u := range out {
+		p := nodes[u].Protocol
+		r := &asyncReplay{AsyncProtocol: p, decisions: make([]radio.Action, horizon)}
+		for k := range r.decisions {
+			r.decisions[k] = p.NextFrame(k)
+		}
+		out[u].Protocol = r
+		if hr, ok := p.(HeardReporter); ok {
+			out[u].Protocol = asyncReplayHeard{r, hr}
+		}
+	}
+	return out
+}
 
 // diffNet builds a seeded geometric multi-channel network.
 func diffNet(t *testing.T, seed uint64, n int) *topology.Network {
@@ -87,12 +171,8 @@ func TestSyncPregenDifferential(t *testing.T) {
 			t.Fatalf("seed %d lazy: %v", seed, err)
 		}
 
-		protos := syncProtos(t, nw, seed+100)
-		st, err := NewSyncPregen(protos, maxSlots)
-		if err != nil {
-			t.Fatalf("seed %d pregen: %v", seed, err)
-		}
-		pre, err := RunSync(SyncConfig{Network: nw, Protocols: protos, MaxSlots: maxSlots, Stepper: st})
+		protos := pregenSync(t, syncProtos(t, nw, seed+100), maxSlots)
+		pre, err := RunSync(SyncConfig{Network: nw, Protocols: protos, MaxSlots: maxSlots})
 		if err != nil {
 			t.Fatalf("seed %d pregen run: %v", seed, err)
 		}
@@ -108,33 +188,25 @@ func TestSyncPregenDifferential(t *testing.T) {
 func TestSyncPregenDifferentialWithLoss(t *testing.T) {
 	const maxSlots = 6000
 	nw := diffNet(t, 5, 12)
-	run := func(st func([]SyncProtocol) Stepper) *SyncResult {
+	run := func(pregen bool) *SyncResult {
 		t.Helper()
 		protos := syncProtos(t, nw, 42)
+		if pregen {
+			protos = pregenSync(t, protos, maxSlots)
+		}
 		loss, err := NewLossModel(0.3, rng.New(99))
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := SyncConfig{Network: nw, Protocols: protos, MaxSlots: maxSlots, Loss: loss}
-		if st != nil {
-			cfg.Stepper = st(protos)
-		}
-		res, err := RunSync(cfg)
+		res, err := RunSync(SyncConfig{Network: nw, Protocols: protos, MaxSlots: maxSlots, Loss: loss})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	lazy := run(nil)
-	pre := run(func(protos []SyncProtocol) Stepper {
-		st, err := NewSyncPregen(protos, maxSlots)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	})
-	// Loss-model erasure draws are consumed in resolution order, which the
-	// stepper choice does not alter — lossy runs must match too.
+	lazy, pre := run(false), run(true)
+	// Loss-model erasure draws are consumed in resolution order, which
+	// pre-generation does not alter — lossy runs must match too.
 	sameCoverage(t, "sync+loss", lazy.Coverage, pre.Coverage)
 }
 
@@ -149,27 +221,63 @@ func TestSyncPregenDifferentialDynamics(t *testing.T) {
 	run := func(pregen bool) *SyncResult {
 		t.Helper()
 		protos := syncProtos(t, nw, 77)
+		if pregen {
+			// Local activation counts never exceed the slot horizon, so the
+			// static horizon bounds the replay under churn too.
+			protos = pregenSync(t, protos, maxSlots)
+		}
 		world, err := dynamics.NewWorld(nw, spec, maxSlots/epochSlots, rng.New(13))
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := SyncConfig{Network: nw, Protocols: protos, MaxSlots: maxSlots, Dynamics: world}
-		if pregen {
-			// Local activation counts never exceed the slot horizon, so the
-			// static horizon bounds the pregen schedule under churn too.
-			st, err := NewSyncPregen(protos, maxSlots)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Stepper = st
-		}
-		res, err := RunSync(cfg)
+		res, err := RunSync(SyncConfig{Network: nw, Protocols: protos, MaxSlots: maxSlots, Dynamics: world})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
 	sameCoverage(t, "sync+dynamics", run(false).Coverage, run(true).Coverage)
+}
+
+// TestSyncPregenDifferentialHeardReporter replays acknowledging protocols
+// (HeardReporter and NeighborReserver): the replay must forward
+// AppendHeard, ReserveNeighbors and Deliver so the piggybacked heard-lists,
+// and with them every confirmation, match the lazy run.
+func TestSyncPregenDifferentialHeardReporter(t *testing.T) {
+	const maxSlots = 3000
+	nw := diffNet(t, 11, 12)
+	run := func(pregen bool) (*SyncResult, [][]topology.NodeID) {
+		t.Helper()
+		protos, wrappers := wrapAck(t, nw, 8, 21)
+		if pregen {
+			protos = pregenSync(t, protos, maxSlots)
+			if _, ok := protos[0].(HeardReporter); !ok {
+				t.Fatal("replay of a HeardReporter is not one")
+			}
+		}
+		res, err := RunSync(SyncConfig{Network: nw, Protocols: protos, MaxSlots: maxSlots, RunToMaxSlots: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		confirmed := make([][]topology.NodeID, len(wrappers))
+		for u, w := range wrappers {
+			confirmed[u] = w.Confirmed()
+		}
+		return res, confirmed
+	}
+	lazy, lazyConf := run(false)
+	pre, preConf := run(true)
+	sameCoverage(t, "sync+ack", lazy.Coverage, pre.Coverage)
+	total := 0
+	for u := range lazyConf {
+		if fmt.Sprint(lazyConf[u]) != fmt.Sprint(preConf[u]) {
+			t.Fatalf("node %d confirmed %v lazily, %v replayed", u, lazyConf[u], preConf[u])
+		}
+		total += len(lazyConf[u])
+	}
+	if total == 0 {
+		t.Fatal("no confirmations: the heard-list forwarding went unexercised")
+	}
 }
 
 // asyncNodes builds one seeded set of asynchronous nodes with mildly
@@ -199,15 +307,10 @@ func TestAsyncPregenDifferential(t *testing.T) {
 		run := func(engine func(AsyncConfig) (*AsyncResult, error), pregen bool) *AsyncResult {
 			t.Helper()
 			nodes := asyncNodes(t, nw, seed+500)
-			cfg := AsyncConfig{Network: nw, Nodes: nodes, FrameLen: 3, MaxFrames: maxFrames}
 			if pregen {
-				st, err := NewAsyncPregen(nodes, maxFrames)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg.Stepper = st
+				nodes = pregenAsync(t, nodes, maxFrames)
 			}
-			res, err := engine(cfg)
+			res, err := engine(AsyncConfig{Network: nw, Nodes: nodes, FrameLen: 3, MaxFrames: maxFrames})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -229,19 +332,14 @@ func TestAsyncPregenDifferentialDynamics(t *testing.T) {
 	run := func(engine func(AsyncConfig) (*AsyncResult, error), pregen bool) *AsyncResult {
 		t.Helper()
 		nodes := asyncNodes(t, nw, 800)
+		if pregen {
+			nodes = pregenAsync(t, nodes, maxFrames)
+		}
 		world, err := dynamics.NewWorld(nw, spec, 25, rng.New(31))
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := AsyncConfig{Network: nw, Nodes: nodes, FrameLen: 3, MaxFrames: maxFrames, Dynamics: world}
-		if pregen {
-			st, err := NewAsyncPregen(nodes, maxFrames)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Stepper = st
-		}
-		res, err := engine(cfg)
+		res, err := engine(AsyncConfig{Network: nw, Nodes: nodes, FrameLen: 3, MaxFrames: maxFrames, Dynamics: world})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,16 +17,15 @@
 // the run configuration receives Event values (see observe.go); the trace,
 // metrics and experiment layers plug in through its adapters.
 //
-// Decision generation is incremental: both engines pull each node's next
-// decision through the Stepper seam (see stepper.go) at the moment the
-// simulation first needs it, which is what lets time-varying runs (the
-// Dynamics config fields) pause churned-out nodes without desynchronizing
-// their private rng streams. Because every protocol draws only from its own
-// per-node stream, the pull order across nodes is invisible in results;
-// PregenStepper — the pre-generation strategy the engines themselves used
-// before they became incremental — remains valid for oblivious protocols
-// (the paper's algorithms) and is retained as the differential reference
-// the tests pin the lazy path against.
+// Decision generation is incremental: both engines call each node's
+// protocol (SyncProtocol.Step, AsyncProtocol.NextFrame) for its next
+// decision at the moment the simulation first needs it, which is what lets
+// time-varying runs (the Dynamics config fields) pause churned-out nodes
+// without desynchronizing their private rng streams. Because every protocol
+// draws only from its own per-node stream, the call order across nodes is
+// invisible in results: for oblivious protocols (the paper's algorithms)
+// the tests pin the lazy engines to replays of decisions pre-generated
+// node-major, the order the engines used before they became incremental.
 package sim
 
 import (
@@ -93,22 +92,17 @@ type SyncConfig struct {
 	// the ownership and network-mutation contract). Nil means the run
 	// allocates a private scratch; results are identical either way.
 	Scratch *SyncScratch
-	// Stepper optionally overrides where decisions come from. Nil — the
-	// default — pulls each decision lazily from Protocols; a PregenStepper
-	// replays a pre-generated schedule instead (differential reference,
-	// sound for oblivious protocols only). Protocols remain required either
-	// way: they are the Deliver targets.
-	Stepper Stepper
 	// Tiling, if non-nil, requests the tiled parallel resolver: per-tile
 	// slot resolution on a fork-join worker pool with a deterministic
 	// two-phase halo exchange per slot (see sync_tiled.go), byte-identical
 	// to the single-threaded engine at matched seed. The tiling must
 	// partition this network's nodes with cell side ≥ the connection
 	// radius. The tiled path engages only when its preconditions hold —
-	// static world, loss-free, no per-listener event subscription, a
-	// ConcurrentStepper (the default and pregen steppers qualify), and a
+	// static world, loss-free, no per-listener event subscription, and a
 	// halo-clean in-budget mask table; otherwise the run falls back to the
-	// single-threaded resolvers, deterministically.
+	// single-threaded resolvers, deterministically. Tile workers call
+	// different nodes' protocols concurrently, which is sound because each
+	// protocol touches only its own state and private rng stream.
 	Tiling *topology.Tiling
 	// TileWorkers bounds the tiled resolver's parallelism (caller
 	// included). 0 picks GOMAXPROCS; 1 runs the tiled path serially
@@ -127,11 +121,10 @@ type SyncConfig struct {
 	// when links stop appearing; discovery latency comes from
 	// Coverage.Latencies. Mutually exclusive with StartSlots — churn
 	// schedules subsume staggered starts. Dynamic runs resolve on the
-	// static runs' word-kernel paths (batched when loss-free with no
-	// per-listener subscription, kernel otherwise) over a candidate-mask
-	// table repacked whenever the epoch's candidate table changes; an
-	// epoch whose table exceeds the mask budget resolves on the scalar
-	// path. Results are identical on every path.
+	// static runs' word kernel over a candidate-mask table repacked
+	// whenever the epoch's candidate table changes; an epoch whose table
+	// exceeds the mask budget resolves on the scalar path. Results are
+	// identical on every path.
 	Dynamics *dynamics.World
 }
 
@@ -208,10 +201,6 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 	nw := cfg.Network
 	n := nw.N()
 	world := cfg.Dynamics
-	st := cfg.Stepper
-	if st == nil {
-		st = syncStepper{protos: cfg.Protocols}
-	}
 
 	// Reception-resolution state, built (or borrowed from the scratch) once
 	// per run and reused across slots:
@@ -219,8 +208,8 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 	//   - cands[u] lists the only transmitters listener u can ever decode
 	//     (adjacency, direction and link span resolved up front by the
 	//     topology layer), so the scalar resolver walks a flat slice instead
-	//     of re-querying Neighbors/Reaches/Span per slot — and the kernel
-	//     resolvers read the same table packed channel-major into word masks
+	//     of re-querying Neighbors/Reaches/Span per slot — and the word
+	//     kernel reads the same table packed channel-major into word masks
 	//     (see syncRun for the per-run path-selection contract);
 	//   - txOn[c] counts the transmitters tuned to channel c this slot
 	//     (txTouched records which entries to reset), pruning listeners on
@@ -253,8 +242,6 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 	run.protos = cfg.Protocols
 	run.obs = cfg.Observer
 	run.loss = cfg.Loss
-	run.st = st
-	run.bst, _ = st.(BatchStepper)
 	run.coverage = coverage
 	run.curCands = cands    //ndlint:ignore scratchalias syncRun is a run-scoped local; the field dies with the run, before the scratch is recycled
 	run.msgAvail = msgAvail // covered by the directive above (own line + next)
@@ -275,7 +262,7 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 		}
 	}
 	run.lossFree = cfg.Loss == nil || cfg.Loss.Prob <= 0
-	// The word kernels serve every run with a mask table: a static run
+	// The word kernel serves every run with a mask table: a static run
 	// whose table fit its budget, and every dynamic run, whose epochs
 	// repack their own tables (an epoch over budget resolves on the
 	// scalar path until the next table change).
@@ -286,9 +273,9 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 	// The observer's subscription (EventMasker; AllEvents when undeclared)
 	// gates each emission site, and an observer subscribed to no
 	// per-listener kind frees the engine from the per-listener event order
-	// entirely — such runs take the batched path exactly like observerless
-	// ones (slot and epoch events are unaffected: both paths emit them
-	// identically).
+	// entirely — such runs may take the tiled path exactly like
+	// observerless ones (slot and epoch events are unaffected: every path
+	// emits them identically).
 	mask := observerMask(cfg.Observer)
 	// The internals sink is resolved once; tallying per slot is gated on it
 	// so observerless runs pay one dead boolean test. A sink with a zero
@@ -301,57 +288,43 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 	run.wantIdle = mask.Has(EventIdle)
 	run.wantSlot = mask.Has(EventSlot)
 	perListener := run.wantDeliver || run.wantColl || run.wantIdle
-	// The tiled path shares the batched path's preconditions (static,
-	// loss-free, no per-listener events) plus a stepper declared safe for
-	// per-node-disjoint concurrent pulls, and requires the halo-local mask
-	// table to build (nil on halo violation or budget overrun — the
-	// deterministic fallback). Worker setup is per-run: the pool's
-	// goroutines live exactly as long as the run.
+	// The tiled path needs a static, loss-free run with no per-listener
+	// events, and requires the halo-local mask table to build (nil on halo
+	// violation or budget overrun — the deterministic fallback). Worker
+	// setup is per-run: the pool's goroutines live exactly as long as the
+	// run.
 	if cfg.Tiling != nil && world == nil && run.lossFree && !perListener {
-		if _, ok := st.(ConcurrentStepper); ok {
-			if tm, tiles := sc.tileState(nw, cfg.Tiling, cands, int(maxID)+1); tm != nil {
-				workers := cfg.TileWorkers
-				if workers == 0 {
-					workers = runtime.GOMAXPROCS(0)
-				}
-				// Workers beyond the tile count would never find work.
-				if t := cfg.Tiling.Tiles(); workers > t {
-					workers = t
-				}
-				pool := tilepool.New(workers)
-				defer pool.Close()
-				//ndlint:ignore hotalloc one tiledRun and two phase closures per run, not per slot
-				tr := &tiledRun{
-					tl: cfg.Tiling, masks: tm,
-					pool:       pool,
-					tiles:      tiles, //ndlint:ignore scratchalias tiledRun is run-scoped; the field dies with the run, before the scratch is recycled
-					channels:   int(maxID) + 1,
-					startSlots: cfg.StartSlots,
-				}
-				tr.fnA = func(ti int) { run.tileSlotA(ti) } //ndlint:ignore hotalloc per-run closure, not per-slot
-				tr.fnB = func(ti int) { run.tileSlotB(ti) }
-				run.tiled = tr
+		if tm, tiles := sc.tileState(nw, cfg.Tiling, cands, int(maxID)+1); tm != nil {
+			workers := cfg.TileWorkers
+			if workers == 0 {
+				workers = runtime.GOMAXPROCS(0)
 			}
+			// Workers beyond the tile count would never find work.
+			if t := cfg.Tiling.Tiles(); workers > t {
+				workers = t
+			}
+			pool := tilepool.New(workers)
+			defer pool.Close()
+			//ndlint:ignore hotalloc one tiledRun and two phase closures per run, not per slot
+			tr := &tiledRun{
+				tl: cfg.Tiling, masks: tm,
+				pool:       pool,
+				tiles:      tiles, //ndlint:ignore scratchalias tiledRun is run-scoped; the field dies with the run, before the scratch is recycled
+				channels:   int(maxID) + 1,
+				startSlots: cfg.StartSlots,
+			}
+			tr.fnA = func(ti int) { run.tileSlotA(ti) } //ndlint:ignore hotalloc per-run closure, not per-slot
+			tr.fnB = func(ti int) { run.tileSlotB(ti) }
+			run.tiled = tr
 		}
 	}
-	run.batched = run.tiled == nil && kernels && run.lossFree && !perListener
 	run.storeActions = run.wantSlot || (run.tiled == nil && masks == nil)
 	if kernels && run.tiled == nil {
 		run.wordsPer = (n + 63) / 64
 		run.txWords = sc.txWordsBuf((int(maxID) + 1) * run.wordsPer)
-	}
-	if run.batched {
-		run.rx, run.rxTouched = sc.rxBuckets(int(maxID) + 1)
-	} else if kernels && run.tiled == nil {
 		run.rxList, run.rxChs = sc.rxListBufs(n)
 	}
-	if n <= syncCoveredNodeBudget {
-		run.covered = sc.coveredBuf(n)
-	}
-	run.hrs, run.us, run.ks, run.dec = sc.runBufs(n)
-	for u := 0; u < n; u++ {
-		run.us[u] = topology.NodeID(u) // phase1's static fast path reads us prefilled
-	}
+	run.hrs = sc.heardReporters(n)
 	for u, p := range cfg.Protocols {
 		hr, _ := p.(HeardReporter)
 		run.hrs[u] = hr
@@ -423,7 +396,7 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 			}
 		}
 
-		// The tiled path owns its whole slot — decision pulls, EventSlot
+		// The tiled path owns its whole slot — protocol steps, EventSlot
 		// emission, resolution and delivery all happen inside tiledSlot
 		// (two pool fork-joins around a halo barrier), so none of the
 		// single-threaded machinery below runs.
@@ -438,8 +411,8 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 			continue
 		}
 
-		// Phase 1: collect actions — one batched pull through the stepper
-		// seam when available — and index transmitters by channel.
+		// Phase 1: step every active node's protocol and index the
+		// decisions by channel.
 		var active []bool
 		if cur != nil {
 			active = cur.Active
@@ -459,16 +432,12 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 		// transmits on the listener's channel over an operating link,
 		// consumed in ascending candidate order, stopping at the second
 		// surviving transmission (resolveSlotNaive in the differential tests
-		// re-states this order from first principles; every resolver below
-		// preserves it — see syncRun for why the batched path may reorder
-		// the rest).
-		switch {
-		case run.masks == nil:
+		// re-states this order from first principles; both resolvers below
+		// preserve it).
+		if run.masks == nil {
 			run.resolveScalar(slot)
 			run.internals.ScalarSlots++
-		case run.batched:
-			run.resolveBatched(slot)
-		default:
+		} else {
 			run.resolveKernel(slot)
 		}
 
@@ -485,9 +454,6 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 	}
 	sc.txTouched = run.txTouched[:0] // keep any capacity the run grew
 	sc.heard = run.heard[:0]
-	if run.rx != nil {
-		sc.rxTouched = run.rxTouched[:0]
-	}
 
 	if coverage.Complete() {
 		result.Complete = true
@@ -503,8 +469,8 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 // finalizeInternals completes the run's internals report. Path selection is
 // fixed per run except for the scalar fallback, whose slots (and mask-table
 // overruns) the run counted as they happened; every other slot lands on
-// whichever path the run selected. tablesHit reports scratch network-table
-// reuse.
+// the tiled path or the word kernel. tablesHit reports scratch
+// network-table reuse.
 func (r *syncRun) finalizeInternals(slots int64, tablesHit bool) Internals {
 	in := r.internals
 	in.SlotsSimulated = slots
@@ -518,12 +484,9 @@ func (r *syncRun) finalizeInternals(slots int64, tablesHit bool) Internals {
 			if ts.maxBatch > in.MaxStepperBatch {
 				in.MaxStepperBatch = ts.maxBatch
 			}
-			in.BatchSteps += ts.batchSteps
 			in.HaloExchanges += ts.haloEx
 			in.HaloWordsCopied += ts.haloWordsCopied
 		}
-	case r.batched:
-		in.BatchedSlots = slots - in.ScalarSlots
 	default:
 		in.KernelSlots = slots - in.ScalarSlots
 	}

@@ -1,8 +1,8 @@
 package sim
 
-// Differential tests for dynamic worlds on the word-kernel resolvers: a
-// dynamic run resolves on the batched or kernel path over a candidate-mask
-// table repacked per changed epoch, and must match — coverage, latencies,
+// Differential tests for dynamic worlds on the word-kernel resolver: a
+// dynamic run resolves on the kernel path over a candidate-mask table
+// repacked per changed epoch, and must match — coverage, latencies,
 // completion and the full event stream — the same seeded run forced onto
 // the scalar candidate scan through the scratch's mask-budget hook.
 
@@ -161,9 +161,9 @@ func dynScenarios(t *testing.T) []dynScenario {
 
 // TestSyncDynamicPathsMatchScalar runs each dynamic world with and without
 // loss, unobserved and under a full per-listener observer, on the kernel
-// paths the engine selects (batched when loss-free and unobserved, kernel
-// otherwise) and forced onto the scalar scan by a one-word mask budget. The
-// two must agree on coverage, latencies, completion and every event.
+// path the engine selects and forced onto the scalar scan by a one-word
+// mask budget. The two must agree on coverage, latencies, completion and
+// every event.
 func TestSyncDynamicPathsMatchScalar(t *testing.T) {
 	for _, sc := range dynScenarios(t) {
 		for _, lossy := range []bool{false, true} {
@@ -172,12 +172,7 @@ func TestSyncDynamicPathsMatchScalar(t *testing.T) {
 				t.Run(label, func(t *testing.T) {
 					fast := sc.run(t, lossy, full, 0)
 					scalar := sc.run(t, lossy, full, 1)
-					slots := fast.in.SlotsSimulated
-					wantPath := fast.in.KernelSlots
-					if !lossy && !full {
-						wantPath = fast.in.BatchedSlots
-					}
-					if wantPath != slots || fast.in.ScalarSlots != 0 || fast.in.MaskBudgetOverruns != 0 {
+					if fast.in.KernelSlots != fast.in.SlotsSimulated || fast.in.ScalarSlots != 0 || fast.in.MaskBudgetOverruns != 0 {
 						t.Fatalf("kernel run path attribution: %+v", fast.in)
 					}
 					if scalar.in.ScalarSlots != scalar.in.SlotsSimulated || scalar.in.MaskBudgetOverruns == 0 {
@@ -195,7 +190,7 @@ func TestSyncDynamicPathsMatchScalar(t *testing.T) {
 
 // TestSyncDynamicMixedBudget sets the mask budget between the smallest and
 // largest epoch tables of each world, so some epochs resolve on the kernel
-// paths and others fall back to the scalar scan within one run — the
+// and others fall back to the scalar scan within one run — the
 // per-epoch switch itself must be invisible in results and events.
 func TestSyncDynamicMixedBudget(t *testing.T) {
 	for _, sc := range dynScenarios(t) {
@@ -225,11 +220,11 @@ func TestSyncDynamicMixedBudget(t *testing.T) {
 					t.Fatalf("path attribution does not sum to the run: %+v", mixed.in)
 				}
 				sameDynRun(t, label, mixed, scalar)
-				// Unobserved and loss-free, the kernel share runs batched.
+				// Unobserved and loss-free, the run splits the same way.
 				if !lossy {
 					quiet := sc.run(t, false, false, budget)
 					sameCoverage(t, label+" unobserved", quiet.res.Coverage, scalar.res.Coverage)
-					if quiet.in.BatchedSlots+quiet.in.ScalarSlots != quiet.in.SlotsSimulated || quiet.in.BatchedSlots == 0 {
+					if quiet.in.KernelSlots+quiet.in.ScalarSlots != quiet.in.SlotsSimulated || quiet.in.KernelSlots == 0 {
 						t.Fatalf("unobserved mixed run attribution: %+v", quiet.in)
 					}
 				}

@@ -1,13 +1,14 @@
 package sim
 
 // Differential sweep for RunSync's per-run resolver path selection (see
-// syncRun in sync_resolve.go). The engine picks among three resolvers —
-// batched channel-major, listener-major word kernel, and the scalar
-// candidate scan — based on the observer's event subscription, the loss
-// model, and the mask-table budget. Every path must behave as if
-// it executed resolveSlotNaive's listener-major loop; these tests replay
-// the same seeded scenarios through each engine configuration that selects
-// a different path and pin them all to the naive reference.
+// syncRun in sync_resolve.go). Without a tiling the engine resolves on the
+// listener-major word kernel, or on the scalar candidate scan when the
+// mask table is over budget; the observer's event subscription and the
+// loss model pick which events the kernel emits and whether it draws.
+// Every configuration must behave as if it executed resolveSlotNaive's
+// listener-major loop; these tests replay the same seeded scenarios
+// through each engine configuration and pin them all to the naive
+// reference.
 
 import (
 	"fmt"
@@ -32,7 +33,7 @@ func naiveDeliveries(nw *topology.Network, script [][]radio.Action, loss *LossMo
 // perNode groups a delivery sequence by receiver, preserving order. Within
 // one slot each receiver hears at most once, so per-receiver order is
 // well-defined regardless of how a resolver interleaves receivers inside a
-// slot — which is exactly the freedom the batched path exploits.
+// slot — which is exactly the freedom the tiled path exploits.
 func perNode(n int, ds []refDelivery) [][]refDelivery {
 	out := make([][]refDelivery, n)
 	for _, d := range ds {
@@ -92,10 +93,9 @@ func comparePerNode(t *testing.T, label string, got, want [][]refDelivery) {
 }
 
 // TestSyncResolverPathsAgree replays seeded random scenarios through every
-// engine configuration that selects a different resolver path — batched
-// (no observer), batched (observer subscribed to no per-listener kind),
-// kernel with a full observer, kernel with a deliveries-only subscription
-// — and pins each to resolveSlotNaive. Scenario densities range over 0, 1
+// engine configuration — no observer, an observer subscribed to no
+// per-listener kind, a full observer, a deliveries-only subscription —
+// and pins each to resolveSlotNaive. Scenario densities range over 0, 1
 // and 2+ transmitters per channel (randomScenario's action mix), with and
 // without span restriction and asymmetric links.
 func TestSyncResolverPathsAgree(t *testing.T) {
@@ -106,12 +106,12 @@ func TestSyncResolverPathsAgree(t *testing.T) {
 			nw, script := randomScenario(t, r)
 			want := perNode(nw.N(), naiveDeliveries(nw, script, nil))
 
-			// Batched path: no observer at all.
+			// No observer at all.
 			got := runScripted(t, nw, script, SyncConfig{})
 			comparePerNode(t, "no-observer", got, want)
 
-			// Batched path with an observer: subscribed only to slot
-			// events, so no per-listener event order constrains the engine.
+			// An observer subscribed only to slot events, so no
+			// per-listener event order constrains the engine.
 			slots := 0
 			got = runScripted(t, nw, script, SyncConfig{
 				Observer: OnlyEvents(MaskOf(EventSlot), ObserverFunc(func(e Event) { slots++ })),
@@ -121,8 +121,8 @@ func TestSyncResolverPathsAgree(t *testing.T) {
 				t.Fatalf("slot-only observer saw %d slot events, want %d", slots, len(script))
 			}
 
-			// Kernel path: full observer. The observer's delivery events
-			// must also appear in (slot, listener) order.
+			// Full observer. The observer's delivery events must also
+			// appear in (slot, listener) order.
 			var events []refDelivery
 			got = runScripted(t, nw, script, SyncConfig{
 				Observer: ObserverFunc(func(e Event) {
@@ -313,8 +313,8 @@ func TestSyncRejectsLossWithoutRng(t *testing.T) {
 }
 
 // TestSyncBatchedPathSteadyStateAllocs drives repeated scratch-reusing
-// runs down the batched (no-observer) and kernel (masked observer) paths
-// and bounds per-run allocations: the resolvers must live entirely off
+// runs down the kernel path, unobserved and under a masked observer, and
+// bounds per-run allocations: the resolvers must live entirely off
 // scratch buffers, leaving only the fixed per-run setup (result, coverage,
 // message sets).
 func TestSyncBatchedPathSteadyStateAllocs(t *testing.T) {
@@ -349,7 +349,7 @@ func TestSyncBatchedPathSteadyStateAllocs(t *testing.T) {
 		label string
 		obs   Observer
 	}{
-		{"batched", nil},
+		{"unobserved", nil},
 		{"kernel-masked", OnlyEvents(MaskOf(EventDeliver), ObserverFunc(func(Event) {}))},
 	} {
 		run := func() {

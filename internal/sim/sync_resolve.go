@@ -13,34 +13,23 @@ import (
 // syncRun is RunSync's per-run state: configuration distilled to the hot
 // loop's needs, the derived network tables, and the scratch-owned buffers.
 // It exists so the slot loop decomposes into //nd:hotpath methods instead
-// of one megafunction, and so the three resolution paths share one
-// delivery tail.
+// of one megafunction, and so the resolution paths share one delivery
+// tail.
 //
-// Path selection, decided once per run (the scalar fallback aside):
+// Path selection for runs off the tiled parallel path (sync_tiled.go),
+// decided per mask table:
 //
-//   - batched (channel-major): no loss, no per-listener event
-//     subscription, mask table within budget. Listeners resolve grouped
-//     by channel (resolveBatched): only channels that actually carry a
-//     transmission are visited, so silent channels and their listeners
-//     cost nothing.
-//     Reordering listeners is invisible here: with no observer there is
-//     no event order to preserve, with no loss there are no shared-rng
-//     draws whose order matters, each listener receives at most one
-//     delivery per slot on its own state, and a slot's transmitters are
-//     never receivers (half duplex), so no HeardReporter's state can
-//     change mid-slot.
-//   - kernel (listener-major): a per-listener event subscription or a
-//     loss model. Listeners resolve in ascending NodeID order — preserving
-//     the event contract and the loss-model draw order — each through
-//     one word-kernel intersection (candidate-mask row × transmitter
-//     mask) instead of a candidate scan; the lossy variant walks the
-//     surviving overlap bits in candidate order, drawing exactly as the
-//     scalar scan would.
+//   - kernel (listener-major): every slot with a mask table. Listeners
+//     resolve in ascending NodeID order — preserving the event contract
+//     and the loss-model draw order — each through one word-kernel
+//     intersection (candidate-mask row × transmitter mask) instead of a
+//     candidate scan; the lossy variant walks the surviving overlap bits
+//     in candidate order, drawing exactly as the scalar scan would.
 //   - scalar: the candidate-list scan, for slots without a mask table —
 //     a static network whose table exceeded its budget (the whole run),
 //     or a dynamic epoch whose table did (until the next table change).
 //
-// Both kernel paths serve dynamic worlds too: masks then holds the current
+// The kernel serves dynamic worlds too: masks then holds the current
 // epoch's candidate table, repacked in scratch-owned storage whenever the
 // world's table changes (Epoch.Cands lists candidates ascending by From,
 // so mask bits enumerate them in the scalar scan's order).
@@ -50,8 +39,6 @@ type syncRun struct {
 	protos   []SyncProtocol
 	obs      Observer
 	loss     *LossModel
-	st       Stepper
-	bst      BatchStepper
 	coverage *metrics.Coverage
 
 	curCands [][]topology.Candidate
@@ -64,22 +51,14 @@ type syncRun struct {
 	txTouched []channel.ID
 	txWords   []uint64
 	wordsPer  int
-	rx        [][]topology.NodeID
-	rxTouched []channel.ID
 	rxList    []topology.NodeID
 	rxChs     []channel.ID
-	covered   []uint64
 	hrs       []HeardReporter
 	heard     []topology.NodeID // heard-list snapshot lent to each Deliver
-	us        []topology.NodeID
-	ks        []int
-	dec       []radio.Action
 
 	lossFree bool
-	batched  bool
 	// tiled, when non-nil, routes every slot through the tiled parallel
-	// resolver (sync_tiled.go); batched is then irrelevant for path
-	// selection but still describes what the fallback would have been.
+	// resolver (sync_tiled.go).
 	tiled *tiledRun
 
 	// Engine-internals tallies (see internals.go): integer arithmetic on
@@ -98,7 +77,7 @@ type syncRun struct {
 	wantSlot    bool
 	// storeActions gates the per-decision actions[u] stores: the scalar
 	// resolver reads them back and the slot event borrows the slice, but
-	// on the kernel and batched paths with EventSlot unsubscribed nothing
+	// on the kernel and tiled paths with EventSlot unsubscribed nothing
 	// ever reads them. A dynamic run re-derives it whenever its mask table
 	// appears or vanishes.
 	storeActions bool
@@ -132,29 +111,17 @@ func reserveNeighbors(p any, cands []topology.Candidate) {
 	}
 }
 
-// phase1 collects the slot's active nodes, pulls their decisions through
-// the stepper seam — one NextBatch call when the stepper supports it —
-// and scatters them: fused validation, the per-channel transmitter index,
-// the channel-major transmitter word masks, and (batched path) the
-// per-channel listener buckets.
+// phase1 steps every node active in the slot — its protocol's Step with
+// the node-local slot index — validates each decision, and scatters it
+// into the per-channel transmitter index, the channel-major transmitter
+// word masks and the kernel path's listener list.
 //
 //nd:hotpath
 func (r *syncRun) phase1(slot int, active []bool, locals, startSlots []int) error {
 	r.ev.Time, r.ev.Slot = float64(slot), slot
-	nb := 0
-	us, ks := r.us, r.ks
-	if active == nil && startSlots == nil {
-		// Static run, uniform start: every node is active with local slot
-		// == global slot, so skip the per-node activity scan (us was
-		// prefilled 0..n-1 at setup).
-		nb = r.n
-		for i := 0; i < nb; i++ {
-			ks[i] = slot
-		}
-		return r.phase2(slot, nb)
-	}
+	stepped := 0
 	for u := 0; u < r.n; u++ {
-		var local int
+		local := slot
 		if active != nil {
 			if !active[u] {
 				r.actions[u] = radio.Action{Mode: radio.Quiet}
@@ -162,130 +129,75 @@ func (r *syncRun) phase1(slot int, active []bool, locals, startSlots []int) erro
 			}
 			local = locals[u]
 			locals[u]++
-		} else {
-			start := 0
-			if startSlots != nil {
-				start = startSlots[u]
-			}
-			if slot < start {
+		} else if startSlots != nil {
+			if slot < startSlots[u] {
 				r.actions[u] = radio.Action{Mode: radio.Quiet}
 				continue
 			}
-			local = slot - start
+			local = slot - startSlots[u]
 		}
-		us[nb] = topology.NodeID(u)
-		ks[nb] = local
-		nb++
-	}
-	return r.phase2(slot, nb)
-}
-
-// phase2 pulls the slot's nb collected decisions through the stepper seam
-// — one NextBatch call when the stepper supports it — validates them, and
-// scatters them into the per-channel transmitter index and word masks.
-//
-//nd:hotpath
-func (r *syncRun) phase2(slot, nb int) error {
-	us, ks := r.us, r.ks
-	dec := r.dec[:nb]
-	if r.tallyInternals {
-		r.internals.StepperBatches++
-		r.internals.StepperBatchNodes += int64(nb)
-		if int64(nb) > r.internals.MaxStepperBatch {
-			r.internals.MaxStepperBatch = int64(nb)
-		}
-		if r.bst != nil {
-			r.internals.BatchSteps++
-		}
-	}
-	if r.bst != nil {
-		r.bst.NextBatch(us[:nb], ks[:nb], dec)
-	} else {
-		for i := 0; i < nb; i++ {
-			dec[i] = r.st.Next(us[i], ks[i])
-		}
-	}
-	for i := 0; i < nb; i++ {
-		a := dec[i]
-		u := us[i]
-		// One switch covers validation and scatter. Validation is fused:
-		// the cheap membership check inline — a single word test when
-		// every channel ID fits one word (avail1), the set lookup
-		// otherwise — and the full Validate only on the failure path for
-		// its error message.
+		stepped++
+		uid := topology.NodeID(u)
+		a := r.protos[u].Step(local)
 		switch a.Mode {
 		case radio.Transmit:
 			c := a.Channel
-			if r.avail1 != nil {
-				if uint64(c) > 63 || r.avail1[u]&(uint64(1)<<uint64(c)) == 0 {
-					return fmt.Errorf("sim: node %d slot %d: %w", u, slot, a.Validate(r.nw.Avail(u)))
-				}
-			} else if !r.nw.Avail(u).Contains(c) {
-				return fmt.Errorf("sim: node %d slot %d: %w", u, slot, a.Validate(r.nw.Avail(u)))
+			if !r.valid(uid, c) {
+				return r.invalid(uid, slot, a)
 			}
 			if r.txOn[c] == 0 {
 				r.txTouched = append(r.txTouched, c)
 			}
 			r.txOn[c]++
 			if r.txWords != nil {
-				channel.SetBit(r.txWords[int(c)*r.wordsPer:(int(c)+1)*r.wordsPer], int(u))
+				channel.SetBit(r.txWords[int(c)*r.wordsPer:(int(c)+1)*r.wordsPer], u)
 			}
 		case radio.Receive:
 			c := a.Channel
-			if r.avail1 != nil {
-				if uint64(c) > 63 || r.avail1[u]&(uint64(1)<<uint64(c)) == 0 {
-					return fmt.Errorf("sim: node %d slot %d: %w", u, slot, a.Validate(r.nw.Avail(u)))
-				}
-			} else if !r.nw.Avail(u).Contains(c) {
-				return fmt.Errorf("sim: node %d slot %d: %w", u, slot, a.Validate(r.nw.Avail(u)))
+			if !r.valid(uid, c) {
+				return r.invalid(uid, slot, a)
 			}
-			if r.rx != nil {
-				if len(r.rx[c]) == 0 {
-					r.rxTouched = append(r.rxTouched, c)
-				}
-				r.rx[c] = append(r.rx[c], topology.NodeID(u))
-			} else if r.rxList != nil {
-				// Kernel path: a flat listener list, ascending because us
+			if r.rxList != nil {
+				// Kernel path: a flat listener list, ascending because u
 				// is, so resolveKernel visits exactly the slot's listeners
 				// instead of scanning every node.
-				r.rxList = append(r.rxList, topology.NodeID(u))
+				r.rxList = append(r.rxList, uid)
 				r.rxChs = append(r.rxChs, c)
 			}
 		case radio.Quiet:
 		default:
-			return fmt.Errorf("sim: node %d slot %d: %w", u, slot, a.Validate(r.nw.Avail(u)))
+			return r.invalid(uid, slot, a)
 		}
 		if r.storeActions {
 			r.actions[u] = a
 		}
 	}
+	if r.tallyInternals {
+		r.internals.StepperBatches++
+		r.internals.StepperBatchNodes += int64(stepped)
+		if int64(stepped) > r.internals.MaxStepperBatch {
+			r.internals.MaxStepperBatch = int64(stepped)
+		}
+	}
 	return nil
 }
 
-// resolveBatched is the channel-major loss-free path: listeners resolve
-// grouped by channel, and only channels carrying a transmission are
-// visited — a listener on a silent channel hears nothing and (no
-// observer) needs no event, so it is never touched. Each listener still
-// resolves through its own candidate-mask row, so results match the
-// listener-major kernel bit for bit; only the iteration order differs,
-// which the no-observer loss-free preconditions make invisible.
+// valid is the fused membership check of a decision's channel: a single
+// word test when every channel ID fits one word (avail1), the set lookup
+// otherwise. The full Validate runs only on the failure path (invalid),
+// for its error message.
 //
 //nd:hotpath
-func (r *syncRun) resolveBatched(slot int) {
-	for _, c := range r.txTouched {
-		listeners := r.rx[c]
-		if len(listeners) == 0 {
-			continue
-		}
-		ci := int(c) * r.wordsPer
-		txw := r.txWords[ci : ci+r.wordsPer]
-		for _, uid := range listeners {
-			row, lo := r.masks.Row(uid, c)
-			if count, first := channel.OverlapResolve(row, txw[lo:]); count == 1 {
-				r.deliver(topology.NodeID(lo*64+first), uid, c, slot)
-			}
-		}
+func (r *syncRun) valid(u topology.NodeID, c channel.ID) bool {
+	if r.avail1 != nil {
+		return uint64(c) <= 63 && r.avail1[u]&(uint64(1)<<uint64(c)) != 0
 	}
+	return r.nw.Avail(u).Contains(c)
+}
+
+// invalid returns the error for node u's rejected decision a.
+func (r *syncRun) invalid(u topology.NodeID, slot int, a radio.Action) error {
+	return fmt.Errorf("sim: node %d slot %d: %w", u, slot, a.Validate(r.nw.Avail(u)))
 }
 
 // resolveKernel is the listener-major kernel path: ascending NodeID order
@@ -443,12 +355,9 @@ func (r *syncRun) resolveScalar(slot int) {
 }
 
 // deliver is the shared delivery tail: message construction with the
-// per-run heard-reporter cache, protocol delivery, covered-link
-// deduplication in front of the coverage oracle, and the delivery event.
-// Skipping a repeat observation is pure: a delivered link is always in the
-// coverage target (a dynamic run adds each epoch's links before resolving
-// its first slot, and delivers only over that epoch's candidates), and
-// observing a covered target link again is a no-op.
+// per-run heard-reporter cache, protocol delivery, the coverage oracle
+// (which ignores repeat observations of a covered link), and the delivery
+// event.
 //
 //nd:hotpath
 func (r *syncRun) deliver(sender, uid topology.NodeID, c channel.ID, slot int) {
@@ -458,16 +367,7 @@ func (r *syncRun) deliver(sender, uid topology.NodeID, c channel.ID, slot int) {
 		msg.Heard = borrowHeard(r.heard)
 	}
 	r.protos[uid].Deliver(msg)
-	if r.covered != nil {
-		idx := int(sender)*r.n + int(uid)
-		w, bit := idx>>6, uint64(1)<<(uint(idx)&63)
-		if r.covered[w]&bit == 0 {
-			r.covered[w] |= bit
-			r.coverage.Observe(topology.Link{From: sender, To: uid}, float64(slot))
-		}
-	} else {
-		r.coverage.Observe(topology.Link{From: sender, To: uid}, float64(slot))
-	}
+	r.coverage.Observe(topology.Link{From: sender, To: uid}, float64(slot))
 	if r.wantDeliver {
 		r.ev.Kind, r.ev.From, r.ev.To, r.ev.Channel = EventDeliver, sender, uid, c
 		r.obs.OnEvent(r.ev)
@@ -475,7 +375,7 @@ func (r *syncRun) deliver(sender, uid topology.NodeID, c channel.ID, slot int) {
 }
 
 // clearSlot resets the per-slot transmitter index, word masks, and
-// listener buckets for the next slot.
+// listener list for the next slot.
 //
 //nd:hotpath
 func (r *syncRun) clearSlot() {
@@ -489,11 +389,5 @@ func (r *syncRun) clearSlot() {
 		}
 	}
 	r.txTouched = r.txTouched[:0]
-	if r.rx != nil {
-		for _, c := range r.rxTouched {
-			r.rx[c] = r.rx[c][:0]
-		}
-		r.rxTouched = r.rxTouched[:0]
-	}
 	r.rxList, r.rxChs = r.rxList[:0], r.rxChs[:0]
 }

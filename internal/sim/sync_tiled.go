@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"m2hew/internal/channel"
 	"m2hew/internal/harness/tilepool"
 	"m2hew/internal/radio"
@@ -13,31 +11,30 @@ import (
 // geometric graph is partitioned into grid tiles (topology.Tiling, cell
 // side ≥ radius), each slot runs as two fork-join phases on a tilepool:
 //
-//	phase A  every tile, in parallel: clear its per-slot state, pull its
-//	         nodes' decisions through the stepper seam, validate, and
-//	         scatter transmitters into the tile-local per-channel word
-//	         masks and listeners into the tile's listener list;
+//	phase A  every tile, in parallel: clear its per-slot state, step its
+//	         nodes' protocols, validate, and scatter transmitters into the
+//	         tile-local per-channel word masks and listeners into the
+//	         tile's listener list;
 //	barrier  the pool's join publishes every tile's transmitter masks;
 //	phase B  every tile, in parallel: for each listening channel, assemble
 //	         the halo transmitter mask by word-copying the 3×3 neighbor
 //	         tiles' segments, intersect each listener's halo-local
 //	         candidate row (topology.TileMasks) against it, and deliver
 //	         unique survivors to the listener's protocol;
-//	apply    the caller, sequentially in ascending tile order: covered-link
-//	         dedup and coverage bookkeeping for the phase's deliveries.
+//	apply    the caller, sequentially in ascending tile order: coverage
+//	         bookkeeping for the phase's deliveries.
 //
 // Byte-identity with the single-threaded engine at matched seed rests on
-// the same argument as the batched (channel-major) path, whose
-// preconditions the tiled path shares (static world, loss-free, no
-// per-listener observer subscription):
+// the path's preconditions (static world, loss-free, no per-listener
+// observer subscription):
 //
 //   - decisions: every protocol draws from its own per-node rng stream and
-//     per-node pull order is preserved (ascending local slot), so pulling
-//     tile-by-tile in parallel yields the decision sequences the serial
-//     engine pulls — the pool's barrier separates slot s's pulls from slot
-//     s's deliveries exactly as the serial phase split does, so even
-//     adaptive (non-oblivious) protocols see the identical interleaving of
-//     Step and Deliver calls;
+//     touches only its own state, and per-node step order is preserved
+//     (ascending local slot), so stepping tile-by-tile in parallel yields
+//     the decision sequences the serial engine draws — the pool's barrier
+//     separates slot s's steps from slot s's deliveries exactly as the
+//     serial phase split does, so even adaptive (non-oblivious) protocols
+//     see the identical interleaving of Step and Deliver calls;
 //   - resolution: each listener is resolved by exactly one tile (its own),
 //     against a halo mask that the barrier guarantees is the slot's
 //     complete transmitter picture within radio reach (NewTileMasks proved
@@ -75,8 +72,8 @@ type tileDelivery struct {
 	from, to topology.NodeID
 }
 
-// tileState is one tile's scratch: phase A's decision and scatter buffers,
-// phase B's halo assembly, and the tile's internals tallies. Workers touch
+// tileState is one tile's scratch: phase A's scatter buffers, phase B's
+// halo assembly, and the tile's internals tallies. Workers touch
 // only their own tile's state during a phase (phase B additionally READS
 // neighbor tiles' phase-A outputs, sequenced by the pool barrier), so no
 // two goroutines ever write the same state.
@@ -84,10 +81,6 @@ type tileState struct {
 	nodes     []topology.NodeID // the tile's nodes, ascending (shared storage)
 	words     int               // word width of the tile's own segment
 	haloWords int               // word width of the tile's halo space
-
-	us  []topology.NodeID
-	ks  []int
-	dec []radio.Action
 
 	localTx   []uint64 // channel-major transmitter masks, channels × words
 	txOn      []int32  // per-channel transmitter count in this tile
@@ -108,8 +101,8 @@ type tileState struct {
 
 	// Internals tallies, accumulated in-worker (gated on tallyInternals)
 	// and summed deterministically at run end.
-	batches, batchNodes, maxBatch, batchSteps int64
-	haloEx, haloWordsCopied                   int64
+	batches, batchNodes, maxBatch int64
+	haloEx, haloWordsCopied       int64
 }
 
 // buildTileStates sizes one tileState per tile for the given tiling and
@@ -122,9 +115,6 @@ func buildTileStates(tl *topology.Tiling, channels int) []tileState {
 		ts.words = tl.TileWords(t)
 		ts.haloWords = tl.HaloWords(t)
 		n := len(ts.nodes)
-		ts.us = make([]topology.NodeID, n)
-		ts.ks = make([]int, n)
-		ts.dec = make([]radio.Action, n)
 		ts.localTx = make([]uint64, channels*ts.words)
 		ts.txOn = make([]int32, channels)
 		ts.txTouched = make([]channel.ID, 0, 8)
@@ -142,7 +132,6 @@ func buildTileStates(tl *topology.Tiling, channels int) []tileState {
 func resetTileStates(tiles []tileState) {
 	for t := range tiles {
 		ts := &tiles[t]
-		copy(ts.us, ts.nodes) // uniform-start phase A reads us prefilled
 		for i := range ts.localTx {
 			ts.localTx[i] = 0
 		}
@@ -158,7 +147,7 @@ func resetTileStates(tiles []tileState) {
 		ts.deliv = ts.deliv[:0]
 		ts.err = nil
 		ts.errNode = 0
-		ts.batches, ts.batchNodes, ts.maxBatch, ts.batchSteps = 0, 0, 0, 0
+		ts.batches, ts.batchNodes, ts.maxBatch = 0, 0, 0
 		ts.haloEx, ts.haloWordsCopied = 0, 0
 	}
 }
@@ -196,30 +185,21 @@ func (r *syncRun) tiledSlot(slot int) error {
 
 	tr.pool.Run(len(tr.tiles), tr.fnB)
 
-	// Sequential apply: coverage bookkeeping shares state across tiles
-	// (dedup bitmap words, the coverage oracle), so it runs on the caller
-	// in ascending tile order. Within-slot order is invisible in results —
-	// every delivery carries the same slot stamp and each link is observed
-	// at most once per slot — so any fixed order matches the serial engine.
+	// Sequential apply: the coverage oracle is shared across tiles, so it
+	// runs on the caller in ascending tile order. Within-slot order is
+	// invisible in results — every delivery carries the same slot stamp and
+	// each link is observed at most once per slot — so any fixed order
+	// matches the serial engine.
 	for t := range tr.tiles {
-		ts := &tr.tiles[t]
-		for _, d := range ts.deliv {
-			if r.covered != nil {
-				idx := int(d.from)*r.n + int(d.to)
-				w, bit := idx>>6, uint64(1)<<(uint(idx)&63)
-				if r.covered[w]&bit != 0 {
-					continue
-				}
-				r.covered[w] |= bit
-			}
+		for _, d := range tr.tiles[t].deliv {
 			r.coverage.Observe(topology.Link{From: d.from, To: d.to}, float64(slot))
 		}
 	}
 	return nil
 }
 
-// tileSlotA is phase A for one tile: clear the tile's previous slot, pull
-// its active nodes' decisions, validate, and scatter.
+// tileSlotA is phase A for one tile: clear the tile's previous slot, step
+// its active nodes' protocols, validate, and scatter.
 //
 //nd:hotpath
 func (r *syncRun) tileSlotA(ti int) {
@@ -239,59 +219,24 @@ func (r *syncRun) tileSlotA(ti int) {
 	ts.deliv = ts.deliv[:0]
 	ts.err = nil
 
-	// Collect the tile's active nodes, mirroring phase1: us stays prefilled
-	// with the tile's nodes on the uniform-start fast path.
-	us, ks := ts.us, ts.ks
-	nb := 0
-	if tr.startSlots == nil {
-		nb = len(ts.nodes)
-		for i := 0; i < nb; i++ {
-			ks[i] = slot
-		}
-	} else {
-		for _, u := range ts.nodes {
-			if start := tr.startSlots[u]; slot < start {
+	// Step the tile's active nodes in ascending order, mirroring phase1.
+	stepped := 0
+	for _, u := range ts.nodes {
+		local := slot
+		if tr.startSlots != nil {
+			if slot < tr.startSlots[u] {
 				r.actions[u] = radio.Action{Mode: radio.Quiet}
 				continue
-			} else {
-				us[nb] = u
-				ks[nb] = slot - start
-				nb++
 			}
+			local = slot - tr.startSlots[u]
 		}
-	}
-	if nb == 0 {
-		return
-	}
-
-	dec := ts.dec[:nb]
-	if r.tallyInternals {
-		ts.batches++
-		ts.batchNodes += int64(nb)
-		if int64(nb) > ts.maxBatch {
-			ts.maxBatch = int64(nb)
-		}
-		if r.bst != nil {
-			ts.batchSteps++
-		}
-	}
-	if r.bst != nil {
-		r.bst.NextBatch(us[:nb], ks[:nb], dec)
-	} else {
-		for i := 0; i < nb; i++ {
-			dec[i] = r.st.Next(us[i], ks[i])
-		}
-	}
-
-	for i := 0; i < nb; i++ {
-		a := dec[i]
-		u := us[i]
+		stepped++
+		a := r.protos[u].Step(local)
 		switch a.Mode {
 		case radio.Transmit:
 			c := a.Channel
-			if !r.tileValid(u, c) {
-				ts.err = fmt.Errorf("sim: node %d slot %d: %w", u, slot, a.Validate(r.nw.Avail(u)))
-				ts.errNode = u
+			if !r.valid(u, c) {
+				ts.err, ts.errNode = r.invalid(u, slot, a), u
 				return
 			}
 			if ts.txOn[c] == 0 {
@@ -301,35 +246,28 @@ func (r *syncRun) tileSlotA(ti int) {
 			channel.SetBit(ts.localTx[int(c)*ts.words:(int(c)+1)*ts.words], tr.tl.LocalIndex(u))
 		case radio.Receive:
 			c := a.Channel
-			if !r.tileValid(u, c) {
-				ts.err = fmt.Errorf("sim: node %d slot %d: %w", u, slot, a.Validate(r.nw.Avail(u)))
-				ts.errNode = u
+			if !r.valid(u, c) {
+				ts.err, ts.errNode = r.invalid(u, slot, a), u
 				return
 			}
 			ts.rxU = append(ts.rxU, u)
 			ts.rxC = append(ts.rxC, c)
 		case radio.Quiet:
 		default:
-			ts.err = fmt.Errorf("sim: node %d slot %d: %w", u, slot, a.Validate(r.nw.Avail(u)))
-			ts.errNode = u
+			ts.err, ts.errNode = r.invalid(u, slot, a), u
 			return
 		}
 		if r.storeActions {
 			r.actions[u] = a
 		}
 	}
-}
-
-// tileValid is phase A's fused membership check, identical to phase2's: the
-// single-word mask test when every channel ID fits one word, the set lookup
-// otherwise.
-//
-//nd:hotpath
-func (r *syncRun) tileValid(u topology.NodeID, c channel.ID) bool {
-	if r.avail1 != nil {
-		return uint64(c) <= 63 && r.avail1[u]&(uint64(1)<<uint64(c)) != 0
+	if r.tallyInternals && stepped > 0 {
+		ts.batches++
+		ts.batchNodes += int64(stepped)
+		if int64(stepped) > ts.maxBatch {
+			ts.maxBatch = int64(stepped)
+		}
 	}
-	return r.nw.Avail(u).Contains(c)
 }
 
 // tileSlotB is phase B for one tile: lazy per-channel halo assembly, then

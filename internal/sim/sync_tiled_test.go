@@ -262,16 +262,10 @@ func TestSyncTiledStartSlotsMatchNaive(t *testing.T) {
 	}
 }
 
-// nonConcurrentStepper wraps a Stepper without declaring ConcurrentByNode,
-// modelling a custom stepper that funnels nodes through shared state.
-type nonConcurrentStepper struct{ st Stepper }
-
-func (s nonConcurrentStepper) Next(u topology.NodeID, k int) radio.Action { return s.st.Next(u, k) }
-
 // TestSyncTiledFallsBack sweeps every precondition that must force the
 // deterministic single-threaded fallback: a loss model, a dynamic world, a
-// per-listener observer subscription, a stepper without the concurrency
-// marker, and a tiling finer than the connection radius (halo violation).
+// per-listener observer subscription, and a tiling finer than the
+// connection radius (halo violation).
 // In each case the run must succeed, report zero tiled slots, and — where a
 // loss-free static baseline exists — match the non-tiled run exactly.
 func TestSyncTiledFallsBack(t *testing.T) {
@@ -333,9 +327,9 @@ func TestSyncTiledFallsBack(t *testing.T) {
 		}
 		want, _ := run(nil)
 		got, in := run(tl)
-		// Dynamic worlds fall back to the single-threaded batched path
-		// (per-epoch masks; loss-free with a mask-0 recorder).
-		if in.TiledSlots != 0 || in.BatchedSlots != in.SlotsSimulated {
+		// Dynamic worlds fall back to the single-threaded word kernel
+		// (per-epoch masks, all within budget here).
+		if in.TiledSlots != 0 || in.KernelSlots != in.SlotsSimulated {
 			t.Fatalf("dynamic run path attribution: %+v", in)
 		}
 		sameCoverage(t, "dynamics fallback", want.Coverage, got.Coverage)
@@ -360,26 +354,6 @@ func TestSyncTiledFallsBack(t *testing.T) {
 		sameCoverage(t, "observer fallback", base.Coverage, res.Coverage)
 	})
 
-	t.Run("non-concurrent stepper", func(t *testing.T) {
-		protos := syncProtos(t, nw, 77)
-		rec := &InternalsRecorder{}
-		res, err := RunSync(SyncConfig{
-			Network:   nw,
-			Protocols: protos,
-			MaxSlots:  maxSlots,
-			Stepper:   nonConcurrentStepper{st: syncStepper{protos: protos}},
-			Tiling:    tl,
-			Observer:  rec,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec.Last.TiledSlots != 0 {
-			t.Fatalf("non-concurrent stepper took the tiled path")
-		}
-		sameCoverage(t, "stepper fallback", base.Coverage, res.Coverage)
-	})
-
 	t.Run("halo violation", func(t *testing.T) {
 		// An 8×8 grid on a radius-0.4 graph puts candidates outside the 3×3
 		// halo; TileMasks refuses and the engine falls back.
@@ -393,7 +367,7 @@ func TestSyncTiledFallsBack(t *testing.T) {
 }
 
 // TestSyncTiledInternals pins the tiled path's internals attribution: every
-// slot lands on TiledSlots, stepper batches are attributed per (slot, tile
+// slot lands on TiledSlots, decision rounds are attributed per (slot, tile
 // with active nodes), and a multi-tile run on a connected graph performs
 // halo exchanges.
 func TestSyncTiledInternals(t *testing.T) {
@@ -404,19 +378,16 @@ func TestSyncTiledInternals(t *testing.T) {
 	if in.TiledSlots != slots || in.BatchedSlots != 0 || in.KernelSlots != 0 || in.ScalarSlots != 0 {
 		t.Fatalf("path attribution: %+v (slots %d)", in, slots)
 	}
-	if in.TiledSlots+in.BatchedSlots+in.KernelSlots+in.ScalarSlots != in.SlotsSimulated {
+	if in.TiledSlots+in.KernelSlots+in.ScalarSlots != in.SlotsSimulated {
 		t.Fatalf("path slots do not sum to SlotsSimulated: %+v", in)
 	}
-	// Uniform starts: every tile pulls one batch per slot, covering all its
-	// nodes, so batches = slots × tiles and batch nodes = slots × n.
+	// Uniform starts: every tile steps one round per slot, covering all its
+	// nodes, so rounds = slots × tiles and round nodes = slots × n.
 	if want := slots * int64(tl.Tiles()); in.StepperBatches != want {
 		t.Fatalf("StepperBatches = %d, want %d", in.StepperBatches, want)
 	}
 	if want := slots * int64(nw.N()); in.StepperBatchNodes != want {
 		t.Fatalf("StepperBatchNodes = %d, want %d", in.StepperBatchNodes, want)
-	}
-	if in.BatchSteps != in.StepperBatches {
-		t.Fatalf("BatchSteps = %d with a BatchStepper, want %d", in.BatchSteps, in.StepperBatches)
 	}
 	if in.MaxStepperBatch <= 0 || in.MaxStepperBatch > int64(nw.N()) {
 		t.Fatalf("MaxStepperBatch = %d", in.MaxStepperBatch)

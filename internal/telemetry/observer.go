@@ -298,13 +298,11 @@ type Aggregate struct {
 	tiledSlots      *Counter
 	haloExchanges   *Counter
 	haloWords       *Counter
-	batchedSlots    *Counter
 	kernelSlots     *Counter
 	scalarSlots     *Counter
 	maskOverruns    *Counter
 	stepperBatches  *Counter
 	stepperNodes    *Counter
-	batchSteps      *Counter
 	scratchHits     *Counter
 	scratchMisses   *Counter
 	maxStepperBatch *Gauge
@@ -362,16 +360,14 @@ func NewAggregate(reg *Registry, opts ...AggregateOption) *Aggregate {
 	a.tiledSlots = reg.Counter("nd_resolver_tiled_slots_total", "sync slots resolved on the tiled parallel path")
 	a.haloExchanges = reg.Counter("nd_halo_exchanges_total", "tiled-path halo segment copies from neighbor tiles")
 	a.haloWords = reg.Counter("nd_halo_words_copied_total", "words copied across tile halos")
-	a.batchedSlots = reg.Counter("nd_resolver_batched_slots_total", "sync slots resolved on the channel-major batched path")
 	a.kernelSlots = reg.Counter("nd_resolver_kernel_slots_total", "sync slots resolved on the listener-major kernel path")
 	a.scalarSlots = reg.Counter("nd_resolver_scalar_slots_total", "sync slots resolved on the scalar candidate-scan path")
 	a.maskOverruns = reg.Counter("nd_mask_budget_overruns_total", "sync candidate-mask tables (a static run's, or a dynamic epoch's) that exceeded their word budget")
-	a.stepperBatches = reg.Counter("nd_stepper_batches_total", "sync decision-pull batches (one per slot)")
-	a.stepperNodes = reg.Counter("nd_stepper_batch_nodes_total", "decisions pulled across all sync stepper batches")
-	a.batchSteps = reg.Counter("nd_stepper_batch_calls_total", "stepper batches served by a single NextBatch call")
+	a.stepperBatches = reg.Counter("nd_stepper_batches_total", "sync decision rounds (one per slot)")
+	a.stepperNodes = reg.Counter("nd_stepper_batch_nodes_total", "protocol steps across all sync decision rounds")
 	a.scratchHits = reg.Counter("nd_scratch_table_hits_total", "sync runs that reused the scratch's cached network tables")
 	a.scratchMisses = reg.Counter("nd_scratch_table_misses_total", "sync runs that rebuilt the scratch's network tables")
-	a.maxStepperBatch = reg.Gauge("nd_stepper_batch_max", "largest single sync stepper batch seen")
+	a.maxStepperBatch = reg.Gauge("nd_stepper_batch_max", "largest single sync decision round seen")
 	a.latency = reg.Histogram("nd_discovery_latency", "first-coverage instants of discoverable links (slots or real time)", a.latBounds)
 	a.queueDelay = reg.Histogram("nd_trial_queue_seconds", "delay between harness run start and trial pickup", DefaultTimingBounds)
 	a.wall = reg.Histogram("nd_trial_wall_seconds", "per-trial wall time on the harness pool", DefaultTimingBounds)
@@ -411,13 +407,11 @@ func (a *Aggregate) TrialDone(obs sim.Observer) {
 	a.tiledSlots.Add(o.internals.TiledSlots)
 	a.haloExchanges.Add(o.internals.HaloExchanges)
 	a.haloWords.Add(o.internals.HaloWordsCopied)
-	a.batchedSlots.Add(o.internals.BatchedSlots)
 	a.kernelSlots.Add(o.internals.KernelSlots)
 	a.scalarSlots.Add(o.internals.ScalarSlots)
 	a.maskOverruns.Add(o.internals.MaskBudgetOverruns)
 	a.stepperBatches.Add(o.internals.StepperBatches)
 	a.stepperNodes.Add(o.internals.StepperBatchNodes)
-	a.batchSteps.Add(o.internals.BatchSteps)
 	a.scratchHits.Add(o.internals.ScratchTableHits)
 	a.scratchMisses.Add(o.internals.ScratchTableMisses)
 

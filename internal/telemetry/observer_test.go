@@ -218,9 +218,9 @@ func TestAggregateInternalsCounters(t *testing.T) {
 
 	o1 := agg.TrialObserver(4, 2).(*RunObserver)
 	o1.OnInternals(sim.Internals{
-		SlotsSimulated: 100, BatchedSlots: 100,
+		SlotsSimulated: 100, KernelSlots: 100,
 		StepperBatches: 100, StepperBatchNodes: 400, MaxStepperBatch: 7,
-		BatchSteps: 100, ScratchTableMisses: 1,
+		ScratchTableMisses: 1,
 	})
 	agg.TrialDone(o1)
 
@@ -237,25 +237,23 @@ func TestAggregateInternalsCounters(t *testing.T) {
 		SlotsSimulated: 40, TiledSlots: 40,
 		HaloExchanges: 12, HaloWordsCopied: 96,
 		StepperBatches: 160, StepperBatchNodes: 640, MaxStepperBatch: 4,
-		BatchSteps: 160, ScratchTableHits: 1,
+		ScratchTableHits: 1,
 	})
 	agg.TrialDone(o3)
 
 	snap := reg.Snapshot()
 	for name, want := range map[string]float64{
-		"nd_resolver_tiled_slots_total":   40,
-		"nd_halo_exchanges_total":         12,
-		"nd_halo_words_copied_total":      96,
-		"nd_resolver_batched_slots_total": 100,
-		"nd_resolver_kernel_slots_total":  50,
-		"nd_resolver_scalar_slots_total":  0,
-		"nd_mask_budget_overruns_total":   1,
-		"nd_stepper_batches_total":        310,
-		"nd_stepper_batch_nodes_total":    1130,
-		"nd_stepper_batch_calls_total":    260,
-		"nd_scratch_table_hits_total":     2,
-		"nd_scratch_table_misses_total":   1,
-		"nd_stepper_batch_max":            7, // max across trials, not sum
+		"nd_resolver_tiled_slots_total":  40,
+		"nd_halo_exchanges_total":        12,
+		"nd_halo_words_copied_total":     96,
+		"nd_resolver_kernel_slots_total": 150,
+		"nd_resolver_scalar_slots_total": 0,
+		"nd_mask_budget_overruns_total":  1,
+		"nd_stepper_batches_total":       310,
+		"nd_stepper_batch_nodes_total":   1130,
+		"nd_scratch_table_hits_total":    2,
+		"nd_scratch_table_misses_total":  1,
+		"nd_stepper_batch_max":           7, // max across trials, not sum
 	} {
 		if v := findMetric(t, snap, name).Value; v != want {
 			t.Errorf("%s = %v, want %v", name, v, want)

@@ -10,7 +10,7 @@ import (
 // InboundCandidates table: for every (listener u, channel c) pair, a bitset
 // over transmitter NodeIDs v with Reaches(v, u) and c ∈ span(u, v) — the
 // only nodes whose transmission on c can be decoded at u. The synchronous
-// engine's batched slot resolver intersects one row against the slot's
+// engine's word-kernel slot resolver intersects one row against the slot's
 // transmitters-on-c mask with word-level kernels (channel.OverlapResolve,
 // or a word-by-word overlap walk on the lossy path) instead of scanning the
 // candidate list per listener.
