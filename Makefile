@@ -78,15 +78,24 @@ perfbench-smoke:
 		echo "$$out" | grep '^{' | grep -Eq '"failed":0[,}]' || { echo "perfbench-smoke: $$wl runs failed" >&2; exit 1; }; \
 	done
 
-# Rewrite the ndsim golden digests (cmd/ndsim/testdata/golden.sha256) from
-# the current code and print which scenarios moved. TestGoldenDigests pins
-# them on every test run; update only for an intended output change.
+# Rewrite the golden digests from the current code and print what moved:
+# the ndsim scenario digests (cmd/ndsim/testdata/golden.sha256, pinned by
+# TestGoldenDigests) and the full-suite digests at seeds 1 and 7
+# (cmd/ndbench/testdata/full_suite.sha256, pinned by TestFullSuiteDigests).
+# Update only for an intended output change.
 golden-update:
 	@f=cmd/ndsim/testdata/golden.sha256; rm -f "$$f.got"; \
-	if $(GO) test -count=1 -run '^TestGoldenDigests$$' ./cmd/ndsim >/dev/null; then echo "golden-update: no scenario moved"; exit 0; fi; \
-	[ -f "$$f.got" ] || { echo "golden-update: TestGoldenDigests failed without writing new digests" >&2; exit 1; }; \
-	awk 'NR == FNR { old[$$1 " " $$2] = $$3; next } old[$$1 " " $$2] != $$3 { print "moved: " $$1 " (" $$2 ")" }' "$$f" "$$f.got"; \
-	mv "$$f.got" "$$f"
+	if $(GO) test -count=1 -run '^TestGoldenDigests$$' ./cmd/ndsim >/dev/null; then echo "golden-update: no scenario moved"; \
+	elif [ -f "$$f.got" ]; then \
+		awk 'NR == FNR { old[$$1 " " $$2] = $$3; next } old[$$1 " " $$2] != $$3 { print "moved: " $$1 " (" $$2 ")" }' "$$f" "$$f.got"; \
+		mv "$$f.got" "$$f"; \
+	else echo "golden-update: TestGoldenDigests failed without writing new digests" >&2; exit 1; fi; \
+	f=cmd/ndbench/testdata/full_suite.sha256; rm -f "$$f.got"; \
+	if $(GO) test -count=1 -run '^TestFullSuiteDigests$$' ./cmd/ndbench >/dev/null; then echo "golden-update: no seed moved"; \
+	elif [ -f "$$f.got" ]; then \
+		awk 'NR == FNR { old[$$1] = $$2; next } old[$$1] != $$2 { print "moved: " $$1 }' "$$f" "$$f.got"; \
+		mv "$$f.got" "$$f"; \
+	else echo "golden-update: TestFullSuiteDigests failed without writing new digests" >&2; exit 1; fi
 
 # One full pass of every reproduction benchmark (one iteration each), then
 # the engine throughput snapshot: cmd/ndperf rewrites BENCH_3.json with

@@ -20,6 +20,7 @@ type Timeline struct {
 	start         float64 // real time at which local time 0 occurs
 	frameLen      float64 // L: local frame length
 	slotsPerFrame int
+	localSlot     float64 // frameLen / slotsPerFrame, divided once
 	drift         DriftProcess
 
 	// bounds[i] is the real time of the start of local slot i; grown lazily.
@@ -46,6 +47,7 @@ func NewTimeline(start, frameLen float64, slotsPerFrame int, drift DriftProcess)
 		start:         start,
 		frameLen:      frameLen,
 		slotsPerFrame: slotsPerFrame,
+		localSlot:     frameLen / float64(slotsPerFrame),
 		drift:         drift,
 		bounds:        []float64{start},
 	}, nil
@@ -71,6 +73,7 @@ func (t *Timeline) Reset(start, frameLen float64, slotsPerFrame int, drift Drift
 	t.start = start
 	t.frameLen = frameLen
 	t.slotsPerFrame = slotsPerFrame
+	t.localSlot = frameLen / float64(slotsPerFrame)
 	t.drift = drift
 	if cap(t.bounds) == 0 {
 		t.bounds = []float64{start}
@@ -106,7 +109,6 @@ func (t *Timeline) SlotsPerFrame() int { return t.slotsPerFrame }
 
 // extendTo grows the cached boundaries so bounds[i] exists.
 func (t *Timeline) extendTo(i int) {
-	localSlot := t.frameLen / float64(t.slotsPerFrame)
 	for len(t.bounds) <= i {
 		k := len(t.bounds) - 1 // slot index whose real duration we add
 		rate := t.drift.Rate(k)
@@ -116,14 +118,18 @@ func (t *Timeline) extendTo(i int) {
 			// is a programming error.
 			panic(fmt.Sprintf("clock: drift rate %v <= -1 at slot %d", rate, k))
 		}
-		realDur := localSlot / (1 + rate)
+		realDur := t.localSlot / (1 + rate)
 		t.bounds = append(t.bounds, t.bounds[k]+realDur)
 	}
 }
 
 // SlotStart returns the real time at which local slot i begins (slot 0 is
-// the first slot).
+// the first slot). A cached boundary is returned directly; only a slot past
+// the cache walks the drift process.
 func (t *Timeline) SlotStart(i int) float64 {
+	if i >= 0 && i < len(t.bounds) {
+		return t.bounds[i]
+	}
 	if i < 0 {
 		panic(fmt.Sprintf("clock: SlotStart(%d): negative slot", i))
 	}
@@ -203,11 +209,10 @@ func (t *Timeline) LocalToReal(local float64) float64 {
 	if local < 0 {
 		panic(fmt.Sprintf("clock: LocalToReal(%v): negative local time", local))
 	}
-	localSlot := t.frameLen / float64(t.slotsPerFrame)
-	idx := int(local / localSlot)
+	idx := int(local / t.localSlot)
 	start := t.SlotStart(idx)
 	end := t.SlotStart(idx + 1)
-	frac := (local - float64(idx)*localSlot) / localSlot
+	frac := (local - float64(idx)*t.localSlot) / t.localSlot
 	return start + frac*(end-start)
 }
 
@@ -227,10 +232,9 @@ func (t *Timeline) RealToLocal(rt float64) float64 {
 		idx--
 	}
 	start, end := t.bounds[idx], t.bounds[idx+1]
-	localSlot := t.frameLen / float64(t.slotsPerFrame)
 	frac := 0.0
 	if end > start {
 		frac = (rt - start) / (end - start)
 	}
-	return (float64(idx) + frac) * localSlot
+	return (float64(idx) + frac) * t.localSlot
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"m2hew/internal/channel"
@@ -46,18 +47,20 @@ type AsyncConfig struct {
 	// SlotsPerFrame divides each frame; 0 means the paper's 3. The ablation
 	// experiment uses other values.
 	SlotsPerFrame int
-	// MaxFrames bounds the simulation: each node executes this many frames;
-	// required, > 0.
+	// MaxFrames bounds the simulation: each node executes at most this many
+	// frames (RunAsync may stop earlier, once coverage is complete; see
+	// AsyncResult.FrameBudget); required, > 0.
 	MaxFrames int
 	// Loss, if non-nil, erases arriving transmission slots per receiver
 	// listening frame with the model's probability (unreliable channels).
 	Loss *LossModel
 	// Observer, if non-nil, receives an EventFrameStart for every frame,
 	// an EventFrameResolve for every listening frame, and an EventDeliver
-	// for every clear reception. Emission order differs between engines:
-	// RunAsync emits frame events node-major during its resolution pass
-	// (ascending node, then frame index) and all deliveries afterwards in
-	// chronological order; RunAsyncOnline emits events grouped per frame
+	// for every clear reception (RunAsync skips kinds outside the
+	// observer's EventMasker subscription). Emission order differs between
+	// engines: RunAsync emits frame events node-major during its resolution
+	// pass (ascending node, then frame index) and all deliveries afterwards
+	// in chronological order; RunAsyncOnline emits events grouped per frame
 	// in global frame-end order — EventFrameStart, that frame's
 	// deliveries, then EventFrameResolve. Compose several consumers with
 	// MultiObserver.
@@ -98,12 +101,13 @@ type AsyncResult struct {
 	Coverage *metrics.Coverage
 	// Timelines holds each node's clock timeline, for bound auditing.
 	Timelines []*clock.Timeline
-	// FrameBudget is the per-node frame count the run executed
-	// (AsyncConfig.MaxFrames). FullFrames and MinFullFrames never count
-	// frames past it: a timeline extends lazily to any index, but frames
-	// beyond the budget were never simulated — no protocol decision
-	// exists for them. Zero means unknown (results not produced by an
-	// engine) and disables the clamp.
+	// FrameBudget is the per-node frame count the run resolved: every
+	// node's frames [0, FrameBudget) were decided and resolved. It is
+	// AsyncConfig.MaxFrames unless RunAsync stopped early at completion.
+	// FullFrames and MinFullFrames never count frames past it: a timeline
+	// extends lazily to any index, but frames beyond the budget were never
+	// simulated — no protocol decision exists for them. Zero means unknown
+	// (results not produced by an engine) and disables the clamp.
 	FrameBudget int
 }
 
@@ -151,13 +155,24 @@ func (c *AsyncConfig) validate() error {
 // might overlap a neighbor's listening frame under resolution. Each node's
 // decisions are still drawn in ascending frame order from its own private
 // rng stream, so the cross-node interleaving (which differs from the old
-// generate-everything-first pass) is invisible in results; every node ends
-// the run having generated exactly MaxFrames decisions. Resolution walks
-// frames node-major; deliveries are applied in chronological order
-// afterwards, so protocols see messages only after all decisions are made —
-// behaviorally equivalent for oblivious protocols, which is why the
+// generate-everything-first pass) is invisible in results. Resolution walks
+// frames node-major and applies deliveries afterwards in chronological
+// order, so the messages a protocol has seen when asked for a decision do
+// not follow real time. Oblivious protocols never look, which is why the
 // differential tests can pin this engine to RunAsyncOnline and to replays
-// of pre-generated decisions. Adaptive protocols need RunAsyncOnline.
+// of pre-generated decisions; adaptive protocols need RunAsyncOnline.
+//
+// The node-major pass runs in frame windows: frames [0, 64) of every node,
+// then the next 128, doubling. After each window the deliveries no later
+// frame can precede — those ending by the earliest end of any node's last
+// resolved frame — are applied, and the run stops once coverage is
+// complete, like RunSync. The applied deliveries are a prefix of the full
+// pass's chronological order, so coverage, completion time and neighbor
+// tables are the full pass's; only FrameBudget records the stop, and
+// protocols receive no deliveries after it. Windows require a static world,
+// no loss and an observer subscribed to none of EventFrameStart,
+// EventFrameResolve and EventDeliver; any other run resolves all MaxFrames
+// frames of every node in one pass.
 //
 //nd:hotpath
 func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
@@ -217,75 +232,97 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 	}
 	env := sc.envFor(nw, cands, frames, timelines, slotsPerFrame, cfg.Loss)
 	env.world = cfg.Dynamics
-	deliveries := sc.deliveryBuf()
+	mask := observerMask(cfg.Observer)
+	wantStart, wantResolve := mask.Has(EventFrameStart), mask.Has(EventFrameResolve)
+	var deliverObs Observer
+	if mask.Has(EventDeliver) {
+		deliverObs = cfg.Observer
+	}
+	// The pass runs in frame windows [lo, hi) so it can stop once coverage
+	// is final. Windows need a static world (the target cannot grow), no
+	// loss (the erasure draws are consumed node-major, so windows would
+	// reorder them) and no frame or delivery subscription (their event
+	// order is the full node-major pass); any other run takes one window
+	// of MaxFrames, the full pass.
+	window := cfg.MaxFrames
+	if cfg.Dynamics == nil && (cfg.Loss == nil || cfg.Loss.Prob <= 0) && !wantStart && !wantResolve && deliverObs == nil {
+		window = firstAsyncWindow
+	}
+	var coverage *metrics.Coverage
+	pending := sc.deliveryBuf()
 	maxEnd := 0.0
-	for u := 0; u < n; u++ {
-		uid := topology.NodeID(u)
-		for f := 0; f < cfg.MaxFrames; f++ {
-			if len(env.frames[u]) <= f {
-				if err := env.generate(u, cfg.Nodes[u].Protocol); err != nil {
-					return nil, err
+	hi := 0
+	for lo := 0; lo < cfg.MaxFrames; lo, window = hi, 2*window {
+		hi = lo + min(window, cfg.MaxFrames-lo)
+		for u := 0; u < n; u++ {
+			uid := topology.NodeID(u)
+			for f := lo; f < hi; f++ {
+				if len(env.frames[u]) <= f {
+					if err := env.generate(u, cfg.Nodes[u].Protocol); err != nil {
+						return nil, err
+					}
 				}
-			}
-			g := env.frames[u][f]
-			if g.end > maxEnd {
-				maxEnd = g.end
-			}
-			if cfg.Observer != nil {
-				cfg.Observer.OnEvent(Event{
-					Kind: EventFrameStart, Time: g.start, Slot: f,
-					Node: uid, Action: g.action,
-				})
-			}
-			// A listening frame's candidate row is looked up once: it
-			// drives both the generation below and the resolution.
-			var row []topology.Candidate
-			if g.action.Mode == radio.Receive {
-				row = env.candsFor(uid, g)
-				for _, cand := range row {
-					w := int(cand.From)
-					for len(env.frames[w]) < cfg.MaxFrames {
-						if last := len(env.frames[w]); last > 0 && env.frames[w][last-1].end >= g.end {
-							break
-						}
-						if err := env.generate(w, cfg.Nodes[w].Protocol); err != nil {
-							return nil, err
+				g := env.frames[u][f]
+				if g.end > maxEnd {
+					maxEnd = g.end
+				}
+				if wantStart {
+					cfg.Observer.OnEvent(Event{
+						Kind: EventFrameStart, Time: g.start, Slot: f,
+						Node: uid, Action: g.action,
+					})
+				}
+				// A listening frame's candidate row is looked up once: it
+				// drives both the generation below and the resolution.
+				var row []topology.Candidate
+				if g.action.Mode == radio.Receive {
+					row = env.candsFor(uid, g)
+					for _, cand := range row {
+						w := int(cand.From)
+						for len(env.frames[w]) < cfg.MaxFrames {
+							if last := len(env.frames[w]); last > 0 && env.frames[w][last-1].end >= g.end {
+								break
+							}
+							if err := env.generate(w, cfg.Nodes[w].Protocol); err != nil {
+								return nil, err
+							}
 						}
 					}
 				}
+				ds := env.resolveFrame(uid, g, row)
+				pending = append(pending, ds...)
+				if wantResolve && g.action.Mode == radio.Receive {
+					cfg.Observer.OnEvent(Event{
+						Kind: EventFrameResolve, Time: g.end, Slot: f,
+						Node: uid, Action: g.action,
+						Collected: env.lastCollected, Delivered: len(ds),
+					})
+				}
 			}
-			ds := env.resolveFrame(uid, g, row)
-			deliveries = append(deliveries, ds...)
-			if cfg.Observer != nil && g.action.Mode == radio.Receive {
-				cfg.Observer.OnEvent(Event{
-					Kind: EventFrameResolve, Time: g.end, Slot: f,
-					Node: uid, Action: g.action,
-					Collected: env.lastCollected, Delivered: len(ds),
-				})
+		}
+		if coverage == nil {
+			// Dynamic runs take one window, so maxEnd is final here.
+			coverage = asyncCoverage(target, cfg.Dynamics, maxEnd)
+		}
+		// Every frame before hi is resolved on every node. A delivery from
+		// a later frame ends a slot inside it, strictly after its start,
+		// which is at or after safe; so the pending deliveries up to safe
+		// are exactly the next stretch of the run's chronological order.
+		safe := math.Inf(1)
+		if hi < cfg.MaxFrames {
+			for u := 0; u < n; u++ {
+				safe = min(safe, env.frames[u][hi-1].end)
 			}
+		}
+		slices.SortFunc(pending, cmpDelivery)
+		applied := sc.applyDeliveries(pending, safe, cfg.Nodes, msgAvail, coverage, deliverObs)
+		pending = pending[:copy(pending, pending[applied:])]
+		if coverage.Complete() {
+			break
 		}
 	}
 
-	slices.SortFunc(deliveries, cmpDelivery)
-
-	sc.deliveries = deliveries[:0] // keep any capacity the run grew
-
-	coverage := asyncCoverage(target, cfg.Dynamics, maxEnd)
-	for _, d := range deliveries {
-		msg := radio.Message{From: d.from, Avail: msgAvail[d.from]}
-		if hr, ok := cfg.Nodes[d.from].Protocol.(HeardReporter); ok {
-			sc.heard = hr.AppendHeard(sc.heard[:0])
-			msg.Heard = borrowHeard(sc.heard)
-		}
-		cfg.Nodes[d.to].Protocol.Deliver(msg)
-		coverage.Observe(topology.Link{From: d.from, To: d.to}, d.at)
-		if cfg.Observer != nil {
-			cfg.Observer.OnEvent(Event{
-				Kind: EventDeliver, Time: d.at,
-				From: d.from, To: d.to, Channel: d.ch,
-			})
-		}
-	}
+	sc.deliveries = pending[:0] // keep any capacity the run grew
 
 	if sc.RecycleTimelines {
 		// All timeline (and hence drift) reads for this run are done; pull
@@ -297,7 +334,7 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 	// hands the scratch-pooled timelines to the caller under the
 	// RecycleTimelines ownership contract (AsyncScratch documents it).
 	//ndlint:ignore hotalloc one result allocation per run, not per frame
-	result := &AsyncResult{Ts: ts, Coverage: coverage, Timelines: timelines, FrameBudget: cfg.MaxFrames} //ndlint:ignore scratchalias Timelines ownership transfers per the RecycleTimelines contract
+	result := &AsyncResult{Ts: ts, Coverage: coverage, Timelines: timelines, FrameBudget: hi} //ndlint:ignore scratchalias Timelines ownership transfers per the RecycleTimelines contract
 	if coverage.Complete() {
 		result.Complete = true
 		result.CompletionTime, _ = coverage.CompletionTime()
@@ -328,6 +365,39 @@ func cmpDelivery(a, b delivery) int {
 	default:
 		return 0
 	}
+}
+
+// firstAsyncWindow is the frame count of RunAsync's first window; each
+// later window doubles, so a run resolves at most about twice the frames
+// its completion needs, in O(log MaxFrames) windows.
+const firstAsyncWindow = 64
+
+// applyDeliveries applies the leading deliveries of ds (sorted by
+// cmpDelivery) whose time is at most safe: the receiver's protocol gets the
+// message, coverage observes the link and obs, if non-nil, gets an
+// EventDeliver. It returns how many it applied.
+//
+//nd:hotpath
+func (sc *AsyncScratch) applyDeliveries(ds []delivery, safe float64, nodes []AsyncNode, msgAvail []channel.Set, coverage *metrics.Coverage, obs Observer) int {
+	for i, d := range ds {
+		if d.at > safe {
+			return i
+		}
+		msg := radio.Message{From: d.from, Avail: msgAvail[d.from]}
+		if hr, ok := nodes[d.from].Protocol.(HeardReporter); ok {
+			sc.heard = hr.AppendHeard(sc.heard[:0])
+			msg.Heard = borrowHeard(sc.heard)
+		}
+		nodes[d.to].Protocol.Deliver(msg)
+		coverage.Observe(topology.Link{From: d.from, To: d.to}, d.at)
+		if obs != nil {
+			obs.OnEvent(Event{
+				Kind: EventDeliver, Time: d.at,
+				From: d.from, To: d.to, Channel: d.ch,
+			})
+		}
+	}
+	return len(ds)
 }
 
 // generate asks node v's protocol p for its next frame decision, validates
@@ -395,8 +465,8 @@ func sharedMsgAvail(nw *topology.Network) []channel.Set {
 // FullFrames returns the number of full frames of node u that lie entirely
 // within the real-time interval [from, to] — the quantity Theorem 9 counts
 // ("each node has executed at least M full frames since T_s"). Counting
-// stops at the run's frame budget: an interval reaching past the horizon
-// counts only frames the engine actually executed, instead of walking the
+// stops at the run's frame budget (FrameBudget): an interval reaching past
+// the frames the engine resolved counts only those, instead of walking the
 // lazily-extending timeline into frames no protocol ever decided.
 func (r *AsyncResult) FullFrames(u topology.NodeID, from, to float64) int {
 	tl := r.Timelines[u]

@@ -26,6 +26,16 @@
 // invisible in results: for oblivious protocols (the paper's algorithms)
 // the tests pin the lazy engines to replays of decisions pre-generated
 // node-major, the order the engines used before they became incremental.
+//
+// Both engines stop once coverage is complete. RunSync checks after every
+// slot (unless RunToMaxSlots is set or a dynamic world may still grow the
+// target). RunAsync resolves node-major in frame windows of 64, 128, 256,
+// … frames; after each window it applies exactly the deliveries no
+// unresolved frame can precede, which keeps the chronological delivery
+// order, and stops when coverage is complete. The windows need a static
+// world, no loss and an observer subscribed to none of EventFrameStart,
+// EventFrameResolve and EventDeliver; any other asynchronous run resolves
+// all MaxFrames frames of every node.
 package sim
 
 import (
