@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race bench bench-gate perfbench perfbench-smoke golden-update soak-1m profile vet fmt fmt-check lint lint-json ci experiments examples clean
+.PHONY: all build test test-race bench bench-gate perfbench perfbench-smoke golden-update soak-1m profile vet fmt fmt-check lint lint-json loc ci experiments examples clean
 
 all: build vet lint test
 
@@ -31,6 +31,12 @@ lint-json:
 
 test:
 	$(GO) test ./...
+
+# Production Go lines: every non-test .go file outside the lint suite
+# (internal/lint/), testdata/ directories and the benchmark build cache.
+loc:
+	@find . \( -path ./.git -o -path ./.bench_build -o -path ./internal/lint -o -name testdata \) -prune \
+		-o -name '*.go' ! -name '*_test.go' -type f -print0 | xargs -0 cat | wc -l
 
 test-race:
 	$(GO) test -race ./...

@@ -12,8 +12,9 @@ import (
 // is delivered to its receiver's protocol before that protocol makes its
 // next frame decision.
 //
-// Both asynchronous engines now pull decisions incrementally through the
-// stepper seam; what distinguishes this one is delivery timing. RunAsync
+// Both asynchronous engines pull decisions incrementally, calling each
+// node's NextFrame when the simulation first needs its next frame; what
+// distinguishes this one is delivery timing. RunAsync
 // resolves node-major and applies all deliveries after every decision is
 // made — fine for oblivious protocols, whose schedules ignore what they
 // receive. Adaptive protocols — notably the termination-detection wrapper

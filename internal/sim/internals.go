@@ -16,11 +16,11 @@ package sim
 //     beyond one dead boolean test per slot.
 //   - Zero allocation when used: Internals is a plain value passed by
 //     value; per-slot tallying is integer arithmetic on run-local fields.
-//   - Zero perturbation: a sink whose EventMask is zero keeps the tiled
-//     path and the engine's event-free fast paths — reading the internals
-//     never changes which internals there are to read. (A full observer
-//     still moves a tiled run to the kernel, exactly as it did before this
-//     seam existed; the report then says so.)
+//   - Zero perturbation: a sink whose EventMask is zero keeps the
+//     multi-tile path and the engine's event-free fast paths — reading the
+//     internals never changes which internals there are to read. (A full
+//     observer still moves a multi-tile run to the single tile, because
+//     per-listener events need listener order; the report then says so.)
 
 // Internals is one synchronous run's engine-internals summary. All fields
 // are totals over the run, sized for lossless merging across trials.
@@ -29,9 +29,12 @@ type Internals struct {
 	SlotsSimulated int64
 	// TiledSlots, KernelSlots and ScalarSlots attribute the run's slots to
 	// the resolver path that executed them; their sum always equals
-	// SlotsSimulated. Path selection is fixed for a whole run, so one
-	// counter carries every slot — except that a dynamic run's over-budget
-	// epochs move their slots from the kernel to ScalarSlots.
+	// SlotsSimulated. TiledSlots counts multi-tile slots, KernelSlots the
+	// single tile's word-kernel slots and ScalarSlots its scalar-scan
+	// slots. The tiling is fixed for a whole run, so one counter carries
+	// every slot — except that the single tile's over-budget mask tables
+	// (a static run's, or a dynamic run's epochs) move their slots from
+	// the kernel to ScalarSlots.
 	TiledSlots  int64
 	KernelSlots int64
 	ScalarSlots int64
@@ -39,15 +42,15 @@ type Internals struct {
 	// counted is gone and its slots run on the kernel. The field stays
 	// until the repository benchmark stops reading it.
 	BatchedSlots int64
-	// HaloExchanges counts tiled-path halo segment copies from a NEIGHBOR
+	// HaloExchanges counts multi-tile halo segment copies from a NEIGHBOR
 	// tile (a tile reading its own transmitter mask does not count);
-	// HaloWordsCopied sums their word widths. Both are zero off the tiled
-	// path. Tiled runs attribute decision rounds per (slot, tile with
+	// HaloWordsCopied sums their word widths. Both are zero on the single
+	// tile. Multi-tile runs attribute decision rounds per (slot, tile with
 	// active nodes) rather than per slot.
 	HaloExchanges   int64
 	HaloWordsCopied int64
 	// MaskBudgetOverruns counts packed candidate-mask tables that exceeded
-	// their word budget, forcing the scalar path on slots the kernels could
+	// their word budget, forcing the scalar path on slots the kernel could
 	// otherwise have served: 1 for an over-budget static run, and one per
 	// over-budget epoch table of a dynamic run.
 	MaskBudgetOverruns int64
@@ -111,8 +114,8 @@ func (m maskedObserver) OnInternals(in Internals) {
 }
 
 // InternalsRecorder captures engine-internals reports while subscribing to
-// no events at all, so attaching one preserves the engine's tiled path
-// and event-free fast paths — the production shape for counters that must
+// no events at all, so attaching one preserves the engine's multi-tile
+// path and event-free fast paths — the production shape for counters that must
 // not perturb what they measure, and the reference observer for the
 // perturbation guards in the tests.
 type InternalsRecorder struct {

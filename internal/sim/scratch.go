@@ -15,7 +15,7 @@ import (
 //
 // Reuse is invisible in results: every buffer is either fully overwritten
 // before it is read (actions, candidate tables) or re-zeroed on acquisition
-// (the per-channel transmitter index), and no scratch state feeds an rng
+// (the tiles' transmitter masks and counts), and no scratch state feeds an rng
 // draw. The derived network tables (inbound candidates, shared message
 // availability sets) are cached keyed by network pointer; a caller that
 // mutates a network in place between runs must call Reset (or use a fresh
@@ -30,9 +30,9 @@ type SyncScratch struct {
 	// aliases masks, the static network's cached table.
 	epochMasks *topology.CandidateMasks
 	// maskBudget, when positive, replaces syncMaskWordBudget for this
-	// scratch's mask tables — the hook tests shrink to force the scalar
-	// fallback on small networks. Set it before the scratch's first run:
-	// the static table is cached per network.
+	// scratch's single-tile mask tables — the hook tests shrink to force
+	// the scalar fallback on small networks. Set it before the scratch's
+	// first run: the static table is cached per network.
 	maskBudget int
 	// target is the coverage target index (CSR over the discoverable
 	// links), shared read-only by every run's Coverage on this network. A
@@ -40,34 +40,30 @@ type SyncScratch struct {
 	// so a Coverage returned earlier stays valid.
 	target *metrics.TargetIndex
 
-	// Tiled-resolver state (see sync_tiled.go), cached keyed by (network,
-	// tiling) pair: the halo-local candidate masks and the per-tile scratch.
+	// singleTile is the tile scratch of the cached network's single tile
+	// (see sync_tiled.go), built at the first run that needs it.
+	singleTile []tileState
+
+	// Multi-tile state, cached keyed by (network, tiling) pair: the
+	// halo-local candidate masks and the per-tile scratch.
 	tileNW    *topology.Network
 	tileTL    *topology.Tiling
-	tileMasks *topology.TileMasks
+	tileMasks *topology.CandidateMasks
 	tiles     []tileState
 
-	actions   []radio.Action
-	txOn      []int
-	txTouched []channel.ID
-	locals    []int
+	actions []radio.Action
+	locals  []int
 
-	// Word-kernel state (see sync_resolve.go): per-slot transmitter word
-	// masks (channel-major, wordsPer words per channel), single-word
-	// availability masks, the slot's listener list, and the per-run
-	// heard-reporter cache and heard-list snapshot.
-	txWords []uint64
-	avail1  []uint64
-	rxList  []topology.NodeID
-	rxChs   []channel.ID
-	hrs     []HeardReporter
-	heard   []topology.NodeID
+	// Per-run node tables: single-word availability masks and the
+	// heard-reporter cache.
+	avail1 []uint64
+	hrs    []HeardReporter
 }
 
-// syncMaskWordBudget caps the packed candidate-mask table at 8 MB; larger
-// networks — and dynamic epochs whose table would pass it — stay on the
-// scalar resolver (the tiled layout is the path to large n, not a giant
-// flat table).
+// syncMaskWordBudget caps the single tile's packed candidate-mask table at
+// 8 MB; larger networks — and dynamic epochs whose table would pass it —
+// stay on the scalar resolver (multi-tile halo-local masks are the path to
+// large n, not a giant NodeID-space table).
 const syncMaskWordBudget = 1 << 20
 
 // NewSyncScratch returns an empty scratch ready for use.
@@ -82,6 +78,7 @@ func (sc *SyncScratch) Reset() {
 	sc.msgAvail = nil
 	sc.masks = nil
 	sc.target = nil
+	sc.singleTile = nil
 	sc.tileNW = nil
 	sc.tileTL = nil
 	sc.tileMasks = nil
@@ -89,9 +86,9 @@ func (sc *SyncScratch) Reset() {
 }
 
 // networkTables returns the network-derived tables — the inbound-candidate
-// table, the shared message availability sets, the channel-major candidate
-// masks (nil when over the word budget; the run falls back to the scalar
-// resolver) and the discoverable-link coverage target index, transposed
+// table, the shared message availability sets, the single tile's
+// channel-major candidate masks (nil when over the word budget; the run
+// falls back to the scalar resolver) and the discoverable-link coverage target index, transposed
 // from the candidate table — rebuilding them only when the network changed
 // since the last run. A cold build makes a constant number of allocations
 // at any network size. hit reports
@@ -109,11 +106,12 @@ func (sc *SyncScratch) networkTables(nw *topology.Network) (_ [][]topology.Candi
 		}
 		sc.masks = topology.NewCandidateMasks(sc.cands, channels, sc.maskWords())
 		sc.target = metrics.NewTargetIndexFromCandidates(sc.cands)
+		sc.singleTile = nil
 	}
 	return sc.cands, sc.msgAvail, sc.masks, sc.target, hit
 }
 
-// maskWords returns the flat candidate-mask table's word budget.
+// maskWords returns the single tile's candidate-mask word budget.
 func (sc *SyncScratch) maskWords() int {
 	if sc.maskBudget > 0 {
 		return sc.maskBudget
@@ -135,8 +133,8 @@ func (sc *SyncScratch) epochMasksFor(cands [][]topology.Candidate, channels int)
 	return sc.epochMasks
 }
 
-// syncTileMaskWordBudget returns the tiled resolver's packed-mask budget:
-// the flat-table budget, scaled linearly past it — a listener's halo-local
+// syncTileMaskWordBudget returns the multi-tile packed-mask budget: the
+// single tile's budget, scaled linearly past it — a listener's halo-local
 // row spans at most its 3×3 halo (a constant for radius-matched tilings),
 // so the packed table is O(n) by construction and a linear budget admits
 // every well-tiled network while still refusing a pathological blowup.
@@ -147,20 +145,29 @@ func syncTileMaskWordBudget(n int) int {
 	return syncMaskWordBudget
 }
 
-// tileState returns the tiled resolver's halo-local candidate masks and
+// singleTileState returns the tile scratch of the cached network's single
+// tile — a 1×1 tiling, whose local indexes are NodeIDs — building it at
+// first use per network and re-zeroing the per-run state either way.
+func (sc *SyncScratch) singleTileState(channels int) []tileState {
+	if sc.singleTile == nil {
+		tl, _ := topology.NewTiling(sc.nwKey, 1, 1) // cannot fail: the network is set and the grid positive
+		sc.singleTile = buildTileStates(tl, channels)
+	}
+	resetTileStates(sc.singleTile)
+	return sc.singleTile
+}
+
+// tileState returns the multi-tile halo-local candidate masks and
 // per-tile scratch for the (network, tiling) pair, rebuilding on a key
 // change and re-zeroing the per-run state either way. A nil mask table
 // (halo violation — the tiling is finer than the network's reach — or
-// budget overrun, or no channels) disables the tiled path for the run; the
-// caller falls back to the single-threaded resolvers.
-func (sc *SyncScratch) tileState(nw *topology.Network, tl *topology.Tiling, cands [][]topology.Candidate, channels int) (*topology.TileMasks, []tileState) {
+// budget overrun, or no channels) disables the multi-tile path for the
+// run; the caller falls back to the single tile.
+func (sc *SyncScratch) tileState(nw *topology.Network, tl *topology.Tiling, cands [][]topology.Candidate, channels int) (*topology.CandidateMasks, []tileState) {
 	if sc.tileNW != nw || sc.tileTL != tl {
 		sc.tileNW, sc.tileTL = nw, tl
-		sc.tileMasks = nil
+		sc.tileMasks = topology.NewTileMasks(tl, cands, channels, syncTileMaskWordBudget(tl.N()))
 		sc.tiles = nil
-		if channels > 0 {
-			sc.tileMasks = topology.NewTileMasks(tl, cands, channels, syncTileMaskWordBudget(tl.N()))
-		}
 		if sc.tileMasks != nil {
 			sc.tiles = buildTileStates(tl, channels)
 		}
@@ -181,24 +188,6 @@ func (sc *SyncScratch) actionBuf(n int) []radio.Action {
 	return sc.actions[:n]
 }
 
-// txIndex returns the per-channel transmitter-count index sized for channel
-// IDs up to maxID, zeroed: an errored previous run may have returned
-// mid-slot with live counts still in place.
-func (sc *SyncScratch) txIndex(maxID channel.ID) ([]int, []channel.ID) {
-	need := int(maxID) + 1
-	if cap(sc.txOn) < need {
-		sc.txOn = make([]int, need)
-	}
-	txOn := sc.txOn[:need]
-	for i := range txOn {
-		txOn[i] = 0
-	}
-	if sc.txTouched == nil {
-		sc.txTouched = make([]channel.ID, 0, 16)
-	}
-	return txOn, sc.txTouched[:0]
-}
-
 // availBuf returns the per-node single-word availability mask buffer,
 // reusing scratch capacity; the caller refills the contents every run.
 func (sc *SyncScratch) availBuf(n int) []uint64 {
@@ -206,31 +195,6 @@ func (sc *SyncScratch) availBuf(n int) []uint64 {
 		sc.avail1 = make([]uint64, n)
 	}
 	return sc.avail1[:n]
-}
-
-// txWordsBuf returns the per-slot channel-major transmitter masks (channels
-// × wordsPer words), zeroed: an errored previous run may have returned
-// mid-slot with live bits still set.
-func (sc *SyncScratch) txWordsBuf(words int) []uint64 {
-	if cap(sc.txWords) < words {
-		sc.txWords = make([]uint64, words)
-	}
-	txw := sc.txWords[:words]
-	for i := range txw {
-		txw[i] = 0
-	}
-	return txw
-}
-
-// rxListBufs returns the kernel path's flat per-slot listener list and its
-// parallel channel list, re-sliced empty, each with capacity for every
-// node so per-slot appends never grow them.
-func (sc *SyncScratch) rxListBufs(n int) ([]topology.NodeID, []channel.ID) {
-	if cap(sc.rxList) < n {
-		sc.rxList = make([]topology.NodeID, 0, n)
-		sc.rxChs = make([]channel.ID, 0, n)
-	}
-	return sc.rxList[:0], sc.rxChs[:0]
 }
 
 // heardReporters returns the per-run heard-reporter cache, grown to n;

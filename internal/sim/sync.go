@@ -27,6 +27,14 @@
 // the tests pin the lazy engines to replays of decisions pre-generated
 // node-major, the order the engines used before they became incremental.
 //
+// RunSync runs every slot through one tile pipeline (sync_tiled.go):
+// phase A steps and scatters each tile's decisions into transmitter word
+// masks, phase B intersects each listener's packed candidate-mask row
+// against them. A run with a Tiling that passes its gate resolves many
+// spatial tiles on a worker pool; every other run uses a single tile
+// holding every node, resolved inline in ascending NodeID order, which
+// keeps the per-listener event and loss-draw order.
+//
 // Both engines stop once coverage is complete. RunSync checks after every
 // slot (unless RunToMaxSlots is set or a dynamic world may still grow the
 // target). RunAsync resolves node-major in frame windows of 64, 128, 256,
@@ -42,7 +50,6 @@ import (
 	"fmt"
 	"runtime"
 
-	"m2hew/internal/channel"
 	"m2hew/internal/dynamics"
 	"m2hew/internal/harness/tilepool"
 	"m2hew/internal/metrics"
@@ -102,22 +109,23 @@ type SyncConfig struct {
 	// the ownership and network-mutation contract). Nil means the run
 	// allocates a private scratch; results are identical either way.
 	Scratch *SyncScratch
-	// Tiling, if non-nil, requests the tiled parallel resolver: per-tile
-	// slot resolution on a fork-join worker pool with a deterministic
-	// two-phase halo exchange per slot (see sync_tiled.go), byte-identical
-	// to the single-threaded engine at matched seed. The tiling must
-	// partition this network's nodes with cell side ≥ the connection
-	// radius. The tiled path engages only when its preconditions hold —
-	// static world, loss-free, no per-listener event subscription, and a
-	// halo-clean in-budget mask table; otherwise the run falls back to the
-	// single-threaded resolvers, deterministically. Tile workers call
-	// different nodes' protocols concurrently, which is sound because each
-	// protocol touches only its own state and private rng stream.
+	// Tiling, if non-nil, requests the multi-tile parallel path: the slot
+	// pipeline's phases run per tile on a fork-join worker pool with a
+	// deterministic halo exchange per slot (see sync_tiled.go),
+	// byte-identical to the single-tile run at matched seed. The tiling
+	// must partition this network's nodes with cell side ≥ the connection
+	// radius (TilingByRadius). The multi-tile path engages only when its
+	// gate holds — static world, loss-free, no per-listener event
+	// subscription, and a halo-clean in-budget mask table; otherwise the
+	// run takes the single tile that every run without a Tiling takes,
+	// deterministically. Tile workers call different nodes' protocols
+	// concurrently, which is sound because each protocol touches only its
+	// own state and private rng stream.
 	Tiling *topology.Tiling
-	// TileWorkers bounds the tiled resolver's parallelism (caller
-	// included). 0 picks GOMAXPROCS; 1 runs the tiled path serially
-	// (useful for differential tests). Ignored without Tiling. Worker
-	// count never affects results, only wall-clock.
+	// TileWorkers bounds the multi-tile path's parallelism (caller
+	// included). 0 picks GOMAXPROCS; 1 runs the tiles serially (useful for
+	// differential tests). Ignored without Tiling. Worker count never
+	// affects results, only wall-clock.
 	TileWorkers int
 	// Dynamics, if non-nil, runs the simulation on a time-varying world:
 	// reception structure, activity and channel availability follow the
@@ -131,10 +139,10 @@ type SyncConfig struct {
 	// when links stop appearing; discovery latency comes from
 	// Coverage.Latencies. Mutually exclusive with StartSlots — churn
 	// schedules subsume staggered starts. Dynamic runs resolve on the
-	// static runs' word kernel over a candidate-mask table repacked
-	// whenever the epoch's candidate table changes; an epoch whose table
-	// exceeds the mask budget resolves on the scalar path. Results are
-	// identical on every path.
+	// single tile over a candidate-mask table repacked in place whenever
+	// the epoch's candidate table changes; an epoch whose table exceeds
+	// the mask budget resolves on the scalar path. Results are identical
+	// on every path.
 	Dynamics *dynamics.World
 }
 
@@ -217,13 +225,9 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 	//
 	//   - cands[u] lists the only transmitters listener u can ever decode
 	//     (adjacency, direction and link span resolved up front by the
-	//     topology layer), so the scalar resolver walks a flat slice instead
-	//     of re-querying Neighbors/Reaches/Span per slot — and the word
-	//     kernel reads the same table packed channel-major into word masks
-	//     (see syncRun for the per-run path-selection contract);
-	//   - txOn[c] counts the transmitters tuned to channel c this slot
-	//     (txTouched records which entries to reset), pruning listeners on
-	//     silent channels without scanning their candidate lists;
+	//     topology layer), so the scalar resolver walks a flat slice — and
+	//     the tile pipeline reads the same table packed channel-major into
+	//     word masks (see syncRun for the per-run tiling contract);
 	//   - msgAvail[v] is the one immutable copy of A(v) shared by every
 	//     message from v; see radio.Message for the ownership contract.
 	sc := cfg.Scratch
@@ -239,16 +243,15 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 	} else {
 		coverage = metrics.NewCoverageOn(target)
 	}
-	maxID := channel.ID(-1)
+	channels := 0
 	if id, ok := nw.Universe().Max(); ok {
-		maxID = id
+		channels = int(id) + 1
 	}
 	//ndlint:ignore hotalloc one result allocation per run, not per slot
 	result := &SyncResult{Coverage: coverage}
 
 	var run syncRun
 	run.nw = nw
-	run.n = n
 	run.protos = cfg.Protocols
 	run.obs = cfg.Observer
 	run.loss = cfg.Loss
@@ -256,11 +259,11 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 	run.curCands = cands    //ndlint:ignore scratchalias syncRun is a run-scoped local; the field dies with the run, before the scratch is recycled
 	run.msgAvail = msgAvail // covered by the directive above (own line + next)
 	run.masks = masks       // a dynamic run swaps in each epoch's table below
+	run.startSlots = cfg.StartSlots
 	run.actions = sc.actionBuf(n)
-	run.txOn, run.txTouched = sc.txIndex(maxID)
-	if maxID < 64 {
+	if channels <= 64 {
 		// Every channel ID fits one word: flatten each node's availability
-		// to a single mask so phase 1 validates with one bit test. The
+		// to a single mask so phase A validates with one bit test. The
 		// contents are recomputed per run (cheap, O(n)); only the buffer
 		// is reused.
 		run.avail1 = sc.availBuf(n)
@@ -272,19 +275,16 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 		}
 	}
 	run.lossFree = cfg.Loss == nil || cfg.Loss.Prob <= 0
-	// The word kernel serves every run with a mask table: a static run
-	// whose table fit its budget, and every dynamic run, whose epochs
-	// repack their own tables (an epoch over budget resolves on the
-	// scalar path until the next table change).
-	kernels := world != nil || masks != nil
-	if !kernels {
+	// A static run without a mask table resolves every slot on the scalar
+	// scan; a dynamic run packs each epoch's table below.
+	if world == nil && masks == nil {
 		run.internals.MaskBudgetOverruns = 1
 	}
 	// The observer's subscription (EventMasker; AllEvents when undeclared)
 	// gates each emission site, and an observer subscribed to no
 	// per-listener kind frees the engine from the per-listener event order
-	// entirely — such runs may take the tiled path exactly like
-	// observerless ones (slot and epoch events are unaffected: every path
+	// entirely — such runs may take the multi-tile path exactly like
+	// observerless ones (slot and epoch events are unaffected: every run
 	// emits them identically).
 	mask := observerMask(cfg.Observer)
 	// The internals sink is resolved once; tallying per slot is gated on it
@@ -298,13 +298,13 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 	run.wantIdle = mask.Has(EventIdle)
 	run.wantSlot = mask.Has(EventSlot)
 	perListener := run.wantDeliver || run.wantColl || run.wantIdle
-	// The tiled path needs a static, loss-free run with no per-listener
-	// events, and requires the halo-local mask table to build (nil on halo
-	// violation or budget overrun — the deterministic fallback). Worker
-	// setup is per-run: the pool's goroutines live exactly as long as the
-	// run.
+	// The multi-tile path needs a static, loss-free run with no
+	// per-listener events, and requires the halo-local mask table to build
+	// (nil on halo violation or budget overrun — the deterministic
+	// fallback to the single tile). Worker setup is per-run: the pool's
+	// goroutines live exactly as long as the run.
 	if cfg.Tiling != nil && world == nil && run.lossFree && !perListener {
-		if tm, tiles := sc.tileState(nw, cfg.Tiling, cands, int(maxID)+1); tm != nil {
+		if tm, tiles := sc.tileState(nw, cfg.Tiling, cands, channels); tm != nil {
 			workers := cfg.TileWorkers
 			if workers == 0 {
 				workers = runtime.GOMAXPROCS(0)
@@ -313,34 +313,24 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 			if t := cfg.Tiling.Tiles(); workers > t {
 				workers = t
 			}
-			pool := tilepool.New(workers)
-			defer pool.Close()
-			//ndlint:ignore hotalloc one tiledRun and two phase closures per run, not per slot
-			tr := &tiledRun{
-				tl: cfg.Tiling, masks: tm,
-				pool:       pool,
-				tiles:      tiles, //ndlint:ignore scratchalias tiledRun is run-scoped; the field dies with the run, before the scratch is recycled
-				channels:   int(maxID) + 1,
-				startSlots: cfg.StartSlots,
-			}
-			tr.fnA = func(ti int) { run.tileSlotA(ti) } //ndlint:ignore hotalloc per-run closure, not per-slot
-			tr.fnB = func(ti int) { run.tileSlotB(ti) }
-			run.tiled = tr
+			run.pool = tilepool.New(workers)
+			defer run.pool.Close()
+			run.tl, run.masks = cfg.Tiling, tm
+			run.tiles = tiles                            //ndlint:ignore scratchalias syncRun is run-scoped; the field dies with the run, before the scratch is recycled
+			run.fnA = func(ti int) { run.tileSlotA(ti) } //ndlint:ignore hotalloc two phase closures per run, not per slot
+			run.fnB = func(ti int) { run.tileSlotB(ti) }
 		}
 	}
-	run.storeActions = run.wantSlot || (run.tiled == nil && masks == nil)
-	if kernels && run.tiled == nil {
-		run.wordsPer = (n + 63) / 64
-		run.txWords = sc.txWordsBuf((int(maxID) + 1) * run.wordsPer)
-		run.rxList, run.rxChs = sc.rxListBufs(n)
+	if run.pool == nil {
+		run.tiles = sc.singleTileState(channels)
 	}
+	run.storeActions = run.wantSlot || run.masks == nil
 	run.hrs = sc.heardReporters(n)
 	for u, p := range cfg.Protocols {
 		hr, _ := p.(HeardReporter)
 		run.hrs[u] = hr
 		reserveNeighbors(p, cands[u])
 	}
-	run.heard = sc.heard[:0]
 
 	// Dynamic-run state: the current epoch snapshot (its candidate table
 	// replaces the static one in run.curCands and, packed, in run.masks)
@@ -348,9 +338,8 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 	// count of active slots, not the global slot, so a churned node's
 	// private rng stream pauses while it is out of the network.
 	var cur *dynamics.Epoch
-	var locals []int
 	if world != nil {
-		locals = sc.localSlotBuf(n)
+		run.locals = sc.localSlotBuf(n)
 	}
 
 	for slot := 0; slot < cfg.MaxSlots; slot++ {
@@ -363,11 +352,12 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 			if e := slot / epochSlots; cur == nil || (e != cur.Index && e < world.Horizon()) {
 				first := cur == nil
 				cur = world.At(e)
+				run.active = cur.Active
 				// Unchanged epochs share their predecessor's table, so the
 				// masks are repacked only when the table itself changed.
 				if first || !sameTable(cur.Cands, run.curCands) {
 					run.curCands = cur.Cands
-					run.masks = sc.epochMasksFor(cur.Cands, int(maxID)+1)
+					run.masks = sc.epochMasksFor(cur.Cands, channels)
 					if run.masks == nil {
 						run.internals.MaskBudgetOverruns++
 					}
@@ -406,53 +396,17 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 			}
 		}
 
-		// The tiled path owns its whole slot — protocol steps, EventSlot
-		// emission, resolution and delivery all happen inside tiledSlot
-		// (two pool fork-joins around a halo barrier), so none of the
-		// single-threaded machinery below runs.
-		if run.tiled != nil {
-			if err := run.tiledSlot(slot); err != nil {
-				return nil, err
-			}
-			result.SlotsSimulated = slot + 1
-			if coverage.Complete() && !cfg.RunToMaxSlots {
-				break
-			}
-			continue
-		}
-
-		// Phase 1: step every active node's protocol and index the
-		// decisions by channel.
-		var active []bool
-		if cur != nil {
-			active = cur.Active
-		}
-		if err := run.phase1(slot, active, locals, cfg.StartSlots); err != nil {
-			return nil, err
-		}
-		if mask.Has(EventSlot) {
-			cfg.Observer.OnEvent(Event{
-				Kind: EventSlot, Time: float64(slot), Slot: slot,
-				Actions: run.actions,
-			})
-		}
-
-		// Phase 2: resolve receptions. The loss-model draw order is part of
-		// the reproducibility contract: exactly one draw per candidate that
+		// One slot of the tile pipeline: protocol steps, the slot event,
+		// resolution and delivery. The loss-model draw order is part of the
+		// reproducibility contract: exactly one draw per candidate that
 		// transmits on the listener's channel over an operating link,
 		// consumed in ascending candidate order, stopping at the second
-		// surviving transmission (resolveSlotNaive in the differential tests
-		// re-states this order from first principles; both resolvers below
-		// preserve it).
-		if run.masks == nil {
-			run.resolveScalar(slot)
-			run.internals.ScalarSlots++
-		} else {
-			run.resolveKernel(slot)
+		// surviving transmission (resolveSlotNaive in the differential
+		// tests re-states this order from first principles; every lossy
+		// phase B preserves it).
+		if err := run.runSlot(slot); err != nil {
+			return nil, err
 		}
-
-		// Reset the per-slot indexes for the next slot.
-		run.clearSlot()
 
 		result.SlotsSimulated = slot + 1
 		// Early stop requires a quiescent world: a dynamic run may grow new
@@ -462,8 +416,6 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 			break
 		}
 	}
-	sc.txTouched = run.txTouched[:0] // keep any capacity the run grew
-	sc.heard = run.heard[:0]
 
 	if coverage.Complete() {
 		result.Complete = true
@@ -476,28 +428,25 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 	return result, nil
 }
 
-// finalizeInternals completes the run's internals report. Path selection is
-// fixed per run except for the scalar fallback, whose slots (and mask-table
-// overruns) the run counted as they happened; every other slot lands on
-// the tiled path or the word kernel. tablesHit reports scratch
+// finalizeInternals completes the run's internals report. The tiling is
+// fixed per run, and only the single tile's scalar fallback is counted as
+// it happens: every other slot lands on TiledSlots on a multi-tile run and
+// on KernelSlots on the single tile. tablesHit reports scratch
 // network-table reuse.
 func (r *syncRun) finalizeInternals(slots int64, tablesHit bool) Internals {
 	in := r.internals
 	in.SlotsSimulated = slots
-	switch {
-	case r.tiled != nil:
+	for i := range r.tiles {
+		ts := &r.tiles[i]
+		in.StepperBatches += ts.batches
+		in.StepperBatchNodes += ts.batchNodes
+		in.MaxStepperBatch = max(in.MaxStepperBatch, ts.maxBatch)
+		in.HaloExchanges += ts.haloEx
+		in.HaloWordsCopied += ts.haloWordsCopied
+	}
+	if r.pool != nil {
 		in.TiledSlots = slots
-		for i := range r.tiled.tiles {
-			ts := &r.tiled.tiles[i]
-			in.StepperBatches += ts.batches
-			in.StepperBatchNodes += ts.batchNodes
-			if ts.maxBatch > in.MaxStepperBatch {
-				in.MaxStepperBatch = ts.maxBatch
-			}
-			in.HaloExchanges += ts.haloEx
-			in.HaloWordsCopied += ts.haloWordsCopied
-		}
-	default:
+	} else {
 		in.KernelSlots = slots - in.ScalarSlots
 	}
 	if tablesHit {

@@ -2,7 +2,7 @@ package sim
 
 // Differential sweep for RunSync's per-run resolver path selection (see
 // syncRun in sync_resolve.go). Without a tiling the engine resolves on the
-// listener-major word kernel, or on the scalar candidate scan when the
+// single tile's word kernel, or on the scalar candidate scan when the
 // mask table is over budget; the observer's event subscription and the
 // loss model pick which events the kernel emits and whether it draws.
 // Every configuration must behave as if it executed resolveSlotNaive's
@@ -312,12 +312,14 @@ func TestSyncRejectsLossWithoutRng(t *testing.T) {
 	}
 }
 
-// TestSyncBatchedPathSteadyStateAllocs drives repeated scratch-reusing
-// runs down the kernel path, unobserved and under a masked observer, and
-// bounds per-run allocations: the resolvers must live entirely off
-// scratch buffers, leaving only the fixed per-run setup (result, coverage,
-// message sets).
-func TestSyncBatchedPathSteadyStateAllocs(t *testing.T) {
+// TestSyncSingleTileSteadyStateAllocs drives repeated scratch-reusing runs
+// down the single tile under every configuration that keeps a run there —
+// unobserved, a masked per-listener observer, a lossy channel, a churning
+// world with per-epoch mask repacks, and staggered starts — and bounds
+// per-run allocations: the phases must live entirely off scratch buffers,
+// leaving only the fixed per-run setup (result, coverage, message sets),
+// nearly the same at 16 slots as at 64.
+func TestSyncSingleTileSteadyStateAllocs(t *testing.T) {
 	r := rng.New(42)
 	nw, err := topology.GeometricConnected(48, 0.3, r, 100)
 	if err != nil {
@@ -328,45 +330,75 @@ func TestSyncBatchedPathSteadyStateAllocs(t *testing.T) {
 	}
 	n := nw.N()
 	protos := make([]SyncProtocol, n)
+	starts := make([]int, n)
 	for u := 0; u < n; u++ {
-		avail := nw.Avail(topology.NodeID(u))
-		actions := make([]radio.Action, 64)
-		for s := range actions {
-			c, err := avail.Pick(r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mode := radio.Receive
-			if r.Bernoulli(0.4) {
-				mode = radio.Transmit
-			}
-			actions[s] = radio.Action{Mode: mode, Channel: c}
+		c, err := nw.Avail(topology.NodeID(u)).Pick(r)
+		if err != nil {
+			t.Fatal(err)
 		}
-		protos[u] = &sinkSync{act: actions[0]}
+		mode := radio.Receive
+		if r.Bernoulli(0.4) {
+			mode = radio.Transmit
+		}
+		protos[u] = &sinkSync{act: radio.Action{Mode: mode, Channel: c}}
+		starts[u] = r.IntN(8)
+	}
+	loss, err := NewLossModel(0.3, rng.New(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Epochs of 4 slots: every run crosses many epoch swaps, and the world
+	// caches its snapshots after the warm-up run.
+	world, err := dynamics.NewWorld(nw, dynamics.Spec{
+		EpochLen: 4,
+		Churn:    &dynamics.Churn{JoinFraction: 0.4, JoinWindow: 6, LeaveFraction: 0.3, LeaveWindow: 6},
+		Primary:  &dynamics.Primary{Events: 3, Duration: 3, Radius: 0.3},
+	}, 16, rng.New(9))
+	if err != nil {
+		t.Fatal(err)
 	}
 	scratch := NewSyncScratch()
 	for _, tc := range []struct {
 		label string
-		obs   Observer
+		cfg   SyncConfig
 	}{
-		{"unobserved", nil},
-		{"kernel-masked", OnlyEvents(MaskOf(EventDeliver), ObserverFunc(func(Event) {}))},
+		{"unobserved", SyncConfig{}},
+		{"deliver-masked", SyncConfig{Observer: OnlyEvents(MaskOf(EventDeliver), ObserverFunc(func(Event) {}))}},
+		{"lossy", SyncConfig{Loss: loss}},
+		{"churn", SyncConfig{Dynamics: world}},
+		{"lossy-churn", SyncConfig{Loss: loss, Dynamics: world}},
+		{"start-slots", SyncConfig{StartSlots: starts}},
 	} {
-		run := func() {
-			if _, err := RunSync(SyncConfig{
-				Network:       nw,
-				Protocols:     protos,
-				MaxSlots:      64,
-				RunToMaxSlots: true,
-				Scratch:       scratch,
-				Observer:      tc.obs,
-			}); err != nil {
-				t.Fatal(err)
+		rec := &InternalsRecorder{}
+		run := func(slots int) func() {
+			return func() {
+				cfg := tc.cfg
+				cfg.Network = nw
+				cfg.Protocols = protos
+				cfg.MaxSlots = slots
+				cfg.RunToMaxSlots = true
+				cfg.Scratch = scratch
+				if cfg.Observer == nil {
+					cfg.Observer = rec
+				}
+				if _, err := RunSync(cfg); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-		run() // warm the scratch
-		if allocs := testing.AllocsPerRun(10, run); allocs > 80 {
-			t.Errorf("%s path allocated %.0f objects per scratch-reusing run", tc.label, allocs)
+		run(64)() // warm the scratch (and the world's epoch cache)
+		if tc.cfg.Observer == nil && rec.Last.KernelSlots != 64 {
+			t.Fatalf("%s: run left the single tile's kernel: %+v", tc.label, rec.Last)
+		}
+		short := testing.AllocsPerRun(5, run(16))
+		long := testing.AllocsPerRun(5, run(64))
+		// A dynamic run's coverage target grows with each epoch's links,
+		// so a longer run may grow it a few more times.
+		if long > short+8 {
+			t.Errorf("%s: allocates per slot: %.0f allocs at 16 slots, %.0f at 64", tc.label, short, long)
+		}
+		if long > 80 {
+			t.Errorf("%s: allocated %.0f objects per scratch-reusing run", tc.label, long)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"m2hew/internal/channel"
+	"m2hew/internal/harness/tilepool"
 	"m2hew/internal/metrics"
 	"m2hew/internal/radio"
 	"m2hew/internal/topology"
@@ -13,29 +14,34 @@ import (
 // syncRun is RunSync's per-run state: configuration distilled to the hot
 // loop's needs, the derived network tables, and the scratch-owned buffers.
 // It exists so the slot loop decomposes into //nd:hotpath methods instead
-// of one megafunction, and so the resolution paths share one delivery
-// tail.
+// of one megafunction.
 //
-// Path selection for runs off the tiled parallel path (sync_tiled.go),
-// decided per mask table:
+// Every slot runs on one tile pipeline (sync_tiled.go): phase A steps a
+// tile's nodes and scatters their decisions into its transmitter masks,
+// phase B resolves its listeners against candidate-mask rows. A run takes
+// one of two tilings for its whole length:
 //
-//   - kernel (listener-major): every slot with a mask table. Listeners
-//     resolve in ascending NodeID order — preserving the event contract
-//     and the loss-model draw order — each through one word-kernel
-//     intersection (candidate-mask row × transmitter mask) instead of a
-//     candidate scan; the lossy variant walks the surviving overlap bits
-//     in candidate order, drawing exactly as the scalar scan would.
-//   - scalar: the candidate-list scan, for slots without a mask table —
-//     a static network whose table exceeded its budget (the whole run),
-//     or a dynamic epoch whose table did (until the next table change).
+//   - multi-tile: cfg.Tiling, when its gate holds (static world, loss-free,
+//     no per-listener event subscription, halo-clean in-budget masks). The
+//     phases run per tile on a tilepool, and coverage is applied after
+//     phase B in ascending tile order.
+//   - single tile: every other run. One tile holds every node, so local
+//     indexes and mask bits are NodeIDs and the halo is the tile itself.
+//     The phases run inline, and listeners resolve in ascending NodeID
+//     order — preserving the event contract and the loss-model draw order
+//     — each through one word-kernel intersection; the lossy variant walks
+//     the surviving overlap bits in candidate order, drawing exactly as the
+//     scalar scan would. Slots without a mask table — a static network
+//     whose table exceeded its budget (the whole run), or a dynamic epoch
+//     whose table did (until the next table change) — resolve phase B on
+//     the scalar candidate scan instead.
 //
-// The kernel serves dynamic worlds too: masks then holds the current
+// The single tile serves dynamic worlds too: masks then holds the current
 // epoch's candidate table, repacked in scratch-owned storage whenever the
 // world's table changes (Epoch.Cands lists candidates ascending by From,
 // so mask bits enumerate them in the scalar scan's order).
 type syncRun struct {
 	nw       *topology.Network
-	n        int
 	protos   []SyncProtocol
 	obs      Observer
 	loss     *LossModel
@@ -43,23 +49,33 @@ type syncRun struct {
 
 	curCands [][]topology.Candidate
 	msgAvail []channel.Set
-	masks    *topology.CandidateMasks
+	// masks holds the candidate rows in the run's bit space — NodeIDs on
+	// the single tile, halo bits on a multi-tile run; nil sends the single
+	// tile's phase B to the scalar scan.
+	masks *topology.CandidateMasks
 
-	actions   []radio.Action
-	avail1    []uint64
-	txOn      []int
-	txTouched []channel.ID
-	txWords   []uint64
-	wordsPer  int
-	rxList    []topology.NodeID
-	rxChs     []channel.ID
-	hrs       []HeardReporter
-	heard     []topology.NodeID // heard-list snapshot lent to each Deliver
+	// The tile pipeline: the per-tile state and, on a multi-tile run only,
+	// the tiling, the worker pool and the phase closures handed to it
+	// (built once per run).
+	tl       *topology.Tiling
+	tiles    []tileState
+	pool     *tilepool.Pool
+	fnA, fnB func(int)
+
+	// Per-slot inputs to the phases: the slot, and each node's decision
+	// index — slot − startSlots[u] with staggered starts, or, in a dynamic
+	// world, locals[u], the node's count of active slots (nodes inactive in
+	// the current epoch stay quiet).
+	slot       int
+	startSlots []int
+	active     []bool
+	locals     []int
+
+	actions []radio.Action
+	avail1  []uint64
+	hrs     []HeardReporter
 
 	lossFree bool
-	// tiled, when non-nil, routes every slot through the tiled parallel
-	// resolver (sync_tiled.go).
-	tiled *tiledRun
 
 	// Engine-internals tallies (see internals.go): integer arithmetic on
 	// run-local fields, gated per slot by tallyInternals so runs without an
@@ -77,13 +93,13 @@ type syncRun struct {
 	wantSlot    bool
 	// storeActions gates the per-decision actions[u] stores: the scalar
 	// resolver reads them back and the slot event borrows the slice, but
-	// on the kernel and tiled paths with EventSlot unsubscribed nothing
-	// ever reads them. A dynamic run re-derives it whenever its mask table
-	// appears or vanishes.
+	// with a mask table and EventSlot unsubscribed nothing ever reads
+	// them. A dynamic run re-derives it whenever its mask table appears or
+	// vanishes.
 	storeActions bool
 
 	// ev is the slot-scoped event template: Time and Slot are set once per
-	// slot (phase1), the per-event fields (Kind, From, To, Channel) are
+	// slot (runSlot), the per-event fields (Kind, From, To, Channel) are
 	// overwritten — all four, every emission — at each use. The remaining
 	// fields stay zero for these event kinds, so reusing the value emits
 	// exactly the events the per-emission literals did.
@@ -111,77 +127,6 @@ func reserveNeighbors(p any, cands []topology.Candidate) {
 	}
 }
 
-// phase1 steps every node active in the slot — its protocol's Step with
-// the node-local slot index — validates each decision, and scatters it
-// into the per-channel transmitter index, the channel-major transmitter
-// word masks and the kernel path's listener list.
-//
-//nd:hotpath
-func (r *syncRun) phase1(slot int, active []bool, locals, startSlots []int) error {
-	r.ev.Time, r.ev.Slot = float64(slot), slot
-	stepped := 0
-	for u := 0; u < r.n; u++ {
-		local := slot
-		if active != nil {
-			if !active[u] {
-				r.actions[u] = radio.Action{Mode: radio.Quiet}
-				continue
-			}
-			local = locals[u]
-			locals[u]++
-		} else if startSlots != nil {
-			if slot < startSlots[u] {
-				r.actions[u] = radio.Action{Mode: radio.Quiet}
-				continue
-			}
-			local = slot - startSlots[u]
-		}
-		stepped++
-		uid := topology.NodeID(u)
-		a := r.protos[u].Step(local)
-		switch a.Mode {
-		case radio.Transmit:
-			c := a.Channel
-			if !r.valid(uid, c) {
-				return r.invalid(uid, slot, a)
-			}
-			if r.txOn[c] == 0 {
-				r.txTouched = append(r.txTouched, c)
-			}
-			r.txOn[c]++
-			if r.txWords != nil {
-				channel.SetBit(r.txWords[int(c)*r.wordsPer:(int(c)+1)*r.wordsPer], u)
-			}
-		case radio.Receive:
-			c := a.Channel
-			if !r.valid(uid, c) {
-				return r.invalid(uid, slot, a)
-			}
-			if r.rxList != nil {
-				// Kernel path: a flat listener list, ascending because u
-				// is, so resolveKernel visits exactly the slot's listeners
-				// instead of scanning every node.
-				r.rxList = append(r.rxList, uid)
-				r.rxChs = append(r.rxChs, c)
-			}
-		case radio.Quiet:
-		default:
-			return r.invalid(uid, slot, a)
-		}
-		if r.storeActions {
-			r.actions[u] = a
-		}
-	}
-	if r.tallyInternals {
-		r.internals.StepperBatches++
-		r.internals.StepperBatchNodes += int64(stepped)
-		if int64(stepped) > r.internals.MaxStepperBatch {
-			r.internals.MaxStepperBatch = int64(stepped)
-		}
-	}
-	return nil
-}
-
 // valid is the fused membership check of a decision's channel: a single
 // word test when every channel ID fits one word (avail1), the set lookup
 // otherwise. The full Validate runs only on the failure path (invalid),
@@ -200,57 +145,25 @@ func (r *syncRun) invalid(u topology.NodeID, slot int, a radio.Action) error {
 	return fmt.Errorf("sim: node %d slot %d: %w", u, slot, a.Validate(r.nw.Avail(u)))
 }
 
-// resolveKernel is the listener-major kernel path: ascending NodeID order
-// — the event and loss-draw contracts — with the candidate scan replaced
-// by one word-kernel intersection per listener. Loss-free listeners
-// resolve entirely inside OverlapResolve; lossy listeners walk the
-// surviving overlap bits in candidate order, drawing per bit.
+// emit sends one per-listener event; callers gate it on the kind's want
+// flag.
 //
 //nd:hotpath
-func (r *syncRun) resolveKernel(slot int) {
-	for i, uid := range r.rxList {
-		c := r.rxChs[i]
-		if r.txOn[c] == 0 {
-			// Nobody transmits on c: certain silence, no draws.
-			if r.wantIdle {
-				r.ev.Kind, r.ev.From, r.ev.To, r.ev.Channel = EventIdle, 0, uid, c
-				r.obs.OnEvent(r.ev)
-			}
-			continue
-		}
-		row, lo := r.masks.Row(uid, c)
-		txw := r.txWords[int(c)*r.wordsPer : (int(c)+1)*r.wordsPer]
-		if r.lossFree {
-			count, first := channel.OverlapResolve(row, txw[lo:])
-			switch count {
-			case 1:
-				r.deliver(topology.NodeID(lo*64+first), uid, c, slot)
-			case 0:
-				if r.wantIdle {
-					r.ev.Kind, r.ev.From, r.ev.To, r.ev.Channel = EventIdle, 0, uid, c
-					r.obs.OnEvent(r.ev)
-				}
-			default:
-				if r.wantColl {
-					r.ev.Kind, r.ev.From, r.ev.To, r.ev.Channel = EventCollision, topology.NodeID(lo*64+first), uid, c
-					r.obs.OnEvent(r.ev)
-				}
-			}
-			continue
-		}
-		r.resolveLossy(uid, c, row, txw, lo, slot)
-	}
+func (r *syncRun) emit(kind EventKind, from, to topology.NodeID, c channel.ID) {
+	r.ev.Kind, r.ev.From, r.ev.To, r.ev.Channel = kind, from, to, c
+	r.obs.OnEvent(r.ev)
 }
 
-// resolveLossy resolves one lossy listener: it intersects the listener's
-// mask row with the transmitter mask word by word and walks the overlap
-// bits in ascending candidate order, drawing exactly as the scalar scan
-// would — one draw per candidate transmitting on the listener's channel
-// over an operating link, stopping at the second surviving transmission.
-// Words without overlap consume no draws, so certain silence costs none.
+// resolveLossy resolves one lossy listener of tile ti: it intersects the
+// listener's mask row with the transmitter words of its halo word by word
+// and walks the overlap bits in ascending candidate order, drawing exactly
+// as the scalar scan would — one draw per candidate transmitting on the
+// listener's channel over an operating link, stopping at the second
+// surviving transmission. Words without overlap consume no draws, so
+// certain silence costs none.
 //
 //nd:hotpath
-func (r *syncRun) resolveLossy(uid topology.NodeID, c channel.ID, row, txw []uint64, lo, slot int) {
+func (r *syncRun) resolveLossy(ti int, ts *tileState, uid topology.NodeID, c channel.ID, row, txw []uint64, lo int) {
 	txw = txw[lo:]
 	var sender, firstSender topology.NodeID
 	senders := 0
@@ -264,7 +177,7 @@ scan:
 			if r.loss.erased() {
 				continue
 			}
-			v := topology.NodeID((lo+i)*64 + b)
+			v := r.haloNode(ti, ts, (lo+i)<<6+b)
 			if senders == 0 {
 				firstSender = v
 			}
@@ -275,44 +188,36 @@ scan:
 			}
 		}
 	}
-	if senders == 1 {
-		r.deliver(sender, uid, c, slot)
-		return
-	}
-	if senders == 0 {
+	switch {
+	case senders == 1:
+		r.deliver(ts, sender, uid, c)
+	case senders == 0:
 		if r.wantIdle {
-			r.ev.Kind, r.ev.From, r.ev.To, r.ev.Channel = EventIdle, 0, uid, c
-			r.obs.OnEvent(r.ev)
+			r.emit(EventIdle, 0, uid, c)
 		}
-	} else if r.wantColl {
-		r.ev.Kind, r.ev.From, r.ev.To, r.ev.Channel = EventCollision, firstSender, uid, c
-		r.obs.OnEvent(r.ev)
+	case r.wantColl:
+		r.emit(EventCollision, firstSender, uid, c)
 	}
 }
 
-// resolveScalar is the candidate-list scan retained for slots without a
-// mask table (over-budget networks and epochs); it is the original Phase 2
-// loop of the listener-major engine.
+// resolveScalar is the single tile's phase B for slots without a mask
+// table (over-budget networks and epochs): the candidate-list scan over
+// the slot's stored actions.
 //
 //nd:hotpath
-func (r *syncRun) resolveScalar(slot int) {
-	for u := 0; u < r.n; u++ {
-		if r.actions[u].Mode != radio.Receive {
-			continue
-		}
-		uid := topology.NodeID(u)
-		c := r.actions[u].Channel
-		if r.txOn[c] == 0 {
+func (r *syncRun) resolveScalar(ts *tileState) {
+	for i, uid := range ts.rxU {
+		c := ts.rxC[i]
+		if ts.txOn[c] == 0 {
 			// Nobody transmits on c: certain silence, no draws.
 			if r.wantIdle {
-				r.ev.Kind, r.ev.From, r.ev.To, r.ev.Channel = EventIdle, 0, uid, c
-				r.obs.OnEvent(r.ev)
+				r.emit(EventIdle, 0, uid, c)
 			}
 			continue
 		}
 		var sender, firstSender topology.NodeID
 		senders := 0
-		for _, cand := range r.curCands[u] {
+		for _, cand := range r.curCands[uid] {
 			if r.actions[cand.From].Mode != radio.Transmit || r.actions[cand.From].Channel != c {
 				continue
 			}
@@ -321,7 +226,7 @@ func (r *syncRun) resolveScalar(slot int) {
 			if !cand.Span.Contains(c) {
 				continue
 			}
-			// Unreliable channels: the transmission may fade at u.
+			// Unreliable channels: the transmission may fade at uid.
 			if r.loss.erased() {
 				continue
 			}
@@ -334,60 +239,45 @@ func (r *syncRun) resolveScalar(slot int) {
 				break // collision; no need to scan further
 			}
 		}
-		if senders != 1 {
-			// Silence or collision: the node hears nothing useful. The
-			// collision event reports only the first surviving transmitter
-			// — scanning past the second would consume extra loss draws
-			// and break the reproducibility contract above.
-			if senders == 0 {
-				if r.wantIdle {
-					r.ev.Kind, r.ev.From, r.ev.To, r.ev.Channel = EventIdle, 0, uid, c
-					r.obs.OnEvent(r.ev)
-				}
-			} else if r.wantColl {
-				r.ev.Kind, r.ev.From, r.ev.To, r.ev.Channel = EventCollision, firstSender, uid, c
-				r.obs.OnEvent(r.ev)
+		// Silence or collision: the node hears nothing useful. The
+		// collision event reports only the first surviving transmitter —
+		// scanning past the second would consume extra loss draws and
+		// break the reproducibility contract.
+		switch {
+		case senders == 1:
+			r.deliver(ts, sender, uid, c)
+		case senders == 0:
+			if r.wantIdle {
+				r.emit(EventIdle, 0, uid, c)
 			}
-			continue
+		case r.wantColl:
+			r.emit(EventCollision, firstSender, uid, c)
 		}
-		r.deliver(sender, uid, c, slot)
 	}
 }
 
-// deliver is the shared delivery tail: message construction with the
-// per-run heard-reporter cache, protocol delivery, the coverage oracle
-// (which ignores repeat observations of a covered link), and the delivery
-// event.
+// deliver is the one delivery tail: message construction with the per-run
+// heard-reporter cache, then protocol delivery — in-worker on a multi-tile
+// run, which is safe because each listener belongs to exactly one tile and
+// sender state is frozen for the slot (half duplex). A multi-tile run
+// queues the link for the sequential coverage apply; the single tile
+// observes it on the coverage oracle (which ignores repeat observations of
+// a covered link) and emits the delivery event inline, in listener order.
 //
 //nd:hotpath
-func (r *syncRun) deliver(sender, uid topology.NodeID, c channel.ID, slot int) {
+func (r *syncRun) deliver(ts *tileState, sender, uid topology.NodeID, c channel.ID) {
 	msg := radio.Message{From: sender, Avail: r.msgAvail[sender]}
 	if hr := r.hrs[sender]; hr != nil {
-		r.heard = hr.AppendHeard(r.heard[:0])
-		msg.Heard = borrowHeard(r.heard)
+		ts.heard = hr.AppendHeard(ts.heard[:0])
+		msg.Heard = borrowHeard(ts.heard)
 	}
 	r.protos[uid].Deliver(msg)
-	r.coverage.Observe(topology.Link{From: sender, To: uid}, float64(slot))
+	if r.pool != nil {
+		ts.deliv = append(ts.deliv, tileDelivery{from: sender, to: uid})
+		return
+	}
+	r.coverage.Observe(topology.Link{From: sender, To: uid}, float64(r.slot))
 	if r.wantDeliver {
-		r.ev.Kind, r.ev.From, r.ev.To, r.ev.Channel = EventDeliver, sender, uid, c
-		r.obs.OnEvent(r.ev)
+		r.emit(EventDeliver, sender, uid, c)
 	}
-}
-
-// clearSlot resets the per-slot transmitter index, word masks, and
-// listener list for the next slot.
-//
-//nd:hotpath
-func (r *syncRun) clearSlot() {
-	for _, c := range r.txTouched {
-		r.txOn[c] = 0
-		if r.txWords != nil {
-			txw := r.txWords[int(c)*r.wordsPer : (int(c)+1)*r.wordsPer]
-			for i := range txw {
-				txw[i] = 0
-			}
-		}
-	}
-	r.txTouched = r.txTouched[:0]
-	r.rxList, r.rxChs = r.rxList[:0], r.rxChs[:0]
 }

@@ -2,44 +2,48 @@ package sim
 
 import (
 	"m2hew/internal/channel"
-	"m2hew/internal/harness/tilepool"
 	"m2hew/internal/radio"
 	"m2hew/internal/topology"
 )
 
-// This file is the tiled parallel resolver — the sharded sync engine. The
-// geometric graph is partitioned into grid tiles (topology.Tiling, cell
-// side ≥ radius), each slot runs as two fork-join phases on a tilepool:
+// This file is the synchronous engine's one slot pipeline. A run's nodes
+// are partitioned into tiles (topology.Tiling) and each slot runs as two
+// phases per tile:
 //
-//	phase A  every tile, in parallel: clear its per-slot state, step its
-//	         nodes' protocols, validate, and scatter transmitters into the
-//	         tile-local per-channel word masks and listeners into the
-//	         tile's listener list;
-//	barrier  the pool's join publishes every tile's transmitter masks;
-//	phase B  every tile, in parallel: for each listening channel, assemble
-//	         the halo transmitter mask by word-copying the 3×3 neighbor
-//	         tiles' segments, intersect each listener's halo-local
-//	         candidate row (topology.TileMasks) against it, and deliver
-//	         unique survivors to the listener's protocol;
-//	apply    the caller, sequentially in ascending tile order: coverage
-//	         bookkeeping for the phase's deliveries.
+//	phase A  clear the tile's per-slot state, step its nodes' protocols,
+//	         validate, and scatter transmitters into the tile-local
+//	         per-channel word masks and listeners into the tile's
+//	         listener list;
+//	barrier  every tile's transmitter masks are final;
+//	phase B  for each listener, intersect its candidate row
+//	         (topology.CandidateMasks) against its channel's halo
+//	         transmitter mask and deliver a unique survivor to its
+//	         protocol.
 //
-// Byte-identity with the single-threaded engine at matched seed rests on
-// the path's preconditions (static world, loss-free, no per-listener
+// Most runs use a single tile holding every node (see syncRun): its halo
+// is the tile itself, so phase B reads the tile's own transmitter words,
+// and both phases run inline on the caller. A multi-tile run (cfg.Tiling,
+// cell side ≥ radius) runs each phase across a fork-join tilepool — the
+// pool's join is the barrier — assembles each listening channel's halo
+// mask by word-copying the 3×3 neighbor tiles' segments, and then applies
+// coverage on the caller, sequentially in ascending tile order.
+//
+// Byte-identity of a multi-tile run with the single tile at matched seed
+// rests on the multi-tile gate (static world, loss-free, no per-listener
 // observer subscription):
 //
 //   - decisions: every protocol draws from its own per-node rng stream and
 //     touches only its own state, and per-node step order is preserved
 //     (ascending local slot), so stepping tile-by-tile in parallel yields
-//     the decision sequences the serial engine draws — the pool's barrier
-//     separates slot s's steps from slot s's deliveries exactly as the
-//     serial phase split does, so even adaptive (non-oblivious) protocols
-//     see the identical interleaving of Step and Deliver calls;
+//     the same decision sequences — the barrier separates slot s's steps
+//     from slot s's deliveries exactly as the single tile's phase split
+//     does, so even adaptive (non-oblivious) protocols see the identical
+//     interleaving of Step and Deliver calls;
 //   - resolution: each listener is resolved by exactly one tile (its own),
 //     against a halo mask that the barrier guarantees is the slot's
 //     complete transmitter picture within radio reach (NewTileMasks proved
 //     structurally that no candidate lies outside the halo), through the
-//     same OverlapResolve kernel as the flat paths;
+//     same OverlapResolve kernel;
 //   - effects: with no loss model there are no shared-rng draws to order,
 //     with no per-listener events there is no event order to preserve, a
 //     listener receives at most one delivery per slot, and half duplex
@@ -49,25 +53,12 @@ import (
 //     sequentially after the barrier;
 //   - errors: each tile validates its nodes in ascending NodeID order and
 //     stops at its first failure; the engine reports the minimum failing
-//     node across tiles, which is the first failure the serial ascending
-//     scan would have hit (validity is a per-node property), with the
-//     identical message.
-type tiledRun struct {
-	tl       *topology.Tiling
-	masks    *topology.TileMasks
-	pool     *tilepool.Pool
-	tiles    []tileState
-	channels int
+//     node across tiles, which is the first failure an ascending scan
+//     would have hit (validity is a per-node property), with the identical
+//     message.
 
-	// Per-slot inputs to the phase closures, set by tiledSlot before each
-	// pool round; the closures themselves are built once per run.
-	slot       int
-	startSlots []int
-	fnA, fnB   func(int)
-}
-
-// tileDelivery is one phase-B delivery, queued for the sequential
-// coverage-apply step.
+// tileDelivery is one multi-tile phase-B delivery, queued for the
+// sequential coverage-apply step.
 type tileDelivery struct {
 	from, to topology.NodeID
 }
@@ -81,6 +72,9 @@ type tileState struct {
 	nodes     []topology.NodeID // the tile's nodes, ascending (shared storage)
 	words     int               // word width of the tile's own segment
 	haloWords int               // word width of the tile's halo space
+	// ownHalo marks a tile whose halo is only itself (a single tile): its
+	// halo bits are its local indexes, and phase B reads localTx directly.
+	ownHalo bool
 
 	localTx   []uint64 // channel-major transmitter masks, channels × words
 	txOn      []int32  // per-channel transmitter count in this tile
@@ -94,7 +88,7 @@ type tileState struct {
 	haloLive  []bool   // per channel: any transmitter present at last assembly
 
 	deliv []tileDelivery
-	heard []topology.NodeID // heard-list snapshot lent to each in-tile Deliver
+	heard []topology.NodeID // heard-list snapshot lent to each Deliver
 
 	err     error
 	errNode topology.NodeID
@@ -114,15 +108,18 @@ func buildTileStates(tl *topology.Tiling, channels int) []tileState {
 		ts.nodes = tl.TileNodes(t)
 		ts.words = tl.TileWords(t)
 		ts.haloWords = tl.HaloWords(t)
+		ts.ownHalo = len(tl.HaloTiles(t)) == 1
 		n := len(ts.nodes)
 		ts.localTx = make([]uint64, channels*ts.words)
 		ts.txOn = make([]int32, channels)
 		ts.txTouched = make([]channel.ID, 0, 8)
 		ts.rxU = make([]topology.NodeID, 0, n)
 		ts.rxC = make([]channel.ID, 0, n)
-		ts.halo = make([]uint64, channels*ts.haloWords)
-		ts.haloStamp = make([]int, channels)
-		ts.haloLive = make([]bool, channels)
+		if !ts.ownHalo {
+			ts.halo = make([]uint64, channels*ts.haloWords)
+			ts.haloStamp = make([]int, channels)
+			ts.haloLive = make([]bool, channels)
+		}
 	}
 	return tiles
 }
@@ -132,12 +129,8 @@ func buildTileStates(tl *topology.Tiling, channels int) []tileState {
 func resetTileStates(tiles []tileState) {
 	for t := range tiles {
 		ts := &tiles[t]
-		for i := range ts.localTx {
-			ts.localTx[i] = 0
-		}
-		for i := range ts.txOn {
-			ts.txOn[i] = 0
-		}
+		clear(ts.localTx)
+		clear(ts.txOn)
 		ts.txTouched = ts.txTouched[:0]
 		ts.rxU, ts.rxC = ts.rxU[:0], ts.rxC[:0]
 		for i := range ts.haloStamp {
@@ -152,22 +145,26 @@ func resetTileStates(tiles []tileState) {
 	}
 }
 
-// tiledSlot executes one slot on the tiled path: phase A across the pool,
-// the error sweep, the slot event, phase B across the pool, and the
-// sequential coverage apply.
+// runSlot executes one slot: phase A, the error sweep, the slot event, and
+// phase B — across the pool followed by the sequential coverage apply on a
+// multi-tile run, inline (or on the scalar scan) on the single tile.
 //
 //nd:hotpath
-func (r *syncRun) tiledSlot(slot int) error {
-	tr := r.tiled
-	tr.slot = slot
-	tr.pool.Run(len(tr.tiles), tr.fnA)
+func (r *syncRun) runSlot(slot int) error {
+	r.slot = slot
+	r.ev.Time, r.ev.Slot = float64(slot), slot
+	if r.pool != nil {
+		r.pool.Run(len(r.tiles), r.fnA)
+	} else {
+		r.tileSlotA(0)
+	}
 
-	// Error sweep: the minimum failing node across tiles is the failure the
-	// serial ascending scan would have reported first.
+	// Error sweep: the minimum failing node across tiles is the failure an
+	// ascending scan would have reported first.
 	var firstErr error
 	firstNode := topology.NodeID(-1)
-	for t := range tr.tiles {
-		ts := &tr.tiles[t]
+	for t := range r.tiles {
+		ts := &r.tiles[t]
 		if ts.err != nil && (firstNode < 0 || ts.errNode < firstNode) {
 			firstErr, firstNode = ts.err, ts.errNode
 		}
@@ -183,55 +180,69 @@ func (r *syncRun) tiledSlot(slot int) error {
 		})
 	}
 
-	tr.pool.Run(len(tr.tiles), tr.fnB)
-
-	// Sequential apply: the coverage oracle is shared across tiles, so it
-	// runs on the caller in ascending tile order. Within-slot order is
-	// invisible in results — every delivery carries the same slot stamp and
-	// each link is observed at most once per slot — so any fixed order
-	// matches the serial engine.
-	for t := range tr.tiles {
-		for _, d := range tr.tiles[t].deliv {
-			r.coverage.Observe(topology.Link{From: d.from, To: d.to}, float64(slot))
+	switch {
+	case r.pool != nil:
+		r.pool.Run(len(r.tiles), r.fnB)
+		// Sequential apply: the coverage oracle is shared across tiles, so
+		// it runs on the caller in ascending tile order. Within-slot order
+		// is invisible in results — every delivery carries the same slot
+		// stamp and each link is observed at most once per slot — so any
+		// fixed order matches the single tile.
+		for t := range r.tiles {
+			for _, d := range r.tiles[t].deliv {
+				r.coverage.Observe(topology.Link{From: d.from, To: d.to}, float64(slot))
+			}
 		}
+	case r.masks == nil:
+		r.resolveScalar(&r.tiles[0])
+		r.internals.ScalarSlots++
+	default:
+		r.tileSlotB(0)
 	}
 	return nil
 }
 
 // tileSlotA is phase A for one tile: clear the tile's previous slot, step
-// its active nodes' protocols, validate, and scatter.
+// its active nodes' protocols in ascending NodeID order, validate, and
+// scatter.
 //
 //nd:hotpath
 func (r *syncRun) tileSlotA(ti int) {
-	tr := r.tiled
-	ts := &tr.tiles[ti]
-	slot := tr.slot
+	ts := &r.tiles[ti]
+	slot := r.slot
 
 	for _, c := range ts.txTouched {
 		ts.txOn[c] = 0
-		seg := ts.localTx[int(c)*ts.words : (int(c)+1)*ts.words]
-		for i := range seg {
-			seg[i] = 0
-		}
+		clear(ts.localTx[int(c)*ts.words : (int(c)+1)*ts.words])
 	}
 	ts.txTouched = ts.txTouched[:0]
 	ts.rxU, ts.rxC = ts.rxU[:0], ts.rxC[:0]
 	ts.deliv = ts.deliv[:0]
 	ts.err = nil
 
-	// Step the tile's active nodes in ascending order, mirroring phase1.
 	stepped := 0
-	for _, u := range ts.nodes {
+	active, locals, startSlots, actions, protos := r.active, r.locals, r.startSlots, r.actions, r.protos
+	txOn, localTx, words := ts.txOn, ts.localTx, ts.words
+	// A node's position in the tile is its local index.
+	for li, u := range ts.nodes {
 		local := slot
-		if tr.startSlots != nil {
-			if slot < tr.startSlots[u] {
-				r.actions[u] = radio.Action{Mode: radio.Quiet}
+		switch {
+		case active != nil:
+			if !active[u] {
+				actions[u] = radio.Action{Mode: radio.Quiet}
 				continue
 			}
-			local = slot - tr.startSlots[u]
+			local = locals[u]
+			locals[u]++
+		case startSlots != nil:
+			if slot < startSlots[u] {
+				actions[u] = radio.Action{Mode: radio.Quiet}
+				continue
+			}
+			local = slot - startSlots[u]
 		}
 		stepped++
-		a := r.protos[u].Step(local)
+		a := protos[u].Step(local)
 		switch a.Mode {
 		case radio.Transmit:
 			c := a.Channel
@@ -239,11 +250,11 @@ func (r *syncRun) tileSlotA(ti int) {
 				ts.err, ts.errNode = r.invalid(u, slot, a), u
 				return
 			}
-			if ts.txOn[c] == 0 {
+			if txOn[c] == 0 {
 				ts.txTouched = append(ts.txTouched, c)
 			}
-			ts.txOn[c]++
-			channel.SetBit(ts.localTx[int(c)*ts.words:(int(c)+1)*ts.words], tr.tl.LocalIndex(u))
+			txOn[c]++
+			channel.SetBit(localTx[int(c)*words:(int(c)+1)*words], li)
 		case radio.Receive:
 			c := a.Channel
 			if !r.valid(u, c) {
@@ -258,10 +269,12 @@ func (r *syncRun) tileSlotA(ti int) {
 			return
 		}
 		if r.storeActions {
-			r.actions[u] = a
+			actions[u] = a
 		}
 	}
-	if r.tallyInternals && stepped > 0 {
+	// Decision rounds: one per (slot, tile with active nodes); the single
+	// tile counts one round every slot.
+	if r.tallyInternals && (stepped > 0 || r.pool == nil) {
 		ts.batches++
 		ts.batchNodes += int64(stepped)
 		if int64(stepped) > ts.maxBatch {
@@ -270,65 +283,92 @@ func (r *syncRun) tileSlotA(ti int) {
 	}
 }
 
-// tileSlotB is phase B for one tile: lazy per-channel halo assembly, then
-// one OverlapResolve per listener.
+// tileSlotB is phase B for one tile: one OverlapResolve per listener — or,
+// on a lossy run, the per-bit overlap walk — against its channel's halo
+// transmitter mask (the tile's own words when its halo is only itself),
+// with the idle, collision and delivery events of a single-tile run
+// emitted inline in listener order.
 //
 //nd:hotpath
 func (r *syncRun) tileSlotB(ti int) {
-	tr := r.tiled
-	ts := &tr.tiles[ti]
-	slot := tr.slot
-	hood := tr.tl.HaloTiles(ti)
-	segs := tr.tl.HaloSegments(ti)
+	ts := &r.tiles[ti]
 	for i, uid := range ts.rxU {
 		c := ts.rxC[i]
-		base := int(c) * ts.haloWords
-		if ts.haloStamp[c] != slot {
-			// First listener on c this slot: assemble the channel's halo
-			// mask. Every segment is fully written (copied or zeroed), so
-			// stale bits from earlier slots never survive.
-			ts.haloStamp[c] = slot
-			live := false
-			for j, s := range hood {
-				src := &tr.tiles[s]
-				dst := ts.halo[base+int(segs[j]) : base+int(segs[j+1])]
-				if src.txOn[c] == 0 {
-					for k := range dst {
-						dst[k] = 0
-					}
-					continue
-				}
-				live = true
-				copy(dst, src.localTx[int(c)*src.words:(int(c)+1)*src.words])
-				if r.tallyInternals && int(s) != ti {
-					ts.haloEx++
-					ts.haloWordsCopied += int64(len(dst))
-				}
+		var txw []uint64
+		live := ts.txOn[c] != 0
+		if ts.ownHalo {
+			txw = ts.localTx[int(c)*ts.words : (int(c)+1)*ts.words]
+		} else {
+			txw, live = r.haloTx(ti, ts, c)
+		}
+		if !live {
+			// Nobody within radio reach of the tile transmits on c:
+			// certain silence, no draws.
+			if r.wantIdle {
+				r.emit(EventIdle, 0, uid, c)
 			}
-			ts.haloLive[c] = live
+			continue
 		}
-		if !ts.haloLive[c] {
-			continue // certain silence within radio reach of the whole tile
+		row, lo := r.masks.Row(uid, c)
+		if !r.lossFree {
+			r.resolveLossy(ti, ts, uid, c, row, txw, lo)
+			continue
 		}
-		row, lo := tr.masks.Row(uid, c)
-		if count, first := channel.OverlapResolve(row, ts.halo[base+lo:base+ts.haloWords]); count == 1 {
-			r.tiledDeliver(ts, tr.tl.HaloNode(ti, lo<<6+first), uid)
+		count, first := channel.OverlapResolve(row, txw[lo:])
+		switch {
+		case count == 1:
+			r.deliver(ts, r.haloNode(ti, ts, lo<<6+first), uid, c)
+		case count == 0:
+			if r.wantIdle {
+				r.emit(EventIdle, 0, uid, c)
+			}
+		case r.wantColl:
+			r.emit(EventCollision, r.haloNode(ti, ts, lo<<6+first), uid, c)
 		}
 	}
 }
 
-// tiledDeliver delivers one unique transmission to a listener's protocol
-// in-worker — safe because each listener belongs to exactly one tile and
-// sender state is frozen for the slot (half duplex) — and queues the link
-// for the sequential coverage apply.
+// haloTx returns the halo transmitter mask for channel c of tile ti, whose
+// halo spans neighbor tiles, and whether any transmitter within it is
+// live. The first listener on c each slot assembles the channel's halo
+// mask, writing every segment (copied or zeroed) so stale bits from
+// earlier slots never survive.
 //
 //nd:hotpath
-func (r *syncRun) tiledDeliver(ts *tileState, sender, uid topology.NodeID) {
-	msg := radio.Message{From: sender, Avail: r.msgAvail[sender]}
-	if hr := r.hrs[sender]; hr != nil {
-		ts.heard = hr.AppendHeard(ts.heard[:0])
-		msg.Heard = borrowHeard(ts.heard)
+func (r *syncRun) haloTx(ti int, ts *tileState, c channel.ID) ([]uint64, bool) {
+	base := int(c) * ts.haloWords
+	halo := ts.halo[base : base+ts.haloWords]
+	if ts.haloStamp[c] == r.slot {
+		return halo, ts.haloLive[c]
 	}
-	r.protos[uid].Deliver(msg)
-	ts.deliv = append(ts.deliv, tileDelivery{from: sender, to: uid})
+	ts.haloStamp[c] = r.slot
+	hood := r.tl.HaloTiles(ti)
+	segs := r.tl.HaloSegments(ti)
+	live := false
+	for j, s := range hood {
+		src := &r.tiles[s]
+		dst := halo[segs[j]:segs[j+1]]
+		if src.txOn[c] == 0 {
+			clear(dst)
+			continue
+		}
+		live = true
+		copy(dst, src.localTx[int(c)*src.words:(int(c)+1)*src.words])
+		if r.tallyInternals && int(s) != ti {
+			ts.haloEx++
+			ts.haloWordsCopied += int64(len(dst))
+		}
+	}
+	ts.haloLive[c] = live
+	return halo, live
+}
+
+// haloNode maps a bit of tile ti's halo space back to its node.
+//
+//nd:hotpath
+func (r *syncRun) haloNode(ti int, ts *tileState, bit int) topology.NodeID {
+	if ts.ownHalo {
+		return ts.nodes[bit]
+	}
+	return r.tl.HaloNode(ti, bit)
 }

@@ -140,8 +140,8 @@ func (o *RunObserver) OnEvent(e sim.Event) {
 // internals report (resolver path, stepper batching, scratch table reuse)
 // is retained for Stats and the Aggregate merge. Attaching a RunObserver
 // subscribes to every event kind, so the report will attribute the run's
-// slots to the kernel (or scalar) path — the path that actually executed
-// under observation; see sim/internals.go.
+// slots to the single tile's kernel (or scalar) path — the path that
+// actually executed under observation; see sim/internals.go.
 func (o *RunObserver) OnInternals(in sim.Internals) {
 	o.internals.Merge(in)
 }
@@ -357,10 +357,10 @@ func NewAggregate(reg *Registry, opts ...AggregateOption) *Aggregate {
 	a.joins = reg.Counter("nd_joins_total", "nodes joining the network at epoch boundaries")
 	a.leaves = reg.Counter("nd_leaves_total", "nodes leaving the network at epoch boundaries")
 	a.channelLosses = reg.Counter("nd_channel_losses_total", "channels vacated to primary users at epoch boundaries")
-	a.tiledSlots = reg.Counter("nd_resolver_tiled_slots_total", "sync slots resolved on the tiled parallel path")
-	a.haloExchanges = reg.Counter("nd_halo_exchanges_total", "tiled-path halo segment copies from neighbor tiles")
+	a.tiledSlots = reg.Counter("nd_resolver_tiled_slots_total", "sync slots resolved on the multi-tile parallel path")
+	a.haloExchanges = reg.Counter("nd_halo_exchanges_total", "multi-tile halo segment copies from neighbor tiles")
 	a.haloWords = reg.Counter("nd_halo_words_copied_total", "words copied across tile halos")
-	a.kernelSlots = reg.Counter("nd_resolver_kernel_slots_total", "sync slots resolved on the listener-major kernel path")
+	a.kernelSlots = reg.Counter("nd_resolver_kernel_slots_total", "sync slots resolved on the single-tile word kernel (runs without a multi-tile tiling)")
 	a.scalarSlots = reg.Counter("nd_resolver_scalar_slots_total", "sync slots resolved on the scalar candidate-scan path")
 	a.maskOverruns = reg.Counter("nd_mask_budget_overruns_total", "sync candidate-mask tables (a static run's, or a dynamic epoch's) that exceeded their word budget")
 	a.stepperBatches = reg.Counter("nd_stepper_batches_total", "sync decision rounds (one per slot)")

@@ -15,7 +15,7 @@ import (
 // The pair scan runs over a spatial grid-bucket index (expected O(n) work
 // for the radii the suite uses) instead of all pairs; edge order and the rng
 // draw sequence are identical to the all-pairs scan, so seeded networks are
-// unchanged (geometricEdgesNaive is kept as the differential-test reference).
+// unchanged (the differential tests pin it to the all-pairs reference scan).
 func Geometric(n int, radius float64, r *rng.Source) (*Network, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("topology: geometric with %d nodes: %w", n, ErrNoNodes)
@@ -39,22 +39,6 @@ func geometricEdges(nodes []Node, radius float64) [][2]NodeID {
 	visitGeometricPairs(nodes, radius, func(i, j int32) {
 		edges = append(edges, [2]NodeID{NodeID(i), NodeID(j)})
 	})
-	return edges
-}
-
-// geometricEdgesNaive is the reference all-pairs scan, kept verbatim so
-// differential tests can pin geometricEdges to it. Production code never
-// calls this.
-func geometricEdgesNaive(nodes []Node, radius float64) [][2]NodeID {
-	var edges [][2]NodeID
-	for i := 0; i < len(nodes); i++ {
-		for j := i + 1; j < len(nodes); j++ {
-			dx, dy := nodes[i].X-nodes[j].X, nodes[i].Y-nodes[j].Y
-			if math.Hypot(dx, dy) <= radius {
-				edges = append(edges, [2]NodeID{NodeID(i), NodeID(j)})
-			}
-		}
-	}
 	return edges
 }
 

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math"
 	"math/bits"
 
 	"m2hew/internal/channel"
@@ -8,55 +9,83 @@ import (
 
 // CandidateMasks is the channel-major, CSR-style packing of an
 // InboundCandidates table: for every (listener u, channel c) pair, a bitset
-// over transmitter NodeIDs v with Reaches(v, u) and c ∈ span(u, v) — the
-// only nodes whose transmission on c can be decoded at u. The synchronous
-// engine's word-kernel slot resolver intersects one row against the slot's
-// transmitters-on-c mask with word-level kernels (channel.OverlapResolve,
-// or a word-by-word overlap walk on the lossy path) instead of scanning the
-// candidate list per listener.
+// over the transmitters v with Reaches(v, u) and c ∈ span(u, v) — the only
+// nodes whose transmission on c can be decoded at u. The synchronous
+// engine intersects one row against the slot's transmitters-on-c mask with
+// word-level kernels (channel.OverlapResolve, or a word-by-word overlap
+// walk on the lossy path) instead of scanning the candidate list per
+// listener.
 //
 // Rows are indexed r = u·C + c and stored packed: only the word window
 // [Lo(r), Lo(r)+rowLen) that actually contains candidate bits is kept, so
-// memory is proportional to candidate locality, not N²·C — the layout the
-// sharded large-n engine inherits, where per-tile node ranges make windows
-// narrow. Bit i of row word w is transmitter NodeID 64·(lo+w) + i, matching
-// the engine's per-slot transmitter masks so the two intersect directly.
+// memory is proportional to candidate locality, not N²·C. The bit space
+// is fixed when the table is made:
 //
-// Like InboundCandidates, the table snapshots the network it was derived
-// from: later RestrictSpan / DropDirection / SetAvail calls are not
-// reflected.
+//   - NewCandidateMasks: bit i of row word w is transmitter NodeID
+//     64·(lo+w)+i — the bit space of a single tile holding every node;
+//   - NewTileMasks: bits live in the listener's tile's halo word space
+//     (see Tiling; map them back with Tiling.HaloNode), which keeps every
+//     row within its 3×3 neighborhood and the table linear in n.
+//
+// Either way the bits match the engine's per-slot transmitter masks, so
+// the two intersect directly, and bits enumerate a listener's candidates
+// in ascending NodeID order within each tile segment.
+//
+// The table snapshots the candidate table it was packed from: later
+// RestrictSpan / DropDirection / SetAvail calls are not reflected.
 type CandidateMasks struct {
+	tl       *Tiling // halo bit space; nil: NodeID bit space
 	channels int
-	lo       []int32 // per row: first packed word's index in the full range
+	lo       []int32 // per row: first packed word's index in the bit space
 	off      []int32 // per row: start offset into words; len rows+1
 	words    []uint64
 	hi       []int32 // Rebuild scratch: the packing listener's per-channel window ends
 }
 
-// NewCandidateMasks packs the candidate table channel-major. channels is
-// the number of channel rows per listener (max channel ID + 1: the
-// engine's per-slot index uses the same bound). budgetWords caps the packed
-// size: when the table would exceed it — or there is nothing to pack — nil
-// is returned and the caller stays on the scalar resolver. A budget of 0
-// means unbounded.
+// NewCandidateMasks packs the candidate table channel-major in NodeID bit
+// space. channels is the number of channel rows per listener (max channel
+// ID + 1: the engine's per-slot index uses the same bound). budgetWords
+// caps the packed size: when the table would exceed it — or there is
+// nothing to pack — nil is returned and the caller stays on the scalar
+// resolver. A budget of 0 means unbounded.
 func NewCandidateMasks(cands [][]Candidate, channels, budgetWords int) *CandidateMasks {
-	m := new(CandidateMasks)
+	return newMasks(nil, cands, channels, budgetWords)
+}
+
+// NewTileMasks packs the candidate table into tl's halo-local bit space,
+// with NewCandidateMasks's arguments. It additionally returns nil when tl
+// does not partition the table's listeners or any candidate lies outside
+// its listener's halo: interference then crosses more than one tile
+// boundary (the tiling is finer than the network's reach), and the engine
+// must not resolve on it. Construction is thereby the tiling's exactness
+// check.
+func NewTileMasks(tl *Tiling, cands [][]Candidate, channels, budgetWords int) *CandidateMasks {
+	if tl == nil {
+		return nil
+	}
+	return newMasks(tl, cands, channels, budgetWords)
+}
+
+func newMasks(tl *Tiling, cands [][]Candidate, channels, budgetWords int) *CandidateMasks {
+	m := &CandidateMasks{tl: tl}
 	if !m.Rebuild(cands, channels, budgetWords) {
 		return nil
 	}
 	return m
 }
 
-// Rebuild repacks m in place from cands, with NewCandidateMasks's
-// arguments and result: the table afterwards equals a fresh
-// NewCandidateMasks(cands, channels, budgetWords). Storage is reused, so a
-// rebuild whose table fits m's capacity allocates nothing — the engine
-// rebuilds one scratch-owned table per changed epoch of a dynamic world.
-// On false (over budget or nothing to pack) m's contents are unspecified
-// and must not be read until a later Rebuild succeeds.
+// Rebuild repacks m in place from cands, in m's bit space, with the
+// constructors' arguments and result: the table afterwards equals a fresh
+// build from the same input. Storage is reused, so a rebuild whose table
+// fits m's capacity allocates nothing — the engine rebuilds one
+// scratch-owned table per changed epoch of a dynamic world. The zero
+// CandidateMasks packs in NodeID bit space. On false (over budget, nothing
+// to pack, or a halo violation) m's contents are unspecified and must not
+// be read until a later Rebuild succeeds.
 func (m *CandidateMasks) Rebuild(cands [][]Candidate, channels, budgetWords int) bool {
 	n := len(cands)
-	if n == 0 || channels <= 0 {
+	tl := m.tl
+	if n == 0 || channels <= 0 || (tl != nil && n != tl.n) {
 		return false
 	}
 	rows := n * channels
@@ -75,11 +104,15 @@ func (m *CandidateMasks) Rebuild(cands [][]Candidate, channels, budgetWords int)
 	for u, list := range cands {
 		base := u * channels
 		for c := 0; c < channels; c++ {
-			lo[base+c] = int32(n >> 6) // at or past every candidate word; hi < lo marks empty
+			lo[base+c] = math.MaxInt32 // hi < lo marks an empty row
 			hi[c] = -1
 		}
 		for _, cand := range list {
-			vw := int32(int(cand.From) >> 6)
+			bit := m.bit(u, cand.From)
+			if bit < 0 {
+				return false // halo violation: tiling too fine for this edge
+			}
+			vw := int32(bit >> 6)
 			for wi, w := range cand.Span.Words() {
 				for w != 0 {
 					c := wi*64 + bits.TrailingZeros64(w)
@@ -117,8 +150,9 @@ func (m *CandidateMasks) Rebuild(cands [][]Candidate, channels, budgetWords int)
 	for u, list := range cands {
 		base := u * channels
 		for _, cand := range list {
-			vw := int32(int(cand.From) >> 6)
-			vb := uint64(1) << (uint(cand.From) & 63)
+			bit := m.bit(u, cand.From)
+			vw := int32(bit >> 6)
+			vb := uint64(1) << uint(bit&63)
 			for wi, w := range cand.Span.Words() {
 				for w != 0 {
 					c := wi*64 + bits.TrailingZeros64(w)
@@ -135,6 +169,15 @@ func (m *CandidateMasks) Rebuild(cands [][]Candidate, channels, budgetWords int)
 	return true
 }
 
+// bit returns transmitter v's bit position in listener u's row space, or
+// -1 when v lies outside u's halo.
+func (m *CandidateMasks) bit(u int, v NodeID) int {
+	if m.tl == nil {
+		return int(v)
+	}
+	return m.tl.haloBit(int(m.tl.tileOf[u]), v)
+}
+
 // resize returns s re-sliced to length n, reallocating (exactly) only
 // when its capacity falls short; contents are unspecified.
 func resize[T any](s []T, n int) []T {
@@ -145,9 +188,10 @@ func resize[T any](s []T, n int) []T {
 }
 
 // Row returns listener u's packed transmitter bitset for channel c and the
-// index of its first word within the full NodeID word range: bit i of
-// row[w] is transmitter NodeID 64·(lo+w)+i. The row is empty when no
-// transmission on c can be decoded at u. Shared storage — do not modify.
+// index of its first word within u's bit space: bit i of row[w] is bit
+// 64·(lo+w)+i of that space (a NodeID, or a halo bit of u's tile). The row
+// is empty when no transmission on c can be decoded at u. Shared storage —
+// do not modify.
 //
 //nd:hotpath
 func (m *CandidateMasks) Row(u NodeID, c channel.ID) (row []uint64, lo int) {
@@ -155,9 +199,13 @@ func (m *CandidateMasks) Row(u NodeID, c channel.ID) (row []uint64, lo int) {
 	return m.words[m.off[r]:m.off[r+1]], int(m.lo[r])
 }
 
+// Tiling returns the tiling whose halo bit space the rows use, or nil for
+// NodeID bit space.
+func (m *CandidateMasks) Tiling() *Tiling { return m.tl }
+
 // Channels returns the number of channel rows per listener.
 func (m *CandidateMasks) Channels() int { return m.channels }
 
 // PackedWords returns the total packed word count — the table's memory
-// footprint, which NewCandidateMasks bounds by its budget.
+// footprint, which the constructors bound by their budget.
 func (m *CandidateMasks) PackedWords() int { return len(m.words) }

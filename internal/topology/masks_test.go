@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"testing"
 
@@ -9,20 +10,46 @@ import (
 	"m2hew/internal/rng"
 )
 
-// TestCandidateMasksMatchCandidates pins every (listener, channel) row to
-// the candidate table it was packed from: bit v is set iff some candidate
-// with From v has the channel in its span.
+// TestCandidateMasksMatchCandidates runs the packer table test on
+// coordinate-free Erdős–Rényi networks (every tiling then holds all nodes
+// in one tile) with asymmetric links and restricted spans.
 func TestCandidateMasksMatchCandidates(t *testing.T) {
-	root := rng.New(31)
-	for trial := 0; trial < 60; trial++ {
+	testMasksMatchCandidates(t, 31, 60, func(r *rng.Source) (*Network, float64, error) {
+		nw, err := ErdosRenyi(r.IntN(40)+2, 0.3, r)
+		return nw, 0, err
+	})
+}
+
+// TestTileMasksMatchCandidates runs the packer table test on geometric
+// networks, whose 2×2 and radius-matched tilings spread the nodes over
+// several tiles, with asymmetric links and restricted spans.
+func TestTileMasksMatchCandidates(t *testing.T) {
+	testMasksMatchCandidates(t, 47, 40, func(r *rng.Source) (*Network, float64, error) {
+		radius := 0.15 + r.Float64()*0.2
+		nw, err := Geometric(r.IntN(120)+2, radius, r)
+		return nw, radius, err
+	})
+}
+
+// testMasksMatchCandidates is the packer table test: on each seeded
+// network (channels assigned, directions dropped and spans restricted at
+// random) it packs the candidate table in every bit space — NodeIDs, the
+// single tile, a 2×2 grid and, for geometric networks, the radius-matched
+// tiling — and pins every (listener, channel) row to the candidates it was
+// packed from. Mapped back through HaloNode, a row must list exactly the
+// listener's candidates on that channel in ascending NodeID order; in
+// NodeID space and on the single tile the bits themselves enumerate them
+// in that order, and the single tile's bit is the NodeID.
+func testMasksMatchCandidates(t *testing.T, seed uint64, trials int, network func(*rng.Source) (*Network, float64, error)) {
+	root := rng.New(seed)
+	for trial := 0; trial < trials; trial++ {
 		r := root.Split()
 		t.Run(fmt.Sprintf("trial%02d", trial), func(t *testing.T) {
-			n := r.IntN(40) + 2
-			universe := r.IntN(5) + 1
-			nw, err := ErdosRenyi(n, 0.3, r)
+			nw, radius, err := network(r)
 			if err != nil {
 				t.Fatal(err)
 			}
+			universe := r.IntN(5) + 1
 			if err := AssignBernoulli(nw, universe, 0.7, r); err != nil {
 				t.Fatal(err)
 			}
@@ -36,7 +63,6 @@ func TestCandidateMasksMatchCandidates(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-
 			cands := nw.InboundCandidates()
 			channels := 0
 			if id, ok := nw.Universe().Max(); ok {
@@ -45,42 +71,81 @@ func TestCandidateMasksMatchCandidates(t *testing.T) {
 			if channels == 0 {
 				t.Skip("no channels assigned")
 			}
-			m := NewCandidateMasks(cands, channels, 0)
-			if m == nil {
-				t.Fatal("unbudgeted build returned nil")
-			}
-			if m.Channels() != channels {
-				t.Fatalf("Channels() = %d, want %d", m.Channels(), channels)
-			}
 
-			for u := 0; u < n; u++ {
-				for c := 0; c < channels; c++ {
-					want := make(map[NodeID]bool)
-					for _, cand := range cands[u] {
-						if cand.Span.Contains(channel.ID(c)) {
-							want[cand.From] = true
-						}
-					}
-					row, lo := m.Row(NodeID(u), channel.ID(c))
-					got := make(map[NodeID]bool)
-					for wi, w := range row {
-						for b := 0; b < 64; b++ {
-							if w&(1<<uint(b)) != 0 {
-								got[NodeID((lo+wi)*64+b)] = true
-							}
-						}
-					}
-					if len(got) != len(want) {
-						t.Fatalf("listener %d channel %d: mask has %d transmitters, want %d", u, c, len(got), len(want))
-					}
-					for v := range want {
-						if !got[v] {
-							t.Fatalf("listener %d channel %d: transmitter %d missing from mask", u, c, v)
-						}
-					}
+			flat := NewCandidateMasks(cands, channels, 0)
+			if flat == nil || flat.Tiling() != nil {
+				t.Fatal("unbudgeted NodeID-space build failed")
+			}
+			checkMaskRows(t, "node-ids", flat, cands, channels)
+			tilings := []struct {
+				label string
+				cols  int
+			}{{"single-tile", 1}, {"2x2", 2}}
+			for _, tc := range tilings {
+				tl, err := NewTiling(nw, tc.cols, tc.cols)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m := NewTileMasks(tl, cands, channels, 0)
+				if m == nil {
+					t.Fatalf("%s: build failed", tc.label) // a ≤2×2 grid's halos hold every tile
+				}
+				checkMaskRows(t, tc.label, m, cands, channels)
+				if tc.cols == 1 && !sameMasks(m, flat) {
+					t.Fatal("single tile: bits differ from NodeIDs")
 				}
 			}
+			if radius > 0 {
+				tl, err := TilingByRadius(nw, radius, r.IntN(16)+1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m := NewTileMasks(tl, cands, channels, 0)
+				if m == nil {
+					t.Fatalf("radius-matched %dx%d tiling: build failed", tl.Cols(), tl.Rows())
+				}
+				checkMaskRows(t, "radius-matched", m, cands, channels)
+			}
 		})
+	}
+}
+
+// checkMaskRows pins every row of m to cands (see testMasksMatchCandidates).
+func checkMaskRows(t *testing.T, label string, m *CandidateMasks, cands [][]Candidate, channels int) {
+	t.Helper()
+	if m.Channels() != channels {
+		t.Fatalf("%s: Channels() = %d, want %d", label, m.Channels(), channels)
+	}
+	tl := m.Tiling()
+	for u := range cands {
+		for c := 0; c < channels; c++ {
+			var want []NodeID
+			for _, cand := range cands[u] {
+				if cand.Span.Contains(channel.ID(c)) {
+					want = append(want, cand.From)
+				}
+			}
+			row, lo := m.Row(NodeID(u), channel.ID(c))
+			var got []NodeID
+			for wi, w := range row {
+				for ; w != 0; w &= w - 1 {
+					bit := (lo+wi)<<6 + bits.TrailingZeros64(w)
+					v := NodeID(bit)
+					if tl != nil {
+						if v = tl.HaloNode(tl.TileOf(NodeID(u)), bit); v < 0 {
+							t.Fatalf("%s: listener %d channel %d: bit %d maps to padding", label, u, c, bit)
+						}
+					}
+					got = append(got, v)
+				}
+			}
+			if tl != nil && tl.Tiles() > 1 {
+				slices.Sort(got) // halo segments follow tile order, not NodeID order
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: listener %d channel %d: row lists %v, candidates %v", label, u, c, got, want)
+			}
+		}
 	}
 }
 
@@ -163,7 +228,8 @@ func randomCandTable(r *rng.Source, n, universe int, density, pEmpty float64) []
 	return cands
 }
 
-// sameMasks reports whether two tables pack identically.
+// sameMasks reports whether two tables pack identically (in any bit
+// space).
 func sameMasks(a, b *CandidateMasks) bool {
 	return a.channels == b.channels && slices.Equal(a.lo, b.lo) &&
 		slices.Equal(a.off, b.off) && slices.Equal(a.words, b.words)
@@ -204,6 +270,28 @@ func TestCandidateMasksRebuildInPlace(t *testing.T) {
 		if ok && !sameMasks(m, fresh) {
 			t.Fatalf("step %d: in-place rebuild differs from a fresh build", i)
 		}
+	}
+
+	// A halo-space table rebuilds in its tiling's bit space and refuses a
+	// table its tiling does not partition.
+	nw, err := Geometric(80, 0.2, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := AssignUniformK(nw, 4, 2, r); err != nil {
+		t.Fatal(err)
+	}
+	tl, err := TilingByRadius(nw, 0.2, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands := nw.InboundCandidates()
+	tm := NewTileMasks(tl, cands, 2, 0)
+	if tm == nil || !tm.Rebuild(cands, 4, 0) || !sameMasks(tm, NewTileMasks(tl, cands, 4, 0)) || tm.Tiling() != tl {
+		t.Fatal("halo-space rebuild differs from a fresh build")
+	}
+	if tm.Rebuild(cands[:79], 4, 0) {
+		t.Fatal("halo-space rebuild accepted a table of another size")
 	}
 }
 

@@ -338,8 +338,8 @@ type Candidate struct {
 // undirected edge into one shared word arena and shared by both
 // directions' entries. The adjacency walk needs no membership searches
 // (the pairs come from the adjacency itself), and the dropped-direction
-// and span-override maps are consulted only when they exist.
-// inboundCandidatesNaive is the differential-test reference.
+// and span-override maps are consulted only when they exist. The
+// differential tests pin it to a row-at-a-time reference build.
 func (nw *Network) InboundCandidates() [][]Candidate {
 	n := len(nw.nodes)
 	// Pass 1: in ascending (u, v>u) edge order, count the surviving entries
@@ -417,29 +417,6 @@ func (nw *Network) InboundCandidates() [][]Candidate {
 // the shorter operand's. An override only ever shortens it.
 func (nw *Network) spanWords(u, v NodeID) int {
 	return min(len(nw.nodes[u].Avail.Words()), len(nw.nodes[v].Avail.Words()))
-}
-
-// inboundCandidatesNaive is the original row-at-a-time build, kept verbatim
-// as the differential-test reference for the flat shared-span
-// InboundCandidates. Production code never calls this.
-func (nw *Network) inboundCandidatesNaive() [][]Candidate {
-	table := make([][]Candidate, len(nw.nodes))
-	for u := range nw.nodes {
-		uid := NodeID(u)
-		var cands []Candidate
-		for _, v := range nw.adj[u] {
-			if !nw.Reaches(v, uid) {
-				continue
-			}
-			span := nw.Span(uid, v)
-			if span.IsEmpty() {
-				continue
-			}
-			cands = append(cands, Candidate{From: v, Span: span})
-		}
-		table[u] = cands
-	}
-	return table
 }
 
 // DegreeOn returns Δ(u,c): the number of neighbors whose transmissions can

@@ -3,9 +3,6 @@ package topology
 import (
 	"fmt"
 	"math"
-	"math/bits"
-
-	"m2hew/internal/channel"
 )
 
 // Tiling partitions a network's nodes into a cols×rows grid of spatial
@@ -59,14 +56,7 @@ func NewTiling(nw *Network, cols, rows int) (*Tiling, error) {
 		return nil, fmt.Errorf("topology: tiling grid %dx%d must be positive", cols, rows)
 	}
 	n := nw.N()
-	minX, minY := math.Inf(1), math.Inf(1)
-	maxX, maxY := math.Inf(-1), math.Inf(-1)
-	for u := 0; u < n; u++ {
-		nd := nw.Node(NodeID(u))
-		minX, maxX = math.Min(minX, nd.X), math.Max(maxX, nd.X)
-		minY, maxY = math.Min(minY, nd.Y), math.Max(maxY, nd.Y)
-	}
-	spanX, spanY := maxX-minX, maxY-minY
+	minX, minY, spanX, spanY := boundingBox(nw)
 	cellOf := func(coord, lo, span float64, cells int) int {
 		if span <= 0 {
 			return 0
@@ -143,31 +133,43 @@ func NewTiling(nw *Network, cols, rows int) (*Tiling, error) {
 	return tl, nil
 }
 
-// TilingByRadius builds a tiling whose cell side is at least radius — the
-// exactness precondition of the sharded engine — aiming for roughly
-// targetTiles tiles. The grid is square; with a tiny target the whole
-// network becomes one tile, which is legal (the engine degenerates to one
-// worker). radius must be positive; coordinates are assumed to span at most
-// the unit square (the geometric generators'), so cols is capped at
-// ⌊1/radius⌋.
+// TilingByRadius builds a tiling whose cell side is at least radius on
+// both axes — the exactness precondition of the sharded engine — aiming
+// for roughly targetTiles tiles: ⌊√targetTiles⌋ cells per axis, each axis
+// capped at ⌊span/radius⌋ cells, where span is the nodes' bounding-box
+// extent along it (NewTiling divides that box, not the unit square), and
+// at least one. With a tiny target the whole network becomes one tile,
+// which is legal (the engine degenerates to one worker). radius must be
+// positive.
 func TilingByRadius(nw *Network, radius float64, targetTiles int) (*Tiling, error) {
+	if nw == nil {
+		return nil, fmt.Errorf("topology: tiling needs a network")
+	}
 	if radius <= 0 {
 		return nil, fmt.Errorf("topology: tiling radius %v must be positive", radius)
 	}
-	if targetTiles < 1 {
-		targetTiles = 1
+	side := int(math.Sqrt(float64(max(targetTiles, 1))))
+	_, _, spanX, spanY := boundingBox(nw)
+	cells := func(span float64) int {
+		if byRadius := span / radius; byRadius < float64(side) {
+			return int(max(byRadius, 1)) // ⌊span/radius⌋, at least one cell
+		}
+		return side
 	}
-	cols := int(math.Sqrt(float64(targetTiles)))
-	if cols < 1 {
-		cols = 1
+	return NewTiling(nw, cells(spanX), cells(spanY))
+}
+
+// boundingBox returns the lower corner and the extents of nw's node
+// coordinates (extents are 0 or negative for an empty network).
+func boundingBox(nw *Network) (minX, minY, spanX, spanY float64) {
+	minX, minY = math.Inf(1), math.Inf(1)
+	maxX, maxY := math.Inf(-1), math.Inf(-1)
+	for u := 0; u < nw.N(); u++ {
+		nd := nw.Node(NodeID(u))
+		minX, maxX = math.Min(minX, nd.X), math.Max(maxX, nd.X)
+		minY, maxY = math.Min(minY, nd.Y), math.Max(maxY, nd.Y)
 	}
-	if byRadius := int(1 / radius); byRadius < cols {
-		cols = byRadius
-	}
-	if cols < 1 {
-		cols = 1
-	}
-	return NewTiling(nw, cols, cols)
+	return minX, minY, maxX - minX, maxY - minY
 }
 
 // Tiles returns the number of grid cells (including empty ones).
@@ -237,164 +239,14 @@ func (tl *Tiling) HaloNode(t, bit int) NodeID {
 	return -1
 }
 
-// TileMasks is the halo-local packing of an InboundCandidates table for a
-// tiling: for every (listener u, channel c), a bitset over the transmitters
-// that can be decoded at u, expressed in u's tile's halo word space (see
-// Tiling) instead of global NodeID space. Keeping each listener's row local
-// to its 3×3 neighborhood is what makes the table linear in n — the window
-// a row can span is bounded by the halo width, not the network width — and
-// is what the sharded engine intersects against its per-slot halo
-// transmitter masks.
-//
-// Construction doubles as the exactness check for the tiling: a candidate
-// transmitter outside the listener's halo means interference crosses more
-// than one tile boundary (the tiling's cells are smaller than the radius),
-// and NewTileMasks returns nil so the engine falls back to the
-// single-threaded resolvers rather than miss the transmitter.
-//
-// Like CandidateMasks, rows are indexed r = u·C + c and stored packed to
-// their populated word window [Lo(r), Lo(r)+rowLen). The table snapshots
-// the candidate table it was built from.
-type TileMasks struct {
-	tl       *Tiling
-	channels int
-	lo       []int32
-	off      []int32
-	words    []uint64
+// haloBit returns node v's bit position in tile t's halo word space, or -1
+// when v's tile is outside t's halo.
+func (tl *Tiling) haloBit(t int, v NodeID) int {
+	s := tl.tileOf[v]
+	for j, h := range tl.haloTiles[t] {
+		if h == s {
+			return int(tl.haloSegs[t][j])<<6 + int(tl.localOf[v])
+		}
+	}
+	return -1
 }
-
-// NewTileMasks packs the candidate table into halo-local rows. channels is
-// the number of channel rows per listener (max channel ID + 1). budgetWords
-// caps the packed size; 0 means unbounded. nil is returned when the budget
-// is exceeded, when there is nothing to pack, or when any candidate lies
-// outside its listener's halo (the tiling is too fine for the network's
-// reach — fall back to the single-threaded engine).
-func NewTileMasks(tl *Tiling, cands [][]Candidate, channels, budgetWords int) *TileMasks {
-	n := len(cands)
-	if tl == nil || n == 0 || n != tl.n || channels <= 0 {
-		return nil
-	}
-	rows := n * channels
-
-	// haloBit returns the candidate's bit position in listener tile t's
-	// halo space, or -1 when the candidate's tile is outside t's halo.
-	haloBit := func(t int, from NodeID) int {
-		s := tl.tileOf[from]
-		hood := tl.haloTiles[t]
-		for j, h := range hood {
-			if h == s {
-				return int(tl.haloSegs[t][j])<<6 + int(tl.localOf[from])
-			}
-		}
-		return -1
-	}
-
-	// Pass 1: per-row word windows.
-	const sentinel = int32(math.MaxInt32)
-	lo := make([]int32, rows)
-	hi := make([]int32, rows)
-	for r := range lo {
-		lo[r] = sentinel
-		hi[r] = -1
-	}
-	running := 0
-	for u, list := range cands {
-		t := int(tl.tileOf[u])
-		base := u * channels
-		for _, cand := range list {
-			bit := haloBit(t, cand.From)
-			if bit < 0 {
-				return nil // halo violation: tiling too fine for this edge
-			}
-			vw := int32(bit >> 6)
-			for wi, w := range cand.Span.Words() {
-				for w != 0 {
-					c := wi<<6 + bits.TrailingZeros64(w)
-					w &= w - 1
-					if c >= channels {
-						break
-					}
-					r := base + c
-					if vw < lo[r] {
-						lo[r] = vw
-					}
-					if vw > hi[r] {
-						hi[r] = vw
-					}
-				}
-			}
-		}
-		// Rows of listener u are final once its list is done: keep a running
-		// total and stop as soon as the budget is exceeded.
-		if budgetWords > 0 {
-			for r := base; r < base+channels; r++ {
-				if hi[r] >= lo[r] {
-					running += int(hi[r]-lo[r]) + 1
-				}
-			}
-			if running > budgetWords {
-				return nil
-			}
-		}
-	}
-
-	total := 0
-	off := make([]int32, rows+1)
-	for r := 0; r < rows; r++ {
-		if hi[r] >= lo[r] {
-			total += int(hi[r]-lo[r]) + 1
-		} else {
-			lo[r] = 0
-		}
-		off[r+1] = int32(total)
-	}
-	if total == 0 || (budgetWords > 0 && total > budgetWords) {
-		return nil
-	}
-
-	// Pass 2: fill the packed rows.
-	words := make([]uint64, total)
-	for u, list := range cands {
-		t := int(tl.tileOf[u])
-		base := u * channels
-		for _, cand := range list {
-			bit := haloBit(t, cand.From)
-			vw := int32(bit >> 6)
-			vb := uint64(1) << uint(bit&63)
-			for wi, w := range cand.Span.Words() {
-				for w != 0 {
-					c := wi<<6 + bits.TrailingZeros64(w)
-					w &= w - 1
-					if c >= channels {
-						break
-					}
-					r := base + c
-					words[int(off[r])+int(vw-lo[r])] |= vb
-				}
-			}
-		}
-	}
-	return &TileMasks{tl: tl, channels: channels, lo: lo, off: off, words: words}
-}
-
-// Row returns listener u's packed transmitter bitset for channel c and the
-// index of its first word within u's tile's halo word space: bit i of
-// row[w] is the halo bit 64·(lo+w)+i (map it back with Tiling.HaloNode).
-// The row is empty when nothing on c can be decoded at u. Shared storage —
-// do not modify.
-//
-//nd:hotpath
-func (m *TileMasks) Row(u NodeID, c channel.ID) (row []uint64, lo int) {
-	r := int(u)*m.channels + int(c)
-	return m.words[m.off[r]:m.off[r+1]], int(m.lo[r])
-}
-
-// Tiling returns the tiling the rows are expressed in.
-func (m *TileMasks) Tiling() *Tiling { return m.tl }
-
-// Channels returns the number of channel rows per listener.
-func (m *TileMasks) Channels() int { return m.channels }
-
-// PackedWords returns the total packed word count — the table's memory
-// footprint, which NewTileMasks bounds by its budget.
-func (m *TileMasks) PackedWords() int { return len(m.words) }
