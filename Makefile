@@ -49,7 +49,7 @@ test-race:
 ci: build vet fmt-check lint
 	$(GO) test -shuffle=on ./...
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./internal/sim/... ./internal/harness/... ./internal/telemetry/... ./internal/dynamics/... ./internal/channel/... ./internal/topology/...
-	$(GO) test -race ./internal/harness/... ./internal/experiment/... ./internal/trace/... ./internal/sim/... ./internal/telemetry/... ./internal/dynamics/... ./internal/channel/... ./internal/topology/... ./internal/diag/...
+	$(GO) test -race ./internal/harness/... ./internal/experiment/... ./internal/trace/... ./internal/sim/... ./internal/telemetry/... ./internal/dynamics/... ./internal/channel/... ./internal/topology/... ./internal/diag/... ./internal/metrics/...
 	$(MAKE) bench-gate
 	$(MAKE) perfbench-smoke
 

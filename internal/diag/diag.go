@@ -5,11 +5,9 @@
 //
 // The package is a thin serving skeleton over seams that already exist —
 // telemetry.Registry for /metrics, harness.Progress for /progress, expvar
-// and net/http/pprof for the debug endpoints — and is the surface the
-// planned nddserve daemon will mount its job API onto (ROADMAP open item
-// 2). Attaching it never changes results: the server only reads snapshots,
-// and the progress stream is fed with non-blocking sends, so a slow (or
-// hostile) client can stall nothing.
+// and net/http/pprof for the debug endpoints. Attaching it never changes
+// results: the server only reads snapshots, and the progress stream is fed
+// with non-blocking sends, so a slow (or hostile) client can stall nothing.
 //
 // Endpoints:
 //
@@ -18,7 +16,7 @@
 //	/runinfo  run configuration, seed and build info (JSON)
 //	/progress NDJSON stream: one snapshot record, then live per-trial
 //	          completion records until the client disconnects
-//	/debug/vars   expvar JSON (includes registry metrics when published)
+//	/debug/vars   expvar JSON (the Go runtime's memstats and cmdline)
 //	/debug/pprof  CPU, heap, goroutine, … profiles
 package diag
 

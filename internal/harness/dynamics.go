@@ -8,15 +8,6 @@ import (
 	"m2hew/internal/topology"
 )
 
-// syncDynamicsJob carries one prepared dynamic trial from the sequential
-// setup phase to the worker pool: the per-node protocols plus the trial's
-// private world (a World memoizes epoch snapshots, so it must not be shared
-// across concurrent trials).
-type syncDynamicsJob struct {
-	protos []sim.SyncProtocol
-	world  *dynamics.World
-}
-
 // SyncDynamicsTrials runs independent trials of a synchronous scenario on a
 // time-varying world and returns the engine results in trial order. Each
 // trial draws, sequentially from root in trial order, first the per-node
@@ -29,46 +20,9 @@ type syncDynamicsJob struct {
 // whole number of slots (the synchronous engine advances epochs on slot
 // boundaries).
 func SyncDynamicsTrials(nw *topology.Network, factory SyncFactory, spec dynamics.Spec, epochs, maxSlots, trials int, root *rng.Source) ([]*sim.SyncResult, error) {
-	return TrialsScratch(trials,
-		func(int) (syncDynamicsJob, error) {
-			sources := root.SplitN(nw.N())
-			protos := make([]sim.SyncProtocol, nw.N())
-			for u := 0; u < nw.N(); u++ {
-				p, err := factory(topology.NodeID(u), sources[u])
-				if err != nil {
-					return syncDynamicsJob{}, err
-				}
-				protos[u] = p
-			}
-			world, err := dynamics.NewWorld(nw, spec, epochs, root.Split())
-			if err != nil {
-				return syncDynamicsJob{}, err
-			}
-			return syncDynamicsJob{protos: protos, world: world}, nil
-		},
-		func(_ int, job syncDynamicsJob, sc *Scratch) (*sim.SyncResult, error) {
-			cfg := sim.SyncConfig{
-				Network:   nw,
-				Protocols: job.protos,
-				MaxSlots:  maxSlots,
-				Dynamics:  job.world,
-				Scratch:   sc.Sync(),
-			}
-			ins := CurrentInstrument()
-			var obs sim.Observer
-			if ins != nil {
-				obs = ins.TrialObserver(nw.N(), channelSpace(nw))
-				cfg.Observer = obs
-			}
-			res, err := sim.RunSync(cfg)
-			if err != nil {
-				return nil, err
-			}
-			if ins != nil {
-				ins.TrialDone(obs)
-			}
-			return res, nil
-		})
+	return syncTrials(nw, factory, nil, maxSlots, trials, root, func(r *rng.Source) (*dynamics.World, error) {
+		return dynamics.NewWorld(nw, spec, epochs, r)
+	})
 }
 
 // PooledLatencies reduces dynamic-run coverage records to the suite's

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"m2hew/internal/dynamics"
 	"m2hew/internal/rng"
 	"m2hew/internal/sim"
 	"m2hew/internal/topology"
@@ -17,25 +18,49 @@ type SyncFactory func(u topology.NodeID, r *rng.Source) (sim.SyncProtocol, error
 // Network must be read-only during simulation, which all topology
 // generators guarantee after construction.
 func SyncTrials(nw *topology.Network, factory SyncFactory, starts []int, maxSlots, trials int, root *rng.Source) ([]*sim.SyncResult, error) {
+	return syncTrials(nw, factory, starts, maxSlots, trials, root, nil)
+}
+
+// syncTrialJob carries one prepared trial from the sequential setup phase
+// to the worker pool: the per-node protocols plus, for a dynamic trial,
+// its private world (a World memoizes epoch snapshots, so it must not be
+// shared across concurrent trials).
+type syncTrialJob struct {
+	protos []sim.SyncProtocol
+	world  *dynamics.World
+}
+
+// syncTrials is the trial body of SyncTrials and SyncDynamicsTrials. Each
+// trial draws, sequentially from root in trial order, its per-node
+// protocol sources and then, when newWorld is non-nil, its world from one
+// further split.
+func syncTrials(nw *topology.Network, factory SyncFactory, starts []int, maxSlots, trials int, root *rng.Source, newWorld func(*rng.Source) (*dynamics.World, error)) ([]*sim.SyncResult, error) {
 	return TrialsScratch(trials,
-		func(int) ([]sim.SyncProtocol, error) {
+		func(int) (syncTrialJob, error) {
 			sources := root.SplitN(nw.N())
-			protos := make([]sim.SyncProtocol, nw.N())
+			job := syncTrialJob{protos: make([]sim.SyncProtocol, nw.N())}
 			for u := 0; u < nw.N(); u++ {
 				p, err := factory(topology.NodeID(u), sources[u])
 				if err != nil {
-					return nil, err
+					return syncTrialJob{}, err
 				}
-				protos[u] = p
+				job.protos[u] = p
 			}
-			return protos, nil
+			if newWorld != nil {
+				var err error
+				if job.world, err = newWorld(root.Split()); err != nil {
+					return syncTrialJob{}, err
+				}
+			}
+			return job, nil
 		},
-		func(_ int, protos []sim.SyncProtocol, sc *Scratch) (*sim.SyncResult, error) {
+		func(_ int, job syncTrialJob, sc *Scratch) (*sim.SyncResult, error) {
 			cfg := sim.SyncConfig{
 				Network:    nw,
-				Protocols:  protos,
+				Protocols:  job.protos,
 				StartSlots: starts,
 				MaxSlots:   maxSlots,
+				Dynamics:   job.world,
 				Scratch:    sc.Sync(),
 			}
 			ins := CurrentInstrument()

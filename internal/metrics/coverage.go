@@ -4,8 +4,11 @@
 // The central type is Coverage: the oracle's view of which directed links
 // have been covered (paper terminology: link (v,u) is covered when u hears a
 // clear message from v) and when. Engines feed it observations; experiments
-// read completion times and progress curves from it. Aggregation helpers
-// summarize repeated trials into the statistics EXPERIMENTS.md reports.
+// read completion times and progress curves from it. One store serves
+// static and dynamic runs alike: a shared read-only TargetIndex per network
+// plus, per run, an append-only tail of links added outside it.
+// Aggregation helpers summarize repeated trials into the statistics
+// EXPERIMENTS.md reports.
 package metrics
 
 import (
@@ -21,7 +24,8 @@ import (
 // destination lists, so memory is O(links) and a membership query is one
 // binary search in the sender's row. An index is immutable once built; it
 // is meant to be built once per network and shared read-only by every
-// run's Coverage on that network (see NewCoverageOn).
+// run's Coverage on that network (see NewCoverageOn and
+// NewGrowingCoverage).
 type TargetIndex struct {
 	// off[v] .. off[v+1] is row v's window into to; len(off) is one past
 	// the largest From.
@@ -140,6 +144,10 @@ func (x *TargetIndex) find(l topology.Link) int {
 	return -1
 }
 
+// emptyIndex indexes the empty target; coverages built without an index
+// share it.
+var emptyIndex = &TargetIndex{off: make([]int64, 1)}
+
 // Coverage tracks first-coverage times for a target set of directed links.
 // Times are unitless float64s: slot indexes for synchronous runs, real time
 // for asynchronous runs.
@@ -150,49 +158,48 @@ func (x *TargetIndex) find(l topology.Link) int {
 // — first coverage minus birth — stays well-defined for links that did not
 // exist at time zero.
 //
-// Two interchangeable backings implement the same observable behaviour.
-// Static targets use a CSR one: a shared read-only TargetIndex plus the
-// run's own first-coverage times and covered bitmap, both O(links), with
-// Observe one binary search in the sender's row. Dynamic targets — an
-// empty constructor target grown by AddTarget — use a map one. An
-// AddTarget outside a CSR target migrates the state into maps without
-// touching the shared index; results are identical with either backing.
+// Every link a Coverage knows has a fixed position. The links of a shared,
+// read-only TargetIndex come first, in index order; links added outside the
+// index follow in an append-only tail, in arrival order. The first-coverage
+// time, birth time, covered bit and targeted bit of each link live in
+// arrays indexed by position, so positions never move and the index is
+// never written. A static Coverage (NewCoverageOn) targets every index
+// link; a growing one (NewGrowingCoverage) starts empty and targets links
+// as AddTarget names them, so only links outside the index reach the tail.
 type Coverage struct {
-	// CSR backing, active iff index != nil: link i of the index was first
-	// covered at at[i], meaningful only where covered has bit i. The index
-	// is shared and never written.
-	index   *TargetIndex
-	at      []float64
-	covered []uint64
+	index   *TargetIndex          // shared, never written: positions [0, index.Len())
+	tail    []topology.Link       // position index.Len()+k holds tail[k]
+	tailPos map[topology.Link]int // a tail link's position; lookup only
 
-	// Map backing, active iff index == nil.
-	first  map[topology.Link]float64
-	target map[topology.Link]bool
+	at   []float64  // first-coverage time per position, meaningful where covered
+	born []float64  // birth time per position; nil while every birth is 0
+	bits []linkBits // covered and targeted bits, 64 positions per entry
 
-	born      map[topology.Link]float64 // lazily allocated; absent link ⇒ born at 0
-	remaining int
+	size      int // targeted links
+	remaining int // targeted links not yet covered
 	nonTarget int // observations outside the target set (counted, never stored)
 }
 
+// linkBits holds the covered and targeted bits of 64 consecutive positions.
+type linkBits struct{ covered, targeted uint64 }
+
+// bitOf returns position i's bit within its linkBits entry.
+func bitOf(i int) uint64 { return uint64(1) << (uint(i) & 63) }
+
 // NewCoverage returns a Coverage whose completion target is the given links
-// (typically Network.DiscoverableLinks()). A non-empty target is indexed
-// once for this Coverage; callers running many trials on one network build
-// the index once with NewTargetIndex and use NewCoverageOn instead.
+// (typically Network.DiscoverableLinks()). The target is indexed once for
+// this Coverage; callers running many trials on one network build the
+// index once with NewTargetIndex and use NewCoverageOn instead.
 func NewCoverage(links []topology.Link) *Coverage {
-	if len(links) > 0 {
-		if idx := NewTargetIndex(links); idx != nil {
-			return NewCoverageOn(idx)
-		}
+	if idx := NewTargetIndex(links); idx != nil {
+		return NewCoverageOn(idx)
 	}
-	target := make(map[topology.Link]bool, len(links))
+	// A negative endpoint has no CSR row: the whole target is tail.
+	c := NewGrowingCoverage(nil)
 	for _, l := range links {
-		target[l] = true
+		c.AddTarget(l, 0)
 	}
-	return &Coverage{
-		first:     make(map[topology.Link]float64, len(links)),
-		target:    target,
-		remaining: len(target),
-	}
+	return c
 }
 
 // NewCoverageOn returns a Coverage whose completion target is the indexed
@@ -200,65 +207,81 @@ func NewCoverage(links []topology.Link) *Coverage {
 // one index serves any number of concurrent or later runs. A nil index
 // gives an empty target, like NewCoverage(nil).
 func NewCoverageOn(idx *TargetIndex) *Coverage {
+	c := NewGrowingCoverage(idx)
+	n := c.index.Len()
+	for k := range c.bits {
+		c.bits[k].targeted = ^uint64(0)
+	}
+	if n&63 != 0 {
+		c.bits[len(c.bits)-1].targeted = bitOf(n) - 1
+	}
+	c.size, c.remaining = n, n
+	return c
+}
+
+// NewGrowingCoverage returns a Coverage with an empty target that AddTarget
+// grows, over a shared index that fixes the positions of the links it may
+// target: dynamic runs pass the static network's index, so links that only
+// ever lose endpoints or channels (churn, primary users) stay in it and
+// only new links (mobility) reach the tail. A nil index puts every added
+// link in the tail.
+func NewGrowingCoverage(idx *TargetIndex) *Coverage {
 	if idx == nil {
-		return NewCoverage(nil)
+		idx = emptyIndex
 	}
 	return &Coverage{
-		index:     idx,
-		at:        make([]float64, idx.Len()),
-		covered:   make([]uint64, (idx.Len()+63)/64),
-		remaining: idx.Len(),
+		index: idx,
+		at:    make([]float64, idx.Len()),
+		bits:  make([]linkBits, (idx.Len()+63)/64),
 	}
 }
 
-// forEachTarget visits every CSR target link in ascending (From, To) order
-// with its coverage state. CSR backing only.
-func (c *Coverage) forEachTarget(fn func(l topology.Link, covered bool, at float64)) {
-	row := 0
-	for i := range c.index.to {
-		for int64(i) >= c.index.off[row+1] {
-			row++
-		}
-		fn(topology.Link{From: topology.NodeID(row), To: c.index.to[i]}, c.isCovered(i), c.at[i])
+// position returns link l's position, or -1 when l is neither in the index
+// nor in the tail.
+//
+//nd:hotpath
+func (c *Coverage) position(l topology.Link) int {
+	if i := c.index.find(l); i >= 0 {
+		return i
 	}
+	if i, ok := c.tailPos[l]; ok {
+		return i
+	}
+	return -1
 }
 
-// isCovered reports whether CSR link i has been covered.
-func (c *Coverage) isCovered(i int) bool {
-	return c.covered[i>>6]&(uint64(1)<<(uint(i)&63)) != 0
+// targeted reports whether position i is a target link; covered whether it
+// has been covered. Both accept -1 (no position) and report false.
+func (c *Coverage) targeted(i int) bool { return i >= 0 && c.bits[i>>6].targeted&bitOf(i) != 0 }
+func (c *Coverage) covered(i int) bool  { return i >= 0 && c.bits[i>>6].covered&bitOf(i) != 0 }
+
+// bornAt returns position i's birth time.
+func (c *Coverage) bornAt(i int) float64 {
+	if c.born == nil {
+		return 0
+	}
+	return c.born[i]
 }
 
 // Observe records that link l was covered at the given time. It returns true
 // if this is the first coverage of a target link. Observations of non-target
 // links are counted (see NonTargetObservations) but never stored: storing
-// them would let a mis-wired caller grow the map without bound, and the
+// them would let a mis-wired caller grow the state without bound, and the
 // engines cannot produce any — a delivery implies a discoverable link, and
 // the target is exactly the discoverable-link set.
 //
 //nd:hotpath
 func (c *Coverage) Observe(l topology.Link, at float64) bool {
-	if c.index != nil {
-		i := c.index.find(l)
-		if i < 0 {
-			c.nonTarget++
-			return false
-		}
-		if c.isCovered(i) {
-			return false
-		}
-		c.covered[i>>6] |= uint64(1) << (uint(i) & 63)
-		c.at[i] = at
-		c.remaining--
-		return true
-	}
-	if _, seen := c.first[l]; seen {
-		return false
-	}
-	if !c.target[l] {
+	i := c.position(l)
+	if !c.targeted(i) {
 		c.nonTarget++
 		return false
 	}
-	c.first[l] = at
+	if c.covered(i) {
+		return false
+	}
+	c.bits[i>>6].covered |= bitOf(i)
+	c.at[i] = at
 	c.remaining--
 	return true
 }
@@ -270,76 +293,68 @@ func (c *Coverage) Observe(l topology.Link, at float64) bool {
 // covered cannot occur in engine use — an engine only observes links it was
 // already told exist — and are rejected as no-ops too.
 func (c *Coverage) AddTarget(l topology.Link, at float64) bool {
-	if c.index != nil {
-		if c.index.find(l) >= 0 {
-			return false
-		}
-		// A link outside the static CSR target: a dynamic run growing its
-		// link set. Migrate to the map backing and fall through.
-		c.migrate()
-	}
-	if c.target[l] {
+	i := c.position(l)
+	if i < 0 {
+		i = c.appendTail(l)
+	} else if c.targeted(i) {
 		return false
 	}
-	c.target[l] = true
+	c.bits[i>>6].targeted |= bitOf(i)
+	c.size++
 	c.remaining++
 	if at != 0 {
 		if c.born == nil {
-			c.born = make(map[topology.Link]float64)
+			c.born = make([]float64, len(c.at), cap(c.at))
 		}
-		c.born[l] = at
+		c.born[i] = at
 	}
 	return true
 }
 
-// migrate converts the CSR backing into the map backing, preserving every
-// observable. Only an AddTarget outside the fixed target triggers it. The
-// shared index is dropped, never written.
-func (c *Coverage) migrate() {
-	c.first = make(map[topology.Link]float64, c.index.Len())
-	c.target = make(map[topology.Link]bool, c.index.Len())
-	c.forEachTarget(func(l topology.Link, covered bool, at float64) {
-		c.target[l] = true
-		if covered {
-			c.first[l] = at
-		}
-	})
-	c.index, c.at, c.covered = nil, nil, nil
+// appendTail gives link l the next position and returns it.
+func (c *Coverage) appendTail(l topology.Link) int {
+	i := len(c.at)
+	if c.tailPos == nil {
+		c.tailPos = make(map[topology.Link]int)
+	}
+	c.tailPos[l] = i
+	c.tail = append(c.tail, l)
+	c.at = append(c.at, 0)
+	if c.born != nil {
+		c.born = append(c.born, 0)
+	}
+	if i&63 == 0 {
+		c.bits = append(c.bits, linkBits{})
+	}
+	return i
 }
 
 // BirthTime returns when link l entered the target set: the AddTarget time,
 // or 0 for links in the initial (constructor) target. ok is false for links
 // outside the target.
 func (c *Coverage) BirthTime(l topology.Link) (float64, bool) {
-	if !c.inTarget(l) {
+	i := c.position(l)
+	if !c.targeted(i) {
 		return 0, false
 	}
-	return c.born[l], true
-}
-
-func (c *Coverage) inTarget(l topology.Link) bool {
-	if c.index != nil {
-		return c.index.find(l) >= 0
-	}
-	return c.target[l]
+	return c.bornAt(i), true
 }
 
 // Latencies returns the discovery latency — first-coverage time minus birth
 // time — of every covered target link, sorted ascending. For static runs
 // (all links born at 0) this is simply the sorted first-coverage times.
-func (c *Coverage) Latencies() []float64 {
-	out := make([]float64, 0, c.TargetSize()-c.remaining)
-	if c.index != nil {
-		// Every CSR link is a constructor link, born at 0: AddTarget of a
-		// new link migrates to the map backing before recording a birth.
-		for i, at := range c.at {
-			if c.isCovered(i) {
-				out = append(out, at)
+func (c *Coverage) Latencies() []float64 { return c.coveredTimes(true) }
+
+// coveredTimes returns the first-coverage times of the covered links,
+// each less its birth time when sinceBirth is set, sorted ascending.
+func (c *Coverage) coveredTimes(sinceBirth bool) []float64 {
+	out := make([]float64, 0, c.size-c.remaining)
+	for i, at := range c.at {
+		if c.covered(i) {
+			if sinceBirth {
+				at -= c.bornAt(i)
 			}
-		}
-	} else {
-		for l, at := range c.first {
-			out = append(out, at-c.born[l])
+			out = append(out, at)
 		}
 	}
 	sort.Float64s(out)
@@ -359,35 +374,25 @@ func (c *Coverage) Complete() bool { return c.remaining == 0 }
 func (c *Coverage) Remaining() int { return c.remaining }
 
 // TargetSize returns the number of target links.
-func (c *Coverage) TargetSize() int {
-	if c.index != nil {
-		return c.index.Len()
-	}
-	return len(c.target)
-}
+func (c *Coverage) TargetSize() int { return c.size }
 
 // Progress returns the covered fraction of the target in [0,1]; it is 1 for
 // an empty target.
 func (c *Coverage) Progress() float64 {
-	size := c.TargetSize()
-	if size == 0 {
+	if c.size == 0 {
 		return 1
 	}
-	return float64(size-c.remaining) / float64(size)
+	return float64(c.size-c.remaining) / float64(c.size)
 }
 
 // FirstCovered returns when link l was first covered. Only target links are
 // ever recorded.
 func (c *Coverage) FirstCovered(l topology.Link) (float64, bool) {
-	if c.index != nil {
-		i := c.index.find(l)
-		if i < 0 || !c.isCovered(i) {
-			return 0, false
-		}
-		return c.at[i], true
+	i := c.position(l)
+	if !c.covered(i) {
+		return 0, false
 	}
-	at, ok := c.first[l]
-	return at, ok
+	return c.at[i], true
 }
 
 // CompletionTime returns the time at which the last target link was covered.
@@ -397,40 +402,33 @@ func (c *Coverage) CompletionTime() (float64, bool) {
 		return 0, false
 	}
 	maxAt := 0.0
-	if c.index != nil {
-		for _, at := range c.at { // complete: every entry is a coverage time
-			if at > maxAt {
-				maxAt = at
-			}
-		}
-		return maxAt, true
-	}
-	for l := range c.target {
-		if at := c.first[l]; at > maxAt {
+	for _, at := range c.at { // uncovered positions hold 0
+		if at > maxAt {
 			maxAt = at
 		}
 	}
 	return maxAt, true
 }
 
-// Uncovered returns the target links not yet covered, in deterministic
-// order. Useful in failure diagnostics.
+// Uncovered returns the target links not yet covered, ascending by
+// (From, To). Useful in failure diagnostics.
 func (c *Coverage) Uncovered() []topology.Link {
 	var out []topology.Link
-	if c.index != nil {
-		c.forEachTarget(func(l topology.Link, cov bool, at float64) {
-			if !cov {
-				out = append(out, l)
+	for v := 0; v+1 < len(c.index.off); v++ {
+		for i := c.index.off[v]; i < c.index.off[v+1]; i++ {
+			if c.targeted(int(i)) && !c.covered(int(i)) {
+				out = append(out, topology.Link{From: topology.NodeID(v), To: c.index.to[i]})
 			}
-		})
-		return out // the index is ascending (From, To)
+		}
 	}
-	for l := range c.target {
-		if _, ok := c.first[l]; !ok {
+	for k, l := range c.tail {
+		if i := c.index.Len() + k; c.targeted(i) && !c.covered(i) {
 			out = append(out, l)
 		}
 	}
-	slices.SortFunc(out, topology.CompareLinks)
+	if len(c.tail) > 0 {
+		slices.SortFunc(out, topology.CompareLinks)
+	}
 	return out
 }
 
@@ -438,21 +436,7 @@ func (c *Coverage) Uncovered() []topology.Link {
 // over target links, sorted by time. The curve starts implicitly at (−∞, 0);
 // each point is the cumulative count at that coverage instant.
 func (c *Coverage) Curve() []CurvePoint {
-	times := make([]float64, 0, c.TargetSize()-c.remaining)
-	if c.index != nil {
-		for i, at := range c.at {
-			if c.isCovered(i) {
-				times = append(times, at)
-			}
-		}
-	} else {
-		for l := range c.target {
-			if at, ok := c.first[l]; ok {
-				times = append(times, at)
-			}
-		}
-	}
-	sort.Float64s(times)
+	times := c.coveredTimes(false)
 	points := make([]CurvePoint, len(times))
 	for i, at := range times {
 		points[i] = CurvePoint{Time: at, Covered: i + 1}
@@ -468,6 +452,5 @@ type CurvePoint struct {
 
 // String summarizes progress.
 func (c *Coverage) String() string {
-	size := c.TargetSize()
-	return fmt.Sprintf("covered %d/%d links", size-c.remaining, size)
+	return fmt.Sprintf("covered %d/%d links", c.size-c.remaining, c.size)
 }

@@ -1,12 +1,11 @@
 package metrics
 
 // Property tests for Coverage against a map oracle: random operation
-// streams over small-ID targets (the range a dense n² backing once served;
-// the CSR backing serves it now) must agree with an independent reference
-// model after every operation, including across the migration to the map
-// backing that an out-of-target AddTarget forces. The test names predate
-// the removal of the dense backing and are kept so their history stays
-// traceable.
+// streams over small-ID targets (the range a dense n² backing once served)
+// must agree with an independent reference model after every operation,
+// on static and growing targets, with links both inside the shared index
+// and in the append-only tail. The test names predate the removal of the
+// dense and map backings and are kept so their history stays traceable.
 
 import (
 	"fmt"
@@ -205,14 +204,69 @@ func compareCoverage(t *testing.T, step string, got, want coverageView, probe []
 	}
 }
 
+// coverageOps drives identical random operation streams through a
+// Coverage and the oracle, comparing every observable after every
+// operation. probe collects every link worth a point query.
+type coverageOps struct {
+	t      *testing.T
+	r      *rng.Source
+	cov    *Coverage
+	oracle *coverageOracle
+	probe  []topology.Link
+}
+
+// run applies ops operations at times t0, t0+1, …: with probability add an
+// AddTarget of addLink(), born at 0 or at the operation's time, else an
+// Observe of obsLink().
+func (o *coverageOps) run(label string, ops int, t0, add float64, addLink, obsLink func() topology.Link) {
+	o.t.Helper()
+	for op := 0; op < ops; op++ {
+		at := t0 + float64(op)
+		if o.r.Bernoulli(add) {
+			l, birth := addLink(), 0.0
+			if o.r.Bernoulli(0.5) {
+				birth = at
+			}
+			if a, b := o.cov.AddTarget(l, birth), o.oracle.AddTarget(l, birth); a != b {
+				o.t.Fatalf("%s op %d: AddTarget(%v, %v) %v vs %v", label, op, l, birth, a, b)
+			}
+			o.probe = append(o.probe, l)
+		} else {
+			l := obsLink()
+			if a, b := o.cov.Observe(l, at), o.oracle.Observe(l, at); a != b {
+				o.t.Fatalf("%s op %d: Observe(%v) %v vs %v", label, op, l, a, b)
+			}
+		}
+		compareCoverage(o.t, fmt.Sprintf("%s op %d", label, op), o.cov, o.oracle, o.probe)
+	}
+}
+
+// newCoverageOps builds the Coverage and oracle of one trial on target
+// links: kind 0 through NewCoverage, 1 on a shared TargetIndex
+// (NewCoverageOn), 2 as an empty growing target over that index
+// (NewGrowingCoverage), whose oracle starts empty too.
+func newCoverageOps(t *testing.T, r *rng.Source, kind int, links []topology.Link) *coverageOps {
+	o := &coverageOps{t: t, r: r, probe: slices.Clone(links)}
+	switch kind {
+	case 0:
+		o.cov, o.oracle = NewCoverage(links), newCoverageOracle(links)
+	case 1:
+		o.cov, o.oracle = NewCoverageOn(NewTargetIndex(links)), newCoverageOracle(links)
+	default:
+		o.cov, o.oracle = NewGrowingCoverage(NewTargetIndex(links)), newCoverageOracle(nil)
+	}
+	return o
+}
+
 // TestCoverageDenseMapEquivalence drives identical random operation streams
 // through a Coverage on a small-ID target and the oracle and requires every
 // observable to agree after every operation. Targets come unsorted and
-// with duplicates; odd trials build the Coverage on a shared TargetIndex
-// (NewCoverageOn), even trials through NewCoverage. The stream mixes first
-// and repeat observations, in- and out-of-target links, negative and
-// over-range IDs, AddTarget of existing links, and finally a novel
-// AddTarget that forces the CSR side through its migration to maps.
+// with duplicates, and each trial builds its Coverage one of three ways
+// (see newCoverageOps). The first phase mixes first and repeat
+// observations of in- and out-of-target links, negative and over-range
+// IDs, with AddTarget of the initial links — re-adds on a static target,
+// births on a growing one. The second grows the target past the index
+// with new links in the tail, and keeps observing and re-adding.
 func TestCoverageDenseMapEquivalence(t *testing.T) {
 	root := rng.New(20260811)
 	for trial := 0; trial < 50; trial++ {
@@ -227,19 +281,8 @@ func TestCoverageDenseMapEquivalence(t *testing.T) {
 					To:   topology.NodeID(r.IntN(span)),
 				})
 			}
-			var cov *Coverage
-			if trial%2 == 1 {
-				cov = NewCoverageOn(NewTargetIndex(links))
-			} else {
-				cov = NewCoverage(links)
-			}
-			if cov.index == nil {
-				t.Fatal("a non-negative static target did not choose the CSR backing")
-			}
-			oracle := newCoverageOracle(links)
-
-			probe := append([]topology.Link(nil), links...)
-			probe = append(probe,
+			o := newCoverageOps(t, r, trial%3, links)
+			o.probe = append(o.probe,
 				topology.Link{From: -1, To: 0},
 				topology.Link{From: 0, To: 1 << 20},
 				topology.Link{From: span + 1, To: span + 2},
@@ -261,96 +304,60 @@ func TestCoverageDenseMapEquivalence(t *testing.T) {
 					}
 				}
 			}
-
-			ops := r.IntN(60) + 20
-			for op := 0; op < ops; op++ {
-				at := float64(op)
-				if r.Bernoulli(0.1) {
-					// Re-adding an existing target link is a no-op that keeps
-					// the CSR backing.
-					l := links[r.IntN(len(links))]
-					if a, b := cov.AddTarget(l, at), oracle.AddTarget(l, at); a || b {
-						t.Fatalf("op %d: re-AddTarget(%v) %v/%v", op, l, a, b)
-					}
-					if cov.index == nil {
-						t.Fatalf("op %d: re-AddTarget migrated the CSR backing", op)
-					}
-				} else {
-					var l topology.Link
-					if r.Bernoulli(0.7) {
-						l = links[r.IntN(len(links))]
-					} else {
-						l = randomLink()
-					}
-					if a, b := cov.Observe(l, at), oracle.Observe(l, at); a != b {
-						t.Fatalf("op %d: Observe(%v) %v vs %v", op, l, a, b)
-					}
+			initial := func() topology.Link { return links[r.IntN(len(links))] }
+			mostlyInitial := func() topology.Link {
+				if r.Bernoulli(0.7) {
+					return initial()
 				}
-				compareCoverage(t, fmt.Sprintf("op %d", op), cov, oracle, probe)
+				return randomLink()
 			}
+			o.run("initial", r.IntN(60)+20, 0, 0.1, initial, mostlyInitial)
 
-			// A novel AddTarget migrates the CSR side to maps; the oracle
-			// just grows. Agreement must survive the transition and the
-			// operations after it, including further AddTarget growth.
+			// Growth past the index: new links take tail positions while the
+			// index links keep theirs.
 			big := topology.Link{From: 1<<20 + 1, To: 0}
-			if a, b := cov.AddTarget(big, 3.5), oracle.AddTarget(big, 3.5); a != b {
-				t.Fatalf("big AddTarget %v vs %v", a, b)
-			}
-			if cov.index != nil {
-				t.Fatal("novel AddTarget did not migrate the CSR backing")
-			}
-			probe = append(probe, big)
-			compareCoverage(t, "post-migrate", cov, oracle, probe)
-			for op := 0; op < 20; op++ {
-				at := 1000 + float64(op)
-				l := randomLink()
+			withBig := func() topology.Link {
 				if r.Bernoulli(0.3) {
-					l = big
+					return big
 				}
-				if r.Bernoulli(0.2) {
-					birth := 0.0
-					if r.Bernoulli(0.5) {
-						birth = at
-					}
-					if a, b := cov.AddTarget(l, birth), oracle.AddTarget(l, birth); a != b {
-						t.Fatalf("post-migrate op %d: AddTarget(%v) %v vs %v", op, l, a, b)
-					}
-					probe = append(probe, l)
-				} else if a, b := cov.Observe(l, at), oracle.Observe(l, at); a != b {
-					t.Fatalf("post-migrate op %d: Observe(%v) %v vs %v", op, l, a, b)
-				}
-				compareCoverage(t, fmt.Sprintf("post-migrate op %d", op), cov, oracle, probe)
+				return randomLink()
 			}
+			o.run("grown", 20, 1000, 0.2, withBig, withBig)
 		})
 	}
 }
 
-// TestCoverageDenseStrideSelection pins backing selection for small-ID
-// targets, the range the removed dense backing used to take: a non-empty
-// non-negative target — sorted or not, duplicated or not — is CSR-indexed
-// (unsorted input on a sorted, deduplicated copy, never in place); an
-// empty or negative-ID target is map-backed.
+// TestCoverageDenseStrideSelection pins the store's layout for small-ID
+// targets, the range the removed dense backing used to take: a
+// non-negative target — sorted or not, duplicated or not — is indexed
+// (unsorted input on a sorted, deduplicated copy, never in place) with one
+// position per link and no tail; an empty target shares the empty index;
+// a target with a negative ID has no CSR row, so it lives in the tail.
 func TestCoverageDenseStrideSelection(t *testing.T) {
-	if c := NewCoverage(nil); c.index != nil {
-		t.Error("empty target chose the CSR backing")
-	}
-	if c := NewCoverageOn(nil); c.index != nil || c.TargetSize() != 0 || !c.Complete() {
-		t.Error("nil index did not give an empty map-backed target")
+	for name, c := range map[string]*Coverage{
+		"NewCoverage(nil)":        NewCoverage(nil),
+		"NewCoverageOn(nil)":      NewCoverageOn(nil),
+		"NewGrowingCoverage(nil)": NewGrowingCoverage(nil),
+	} {
+		if c.index.Len() != 0 || len(c.at) != 0 || len(c.tail) != 0 || c.TargetSize() != 0 || !c.Complete() {
+			t.Errorf("%s: not an empty target", name)
+		}
 	}
 	edge := []topology.Link{{From: 1023, To: 0}}
-	if c := NewCoverage(edge); c.index == nil || len(c.at) != 1 || len(c.covered) != 1 {
-		t.Errorf("single small-ID link: want one CSR slot")
+	if c := NewCoverage(edge); c.index.Len() != 1 || len(c.at) != 1 || len(c.bits) != 1 || c.TargetSize() != 1 {
+		t.Errorf("single small-ID link: want one indexed position")
 	}
 	unsorted := []topology.Link{{From: 3, To: 1}, {From: 0, To: 2}, {From: 3, To: 1}, {From: 0, To: 1}}
 	orig := slices.Clone(unsorted)
 	c := NewCoverage(unsorted)
-	if c.index == nil || c.TargetSize() != 3 {
-		t.Fatalf("unsorted duplicated target: index %v, size %d, want CSR of 3", c.index != nil, c.TargetSize())
+	if c.index.Len() != 3 || len(c.tail) != 0 || c.TargetSize() != 3 {
+		t.Fatalf("unsorted duplicated target: %d indexed, %d tail, size %d; want 3 indexed", c.index.Len(), len(c.tail), c.TargetSize())
 	}
 	if !slices.Equal(unsorted, orig) {
 		t.Errorf("indexing modified the caller's links: %v", unsorted)
 	}
-	if c := NewCoverage([]topology.Link{{From: -1, To: 0}}); c.index != nil {
-		t.Error("negative ID chose the CSR backing")
+	neg := []topology.Link{{From: -1, To: 0}, {From: 2, To: 1}, {From: -1, To: 0}}
+	if c := NewCoverage(neg); c.index.Len() != 0 || len(c.tail) != 2 || c.TargetSize() != 2 {
+		t.Errorf("negative ID: %d indexed, %d tail, size %d; want a 2-link tail", c.index.Len(), len(c.tail), c.TargetSize())
 	}
 }

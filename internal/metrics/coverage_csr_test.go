@@ -1,15 +1,16 @@
 package metrics
 
-// Property tests for the CSR coverage backing on large-ID sorted targets
+// Property tests for Coverage on large-ID sorted targets
 // (Network.DiscoverableLinks order): identical operation streams through
-// the Coverage and the map oracle must agree, including across the
-// migration an out-of-target AddTarget forces, and a TargetIndex shared by
-// several coverages is never written.
+// the Coverage and the map oracle must agree on static and growing targets
+// and after growth past the index, and a TargetIndex shared by several
+// coverages, concurrently too, is never written.
 
 import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"m2hew/internal/channel"
@@ -55,106 +56,63 @@ func sortedBigLinks(r *rng.Source) []topology.Link {
 }
 
 // TestCoverageCSRMapEquivalence drives identical random operation streams
-// through a CSR-backed Coverage and the map oracle and requires every
-// observable to agree after every operation, including across the
-// migration a novel AddTarget forces on the CSR side.
+// through a Coverage on a large-ID sorted target and the map oracle and
+// requires every observable to agree after every operation. Even trials
+// build a static target, odd ones an empty growing target over the same
+// index; both then grow past the index into the tail.
 func TestCoverageCSRMapEquivalence(t *testing.T) {
 	root := rng.New(20260814)
 	for trial := 0; trial < 50; trial++ {
 		r := root.Split()
 		t.Run(fmt.Sprintf("trial%02d", trial), func(t *testing.T) {
 			links := sortedBigLinks(r)
-			csr := NewCoverage(links)
-			if csr.index == nil {
-				t.Fatal("constructor did not pick the CSR backing")
-			}
-			mapped := newCoverageOracle(links)
-
-			probe := append([]topology.Link(nil), links...)
-			probe = append(probe,
+			o := newCoverageOps(t, r, 2*(trial%2), links)
+			o.probe = append(o.probe,
 				topology.Link{From: -1, To: 0},
 				topology.Link{From: links[len(links)-1].From + 7, To: 0},
 			)
+			initial := func() topology.Link { return links[r.IntN(len(links))] }
 			randomLink := func() topology.Link {
 				if r.Bernoulli(0.7) {
-					return links[r.IntN(len(links))]
+					return initial()
 				}
 				return topology.Link{
 					From: topology.NodeID(r.IntN(bigID * 5)),
 					To:   topology.NodeID(r.IntN(bigID * 5)),
 				}
 			}
+			o.run("initial", r.IntN(60)+20, 0, 0.1, initial, randomLink)
 
-			ops := r.IntN(60) + 20
-			for op := 0; op < ops; op++ {
-				at := float64(op)
-				if r.Bernoulli(0.1) {
-					// Re-adding an existing target link must be a no-op that
-					// does NOT migrate the CSR side.
-					l := links[r.IntN(len(links))]
-					a := csr.AddTarget(l, at)
-					b := mapped.AddTarget(l, at)
-					if a || b {
-						t.Fatalf("op %d: re-AddTarget(%v) %v/%v", op, l, a, b)
-					}
-					if csr.index == nil {
-						t.Fatalf("op %d: re-AddTarget migrated the CSR backing", op)
-					}
-				} else {
-					l := randomLink()
-					a := csr.Observe(l, at)
-					b := mapped.Observe(l, at)
-					if a != b {
-						t.Fatalf("op %d: Observe(%v) %v vs %v", op, l, a, b)
-					}
-				}
-				compareCoverage(t, fmt.Sprintf("op %d", op), csr, mapped, probe)
-			}
-
-			// A link outside the fixed target migrates the CSR side; the map
-			// side just grows. Equivalence must survive the transition.
+			// A link outside the index takes the first tail position.
 			novel := topology.Link{From: links[len(links)-1].From + 11, To: 3}
-			if a, b := csr.AddTarget(novel, 2.5), mapped.AddTarget(novel, 2.5); a != b {
-				t.Fatalf("novel AddTarget %v vs %v", a, b)
-			}
-			if csr.index != nil {
-				t.Fatal("novel AddTarget did not migrate the CSR backing")
-			}
-			probe = append(probe, novel)
-			compareCoverage(t, "post-migrate", csr, mapped, probe)
-			for op := 0; op < 10; op++ {
-				l := randomLink()
+			withNovel := func() topology.Link {
 				if r.Bernoulli(0.3) {
-					l = novel
+					return novel
 				}
-				a := csr.Observe(l, 1000+float64(op))
-				b := mapped.Observe(l, 1000+float64(op))
-				if a != b {
-					t.Fatalf("post-migrate op %d: Observe(%v) %v vs %v", op, l, a, b)
-				}
-				compareCoverage(t, fmt.Sprintf("post-migrate op %d", op), csr, mapped, probe)
+				return randomLink()
 			}
+			o.run("grown", 20, 1000, 0.2, withNovel, withNovel)
 		})
 	}
 }
 
 // TestCoverageCSRSelection pins the CSR index's construction: sorted
 // input is indexed as is, unsorted or duplicated input on a sorted
-// deduplicated copy, negative IDs fall back to maps, and the row table is
+// deduplicated copy, negative IDs go to the tail, and the row table is
 // sized by From IDs, not quadratically.
 func TestCoverageCSRSelection(t *testing.T) {
 	big := topology.NodeID(bigID + 1)
-	if c := NewCoverage([]topology.Link{{From: big, To: 0}, {From: big, To: 2}}); c.index == nil {
-		t.Error("sorted large-ID target did not choose the CSR backing")
+	if c := NewCoverage([]topology.Link{{From: big, To: 0}, {From: big, To: 2}}); c.index.Len() != 2 || len(c.tail) != 0 {
+		t.Error("sorted large-ID target was not indexed")
 	}
-	if c := NewCoverage([]topology.Link{{From: big, To: 2}, {From: big, To: 0}}); c.index == nil || c.TargetSize() != 2 {
+	if c := NewCoverage([]topology.Link{{From: big, To: 2}, {From: big, To: 0}}); c.index.Len() != 2 || c.TargetSize() != 2 {
 		t.Error("unsorted target was not indexed")
 	}
-	if c := NewCoverage([]topology.Link{{From: big, To: 2}, {From: big, To: 2}}); c.index == nil || c.TargetSize() != 1 {
+	if c := NewCoverage([]topology.Link{{From: big, To: 2}, {From: big, To: 2}}); c.index.Len() != 1 || c.TargetSize() != 1 {
 		t.Error("duplicated target was not deduplicated")
 	}
-	if c := NewCoverage([]topology.Link{{From: big, To: -2}}); c.index != nil {
-		t.Error("negative-ID target chose the CSR backing")
+	if c := NewCoverage([]topology.Link{{From: big, To: -2}}); c.index.Len() != 0 || len(c.tail) != 1 {
+		t.Error("negative-ID target was not put in the tail")
 	}
 	far := topology.NodeID(1 << 20)
 	x := NewTargetIndex([]topology.Link{{From: far, To: 1}, {From: far, To: 2}})
@@ -164,41 +122,53 @@ func TestCoverageCSRSelection(t *testing.T) {
 }
 
 // TestCoverageCSRObserveAllocs pins the per-delivery hot path: observing
-// target links on the CSR backing allocates nothing.
+// target links allocates nothing, on a static target and on a growing one
+// whose links sit in the index and in the tail.
 func TestCoverageCSRObserveAllocs(t *testing.T) {
 	links := []topology.Link{
 		{From: bigID + 1, To: 4},
 		{From: bigID + 1, To: 9},
 		{From: bigID + 3, To: 4},
 	}
-	c := NewCoverage(links)
-	if c.index == nil {
-		t.Fatal("target did not choose the CSR backing")
+	tail := []topology.Link{{From: bigID + 2, To: 4}, {From: -1, To: 3}}
+	grown := NewGrowingCoverage(NewTargetIndex(links))
+	for _, l := range append(links[1:], tail...) {
+		grown.AddTarget(l, 2)
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		for _, l := range links {
-			c.Observe(l, 1)
+	for name, c := range map[string]*Coverage{"static": NewCoverage(links), "growing": grown} {
+		allocs := testing.AllocsPerRun(100, func() {
+			for _, l := range links {
+				c.Observe(l, 1)
+			}
+			for _, l := range tail {
+				c.Observe(l, 1)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: Observe allocated %.1f objects per sweep", name, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("CSR Observe allocated %.1f objects per sweep", allocs)
 	}
 }
 
 // TestTargetIndexShared pins the sharing contract: coverages built on one
-// index keep independent state, a migration of one leaves the index and
-// the others untouched, and a run's Coverage allocates only its own
-// first-coverage times and covered bitmap.
+// index keep independent state, growing one of them past the index leaves
+// the index and the others untouched, and a run's static Coverage
+// allocates only itself, its first-coverage times and its bits.
 func TestTargetIndexShared(t *testing.T) {
 	links := []topology.Link{{From: 0, To: 1}, {From: 1, To: 0}, {From: 1, To: 2}, {From: 2, To: 1}}
 	x := NewTargetIndex(links)
 	off, to := slices.Clone(x.off), slices.Clone(x.to)
-	a, b := NewCoverageOn(x), NewCoverageOn(x)
+	a, b, g := NewCoverageOn(x), NewCoverageOn(x), NewGrowingCoverage(x)
 	a.Observe(links[0], 3)
 	b.Observe(links[1], 5)
-	a.AddTarget(topology.Link{From: 7, To: 0}, 9) // migrates a only
-	if a.index != nil || b.index != x {
-		t.Fatal("migration reached the other coverage")
+	novel := topology.Link{From: 7, To: 0}
+	if !a.AddTarget(novel, 9) || a.TargetSize() != 5 || len(a.tail) != 1 {
+		t.Fatalf("a did not grow past the index: size %d, tail %v", a.TargetSize(), a.tail)
+	}
+	g.AddTarget(links[2], 4)
+	g.AddTarget(novel, 6)
+	if b.TargetSize() != 4 || len(b.tail) != 0 || b.index != x || a.index != x || g.index != x {
+		t.Fatal("growing a reached the other coverages")
 	}
 	if !slices.Equal(off, x.off) || !slices.Equal(to, x.to) {
 		t.Fatal("the shared index was written")
@@ -209,8 +179,65 @@ func TestTargetIndexShared(t *testing.T) {
 	if _, ok := b.FirstCovered(links[0]); ok {
 		t.Fatal("a's observation leaked into b")
 	}
+	if _, ok := b.BirthTime(novel); ok {
+		t.Fatal("a's tail link leaked into b")
+	}
+	if born, ok := g.BirthTime(novel); !ok || born != 6 || g.TargetSize() != 2 {
+		t.Fatalf("g: BirthTime(novel) %v %v, size %d", born, ok, g.TargetSize())
+	}
 	if allocs := testing.AllocsPerRun(50, func() { _ = NewCoverageOn(x) }); allocs > 3 {
-		t.Errorf("NewCoverageOn allocated %.0f objects, want at most 3 (the Coverage, its times, its bitmap)", allocs)
+		t.Errorf("NewCoverageOn allocated %.0f objects, want at most 3 (the Coverage, its times, its bits)", allocs)
+	}
+}
+
+// TestTargetIndexConcurrentCoverages is the sharing contract under
+// concurrency, as trial workers exercise it (run it with -race): several
+// goroutines each build static and growing coverages on one index,
+// observe links, grow past the index, and check their own results; the
+// index is byte-identical afterwards.
+func TestTargetIndexConcurrentCoverages(t *testing.T) {
+	root := rng.New(1906)
+	links := sortedBigLinks(root.Split())
+	x := NewTargetIndex(links)
+	off, to := slices.Clone(x.off), slices.Clone(x.to)
+	const workers = 4
+	var wg sync.WaitGroup
+	errs := make([]error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for rep := 0; rep < 20; rep++ {
+				static, grown := NewCoverageOn(x), NewGrowingCoverage(x)
+				novel := topology.Link{From: topology.NodeID(6*bigID + w), To: topology.NodeID(rep)}
+				for i, l := range links {
+					grown.AddTarget(l, float64(i))
+				}
+				grown.AddTarget(novel, 1)
+				for i, l := range links {
+					static.Observe(l, float64(i+w))
+					grown.Observe(l, float64(i+w))
+				}
+				grown.Observe(novel, 2)
+				if !static.Complete() || !grown.Complete() || grown.TargetSize() != len(links)+1 {
+					errs[w] = fmt.Errorf("worker %d rep %d: static %v, grown %v", w, rep, static, grown)
+					return
+				}
+				if at, _ := static.CompletionTime(); at != float64(len(links)-1+w) {
+					errs[w] = fmt.Errorf("worker %d rep %d: completion %v", w, rep, at)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !slices.Equal(off, x.off) || !slices.Equal(to, x.to) {
+		t.Fatal("the shared index was written")
 	}
 }
 

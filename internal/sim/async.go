@@ -248,7 +248,7 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 	if cfg.Dynamics == nil && (cfg.Loss == nil || cfg.Loss.Prob <= 0) && !wantStart && !wantResolve && deliverObs == nil {
 		window = firstAsyncWindow
 	}
-	var coverage *metrics.Coverage
+	coverage := runCoverage(target, cfg.Dynamics) // a dynamic target grows after the one window
 	pending := sc.deliveryBuf()
 	maxEnd := 0.0
 	hi := 0
@@ -300,9 +300,13 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 				}
 			}
 		}
-		if coverage == nil {
-			// Dynamic runs take one window, so maxEnd is final here.
-			coverage = asyncCoverage(target, cfg.Dynamics, maxEnd)
+		if cfg.Dynamics != nil {
+			// Dynamic runs take one window, so maxEnd is final here: the
+			// target is the union of the epoch link sets through the epoch
+			// containing it, each link born at its first epoch's start.
+			for e := 0; e <= cfg.Dynamics.EpochOf(maxEnd); e++ {
+				enterEpoch(nil, 0, cfg.Dynamics.At(e), float64(e)*cfg.Dynamics.EpochLen(), 0, coverage)
+			}
 		}
 		// Every frame before hi is resolved on every node. A delivery from
 		// a later frame ends a slot inside it, strictly after its start,
@@ -418,25 +422,44 @@ func (env *asyncEnv) generate(v int, p AsyncProtocol) error {
 	return nil
 }
 
-// asyncCoverage builds an asynchronous run's coverage target: the static
-// network's discoverable links (the scratch's shared target index), or —
-// for dynamic runs — the union of epoch link sets through the epoch
-// containing horizon (a real time), each link born at the start time of
-// its first epoch.
-func asyncCoverage(target *metrics.TargetIndex, world *dynamics.World, horizon float64) *metrics.Coverage {
+// runCoverage returns a run's coverage over the network's shared target
+// index: the static target, or, for a dynamic world, an empty target that
+// grows epoch by epoch (enterEpoch).
+func runCoverage(target *metrics.TargetIndex, world *dynamics.World) *metrics.Coverage {
 	if world == nil {
 		return metrics.NewCoverageOn(target)
 	}
-	coverage := metrics.NewCoverage(nil)
-	last := world.EpochOf(horizon)
-	for e := 0; e <= last; e++ {
-		ep := world.At(e)
-		birth := float64(e) * world.EpochLen()
-		for _, l := range ep.Links {
-			coverage.AddTarget(l, birth)
+	return metrics.NewGrowingCoverage(target)
+}
+
+// enterEpoch enters epoch ep at time at (slot is the synchronous slot, 0
+// for asynchronous runs): it announces the boundary and its flips to obs
+// as far as mask subscribes — EventEpoch, then every join, leave and
+// channel loss, each list ascending — and grows the coverage target by the
+// epoch's links, born at at (links persisting across epochs keep their
+// original birth).
+func enterEpoch(obs Observer, mask EventMask, ep *dynamics.Epoch, at float64, slot int, coverage *metrics.Coverage) {
+	if mask.Has(EventEpoch) {
+		obs.OnEvent(Event{Kind: EventEpoch, Time: at, Slot: slot, Epoch: ep.Index})
+	}
+	if mask.Has(EventJoin) {
+		for _, v := range ep.Joined {
+			obs.OnEvent(Event{Kind: EventJoin, Time: at, Slot: slot, Node: v, Epoch: ep.Index})
 		}
 	}
-	return coverage
+	if mask.Has(EventLeave) {
+		for _, v := range ep.Left {
+			obs.OnEvent(Event{Kind: EventLeave, Time: at, Slot: slot, Node: v, Epoch: ep.Index})
+		}
+	}
+	if mask.Has(EventChannelLoss) {
+		for _, l := range ep.Losses {
+			obs.OnEvent(Event{Kind: EventChannelLoss, Time: at, Slot: slot, Node: l.Node, Channel: l.Channel, Epoch: ep.Index})
+		}
+	}
+	for _, l := range ep.Links {
+		coverage.AddTarget(l, at)
+	}
 }
 
 // sharedMsgAvail copies each node's available set once per network; every

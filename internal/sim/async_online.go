@@ -100,37 +100,21 @@ func RunAsyncOnline(cfg AsyncConfig) (*AsyncResult, error) {
 		nextEnd[u] = end
 	}
 
-	// Dynamic runs start the coverage target at epoch 0's links and grow it
-	// as the chronological pass crosses epoch boundaries (announceEpoch),
-	// so every delivery finds its link already targeted: a delivered link
-	// existed in the epoch of its listening frame's start, which the
-	// advance below reaches before that frame resolves.
+	// Dynamic runs grow the coverage target as the chronological pass
+	// crosses epoch boundaries (enterEpoch), starting with epoch 0, so every
+	// delivery finds its link already targeted: a delivered link existed in
+	// the epoch of its listening frame's start, which the advance below
+	// reaches before that frame resolves.
 	world := cfg.Dynamics
-	coverage := asyncCoverage(target, world, 0)
+	coverage := runCoverage(target, world)
 	result := &AsyncResult{Ts: ts, Coverage: coverage, Timelines: timelines, FrameBudget: cfg.MaxFrames} //ndlint:ignore scratchalias Timelines ownership transfers per the RecycleTimelines contract
-
+	mask := observerMask(cfg.Observer)
 	announceEpoch := func(e int) {
-		ep := world.At(e)
-		at := float64(e) * world.EpochLen()
-		if cfg.Observer != nil {
-			cfg.Observer.OnEvent(Event{Kind: EventEpoch, Time: at, Epoch: e})
-			for _, v := range ep.Joined {
-				cfg.Observer.OnEvent(Event{Kind: EventJoin, Time: at, Node: v, Epoch: e})
-			}
-			for _, v := range ep.Left {
-				cfg.Observer.OnEvent(Event{Kind: EventLeave, Time: at, Node: v, Epoch: e})
-			}
-			for _, l := range ep.Losses {
-				cfg.Observer.OnEvent(Event{Kind: EventChannelLoss, Time: at, Node: l.Node, Channel: l.Channel, Epoch: e})
-			}
-		}
-		for _, l := range ep.Links {
-			coverage.AddTarget(l, at)
-		}
+		enterEpoch(cfg.Observer, mask, world.At(e), float64(e)*world.EpochLen(), 0, coverage)
 	}
 	nextEpoch := 1
 	if world != nil {
-		announceEpoch(0) // target links already added by asyncCoverage; re-adds are no-ops
+		announceEpoch(0)
 	}
 
 	for {

@@ -235,13 +235,10 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 		sc = NewSyncScratch()
 	}
 	cands, msgAvail, masks, target, tablesHit := sc.networkTables(nw)
-	var coverage *metrics.Coverage
+	coverage := runCoverage(target, world) // a dynamic target grows at epoch boundaries below
 	epochSlots := 0
 	if world != nil {
-		epochSlots, _ = world.EpochSlots()  // error ruled out by validate
-		coverage = metrics.NewCoverage(nil) // grows at epoch boundaries below
-	} else {
-		coverage = metrics.NewCoverageOn(target)
+		epochSlots, _ = world.EpochSlots() // error ruled out by validate
 	}
 	channels := 0
 	if id, ok := nw.Universe().Max(); ok {
@@ -343,11 +340,8 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 	}
 
 	for slot := 0; slot < cfg.MaxSlots; slot++ {
-		// Epoch boundary: swap in the new snapshot, announce the boundary
-		// and its flips (epoch, joins, leaves, channel losses — each list
-		// ascending), and grow the coverage target by the epoch's links
-		// (born this slot; links persisting across epochs keep their
-		// original birth).
+		// Epoch boundary: swap in the new snapshot, then announce the
+		// boundary and grow the coverage target (enterEpoch).
 		if world != nil {
 			if e := slot / epochSlots; cur == nil || (e != cur.Index && e < world.Horizon()) {
 				first := cur == nil
@@ -363,36 +357,7 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 					}
 					run.storeActions = run.wantSlot || run.masks == nil
 				}
-				if mask.Has(EventEpoch) {
-					cfg.Observer.OnEvent(Event{
-						Kind: EventEpoch, Time: float64(slot), Slot: slot, Epoch: cur.Index,
-					})
-				}
-				if mask.Has(EventJoin) {
-					for _, v := range cur.Joined {
-						cfg.Observer.OnEvent(Event{
-							Kind: EventJoin, Time: float64(slot), Slot: slot, Node: v, Epoch: cur.Index,
-						})
-					}
-				}
-				if mask.Has(EventLeave) {
-					for _, v := range cur.Left {
-						cfg.Observer.OnEvent(Event{
-							Kind: EventLeave, Time: float64(slot), Slot: slot, Node: v, Epoch: cur.Index,
-						})
-					}
-				}
-				if mask.Has(EventChannelLoss) {
-					for _, l := range cur.Losses {
-						cfg.Observer.OnEvent(Event{
-							Kind: EventChannelLoss, Time: float64(slot), Slot: slot,
-							Node: l.Node, Channel: l.Channel, Epoch: cur.Index,
-						})
-					}
-				}
-				for _, l := range cur.Links {
-					coverage.AddTarget(l, float64(slot))
-				}
+				enterEpoch(cfg.Observer, mask, cur, float64(slot), slot, coverage)
 			}
 		}
 

@@ -32,10 +32,10 @@ import (
 func DeriveGeometricCandidates(nodes []Node, radius float64, active []bool, blocked []channel.Set) ([][]Candidate, []Link) {
 	cands := make([][]Candidate, len(nodes))
 	var links []Link
-	for _, e := range geometricEdges(nodes, radius) {
-		i, j := e[0], e[1]
+	visitGeometricPairs(nodes, radius, func(a, b int32) {
+		i, j := NodeID(a), NodeID(b)
 		if active != nil && (!active[i] || !active[j]) {
-			continue
+			return
 		}
 		span := nodes[i].Avail.Intersect(nodes[j].Avail)
 		if blocked != nil {
@@ -47,7 +47,7 @@ func DeriveGeometricCandidates(nodes []Node, radius float64, active []bool, bloc
 			}
 		}
 		if span.IsEmpty() {
-			continue
+			return
 		}
 		// Both directions share one span set; Candidate.Span is read-only by
 		// contract. Appending while scanning edges in ascending (i, j) order
@@ -57,14 +57,14 @@ func DeriveGeometricCandidates(nodes []Node, radius float64, active []bool, bloc
 		cands[i] = append(cands[i], Candidate{From: j, Span: span})
 		cands[j] = append(cands[j], Candidate{From: i, Span: span})
 		links = append(links, Link{From: i, To: j}, Link{From: j, To: i})
-	}
+	})
 	SortLinks(links)
 	return cands, links
 }
 
 // SortLinks orders links ascending by (From, To) — the DiscoverableLinks
 // order every coverage target uses. The dynamics layer applies it to each
-// epoch's link set so growable coverage targets enumerate births in the
+// epoch's link set so growing coverage targets enumerate births in the
 // same order static targets do.
 func SortLinks(links []Link) {
 	slices.SortFunc(links, CompareLinks)

@@ -3,6 +3,7 @@ package topology
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"m2hew/internal/rng"
 )
@@ -12,34 +13,41 @@ import (
 // radius. This is the standard model for wireless ad hoc deployments and the
 // default topology of the experiment suite.
 //
-// The pair scan runs over a spatial grid-bucket index (expected O(n) work
-// for the radii the suite uses) instead of all pairs; edge order and the rng
-// draw sequence are identical to the all-pairs scan, so seeded networks are
-// unchanged (the differential tests pin it to the all-pairs reference scan).
+// The pair scan (visitGeometricPairs) runs over a spatial grid-bucket index
+// and streams twice — degree count, then fill — into one flat NodeID arena
+// whose rows are handed out as subslices. Rows arrive already sorted (row u
+// receives each partner v<u while the scan's outer index is v, in ascending
+// v, then each v>u while the outer index is u, in ascending v), so no edge
+// list, dedup map or per-row sort is needed. Peak overhead beyond the
+// finished adjacency is O(n), which is what lets 100k–1M-node topologies
+// fit in memory. Node placement is the only rng use, so a seeded network
+// is a pure function of (n, radius, seed).
 func Geometric(n int, radius float64, r *rng.Source) (*Network, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("topology: geometric with %d nodes: %w", n, ErrNoNodes)
+	nodes, err := placeNodes(n, radius, r)
+	if err != nil {
+		return nil, err
 	}
-	if radius < 0 {
-		return nil, fmt.Errorf("topology: geometric radius %v is negative", radius)
-	}
-	nodes := make([]Node, n)
-	for i := range nodes {
-		nodes[i] = Node{ID: NodeID(i), X: r.Float64(), Y: r.Float64()}
-	}
-	return newNetwork(nodes, geometricEdges(nodes, radius))
-}
-
-// geometricEdges lists every pair of nodes within radius, ordered by
-// ascending first index then ascending second — exactly the order of the
-// all-pairs scan it replaces. The grid-bucket scan itself lives in
-// visitGeometricPairs, shared with the streaming CSR builders.
-func geometricEdges(nodes []Node, radius float64) [][2]NodeID {
-	var edges [][2]NodeID
+	off := make([]int32, n+1) // degree counts, then row offsets
 	visitGeometricPairs(nodes, radius, func(i, j int32) {
-		edges = append(edges, [2]NodeID{NodeID(i), NodeID(j)})
+		off[i+1]++
+		off[j+1]++
 	})
-	return edges
+	for i := 0; i < n; i++ {
+		off[i+1] += off[i]
+	}
+	arena := make([]NodeID, off[n])
+	cur := slices.Clone(off[:n]) // fill cursors
+	visitGeometricPairs(nodes, radius, func(i, j int32) {
+		arena[cur[i]] = NodeID(j)
+		cur[i]++
+		arena[cur[j]] = NodeID(i)
+		cur[j]++
+	})
+	adj := make([][]NodeID, n)
+	for i := 0; i < n; i++ {
+		adj[i] = arena[off[i]:off[i+1]:off[i+1]]
+	}
+	return &Network{nodes: nodes, adj: adj}, nil
 }
 
 // ErdosRenyi builds a G(n, p) random graph: each of the n·(n−1)/2 possible

@@ -10,9 +10,9 @@ import (
 
 // visitGeometricPairs enumerates every pair of nodes within radius in
 // ascending (i, j) order with i < j — exactly the order of the all-pairs
-// scan — calling visit once per pair. It is the shared core of
-// geometricEdges (which materializes an edge list), GeometricCSR (which
-// streams the pairs into a CSR adjacency without an edge list), and
+// scan — calling visit once per pair. It is the shared core of Geometric
+// (which streams the pairs into a CSR adjacency without an edge list),
+// DeriveGeometricCandidates (which builds candidate tables per epoch) and
 // GeometricStreamStats (which keeps only O(n) counters). The scan runs over
 // a spatial grid-bucket index: cell side ≥ radius so all partners of a node
 // lie in its 3×3 cell neighborhood, cols capped at ⌈√n⌉ to bound the cell
@@ -75,18 +75,10 @@ func visitGeometricPairs(nodes []Node, radius float64, visit func(i, j int32)) {
 	}
 }
 
-// GeometricCSR builds the same random geometric graph as Geometric — node
-// placement consumes the identical rng draw sequence, so a seeded network
-// is indistinguishable from Geometric's — but never materializes the
-// [][2]NodeID edge list or per-row append-grown adjacency slices. The pair
-// scan streams twice (degree count, then fill) into a single flat NodeID
-// arena whose rows are handed out as subslices; rows arrive already sorted
-// (row u receives each partner v<u while the scan's outer index is v, in
-// ascending v, then each v>u while the outer index is u, in ascending v),
-// so no dedup map or per-row sort is needed. Peak overhead beyond the
-// finished adjacency is O(n), which is what lets 100k–1M-node topologies
-// fit in memory.
-func GeometricCSR(n int, radius float64, r *rng.Source) (*Network, error) {
+// placeNodes validates a geometric instance's size and radius and places
+// its n nodes uniformly in the unit square, in NodeID order — the only rng
+// draws a geometric instance consumes.
+func placeNodes(n int, radius float64, r *rng.Source) ([]Node, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("topology: geometric with %d nodes: %w", n, ErrNoNodes)
 	}
@@ -97,51 +89,19 @@ func GeometricCSR(n int, radius float64, r *rng.Source) (*Network, error) {
 	for i := range nodes {
 		nodes[i] = Node{ID: NodeID(i), X: r.Float64(), Y: r.Float64()}
 	}
-
-	deg := make([]int32, n+1)
-	visitGeometricPairs(nodes, radius, func(i, j int32) {
-		deg[i]++
-		deg[j]++
-	})
-	off := make([]int32, n+1)
-	for i := 0; i < n; i++ {
-		off[i+1] = off[i] + deg[i]
-	}
-	arena := make([]NodeID, off[n])
-	cur := deg[:n] // reuse as fill cursors
-	copy(cur, off[:n])
-	visitGeometricPairs(nodes, radius, func(i, j int32) {
-		arena[cur[i]] = NodeID(j)
-		cur[i]++
-		arena[cur[j]] = NodeID(i)
-		cur[j]++
-	})
-	adj := make([][]NodeID, n)
-	for i := 0; i < n; i++ {
-		adj[i] = arena[off[i]:off[i+1]:off[i+1]]
-	}
-	return &Network{nodes: nodes, adj: adj}, nil
+	return nodes, nil
 }
 
-// GeometricConnectedCSR retries GeometricCSR until the graph is connected,
-// mirroring GeometricConnected (and drawing the same rng sequence, so the
-// accepted instance matches GeometricConnected's at the same seed).
+// GeometricCSR is Geometric, whose streamed build already stores the
+// adjacency as a CSR arena; the name is kept for the scale benchmarks.
+func GeometricCSR(n int, radius float64, r *rng.Source) (*Network, error) {
+	return Geometric(n, radius, r)
+}
+
+// GeometricConnectedCSR is GeometricConnected, kept under the scale
+// benchmarks' name like GeometricCSR.
 func GeometricConnectedCSR(n int, radius float64, r *rng.Source, attempts int) (*Network, error) {
-	if attempts <= 0 {
-		attempts = 50
-	}
-	var lastErr error
-	for i := 0; i < attempts; i++ {
-		nw, err := GeometricCSR(n, radius, r)
-		if err != nil {
-			return nil, err
-		}
-		if nw.Connected() {
-			return nw, nil
-		}
-		lastErr = fmt.Errorf("topology: no connected geometric graph with n=%d radius=%v in %d attempts", n, radius, attempts)
-	}
-	return nil, lastErr
+	return GeometricConnected(n, radius, r, attempts)
 }
 
 // StreamStats summarizes a geometric instance from the streaming pair scan
@@ -163,18 +123,12 @@ type StreamStats struct {
 func (s StreamStats) Connected() bool { return s.Components == 1 }
 
 // GeometricStreamStats draws a geometric instance with the same rng
-// sequence as Geometric/GeometricCSR and returns its StreamStats without
+// sequence as Geometric and returns its StreamStats without
 // building the graph.
 func GeometricStreamStats(n int, radius float64, r *rng.Source) (StreamStats, error) {
-	if n <= 0 {
-		return StreamStats{}, fmt.Errorf("topology: geometric with %d nodes: %w", n, ErrNoNodes)
-	}
-	if radius < 0 {
-		return StreamStats{}, fmt.Errorf("topology: geometric radius %v is negative", radius)
-	}
-	nodes := make([]Node, n)
-	for i := range nodes {
-		nodes[i] = Node{ID: NodeID(i), X: r.Float64(), Y: r.Float64()}
+	nodes, err := placeNodes(n, radius, r)
+	if err != nil {
+		return StreamStats{}, err
 	}
 
 	deg := make([]int32, n)

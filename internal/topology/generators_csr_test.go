@@ -8,10 +8,12 @@ import (
 	"m2hew/internal/rng"
 )
 
-// TestGeometricCSRMatchesGeometric pins the streaming CSR builder to the
-// edge-list builder at matched seed: identical nodes (same rng draws) and
-// identical sorted adjacency, so everything downstream — spans, candidate
-// tables, engines — is indistinguishable.
+// TestGeometricCSRMatchesGeometric pins the streamed CSR build (Geometric,
+// and GeometricCSR, its scale-benchmark name) to the edge-list reference:
+// the all-pairs scan fed through newNetwork's dedup and per-row sort, on
+// the same node placement. Identical nodes and sorted adjacency make
+// everything downstream — spans, candidate tables, engines —
+// indistinguishable.
 func TestGeometricCSRMatchesGeometric(t *testing.T) {
 	root := rng.New(61)
 	for trial := 0; trial < 40; trial++ {
@@ -19,16 +21,20 @@ func TestGeometricCSRMatchesGeometric(t *testing.T) {
 		n := int(seed%300) + 1
 		radius := 0.02 + float64(seed%97)/97*0.5
 		t.Run(fmt.Sprintf("trial%02d", trial), func(t *testing.T) {
-			a, err := Geometric(n, radius, rng.New(seed))
-			if err != nil {
-				t.Fatal(err)
-			}
 			b, err := GeometricCSR(n, radius, rng.New(seed))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(a.Nodes(), b.Nodes()) {
-				t.Fatal("node placements differ")
+			nodes := b.Nodes()
+			a, err := newNetwork(nodes, geometricEdgesNaive(nodes, radius))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := rng.New(seed)
+			for _, nd := range nodes {
+				if x, y := r.Float64(), r.Float64(); nd.X != x || nd.Y != y {
+					t.Fatalf("node %d placed at (%v, %v), draws give (%v, %v)", nd.ID, nd.X, nd.Y, x, y)
+				}
 			}
 			if a.EdgeCount() != b.EdgeCount() {
 				t.Fatalf("edge counts differ: %d vs %d", a.EdgeCount(), b.EdgeCount())

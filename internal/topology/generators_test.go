@@ -256,7 +256,7 @@ func TestConnected(t *testing.T) {
 }
 
 // TestGeometricEdgesMatchNaive pins the grid-bucket pair scan to the
-// all-pairs reference: same positions must yield the same edge list in the
+// all-pairs reference: same positions must yield the same pairs in the
 // same order, so seeded networks are unchanged by the index. The sweep
 // covers radii above and below the ⌈√n⌉ cell cap, the one-cell degenerate
 // case (radius ≥ 1), radius 0, and boundary coordinates.
@@ -275,7 +275,7 @@ func TestGeometricEdgesMatchNaive(t *testing.T) {
 		for i := range nodes {
 			nodes[i] = Node{ID: NodeID(i), X: r.Float64(), Y: r.Float64()}
 		}
-		got := geometricEdges(nodes, c.radius)
+		got := visitedPairs(nodes, c.radius)
 		want := geometricEdgesNaive(nodes, c.radius)
 		if len(got) != len(want) {
 			t.Fatalf("n=%d radius=%v: %d edges, naive has %d", c.n, c.radius, len(got), len(want))
@@ -293,7 +293,7 @@ func TestGeometricEdgesMatchNaive(t *testing.T) {
 		{ID: 5, X: 0.25, Y: 0.75}, {ID: 6, X: 0.5, Y: 0},
 	}
 	for _, radius := range []float64{0.2, 0.25, 0.354, 0.5} {
-		got := geometricEdges(nodes, radius)
+		got := visitedPairs(nodes, radius)
 		want := geometricEdgesNaive(nodes, radius)
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("boundary radius=%v: %v, naive has %v", radius, got, want)

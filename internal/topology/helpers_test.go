@@ -18,7 +18,7 @@ func parseSet(t *testing.T, text string) channel.Set {
 }
 
 // geometricEdgesNaive is the reference all-pairs scan that the differential
-// tests pin geometricEdges to.
+// tests pin visitGeometricPairs to.
 func geometricEdgesNaive(nodes []Node, radius float64) [][2]NodeID {
 	var edges [][2]NodeID
 	for i := 0; i < len(nodes); i++ {
@@ -29,6 +29,16 @@ func geometricEdgesNaive(nodes []Node, radius float64) [][2]NodeID {
 			}
 		}
 	}
+	return edges
+}
+
+// visitedPairs collects the pairs visitGeometricPairs emits, in emission
+// order.
+func visitedPairs(nodes []Node, radius float64) [][2]NodeID {
+	var edges [][2]NodeID
+	visitGeometricPairs(nodes, radius, func(i, j int32) {
+		edges = append(edges, [2]NodeID{NodeID(i), NodeID(j)})
+	})
 	return edges
 }
 
