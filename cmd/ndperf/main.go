@@ -15,9 +15,11 @@
 //
 // The workloads mirror BenchmarkRunSync / BenchmarkRunAsync /
 // BenchmarkRunAsyncOnline and their Scratch / large-n variants exactly
-// (same topology seeds, protocol seeds, and horizons) with one addition: a
-// counting observer tallies deliveries so throughput can be reported per
-// second of engine time.
+// (same topology seeds, protocol seeds, and horizons) with one addition:
+// deliveries are tallied so throughput can be reported per second of
+// engine time. The sync rows count them per node, without an event
+// subscription, so the tally never changes the path a row measures; the
+// async rows count them with an EventDeliver observer.
 package main
 
 import (
@@ -32,6 +34,7 @@ import (
 	"m2hew/internal/core"
 	"m2hew/internal/diag"
 	"m2hew/internal/dynamics"
+	"m2hew/internal/radio"
 	"m2hew/internal/rng"
 	"m2hew/internal/sim"
 	"m2hew/internal/telemetry"
@@ -171,30 +174,41 @@ func run(out, metricsPath, diagAddr, cpuProf, memProf string) (retErr error) {
 		}
 		return w
 	}
+	// A sync row's error is a run that left the path it exists to measure.
+	var rowErr error
+	syncRow := func(r benchRow, err error) benchRow {
+		if rowErr == nil {
+			rowErr = err
+		}
+		return r
+	}
 	rows := []benchRow{
-		benchSync("RunSync", nw, params.Delta, 2000, nil, nil, nil, agg),
+		syncRow(benchSync("RunSync", nw, params.Delta, 2000, nil, nil, nil, agg)),
 		benchAsync("RunAsync", sim.RunAsync, nw, params.Delta, 800, nil, nil, agg),
 		benchAsync("RunAsyncOnline", sim.RunAsyncOnline, nw, params.Delta, 800, nil, nil, agg),
 		// Steady state: one scratch reused across runs, the per-worker trial
 		// loop configuration. The gap to the rows above is the reuse saving.
-		benchSync("RunSyncScratch", nw, params.Delta, 2000, sim.NewSyncScratch(), nil, nil, agg),
+		syncRow(benchSync("RunSyncScratch", nw, params.Delta, 2000, sim.NewSyncScratch(), nil, nil, agg)),
 		benchAsync("RunAsyncScratch", sim.RunAsync, nw, params.Delta, 800, recycling(), nil, agg),
 		// Large-n regime (shorter horizons keep wall time comparable).
-		benchSync("RunSyncN200", nw200, nw200.ComputeParams().Delta, 500, sim.NewSyncScratch(), nil, nil, nil),
+		syncRow(benchSync("RunSyncN200", nw200, nw200.ComputeParams().Delta, 500, sim.NewSyncScratch(), nil, nil, nil)),
 		benchAsync("RunAsyncN100", sim.RunAsync, nw100, nw100.ComputeParams().Delta, 200, recycling(), nil, nil),
 		// Very-large-n regime: the streamed-CSR 100k scenario on the tiled
 		// parallel resolver. A short horizon keeps the row ~1s/op; deltaEst
 		// is fixed (ComputeParams at 100k would dominate setup).
-		benchSync("RunSyncN100k", nw100k, 16, 8, sim.NewSyncScratch(), tiling100k, nil, nil),
+		syncRow(benchSync("RunSyncN100k", nw100k, 16, 8, sim.NewSyncScratch(), tiling100k, nil, nil)),
 		// Dynamic regime: same large-n scenarios on a time-varying world.
 		// The gap to the static rows above is the dynamics overhead (epoch
 		// snapshots, activity gating, growable coverage).
-		benchSync("RunSyncChurn", nw200, nw200.ComputeParams().Delta, 500, sim.NewSyncScratch(), nil, churnWorld, nil),
+		syncRow(benchSync("RunSyncChurn", nw200, nw200.ComputeParams().Delta, 500, sim.NewSyncScratch(), nil, churnWorld, nil)),
 		benchAsync("RunAsyncMobility", sim.RunAsync, nw100, nw100.ComputeParams().Delta, 200, recycling(), mobilityWorld, nil),
+	}
+	if rowErr != nil {
+		return rowErr
 	}
 	rows = append(rows, benchKernels()...)
 	doc := snapshot{
-		Scenario:   "GeometricConnected(seed=1) + AssignUniformK(8,4); base n=30 r=0.35 (SyncUniform 2000 slots / Async 800 frames of 3 slots); large-n rows n=200 r=0.12 (500 slots) and n=100 r=0.16 (200 frames); N100k row streams GeometricConnectedCSR n=100k r=0.007 onto the tiled resolver (TilingByRadius 32x32, deltaEst 16, 8 slots); Scratch rows reuse one sim scratch across runs; Churn/Mobility rows run the large-n scenarios on a dynamics.World (seed 7); Kernel rows measure the channel word kernels on the 200-node dimensions (slots_per_op = kernel calls)",
+		Scenario:   "GeometricConnected(seed=1) + AssignUniformK(8,4); base n=30 r=0.35 (SyncUniform 2000 slots / Async 800 frames of 3 slots); large-n rows n=200 r=0.12 (500 slots) and n=100 r=0.16 (200 frames); N100k row streams GeometricConnectedCSR n=100k r=0.007 onto the multi-tile path, failing if any slot leaves it (TilingByRadius 32x32, deltaEst 16, 8 slots); Scratch rows reuse one sim scratch across runs; Churn/Mobility rows run the large-n scenarios on a dynamics.World (seed 7); Kernel rows measure the channel word kernels on the 200-node dimensions (slots_per_op = kernel calls)",
 		Notes:      "timings are machine-dependent; compare ratios across commits, not absolute values. slots_per_op is global slots (sync) or per-node local slots (async).",
 		Benchmarks: rows,
 	}
@@ -277,22 +291,50 @@ func benchNetwork100k() (*topology.Network, *topology.Tiling, error) {
 	return nw, tl, nil
 }
 
-func benchSync(name string, nw *topology.Network, deltaEst, maxSlots int, scratch *sim.SyncScratch, tiling *topology.Tiling, world func() *dynamics.World, agg *telemetry.Aggregate) benchRow {
-	var deliveries, slots int64
+// countingUniform is Algorithm 3 with a delivery counter. The sync rows
+// count deliveries per node and sum them after each run: an EventDeliver
+// subscription would make every run emit per-listener events, which keeps
+// it off the multi-tile path.
+type countingUniform struct {
+	*core.SyncUniform
+	deliveries int64
+}
+
+func (c *countingUniform) Deliver(msg radio.Message) {
+	c.deliveries++
+	c.SyncUniform.Deliver(msg)
+}
+
+// benchSync measures one synchronous row. A row with a tiling fails unless
+// every slot of every run took the multi-tile path, so it cannot silently
+// measure the single tile.
+func benchSync(name string, nw *topology.Network, deltaEst, maxSlots int, scratch *sim.SyncScratch, tiling *topology.Tiling, world func() *dynamics.World, agg *telemetry.Aggregate) (benchRow, error) {
+	var (
+		deliveries, slots int64
+		pathErr           error
+	)
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		deliveries, slots = 0, 0
 		for i := 0; i < b.N; i++ {
 			root := rng.New(uint64(i) + 1)
+			counted := make([]countingUniform, nw.N())
 			protos := make([]sim.SyncProtocol, nw.N())
 			for u := 0; u < nw.N(); u++ {
 				p, err := core.NewSyncUniform(nw.Avail(topology.NodeID(u)), deltaEst, root.Split())
 				if err != nil {
 					b.Fatal(err)
 				}
-				protos[u] = p
+				counted[u].SyncUniform = p
+				protos[u] = &counted[u]
 			}
 			tele := teleObserver(agg, nw)
+			obs := tele
+			var rec *sim.InternalsRecorder
+			if tiling != nil {
+				rec = &sim.InternalsRecorder{}
+				obs = sim.MultiObserver(rec, tele)
+			}
 			cfg := sim.SyncConfig{
 				Network:       nw,
 				Protocols:     protos,
@@ -300,9 +342,7 @@ func benchSync(name string, nw *topology.Network, deltaEst, maxSlots int, scratc
 				RunToMaxSlots: true,
 				Scratch:       scratch,
 				Tiling:        tiling,
-				Observer: sim.MultiObserver(sim.OnlyEvents(sim.MaskOf(sim.EventDeliver), sim.ObserverFunc(func(e sim.Event) {
-					deliveries++
-				})), tele),
+				Observer:      obs,
 			}
 			if world != nil {
 				cfg.Dynamics = world()
@@ -314,10 +354,20 @@ func benchSync(name string, nw *topology.Network, deltaEst, maxSlots int, scratc
 			if agg != nil {
 				agg.TrialDone(tele)
 			}
+			if rec != nil && rec.Last.TiledSlots != int64(r.SlotsSimulated) {
+				pathErr = fmt.Errorf("%s: %d of %d slots took the multi-tile path", name, rec.Last.TiledSlots, r.SlotsSimulated)
+				b.FailNow()
+			}
+			for u := range counted {
+				deliveries += counted[u].deliveries
+			}
 			slots += int64(r.SlotsSimulated)
 		}
 	})
-	return row(name, res, deliveries, float64(slots)/float64(res.N))
+	if pathErr != nil {
+		return benchRow{}, pathErr
+	}
+	return row(name, res, deliveries, float64(slots)/float64(res.N)), nil
 }
 
 func benchAsync(name string, engine func(sim.AsyncConfig) (*sim.AsyncResult, error), nw *topology.Network, deltaEst, maxFrames int, scratch *sim.AsyncScratch, world func() *dynamics.World, agg *telemetry.Aggregate) benchRow {

@@ -50,6 +50,10 @@ type SyncScratch struct {
 	tileTL    *topology.Tiling
 	tileMasks *topology.CandidateMasks
 	tiles     []tileState
+	// The multi-tile rounds' NodeID-order state: the decide and deliver
+	// chunks and the NodeID-indexed sender slots (see nodeChunks).
+	chunks  []nodeChunk
+	senders []int32
 
 	actions []radio.Action
 	locals  []int
@@ -177,6 +181,21 @@ func (sc *SyncScratch) tileState(nw *topology.Network, tl *topology.Tiling, cand
 	}
 	resetTileStates(sc.tiles)
 	return sc.tileMasks, sc.tiles
+}
+
+// nodeChunks returns a multi-tile run's count NodeID chunks over n nodes
+// and its n sender slots, reusing scratch capacity (the chunks keep their
+// heard-list buffers) and resetting both either way (resetNodeChunks).
+func (sc *SyncScratch) nodeChunks(n, count int) ([]nodeChunk, []int32) {
+	if cap(sc.chunks) < count {
+		sc.chunks = make([]nodeChunk, count)
+	}
+	if cap(sc.senders) < n {
+		sc.senders = make([]int32, n)
+	}
+	chunks, senders := sc.chunks[:count], sc.senders[:n]
+	resetNodeChunks(chunks, senders)
+	return chunks, senders
 }
 
 // actionBuf returns the per-node action buffer, grown to n. Entries are

@@ -28,12 +28,15 @@
 // node-major, the order the engines used before they became incremental.
 //
 // RunSync runs every slot through one tile pipeline (sync_tiled.go):
-// phase A steps and scatters each tile's decisions into transmitter word
-// masks, phase B intersects each listener's packed candidate-mask row
-// against them. A run with a Tiling that passes its gate resolves many
-// spatial tiles on a worker pool; every other run uses a single tile
-// holding every node, resolved inline in ascending NodeID order, which
-// keeps the per-listener event and loss-draw order.
+// nodes step and their decisions scatter into per-tile transmitter word
+// masks, and each listener's packed candidate-mask row is intersected
+// against them. A run with a Tiling that passes its gate runs a slot as
+// four rounds on a worker pool: the rounds that call protocols (decide,
+// deliver) sweep contiguous NodeID chunks, in the memory order of the
+// per-node state, and the mask rounds (scatter, resolve) run per spatial
+// tile. Every other run uses a single tile holding every node, resolved
+// inline in ascending NodeID order, which keeps the per-listener event
+// and loss-draw order.
 //
 // Both engines stop once coverage is complete. RunSync checks after every
 // slot (unless RunToMaxSlots is set or a dynamic world may still grow the
@@ -63,10 +66,11 @@ import (
 // Engines query it at delivery time, so the list reflects everything the
 // sender had heard before the delivered transmission. AppendHeard appends
 // the list, ascending, to dst and returns the extended slice; it must only
-// read the reporter's state (the tiled engine queries one sender from
-// several workers at once). The engines pass a buffer they reuse across
-// deliveries and lend it to the receiver as radio.Message.Heard for the
-// Deliver call only.
+// read the reporter's state: a multi-tile run's deliver round queries one
+// sender from several workers at once, each delivering to its own NodeID
+// chunk's listeners. The engines pass a buffer they reuse across
+// deliveries (one per NodeID chunk on a multi-tile run) and lend it to the
+// receiver as radio.Message.Heard for the Deliver call only.
 type HeardReporter interface {
 	AppendHeard(dst []topology.NodeID) []topology.NodeID
 }
@@ -109,22 +113,25 @@ type SyncConfig struct {
 	// the ownership and network-mutation contract). Nil means the run
 	// allocates a private scratch; results are identical either way.
 	Scratch *SyncScratch
-	// Tiling, if non-nil, requests the multi-tile parallel path: the slot
-	// pipeline's phases run per tile on a fork-join worker pool with a
-	// deterministic halo exchange per slot (see sync_tiled.go),
-	// byte-identical to the single-tile run at matched seed. The tiling
-	// must partition this network's nodes with cell side ≥ the connection
-	// radius (TilingByRadius). The multi-tile path engages only when its
-	// gate holds — static world, loss-free, no per-listener event
-	// subscription, and a halo-clean in-budget mask table; otherwise the
-	// run takes the single tile that every run without a Tiling takes,
-	// deterministically. Tile workers call different nodes' protocols
+	// Tiling, if non-nil, requests the multi-tile parallel path: each slot
+	// runs as four rounds on a fork-join worker pool — protocol steps and
+	// deliveries over contiguous NodeID chunks, transmitter-mask scatter
+	// and resolution per tile with a deterministic halo exchange (see
+	// sync_tiled.go) — byte-identical to the single-tile run at matched
+	// seed. The tiling must partition this network's nodes with cell side
+	// ≥ the connection radius (TilingByRadius). The multi-tile path
+	// engages only when its gate holds — static world, loss-free, no
+	// per-listener event subscription, and a halo-clean in-budget mask
+	// table; otherwise the run takes the single tile that every run
+	// without a Tiling takes, deterministically. Workers call different nodes' protocols
 	// concurrently, which is sound because each protocol touches only its
 	// own state and private rng stream.
 	Tiling *topology.Tiling
 	// TileWorkers bounds the multi-tile path's parallelism (caller
-	// included). 0 picks GOMAXPROCS; 1 runs the tiles serially (useful for
-	// differential tests). Ignored without Tiling. Worker count never
+	// included), capped at the tile count. 0 picks GOMAXPROCS; 1 runs every
+	// round serially (useful for differential tests). The NodeID chunk
+	// count follows from it and the node count: four chunks per worker, of
+	// at least 256 nodes. Ignored without Tiling. Worker count never
 	// affects results, only wall-clock.
 	TileWorkers int
 	// Dynamics, if non-nil, runs the simulation on a time-varying world:
@@ -260,7 +267,7 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 	run.actions = sc.actionBuf(n)
 	if channels <= 64 {
 		// Every channel ID fits one word: flatten each node's availability
-		// to a single mask so phase A validates with one bit test. The
+		// to a single mask so a decision validates with one bit test. The
 		// contents are recomputed per run (cheap, O(n)); only the buffer
 		// is reused.
 		run.avail1 = sc.availBuf(n)
@@ -310,12 +317,11 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 			if t := cfg.Tiling.Tiles(); workers > t {
 				workers = t
 			}
-			run.pool = tilepool.New(workers)
-			defer run.pool.Close()
 			run.tl, run.masks = cfg.Tiling, tm
-			run.tiles = tiles                            //ndlint:ignore scratchalias syncRun is run-scoped; the field dies with the run, before the scratch is recycled
-			run.fnA = func(ti int) { run.tileSlotA(ti) } //ndlint:ignore hotalloc two phase closures per run, not per slot
-			run.fnB = func(ti int) { run.tileSlotB(ti) }
+			run.tiles = tiles //ndlint:ignore scratchalias syncRun is run-scoped; the field dies with the run, before the scratch is recycled
+			run.chunks, run.senders = sc.nodeChunks(n, chunkCount(n, workers))
+			run.startPool(workers)
+			defer run.pool.Close()
 		}
 	}
 	if run.pool == nil {
@@ -391,6 +397,16 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 		sink.OnInternals(run.finalizeInternals(int64(result.SlotsSimulated), tablesHit))
 	}
 	return result, nil
+}
+
+// startPool starts the multi-tile run's worker pool and binds its four
+// round closures, once per run.
+func (r *syncRun) startPool(workers int) {
+	r.pool = tilepool.New(workers)
+	r.fnDecide = func(ci int) { r.decideChunk(ci) }
+	r.fnScatter = func(ti int) { r.scatterTile(ti) }
+	r.fnResolve = func(ti int) { r.tileSlotB(ti) }
+	r.fnDeliver = func(ci int) { r.deliverChunk(ci) }
 }
 
 // finalizeInternals completes the run's internals report. The tiling is

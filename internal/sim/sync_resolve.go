@@ -16,15 +16,17 @@ import (
 // It exists so the slot loop decomposes into //nd:hotpath methods instead
 // of one megafunction.
 //
-// Every slot runs on one tile pipeline (sync_tiled.go): phase A steps a
-// tile's nodes and scatters their decisions into its transmitter masks,
-// phase B resolves its listeners against candidate-mask rows. A run takes
-// one of two tilings for its whole length:
+// Every slot runs on one tile pipeline (sync_tiled.go): nodes step and
+// their decisions scatter into per-tile transmitter masks, and listeners
+// resolve against candidate-mask rows. A run takes one of two tilings for
+// its whole length:
 //
 //   - multi-tile: cfg.Tiling, when its gate holds (static world, loss-free,
-//     no per-listener event subscription, halo-clean in-budget masks). The
-//     phases run per tile on a tilepool, and coverage is applied after
-//     phase B in ascending tile order.
+//     no per-listener event subscription, halo-clean in-budget masks). A
+//     slot is four rounds on a tilepool: the protocol-facing decide and
+//     deliver rounds sweep contiguous NodeID chunks, the scatter and
+//     resolve rounds run per tile, and coverage is applied after them in
+//     ascending tile order.
 //   - single tile: every other run. One tile holds every node, so local
 //     indexes and mask bits are NodeIDs and the halo is the tile itself.
 //     The phases run inline, and listeners resolve in ascending NodeID
@@ -55,12 +57,16 @@ type syncRun struct {
 	masks *topology.CandidateMasks
 
 	// The tile pipeline: the per-tile state and, on a multi-tile run only,
-	// the tiling, the worker pool and the phase closures handed to it
-	// (built once per run).
-	tl       *topology.Tiling
-	tiles    []tileState
-	pool     *tilepool.Pool
-	fnA, fnB func(int)
+	// the tiling, the worker pool, the round closures handed to it (built
+	// once per run), the NodeID chunks of the decide and deliver rounds,
+	// and the NodeID-indexed sender slots (noSender when empty) that carry
+	// resolved deliveries from the resolve round to the deliver round.
+	tl                                        *topology.Tiling
+	tiles                                     []tileState
+	pool                                      *tilepool.Pool
+	fnDecide, fnScatter, fnResolve, fnDeliver func(int)
+	chunks                                    []nodeChunk
+	senders                                   []int32
 
 	// Per-slot inputs to the phases: the slot, and each node's decision
 	// index — slot − startSlots[u] with staggered starts, or, in a dynamic
@@ -256,28 +262,40 @@ func (r *syncRun) resolveScalar(ts *tileState) {
 	}
 }
 
-// deliver is the one delivery tail: message construction with the per-run
-// heard-reporter cache, then protocol delivery — in-worker on a multi-tile
-// run, which is safe because each listener belongs to exactly one tile and
-// sender state is frozen for the slot (half duplex). A multi-tile run
-// queues the link for the sequential coverage apply; the single tile
-// observes it on the coverage oracle (which ignores repeat observations of
-// a covered link) and emits the delivery event inline, in listener order.
+// deliver is the one delivery tail of a resolved listener. A multi-tile
+// run records the sender in the listener's NodeID-indexed slot for the
+// deliver round and queues the link for the sequential coverage apply.
+// The single tile delivers inline, observes the link on the coverage
+// oracle (which ignores repeat observations of a covered link) and emits
+// the delivery event, in listener order.
 //
 //nd:hotpath
 func (r *syncRun) deliver(ts *tileState, sender, uid topology.NodeID, c channel.ID) {
-	msg := radio.Message{From: sender, Avail: r.msgAvail[sender]}
-	if hr := r.hrs[sender]; hr != nil {
-		ts.heard = hr.AppendHeard(ts.heard[:0])
-		msg.Heard = borrowHeard(ts.heard)
-	}
-	r.protos[uid].Deliver(msg)
 	if r.pool != nil {
+		r.senders[uid] = int32(sender)
 		ts.deliv = append(ts.deliv, tileDelivery{from: sender, to: uid})
 		return
 	}
+	ts.heard = r.deliverMsg(ts.heard, sender, uid)
 	r.coverage.Observe(topology.Link{From: sender, To: uid}, float64(r.slot))
 	if r.wantDeliver {
 		r.emit(EventDeliver, sender, uid, c)
 	}
+}
+
+// deliverMsg builds sender's message — its shared availability set and,
+// from a HeardReporter, a heard-list snapshot taken into heard — delivers
+// it to uid's protocol, and returns heard for reuse. Sender state is
+// frozen for the slot (half duplex), so the snapshot is the same whichever
+// worker takes it.
+//
+//nd:hotpath
+func (r *syncRun) deliverMsg(heard []topology.NodeID, sender, uid topology.NodeID) []topology.NodeID {
+	msg := radio.Message{From: sender, Avail: r.msgAvail[sender]}
+	if hr := r.hrs[sender]; hr != nil {
+		heard = hr.AppendHeard(heard[:0])
+		msg.Heard = borrowHeard(heard)
+	}
+	r.protos[uid].Deliver(msg)
+	return heard
 }

@@ -7,38 +7,55 @@ import (
 )
 
 // This file is the synchronous engine's one slot pipeline. A run's nodes
-// are partitioned into tiles (topology.Tiling) and each slot runs as two
-// phases per tile:
+// are partitioned into tiles (topology.Tiling); a slot steps every node's
+// protocol, scatters the decisions into tile-local per-channel transmitter
+// word masks, resolves each listener by intersecting its candidate row
+// (topology.CandidateMasks) against its channel's halo transmitter mask,
+// and delivers each unique survivor to the listener's protocol.
 //
-//	phase A  clear the tile's per-slot state, step its nodes' protocols,
-//	         validate, and scatter transmitters into the tile-local
-//	         per-channel word masks and listeners into the tile's
-//	         listener list;
-//	barrier  every tile's transmitter masks are final;
-//	phase B  for each listener, intersect its candidate row
-//	         (topology.CandidateMasks) against its channel's halo
-//	         transmitter mask and deliver a unique survivor to its
-//	         protocol.
+// Most runs use a single tile holding every node (see syncRun). Its halo
+// is the tile itself, and a slot runs inline on the caller as two phases:
 //
-// Most runs use a single tile holding every node (see syncRun): its halo
-// is the tile itself, so phase B reads the tile's own transmitter words,
-// and both phases run inline on the caller. A multi-tile run (cfg.Tiling,
-// cell side ≥ radius) runs each phase across a fork-join tilepool — the
-// pool's join is the barrier — assembles each listening channel's halo
-// mask by word-copying the 3×3 neighbor tiles' segments, and then applies
-// coverage on the caller, sequentially in ascending tile order.
+//	phase A  clear the tile's per-slot state, step every node's protocol
+//	         in ascending NodeID order, validate, and scatter transmitters
+//	         into the per-channel masks and listeners into the listener
+//	         list;
+//	phase B  resolve each listener, in ascending NodeID order, and deliver
+//	         inline.
+//
+// A multi-tile run (cfg.Tiling, cell side ≥ radius) runs a slot as four
+// fork-join rounds on a tilepool, each pool join a barrier. Per-node
+// protocol state — protocols, their rng streams and neighbor tables — was
+// allocated in NodeID order, so the rounds that call into it sweep
+// contiguous NodeID chunks in memory order; only the word-mask work runs
+// per tile:
+//
+//	decide   per NodeID chunk: step each node (start slots honoured),
+//	         validate, and store actions[u];
+//	scatter  per tile: read the tile's actions into its local transmitter
+//	         masks and listener list;
+//	resolve  per tile: assemble each listening channel's halo mask by
+//	         word-copying the 3×3 neighbor tiles' segments, resolve the
+//	         tile's listeners, and record each single-survivor listener's
+//	         sender in the NodeID-indexed sender slots (and the link in the
+//	         tile's delivery queue);
+//	deliver  per NodeID chunk: for each node with a sender, build the
+//	         message, snapshot the sender's heard-list, call Deliver and
+//	         clear the slot.
+//
+// The caller then applies coverage sequentially, in ascending tile order.
 //
 // Byte-identity of a multi-tile run with the single tile at matched seed
 // rests on the multi-tile gate (static world, loss-free, no per-listener
 // observer subscription):
 //
 //   - decisions: every protocol draws from its own per-node rng stream and
-//     touches only its own state, and per-node step order is preserved
-//     (ascending local slot), so stepping tile-by-tile in parallel yields
-//     the same decision sequences — the barrier separates slot s's steps
-//     from slot s's deliveries exactly as the single tile's phase split
-//     does, so even adaptive (non-oblivious) protocols see the identical
-//     interleaving of Step and Deliver calls;
+//     touches only its own state, and each node keeps its call order —
+//     Step(s), then its slot-s Deliver if any, then Step(s+1) — because the
+//     decide and deliver rounds are separated by barriers exactly as the
+//     single tile's phases are. Which worker sweeps which NodeID chunk is
+//     invisible, so even adaptive (non-oblivious) protocols see the
+//     identical interleaving of Step and Deliver calls;
 //   - resolution: each listener is resolved by exactly one tile (its own),
 //     against a halo mask that the barrier guarantees is the slot's
 //     complete transmitter picture within radio reach (NewTileMasks proved
@@ -48,26 +65,30 @@ import (
 //     with no per-listener events there is no event order to preserve, a
 //     listener receives at most one delivery per slot, and half duplex
 //     means no sender's state (HeardReporter snapshots included) can
-//     change mid-slot — so the within-slot delivery order is invisible,
-//     and the order-sensitive residue (coverage bookkeeping) is applied
-//     sequentially after the barrier;
-//   - errors: each tile validates its nodes in ascending NodeID order and
+//     change within a slot, even while other chunks deliver — so the
+//     within-slot delivery order is invisible, and the order-sensitive
+//     residue (coverage bookkeeping) is applied sequentially after the
+//     deliver round;
+//   - errors: each NodeID chunk validates its nodes in ascending order and
 //     stops at its first failure; the engine reports the minimum failing
-//     node across tiles, which is the first failure an ascending scan
+//     node across chunks, which is the first failure an ascending scan
 //     would have hit (validity is a per-node property), with the identical
-//     message.
+//     message;
+//   - internals: decision rounds are still tallied per (slot, tile with
+//     stepped nodes), in the scatter round, so StepperBatches and its
+//     means do not depend on the chunking.
 
-// tileDelivery is one multi-tile phase-B delivery, queued for the
-// sequential coverage-apply step.
+// tileDelivery is one multi-tile delivery, queued for the sequential
+// coverage-apply step.
 type tileDelivery struct {
 	from, to topology.NodeID
 }
 
-// tileState is one tile's scratch: phase A's scatter buffers, phase B's
-// halo assembly, and the tile's internals tallies. Workers touch
-// only their own tile's state during a phase (phase B additionally READS
-// neighbor tiles' phase-A outputs, sequenced by the pool barrier), so no
-// two goroutines ever write the same state.
+// tileState is one tile's scratch: the scatter buffers, the halo assembly,
+// and the tile's internals tallies. Workers touch only their own tile's
+// state during a round (resolve additionally READS neighbor tiles' scatter
+// outputs, sequenced by the pool barrier), so no two goroutines ever write
+// the same state.
 type tileState struct {
 	nodes     []topology.NodeID // the tile's nodes, ascending (shared storage)
 	words     int               // word width of the tile's own segment
@@ -88,7 +109,7 @@ type tileState struct {
 	haloLive  []bool   // per channel: any transmitter present at last assembly
 
 	deliv []tileDelivery
-	heard []topology.NodeID // heard-list snapshot lent to each Deliver
+	heard []topology.NodeID // the single tile's heard-list snapshot, lent to each Deliver
 
 	err     error
 	errNode topology.NodeID
@@ -97,6 +118,30 @@ type tileState struct {
 	// and summed deterministically at run end.
 	batches, batchNodes, maxBatch int64
 	haloEx, haloWordsCopied       int64
+}
+
+// nodeChunk is one contiguous NodeID range [lo, hi) of a multi-tile run's
+// decide and deliver rounds, with the round's error and the heard-list
+// snapshot lent to each Deliver. A worker touches only its own chunk.
+type nodeChunk struct {
+	lo, hi  topology.NodeID
+	err     error
+	errNode topology.NodeID
+	heard   []topology.NodeID
+}
+
+// noSender marks a node with no delivery pending in the multi-tile
+// sender slots.
+const noSender = -1
+
+// minChunkNodes is the smallest NodeID chunk worth a pool round's steal.
+const minChunkNodes = 256
+
+// chunkCount returns how many NodeID chunks a multi-tile run of n nodes on
+// the given worker count sweeps: four per worker, so the pool's cursor can
+// balance uneven protocol costs, but none smaller than minChunkNodes.
+func chunkCount(n, workers int) int {
+	return max(1, min(4*workers, n/minChunkNodes))
 }
 
 // buildTileStates sizes one tileState per tile for the given tiling and
@@ -145,32 +190,51 @@ func resetTileStates(tiles []tileState) {
 	}
 }
 
-// runSlot executes one slot: phase A, the error sweep, the slot event, and
-// phase B — across the pool followed by the sequential coverage apply on a
-// multi-tile run, inline (or on the scalar scan) on the single tile.
+// resetNodeChunks splits [0, n) into len(chunks) contiguous ranges and
+// clears every chunk's error, and marks every sender slot empty: an errored
+// previous run may have returned with either in place.
+func resetNodeChunks(chunks []nodeChunk, senders []int32) {
+	n := len(senders)
+	for i := range chunks {
+		ch := &chunks[i]
+		ch.lo = topology.NodeID(i * n / len(chunks))
+		ch.hi = topology.NodeID((i + 1) * n / len(chunks))
+		ch.err, ch.errNode = nil, 0
+	}
+	for i := range senders {
+		senders[i] = noSender
+	}
+}
+
+// runSlot executes one slot. On the single tile: phase A, the error check,
+// the slot event, and phase B (or the scalar scan), all inline. On a
+// multi-tile run: the decide round, the error sweep, the slot event, the
+// scatter, resolve and deliver rounds, and the sequential coverage apply.
 //
 //nd:hotpath
 func (r *syncRun) runSlot(slot int) error {
 	r.slot = slot
 	r.ev.Time, r.ev.Slot = float64(slot), slot
-	if r.pool != nil {
-		r.pool.Run(len(r.tiles), r.fnA)
-	} else {
-		r.tileSlotA(0)
-	}
-
-	// Error sweep: the minimum failing node across tiles is the failure an
-	// ascending scan would have reported first.
-	var firstErr error
-	firstNode := topology.NodeID(-1)
-	for t := range r.tiles {
-		ts := &r.tiles[t]
-		if ts.err != nil && (firstNode < 0 || ts.errNode < firstNode) {
-			firstErr, firstNode = ts.err, ts.errNode
+	if r.pool == nil {
+		r.tileSlotA()
+		if ts := &r.tiles[0]; ts.err != nil {
+			return ts.err
 		}
-	}
-	if firstErr != nil {
-		return firstErr
+	} else {
+		r.pool.Run(len(r.chunks), r.fnDecide)
+		// Error sweep: the minimum failing node across chunks is the
+		// failure an ascending scan would have reported first.
+		var firstErr error
+		firstNode := topology.NodeID(-1)
+		for i := range r.chunks {
+			ch := &r.chunks[i]
+			if ch.err != nil && (firstNode < 0 || ch.errNode < firstNode) {
+				firstErr, firstNode = ch.err, ch.errNode
+			}
+		}
+		if firstErr != nil {
+			return firstErr
+		}
 	}
 
 	if r.wantSlot {
@@ -182,7 +246,9 @@ func (r *syncRun) runSlot(slot int) error {
 
 	switch {
 	case r.pool != nil:
-		r.pool.Run(len(r.tiles), r.fnB)
+		r.pool.Run(len(r.tiles), r.fnScatter)
+		r.pool.Run(len(r.tiles), r.fnResolve)
+		r.pool.Run(len(r.chunks), r.fnDeliver)
 		// Sequential apply: the coverage oracle is shared across tiles, so
 		// it runs on the caller in ascending tile order. Within-slot order
 		// is invisible in results — every delivery carries the same slot
@@ -202,15 +268,11 @@ func (r *syncRun) runSlot(slot int) error {
 	return nil
 }
 
-// tileSlotA is phase A for one tile: clear the tile's previous slot, step
-// its active nodes' protocols in ascending NodeID order, validate, and
-// scatter.
+// beginSlot clears the tile's previous slot: transmitter masks and counts,
+// listeners and queued deliveries.
 //
 //nd:hotpath
-func (r *syncRun) tileSlotA(ti int) {
-	ts := &r.tiles[ti]
-	slot := r.slot
-
+func (ts *tileState) beginSlot() {
 	for _, c := range ts.txTouched {
 		ts.txOn[c] = 0
 		clear(ts.localTx[int(c)*ts.words : (int(c)+1)*ts.words])
@@ -218,6 +280,26 @@ func (r *syncRun) tileSlotA(ti int) {
 	ts.txTouched = ts.txTouched[:0]
 	ts.rxU, ts.rxC = ts.rxU[:0], ts.rxC[:0]
 	ts.deliv = ts.deliv[:0]
+}
+
+// tallyRound counts one decision round of stepped nodes on the tile.
+//
+//nd:hotpath
+func (ts *tileState) tallyRound(stepped int) {
+	ts.batches++
+	ts.batchNodes += int64(stepped)
+	ts.maxBatch = max(ts.maxBatch, int64(stepped))
+}
+
+// tileSlotA is the single tile's phase A: clear the tile's previous slot,
+// step its active nodes' protocols in ascending NodeID order, validate,
+// and scatter.
+//
+//nd:hotpath
+func (r *syncRun) tileSlotA() {
+	ts := &r.tiles[0]
+	slot := r.slot
+	ts.beginSlot()
 	ts.err = nil
 
 	stepped := 0
@@ -272,19 +354,110 @@ func (r *syncRun) tileSlotA(ti int) {
 			actions[u] = a
 		}
 	}
-	// Decision rounds: one per (slot, tile with active nodes); the single
-	// tile counts one round every slot.
-	if r.tallyInternals && (stepped > 0 || r.pool == nil) {
-		ts.batches++
-		ts.batchNodes += int64(stepped)
-		if int64(stepped) > ts.maxBatch {
-			ts.maxBatch = int64(stepped)
+	// The single tile counts one decision round every slot.
+	if r.tallyInternals {
+		ts.tallyRound(stepped)
+	}
+}
+
+// decideChunk is a multi-tile run's decide round for one NodeID chunk:
+// step each started node's protocol in ascending NodeID order, validate,
+// and store its action.
+//
+//nd:hotpath
+func (r *syncRun) decideChunk(ci int) {
+	ch := &r.chunks[ci]
+	slot := r.slot
+	startSlots, actions, protos := r.startSlots, r.actions, r.protos
+	for u := ch.lo; u < ch.hi; u++ {
+		local := slot
+		if startSlots != nil {
+			if slot < startSlots[u] {
+				actions[u] = radio.Action{Mode: radio.Quiet}
+				continue
+			}
+			local = slot - startSlots[u]
+		}
+		a := protos[u].Step(local)
+		switch a.Mode {
+		case radio.Transmit, radio.Receive:
+			if !r.valid(u, a.Channel) {
+				ch.err, ch.errNode = r.invalid(u, slot, a), u
+				return
+			}
+		case radio.Quiet:
+		default:
+			ch.err, ch.errNode = r.invalid(u, slot, a), u
+			return
+		}
+		actions[u] = a
+	}
+}
+
+// scatterTile is a multi-tile run's scatter round for one tile: clear the
+// tile's previous slot and read its nodes' stored actions into the local
+// transmitter masks and the listener list.
+//
+//nd:hotpath
+func (r *syncRun) scatterTile(ti int) {
+	ts := &r.tiles[ti]
+	ts.beginSlot()
+	actions := r.actions
+	txOn, localTx, words := ts.txOn, ts.localTx, ts.words
+	// A node's position in the tile is its local index.
+	for li, u := range ts.nodes {
+		switch a := actions[u]; a.Mode {
+		case radio.Transmit:
+			c := a.Channel
+			if txOn[c] == 0 {
+				ts.txTouched = append(ts.txTouched, c)
+			}
+			txOn[c]++
+			channel.SetBit(localTx[int(c)*words:(int(c)+1)*words], li)
+		case radio.Receive:
+			ts.rxU = append(ts.rxU, u)
+			ts.rxC = append(ts.rxC, a.Channel)
+		}
+	}
+	// Decision rounds: one per (slot, tile with stepped nodes).
+	if r.tallyInternals {
+		stepped := len(ts.nodes)
+		if r.startSlots != nil {
+			stepped = 0
+			for _, u := range ts.nodes {
+				if r.slot >= r.startSlots[u] {
+					stepped++
+				}
+			}
+		}
+		if stepped > 0 {
+			ts.tallyRound(stepped)
 		}
 	}
 }
 
-// tileSlotB is phase B for one tile: one OverlapResolve per listener — or,
-// on a lossy run, the per-bit overlap walk — against its channel's halo
+// deliverChunk is a multi-tile run's deliver round for one NodeID chunk:
+// deliver each pending sender's message in ascending listener order and
+// clear its slot.
+//
+//nd:hotpath
+func (r *syncRun) deliverChunk(ci int) {
+	ch := &r.chunks[ci]
+	heard := ch.heard
+	senders := r.senders[ch.lo:ch.hi]
+	for i, s := range senders {
+		if s == noSender {
+			continue
+		}
+		senders[i] = noSender
+		heard = r.deliverMsg(heard, topology.NodeID(s), ch.lo+topology.NodeID(i))
+	}
+	ch.heard = heard
+}
+
+// tileSlotB resolves one tile's listeners — the single tile's phase B, a
+// multi-tile run's resolve round: one OverlapResolve per listener — or, on
+// a lossy run, the per-bit overlap walk — against its channel's halo
 // transmitter mask (the tile's own words when its halo is only itself),
 // with the idle, collision and delivery events of a single-tile run
 // emitted inline in listener order.

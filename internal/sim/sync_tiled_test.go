@@ -11,8 +11,12 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
+	"m2hew/internal/channel"
+	"m2hew/internal/core"
 	"m2hew/internal/dynamics"
 	"m2hew/internal/radio"
 	"m2hew/internal/rng"
@@ -482,5 +486,250 @@ func TestSyncTiledSteadyStateAllocs(t *testing.T) {
 	}
 	if short > 120 {
 		t.Errorf("tiled path allocated %.0f objects per scratch-reusing run", short)
+	}
+}
+
+// callRec is one engine call into a node's protocol: a Step with its local
+// slot and returned action, or a Deliver with its sender and a copy of the
+// borrowed heard-list.
+type callRec struct {
+	deliver bool
+	local   int
+	act     radio.Action
+	from    topology.NodeID
+	heard   []topology.NodeID
+}
+
+// logSync wraps a protocol and records every call the engine makes into
+// it, in call order.
+type logSync struct {
+	inner SyncProtocol
+	log   []callRec
+}
+
+func (l *logSync) Step(local int) radio.Action {
+	a := l.inner.Step(local)
+	l.log = append(l.log, callRec{local: local, act: a})
+	return a
+}
+
+func (l *logSync) Deliver(msg radio.Message) {
+	l.log = append(l.log, callRec{deliver: true, from: msg.From, heard: slices.Clone(msg.Heard)})
+	l.inner.Deliver(msg)
+}
+
+// logHeardSync is a logSync of a HeardReporter; a separate type so logs of
+// non-reporters do not become reporters.
+type logHeardSync struct {
+	*logSync
+	HeardReporter
+}
+
+// logProtos builds Algorithm 3 for every node of nw — wrapped with the
+// acknowledgment extension when ack is set, so deliveries carry heard-lists
+// — behind call-logging wrappers.
+func logProtos(t *testing.T, nw *topology.Network, seed uint64, ack bool) ([]SyncProtocol, []*logSync) {
+	t.Helper()
+	root := rng.New(seed)
+	protos := make([]SyncProtocol, nw.N())
+	logs := make([]*logSync, nw.N())
+	for u := range protos {
+		p, err := core.NewSyncUniform(nw.Avail(topology.NodeID(u)), 16, root.Split())
+		if err != nil {
+			t.Fatal(err)
+		}
+		logs[u] = &logSync{inner: p}
+		protos[u] = logs[u]
+		if ack {
+			a, err := core.NewAcknowledging(topology.NodeID(u), p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			logs[u].inner = a
+			protos[u] = logHeardSync{logs[u], a}
+		}
+	}
+	return protos, logs
+}
+
+// callLogNet is a geometric network of about 4000 nodes with its
+// radius-safe tiling: many tiles, and several NodeID chunks per worker at
+// every worker count.
+func callLogNet(t *testing.T) (*topology.Network, *topology.Tiling) {
+	t.Helper()
+	const n, radius = 4000, 0.03
+	r := rng.New(4242)
+	nw, err := topology.GeometricCSR(n, radius, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := topology.AssignUniformK(nw, 6, 3, r); err != nil {
+		t.Fatal(err)
+	}
+	tl, err := topology.TilingByRadius(nw, radius, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tl.Tiles() < 64 {
+		t.Fatalf("call-log tiling has only %d tiles", tl.Tiles())
+	}
+	return nw, tl
+}
+
+// TestSyncTiledCallLogMatchesSingleTile pins the multi-tile path to the
+// single tile call by call: every node must see the identical sequence of
+// Step(local) and Deliver(from, Heard) calls — the interleaving adaptive
+// protocols depend on, not only the coverage it produces — at worker
+// counts 1, 2 and GOMAXPROCS, with and without staggered starts, for plain
+// and heard-list-carrying protocols.
+func TestSyncTiledCallLogMatchesSingleTile(t *testing.T) {
+	const slots = 24
+	nw, tl := callLogNet(t)
+	r := rng.New(99)
+	starts := make([]int, nw.N())
+	for u := range starts {
+		starts[u] = r.IntN(8)
+	}
+	for _, ack := range []bool{false, true} {
+		for _, staggered := range []bool{false, true} {
+			var startSlots []int
+			if staggered {
+				startSlots = starts
+			}
+			run := func(tiling *topology.Tiling, workers int) ([]*logSync, Internals) {
+				protos, logs := logProtos(t, nw, 31, ack)
+				rec := &InternalsRecorder{}
+				if _, err := RunSync(SyncConfig{
+					Network:       nw,
+					Protocols:     protos,
+					StartSlots:    startSlots,
+					MaxSlots:      slots,
+					RunToMaxSlots: true,
+					Tiling:        tiling,
+					TileWorkers:   workers,
+					Observer:      rec,
+				}); err != nil {
+					t.Fatal(err)
+				}
+				return logs, rec.Last
+			}
+			want, _ := run(nil, 0)
+			delivered := 0
+			for _, l := range want {
+				for _, c := range l.log {
+					if c.deliver {
+						delivered++
+					}
+				}
+			}
+			if delivered == 0 {
+				t.Fatal("single-tile run delivered nothing")
+			}
+			for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+				label := fmt.Sprintf("ack %v staggered %v workers %d", ack, staggered, workers)
+				got, in := run(tl, workers)
+				if in.TiledSlots != slots {
+					t.Fatalf("%s: %d of %d slots on the multi-tile path", label, in.TiledSlots, slots)
+				}
+				for u := range want {
+					if !slices.EqualFunc(got[u].log, want[u].log, func(a, b callRec) bool {
+						return a.deliver == b.deliver && a.local == b.local && a.act == b.act &&
+							a.from == b.from && slices.Equal(a.heard, b.heard)
+					}) {
+						t.Fatalf("%s: node %d call log differs:\n got %+v\nwant %+v", label, u, got[u].log, want[u].log)
+					}
+				}
+			}
+		}
+	}
+}
+
+// faultSync wraps a protocol with one scripted bad decision: at local slot
+// at it returns bad instead of stepping.
+type faultSync struct {
+	SyncProtocol
+	at  int
+	bad radio.Action
+}
+
+func (f *faultSync) Step(local int) radio.Action {
+	if local == f.at {
+		return f.bad
+	}
+	return f.SyncProtocol.Step(local)
+}
+
+// TestSyncTiledErrorMatchesSingleTile pins multi-tile error reporting to
+// the single tile's: two nodes in different tiles and different NodeID
+// chunks fail in the same slot, and the run must report the lower one with
+// the identical message at every worker count. A following run on the same
+// scratch must succeed and match a fresh run: the failed slot leaves no
+// state behind.
+func TestSyncTiledErrorMatchesSingleTile(t *testing.T) {
+	const slots, failAt = 12, 5
+	nw, tl := callLogNet(t)
+	lo, hi := topology.NodeID(37), topology.NodeID(nw.N()-41)
+	if tl.TileOf(lo) == tl.TileOf(hi) {
+		t.Fatalf("nodes %d and %d share tile %d", lo, hi, tl.TileOf(lo))
+	}
+	outOfSet := func(u topology.NodeID) radio.Action {
+		for c := channel.ID(0); ; c++ {
+			if !nw.Avail(u).Contains(c) {
+				return radio.Action{Mode: radio.Receive, Channel: c}
+			}
+		}
+	}
+	cases := []struct {
+		name         string
+		badLo, badHi radio.Action
+	}{
+		{"out-of-set channels", outOfSet(lo), radio.Action{Mode: radio.Transmit, Channel: outOfSet(hi).Channel}},
+		{"undefined mode", radio.Action{Mode: radio.Mode(9)}, outOfSet(hi)},
+	}
+	wantSub := fmt.Sprintf("node %d slot %d", lo, failAt)
+	protos := func(badLo, badHi radio.Action) []SyncProtocol {
+		ps := syncProtos(t, nw, 5)
+		if badLo.Mode != 0 {
+			ps[lo] = &faultSync{SyncProtocol: ps[lo], at: failAt, bad: badLo}
+			ps[hi] = &faultSync{SyncProtocol: ps[hi], at: failAt, bad: badHi}
+		}
+		return ps
+	}
+	fresh, err := RunSync(SyncConfig{Network: nw, Protocols: protos(radio.Action{}, radio.Action{}), MaxSlots: slots, RunToMaxSlots: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range cases {
+		run := func(tiling *topology.Tiling, workers int, sc *SyncScratch) error {
+			_, err := RunSync(SyncConfig{
+				Network: nw, Protocols: protos(tc.badLo, tc.badHi), MaxSlots: slots, RunToMaxSlots: true,
+				Tiling: tiling, TileWorkers: workers, Scratch: sc,
+			})
+			return err
+		}
+		want := run(nil, 0, nil)
+		if want == nil || !strings.Contains(want.Error(), wantSub) {
+			t.Fatalf("%s: single-tile error %v, want one naming %q", tc.name, want, wantSub)
+		}
+		for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+			label := fmt.Sprintf("%s workers %d", tc.name, workers)
+			sc := NewSyncScratch()
+			got := run(tl, workers, sc)
+			if got == nil || got.Error() != want.Error() {
+				t.Fatalf("%s: multi-tile error %v, want %v", label, got, want)
+			}
+			rec := &InternalsRecorder{}
+			res, err := RunSync(SyncConfig{
+				Network: nw, Protocols: protos(radio.Action{}, radio.Action{}), MaxSlots: slots, RunToMaxSlots: true,
+				Tiling: tl, TileWorkers: workers, Scratch: sc, Observer: rec,
+			})
+			if err != nil {
+				t.Fatalf("%s: run after the error: %v", label, err)
+			}
+			if rec.Last.TiledSlots != slots {
+				t.Fatalf("%s: run after the error left the multi-tile path: %+v", label, rec.Last)
+			}
+			sameCoverage(t, label+" (run after the error)", fresh.Coverage, res.Coverage)
+		}
 	}
 }

@@ -31,7 +31,7 @@ import (
 // consume the tables remain allocation-free.
 func DeriveGeometricCandidates(nodes []Node, radius float64, active []bool, blocked []channel.Set) ([][]Candidate, []Link) {
 	cands := make([][]Candidate, len(nodes))
-	var links []Link
+	total := 0
 	visitGeometricPairs(nodes, radius, func(a, b int32) {
 		i, j := NodeID(a), NodeID(b)
 		if active != nil && (!active[i] || !active[j]) {
@@ -56,9 +56,17 @@ func DeriveGeometricCandidates(nodes []Node, radius float64, active []bool, bloc
 		// above u during u's scan, both ascending.
 		cands[i] = append(cands[i], Candidate{From: j, Span: span})
 		cands[j] = append(cands[j], Candidate{From: i, Span: span})
-		links = append(links, Link{From: i, To: j}, Link{From: j, To: i})
+		total += 2
 	})
-	SortLinks(links)
+	// Every edge is symmetric, so u's out-links go to exactly its inbound
+	// candidates: walking the rows in NodeID order emits the links already
+	// sorted by (From, To).
+	links := make([]Link, 0, total)
+	for u, row := range cands {
+		for _, c := range row {
+			links = append(links, Link{From: NodeID(u), To: c.From})
+		}
+	}
 	return cands, links
 }
 
