@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race bench bench-gate perfbench perfbench-smoke golden-update soak-1m profile vet fmt fmt-check lint lint-json loc ci experiments examples clean
+.PHONY: all build test test-race test-386 bench bench-gate perfbench perfbench-smoke golden-update soak-1m profile vet fmt fmt-check lint lint-json loc ci experiments examples clean
 
 all: build vet lint test
 
@@ -41,15 +41,21 @@ loc:
 test-race:
 	$(GO) test -race ./...
 
+# The whole suite on 32-bit x86 (int is 32 bits there; no cgo needed). The
+# golden and full-suite digest tests run here too and must match amd64.
+test-386:
+	CGO_ENABLED=0 GOARCH=386 $(GO) test ./...
+
 # Everything the GitHub Actions pipeline runs, locally and in order. The
 # test pass shuffles execution order, the bench smoke compiles and runs each
-# fast-package benchmark once so harness breakage surfaces before merge, and
-# the bench gate compares a fresh throughput snapshot against the committed
+# fast-package benchmark once so harness breakage surfaces before merge, the
+# 386 pass catches code that assumes a 64-bit int, and the bench gate compares a fresh throughput snapshot against the committed
 # BENCH_3.json via cmd/ndstat.
 ci: build vet fmt-check lint
 	$(GO) test -shuffle=on ./...
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./internal/sim/... ./internal/harness/... ./internal/telemetry/... ./internal/dynamics/... ./internal/channel/... ./internal/topology/...
 	$(GO) test -race ./internal/harness/... ./internal/experiment/... ./internal/trace/... ./internal/sim/... ./internal/telemetry/... ./internal/dynamics/... ./internal/channel/... ./internal/topology/... ./internal/diag/... ./internal/metrics/...
+	$(MAKE) test-386
 	$(MAKE) bench-gate
 	$(MAKE) perfbench-smoke
 

@@ -26,12 +26,14 @@ var suiteGoldenSeeds = []string{"1", "7"}
 // its markdown output at each golden seed. Where TestQuickSuiteGolden keeps
 // readable tables of the shrunken workloads, this covers the real ones: the
 // long asynchronous horizons, the large networks and every harness path. It
-// runs on amd64 only: the tables print engine-computed floats, and Go may
-// fuse multiply-adds into FMA instructions on other architectures (arm64,
-// ppc64, s390x), which can change the last bits of a result and with them
-// the digest.
+// runs on amd64 and 386 only: the tables print engine-computed floats, and
+// Go may fuse multiply-adds into FMA instructions on other architectures
+// (arm64, ppc64, s390x), which can change the last bits of a result and
+// with them the digest. 386 does not fuse multiply-adds and does its
+// float64 arithmetic in SSE2 like amd64, so it reproduces the amd64
+// digests.
 func TestFullSuiteDigests(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
+	if runtime.GOARCH != "amd64" && runtime.GOARCH != "386" {
 		t.Skipf("full-suite digests are recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
 	}
 	want, err := readSuiteGolden(suiteGoldenFile)

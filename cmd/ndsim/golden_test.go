@@ -42,12 +42,14 @@ var goldenScenarios = []struct {
 }
 
 // TestGoldenDigests compares every scenario's digests with the committed
-// ones. It runs on amd64 only: the digests cover float formatting of
-// engine-computed values, and Go may fuse multiply-adds into FMA
+// ones. It runs on amd64 and 386 only: the digests cover float formatting
+// of engine-computed values, and Go may fuse multiply-adds into FMA
 // instructions on other architectures (arm64, ppc64, s390x), which can
-// change the last bits of a result and with them the digest.
+// change the last bits of a result and with them the digest. 386 does not
+// fuse multiply-adds and does its float64 arithmetic in SSE2 like amd64,
+// so it reproduces the amd64 digests.
 func TestGoldenDigests(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
+	if runtime.GOARCH != "amd64" && runtime.GOARCH != "386" {
 		t.Skipf("golden digests are recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
 	}
 	want, err := readGolden(goldenFile)

@@ -151,8 +151,8 @@ func TestNeighborTableSparseSelection(t *testing.T) {
 			t.Fatalf("after %d discoveries: cap %d, want the hint 5", i+1, cap(hinted.entries))
 		}
 	}
-	hinted.Record(1<<40, set)
-	if cap(hinted.entries) != 10 || hinted.Len() != 6 || !hinted.Has(1<<40) {
+	hinted.Record(1<<30, set)
+	if cap(hinted.entries) != 10 || hinted.Len() != 6 || !hinted.Has(1<<30) {
 		t.Fatalf("past the hint: cap %d len %d, want a doubling to 10 holding 6", cap(hinted.entries), hinted.Len())
 	}
 	if len(hinted.idx) < 2*cap(hinted.entries) {

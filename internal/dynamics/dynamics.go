@@ -154,11 +154,11 @@ type Epoch struct {
 	Losses []ChannelLoss
 	// Cands is the inbound-candidate table of this epoch's graph, in the
 	// ascending-From order topology.InboundCandidates guarantees; spans
-	// already exclude blocked channels and inactive endpoints.
+	// already exclude blocked channels and inactive endpoints. Its rows
+	// are also the epoch's discoverable directed links — (v, u) for every
+	// v in Cands[u] — which a coverage target grows by when the epoch
+	// begins.
 	Cands [][]topology.Candidate
-	// Links is this epoch's discoverable directed link set, ascending by
-	// (From, To) — what a coverage target grows by when the epoch begins.
-	Links []topology.Link
 	// Quiescent reports that no structural change happens at any later
 	// epoch: an engine that has reached full coverage may stop early.
 	// Always false while mobility is active.
@@ -452,14 +452,14 @@ func (w *World) build(e int) *Epoch {
 		len(ep.Joined) > 0 || len(ep.Left) > 0 || puChanged
 	switch {
 	case !structChanged:
-		ep.Cands, ep.Links = prev.Cands, prev.Links
+		ep.Cands = prev.Cands
 	case w.spec.Mobility != nil:
 		for u := range w.nodesBuf {
 			w.nodesBuf[u].X, w.nodesBuf[u].Y = w.positionAt(u, float64(e))
 		}
-		ep.Cands, ep.Links = topology.DeriveGeometricCandidates(w.nodesBuf, w.spec.Mobility.Radius, ep.Active, ep.Blocked)
+		ep.Cands = topology.DeriveGeometricCandidates(w.nodesBuf, w.spec.Mobility.Radius, ep.Active, ep.Blocked)
 	default:
-		ep.Cands, ep.Links = w.filterBase(ep.Active, ep.Blocked)
+		ep.Cands = w.filterBase(ep.Active, ep.Blocked)
 	}
 
 	ep.Quiescent = w.spec.Mobility == nil && e >= w.lastChange
@@ -554,9 +554,8 @@ func lossDelta(now, before []channel.Set) []ChannelLoss {
 // span overrides of the base network are preserved — the base table
 // already reflects them. Spans untouched by blocking share storage with
 // the base table (read-only by the Candidate contract).
-func (w *World) filterBase(active []bool, blocked []channel.Set) ([][]topology.Candidate, []topology.Link) {
+func (w *World) filterBase(active []bool, blocked []channel.Set) [][]topology.Candidate {
 	cands := make([][]topology.Candidate, w.n)
-	var links []topology.Link
 	for u := 0; u < w.n; u++ {
 		if !active[u] {
 			continue
@@ -578,9 +577,7 @@ func (w *World) filterBase(active []bool, blocked []channel.Set) ([][]topology.C
 				continue
 			}
 			cands[u] = append(cands[u], topology.Candidate{From: cand.From, Span: span})
-			links = append(links, topology.Link{From: cand.From, To: topology.NodeID(u)})
 		}
 	}
-	topology.SortLinks(links)
-	return cands, links
+	return cands
 }

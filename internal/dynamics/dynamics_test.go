@@ -1,6 +1,7 @@
 package dynamics
 
 import (
+	"slices"
 	"testing"
 
 	"m2hew/internal/channel"
@@ -19,6 +20,19 @@ func testNet(t testing.TB, seed uint64, n int) *topology.Network {
 		t.Fatalf("channels: %v", err)
 	}
 	return nw
+}
+
+// candLinks returns the directed links of a candidate table — (v, u) for
+// every v in cands[u] — ascending by (From, To).
+func candLinks(cands [][]topology.Candidate) []topology.Link {
+	var links []topology.Link
+	for u, row := range cands {
+		for _, c := range row {
+			links = append(links, topology.Link{From: c.From, To: topology.NodeID(u)})
+		}
+	}
+	slices.SortFunc(links, topology.CompareLinks)
+	return links
 }
 
 func TestSpecValidation(t *testing.T) {
@@ -104,13 +118,8 @@ func TestStaticWorldMatchesBase(t *testing.T) {
 		if len(ep.Joined)+len(ep.Left)+len(ep.Losses) != 0 {
 			t.Fatalf("epoch %d of a static world has change events", e)
 		}
-		if len(ep.Links) != len(links) {
-			t.Fatalf("epoch %d: %d links, want %d", e, len(ep.Links), len(links))
-		}
-		for i, l := range links {
-			if ep.Links[i] != l {
-				t.Fatalf("epoch %d link %d: %v != %v", e, i, ep.Links[i], l)
-			}
+		if got := candLinks(ep.Cands); !slices.Equal(got, links) {
+			t.Fatalf("epoch %d: links %v, want %v", e, got, links)
 		}
 		for u := range base {
 			if len(ep.Cands[u]) != len(base[u]) {
@@ -165,15 +174,8 @@ func TestChurnActivity(t *testing.T) {
 				t.Fatalf("epoch %d node %d: flip replay says active=%v, snapshot says %v", e, u, active[u], ep.Active[u])
 			}
 		}
-		// Inactive nodes appear in no candidate row and on no link.
-		for u := range ep.Cands {
-			for _, cand := range ep.Cands[u] {
-				if !ep.Active[u] || !ep.Active[cand.From] {
-					t.Fatalf("epoch %d: candidate %d->%d has inactive endpoint", e, cand.From, u)
-				}
-			}
-		}
-		for _, l := range ep.Links {
+		// Inactive nodes are on no link of the candidate rows.
+		for _, l := range candLinks(ep.Cands) {
 			if !ep.Active[l.From] || !ep.Active[l.To] {
 				t.Fatalf("epoch %d: link %v has inactive endpoint", e, l)
 			}
@@ -268,13 +270,7 @@ func TestMobilityRederivation(t *testing.T) {
 		if ep.Quiescent {
 			t.Fatalf("epoch %d quiescent while mobility is active", e)
 		}
-		// Links ascending by (From, To); candidate rows ascending by From.
-		for i := 1; i < len(ep.Links); i++ {
-			a, b := ep.Links[i-1], ep.Links[i]
-			if a.From > b.From || (a.From == b.From && a.To >= b.To) {
-				t.Fatalf("epoch %d: links out of order at %d: %v, %v", e, i, a, b)
-			}
-		}
+		// Candidate rows ascending by From.
 		for u := range ep.Cands {
 			for i := 1; i < len(ep.Cands[u]); i++ {
 				if ep.Cands[u][i-1].From >= ep.Cands[u][i].From {
@@ -289,7 +285,7 @@ func TestMobilityRederivation(t *testing.T) {
 				}
 			}
 		}
-		if prev != nil && len(ep.Links) != len(prev.Links) {
+		if prev != nil && !slices.Equal(candLinks(ep.Cands), candLinks(prev.Cands)) {
 			changed = true
 		}
 		prev = ep
@@ -318,13 +314,8 @@ func TestWorldDeterminism(t *testing.T) {
 	}
 	for e := 0; e < horizon; e++ {
 		ea, eb := a.At(e), b.At(e)
-		if len(ea.Links) != len(eb.Links) {
-			t.Fatalf("epoch %d: %d vs %d links", e, len(ea.Links), len(eb.Links))
-		}
-		for i := range ea.Links {
-			if ea.Links[i] != eb.Links[i] {
-				t.Fatalf("epoch %d link %d: %v vs %v", e, i, ea.Links[i], eb.Links[i])
-			}
+		if la, lb := candLinks(ea.Cands), candLinks(eb.Cands); !slices.Equal(la, lb) {
+			t.Fatalf("epoch %d: links %v vs %v", e, la, lb)
 		}
 		for u := range ea.Cands {
 			if len(ea.Cands[u]) != len(eb.Cands[u]) {

@@ -12,6 +12,7 @@
 package metrics
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -19,126 +20,105 @@ import (
 	"m2hew/internal/topology"
 )
 
-// TargetIndex is a static coverage target in CSR form: the links sorted
-// ascending by (From, To) and stored as row offsets plus ascending
-// destination lists, so memory is O(links) and a membership query is one
-// binary search in the sender's row. An index is immutable once built; it
-// is meant to be built once per network and shared read-only by every
-// run's Coverage on that network (see NewCoverageOn and
-// NewGrowingCoverage).
+// TargetIndex is a static coverage target in CSR form, numbered the way
+// the engines enumerate links: row u lists, ascending, the senders v of
+// u's target links (v, u) — for a discoverable-link target exactly the
+// From column of InboundCandidates row u. Memory is O(links) and a
+// membership query is one binary search in the listener's row. An index
+// is immutable once built; it is meant to be built once per network and
+// shared read-only by every run's Coverage on that network (see
+// NewCoverageOn and NewGrowingCoverage).
 type TargetIndex struct {
-	// off[v] .. off[v+1] is row v's window into to; len(off) is one past
-	// the largest From.
-	off []int64
-	to  []topology.NodeID
+	// off[u] .. off[u+1] is row u's window into from; len(off) is one past
+	// the largest To.
+	off  []int64
+	from []topology.NodeID
 }
 
-// NewTargetIndex builds the CSR index of links. Input in
-// Network.DiscoverableLinks order (strictly ascending by (From, To)) is
-// indexed as is; any other order is sorted and deduplicated on a copy, so
-// the caller's slice is never modified. It returns nil when a link has a
-// negative endpoint — such links have no CSR row.
+// NewTargetIndex builds the CSR index of links, in any order: it sorts
+// and deduplicates a copy by (To, From), so the caller's slice is never
+// modified. It returns nil when a link has a negative endpoint — such
+// links have no CSR row.
 func NewTargetIndex(links []topology.Link) *TargetIndex {
-	sorted := true
-	for i, l := range links {
+	for _, l := range links {
 		if l.From < 0 || l.To < 0 {
 			return nil
 		}
-		if i > 0 && topology.CompareLinks(links[i-1], l) >= 0 {
-			sorted = false
-		}
 	}
-	if !sorted {
-		links = slices.Clone(links)
-		slices.SortFunc(links, topology.CompareLinks)
-		links = slices.Compact(links)
-	}
+	links = slices.Clone(links)
+	slices.SortFunc(links, func(a, b topology.Link) int {
+		return cmp.Or(cmp.Compare(a.To, b.To), cmp.Compare(a.From, b.From))
+	})
+	links = slices.Compact(links)
 	rows := 0
 	if len(links) > 0 {
-		rows = int(links[len(links)-1].From) + 1
+		rows = int(links[len(links)-1].To) + 1
 	}
 	idx := &TargetIndex{
-		off: make([]int64, rows+1),
-		to:  make([]topology.NodeID, len(links)),
+		off:  make([]int64, rows+1),
+		from: make([]topology.NodeID, len(links)),
 	}
-	row := 0
 	for i, l := range links {
-		for row < int(l.From) {
-			row++
-			idx.off[row] = int64(i)
-		}
-		idx.to[i] = l.To
+		idx.off[l.To+1] = int64(i + 1)
+		idx.from[i] = l.From
 	}
-	for row < rows {
-		row++
-		idx.off[row] = int64(len(links))
+	// Empty rows end where the previous row ends.
+	for u := 1; u <= rows; u++ {
+		idx.off[u] = max(idx.off[u], idx.off[u-1])
 	}
 	return idx
 }
 
 // NewTargetIndexFromCandidates builds the CSR index of the discoverable
-// links straight from an InboundCandidates table, by a counting-sort
-// transpose: link (v, u) is discoverable exactly when v is an inbound
-// candidate of u, so row v lists every u with v ∈ cands[u], in ascending u.
+// links straight from an InboundCandidates table: link (v, u) is
+// discoverable exactly when v is an inbound candidate of u, and cands[u]
+// lists those v ascending, so row u is a copy of cands[u]'s From column.
 // The result equals NewTargetIndex(nw.DiscoverableLinks()) for the network
-// the table was built from, without materializing or sorting the link list:
-// two O(links) arrays, filled in one pass over the table.
+// the table was built from, without materializing or sorting the link
+// list: two O(links) arrays, filled in one pass over the table.
 func NewTargetIndexFromCandidates(cands [][]topology.Candidate) *TargetIndex {
-	// Rows run to the largest transmitter, as NewTargetIndex sizes them.
+	// Rows run to the largest listener, as NewTargetIndex sizes them.
 	rows, links := 0, 0
-	for _, list := range cands {
-		if k := len(list); k > 0 {
-			links += k
-			rows = max(rows, int(list[k-1].From)+1)
+	for u, list := range cands {
+		if len(list) > 0 {
+			links += len(list)
+			rows = u + 1
 		}
 	}
 	idx := &TargetIndex{
-		off: make([]int64, rows+1),
-		to:  make([]topology.NodeID, links),
+		off:  make([]int64, rows+1),
+		from: make([]topology.NodeID, 0, links),
 	}
-	// off[v+1] counts row v; the prefix sum turns off[v] into row v's start.
-	for _, list := range cands {
+	for u, list := range cands[:rows] {
 		for _, c := range list {
-			idx.off[c.From+1]++
+			idx.from = append(idx.from, c.From)
 		}
+		idx.off[u+1] = int64(len(idx.from))
 	}
-	for v := 1; v <= rows; v++ {
-		idx.off[v] += idx.off[v-1]
-	}
-	// Scatter in ascending receiver order, using off[v] as row v's cursor;
-	// afterwards off[v] holds row v's end, so shift it back by one row.
-	for u, list := range cands {
-		for _, c := range list {
-			idx.to[idx.off[c.From]] = topology.NodeID(u)
-			idx.off[c.From]++
-		}
-	}
-	copy(idx.off[1:], idx.off[:rows])
-	idx.off[0] = 0
 	return idx
 }
 
 // Len returns the number of target links.
-func (x *TargetIndex) Len() int { return len(x.to) }
+func (x *TargetIndex) Len() int { return len(x.from) }
 
 // find returns link l's position in the index, or -1 when l is not a
 // target link.
 //
 //nd:hotpath
 func (x *TargetIndex) find(l topology.Link) int {
-	if l.From < 0 || int(l.From) >= len(x.off)-1 {
+	if l.To < 0 || int(l.To) >= len(x.off)-1 {
 		return -1
 	}
-	lo, hi := x.off[l.From], x.off[l.From+1]
+	lo, hi := x.off[l.To], x.off[l.To+1]
 	for lo < hi {
 		mid := (lo + hi) >> 1
-		if x.to[mid] < l.To {
+		if x.from[mid] < l.From {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < x.off[l.From+1] && x.to[lo] == l.To {
+	if lo < x.off[l.To+1] && x.from[lo] == l.From {
 		return int(lo)
 	}
 	return -1
@@ -159,11 +139,14 @@ var emptyIndex = &TargetIndex{off: make([]int64, 1)}
 // exist at time zero.
 //
 // Every link a Coverage knows has a fixed position. The links of a shared,
-// read-only TargetIndex come first, in index order; links added outside the
-// index follow in an append-only tail, in arrival order. The first-coverage
-// time, birth time, covered bit and targeted bit of each link live in
-// arrays indexed by position, so positions never move and the index is
-// never written. A static Coverage (NewCoverageOn) targets every index
+// read-only TargetIndex come first, in index order (by listener, then
+// sender); links added outside the index follow in an append-only tail, in
+// arrival order. The first-coverage time, birth time, covered bit and
+// targeted bit of each link live in arrays indexed by position, so
+// positions never move and the index is never written. No report depends
+// on positions: Latencies and Curve sort their times, CompletionTime takes
+// a maximum, Uncovered sorts its links, and the rest are counts or
+// per-link lookups. A static Coverage (NewCoverageOn) targets every index
 // link; a growing one (NewGrowingCoverage) starts empty and targets links
 // as AddTarget names them, so only links outside the index reach the tail.
 type Coverage struct {
@@ -414,10 +397,10 @@ func (c *Coverage) CompletionTime() (float64, bool) {
 // (From, To). Useful in failure diagnostics.
 func (c *Coverage) Uncovered() []topology.Link {
 	var out []topology.Link
-	for v := 0; v+1 < len(c.index.off); v++ {
-		for i := c.index.off[v]; i < c.index.off[v+1]; i++ {
+	for u := 0; u+1 < len(c.index.off); u++ {
+		for i := c.index.off[u]; i < c.index.off[u+1]; i++ {
 			if c.targeted(int(i)) && !c.covered(int(i)) {
-				out = append(out, topology.Link{From: topology.NodeID(v), To: c.index.to[i]})
+				out = append(out, topology.Link{From: c.index.from[i], To: topology.NodeID(u)})
 			}
 		}
 	}
@@ -426,9 +409,7 @@ func (c *Coverage) Uncovered() []topology.Link {
 			out = append(out, l)
 		}
 	}
-	if len(c.tail) > 0 {
-		slices.SortFunc(out, topology.CompareLinks)
-	}
+	slices.SortFunc(out, topology.CompareLinks)
 	return out
 }
 

@@ -96,10 +96,10 @@ func TestCoverageCSRMapEquivalence(t *testing.T) {
 	}
 }
 
-// TestCoverageCSRSelection pins the CSR index's construction: sorted
-// input is indexed as is, unsorted or duplicated input on a sorted
-// deduplicated copy, negative IDs go to the tail, and the row table is
-// sized by From IDs, not quadratically.
+// TestCoverageCSRSelection pins the CSR index's construction: input in
+// any order is indexed, duplicated input on a deduplicated copy, negative
+// IDs go to the tail, and the row table is sized by To IDs (one row per
+// listener), not quadratically.
 func TestCoverageCSRSelection(t *testing.T) {
 	big := topology.NodeID(bigID + 1)
 	if c := NewCoverage([]topology.Link{{From: big, To: 0}, {From: big, To: 2}}); c.index.Len() != 2 || len(c.tail) != 0 {
@@ -115,9 +115,12 @@ func TestCoverageCSRSelection(t *testing.T) {
 		t.Error("negative-ID target was not put in the tail")
 	}
 	far := topology.NodeID(1 << 20)
-	x := NewTargetIndex([]topology.Link{{From: far, To: 1}, {From: far, To: 2}})
-	if x == nil || len(x.off) != int(far)+2 || len(x.to) != 2 {
+	x := NewTargetIndex([]topology.Link{{From: 1, To: far}, {From: 2, To: far}})
+	if x == nil || len(x.off) != int(far)+2 || len(x.from) != 2 {
 		t.Fatalf("CSR sizes for a huge-ID target: %+v", x)
+	}
+	if y := NewTargetIndex([]topology.Link{{From: far, To: 1}, {From: far, To: 2}}); y == nil || len(y.off) != 4 || len(y.from) != 2 {
+		t.Fatalf("CSR sizes for a huge-sender target: %+v", y)
 	}
 }
 
@@ -157,7 +160,7 @@ func TestCoverageCSRObserveAllocs(t *testing.T) {
 func TestTargetIndexShared(t *testing.T) {
 	links := []topology.Link{{From: 0, To: 1}, {From: 1, To: 0}, {From: 1, To: 2}, {From: 2, To: 1}}
 	x := NewTargetIndex(links)
-	off, to := slices.Clone(x.off), slices.Clone(x.to)
+	off, from := slices.Clone(x.off), slices.Clone(x.from)
 	a, b, g := NewCoverageOn(x), NewCoverageOn(x), NewGrowingCoverage(x)
 	a.Observe(links[0], 3)
 	b.Observe(links[1], 5)
@@ -170,7 +173,7 @@ func TestTargetIndexShared(t *testing.T) {
 	if b.TargetSize() != 4 || len(b.tail) != 0 || b.index != x || a.index != x || g.index != x {
 		t.Fatal("growing a reached the other coverages")
 	}
-	if !slices.Equal(off, x.off) || !slices.Equal(to, x.to) {
+	if !slices.Equal(off, x.off) || !slices.Equal(from, x.from) {
 		t.Fatal("the shared index was written")
 	}
 	if at, ok := b.FirstCovered(links[1]); !ok || at != 5 || b.Remaining() != 3 {
@@ -199,7 +202,7 @@ func TestTargetIndexConcurrentCoverages(t *testing.T) {
 	root := rng.New(1906)
 	links := sortedBigLinks(root.Split())
 	x := NewTargetIndex(links)
-	off, to := slices.Clone(x.off), slices.Clone(x.to)
+	off, from := slices.Clone(x.off), slices.Clone(x.from)
 	const workers = 4
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
@@ -236,17 +239,17 @@ func TestTargetIndexConcurrentCoverages(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !slices.Equal(off, x.off) || !slices.Equal(to, x.to) {
+	if !slices.Equal(off, x.off) || !slices.Equal(from, x.from) {
 		t.Fatal("the shared index was written")
 	}
 }
 
-// transposeTestNetwork draws a random network for the transpose test:
+// candidateTestNetwork draws a random network for the candidate-index test:
 // Erdős–Rényi or streamed geometric graphs (sparse draws leave isolated
 // nodes), available sets without feasibility repair (empty sets and
 // empty-span edges), dropped directions, and span overrides that may empty
 // a span.
-func transposeTestNetwork(t *testing.T, r *rng.Source) *topology.Network {
+func candidateTestNetwork(t *testing.T, r *rng.Source) *topology.Network {
 	t.Helper()
 	n := r.IntN(90) + 1
 	var (
@@ -293,19 +296,20 @@ func transposeTestNetwork(t *testing.T, r *rng.Source) *topology.Network {
 	return nw
 }
 
-// TestTargetIndexFromCandidatesMatchesLinks pins the counting-sort
-// transpose of the inbound-candidate table to the index of the
-// discoverable-link list, field for field, on random networks with dropped
-// directions, span overrides, empty-span edges and isolated nodes.
+// TestTargetIndexFromCandidatesMatchesLinks pins the index copied from the
+// inbound-candidate table to the index of the discoverable-link list,
+// field for field, on random networks with dropped directions, span
+// overrides, empty-span edges and isolated nodes: both are listener-major,
+// each row the listener's senders ascending.
 func TestTargetIndexFromCandidatesMatchesLinks(t *testing.T) {
 	root := rng.New(1405)
 	for trial := 0; trial < 300; trial++ {
-		nw := transposeTestNetwork(t, root.Split())
+		nw := candidateTestNetwork(t, root.Split())
 		got := NewTargetIndexFromCandidates(nw.InboundCandidates())
 		want := NewTargetIndex(nw.DiscoverableLinks())
-		if !slices.Equal(got.off, want.off) || !slices.Equal(got.to, want.to) {
-			t.Fatalf("trial %d (n=%d): transposed index\n off %v\n to  %v\nwant\n off %v\n to  %v",
-				trial, nw.N(), got.off, got.to, want.off, want.to)
+		if !slices.Equal(got.off, want.off) || !slices.Equal(got.from, want.from) {
+			t.Fatalf("trial %d (n=%d): candidate index\n off  %v\n from %v\nwant\n off  %v\n from %v",
+				trial, nw.N(), got.off, got.from, want.off, want.from)
 		}
 	}
 }

@@ -436,8 +436,8 @@ func runCoverage(target *metrics.TargetIndex, world *dynamics.World) *metrics.Co
 // for asynchronous runs): it announces the boundary and its flips to obs
 // as far as mask subscribes — EventEpoch, then every join, leave and
 // channel loss, each list ascending — and grows the coverage target by the
-// epoch's links, born at at (links persisting across epochs keep their
-// original birth).
+// epoch's links, read off its candidate rows listener by listener and born
+// at at (links persisting across epochs keep their original birth).
 func enterEpoch(obs Observer, mask EventMask, ep *dynamics.Epoch, at float64, slot int, coverage *metrics.Coverage) {
 	if mask.Has(EventEpoch) {
 		obs.OnEvent(Event{Kind: EventEpoch, Time: at, Slot: slot, Epoch: ep.Index})
@@ -457,8 +457,10 @@ func enterEpoch(obs Observer, mask EventMask, ep *dynamics.Epoch, at float64, sl
 			obs.OnEvent(Event{Kind: EventChannelLoss, Time: at, Slot: slot, Node: l.Node, Channel: l.Channel, Epoch: ep.Index})
 		}
 	}
-	for _, l := range ep.Links {
-		coverage.AddTarget(l, at)
+	for u, row := range ep.Cands {
+		for _, c := range row {
+			coverage.AddTarget(topology.Link{From: c.From, To: topology.NodeID(u)}, at)
+		}
 	}
 }
 

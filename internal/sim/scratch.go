@@ -92,7 +92,7 @@ func (sc *SyncScratch) Reset() {
 // networkTables returns the network-derived tables — the inbound-candidate
 // table, the shared message availability sets, the single tile's
 // channel-major candidate masks (nil when over the word budget; the run
-// falls back to the scalar resolver) and the discoverable-link coverage target index, transposed
+// falls back to the scalar resolver) and the discoverable-link coverage target index, copied
 // from the candidate table — rebuilding them only when the network changed
 // since the last run. A cold build makes a constant number of allocations
 // at any network size. hit reports

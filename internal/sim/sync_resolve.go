@@ -25,8 +25,8 @@ import (
 //     no per-listener event subscription, halo-clean in-budget masks). A
 //     slot is four rounds on a tilepool: the protocol-facing decide and
 //     deliver rounds sweep contiguous NodeID chunks, the scatter and
-//     resolve rounds run per tile, and coverage is applied after them in
-//     ascending tile order.
+//     resolve rounds run per tile, and coverage is applied after them from
+//     the sender slots in ascending NodeID order.
 //   - single tile: every other run. One tile holds every node, so local
 //     indexes and mask bits are NodeIDs and the halo is the tile itself.
 //     The phases run inline, and listeners resolve in ascending NodeID
@@ -60,7 +60,8 @@ type syncRun struct {
 	// the tiling, the worker pool, the round closures handed to it (built
 	// once per run), the NodeID chunks of the decide and deliver rounds,
 	// and the NodeID-indexed sender slots (noSender when empty) that carry
-	// resolved deliveries from the resolve round to the deliver round.
+	// resolved deliveries from the resolve round to the deliver round and
+	// the coverage apply.
 	tl                                        *topology.Tiling
 	tiles                                     []tileState
 	pool                                      *tilepool.Pool
@@ -263,8 +264,8 @@ func (r *syncRun) resolveScalar(ts *tileState) {
 }
 
 // deliver is the one delivery tail of a resolved listener. A multi-tile
-// run records the sender in the listener's NodeID-indexed slot for the
-// deliver round and queues the link for the sequential coverage apply.
+// run records the sender in the listener's NodeID-indexed slot, which the
+// deliver round and then the sequential coverage apply read.
 // The single tile delivers inline, observes the link on the coverage
 // oracle (which ignores repeat observations of a covered link) and emits
 // the delivery event, in listener order.
@@ -273,7 +274,6 @@ func (r *syncRun) resolveScalar(ts *tileState) {
 func (r *syncRun) deliver(ts *tileState, sender, uid topology.NodeID, c channel.ID) {
 	if r.pool != nil {
 		r.senders[uid] = int32(sender)
-		ts.deliv = append(ts.deliv, tileDelivery{from: sender, to: uid})
 		return
 	}
 	ts.heard = r.deliverMsg(ts.heard, sender, uid)

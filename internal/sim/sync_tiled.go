@@ -37,13 +37,13 @@ import (
 //	resolve  per tile: assemble each listening channel's halo mask by
 //	         word-copying the 3×3 neighbor tiles' segments, resolve the
 //	         tile's listeners, and record each single-survivor listener's
-//	         sender in the NodeID-indexed sender slots (and the link in the
-//	         tile's delivery queue);
+//	         sender in the NodeID-indexed sender slots;
 //	deliver  per NodeID chunk: for each node with a sender, build the
-//	         message, snapshot the sender's heard-list, call Deliver and
-//	         clear the slot.
+//	         message, snapshot the sender's heard-list and call Deliver.
 //
-// The caller then applies coverage sequentially, in ascending tile order.
+// The caller then applies coverage from the sender slots in ascending
+// NodeID order, clearing each slot: the listener-major target index's rows
+// are read in memory order.
 //
 // Byte-identity of a multi-tile run with the single tile at matched seed
 // rests on the multi-tile gate (static world, loss-free, no per-listener
@@ -66,9 +66,9 @@ import (
 //     listener receives at most one delivery per slot, and half duplex
 //     means no sender's state (HeardReporter snapshots included) can
 //     change within a slot, even while other chunks deliver — so the
-//     within-slot delivery order is invisible, and the order-sensitive
-//     residue (coverage bookkeeping) is applied sequentially after the
-//     deliver round;
+//     within-slot delivery order is invisible, and the shared residue
+//     (coverage bookkeeping) is applied sequentially after the deliver
+//     round;
 //   - errors: each NodeID chunk validates its nodes in ascending order and
 //     stops at its first failure; the engine reports the minimum failing
 //     node across chunks, which is the first failure an ascending scan
@@ -77,12 +77,6 @@ import (
 //   - internals: decision rounds are still tallied per (slot, tile with
 //     stepped nodes), in the scatter round, so StepperBatches and its
 //     means do not depend on the chunking.
-
-// tileDelivery is one multi-tile delivery, queued for the sequential
-// coverage-apply step.
-type tileDelivery struct {
-	from, to topology.NodeID
-}
 
 // tileState is one tile's scratch: the scatter buffers, the halo assembly,
 // and the tile's internals tallies. Workers touch only their own tile's
@@ -108,7 +102,6 @@ type tileState struct {
 	haloStamp []int    // per channel: slot of last assembly (-1 = never)
 	haloLive  []bool   // per channel: any transmitter present at last assembly
 
-	deliv []tileDelivery
 	heard []topology.NodeID // the single tile's heard-list snapshot, lent to each Deliver
 
 	err     error
@@ -182,7 +175,6 @@ func resetTileStates(tiles []tileState) {
 			ts.haloStamp[i] = -1
 			ts.haloLive[i] = false
 		}
-		ts.deliv = ts.deliv[:0]
 		ts.err = nil
 		ts.errNode = 0
 		ts.batches, ts.batchNodes, ts.maxBatch = 0, 0, 0
@@ -209,7 +201,8 @@ func resetNodeChunks(chunks []nodeChunk, senders []int32) {
 // runSlot executes one slot. On the single tile: phase A, the error check,
 // the slot event, and phase B (or the scalar scan), all inline. On a
 // multi-tile run: the decide round, the error sweep, the slot event, the
-// scatter, resolve and deliver rounds, and the sequential coverage apply.
+// scatter, resolve and deliver rounds, and the sequential coverage apply
+// from the sender slots.
 //
 //nd:hotpath
 func (r *syncRun) runSlot(slot int) error {
@@ -249,14 +242,13 @@ func (r *syncRun) runSlot(slot int) error {
 		r.pool.Run(len(r.tiles), r.fnScatter)
 		r.pool.Run(len(r.tiles), r.fnResolve)
 		r.pool.Run(len(r.chunks), r.fnDeliver)
-		// Sequential apply: the coverage oracle is shared across tiles, so
-		// it runs on the caller in ascending tile order. Within-slot order
-		// is invisible in results — every delivery carries the same slot
-		// stamp and each link is observed at most once per slot — so any
-		// fixed order matches the single tile.
-		for t := range r.tiles {
-			for _, d := range r.tiles[t].deliv {
-				r.coverage.Observe(topology.Link{From: d.from, To: d.to}, float64(slot))
+		// Sequential apply: the coverage oracle is shared, so the caller
+		// walks the sender slots in listener order, as the single tile
+		// observes, and clears each.
+		for u, s := range r.senders {
+			if s != noSender {
+				r.senders[u] = noSender
+				r.coverage.Observe(topology.Link{From: topology.NodeID(s), To: topology.NodeID(u)}, float64(slot))
 			}
 		}
 	case r.masks == nil:
@@ -269,7 +261,7 @@ func (r *syncRun) runSlot(slot int) error {
 }
 
 // beginSlot clears the tile's previous slot: transmitter masks and counts,
-// listeners and queued deliveries.
+// and listeners.
 //
 //nd:hotpath
 func (ts *tileState) beginSlot() {
@@ -279,7 +271,6 @@ func (ts *tileState) beginSlot() {
 	}
 	ts.txTouched = ts.txTouched[:0]
 	ts.rxU, ts.rxC = ts.rxU[:0], ts.rxC[:0]
-	ts.deliv = ts.deliv[:0]
 }
 
 // tallyRound counts one decision round of stepped nodes on the tile.
@@ -437,20 +428,17 @@ func (r *syncRun) scatterTile(ti int) {
 }
 
 // deliverChunk is a multi-tile run's deliver round for one NodeID chunk:
-// deliver each pending sender's message in ascending listener order and
-// clear its slot.
+// deliver each pending sender's message in ascending listener order. The
+// slots stay set for the caller's coverage apply, which clears them.
 //
 //nd:hotpath
 func (r *syncRun) deliverChunk(ci int) {
 	ch := &r.chunks[ci]
 	heard := ch.heard
-	senders := r.senders[ch.lo:ch.hi]
-	for i, s := range senders {
-		if s == noSender {
-			continue
+	for i, s := range r.senders[ch.lo:ch.hi] {
+		if s != noSender {
+			heard = r.deliverMsg(heard, topology.NodeID(s), ch.lo+topology.NodeID(i))
 		}
-		senders[i] = noSender
-		heard = r.deliverMsg(heard, topology.NodeID(s), ch.lo+topology.NodeID(i))
 	}
 	ch.heard = heard
 }

@@ -2,7 +2,6 @@ package topology
 
 import (
 	"cmp"
-	"slices"
 
 	"m2hew/internal/channel"
 )
@@ -14,10 +13,9 @@ import (
 // second — matches the all-pairs scan exactly), and per-link spans computed
 // as A(u) ∩ A(v) minus each endpoint's blocked set.
 //
-// It returns the inbound-candidate table (cands[u] in ascending From order,
-// the order InboundCandidates guarantees) and the discoverable directed
-// links of the snapshot sorted ascending by (From, To) — the same order
-// DiscoverableLinks reports.
+// It returns the inbound-candidate table: cands[u] in ascending From order,
+// the order InboundCandidates guarantees. Its rows are the snapshot's
+// discoverable links (v, u), numbered by listener.
 //
 // active, if non-nil, excludes inactive endpoints from every edge; blocked,
 // if non-nil, holds per-node channel sets currently unusable (e.g. occupied
@@ -29,9 +27,8 @@ import (
 // result tables (they outlive the call inside memoized epoch snapshots), so
 // it is deliberately not //nd:hotpath; the per-slot reception loops that
 // consume the tables remain allocation-free.
-func DeriveGeometricCandidates(nodes []Node, radius float64, active []bool, blocked []channel.Set) ([][]Candidate, []Link) {
+func DeriveGeometricCandidates(nodes []Node, radius float64, active []bool, blocked []channel.Set) [][]Candidate {
 	cands := make([][]Candidate, len(nodes))
-	total := 0
 	visitGeometricPairs(nodes, radius, func(a, b int32) {
 		i, j := NodeID(a), NodeID(b)
 		if active != nil && (!active[i] || !active[j]) {
@@ -56,30 +53,12 @@ func DeriveGeometricCandidates(nodes []Node, radius float64, active []bool, bloc
 		// above u during u's scan, both ascending.
 		cands[i] = append(cands[i], Candidate{From: j, Span: span})
 		cands[j] = append(cands[j], Candidate{From: i, Span: span})
-		total += 2
 	})
-	// Every edge is symmetric, so u's out-links go to exactly its inbound
-	// candidates: walking the rows in NodeID order emits the links already
-	// sorted by (From, To).
-	links := make([]Link, 0, total)
-	for u, row := range cands {
-		for _, c := range row {
-			links = append(links, Link{From: NodeID(u), To: c.From})
-		}
-	}
-	return cands, links
+	return cands
 }
 
-// SortLinks orders links ascending by (From, To) — the DiscoverableLinks
-// order every coverage target uses. The dynamics layer applies it to each
-// epoch's link set so growing coverage targets enumerate births in the
-// same order static targets do.
-func SortLinks(links []Link) {
-	slices.SortFunc(links, CompareLinks)
-}
-
-// CompareLinks orders links ascending by (From, To), the total order
-// SortLinks sorts by.
+// CompareLinks orders links ascending by (From, To), the order
+// DiscoverableLinks reports.
 func CompareLinks(a, b Link) int {
 	if a.From != b.From {
 		return cmp.Compare(a.From, b.From)

@@ -82,8 +82,16 @@ func TestDeriveGeometricCandidatesMatchesNaive(t *testing.T) {
 			{"active+blocked", active, blocked},
 		} {
 			label := fmt.Sprintf("n=%d radius=%v %s", tc.n, tc.radius, filter.name)
-			gotCands, gotLinks := DeriveGeometricCandidates(nodes, tc.radius, filter.active, filter.blocked)
+			gotCands := DeriveGeometricCandidates(nodes, tc.radius, filter.active, filter.blocked)
 			wantCands, wantLinks := deriveNaive(nodes, tc.radius, filter.active, filter.blocked)
+			// The rows' link set: (v, u) for every v in gotCands[u].
+			var gotLinks []Link
+			for u, row := range gotCands {
+				for _, c := range row {
+					gotLinks = append(gotLinks, Link{From: c.From, To: NodeID(u)})
+				}
+			}
+			slices.SortFunc(gotLinks, CompareLinks)
 			if !slices.Equal(gotLinks, wantLinks) {
 				t.Fatalf("%s: links\n got %v\nwant %v", label, gotLinks, wantLinks)
 			}
