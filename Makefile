@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race test-386 bench bench-gate perfbench perfbench-smoke golden-update soak-1m profile vet fmt fmt-check lint lint-json loc ci experiments examples clean
+.PHONY: all build test test-race test-386 fma-scan bench bench-gate perfbench perfbench-smoke golden-update soak-1m profile vet fmt fmt-check lint lint-json loc ci experiments examples clean
 
 all: build vet lint test
 
@@ -46,12 +46,29 @@ test-race:
 test-386:
 	CGO_ENABLED=0 GOARCH=386 $(GO) test ./...
 
+# Fused multiply-add scan. Go may fuse x*y + z into one instruction on
+# arm64, ppc64le, s390x and riscv64 (never on amd64 or 386), which skips the
+# product's rounding and so changes output. This cross-compiles the module
+# for each of those with -S and fails on any floating-point FMA instruction
+# attributed to an m2hew file; an explicit conversion, as in
+# float64(x*y) + z, keeps a site unfused. It checks code generation only:
+# nothing here executes the cross-compiled code.
+fma-scan:
+	@tmp="$$(mktemp)"; trap 'rm -f "$$tmp"' EXIT; fail=0; \
+	for arch in arm64 ppc64le s390x riscv64; do \
+		GOARCH=$$arch $(GO) build -trimpath -gcflags='m2hew/...=-S' ./... >"$$tmp" 2>&1 || { cat "$$tmp" >&2; exit 1; }; \
+		grep -q '^m2hew/.* STEXT' "$$tmp" || { echo "fma-scan: $$arch: no assembly listed" >&2; exit 1; }; \
+		if grep -E '\(m2hew/[^)]*\)[[:space:]]+FN?M(ADD|SUB)[DS]?[[:space:]]' "$$tmp" >&2; then \
+			echo "fma-scan: $$arch fuses the multiply-adds above" >&2; fail=1; \
+		else echo "fma-scan: $$arch clean"; fi; \
+	done; exit $$fail
+
 # Everything the GitHub Actions pipeline runs, locally and in order. The
 # test pass shuffles execution order, the bench smoke compiles and runs each
 # fast-package benchmark once so harness breakage surfaces before merge, the
 # 386 pass catches code that assumes a 64-bit int, and the bench gate compares a fresh throughput snapshot against the committed
 # BENCH_3.json via cmd/ndstat.
-ci: build vet fmt-check lint
+ci: build vet fmt-check lint fma-scan
 	$(GO) test -shuffle=on ./...
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./internal/sim/... ./internal/harness/... ./internal/telemetry/... ./internal/dynamics/... ./internal/channel/... ./internal/topology/...
 	$(GO) test -race ./internal/harness/... ./internal/experiment/... ./internal/trace/... ./internal/sim/... ./internal/telemetry/... ./internal/dynamics/... ./internal/channel/... ./internal/topology/... ./internal/diag/... ./internal/metrics/...

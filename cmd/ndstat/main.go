@@ -189,9 +189,9 @@ func parseBench(path string, data []byte) (*snapshot, error) {
 		if prev, ok := s.rows[name]; ok {
 			c := float64(counts[name])
 			r = row{
-				NsPerOp:     (prev.NsPerOp*c + r.NsPerOp) / (c + 1),
-				BytesPerOp:  (prev.BytesPerOp*c + r.BytesPerOp) / (c + 1),
-				AllocsPerOp: (prev.AllocsPerOp*c + r.AllocsPerOp) / (c + 1),
+				NsPerOp:     (float64(prev.NsPerOp*c) + r.NsPerOp) / (c + 1),
+				BytesPerOp:  (float64(prev.BytesPerOp*c) + r.BytesPerOp) / (c + 1),
+				AllocsPerOp: (float64(prev.AllocsPerOp*c) + r.AllocsPerOp) / (c + 1),
 			}
 		}
 		s.add(name, r)

@@ -91,7 +91,7 @@ func (w *RandomWalk) Rate(k int) float64 {
 			next = 2*w.Delta - next
 		}
 		if next < -w.Delta {
-			next = -2*w.Delta - next
+			next = float64(-2*w.Delta) - next
 		}
 		// A pathological step larger than 4·Delta could still escape after
 		// one reflection; clamp as a backstop.

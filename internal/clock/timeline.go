@@ -190,7 +190,7 @@ func (t *Timeline) FirstFullFrameAfter(rt float64) int {
 	// Slot boundaries accumulate floating-point error; treat starts within a
 	// relative epsilon of rt as "at or after" so exact-boundary queries are
 	// stable.
-	eps := 1e-9 * math.Max(1, math.Abs(rt))
+	eps := float64(1e-9 * math.Max(1, math.Abs(rt)))
 	f := 0
 	for {
 		start, _ := t.FrameInterval(f)
@@ -212,8 +212,8 @@ func (t *Timeline) LocalToReal(local float64) float64 {
 	idx := int(local / t.localSlot)
 	start := t.SlotStart(idx)
 	end := t.SlotStart(idx + 1)
-	frac := (local - float64(idx)*t.localSlot) / t.localSlot
-	return start + frac*(end-start)
+	frac := (local - float64(float64(idx)*t.localSlot)) / t.localSlot
+	return start + float64(frac*(end-start))
 }
 
 // RealToLocal converts a real-time instant at or after the node's start to

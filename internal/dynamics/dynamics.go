@@ -496,7 +496,7 @@ func (w *World) positionAt(u int, t float64) (float64, float64) {
 		return l.x0, l.y0
 	}
 	frac := (t - l.t0) / (l.t1 - l.t0)
-	return l.x0 + frac*(l.x1-l.x0), l.y0 + frac*(l.y1-l.y0)
+	return l.x0 + float64(frac*(l.x1-l.x0)), l.y0 + float64(frac*(l.y1-l.y0))
 }
 
 // blockedAt computes the per-node blocked channel sets at epoch e from the

@@ -83,7 +83,7 @@ func E6(opts Options) (*Table, error) {
 	for _, cf := range configs {
 		audits, err := harness.Trials(pairs,
 			func(int) (pairJob, error) {
-				offset := root.Float64() * 4 * e4FrameLen
+				offset := float64(root.Float64() * 4 * e4FrameLen)
 				driftA, err := cf.mk(false, root.Split())
 				if err != nil {
 					return pairJob{}, err

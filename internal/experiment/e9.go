@@ -54,7 +54,7 @@ func E9(opts Options) (*Table, error) {
 		// sequential audit, the lemma checks run on the pool.
 		audits, err := harness.Trials(opts.Trials,
 			func(int) (pairJob, error) {
-				offset := root.Float64() * 4 * e4FrameLen
+				offset := float64(root.Float64() * 4 * e4FrameLen)
 				a, b, err := adversarialPair(delta, offset)
 				if err != nil {
 					return pairJob{}, err

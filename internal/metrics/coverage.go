@@ -149,6 +149,9 @@ var emptyIndex = &TargetIndex{off: make([]int64, 1)}
 // per-link lookups. A static Coverage (NewCoverageOn) targets every index
 // link; a growing one (NewGrowingCoverage) starts empty and targets links
 // as AddTarget names them, so only links outside the index reach the tail.
+// A listener's index links have consecutive positions, so a listener range
+// owns a position range: Shard writers apply the observations of disjoint
+// ranges concurrently.
 type Coverage struct {
 	index   *TargetIndex          // shared, never written: positions [0, index.Len())
 	tail    []topology.Link       // position index.Len()+k holds tail[k]
@@ -267,6 +270,57 @@ func (c *Coverage) Observe(l topology.Link, at float64) bool {
 	c.at[i] = at
 	c.remaining--
 	return true
+}
+
+// Shard is a writer of one listener range's index links that may run
+// concurrently with the shards of other ranges: the parallel half of a
+// coverage apply. It owns the 64-position entries that begin inside its
+// listeners' index rows, so no two shards over disjoint ranges write the
+// same memory. Its first coverages reach Remaining only at Commit.
+type Shard struct {
+	c *Coverage
+	// start, end bound the positions the shard writes: from the first
+	// entry that begins in the range's rows to the rows' end.
+	start, end int
+	covered    int // first coverages since the last Commit
+}
+
+// Shard returns the writer of listeners [lo, hi)'s index links. While any
+// shard of c runs, only shards over disjoint listener ranges may touch c.
+func (c *Coverage) Shard(lo, hi topology.NodeID) Shard {
+	rowStart := func(u topology.NodeID) int {
+		return int(c.index.off[min(int(u), len(c.index.off)-1)])
+	}
+	return Shard{c: c, start: (rowStart(lo) + 63) &^ 63, end: rowStart(hi)}
+}
+
+// Observe records that link l was covered at the given time when l's
+// position is one the shard writes, and reports whether it was. The rest
+// — a link of another listener range, a link outside the index or not in
+// the target, and a position in the entry that begins before the range —
+// is left to the caller, who passes it to Coverage.Observe once no shard
+// runs; at most the first 63 positions of a range fall in that entry.
+//
+//nd:hotpath
+func (s *Shard) Observe(l topology.Link, at float64) bool {
+	c := s.c
+	i := c.index.find(l)
+	if i < s.start || i >= s.end || !c.targeted(i) {
+		return false
+	}
+	if !c.covered(i) {
+		c.bits[i>>6].covered |= bitOf(i)
+		c.at[i] = at
+		s.covered++
+	}
+	return true
+}
+
+// Commit counts the shard's first coverages into c's Remaining. Call it
+// once no shard of c runs.
+func (s *Shard) Commit() {
+	s.c.remaining -= s.covered
+	s.covered = 0
 }
 
 // AddTarget grows the target set with link l, recording at as the link's

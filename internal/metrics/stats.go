@@ -30,11 +30,11 @@ func Summarize(values []float64) Summary {
 	var sum, sumSq float64
 	for _, v := range sorted {
 		sum += v
-		sumSq += v * v
+		sumSq += float64(v * v)
 	}
 	n := float64(len(sorted))
 	mean := sum / n
-	variance := sumSq/n - mean*mean
+	variance := sumSq/n - float64(mean*mean)
 	if variance < 0 {
 		variance = 0 // floating point guard
 	}
@@ -63,14 +63,14 @@ func Quantile(sorted []float64, q float64) float64 {
 	if len(sorted) == 1 {
 		return sorted[0]
 	}
-	pos := q * float64(len(sorted)-1)
+	pos := float64(q * float64(len(sorted)-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return sorted[lo]
 	}
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // FractionWithin returns the fraction of values that are ≤ bound: the
@@ -111,7 +111,7 @@ func WilsonInterval(successes, n int, z float64) (lo, hi float64) {
 	z2 := z * z
 	denom := 1 + z2/nf
 	center := (p + z2/(2*nf)) / denom
-	margin := z / denom * math.Sqrt(p*(1-p)/nf+z2/(4*nf*nf))
+	margin := float64(z / denom * math.Sqrt(p*(1-p)/nf+z2/(4*nf*nf)))
 	lo = center - margin
 	hi = center + margin
 	if lo < 0 {

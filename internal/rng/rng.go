@@ -121,7 +121,7 @@ func (r *Source) IntN(n int) int {
 // Float64 returns a uniform float64 in [0, 1).
 func (r *Source) Float64() float64 {
 	// 53 high bits give a uniform dyadic rational in [0,1).
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Bernoulli returns true with probability p. Values of p outside [0,1] are
@@ -155,9 +155,9 @@ func (r *Source) ExpFloat64(lambda float64) float64 {
 // Box-Muller transform.
 func (r *Source) NormFloat64() float64 {
 	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		u := float64(2*r.Float64()) - 1
+		v := float64(2*r.Float64()) - 1
+		s := float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
 			return u * math.Sqrt(-2*math.Log(s)/s)
 		}
@@ -169,7 +169,7 @@ func (r *Source) UniformFloat64(lo, hi float64) float64 {
 	if hi < lo {
 		panic(fmt.Errorf("rng: UniformFloat64 bounds inverted: [%v, %v)", lo, hi))
 	}
-	return lo + (hi-lo)*r.Float64()
+	return lo + float64((hi-lo)*r.Float64())
 }
 
 // Perm returns a uniformly random permutation of [0, n).

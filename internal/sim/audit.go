@@ -25,7 +25,7 @@ type FramePair struct {
 // frame boundary is inside ("if b₁ lies on the boundary of two slots, we
 // select the earlier one").
 func alignEps(tl *clock.Timeline) float64 {
-	return 1e-9 * tl.FrameLen()
+	return float64(1e-9 * tl.FrameLen())
 }
 
 // Aligned reports whether the frame pair ⟨fv of tlV, gu of tlU⟩ is aligned

@@ -320,8 +320,12 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 			run.tl, run.masks = cfg.Tiling, tm
 			run.tiles = tiles //ndlint:ignore scratchalias syncRun is run-scoped; the field dies with the run, before the scratch is recycled
 			run.chunks, run.senders = sc.nodeChunks(n, chunkCount(n, workers))
+			for i := range run.chunks {
+				ch := &run.chunks[i]
+				ch.shard = coverage.Shard(ch.lo, ch.hi)
+			}
 			run.startPool(workers)
-			defer run.pool.Close()
+			defer run.stopPool()
 		}
 	}
 	if run.pool == nil {
@@ -407,6 +411,16 @@ func (r *syncRun) startPool(workers int) {
 	r.fnScatter = func(ti int) { r.scatterTile(ti) }
 	r.fnResolve = func(ti int) { r.tileSlotB(ti) }
 	r.fnDeliver = func(ci int) { r.deliverChunk(ci) }
+}
+
+// stopPool stops the multi-tile run's worker pool and drops the chunks'
+// coverage shards: the scratch keeps the chunks, and must not keep the
+// run's coverage alive with them.
+func (r *syncRun) stopPool() {
+	r.pool.Close()
+	for i := range r.chunks {
+		r.chunks[i].shard = metrics.Shard{}
+	}
 }
 
 // finalizeInternals completes the run's internals report. The tiling is

@@ -24,9 +24,12 @@ import (
 //   - multi-tile: cfg.Tiling, when its gate holds (static world, loss-free,
 //     no per-listener event subscription, halo-clean in-budget masks). A
 //     slot is four rounds on a tilepool: the protocol-facing decide and
-//     deliver rounds sweep contiguous NodeID chunks, the scatter and
-//     resolve rounds run per tile, and coverage is applied after them from
-//     the sender slots in ascending NodeID order.
+//     deliver rounds sweep contiguous NodeID chunks, and the scatter and
+//     resolve rounds run per tile, reading the tile's candidate-mask rows
+//     as one contiguous span of the tile-major table. The deliver round
+//     also applies coverage: each chunk writes the coverage words that
+//     begin in its listeners' position range, and the caller observes the
+//     few deliveries that fall in a word another chunk owns.
 //   - single tile: every other run. One tile holds every node, so local
 //     indexes and mask bits are NodeIDs and the halo is the tile itself.
 //     The phases run inline, and listeners resolve in ascending NodeID
@@ -58,10 +61,10 @@ type syncRun struct {
 
 	// The tile pipeline: the per-tile state and, on a multi-tile run only,
 	// the tiling, the worker pool, the round closures handed to it (built
-	// once per run), the NodeID chunks of the decide and deliver rounds,
-	// and the NodeID-indexed sender slots (noSender when empty) that carry
-	// resolved deliveries from the resolve round to the deliver round and
-	// the coverage apply.
+	// once per run), the NodeID chunks of the decide and deliver rounds
+	// with one coverage shard each, and the NodeID-indexed sender slots
+	// (noSender when empty) that carry resolved deliveries from the
+	// resolve round to the deliver round.
 	tl                                        *topology.Tiling
 	tiles                                     []tileState
 	pool                                      *tilepool.Pool
@@ -213,8 +216,8 @@ scan:
 //
 //nd:hotpath
 func (r *syncRun) resolveScalar(ts *tileState) {
-	for i, uid := range ts.rxU {
-		c := ts.rxC[i]
+	for i, li := range ts.rxL {
+		uid, c := ts.nodes[li], ts.rxC[i]
 		if ts.txOn[c] == 0 {
 			// Nobody transmits on c: certain silence, no draws.
 			if r.wantIdle {
@@ -265,7 +268,7 @@ func (r *syncRun) resolveScalar(ts *tileState) {
 
 // deliver is the one delivery tail of a resolved listener. A multi-tile
 // run records the sender in the listener's NodeID-indexed slot, which the
-// deliver round and then the sequential coverage apply read.
+// deliver round reads, applying the delivery and its coverage.
 // The single tile delivers inline, observes the link on the coverage
 // oracle (which ignores repeat observations of a covered link) and emits
 // the delivery event, in listener order.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"m2hew/internal/channel"
+	"m2hew/internal/metrics"
 	"m2hew/internal/radio"
 	"m2hew/internal/topology"
 )
@@ -33,17 +34,26 @@ import (
 //	decide   per NodeID chunk: step each node (start slots honoured),
 //	         validate, and store actions[u];
 //	scatter  per tile: read the tile's actions into its local transmitter
-//	         masks and listener list;
+//	         masks and its listener list of local indexes;
 //	resolve  per tile: assemble each listening channel's halo mask by
 //	         word-copying the 3×3 neighbor tiles' segments, resolve the
-//	         tile's listeners, and record each single-survivor listener's
-//	         sender in the NodeID-indexed sender slots;
+//	         tile's listeners in local order against their candidate-mask
+//	         rows — numbered tile-major, so the tile's rows are one
+//	         contiguous span read front to back — and record each
+//	         single-survivor listener's sender in the NodeID-indexed
+//	         sender slots;
 //	deliver  per NodeID chunk: for each node with a sender, build the
-//	         message, snapshot the sender's heard-list and call Deliver.
+//	         message, snapshot the sender's heard-list, call Deliver,
+//	         observe the link on the chunk's coverage shard and clear the
+//	         slot.
 //
-// The caller then applies coverage from the sender slots in ascending
-// NodeID order, clearing each slot: the listener-major target index's rows
-// are read in memory order.
+// Coverage positions number links by listener, so a chunk's links form one
+// position range, and its shard writes the 64-position coverage words that
+// begin inside it, reading the target index's rows in memory order. A
+// delivery in the word the range begins inside belongs to the previous
+// chunk's last word; the shard defers it. The caller then commits each
+// shard's count of new coverages and observes the deferred deliveries, at
+// most 63 positions per chunk.
 //
 // Byte-identity of a multi-tile run with the single tile at matched seed
 // rests on the multi-tile gate (static world, loss-free, no per-listener
@@ -66,9 +76,13 @@ import (
 //     listener receives at most one delivery per slot, and half duplex
 //     means no sender's state (HeardReporter snapshots included) can
 //     change within a slot, even while other chunks deliver — so the
-//     within-slot delivery order is invisible, and the shared residue
-//     (coverage bookkeeping) is applied sequentially after the deliver
-//     round;
+//     within-slot delivery order is invisible. The shared residue,
+//     coverage bookkeeping, is split by memory: each link has one
+//     position, each coverage word one writer (a chunk's shard or, for
+//     the deferred deliveries, the caller after the round), and every
+//     observation of a slot carries the slot's time, so the covered bits,
+//     first-coverage times and remaining count do not depend on the order
+//     in which a slot's observations land;
 //   - errors: each NodeID chunk validates its nodes in ascending order and
 //     stops at its first failure; the engine reports the minimum failing
 //     node across chunks, which is the first failure an ascending scan
@@ -85,6 +99,7 @@ import (
 // the same state.
 type tileState struct {
 	nodes     []topology.NodeID // the tile's nodes, ascending (shared storage)
+	first     int               // position of nodes[0] in the tiling's tile-major order
 	words     int               // word width of the tile's own segment
 	haloWords int               // word width of the tile's halo space
 	// ownHalo marks a tile whose halo is only itself (a single tile): its
@@ -95,7 +110,8 @@ type tileState struct {
 	txOn      []int32  // per-channel transmitter count in this tile
 	txTouched []channel.ID
 
-	rxU []topology.NodeID
+	// The slot's listeners, ascending: local indexes and channels.
+	rxL []int32
 	rxC []channel.ID
 
 	halo      []uint64 // channel-major halo masks, channels × haloWords
@@ -114,13 +130,17 @@ type tileState struct {
 }
 
 // nodeChunk is one contiguous NodeID range [lo, hi) of a multi-tile run's
-// decide and deliver rounds, with the round's error and the heard-list
-// snapshot lent to each Deliver. A worker touches only its own chunk.
+// decide and deliver rounds, with the round's error, the heard-list
+// snapshot lent to each Deliver, the range's coverage shard and the
+// deliveries the shard leaves to the caller. A worker touches only its own
+// chunk.
 type nodeChunk struct {
-	lo, hi  topology.NodeID
-	err     error
-	errNode topology.NodeID
-	heard   []topology.NodeID
+	lo, hi   topology.NodeID
+	err      error
+	errNode  topology.NodeID
+	heard    []topology.NodeID
+	shard    metrics.Shard
+	deferred []topology.Link
 }
 
 // noSender marks a node with no delivery pending in the multi-tile
@@ -141,9 +161,12 @@ func chunkCount(n, workers int) int {
 // channel count.
 func buildTileStates(tl *topology.Tiling, channels int) []tileState {
 	tiles := make([]tileState, tl.Tiles())
+	first := 0
 	for t := range tiles {
 		ts := &tiles[t]
 		ts.nodes = tl.TileNodes(t)
+		ts.first = first
+		first += len(ts.nodes)
 		ts.words = tl.TileWords(t)
 		ts.haloWords = tl.HaloWords(t)
 		ts.ownHalo = len(tl.HaloTiles(t)) == 1
@@ -151,7 +174,7 @@ func buildTileStates(tl *topology.Tiling, channels int) []tileState {
 		ts.localTx = make([]uint64, channels*ts.words)
 		ts.txOn = make([]int32, channels)
 		ts.txTouched = make([]channel.ID, 0, 8)
-		ts.rxU = make([]topology.NodeID, 0, n)
+		ts.rxL = make([]int32, 0, n)
 		ts.rxC = make([]channel.ID, 0, n)
 		if !ts.ownHalo {
 			ts.halo = make([]uint64, channels*ts.haloWords)
@@ -170,7 +193,7 @@ func resetTileStates(tiles []tileState) {
 		clear(ts.localTx)
 		clear(ts.txOn)
 		ts.txTouched = ts.txTouched[:0]
-		ts.rxU, ts.rxC = ts.rxU[:0], ts.rxC[:0]
+		ts.rxL, ts.rxC = ts.rxL[:0], ts.rxC[:0]
 		for i := range ts.haloStamp {
 			ts.haloStamp[i] = -1
 			ts.haloLive[i] = false
@@ -201,8 +224,9 @@ func resetNodeChunks(chunks []nodeChunk, senders []int32) {
 // runSlot executes one slot. On the single tile: phase A, the error check,
 // the slot event, and phase B (or the scalar scan), all inline. On a
 // multi-tile run: the decide round, the error sweep, the slot event, the
-// scatter, resolve and deliver rounds, and the sequential coverage apply
-// from the sender slots.
+// scatter, resolve and deliver rounds (coverage is applied in the last),
+// and the commit of each chunk's coverage shard with its deferred
+// deliveries.
 //
 //nd:hotpath
 func (r *syncRun) runSlot(slot int) error {
@@ -242,14 +266,15 @@ func (r *syncRun) runSlot(slot int) error {
 		r.pool.Run(len(r.tiles), r.fnScatter)
 		r.pool.Run(len(r.tiles), r.fnResolve)
 		r.pool.Run(len(r.chunks), r.fnDeliver)
-		// Sequential apply: the coverage oracle is shared, so the caller
-		// walks the sender slots in listener order, as the single tile
-		// observes, and clears each.
-		for u, s := range r.senders {
-			if s != noSender {
-				r.senders[u] = noSender
-				r.coverage.Observe(topology.Link{From: topology.NodeID(s), To: topology.NodeID(u)}, float64(slot))
+		// The chunks applied their own coverage words; what is left is each
+		// chunk's count and the few deliveries in a word another chunk owns.
+		for i := range r.chunks {
+			ch := &r.chunks[i]
+			ch.shard.Commit()
+			for _, l := range ch.deferred {
+				r.coverage.Observe(l, float64(slot))
 			}
+			ch.deferred = ch.deferred[:0]
 		}
 	case r.masks == nil:
 		r.resolveScalar(&r.tiles[0])
@@ -270,7 +295,7 @@ func (ts *tileState) beginSlot() {
 		clear(ts.localTx[int(c)*ts.words : (int(c)+1)*ts.words])
 	}
 	ts.txTouched = ts.txTouched[:0]
-	ts.rxU, ts.rxC = ts.rxU[:0], ts.rxC[:0]
+	ts.rxL, ts.rxC = ts.rxL[:0], ts.rxC[:0]
 }
 
 // tallyRound counts one decision round of stepped nodes on the tile.
@@ -334,7 +359,7 @@ func (r *syncRun) tileSlotA() {
 				ts.err, ts.errNode = r.invalid(u, slot, a), u
 				return
 			}
-			ts.rxU = append(ts.rxU, u)
+			ts.rxL = append(ts.rxL, int32(li))
 			ts.rxC = append(ts.rxC, c)
 		case radio.Quiet:
 		default:
@@ -406,7 +431,7 @@ func (r *syncRun) scatterTile(ti int) {
 			txOn[c]++
 			channel.SetBit(localTx[int(c)*words:(int(c)+1)*words], li)
 		case radio.Receive:
-			ts.rxU = append(ts.rxU, u)
+			ts.rxL = append(ts.rxL, int32(li))
 			ts.rxC = append(ts.rxC, a.Channel)
 		}
 	}
@@ -428,17 +453,28 @@ func (r *syncRun) scatterTile(ti int) {
 }
 
 // deliverChunk is a multi-tile run's deliver round for one NodeID chunk:
-// deliver each pending sender's message in ascending listener order. The
-// slots stay set for the caller's coverage apply, which clears them.
+// for each pending sender slot, in ascending listener order, deliver the
+// sender's message, observe the link on the chunk's coverage shard — or
+// defer it to the caller when its position lies in a word the shard does
+// not own — and clear the slot. The listeners ascend, so the shard reads
+// the target index's rows in memory order.
 //
 //nd:hotpath
 func (r *syncRun) deliverChunk(ci int) {
 	ch := &r.chunks[ci]
 	heard := ch.heard
-	for i, s := range r.senders[ch.lo:ch.hi] {
-		if s != noSender {
-			heard = r.deliverMsg(heard, topology.NodeID(s), ch.lo+topology.NodeID(i))
+	at := float64(r.slot)
+	senders := r.senders[ch.lo:ch.hi]
+	for i, s := range senders {
+		if s == noSender {
+			continue
 		}
+		l := topology.Link{From: topology.NodeID(s), To: ch.lo + topology.NodeID(i)}
+		heard = r.deliverMsg(heard, l.From, l.To)
+		if !ch.shard.Observe(l, at) {
+			ch.deferred = append(ch.deferred, l)
+		}
+		senders[i] = noSender
 	}
 	ch.heard = heard
 }
@@ -453,8 +489,8 @@ func (r *syncRun) deliverChunk(ci int) {
 //nd:hotpath
 func (r *syncRun) tileSlotB(ti int) {
 	ts := &r.tiles[ti]
-	for i, uid := range ts.rxU {
-		c := ts.rxC[i]
+	for i, li := range ts.rxL {
+		uid, c := ts.nodes[li], ts.rxC[i]
 		var txw []uint64
 		live := ts.txOn[c] != 0
 		if ts.ownHalo {
@@ -470,7 +506,8 @@ func (r *syncRun) tileSlotB(ti int) {
 			}
 			continue
 		}
-		row, lo := r.masks.Row(uid, c)
+		// The tile's rows are one span of the table, read in local order.
+		row, lo := r.masks.RowAt(ts.first+int(li), c)
 		if !r.lossFree {
 			r.resolveLossy(ti, ts, uid, c, row, txw, lo)
 			continue

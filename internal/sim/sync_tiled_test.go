@@ -733,3 +733,126 @@ func TestSyncTiledErrorMatchesSingleTile(t *testing.T) {
 		}
 	}
 }
+
+// TestSyncTiledCoverageShardWords pins the multi-tile run's coverage apply
+// where two NodeID chunks meet. Coverage positions number links by
+// listener, so a chunk's links form one position range, and each chunk
+// writes the 64-position words that begin in its range; a delivery in the
+// word its range begins inside is deferred to the caller. On a 4000-node
+// radius-matched tiling whose chunk starts fall mid-word, at workers 1, 2
+// and GOMAXPROCS, the coverage after every slot — FirstCovered of every
+// link, Remaining and Curve — must equal the single tile's, and some
+// delivery must have landed in a deferred word.
+func TestSyncTiledCoverageShardWords(t *testing.T) {
+	const (
+		n      = 4000
+		radius = 0.035
+		slots  = 24
+	)
+	nw := tiledNet(t, 5, n, radius)
+	tl, err := topology.TilingByRadius(nw, radius, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands := nw.InboundCandidates()
+	// rowStart[u] is listener u's first coverage position; links lists
+	// every target link.
+	rowStart := make([]int, n+1)
+	var links []topology.Link
+	for u, list := range cands {
+		rowStart[u+1] = rowStart[u] + len(list)
+		for _, c := range list {
+			links = append(links, topology.Link{From: c.From, To: topology.NodeID(u)})
+		}
+	}
+	// A seeded script: each slot, a node is quiet with probability 1/5 and
+	// otherwise transmits or listens, evenly, on a random channel of its own.
+	r := rng.New(2605)
+	script := make([][]radio.Action, n)
+	for u := range script {
+		avail := nw.Avail(topology.NodeID(u))
+		script[u] = make([]radio.Action, slots)
+		for s := range script[u] {
+			c, err := avail.Pick(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch r.IntN(5) {
+			case 0:
+				script[u][s] = radio.Action{Mode: radio.Quiet}
+			case 1, 2:
+				script[u][s] = radio.Action{Mode: radio.Transmit, Channel: c}
+			default:
+				script[u][s] = radio.Action{Mode: radio.Receive, Channel: c}
+			}
+		}
+	}
+	run := func(sc *SyncScratch, tiling *topology.Tiling, workers, maxSlots int) (*SyncResult, Internals) {
+		protos := make([]SyncProtocol, n)
+		for u := range protos {
+			protos[u] = &scriptSync{actions: script[u]}
+		}
+		rec := &InternalsRecorder{}
+		res, err := RunSync(SyncConfig{
+			Network:       nw,
+			Protocols:     protos,
+			MaxSlots:      maxSlots,
+			RunToMaxSlots: true,
+			Tiling:        tiling,
+			TileWorkers:   workers,
+			Scratch:       sc,
+			Observer:      rec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, rec.Last
+	}
+	single := NewSyncScratch()
+	base := make([]*SyncResult, slots+1)
+	for s := 1; s <= slots; s++ {
+		base[s], _ = run(single, nil, 0, s)
+	}
+
+	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+		// The deferred positions: from each later chunk's first position up
+		// to the next word start (resetNodeChunks splits as here).
+		count := chunkCount(n, min(workers, tl.Tiles()))
+		var deferred []int
+		for i := 1; i < count; i++ {
+			for p := rowStart[i*n/count]; p&63 != 0; p++ {
+				deferred = append(deferred, p)
+			}
+		}
+		if len(deferred) == 0 {
+			t.Fatalf("workers %d: every one of %d chunk starts falls on a word start", workers, count)
+		}
+		sc := NewSyncScratch()
+		hits := 0
+		for s := 1; s <= slots; s++ {
+			label := fmt.Sprintf("workers %d slot %d", workers, s)
+			got, in := run(sc, tl, workers, s)
+			if in.TiledSlots != int64(s) {
+				t.Fatalf("%s: %d of %d slots on the multi-tile path", label, in.TiledSlots, s)
+			}
+			sameCoverage(t, label, base[s].Coverage, got.Coverage)
+			for _, l := range links {
+				wantAt, wantOK := base[s].Coverage.FirstCovered(l)
+				gotAt, gotOK := got.Coverage.FirstCovered(l)
+				if gotAt != wantAt || gotOK != wantOK {
+					t.Fatalf("%s: link %v first covered (%v, %v), single tile (%v, %v)", label, l, gotAt, gotOK, wantAt, wantOK)
+				}
+			}
+			if s == slots {
+				for _, p := range deferred {
+					if _, ok := got.Coverage.FirstCovered(links[p]); ok {
+						hits++
+					}
+				}
+			}
+		}
+		if hits == 0 {
+			t.Fatalf("workers %d: no delivery landed in the %d deferred positions", workers, len(deferred))
+		}
+	}
+}

@@ -16,20 +16,28 @@ import (
 // walk on the lossy path) instead of scanning the candidate list per
 // listener.
 //
-// Rows are indexed r = u·C + c and stored packed: only the word window
+// Rows are indexed r = p·C + c, where p is the listener's position in the
+// bit space's node order, and stored packed: only the word window
 // [Lo(r), Lo(r)+rowLen) that actually contains candidate bits is kept, so
 // memory is proportional to candidate locality, not N²·C. The bit space
-// is fixed when the table is made:
+// and the node order are fixed when the table is made:
 //
 //   - NewCandidateMasks: bit i of row word w is transmitter NodeID
-//     64·(lo+w)+i — the bit space of a single tile holding every node;
+//     64·(lo+w)+i — the bit space of a single tile holding every node —
+//     and p is the NodeID;
 //   - NewTileMasks: bits live in the listener's tile's halo word space
 //     (see Tiling; map them back with Tiling.HaloNode), which keeps every
-//     row within its 3×3 neighborhood and the table linear in n.
+//     row within its 3×3 neighborhood and the table linear in n, and p is
+//     the listener's index in the tiling's tile-major order — TileNodes(0),
+//     then TileNodes(1), and so on — so each tile's rows form one
+//     contiguous span. A 1×1 tiling's order is NodeID order: its table is
+//     word-for-word the NodeID-space one.
 //
 // Either way the bits match the engine's per-slot transmitter masks, so
 // the two intersect directly, and bits enumerate a listener's candidates
-// in ascending NodeID order within each tile segment.
+// in ascending NodeID order within each tile segment. Row looks a row up
+// by NodeID, RowAt by position; an engine that visits a tile's listeners
+// in local-index order reads RowAt in memory order.
 //
 // The table snapshots the candidate table it was packed from: later
 // RestrictSpan / DropDirection / SetAvail calls are not reflected.
@@ -95,14 +103,15 @@ func (m *CandidateMasks) Rebuild(cands [][]Candidate, channels, budgetWords int)
 	m.hi = resize(m.hi, channels)
 	lo, hi, off := m.lo, m.hi, m.off
 
-	// Pass 1: per-row word windows and offsets. A listener's rows are final
-	// once its list is done, so the window ends need only a per-channel
-	// buffer, its offsets are laid down at once, and the budget check can
-	// stop at the first listener that passes it.
+	// Pass 1: per-row word windows and sizes, reading the table in NodeID
+	// order. A listener's rows are final once its list is done, so the
+	// window ends need only a per-channel buffer, and the running total
+	// lets the budget check stop at the first listener that passes it. Each
+	// row's size is parked at off[r+1] of its position's row until the
+	// prefix sum below turns the sizes into offsets.
 	total := 0
-	off[0] = 0
 	for u, list := range cands {
-		base := u * channels
+		base := m.pos(u) * channels
 		for c := 0; c < channels; c++ {
 			lo[base+c] = math.MaxInt32 // hi < lo marks an empty row
 			hi[c] = -1
@@ -131,24 +140,30 @@ func (m *CandidateMasks) Rebuild(cands [][]Candidate, channels, budgetWords int)
 		}
 		for c := 0; c < channels; c++ {
 			r := base + c
+			size := int32(0)
 			if hi[c] >= lo[r] {
-				total += int(hi[c]-lo[r]) + 1
+				size = hi[c] - lo[r] + 1
 			} else {
 				lo[r] = 0
 			}
-			off[r+1] = int32(total)
+			off[r+1] = size
+			total += int(size)
 		}
 		if budgetWords > 0 && total > budgetWords {
 			return false
 		}
 	}
+	off[0] = 0
+	for r := 1; r <= rows; r++ {
+		off[r] += off[r-1]
+	}
 
-	// Pass 2: fill the packed rows.
+	// Pass 2: fill the packed rows, again reading the table in NodeID order.
 	m.words = resize(m.words, total)
 	words := m.words
 	clear(words)
 	for u, list := range cands {
-		base := u * channels
+		base := m.pos(u) * channels
 		for _, cand := range list {
 			bit := m.bit(u, cand.From)
 			vw := int32(bit >> 6)
@@ -167,6 +182,15 @@ func (m *CandidateMasks) Rebuild(cands [][]Candidate, channels, budgetWords int)
 		}
 	}
 	return true
+}
+
+// pos returns listener u's position in the table's node order: u itself in
+// NodeID space, its index in the tiling's tile-major order in halo space.
+func (m *CandidateMasks) pos(u int) int {
+	if m.tl == nil {
+		return u
+	}
+	return int(m.tl.off[m.tl.tileOf[u]] + m.tl.localOf[u])
 }
 
 // bit returns transmitter v's bit position in listener u's row space, or
@@ -192,10 +216,20 @@ func resize[T any](s []T, n int) []T {
 // 64·(lo+w)+i of that space (a NodeID, or a halo bit of u's tile). The row
 // is empty when no transmission on c can be decoded at u. Shared storage —
 // do not modify.
+func (m *CandidateMasks) Row(u NodeID, c channel.ID) (row []uint64, lo int) {
+	return m.RowAt(m.pos(int(u)), c)
+}
+
+// RowAt is Row for the listener at position p of the table's node order:
+// the NodeID in NodeID space, and in halo space the tile's first position
+// plus the listener's local index, where a tile's first position is the
+// node count of the tiles before it. Consecutive positions are adjacent
+// rows, so a tile's listeners in local-index order read the table in
+// memory order.
 //
 //nd:hotpath
-func (m *CandidateMasks) Row(u NodeID, c channel.ID) (row []uint64, lo int) {
-	r := int(u)*m.channels + int(c)
+func (m *CandidateMasks) RowAt(p int, c channel.ID) (row []uint64, lo int) {
+	r := p*m.channels + int(c)
 	return m.words[m.off[r]:m.off[r+1]], int(m.lo[r])
 }
 

@@ -39,7 +39,12 @@ func TestTileMasksMatchCandidates(t *testing.T) {
 // packed from. Mapped back through HaloNode, a row must list exactly the
 // listener's candidates on that channel in ascending NodeID order; in
 // NodeID space and on the single tile the bits themselves enumerate them
-// in that order, and the single tile's bit is the NodeID.
+// in that order, and the single tile's bit is the NodeID. It also pins the
+// row layout (checkMaskLayout): every table holds the rows of a reference
+// packed in NodeID order, the NodeID-space and single-tile tables are that
+// reference word for word, and a halo-space table lays each tile's rows
+// out as one contiguous span in tiling order. Budgets refuse a halo-space
+// table exactly below its packed size.
 func testMasksMatchCandidates(t *testing.T, seed uint64, trials int, network func(*rng.Source) (*Network, float64, error)) {
 	root := rng.New(seed)
 	for trial := 0; trial < trials; trial++ {
@@ -77,6 +82,7 @@ func testMasksMatchCandidates(t *testing.T, seed uint64, trials int, network fun
 				t.Fatal("unbudgeted NodeID-space build failed")
 			}
 			checkMaskRows(t, "node-ids", flat, cands, channels)
+			checkMaskLayout(t, "node-ids", flat, cands, channels)
 			tilings := []struct {
 				label string
 				cols  int
@@ -91,6 +97,7 @@ func testMasksMatchCandidates(t *testing.T, seed uint64, trials int, network fun
 					t.Fatalf("%s: build failed", tc.label) // a ≤2×2 grid's halos hold every tile
 				}
 				checkMaskRows(t, tc.label, m, cands, channels)
+				checkMaskLayout(t, tc.label, m, cands, channels)
 				if tc.cols == 1 && !sameMasks(m, flat) {
 					t.Fatal("single tile: bits differ from NodeIDs")
 				}
@@ -105,6 +112,11 @@ func testMasksMatchCandidates(t *testing.T, seed uint64, trials int, network fun
 					t.Fatalf("radius-matched %dx%d tiling: build failed", tl.Cols(), tl.Rows())
 				}
 				checkMaskRows(t, "radius-matched", m, cands, channels)
+				checkMaskLayout(t, "radius-matched", m, cands, channels)
+				// A budget of 0 is unbounded, so a one-word table has no refusal to check.
+				if w := m.PackedWords(); w > 1 && (NewTileMasks(tl, cands, channels, w-1) != nil || NewTileMasks(tl, cands, channels, w) == nil) {
+					t.Fatalf("radius-matched: budget does not refuse exactly below %d packed words", m.PackedWords())
+				}
 			}
 		})
 	}
@@ -146,6 +158,96 @@ func checkMaskRows(t *testing.T, label string, m *CandidateMasks, cands [][]Cand
 				t.Fatalf("%s: listener %d channel %d: row lists %v, candidates %v", label, u, c, got, want)
 			}
 		}
+	}
+}
+
+// nodeOrderTable is the reference packing: m's bit space, with rows
+// numbered by NodeID and laid out in NodeID order, each row the word
+// window of its candidates' bits.
+type nodeOrderTable struct {
+	lo, off []int32
+	words   []uint64
+}
+
+func packNodeOrder(m *CandidateMasks, cands [][]Candidate, channels int) nodeOrderTable {
+	ref := nodeOrderTable{off: []int32{0}}
+	for u, list := range cands {
+		for c := 0; c < channels; c++ {
+			var on []int
+			for _, cand := range list {
+				if cand.Span.Contains(channel.ID(c)) {
+					on = append(on, m.bit(u, cand.From))
+				}
+			}
+			lo := 0
+			if len(on) > 0 {
+				lo = slices.Min(on) >> 6
+				row := make([]uint64, slices.Max(on)>>6-lo+1)
+				for _, b := range on {
+					row[b>>6-lo] |= 1 << (b & 63)
+				}
+				ref.words = append(ref.words, row...)
+			}
+			ref.lo = append(ref.lo, int32(lo))
+			ref.off = append(ref.off, int32(len(ref.words)))
+		}
+	}
+	return ref
+}
+
+// checkMaskLayout pins m's rows to the reference packed in NodeID order
+// (see testMasksMatchCandidates). Every row — looked up by NodeID with Row
+// and by position with RowAt — holds the reference row's words. With no
+// tiling or a single tile the whole table is the reference, word for word.
+// With a tiling, walking the tiles in order and each tile's nodes in local
+// order visits positions 0, 1, … and rows that start where the previous
+// one ended, so each tile's rows form one contiguous ascending span.
+func checkMaskLayout(t *testing.T, label string, m *CandidateMasks, cands [][]Candidate, channels int) {
+	t.Helper()
+	ref := packNodeOrder(m, cands, channels)
+	tl := m.Tiling()
+	if tl == nil || tl.Tiles() == 1 {
+		if !slices.Equal(m.lo, ref.lo) || !slices.Equal(m.off, ref.off) || !slices.Equal(m.words, ref.words) {
+			t.Fatalf("%s: table differs from the NodeID-order packing", label)
+		}
+	}
+	sameRow := func(u, p, c int) {
+		r := u*channels + c
+		want, wantLo := ref.words[ref.off[r]:ref.off[r+1]], int(ref.lo[r])
+		row, lo := m.Row(NodeID(u), channel.ID(c))
+		at, atLo := m.RowAt(p, channel.ID(c))
+		if !slices.Equal(row, want) || lo != wantLo || !slices.Equal(at, want) || atLo != wantLo {
+			t.Fatalf("%s: listener %d (position %d) channel %d: Row %v@%d, RowAt %v@%d, reference %v@%d",
+				label, u, p, c, row, lo, at, atLo, want, wantLo)
+		}
+	}
+	if tl == nil {
+		for u := range cands {
+			for c := 0; c < channels; c++ {
+				sameRow(u, u, c)
+			}
+		}
+		return
+	}
+	p, next := 0, int32(0)
+	for tile := 0; tile < tl.Tiles(); tile++ {
+		for li, u := range tl.TileNodes(tile) {
+			if li != tl.LocalIndex(u) {
+				t.Fatalf("%s: tile %d lists node %d at %d, local index %d", label, tile, u, li, tl.LocalIndex(u))
+			}
+			for c := 0; c < channels; c++ {
+				sameRow(int(u), p, c)
+				r := p*channels + c
+				if m.off[r] != next {
+					t.Fatalf("%s: tile %d node %d channel %d: row starts at word %d, previous row ended at %d", label, tile, u, c, m.off[r], next)
+				}
+				next = m.off[r+1]
+			}
+			p++
+		}
+	}
+	if p != len(cands) || int(next) != m.PackedWords() {
+		t.Fatalf("%s: tiles cover %d positions and %d words, want %d and %d", label, p, next, len(cands), m.PackedWords())
 	}
 }
 
@@ -318,5 +420,38 @@ func TestCandidateMasksRebuildAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("in-place rebuilds allocated %.1f objects per run, want 0", allocs)
+	}
+}
+
+// BenchmarkNewTileMasks100k times the multi-tile engine's table packer on
+// the repository benchmark's scale-100k network: 100k nodes at radius
+// 0.007 (mean degree about 15), uniform 4-of-8 channels and the
+// radius-matched tiling aiming at 1024 tiles, at the engine's multi-tile
+// budget of 128 words per node. Graph, assignment, tiling and candidate
+// table are built outside the timer.
+func BenchmarkNewTileMasks100k(b *testing.B) {
+	const (
+		n      = 100_000
+		radius = 0.007
+	)
+	r := rng.New(1)
+	nw, err := GeometricConnected(n, radius, r, 100)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := AssignUniformK(nw, 8, 4, r); err != nil {
+		b.Fatal(err)
+	}
+	tl, err := TilingByRadius(nw, radius, 1024)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cands := nw.InboundCandidates()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if NewTileMasks(tl, cands, 8, 128*n) == nil {
+			b.Fatal("packer refused the table")
+		}
 	}
 }

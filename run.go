@@ -638,7 +638,7 @@ func runAsync(n *Network, cfg RunConfig, sc analytic.Scenario, scratch *harness.
 		}
 		var drift clock.DriftProcess = clock.Ideal
 		if cfg.DriftBound > 0 {
-			drift, err = clock.NewRandomWalk(cfg.DriftBound, cfg.DriftBound/4+0.001, root.Split())
+			drift, err = clock.NewRandomWalk(cfg.DriftBound, float64(cfg.DriftBound/4)+0.001, root.Split())
 			if err != nil {
 				return nil, fmt.Errorf("m2hew: node %d drift: %w", u, err)
 			}
@@ -658,7 +658,7 @@ func runAsync(n *Network, cfg RunConfig, sc analytic.Scenario, scratch *harness.
 		// Size the epoch horizon to the run's nominal real-time span; drifted
 		// clocks may overrun it slightly, where EpochOf clamps to the final
 		// epoch (whose state persists).
-		span := cfg.StartSpread + float64(maxFrames)*cfg.FrameLen*(1+cfg.DriftBound)
+		span := cfg.StartSpread + float64(float64(maxFrames)*cfg.FrameLen*(1+cfg.DriftBound))
 		epochs := int(span/cfg.Dynamics.EpochLen) + 1
 		var err error
 		world, err = dynamics.NewWorld(n.inner, cfg.Dynamics.spec(), epochs, root.Split())
