@@ -92,16 +92,19 @@ bench-gate:
 perfbench:
 	bash _perfbench/run.sh $(ARGS)
 
-# One-second runs of the repository benchmark's sync-n200,
+# One-second runs of the repository benchmark's suite, sync-n200,
 # sync-n200-lossy-churn and scale-100k workloads; fails unless each JSON
-# line reports no failed runs (sync-n200: every trial complete, within the
-# Theorem 3 bound, tables equal to the ground truth; sync-n200-lossy-churn:
-# links covered and every discovered neighbor a true neighbor with a subset
-# of its span, which guards the dynamic runs' per-epoch masks on the lossy
-# kernel path; scale-100k: every slot of the 100k-node runs on the tiled
-# path, which guards the derived tables the tiled resolver reads).
+# line reports no failed runs (suite: the quick suite at seed 11 equal to
+# its pinned golden output and every experiment returning a table, the only
+# workload that runs the asynchronous engines, about 3 s; sync-n200: every
+# trial complete, within the Theorem 3 bound, tables equal to the ground
+# truth; sync-n200-lossy-churn: links covered and every discovered neighbor
+# a true neighbor with a subset of its span, which guards the dynamic runs'
+# per-epoch masks on the lossy kernel path; scale-100k: every slot of the
+# 100k-node runs on the tiled path, which guards the derived tables the
+# tiled resolver reads).
 perfbench-smoke:
-	@for wl in sync-n200 sync-n200-lossy-churn scale-100k; do \
+	@for wl in suite sync-n200 sync-n200-lossy-churn scale-100k; do \
 		out="$$($(MAKE) --no-print-directory perfbench ARGS="--workload $$wl --seconds 1 --trace 0")" || exit 1; \
 		echo "$$out"; \
 		echo "$$out" | grep '^{' | grep -Eq '"failed":0[,}]' || { echo "perfbench-smoke: $$wl runs failed" >&2; exit 1; }; \

@@ -292,6 +292,85 @@ func TestFirstFullFrameAfter(t *testing.T) {
 	}
 }
 
+// firstFullFrameAfterLinear is the reference FirstFullFrameAfter: a linear
+// scan from frame 0 that extends the boundary cache frame by frame.
+func firstFullFrameAfterLinear(t *Timeline, rt float64) int {
+	if rt <= t.start {
+		return 0
+	}
+	eps := float64(1e-9 * math.Max(1, math.Abs(rt)))
+	for f := 0; ; f++ {
+		if start, _ := t.FrameInterval(f); start >= rt-eps {
+			return f
+		}
+	}
+}
+
+// TestFirstFullFrameAfterMatchesLinear pins the binary search over cached
+// frame starts to the linear scan: same answer and same boundary-cache
+// length after every query, on random-walk and sine drift at δ = 1/7 with
+// 1–5 slots per frame. Two identical timelines get identical operations:
+// slot reads that leave the cache ending mid-frame, and queries at exact
+// slot boundaries, at frame starts nudged by less than the epsilon, before
+// the start, inside the cache and past it.
+func TestFirstFullFrameAfterMatchesLinear(t *testing.T) {
+	root := rng.New(1717)
+	for spf := 1; spf <= 5; spf++ {
+		for _, kind := range []string{"walk", "sine"} {
+			seed := root.Uint64()
+			mk := func() DriftProcess {
+				var d DriftProcess
+				var err error
+				if kind == "sine" {
+					d, err = NewSinusoidal(MaxAsyncDrift, 40, 0.3)
+				} else {
+					d, err = NewRandomWalk(MaxAsyncDrift, 0.05, rng.New(seed))
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				return d
+			}
+			start := root.Float64() * 5
+			got, err := NewTimeline(start, 3, spf, mk())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := NewTimeline(start, 3, spf, mk())
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := root.Split()
+			for q := 0; q < 600; q++ {
+				var rt float64
+				switch r.IntN(5) {
+				case 0: // extend both caches to an arbitrary slot
+					i := r.IntN(4*q + 1)
+					got.SlotStart(i)
+					want.SlotStart(i)
+					continue
+				case 1: // an exact slot boundary, cached or not
+					rt = want.SlotStart(r.IntN(3*q + 1))
+					got.SlotStart(len(want.bounds) - 1)
+				case 2: // a frame start, nudged by less than the epsilon
+					fs, _ := want.FrameInterval(r.IntN(q + 1))
+					got.SlotStart(len(want.bounds) - 1)
+					rt = fs + (r.Float64()-0.5)*1e-9
+				case 3:
+					rt = start - r.Float64()
+				default:
+					rt = start + r.Float64()*float64(3*q+3)
+				}
+				gf, wf := got.FirstFullFrameAfter(rt), firstFullFrameAfterLinear(want, rt)
+				if gf != wf || len(got.bounds) != len(want.bounds) {
+					t.Fatalf("%s drift, %d slots/frame, query %d: FirstFullFrameAfter(%v) = %d with %d bounds, linear %d with %d",
+						kind, spf, q, rt, gf, len(got.bounds), wf, len(want.bounds))
+				}
+			}
+		}
+	}
+}
+
 func TestNegativeIndicesPanic(t *testing.T) {
 	tl, err := NewTimeline(0, 1, 3, Ideal)
 	if err != nil {

@@ -84,10 +84,12 @@ func (t *Timeline) Reset(start, frameLen float64, slotsPerFrame int, drift Drift
 	return nil
 }
 
-// Reserve pre-sizes the boundary cache for at least slots slot boundaries, so
+// Reserve pre-sizes the boundary cache for at least slots slots, so
 // subsequent lazy extension appends into existing capacity instead of growing
-// the array by doubling. Engines that know their frame budget call this once
-// per run.
+// the array by doubling. Values never change, only capacity. The
+// asynchronous engines call it with the frames they are about to resolve:
+// once per frame window as the windows double, or once with the whole frame
+// budget for a one-pass run.
 func (t *Timeline) Reserve(slots int) {
 	need := slots + 1 // bounds holds slot starts plus the final end boundary
 	if cap(t.bounds) >= need {
@@ -183,6 +185,9 @@ func (t *Timeline) FullFramesBy(rt float64) int {
 
 // FirstFullFrameAfter returns the index of the first frame whose start time
 // is at or after real time rt — the "first full frame after T" of Lemma 7.
+// Frames whose boundaries are already cached are binary-searched; only an
+// answer past them extends the cache, frame by frame, so the answer and
+// the cache length are those of a linear scan from frame 0.
 func (t *Timeline) FirstFullFrameAfter(rt float64) int {
 	if rt <= t.start {
 		return 0
@@ -190,14 +195,19 @@ func (t *Timeline) FirstFullFrameAfter(rt float64) int {
 	// Slot boundaries accumulate floating-point error; treat starts within a
 	// relative epsilon of rt as "at or after" so exact-boundary queries are
 	// stable.
-	eps := float64(1e-9 * math.Max(1, math.Abs(rt)))
-	f := 0
-	for {
-		start, _ := t.FrameInterval(f)
-		if start >= rt-eps {
+	at := rt - float64(1e-9*math.Max(1, math.Abs(rt)))
+	// Frames [0, cached) have both boundaries in the cache (a linear scan
+	// reads each frame's end too). Frame starts never decrease, so the
+	// answer is the first cached start at or after at, if there is one.
+	k := t.slotsPerFrame
+	cached := (len(t.bounds) - 1) / k
+	if f := sort.Search(cached, func(f int) bool { return t.bounds[f*k] >= at }); f < cached {
+		return f
+	}
+	for f := cached; ; f++ {
+		if start, _ := t.FrameInterval(f); start >= at {
 			return f
 		}
-		f++
 	}
 }
 

@@ -172,7 +172,9 @@ func (c *AsyncConfig) validate() error {
 // protocols receive no deliveries after it. Windows require a static world,
 // no loss and an observer subscribed to none of EventFrameStart,
 // EventFrameResolve and EventDeliver; any other run resolves all MaxFrames
-// frames of every node in one pass.
+// frames of every node in one pass. Per-node state — timeline boundaries,
+// drift memos, frame tables — is reserved window by window, so a run that
+// stops early never pays for the rest of MaxFrames.
 //
 //nd:hotpath
 func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
@@ -191,14 +193,13 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 		sc = NewAsyncScratch()
 	}
 
-	// Phase 1: clocks. Timelines and drift memos are pre-sized to the slot
-	// budget so the lazy boundary/rate caches grow once instead of doubling
-	// their way up (values are unchanged — only capacity moves). Drift
-	// draws still happen lazily, in ascending slot order per node's own
-	// drift rng, exactly as they did when frames were generated eagerly.
-	slotBudget := cfg.MaxFrames * slotsPerFrame
+	// Phase 1: clocks. Drift draws happen lazily, in ascending slot order
+	// per node's own drift rng, exactly as they did when frames were
+	// generated eagerly. The boundary caches, drift memos and frame tables
+	// are sized window by window in phase 2 (reserveFrames: values never
+	// move, only capacity), so a windowed run that stops early never
+	// reserves the rest of MaxFrames.
 	timelines := sc.timelineSlice(n)
-	frames := sc.frameTables(n, cfg.MaxFrames)
 	ts := 0.0
 	for u := 0; u < n; u++ {
 		nc := cfg.Nodes[u]
@@ -209,7 +210,6 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sim: node %d clock: %w", u, err)
 		}
-		tl.Reserve(slotBudget)
 		if sc.RecycleTimelines {
 			// Same caller contract as timeline recycling: a prior trial's
 			// drift is never queried again, so its memo's backing array can
@@ -217,20 +217,19 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 			// returns are generated from its own rng as usual).
 			sc.adoptRateBuf(nc.Drift)
 		}
-		reserveDrift(nc.Drift, slotBudget)
 		timelines[u] = tl
 	}
 
-	// Phase 2: resolve receptions, generating frames on demand. gen appends
-	// node v's next frame (frameTables reserved MaxFrames capacity per
-	// node, so appends never reallocate); before a listening frame
-	// resolves, every candidate transmitter is generated out to the frame's
-	// end, which is exactly the coverage collectSlots needs.
+	// Phase 2: resolve receptions, generating frames on demand. generate
+	// appends node v's next frame to its frame table and the transmit
+	// bucket table; before a listening frame resolves, every candidate
+	// transmitter is generated out to the frame's end, which is exactly
+	// the coverage collectSlots needs.
 	cands, msgAvail, target := sc.networkTables(nw)
 	for u := range cfg.Nodes {
 		reserveNeighbors(cfg.Nodes[u].Protocol, cands[u])
 	}
-	env := sc.envFor(nw, cands, frames, timelines, slotsPerFrame, cfg.Loss)
+	env := sc.envFor(nw, timelines, slotsPerFrame, cfg.Loss)
 	env.world = cfg.Dynamics
 	mask := observerMask(cfg.Observer)
 	wantStart, wantResolve := mask.Has(EventFrameStart), mask.Has(EventFrameResolve)
@@ -254,6 +253,7 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 	hi := 0
 	for lo := 0; lo < cfg.MaxFrames; lo, window = hi, 2*window {
 		hi = lo + min(window, cfg.MaxFrames-lo)
+		env.reserveFrames(cfg.Nodes, hi)
 		for u := 0; u < n; u++ {
 			uid := topology.NodeID(u)
 			for f := lo; f < hi; f++ {
@@ -405,10 +405,10 @@ func (sc *AsyncScratch) applyDeliveries(ds []delivery, safe float64, nodes []Asy
 }
 
 // generate asks node v's protocol p for its next frame decision, validates
-// it, and appends the frame to the env's tables (capacity was reserved for
-// the whole budget, so appends never reallocate). Both asynchronous engines
-// generate exclusively through it, always in ascending frame order per
-// node.
+// it, and appends the frame to the env's frame and transmit bucket tables
+// (appendFrame; a table grows past its reservation when the look-ahead
+// outruns the window being resolved). Both asynchronous engines generate
+// exclusively through it, always in ascending frame order per node.
 //
 //nd:hotpath
 func (env *asyncEnv) generate(v int, p AsyncProtocol) error {
@@ -417,8 +417,7 @@ func (env *asyncEnv) generate(v int, p AsyncProtocol) error {
 	if err := a.Validate(env.nw.Avail(topology.NodeID(v))); err != nil {
 		return fmt.Errorf("sim: node %d frame %d: %w", v, f, err)
 	}
-	fs, fe := env.timelines[v].FrameInterval(f)
-	env.frames[v] = append(env.frames[v], asyncFrame{start: fs, end: fe, action: a})
+	env.appendFrame(v, a)
 	return nil
 }
 

@@ -47,15 +47,11 @@ func RunAsyncOnline(cfg AsyncConfig) (*AsyncResult, error) {
 	if sc == nil {
 		sc = NewAsyncScratch()
 	}
-	slotBudget := cfg.MaxFrames * slotsPerFrame
 	timelines := sc.timelineSlice(n)
-	frames := sc.frameTables(n, cfg.MaxFrames)
 	cands, msgAvail, target := sc.networkTables(nw)
 	for u := range cfg.Nodes {
 		reserveNeighbors(cfg.Nodes[u].Protocol, cands[u])
 	}
-	env := sc.envFor(nw, cands, frames, timelines, slotsPerFrame, cfg.Loss)
-	env.world = cfg.Dynamics
 	ts := 0.0
 	for u := 0; u < n; u++ {
 		nc := cfg.Nodes[u]
@@ -66,10 +62,11 @@ func RunAsyncOnline(cfg AsyncConfig) (*AsyncResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sim: node %d clock: %w", u, err)
 		}
-		tl.Reserve(slotBudget)
-		reserveDrift(nc.Drift, slotBudget)
 		timelines[u] = tl
 	}
+	env := sc.envFor(nw, timelines, slotsPerFrame, cfg.Loss)
+	env.world = cfg.Dynamics
+	env.reserveFrames(cfg.Nodes, cfg.MaxFrames)
 
 	// generate appends node u's next frame (env.generate). Returns false
 	// once the node hit its frame budget.

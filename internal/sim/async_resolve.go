@@ -55,6 +55,20 @@ type asyncEnv struct {
 	// wrong answer. Sized to n by envFor.
 	cursor []int32
 
+	// The transmit bucket table: real time is cut into buckets of one
+	// nominal frame (FrameLen, from origin, the earliest node start), and
+	// each (bucket, channel) has one NodeID bitmask of the senders with a
+	// transmit frame on that channel touching that bucket. appendFrame is
+	// its only writer; collectSlots skips a candidate whose bit is clear in
+	// every bucket of the listening frame (see txOn). Bucket-major: the
+	// mask of (b, c) is txBuckets[(b*channels+c)*words:][:words], and the
+	// table always covers the buckets of every frame appended so far.
+	origin    float64
+	perBucket float64 // 1 / FrameLen
+	channels  int     // max channel ID of the network, plus one
+	words     int     // words per NodeID mask
+	txBuckets []uint64
+
 	// Scratch buffers, reused across resolveFrame calls:
 	txBuf    []txSlot   // collected candidate slots, in collection order
 	sweepBuf []idxSlot  // the same slots, sorted by start for the sweep
@@ -164,11 +178,20 @@ func (env *asyncEnv) collectSlots(g asyncFrame, cands []topology.Candidate) []tx
 	// front; both filters precede every loss draw, so the draw sequence is
 	// unchanged (a neighbor with an empty span fails the Contains check
 	// below before drawing anything).
+	//
+	// A candidate with no transmit frame on c touching the listening
+	// frame's buckets has no overlapping transmit frame on c at all (see
+	// txOn), so it would collect no slot and draw no erasure: skipping it
+	// here leaves the draw sequence unchanged too.
+	first, last := env.bucket(g.start), env.bucket(g.end)
 	for _, cand := range cands {
 		if !cand.Span.Contains(c) {
 			continue
 		}
 		w := cand.From
+		if !env.txOn(w, c, first, last) {
+			continue
+		}
 		wf := env.frames[w]
 		// First frame of w possibly overlapping g: the one before the
 		// first frame starting at or after g.start.
@@ -202,6 +225,75 @@ func (env *asyncEnv) collectSlots(g asyncFrame, cands []topology.Candidate) []tx
 	}
 	env.txBuf = slots
 	return slots
+}
+
+// appendFrame appends node v's next frame, with action a, to its frame
+// table, and marks it in the transmit bucket table: the table grows to
+// cover the frame's buckets, and a transmit frame sets v's bit on its
+// channel in every bucket from bucket(start) to bucket(end) inclusive.
+// It is the one way frames enter an env (the engines' generate, and the
+// resolver tests' scripted tables). The frame table may reallocate: it is
+// sized to the frames the run resolves, not to MaxFrames.
+//
+//nd:hotpath
+func (env *asyncEnv) appendFrame(v int, a radio.Action) {
+	fs, fe := env.timelines[v].FrameInterval(len(env.frames[v]))
+	env.frames[v] = append(env.frames[v], asyncFrame{start: fs, end: fe, action: a})
+	first, last := env.bucket(fs), env.bucket(fe)
+	if need := (last + 1) * env.channels * env.words; need > len(env.txBuckets) {
+		env.growBuckets(need)
+	}
+	if a.Mode != radio.Transmit {
+		return
+	}
+	stride := env.channels * env.words
+	i := first*stride + int(a.Channel)*env.words + v>>6
+	for b := first; b <= last; b, i = b+1, i+stride {
+		env.txBuckets[i] |= 1 << (uint(v) & 63)
+	}
+}
+
+// growBuckets extends the transmit bucket table to need words, zeroed,
+// doubling its capacity when it runs out.
+func (env *asyncEnv) growBuckets(need int) {
+	if need > cap(env.txBuckets) {
+		grown := make([]uint64, len(env.txBuckets), max(need, 2*cap(env.txBuckets)))
+		copy(grown, env.txBuckets)
+		env.txBuckets = grown
+	}
+	old := len(env.txBuckets)
+	env.txBuckets = env.txBuckets[:need]
+	clear(env.txBuckets[old:])
+}
+
+// bucket returns the transmit bucket holding real time t, which is at or
+// after the origin (every frame starts at or after its node's start):
+// floor((t−origin)/FrameLen), up to rounding. Each step is monotone in t,
+// so an interval [s, e] touches exactly the buckets bucket(s) … bucket(e),
+// and two intervals that overlap for a positive length share one: the
+// later start lies in both. Marking and probing use this one function, so
+// rounding cannot break that.
+func (env *asyncEnv) bucket(t float64) int {
+	return int((t - env.origin) * env.perBucket)
+}
+
+// txOn reports whether sender w has a transmit frame on channel c touching
+// any bucket in [first, last]. It is a superset test: every transmit frame
+// of w on c that overlaps a listening frame with buckets [first, last]
+// touches one of them, so a false answer proves w collects nothing there;
+// a true one leaves the exact frame and slot checks to decide.
+//
+//nd:hotpath
+func (env *asyncEnv) txOn(w topology.NodeID, c channel.ID, first, last int) bool {
+	stride := env.channels * env.words
+	i := first*stride + int(c)*env.words + int(w)>>6
+	bit := uint64(1) << (uint(w) & 63)
+	for b := first; b <= last; b, i = b+1, i+stride {
+		if env.txBuckets[i]&bit != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // seekFrame returns the index of sender w's first frame starting at or

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"m2hew/internal/channel"
@@ -248,5 +249,51 @@ func TestAsyncSinglePassGate(t *testing.T) {
 				t.Fatalf("resolved %d of %d frames; want full pass %v", res.FrameBudget, cfg.MaxFrames, c.fullPass)
 			}
 		})
+	}
+}
+
+// TestRunAsyncWindowSizedState guards the window sizing of RunAsync's
+// per-run state: a windowed run with a budget of a million frames that
+// completes within its first windows must allocate for the frames it
+// resolves — timeline boundaries, drift memos, frame tables and the
+// transmit bucket table — not for MaxFrames (which would be hundreds of MB
+// on these four nodes).
+func TestRunAsyncWindowSizedState(t *testing.T) {
+	nw, err := topology.Clique(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := topology.AssignHomogeneous(nw, 2); err != nil {
+		t.Fatal(err)
+	}
+	root := rng.New(404)
+	nodes := make([]AsyncNode, nw.N())
+	for u := range nodes {
+		p, err := core.NewAsync(nw.Avail(topology.NodeID(u)), 2, root.Split())
+		if err != nil {
+			t.Fatal(err)
+		}
+		drift, err := clock.NewRandomWalk(clock.MaxAsyncDrift, 0.03, root.Split())
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[u] = AsyncNode{Protocol: p, Start: root.Float64() * 6, Drift: drift}
+	}
+	const maxFrames = 1_000_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := RunAsync(AsyncConfig{Network: nw, Nodes: nodes, FrameLen: 3, MaxFrames: maxFrames})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Complete || res.FrameBudget > 3*firstAsyncWindow {
+		t.Fatalf("run complete=%v after %d frames; the guard needs a run that stops within its first two windows", res.Complete, res.FrameBudget)
+	}
+	const limit = 2 << 20
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d of %d frames resolved, %d bytes allocated", res.FrameBudget, maxFrames, got)
+	if got > limit {
+		t.Fatalf("windowed RunAsync resolving %d of %d frames allocated %d bytes; want at most %d", res.FrameBudget, maxFrames, got, limit)
 	}
 }

@@ -144,13 +144,14 @@ func TestSyncLossDrawOrderLocked(t *testing.T) {
 	}
 }
 
-// scriptTables builds per-node frame tables and timelines from frame
-// scripts, the way the engines' generate step fills them.
-func scriptTables(t *testing.T, script [][]radio.Action, starts []float64,
-	frameLen float64, slotsPerFrame int) ([][]asyncFrame, []*clock.Timeline) {
+// scriptTables primes sc's env for a run of frame scripts on nw: it builds
+// each node's timeline from its scripted start, then appends every scripted
+// frame through appendFrame, the helper the engines' generate step uses, so
+// the frame tables and the transmit bucket table are the engines' own.
+func scriptTables(t *testing.T, sc *AsyncScratch, nw *topology.Network, script [][]radio.Action,
+	starts []float64, frameLen float64, slotsPerFrame int, loss *LossModel) *asyncEnv {
 	t.Helper()
 	n := len(script)
-	frames := make([][]asyncFrame, n)
 	timelines := make([]*clock.Timeline, n)
 	for u := 0; u < n; u++ {
 		tl, err := clock.NewTimeline(starts[u], frameLen, slotsPerFrame, nil)
@@ -158,24 +159,23 @@ func scriptTables(t *testing.T, script [][]radio.Action, starts []float64,
 			t.Fatal(err)
 		}
 		timelines[u] = tl
-		frames[u] = make([]asyncFrame, len(script[u]))
-		for f, a := range script[u] {
-			fs, fe := tl.FrameInterval(f)
-			frames[u][f] = asyncFrame{start: fs, end: fe, action: a}
+	}
+	env := sc.envFor(nw, timelines, slotsPerFrame, loss)
+	for u := 0; u < n; u++ {
+		for _, a := range script[u] {
+			env.appendFrame(u, a)
 		}
 	}
-	return frames, timelines
+	return env
 }
 
-// scriptedAsyncEnv builds an asyncEnv from per-node frame scripts and primes
-// it through a fresh scratch's envFor, as the engines do (which also sizes
-// the frame-search cursors), so resolver tests can drive resolveFrame
+// scriptedAsyncEnv builds an asyncEnv from per-node frame scripts on a
+// fresh scratch (scriptTables), so resolver tests can drive resolveFrame
 // without a full engine run.
 func scriptedAsyncEnv(t *testing.T, nw *topology.Network, script [][]radio.Action,
 	starts []float64, frameLen float64, slotsPerFrame int, loss *LossModel) *asyncEnv {
 	t.Helper()
-	frames, timelines := scriptTables(t, script, starts, frameLen, slotsPerFrame)
-	return NewAsyncScratch().envFor(nw, nw.InboundCandidates(), frames, timelines, slotsPerFrame, loss)
+	return scriptTables(t, NewAsyncScratch(), nw, script, starts, frameLen, slotsPerFrame, loss)
 }
 
 // resolveScripted resolves uid's frame f the way the engines do: the
@@ -358,6 +358,88 @@ func TestResolveFrameMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestTxBucketsCoverOverlaps pins the transmit bucket table's superset
+// property, on which collectSlots' skip rests: for every listening frame
+// and every transmit frame on its channel that overlaps it for a positive
+// length, the sender's bit is set in one of the listening frame's buckets.
+// Clocks start at random offsets and drift as random walks at the maximum
+// asynchronous drift, so frames run up to 1/(1−δ) nominal frames long and
+// touch two or three buckets; 1–5 slots per frame; up to 130 nodes, so
+// masks span several words. Frames enter the env through appendFrame, as
+// in the engines. The test also requires overlaps found only in a frame's
+// last bucket, so a probe that stops one bucket short fails it.
+func TestTxBucketsCoverOverlaps(t *testing.T) {
+	root := rng.New(2323)
+	lastOnly := 0
+	for trial := 0; trial < 30; trial++ {
+		r := root.Split()
+		n := 2 + r.IntN(129)
+		nw, err := topology.Clique(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := topology.AssignBernoulli(nw, 1+r.IntN(4), 0.7, r); err != nil {
+			t.Fatal(err)
+		}
+		slotsPerFrame := 1 + r.IntN(5)
+		frameLen := 0.5 + r.Float64()*3
+		timelines := make([]*clock.Timeline, n)
+		for u := range timelines {
+			drift, err := clock.NewRandomWalk(clock.MaxAsyncDrift, 0.05, r.Split())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if timelines[u], err = clock.NewTimeline(r.Float64()*8*frameLen, frameLen, slotsPerFrame, drift); err != nil {
+				t.Fatal(err)
+			}
+		}
+		env := NewAsyncScratch().envFor(nw, timelines, slotsPerFrame, nil)
+		for u := 0; u < n; u++ {
+			avail := nw.Avail(topology.NodeID(u))
+			for f := 0; f < 30; f++ {
+				a := radio.Action{Mode: radio.Quiet}
+				if c, err := avail.Pick(r); err == nil {
+					a = radio.Action{Mode: radio.Receive, Channel: c}
+					if r.Bernoulli(0.5) {
+						a.Mode = radio.Transmit
+					}
+				}
+				env.appendFrame(u, a)
+			}
+		}
+		for u := 0; u < n; u++ {
+			for _, g := range env.frames[u] {
+				if g.action.Mode != radio.Receive {
+					continue
+				}
+				c := g.action.Channel
+				first, last := env.bucket(g.start), env.bucket(g.end)
+				for w := 0; w < n; w++ {
+					if w == u {
+						continue
+					}
+					for _, fr := range env.frames[w] {
+						if fr.action.Mode != radio.Transmit || fr.action.Channel != c || fr.start >= g.end || fr.end <= g.start {
+							continue
+						}
+						if !env.txOn(topology.NodeID(w), c, first, last) {
+							t.Fatalf("trial %d: listener %d frame [%v, %v) on channel %d misses sender %d's overlapping frame [%v, %v)",
+								trial, u, g.start, g.end, c, w, fr.start, fr.end)
+						}
+						if last > first && !env.txOn(topology.NodeID(w), c, first, last-1) {
+							lastOnly++
+						}
+					}
+				}
+			}
+		}
+	}
+	if lastOnly == 0 {
+		t.Fatal("no overlap was visible only in a listening frame's last bucket; the probe's upper end went untested")
+	}
+	t.Logf("%d overlaps visible only in the last bucket", lastOnly)
+}
+
 // TestResolveFrameCursorRobust pins the frame-search cursors to the
 // reference under call orders the engines never produce: every frame of a
 // scenario resolved in shuffled order, some frames twice in a row, and one
@@ -390,8 +472,7 @@ func TestResolveFrameCursorRobust(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			frames, timelines := scriptTables(t, script, starts, frameLen, slotsPerFrame)
-			fast := sc.envFor(nw, nw.InboundCandidates(), frames, timelines, slotsPerFrame, fastLoss)
+			fast := scriptTables(t, sc, nw, script, starts, frameLen, slotsPerFrame, fastLoss)
 			naive := scriptedAsyncEnv(t, nw, script, starts, frameLen, slotsPerFrame, naiveLoss)
 
 			type frameRef struct{ u, f int }

@@ -240,8 +240,9 @@ func (sc *SyncScratch) localSlotBuf(n int) []int {
 }
 
 // AsyncScratch holds the per-run state of RunAsync and RunAsyncOnline for
-// reuse across runs: the phase-1 frame/start tables, the reception
-// resolver's buffers, the delivery list, and (opt-in) the clock timelines.
+// reuse across runs: the frame tables, the transmit bucket table, the
+// reception resolver's buffers, the delivery list, and (opt-in) the clock
+// timelines.
 // A scratch belongs to one goroutine at a time; runs borrow it for their
 // whole duration. The zero value is not ready — use NewAsyncScratch.
 //
@@ -265,6 +266,7 @@ type AsyncScratch struct {
 	cands    [][]topology.Candidate
 	msgAvail []channel.Set
 	target   *metrics.TargetIndex // shared read-only, as in SyncScratch
+	channels int                  // max channel ID of the network, plus one
 
 	timelines  []*clock.Timeline
 	rateBufs   [][]float64
@@ -300,6 +302,10 @@ func (sc *AsyncScratch) networkTables(nw *topology.Network) ([][]topology.Candid
 		sc.cands = nw.InboundCandidates()
 		sc.msgAvail = sharedMsgAvail(nw)
 		sc.target = metrics.NewTargetIndexFromCandidates(sc.cands)
+		sc.channels = 0
+		if id, ok := nw.Universe().Max(); ok {
+			sc.channels = int(id) + 1
+		}
 	}
 	return sc.cands, sc.msgAvail, sc.target
 }
@@ -342,43 +348,75 @@ func (sc *AsyncScratch) timelineSlice(n int) []*clock.Timeline {
 }
 
 // frameTables returns the per-node frame tables, each inner slice empty
-// with capacity for maxFrames entries (both engines append as frames
-// generate).
-func (sc *AsyncScratch) frameTables(n, maxFrames int) [][]asyncFrame {
+// but keeping the capacity earlier runs grew (reserveFrames sizes them to
+// the frames a run resolves; both engines append as frames generate).
+func (sc *AsyncScratch) frameTables(n int) [][]asyncFrame {
 	if cap(sc.frames) < n {
 		fr := make([][]asyncFrame, n)
 		copy(fr, sc.frames)
 		sc.frames = fr
 	}
 	sc.frames = sc.frames[:n]
-	for u := 0; u < n; u++ {
-		if cap(sc.frames[u]) < maxFrames {
-			sc.frames[u] = make([]asyncFrame, maxFrames)
-		}
+	for u := range sc.frames {
 		sc.frames[u] = sc.frames[u][:0]
 	}
 	return sc.frames
 }
 
-// envFor primes the embedded resolver env for a run. The env's internal
-// buffers (txBuf, sweepBuf, flagBuf, outBuf, seenBuf) persist across runs by
-// design: resolveFrame already reuses them frame-to-frame and overwrites
-// before reading. The frame-search cursors persist too, grown to n: a stale
-// cursor is only a search hint (see seekFrame).
-func (sc *AsyncScratch) envFor(nw *topology.Network, cands [][]topology.Candidate, frames [][]asyncFrame, timelines []*clock.Timeline, slotsPerFrame int, loss *LossModel) *asyncEnv {
+// envFor primes the embedded resolver env for a run on nw whose clocks are
+// timelines (one per node, already built: the transmit buckets start at the
+// earliest node start and last one nominal frame). The frame tables and the
+// bucket table start empty; frames enter them only through appendFrame.
+// The env's internal buffers (txBuf, sweepBuf, flagBuf, outBuf, seenBuf)
+// persist across runs by design: resolveFrame already reuses them
+// frame-to-frame and overwrites before reading. The frame-search cursors
+// persist too, grown to n: a stale cursor is only a search hint (see
+// seekFrame).
+func (sc *AsyncScratch) envFor(nw *topology.Network, timelines []*clock.Timeline, slotsPerFrame int, loss *LossModel) *asyncEnv {
+	n := nw.N()
 	env := &sc.env
 	env.nw = nw
-	env.cands = cands
-	env.frames = frames
+	env.cands, _, _ = sc.networkTables(nw)
+	env.frames = sc.frameTables(n)
 	env.timelines = timelines
 	env.slotsPerFrame = slotsPerFrame
 	env.loss = loss
-	if len(env.cursor) < nw.N() {
-		env.cursor = make([]int32, nw.N())
+	if len(env.cursor) < n {
+		env.cursor = make([]int32, n)
 	}
+	env.origin, env.perBucket = 0, 1
+	if len(timelines) > 0 {
+		env.origin, env.perBucket = timelines[0].Start(), 1/timelines[0].FrameLen()
+	}
+	for _, tl := range timelines {
+		env.origin = min(env.origin, tl.Start())
+	}
+	env.channels = sc.channels
+	env.words = (n + 63) / 64
+	env.txBuckets = env.txBuckets[:0]
 	env.world = nil // engines running on a dynamic world set it after
 	env.lastCollected = 0
 	return env
+}
+
+// reserveFrames pre-sizes, for frames frames per node, every timeline's
+// boundary cache, every drift memo and every frame table, so the lazy
+// caches and appends fill existing capacity instead of doubling their way
+// up. Capacity only: no value changes, and a table may still grow past it
+// (the look-ahead generates senders out to a listening frame's end).
+// Windowed RunAsync runs call it once per window with the window's end;
+// one-pass runs call it once with MaxFrames.
+func (env *asyncEnv) reserveFrames(nodes []AsyncNode, frames int) {
+	slots := frames * env.slotsPerFrame
+	for u, tl := range env.timelines {
+		tl.Reserve(slots)
+		reserveDrift(nodes[u].Drift, slots)
+		if fr := env.frames[u]; cap(fr) < frames {
+			grown := make([]asyncFrame, len(fr), frames)
+			copy(grown, fr)
+			env.frames[u] = grown
+		}
+	}
 }
 
 // deliveryBuf returns the empty delivery accumulator.
