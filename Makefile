@@ -70,7 +70,7 @@ fma-scan:
 # BENCH_3.json via cmd/ndstat.
 ci: build vet fmt-check lint fma-scan
 	$(GO) test -shuffle=on ./...
-	$(GO) test -bench=. -benchtime=1x -run='^$$' ./internal/sim/... ./internal/harness/... ./internal/telemetry/... ./internal/dynamics/... ./internal/channel/... ./internal/topology/...
+	$(GO) test -bench=. -benchtime=1x -run='^$$' ./internal/sim/... ./internal/harness/... ./internal/telemetry/... ./internal/dynamics/... ./internal/channel/... ./internal/topology/... ./internal/core/...
 	$(GO) test -race ./internal/harness/... ./internal/experiment/... ./internal/trace/... ./internal/sim/... ./internal/telemetry/... ./internal/dynamics/... ./internal/channel/... ./internal/topology/... ./internal/diag/... ./internal/metrics/...
 	$(MAKE) test-386
 	$(MAKE) bench-gate

@@ -99,3 +99,11 @@ func SetBit(words []uint64, i int) {
 //
 //nd:hotpath
 func (s Set) Words() []uint64 { return s.words }
+
+// FromWords views words as a Set, the write-side twin of Words: bit i of
+// words[w] is channel 64·w+i. The set shares words' storage, so a caller
+// that hands such a view out keeps it read-only and caps its capacity
+// (words[i:j:j]) to keep an Add from growing into neighbouring storage.
+//
+//nd:hotpath
+func FromWords(words []uint64) Set { return Set{words: words} }

@@ -82,7 +82,7 @@ func (p *Async) NextFrame(int) radio.Action {
 func (p *Async) Deliver(msg radio.Message) { p.deliver(msg) }
 
 // Neighbors returns the node's discovery output.
-func (p *Async) Neighbors() *NeighborTable { return p.table }
+func (p *Async) Neighbors() *NeighborTable { return &p.table }
 
 // TransmitProb returns the constant per-frame transmit probability.
 func (p *Async) TransmitProb() float64 { return p.p }

@@ -30,6 +30,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -45,29 +46,33 @@ import (
 //
 // Storage tracks discoveries, not the network size — the paper's output at
 // a node is O(Δ) entries, so n tables cost O(n·Δ) together, never O(n²).
-// Entries are kept in discovery order; point lookups go through a small
-// open-addressing index (linear probing over a power-of-two slot array at
-// most half full, each slot holding 1 + an entry position, 0 = empty), so
-// no map sits on the delivery hot path and no map iteration order can leak
-// into results. The storage is sized once, lazily, at the first discovery
-// from the Reserve hint, so a table that discovers nothing costs nothing;
-// past the hint it doubles.
+// The whole table is one []uint64 slab: a power-of-two array of slots of
+// 1 + stride words each, found by Fibonacci hashing with linear probing and
+// kept at most half full. A slot's first word holds the neighbor's ID + 1
+// (0 marks an empty slot) and the next stride words hold its common set
+// inline, so a delivery — a lookup and a subset test — reads one slot,
+// usually one cache line, and no map sits on the hot path or leaks its
+// iteration order into results. stride is the word width of the widest
+// common set recorded so far; a wider record rehashes the slab to the new
+// stride. The slab is sized once, lazily, at the first discovery from the
+// Reserve hint, so a table that discovers nothing costs nothing; past the
+// hint it doubles. Nothing keeps discovery order: readers get neighbors
+// sorted by ID.
+//
+// The zero value is an empty table, ready to use; protocols embed theirs
+// by value.
 type NeighborTable struct {
-	entries []neighborEntry
-	idx     []int32
-	// hint is the capacity Reserve promised (the expected number of
-	// discoveries): the first discovery allocates exactly that much.
+	slab   []uint64
+	mask   int // slot count − 1; meaningful once n > 0
+	stride int // common-set words per slot
+	n      int // discovered neighbors
+	// hint is the discovery count Reserve promised: the first discovery
+	// allocates the smallest slab that holds that many at most half full.
 	hint int
 }
 
-// neighborEntry is one discovered neighbor and its common channel set.
-type neighborEntry struct {
-	id     topology.NodeID
-	common channel.Set
-}
-
-// minNeighborCap is the first allocation of a table discovered without a
-// Reserve hint.
+// minNeighborCap is the discovery count the first slab of a table without
+// a Reserve hint is sized for.
 const minNeighborCap = 8
 
 // NewNeighborTable returns an empty table.
@@ -89,63 +94,98 @@ func (t *NeighborTable) Reserve(n int) {
 	}
 }
 
-// hashID spreads a node ID over the index (Fibonacci hashing); mask is the
-// index length minus one.
+// hashID spreads a node ID over the slots (Fibonacci hashing); mask is the
+// slot count minus one.
 func hashID(v topology.NodeID, mask int) int {
 	return int((uint64(v)*0x9E3779B97F4A7C15)>>32) & mask
 }
 
-// find returns v's entry position, or -1 when v has not been discovered.
+// slotsFor returns the smallest power-of-two slot count, at least 2, that
+// holds c entries at most half full.
+func slotsFor(c int) int {
+	slots := 2
+	for slots < 2*c {
+		slots *= 2
+	}
+	return slots
+}
+
+// find returns the slab offset of v's slot, or -1 when v has not been
+// discovered. A negative v is never found (its key would read as empty).
 //
 //nd:hotpath
 func (t *NeighborTable) find(v topology.NodeID) int {
-	mask := len(t.idx) - 1
-	if mask < 0 {
+	if t.n == 0 || v < 0 {
 		return -1
 	}
-	for h := hashID(v, mask); ; h = (h + 1) & mask {
-		e := t.idx[h]
-		if e == 0 {
+	w, key := 1+t.stride, uint64(v)+1
+	for h := hashID(v, t.mask); ; h = (h + 1) & t.mask {
+		switch t.slab[h*w] {
+		case key:
+			return h * w
+		case 0:
 			return -1
 		}
-		if t.entries[e-1].id == v {
-			return int(e - 1)
+	}
+}
+
+// common views the common set of the slot at slab offset s.
+//
+//nd:hotpath
+func (t *NeighborTable) common(s int) channel.Set {
+	end := s + 1 + t.stride
+	return channel.FromWords(t.slab[s+1 : end : end])
+}
+
+// claim returns the slab offset of v's slot, ready to take width words of
+// common set: the slot find returned (s ≥ 0), or a fresh zeroed one for a
+// first discovery (s < 0). It first sizes the slab — lazily from the
+// Reserve hint, doubling when one more entry would pass half full — and
+// widens the stride to width, rehashing when either changes.
+func (t *NeighborTable) claim(v topology.NodeID, s, width int) int {
+	slots := t.mask + 1
+	if s < 0 {
+		if t.n == 0 {
+			slots = slotsFor(cmp.Or(t.hint, minNeighborCap))
+		} else if 2*(t.n+1) > slots {
+			slots = max(2*slots, slotsFor(t.hint))
+		}
+	}
+	if slots != t.mask+1 || width > t.stride {
+		t.rehash(slots, max(width, t.stride))
+		if s >= 0 {
+			s = t.find(v)
+		}
+	}
+	if s < 0 {
+		s = t.place(v)
+		t.n++
+	}
+	return s
+}
+
+// rehash moves every entry into a fresh zeroed slab of the given slot
+// count and stride, carrying each common set's words over.
+func (t *NeighborTable) rehash(slots, stride int) {
+	old, ow := t.slab, 1+t.stride
+	t.slab, t.mask, t.stride = make([]uint64, slots*(1+stride)), slots-1, stride
+	for o := 0; o < len(old); o += ow {
+		if old[o] != 0 {
+			s := t.place(topology.NodeID(old[o] - 1))
+			copy(t.slab[s+1:], old[o+1:o+ow])
 		}
 	}
 }
 
-// insert appends a first-time discovery, sizing or doubling the storage
-// when it is full.
-func (t *NeighborTable) insert(v topology.NodeID, common channel.Set) {
-	if len(t.entries) == cap(t.entries) {
-		c := max(2*cap(t.entries), t.hint)
-		if c == 0 {
-			c = minNeighborCap
-		}
-		entries := make([]neighborEntry, len(t.entries), c)
-		copy(entries, t.entries)
-		t.entries = entries
-		slots := 2
-		for slots < 2*c {
-			slots *= 2
-		}
-		t.idx = make([]int32, slots)
-		for i := range t.entries {
-			t.place(t.entries[i].id, i)
-		}
+// place claims v's first free slot and returns its slab offset.
+func (t *NeighborTable) place(v topology.NodeID) int {
+	w := 1 + t.stride
+	h := hashID(v, t.mask)
+	for t.slab[h*w] != 0 {
+		h = (h + 1) & t.mask
 	}
-	t.place(v, len(t.entries))
-	t.entries = append(t.entries, neighborEntry{id: v, common: common})
-}
-
-// place points v's first free index slot at entry position i.
-func (t *NeighborTable) place(v topology.NodeID, i int) {
-	mask := len(t.idx) - 1
-	h := hashID(v, mask)
-	for t.idx[h] != 0 {
-		h = (h + 1) & mask
-	}
-	t.idx[h] = int32(i + 1)
+	t.slab[h*w] = uint64(v) + 1
+	return h * w
 }
 
 // checkID rejects negative IDs with a panic: node IDs are dense
@@ -160,48 +200,57 @@ func checkID(v topology.NodeID) {
 // Record stores neighbor v with the given common channel set. Re-recording a
 // neighbor unions the channel sets; in the paper's model repeat receptions
 // carry identical sets, so the union is a no-op there, but it keeps the table
-// monotone under the unreliable-channel extension.
+// monotone under the unreliable-channel extension. The table copies the
+// set's words; it never aliases common.
 //
 //nd:hotpath
 func (t *NeighborTable) Record(v topology.NodeID, common channel.Set) {
 	checkID(v)
-	if i := t.find(v); i >= 0 {
-		e := &t.entries[i]
-		if common.SubsetOf(e.common) {
-			return // nothing new: the union would rebuild an equal set
-		}
-		e.common = e.common.UnionInto(common, e.common)
-		return
+	s := t.find(v)
+	if s >= 0 && common.SubsetOf(t.common(s)) {
+		return // nothing new: the union would rewrite equal words
 	}
-	t.insert(v, common.CopyInto(channel.Set{}))
+	w := common.Words()
+	n := len(w)
+	for n > 0 && w[n-1] == 0 {
+		n-- // trailing zero words need no stride
+	}
+	s = t.claim(v, s, n)
+	for i, x := range w[:n] {
+		t.slab[s+1+i] |= x
+	}
 }
 
 // RecordIntersect records neighbor v with a ∩ b, computing the intersection
-// directly into the table's entry storage — the zero-allocation (on repeat
-// deliveries) form of Record(v, a.Intersect(b)) used by the delivery hot
-// path.
+// directly into the table's slot — the allocation-free form of
+// Record(v, a.Intersect(b)) used by the delivery hot path. A repeat
+// delivery that adds no channels only reads v's slot.
 //
 //nd:hotpath
 func (t *NeighborTable) RecordIntersect(v topology.NodeID, a, b channel.Set) {
 	checkID(v)
-	if i := t.find(v); i >= 0 {
-		e := &t.entries[i]
-		if a.IntersectionSubsetOf(b, e.common) {
-			return // nothing new
-		}
-		// Rare monotone-extension path (a payload adding channels); keep the
-		// simple allocating union rather than a third in-place primitive.
-		e.common = e.common.Union(a.Intersect(b))
-		return
+	s := t.find(v)
+	if s >= 0 && a.IntersectionSubsetOf(b, t.common(s)) {
+		return // nothing new
 	}
-	t.insert(v, a.IntersectInto(b, channel.Set{}))
+	aw, bw := a.Words(), b.Words()
+	n := min(len(aw), len(bw))
+	for n > 0 && aw[n-1]&bw[n-1] == 0 {
+		n-- // trailing zero words need no stride
+	}
+	s = t.claim(v, s, n)
+	for i := 0; i < n; i++ {
+		t.slab[s+1+i] |= aw[i] & bw[i]
+	}
 }
 
 // Common returns the recorded common channel set with v and whether v has
-// been discovered.
+// been discovered. The set is a read-only view into the table's storage,
+// valid until the table's next Record or RecordIntersect (which may
+// rehash the slab or extend the set in place); Clone it to keep it longer.
 func (t *NeighborTable) Common(v topology.NodeID) (channel.Set, bool) {
-	if i := t.find(v); i >= 0 {
-		return t.entries[i].common, true
+	if s := t.find(v); s >= 0 {
+		return t.common(s), true
 	}
 	return channel.Set{}, false
 }
@@ -210,11 +259,11 @@ func (t *NeighborTable) Common(v topology.NodeID) (channel.Set, bool) {
 func (t *NeighborTable) Has(v topology.NodeID) bool { return t.find(v) >= 0 }
 
 // Len returns the number of discovered neighbors.
-func (t *NeighborTable) Len() int { return len(t.entries) }
+func (t *NeighborTable) Len() int { return t.n }
 
 // Neighbors returns the discovered neighbor IDs in ascending order.
 func (t *NeighborTable) Neighbors() []topology.NodeID {
-	return t.AppendNeighbors(make([]topology.NodeID, 0, len(t.entries)))
+	return t.AppendNeighbors(make([]topology.NodeID, 0, t.n))
 }
 
 // AppendNeighbors appends the discovered neighbor IDs in ascending order
@@ -225,10 +274,19 @@ func (t *NeighborTable) Neighbors() []topology.NodeID {
 //nd:hotpath
 func (t *NeighborTable) AppendNeighbors(dst []topology.NodeID) []topology.NodeID {
 	start := len(dst)
-	for i := range t.entries {
-		dst = append(dst, t.entries[i].id)
+	dst = slices.Grow(dst, t.n)[:start+t.n]
+	out := dst[start:]
+	// Every slot's key is written and only a neighbor's advances j, so the
+	// walk needs no unpredictable branch; it stops at the last neighbor.
+	w := 1 + t.stride
+	for o, j := 0, 0; j < len(out); o += w {
+		key := t.slab[o]
+		out[j] = topology.NodeID(key - 1)
+		if key != 0 {
+			j++
+		}
 	}
-	slices.Sort(dst[start:])
+	slices.Sort(out)
 	return dst
 }
 
@@ -241,7 +299,7 @@ type node struct {
 	// target-th smallest channel, which is exactly ids[target].
 	ids   []channel.ID
 	rng   *rng.Source
-	table *NeighborTable
+	table NeighborTable
 }
 
 func newNode(avail channel.Set, r *rng.Source) (node, error) {
@@ -252,7 +310,7 @@ func newNode(avail channel.Set, r *rng.Source) (node, error) {
 		return node{}, fmt.Errorf("core: node requires a random source")
 	}
 	a := avail.Clone()
-	return node{avail: a, ids: a.IDs(), rng: r, table: NewNeighborTable()}, nil
+	return node{avail: a, ids: a.IDs(), rng: r}, nil
 }
 
 // ReserveNeighbors hints the discovery table's expected size. The engines

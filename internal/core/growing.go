@@ -54,7 +54,7 @@ func (p *SyncGrowing) Step(localSlot int) radio.Action {
 func (p *SyncGrowing) Deliver(msg radio.Message) { p.deliver(msg) }
 
 // Neighbors returns the node's discovery output.
-func (p *SyncGrowing) Neighbors() *NeighborTable { return p.table }
+func (p *SyncGrowing) Neighbors() *NeighborTable { return &p.table }
 
 // Estimate returns the current degree estimate d.
 func (p *SyncGrowing) Estimate() int { return p.d }

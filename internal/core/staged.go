@@ -46,7 +46,7 @@ func (p *SyncStaged) Step(localSlot int) radio.Action {
 func (p *SyncStaged) Deliver(msg radio.Message) { p.deliver(msg) }
 
 // Neighbors returns the node's discovery output.
-func (p *SyncStaged) Neighbors() *NeighborTable { return p.table }
+func (p *SyncStaged) Neighbors() *NeighborTable { return &p.table }
 
 // StageLen returns the number of slots per stage, ⌈log₂ Δ_est⌉ (min 1).
 func (p *SyncStaged) StageLen() int { return p.stageLen }

@@ -49,7 +49,7 @@ func (p *SyncUniform) Step(int) radio.Action {
 func (p *SyncUniform) Deliver(msg radio.Message) { p.deliver(msg) }
 
 // Neighbors returns the node's discovery output.
-func (p *SyncUniform) Neighbors() *NeighborTable { return p.table }
+func (p *SyncUniform) Neighbors() *NeighborTable { return &p.table }
 
 // TransmitProb returns the constant per-slot transmit probability.
 func (p *SyncUniform) TransmitProb() float64 { return p.p }

@@ -216,13 +216,15 @@ func (sc *SyncScratch) availBuf(n int) []uint64 {
 	return sc.avail1[:n]
 }
 
-// heardReporters returns the per-run heard-reporter cache, grown to n;
-// the run's setup overwrites every entry.
+// heardReporters returns the per-run heard-reporter cache, grown to n and
+// cleared; the run's setup fills the reporting protocols' entries.
 func (sc *SyncScratch) heardReporters(n int) []HeardReporter {
 	if cap(sc.hrs) < n {
 		sc.hrs = make([]HeardReporter, n)
 	}
-	return sc.hrs[:n]
+	hrs := sc.hrs[:n]
+	clear(hrs)
+	return hrs
 }
 
 // localSlotBuf returns the per-node local-slot counters of a dynamic run,

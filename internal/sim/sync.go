@@ -332,10 +332,15 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 		run.tiles = sc.singleTileState(channels)
 	}
 	run.storeActions = run.wantSlot || run.masks == nil
-	run.hrs = sc.heardReporters(n)
+	// run.hrs stays nil unless some protocol reports heard-lists, so plain
+	// runs skip the per-delivery probe.
 	for u, p := range cfg.Protocols {
-		hr, _ := p.(HeardReporter)
-		run.hrs[u] = hr
+		if hr, ok := p.(HeardReporter); ok {
+			if run.hrs == nil {
+				run.hrs = sc.heardReporters(n)
+			}
+			run.hrs[u] = hr
+		}
 		reserveNeighbors(p, cands[u])
 	}
 

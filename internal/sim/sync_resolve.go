@@ -83,7 +83,7 @@ type syncRun struct {
 
 	actions []radio.Action
 	avail1  []uint64
-	hrs     []HeardReporter
+	hrs     []HeardReporter // per-node heard reporters; nil when the run has none
 
 	lossFree bool
 
@@ -295,9 +295,11 @@ func (r *syncRun) deliver(ts *tileState, sender, uid topology.NodeID, c channel.
 //nd:hotpath
 func (r *syncRun) deliverMsg(heard []topology.NodeID, sender, uid topology.NodeID) []topology.NodeID {
 	msg := radio.Message{From: sender, Avail: r.msgAvail[sender]}
-	if hr := r.hrs[sender]; hr != nil {
-		heard = hr.AppendHeard(heard[:0])
-		msg.Heard = borrowHeard(heard)
+	if r.hrs != nil { // nil: no protocol of the run reports heard-lists
+		if hr := r.hrs[sender]; hr != nil {
+			heard = hr.AppendHeard(heard[:0])
+			msg.Heard = borrowHeard(heard)
+		}
 	}
 	r.protos[uid].Deliver(msg)
 	return heard

@@ -190,7 +190,8 @@ func (m *CandidateMasks) pos(u int) int {
 	if m.tl == nil {
 		return u
 	}
-	return int(m.tl.off[m.tl.tileOf[u]] + m.tl.localOf[u])
+	at := m.tl.at[u]
+	return int(m.tl.off[at.tile] + at.local)
 }
 
 // bit returns transmitter v's bit position in listener u's row space, or
@@ -199,7 +200,7 @@ func (m *CandidateMasks) bit(u int, v NodeID) int {
 	if m.tl == nil {
 		return int(v)
 	}
-	return m.tl.haloBit(int(m.tl.tileOf[u]), v)
+	return m.tl.haloBit(int(m.tl.at[u].tile), v)
 }
 
 // resize returns s re-sliced to length n, reallocating (exactly) only

@@ -30,10 +30,9 @@ type Tiling struct {
 	cols, rows int
 	n          int
 
-	tileOf  []int32  // node -> tile index (row-major: ty*cols+tx)
-	localOf []int32  // node -> local index within its tile (ascending-ID order)
-	order   []NodeID // nodes grouped by tile, ascending ID within each tile
-	off     []int32  // tile -> start index into order; len tiles+1
+	at    []tilePlace // node -> its tile and local index, one load for both
+	order []NodeID    // nodes grouped by tile, ascending ID within each tile
+	off   []int32     // tile -> start index into order; len tiles+1
 
 	// Halo layout, per tile: the existing tiles of the 3×3 neighborhood in
 	// ascending tile order (always including the tile itself), and the word
@@ -41,7 +40,18 @@ type Tiling struct {
 	// extra entry: the total halo word count).
 	haloTiles [][]int32
 	haloSegs  [][]int32
+	// haloAt is haloSegs by grid position: entry 9·t + 3·(dy+1) + (dx+1)
+	// is the word offset of the segment of the tile dx columns and dy rows
+	// from t, or -1 where that tile is off the grid. rowOf is each tile's
+	// grid row, which recovers (dx, dy) from two tile indexes without a
+	// division.
+	haloAt []int32
+	rowOf  []int32
 }
+
+// tilePlace is where a node sits in a tiling: its tile (row-major index
+// ty·cols+tx) and its local index within that tile (ascending-ID order).
+type tilePlace struct{ tile, local int32 }
 
 // NewTiling partitions nw's nodes into a cols×rows grid over the bounding
 // box of their coordinates. Tiles may be empty; nodes exactly on the upper
@@ -73,19 +83,18 @@ func NewTiling(nw *Network, cols, rows int) (*Tiling, error) {
 
 	tiles := cols * rows
 	tl := &Tiling{
-		cols:    cols,
-		rows:    rows,
-		n:       n,
-		tileOf:  make([]int32, n),
-		localOf: make([]int32, n),
-		order:   make([]NodeID, n),
-		off:     make([]int32, tiles+1),
+		cols:  cols,
+		rows:  rows,
+		n:     n,
+		at:    make([]tilePlace, n),
+		order: make([]NodeID, n),
+		off:   make([]int32, tiles+1),
 	}
 	counts := make([]int32, tiles)
 	for u := 0; u < n; u++ {
 		nd := nw.Node(NodeID(u))
 		t := cellOf(nd.Y, minY, spanY, rows)*cols + cellOf(nd.X, minX, spanX, cols)
-		tl.tileOf[u] = int32(t)
+		tl.at[u].tile = int32(t)
 		counts[t]++
 	}
 	for t := 0; t < tiles; t++ {
@@ -95,36 +104,36 @@ func NewTiling(nw *Network, cols, rows int) (*Tiling, error) {
 	copy(fill, tl.off[:tiles])
 	// Ascending u keeps each tile's slice in ascending NodeID order.
 	for u := 0; u < n; u++ {
-		t := tl.tileOf[u]
-		tl.localOf[u] = fill[t] - tl.off[t]
+		t := tl.at[u].tile
+		tl.at[u].local = fill[t] - tl.off[t]
 		tl.order[fill[t]] = NodeID(u)
 		fill[t]++
 	}
 
 	tl.haloTiles = make([][]int32, tiles)
 	tl.haloSegs = make([][]int32, tiles)
+	tl.haloAt = make([]int32, 9*tiles)
+	tl.rowOf = make([]int32, tiles)
 	for ty := 0; ty < rows; ty++ {
 		for tx := 0; tx < cols; tx++ {
 			t := ty*cols + tx
+			tl.rowOf[t] = int32(ty)
 			// Row-major scan of the 3×3 neighborhood yields ascending tile
 			// indexes directly.
 			var hood []int32
+			segs := []int32{0}
 			for dy := -1; dy <= 1; dy++ {
-				y := ty + dy
-				if y < 0 || y >= rows {
-					continue
-				}
 				for dx := -1; dx <= 1; dx++ {
-					x := tx + dx
-					if x < 0 || x >= cols {
+					at := &tl.haloAt[9*t+3*(dy+1)+dx+1]
+					x, y := tx+dx, ty+dy
+					if x < 0 || x >= cols || y < 0 || y >= rows {
+						*at = -1
 						continue
 					}
+					*at = segs[len(hood)]
 					hood = append(hood, int32(y*cols+x))
+					segs = append(segs, *at+int32(tl.TileWords(y*cols+x)))
 				}
-			}
-			segs := make([]int32, len(hood)+1)
-			for j, s := range hood {
-				segs[j+1] = segs[j] + int32(tl.TileWords(int(s)))
 			}
 			tl.haloTiles[t] = hood
 			tl.haloSegs[t] = segs
@@ -191,10 +200,10 @@ func (tl *Tiling) TileNodes(t int) []NodeID {
 }
 
 // TileOf returns the tile that owns node u.
-func (tl *Tiling) TileOf(u NodeID) int { return int(tl.tileOf[u]) }
+func (tl *Tiling) TileOf(u NodeID) int { return int(tl.at[u].tile) }
 
 // LocalIndex returns u's bit position within its tile's segment.
-func (tl *Tiling) LocalIndex(u NodeID) int { return int(tl.localOf[u]) }
+func (tl *Tiling) LocalIndex(u NodeID) int { return int(tl.at[u].local) }
 
 // TileWords returns the word width of tile t's segment: ⌈nodes/64⌉.
 func (tl *Tiling) TileWords(t int) int {
@@ -240,13 +249,19 @@ func (tl *Tiling) HaloNode(t, bit int) NodeID {
 }
 
 // haloBit returns node v's bit position in tile t's halo word space, or -1
-// when v's tile is outside t's halo.
+// when v's tile is outside t's halo. It reads the segment offset from t's
+// 3×3 table at the grid offset (dx, dy) of v's tile; both tiles lie on the
+// grid, so an offset within one column and one row always names a real
+// entry.
+//
+//nd:hotpath
 func (tl *Tiling) haloBit(t int, v NodeID) int {
-	s := tl.tileOf[v]
-	for j, h := range tl.haloTiles[t] {
-		if h == s {
-			return int(tl.haloSegs[t][j])<<6 + int(tl.localOf[v])
-		}
+	at := tl.at[v]
+	s := int(at.tile)
+	dy := int(tl.rowOf[s] - tl.rowOf[t])
+	dx := s - t - dy*tl.cols
+	if dx < -1 || dx > 1 || dy < -1 || dy > 1 {
+		return -1
 	}
-	return -1
+	return int(tl.haloAt[9*t+3*(dy+1)+dx+1])<<6 + int(at.local)
 }

@@ -103,6 +103,50 @@ func TestTilingPartition(t *testing.T) {
 	}
 }
 
+// haloBitScan is the reference haloBit: a linear scan of t's halo tiles
+// for v's tile.
+func haloBitScan(tl *Tiling, t int, v NodeID) int {
+	for j, h := range tl.HaloTiles(t) {
+		if int(h) == tl.TileOf(v) {
+			return int(tl.HaloSegments(t)[j])<<6 + tl.LocalIndex(v)
+		}
+	}
+	return -1
+}
+
+// TestHaloBitMatchesScan pins haloBit's 3×3 grid-offset lookup to the
+// linear scan of the halo tiles for every (tile, node) pair, on grids that
+// include 1×1, single-row and single-column shapes and tiles on every
+// boundary, with empty tiles among them.
+func TestHaloBitMatchesScan(t *testing.T) {
+	r := rng.New(77)
+	nw, err := Geometric(300, 0.1, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, grid := range [][2]int{{1, 1}, {1, 6}, {6, 1}, {2, 2}, {3, 5}, {7, 4}, {12, 12}} {
+		tl, err := NewTiling(nw, grid[0], grid[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		inside := 0
+		for tile := 0; tile < tl.Tiles(); tile++ {
+			for v := NodeID(0); int(v) < nw.N(); v++ {
+				got, want := tl.haloBit(tile, v), haloBitScan(tl, tile, v)
+				if got != want {
+					t.Fatalf("%dx%d grid: haloBit(%d, %d) = %d, scan %d", grid[0], grid[1], tile, v, got, want)
+				}
+				if got >= 0 {
+					inside++
+				}
+			}
+		}
+		if inside == 0 || (tl.Tiles() > 9 && inside == tl.Tiles()*nw.N()) {
+			t.Fatalf("%dx%d grid: %d of %d pairs inside a halo; want both cases", grid[0], grid[1], inside, tl.Tiles()*nw.N())
+		}
+	}
+}
+
 // TestTilingGeometryRespectsRadius pins the exactness precondition the
 // sharded engine relies on: with cell side ≥ radius, both endpoints of
 // every edge are in each other's 3×3 halo, so TileMasks builds cleanly.
