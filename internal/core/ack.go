@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"m2hew/internal/radio"
@@ -34,6 +35,11 @@ type Acknowledging struct {
 	self      topology.NodeID
 	inner     SyncDiscoverer
 	confirmed map[topology.NodeID]bool
+	// heard caches the inner table's neighbors, ascending. Deliver, the
+	// wrapper's one writer, rebuilds it when the table grows (tables never
+	// shrink); AppendHeard only reads it, so concurrent heard-list queries
+	// stay safe.
+	heard []topology.NodeID
 }
 
 // NewAcknowledging wraps inner for the node with ID self. The ID is needed
@@ -50,6 +56,7 @@ func NewAcknowledging(self topology.NodeID, inner SyncDiscoverer) (*Acknowledgin
 		self:      self,
 		inner:     inner,
 		confirmed: make(map[topology.NodeID]bool),
+		heard:     inner.Neighbors().Neighbors(),
 	}, nil
 }
 
@@ -62,6 +69,9 @@ func (p *Acknowledging) Step(localSlot int) radio.Action {
 // acknowledgment of this node's own transmissions.
 func (p *Acknowledging) Deliver(msg radio.Message) {
 	p.inner.Deliver(msg)
+	if t := p.inner.Neighbors(); t.Len() != len(p.heard) {
+		p.heard = t.AppendNeighbors(p.heard[:0])
+	}
 	for _, id := range msg.Heard {
 		if id == p.self {
 			p.confirmed[msg.From] = true
@@ -73,14 +83,22 @@ func (p *Acknowledging) Deliver(msg radio.Message) {
 // Neighbors returns the wrapped protocol's discovery output (in-neighbors).
 func (p *Acknowledging) Neighbors() *NeighborTable { return p.inner.Neighbors() }
 
-// ReserveNeighbors forwards the engine's size hint to the wrapped table.
-func (p *Acknowledging) ReserveNeighbors(expected int) { p.inner.Neighbors().Reserve(expected) }
+// ReserveNeighbors forwards the engine's size hint to the wrapped table
+// and sizes the heard cache to match.
+func (p *Acknowledging) ReserveNeighbors(expected int) {
+	p.inner.Neighbors().Reserve(expected)
+	p.heard = slices.Grow(p.heard, max(0, expected-len(p.heard)))
+}
 
 // AppendHeard implements sim.HeardReporter: it appends the in-neighbors
 // discovered so far, ascending, to dst — the list piggybacked on every
-// outgoing message.
+// outgoing message. It copies the cached list; a table written past the
+// wrapper (its length no longer matches) is read afresh instead.
 func (p *Acknowledging) AppendHeard(dst []topology.NodeID) []topology.NodeID {
-	return p.inner.Neighbors().AppendNeighbors(dst)
+	if t := p.inner.Neighbors(); t.Len() != len(p.heard) {
+		return t.AppendNeighbors(dst)
+	}
+	return append(dst, p.heard...)
 }
 
 // Confirmed returns the nodes known to hear this node (acknowledged

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"m2hew/internal/channel"
@@ -87,5 +88,42 @@ func TestAcknowledgingHeardMirrorsTable(t *testing.T) {
 	a := p.Step(0)
 	if err := a.Validate(channel.NewSet(0)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAcknowledgingHeardCache checks the cached heard-list, and what
+// AppendHeard returns, against a fresh AppendNeighbors of the inner table
+// after every Deliver of a random stream with repeat senders, over sparse
+// and dense sender ranges. Once per stream it writes the inner table past
+// the wrapper, which AppendHeard must notice before the next Deliver
+// refreshes the cache.
+func TestAcknowledgingHeardCache(t *testing.T) {
+	r := rng.New(19)
+	for trial := 0; trial < 20; trial++ {
+		inner, err := NewSyncUniform(channel.NewSet(0, 1), 4, r.Split())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := NewAcknowledging(0, inner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		senders := 2 + r.IntN(300)
+		for i := 0; i < 400; i++ {
+			from := topology.NodeID(1 + r.IntN(senders))
+			if i == 200 {
+				inner.Deliver(radio.Message{From: topology.NodeID(senders + 1), Avail: channel.NewSet(1)})
+			} else {
+				p.Deliver(radio.Message{From: from, Avail: channel.NewSet(0)})
+			}
+			table := inner.Neighbors().AppendNeighbors(nil)
+			if i != 200 && !slices.Equal(p.heard, table) {
+				t.Fatalf("trial %d delivery %d: cached %v, table %v", trial, i, p.heard, table)
+			}
+			got := p.AppendHeard([]topology.NodeID{-7})
+			if want := append([]topology.NodeID{-7}, table...); !slices.Equal(got, want) {
+				t.Fatalf("trial %d delivery %d: AppendHeard %v, table %v", trial, i, got, want)
+			}
+		}
 	}
 }

@@ -195,9 +195,10 @@ type World struct {
 
 	lastChange int // latest epoch with a structural change (0 when none)
 
-	baseCands [][]topology.Candidate // base network's candidate table (filter path)
-	allActive []bool                 // shared all-true Active for churn-free worlds
-	nodesBuf  []topology.Node        // mobility rebuild buffer: positions updated per epoch
+	baseCands [][]topology.Candidate    // base network's candidate table (filter path)
+	allActive []bool                    // shared all-true Active for churn-free worlds
+	nodesBuf  []topology.Node           // mobility rebuild buffer: positions updated per epoch
+	deriver   topology.GeometricDeriver // mobility rebuild scratch, reused across epochs
 
 	epochs []*Epoch // memo, built sequentially from epoch 0
 }
@@ -457,7 +458,7 @@ func (w *World) build(e int) *Epoch {
 		for u := range w.nodesBuf {
 			w.nodesBuf[u].X, w.nodesBuf[u].Y = w.positionAt(u, float64(e))
 		}
-		ep.Cands = topology.DeriveGeometricCandidates(w.nodesBuf, w.spec.Mobility.Radius, ep.Active, ep.Blocked)
+		ep.Cands = w.deriver.Derive(w.nodesBuf, w.spec.Mobility.Radius, ep.Active, ep.Blocked)
 	default:
 		ep.Cands = w.filterBase(ep.Active, ep.Blocked)
 	}

@@ -55,9 +55,27 @@ func runAsyncInstrumented(cfg sim.AsyncConfig, sc *Scratch) (*sim.AsyncResult, e
 // called sequentially in trial order (the place to draw offsets, drifts
 // and protocol randomness from a shared root source) and the resulting
 // configs execute on the worker pool. Results are in trial order.
+//
+// A config without its own Scratch runs on the worker's batch-private
+// scratch with timeline recycling on, so the workers' trials share their
+// clock timelines and drift memos; such a result's Timelines is nil (its
+// timelines belong to the worker's next trial). Callers that audit
+// timelines use AsyncConfigs or supply a Scratch.
 func AsyncTrials(trials int, build func(trial int) (sim.AsyncConfig, error)) ([]*sim.AsyncResult, error) {
 	return TrialsScratch(trials, build,
 		func(_ int, cfg sim.AsyncConfig, sc *Scratch) (*sim.AsyncResult, error) {
-			return runAsyncInstrumented(cfg, sc)
+			recycled := cfg.Scratch == nil
+			if recycled {
+				cfg.Scratch = sc.Async()
+				cfg.Scratch.RecycleTimelines = true
+			}
+			res, err := runAsyncInstrumented(cfg, sc)
+			if err != nil {
+				return nil, err
+			}
+			if recycled {
+				res.Timelines = nil
+			}
+			return res, nil
 		})
 }

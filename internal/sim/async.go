@@ -249,6 +249,7 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 	}
 	coverage := runCoverage(target, cfg.Dynamics) // a dynamic target grows after the one window
 	pending := sc.deliveryBuf()
+	ahead := sc.aheadMarks(n)
 	maxEnd := 0.0
 	hi := 0
 	for lo := 0; lo < cfg.MaxFrames; lo, window = hi, 2*window {
@@ -272,24 +273,22 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 						Node: uid, Action: g.action,
 					})
 				}
-				// A listening frame's candidate row is looked up once: it
-				// drives both the generation below and the resolution.
-				var row []topology.Candidate
+				// A listening frame's candidate row drives the look-ahead
+				// below, its compiled mask the resolution. The look-ahead
+				// runs only when the frame ends past the horizon the
+				// listener's last look-ahead on the same epoch's row left.
+				var mrow []maskWord
 				if g.action.Mode == radio.Receive {
-					row = env.candsFor(uid, g)
-					for _, cand := range row {
-						w := int(cand.From)
-						for len(env.frames[w]) < cfg.MaxFrames {
-							if last := len(env.frames[w]); last > 0 && env.frames[w][last-1].end >= g.end {
-								break
-							}
-							if err := env.generate(w, cfg.Nodes[w].Protocol); err != nil {
-								return nil, err
-							}
+					mrow = env.maskFor(uid, g)
+					if e := env.epochOf(g); g.end > ahead[u].to || e != ahead[u].epoch {
+						to, err := env.lookAhead(env.candsFor(uid, g), g.end, cfg.Nodes, cfg.MaxFrames)
+						if err != nil {
+							return nil, err
 						}
+						ahead[u] = aheadMark{to: to, epoch: e}
 					}
 				}
-				ds := env.resolveFrame(uid, g, row)
+				ds := env.resolveFrame(uid, g, mrow)
 				pending = append(pending, ds...)
 				if wantResolve && g.action.Mode == radio.Receive {
 					cfg.Observer.OnEvent(Event{
@@ -402,6 +401,32 @@ func (sc *AsyncScratch) applyDeliveries(ds []delivery, safe float64, nodes []Asy
 		}
 	}
 	return len(ds)
+}
+
+// lookAhead generates every sender in row out to end, or to its budget of
+// frames, as a listening frame ending at end needs before it resolves. It
+// returns the horizon: the earliest last-frame end among the senders with
+// budget left. Frames only grow, so until a listening frame on the same
+// row ends past the horizon, a look-ahead would generate nothing.
+//
+//nd:hotpath
+func (env *asyncEnv) lookAhead(row []topology.Candidate, end float64, nodes []AsyncNode, budget int) (float64, error) {
+	horizon := math.Inf(1)
+	for _, cand := range row {
+		w := int(cand.From)
+		for len(env.frames[w]) < budget {
+			if last := len(env.frames[w]); last > 0 && env.frames[w][last-1].end >= end {
+				break
+			}
+			if err := env.generate(w, nodes[w].Protocol); err != nil {
+				return 0, err
+			}
+		}
+		if k := len(env.frames[w]); k < budget {
+			horizon = min(horizon, env.frames[w][k-1].end)
+		}
+	}
+	return horizon, nil
 }
 
 // generate asks node v's protocol p for its next frame decision, validates

@@ -157,12 +157,12 @@ func RunAsyncOnline(cfg AsyncConfig) (*AsyncResult, error) {
 				Node: uid, Action: g.action,
 			})
 		}
-		var row []topology.Candidate
+		var mask []maskWord
 		if g.action.Mode == radio.Receive {
-			row = env.candsFor(uid, g)
+			mask = env.maskFor(uid, g)
 		}
 		delivered := 0
-		for _, d := range env.resolveFrame(uid, g, row) {
+		for _, d := range env.resolveFrame(uid, g, mask) {
 			msg := radio.Message{From: d.from, Avail: msgAvail[d.from]}
 			if hr, ok := cfg.Nodes[d.from].Protocol.(HeardReporter); ok {
 				sc.heard = hr.AppendHeard(sc.heard[:0])

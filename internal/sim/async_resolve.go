@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"m2hew/internal/channel"
@@ -43,31 +44,43 @@ type idxSlot struct {
 type asyncEnv struct {
 	nw            *topology.Network
 	cands         [][]topology.Candidate // per listener: decodable transmitters
+	masks         *candMasks             // cands compiled (static runs)
 	world         *dynamics.World        // nil for static runs
 	frames        [][]asyncFrame         // per node, in start order; appended as generated
 	timelines     []*clock.Timeline
 	slotsPerFrame int
 	loss          *LossModel
 
-	// cursor holds, per sender, the frame index the last search of that
-	// sender's frames returned: only a hint seekFrame resumes from, so stale
-	// values (another listener, another run) cost a longer search, never a
-	// wrong answer. Sized to n by envFor.
-	cursor []int32
+	// The frame index: byBucket[w][i] is the index of w's first frame
+	// starting in bucket bbBase[w]+i or later, where bbBase[w] is the bucket
+	// of w's first frame. appendFrame fills it as frames generate, so it
+	// covers every bucket up to that of w's last frame start; later buckets
+	// hold no frame start at all (see frameFrom).
+	byBucket [][]int32
+	bbBase   []int32
 
 	// The transmit bucket table: real time is cut into buckets of one
 	// nominal frame (FrameLen, from origin, the earliest node start), and
 	// each (bucket, channel) has one NodeID bitmask of the senders with a
-	// transmit frame on that channel touching that bucket. appendFrame is
-	// its only writer; collectSlots skips a candidate whose bit is clear in
-	// every bucket of the listening frame (see txOn). Bucket-major: the
-	// mask of (b, c) is txBuckets[(b*channels+c)*words:][:words], and the
-	// table always covers the buckets of every frame appended so far.
+	// transmit frame on that channel in that bucket. appendFrame is its only
+	// writer; collectSlots ANDs the listener's candidate masks with it (see
+	// txWord). Bucket-major: the mask of (b, c) is
+	// txBuckets[(b*channels+c)*words:][:words], and the table always covers
+	// the buckets of every frame appended so far.
 	origin    float64
-	perBucket float64 // 1 / FrameLen
+	frameLen  float64 // the bucket width
 	channels  int     // max channel ID of the network, plus one
 	words     int     // words per NodeID mask
 	txBuckets []uint64
+
+	// Dynamic runs' candidate masks, compiled once per epoch table as the
+	// resolver first needs them (epochMasks): epochIdx[e] indexes epoch e's
+	// compiled table in epochPool, or is -1 before it is needed. The pool's
+	// first epochUsed entries belong to this run; the rest keep their
+	// storage for later runs.
+	epochPool []candMasks
+	epochIdx  []int32
+	epochUsed int
 
 	// Scratch buffers, reused across resolveFrame calls:
 	txBuf    []txSlot   // collected candidate slots, in collection order
@@ -80,6 +93,118 @@ type asyncEnv struct {
 	// recent resolveFrame call collected (0 for non-listening frames) —
 	// the engines' EventFrameResolve accounting.
 	lastCollected int
+}
+
+// maskWord is one word of a listener's candidate mask on one channel: bit
+// j is set iff NodeID 64·w+j is a candidate whose span holds the channel.
+type maskWord struct {
+	bits uint64
+	w    int32
+}
+
+// candMasks is a candidate table compiled for the asynchronous resolver:
+// for every (listener, channel) pair, the NodeID words occupied by the
+// listener's candidates whose span holds the channel, ascending, each with
+// those candidates' bits. A row holds at most one word per candidate, so
+// the table is linear in the candidate table whatever n is. Rows are
+// ascending by From (InboundCandidates and DeriveGeometricCandidates
+// guarantee it), so walking a mask's set bits word by word visits the
+// candidates in row order.
+type candMasks struct {
+	channels int
+	off      []int32 // per row u·channels+c: first entry; len rows+1
+	ents     []maskWord
+	fill     []int32 // compile scratch, one per channel
+}
+
+// compile packs cands into m for channels channels (channel IDs at or past
+// it are dropped, as no listener can tune to them), reusing m's storage.
+func (m *candMasks) compile(cands [][]topology.Candidate, channels int) {
+	m.channels = channels
+	m.off = resize(m.off, len(cands)*channels+1)
+	m.fill = resize(m.fill, channels)
+	off, fill := m.off, m.fill
+
+	// Pass 1: count each row's distinct words, parked at off[r+1] until
+	// the prefix sum. A row ascends by From, so a word repeats only back to
+	// back: fill[c] holds the last word counted on channel c.
+	off[0] = 0
+	for u, row := range cands {
+		base := u * channels
+		for c := range fill {
+			fill[c] = -1
+			off[base+c+1] = 0
+		}
+		for _, cand := range row {
+			w := int32(cand.From >> 6)
+			for i, sw := range cand.Span.Words() {
+				for sw != 0 {
+					c := i*64 + bits.TrailingZeros64(sw)
+					sw &= sw - 1
+					if c >= channels {
+						break
+					}
+					if fill[c] != w {
+						fill[c] = w
+						off[base+c+1]++
+					}
+				}
+			}
+		}
+	}
+	for r := 1; r < len(off); r++ {
+		off[r] += off[r-1]
+	}
+
+	// Pass 2: fill the rows; fill[c] is now the next free entry of the
+	// listener's channel-c row.
+	m.ents = resize(m.ents, int(off[len(off)-1]))
+	ents := m.ents
+	for u, row := range cands {
+		base := u * channels
+		copy(fill, off[base:base+channels])
+		for _, cand := range row {
+			w := int32(cand.From >> 6)
+			bit := uint64(1) << (uint(cand.From) & 63)
+			for i, sw := range cand.Span.Words() {
+				for sw != 0 {
+					c := i*64 + bits.TrailingZeros64(sw)
+					sw &= sw - 1
+					if c >= channels {
+						break
+					}
+					k := fill[c]
+					if k > off[base+c] && ents[k-1].w == w {
+						ents[k-1].bits |= bit
+						continue
+					}
+					ents[k] = maskWord{bits: bit, w: w}
+					fill[c]++
+				}
+			}
+		}
+	}
+}
+
+// row returns listener u's mask on channel c (empty past the table's
+// channels).
+//
+//nd:hotpath
+func (m *candMasks) row(u topology.NodeID, c channel.ID) []maskWord {
+	if int(c) >= m.channels {
+		return nil
+	}
+	r := int(u)*m.channels + int(c)
+	return m.ents[m.off[r]:m.off[r+1]]
+}
+
+// resize returns s re-sliced to length n, reallocating only when its
+// capacity falls short; contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // candsFor returns the candidate table row the resolver should use for
@@ -96,12 +221,65 @@ func (env *asyncEnv) candsFor(uid topology.NodeID, g asyncFrame) []topology.Cand
 	if env.world == nil {
 		return env.cands[uid]
 	}
-	return env.world.At(env.world.EpochOf(g.start)).Cands[uid]
+	return env.world.At(env.epochOf(g)).Cands[uid]
+}
+
+// maskFor returns the compiled form of candsFor(uid, g) on g's channel:
+// the listener's candidate mask, from the static table or from the table
+// of the epoch containing the frame's start.
+//
+//nd:hotpath
+func (env *asyncEnv) maskFor(uid topology.NodeID, g asyncFrame) []maskWord {
+	if env.world == nil {
+		return env.masks.row(uid, g.action.Channel)
+	}
+	return env.epochMasks(env.epochOf(g)).row(uid, g.action.Channel)
+}
+
+// epochOf returns the epoch containing frame g's start: the epoch whose
+// tables resolve g (0 for static runs).
+func (env *asyncEnv) epochOf(g asyncFrame) int {
+	if env.world == nil {
+		return 0
+	}
+	return env.world.EpochOf(g.start)
+}
+
+// epochMasks returns epoch e's compiled candidate table, compiling it at
+// the first request of the run. Epochs whose reception structure did not
+// change share the previous epoch's table (dynamics.World), so they share
+// its compiled form too: a run compiles each distinct table once, whatever
+// order the engine visits epochs in.
+func (env *asyncEnv) epochMasks(e int) *candMasks {
+	for len(env.epochIdx) <= e {
+		env.epochIdx = append(env.epochIdx, -1)
+	}
+	if k := env.epochIdx[e]; k >= 0 {
+		return &env.epochPool[k]
+	}
+	cands := env.world.At(e).Cands
+	k := int32(-1)
+	for p := e - 1; p >= 0 && sameTable(env.world.At(p).Cands, cands); p-- {
+		if env.epochIdx[p] >= 0 {
+			k = env.epochIdx[p]
+			break
+		}
+	}
+	if k < 0 {
+		if env.epochUsed == len(env.epochPool) {
+			env.epochPool = append(env.epochPool, candMasks{})
+		}
+		k = int32(env.epochUsed)
+		env.epochUsed++
+		env.epochPool[k].compile(cands, env.channels)
+	}
+	env.epochIdx[e] = k
+	return &env.epochPool[k]
 }
 
 // resolveFrame computes the clear receptions of node u during its listening
-// frame g, whose candidate transmitters are cands (the row candsFor returns
-// for uid and g; the caller looks it up once per frame):
+// frame g, whose candidate mask on g's channel is mask (maskFor(uid, g);
+// the caller looks it up once per frame):
 //
 //   - every transmission slot on g's channel from a neighbor that reaches u
 //     and overlaps g is collected (erased slots are dropped when a loss
@@ -125,12 +303,12 @@ func (env *asyncEnv) candsFor(uid topology.NodeID, g asyncFrame) []topology.Cand
 // the env and is invalidated by the next resolveFrame call.
 //
 //nd:hotpath
-func (env *asyncEnv) resolveFrame(uid topology.NodeID, g asyncFrame, cands []topology.Candidate) []delivery {
+func (env *asyncEnv) resolveFrame(uid topology.NodeID, g asyncFrame, mask []maskWord) []delivery {
 	env.lastCollected = 0
 	if g.action.Mode != radio.Receive {
 		return nil
 	}
-	slots := env.collectSlots(g, cands)
+	slots := env.collectSlots(g, mask)
 	env.lastCollected = len(slots)
 	if len(slots) == 0 {
 		return nil
@@ -164,62 +342,61 @@ func (env *asyncEnv) resolveFrame(uid topology.NodeID, g asyncFrame, cands []top
 }
 
 // collectSlots gathers, into the env's reused buffer, every transmission
-// slot on g's channel from a candidate in cands that overlaps g.
-// Collection order — ascending neighbor, then frame, then slot — is part of
-// the reproducibility contract: the loss model consumes exactly one erasure
-// draw per overlapping slot, in this order.
+// slot on g's channel that overlaps g from a candidate in mask (the
+// listener's candidate mask on that channel). Collection order — ascending
+// neighbor, then frame, then slot — is part of the reproducibility
+// contract: the loss model consumes exactly one erasure draw per
+// overlapping slot, in this order.
 //
 //nd:hotpath
-func (env *asyncEnv) collectSlots(g asyncFrame, cands []topology.Candidate) []txSlot {
+func (env *asyncEnv) collectSlots(g asyncFrame, mask []maskWord) []txSlot {
 	c := g.action.Channel
 	slots := env.txBuf[:0]
-	// The candidate table walks the same ascending-neighbor order as
-	// Neighbors(uid) with the Reaches and non-empty-span filters resolved up
-	// front; both filters precede every loss draw, so the draw sequence is
-	// unchanged (a neighbor with an empty span fails the Contains check
-	// below before drawing anything).
+	// The mask's words ascend, and so do the bits within a word, so the
+	// walk visits candidates in the candidate row's ascending-neighbor
+	// order, with the Reaches and span filters resolved when the mask was
+	// compiled; both precede every loss draw.
 	//
-	// A candidate with no transmit frame on c touching the listening
-	// frame's buckets has no overlapping transmit frame on c at all (see
-	// txOn), so it would collect no slot and draw no erasure: skipping it
-	// here leaves the draw sequence unchanged too.
-	first, last := env.bucket(g.start), env.bucket(g.end)
-	for _, cand := range cands {
-		if !cand.Span.Contains(c) {
-			continue
-		}
-		w := cand.From
-		if !env.txOn(w, c, first, last) {
-			continue
-		}
-		wf := env.frames[w]
-		// First frame of w possibly overlapping g: the one before the
-		// first frame starting at or after g.start.
-		idx := env.seekFrame(w, wf, g.start)
-		if idx > 0 {
-			idx--
-		}
-		for ; idx < len(wf); idx++ {
-			fr := wf[idx]
-			if fr.start >= g.end {
-				break
+	// A candidate with no transmit frame on c in the listening frame's
+	// buckets has no transmit frame on c overlapping it at all (see
+	// txWord), so it would collect no slot and draw no erasure: ANDing
+	// its bit away leaves the draw sequence unchanged too.
+	first, last := env.buckets(g.start, g.end)
+	for _, mw := range mask {
+		live := mw.bits & env.txWord(c, int(mw.w), first, last)
+		for live != 0 {
+			w := int(mw.w)<<6 | bits.TrailingZeros64(live)
+			live &= live - 1
+			wf := env.frames[w]
+			// First frame of w possibly overlapping g: the one before the
+			// first frame starting in g's first bucket or later. Frames
+			// before it end by its start, which precedes g.start.
+			idx := env.frameFrom(w, first)
+			if idx > 0 {
+				idx--
 			}
-			if fr.end <= g.start {
-				continue
-			}
-			if fr.action.Mode != radio.Transmit || fr.action.Channel != c {
-				continue
-			}
-			for s := 0; s < env.slotsPerFrame; s++ {
-				ss, se := env.timelines[w].FrameSlotInterval(idx, s)
-				if se <= g.start || ss >= g.end {
+			for ; idx < len(wf); idx++ {
+				fr := wf[idx]
+				if fr.start >= g.end {
+					break
+				}
+				if fr.end <= g.start {
 					continue
 				}
-				// Unreliable channels: the slot may fade at u.
-				if env.loss.erased() {
+				if fr.action.Mode != radio.Transmit || fr.action.Channel != c {
 					continue
 				}
-				slots = append(slots, txSlot{start: ss, end: se, from: w})
+				for s := 0; s < env.slotsPerFrame; s++ {
+					ss, se := env.timelines[w].FrameSlotInterval(idx, s)
+					if se <= g.start || ss >= g.end {
+						continue
+					}
+					// Unreliable channels: the slot may fade at u.
+					if env.loss.erased() {
+						continue
+					}
+					slots = append(slots, txSlot{start: ss, end: se, from: topology.NodeID(w)})
+				}
 			}
 		}
 	}
@@ -228,18 +405,29 @@ func (env *asyncEnv) collectSlots(g asyncFrame, cands []topology.Candidate) []tx
 }
 
 // appendFrame appends node v's next frame, with action a, to its frame
-// table, and marks it in the transmit bucket table: the table grows to
-// cover the frame's buckets, and a transmit frame sets v's bit on its
-// channel in every bucket from bucket(start) to bucket(end) inclusive.
-// It is the one way frames enter an env (the engines' generate, and the
-// resolver tests' scripted tables). The frame table may reallocate: it is
-// sized to the frames the run resolves, not to MaxFrames.
+// table and frame index, and marks it in the transmit bucket table: the
+// table grows to cover the frame's buckets, and a transmit frame sets v's
+// bit on its channel in every one of them (see buckets). It is the one way
+// frames enter an env (the engines' generate, and the resolver tests'
+// scripted tables). The frame table may reallocate: it is sized to the
+// frames the run resolves, not to MaxFrames.
 //
 //nd:hotpath
 func (env *asyncEnv) appendFrame(v int, a radio.Action) {
-	fs, fe := env.timelines[v].FrameInterval(len(env.frames[v]))
+	f := len(env.frames[v])
+	fs, fe := env.timelines[v].FrameInterval(f)
 	env.frames[v] = append(env.frames[v], asyncFrame{start: fs, end: fe, action: a})
-	first, last := env.bucket(fs), env.bucket(fe)
+	first, last := env.buckets(fs, fe)
+	// Frame starts ascend, so frame f is the first to start in every bucket
+	// from the one after the previous frame's start to its own.
+	if f == 0 {
+		env.bbBase[v] = int32(first)
+	}
+	bb := env.byBucket[v]
+	for len(bb) <= first-int(env.bbBase[v]) {
+		bb = append(bb, int32(f))
+	}
+	env.byBucket[v] = bb
 	if need := (last + 1) * env.channels * env.words; need > len(env.txBuckets) {
 		env.growBuckets(need)
 	}
@@ -268,87 +456,66 @@ func (env *asyncEnv) growBuckets(need int) {
 
 // bucket returns the transmit bucket holding real time t, which is at or
 // after the origin (every frame starts at or after its node's start):
-// floor((t−origin)/FrameLen), up to rounding. Each step is monotone in t,
-// so an interval [s, e] touches exactly the buckets bucket(s) … bucket(e),
-// and two intervals that overlap for a positive length share one: the
-// later start lies in both. Marking and probing use this one function, so
-// rounding cannot break that.
+// floor((t−origin)/FrameLen).
 func (env *asyncEnv) bucket(t float64) int {
-	return int((t - env.origin) * env.perBucket)
+	return int((t - env.origin) / env.frameLen)
 }
 
-// txOn reports whether sender w has a transmit frame on channel c touching
-// any bucket in [first, last]. It is a superset test: every transmit frame
-// of w on c that overlaps a listening frame with buckets [first, last]
-// touches one of them, so a false answer proves w collects nothing there;
-// a true one leaves the exact frame and slot checks to decide.
+// buckets returns the bucket range [first, last] of the half-open frame
+// [start, end): bucket(start) to bucket(before(end)). Marking and probing
+// both use it. Each step of bucket is monotone in t, so two frames that
+// overlap for a positive length share a bucket: the later start s lies in
+// both, and s ≤ before(end) for either end. The division is exact on
+// frame boundaries that are whole multiples of FrameLen from the origin,
+// so an aligned ideal frame touches one bucket and probes no neighbor's
+// next frame.
+func (env *asyncEnv) buckets(start, end float64) (first, last int) {
+	return env.bucket(start), env.bucket(before(end))
+}
+
+// before returns the largest float64 below t: the last instant of a
+// half-open interval ending at t. For positive t that is the bit pattern
+// one below.
+func before(t float64) float64 {
+	if t > 0 {
+		return math.Float64frombits(math.Float64bits(t) - 1)
+	}
+	return math.Nextafter(t, math.Inf(-1))
+}
+
+// txWord returns word i of channel c's transmit masks ORed over the
+// buckets [first, last]: bit j is set iff sender 64·i+j has a transmit
+// frame on c in one of them. It is a superset test: every transmit frame
+// on c overlapping a listening frame with buckets [first, last] shares one
+// of them (see bucket), so a clear bit proves the sender collects nothing
+// there; a set one leaves the exact frame and slot checks to decide.
 //
 //nd:hotpath
-func (env *asyncEnv) txOn(w topology.NodeID, c channel.ID, first, last int) bool {
+func (env *asyncEnv) txWord(c channel.ID, i, first, last int) uint64 {
 	stride := env.channels * env.words
-	i := first*stride + int(c)*env.words + int(w)>>6
-	bit := uint64(1) << (uint(w) & 63)
-	for b := first; b <= last; b, i = b+1, i+stride {
-		if env.txBuckets[i]&bit != 0 {
-			return true
-		}
+	k := first*stride + int(c)*env.words + i
+	var or uint64
+	for b := first; b <= last; b, k = b+1, k+stride {
+		or |= env.txBuckets[k]
 	}
-	return false
+	return or
 }
 
-// seekFrame returns the index of sender w's first frame starting at or
-// after start (len(wf) if none) and leaves it in w's cursor. A listener's
-// frames resolve in ascending start order and a sender's frames only grow
-// by appending, so the answer is usually at or a few frames past the
-// cursor, where a from-scratch binary search over up to MaxFrames frames
-// takes a dozen cache-missing probes. The search gallops from the cursor
-// (1, 2, 4, … frames) in the direction the frame before it points, then
-// binary-searches the last bracket: O(log distance). The cursor is a hint,
-// not an invariant: one left by another listener, epoch or run (past the
-// end included) costs a longer gallop, never a different answer.
+// frameFrom returns the index of sender w's first frame starting in
+// bucket b or later (len of w's frame table if none) — one load from the
+// frame index, exact whatever order frames are resolved in.
 //
 //nd:hotpath
-func (env *asyncEnv) seekFrame(w topology.NodeID, wf []asyncFrame, start float64) int {
-	c := min(int(env.cursor[w]), len(wf))
-	// Invariant: wf[i].start < start for i < lo, wf[i].start >= start for i >= hi.
-	lo, hi := 0, len(wf)
-	if c == 0 || wf[c-1].start < start {
-		lo = c
-		for step := 1; ; step <<= 1 {
-			p := lo + step - 1
-			if p >= hi {
-				break
-			}
-			if wf[p].start >= start {
-				hi = p
-				break
-			}
-			lo = p + 1
-		}
-	} else {
-		hi = c - 1
-		for step := 1; ; step <<= 1 {
-			p := hi - step
-			if p < lo {
-				break
-			}
-			if wf[p].start < start {
-				lo = p + 1
-				break
-			}
-			hi = p
-		}
+func (env *asyncEnv) frameFrom(w, b int) int {
+	bb := env.byBucket[w]
+	switch i := b - int(env.bbBase[w]); {
+	case i <= 0:
+		return 0
+	case i >= len(bb):
+		return len(env.frames[w])
+	default:
+		return int(bb[i])
 	}
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if wf[mid].start < start {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	env.cursor[w] = int32(lo)
-	return lo
 }
 
 // cmpIdxSlotStart orders sweep slots by start time. Ties may sort either

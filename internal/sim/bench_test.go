@@ -5,6 +5,7 @@ import (
 
 	"m2hew/internal/clock"
 	"m2hew/internal/core"
+	"m2hew/internal/dynamics"
 	"m2hew/internal/rng"
 	"m2hew/internal/topology"
 )
@@ -250,6 +251,58 @@ func BenchmarkRunAsyncN100(b *testing.B) {
 			Scratch:   scratch,
 		}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRunAsyncMobility is an E21-shaped run: a 16-node near-clique
+// with ideal clocks and identical starts on a random-waypoint world whose
+// edges are re-derived every epoch, 3000 frames in one pass (a dynamic run
+// takes no frame windows), on a reused scratch with timeline recycling as
+// harness.AsyncTrials runs it. Each iteration builds a fresh world, so
+// epoch derivation and per-epoch mask compilation are in the measurement.
+func BenchmarkRunAsyncMobility(b *testing.B) {
+	const frameLen, frames, epochLen = 3.0, 3000, 50.0
+	r := rng.New(21)
+	nw, err := topology.GeometricConnected(16, 0.7, r, 100)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := topology.AssignUniformK(nw, 6, 4, r); err != nil {
+		b.Fatal(err)
+	}
+	deltaEst := 1
+	for deltaEst < nw.ComputeParams().Delta {
+		deltaEst *= 2
+	}
+	spec := dynamics.Spec{EpochLen: epochLen, Mobility: &dynamics.Mobility{Speed: 0.02, Radius: 0.7, Pause: 1}}
+	scratch := NewAsyncScratch()
+	scratch.RecycleTimelines = true
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		root := rng.New(uint64(i) + 1)
+		nodes := make([]AsyncNode, nw.N())
+		for u := range nodes {
+			p, err := core.NewAsync(nw.Avail(topology.NodeID(u)), deltaEst, root.Split())
+			if err != nil {
+				b.Fatal(err)
+			}
+			nodes[u] = AsyncNode{Protocol: p, Drift: clock.Ideal}
+		}
+		world, err := dynamics.NewWorld(nw, spec, int(frames*frameLen/epochLen)+1, root.Split())
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := RunAsync(AsyncConfig{
+			Network: nw, Nodes: nodes,
+			FrameLen: frameLen, MaxFrames: frames,
+			Dynamics: world, Scratch: scratch,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.FrameBudget != frames {
+			b.Fatalf("resolved %d frames, want the one-pass %d", res.FrameBudget, frames)
 		}
 	}
 }

@@ -20,10 +20,12 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
 	"m2hew/internal/clock"
+	"m2hew/internal/dynamics"
 	"m2hew/internal/radio"
 	"m2hew/internal/rng"
 	"m2hew/internal/topology"
@@ -179,16 +181,17 @@ func scriptedAsyncEnv(t *testing.T, nw *topology.Network, script [][]radio.Actio
 }
 
 // resolveScripted resolves uid's frame f the way the engines do: the
-// listener's candidate row is looked up once and handed to resolveFrame.
+// listener's candidate mask is looked up once and handed to resolveFrame.
 func resolveScripted(env *asyncEnv, uid topology.NodeID, f int) []delivery {
 	g := env.frames[uid][f]
-	return env.resolveFrame(uid, g, env.candsFor(uid, g))
+	return env.resolveFrame(uid, g, env.maskFor(uid, g))
 }
 
 // resolveFrameNaive is the asynchronous reference resolver: frame reception
 // restated from first principles, allocating fresh state per frame. Each
 // candidate's first overlapping frame comes from a plain lower bound over
-// its frame starts (no cursor: it shares no search state with production),
+// its frame starts (no frame index: it shares no search state with
+// production), it walks the candidate row instead of the compiled masks,
 // and the clear check is the quadratic all-pairs scan. Collection walks
 // candidates, then frames, then slots in the same ascending order as
 // collectSlots and draws one erasure per overlapping slot, so identically
@@ -323,7 +326,11 @@ func randomAsyncScript(t *testing.T, r *rng.Source, frameSpan int) (*topology.Ne
 // quadratic resolveFrameNaive over random scenarios, with and without a
 // loss model. The two envs carry identically seeded erasure RNGs; the draws
 // happen during collection, which both resolvers share, so any divergence —
-// deliveries or draw consumption — surfaces as a mismatch.
+// deliveries or draw consumption — surfaces as a mismatch. The wide
+// scenarios reach what the small ones cannot: candidate rows spanning
+// several NodeID words, channel IDs at or past 64 (spans of two or three
+// words), and — in the epoch scenarios — a dynamic world whose epochs each
+// compile their own candidate masks.
 func TestResolveFrameMatchesNaive(t *testing.T) {
 	root := rng.New(80520260)
 	for trial := 0; trial < 120; trial++ {
@@ -356,23 +363,167 @@ func TestResolveFrameMatchesNaive(t *testing.T) {
 			}
 		})
 	}
+	var wideWords, highChannels, delivered int
+	for trial := 0; trial < 24; trial++ {
+		r := root.Split()
+		name := fmt.Sprintf("wide%03d", trial)
+		if trial%2 == 1 {
+			name = fmt.Sprintf("epochs%03d", trial)
+		}
+		t.Run(name, func(t *testing.T) {
+			nw, script, starts, frameLen, slotsPerFrame := wideAsyncScript(t, r)
+			var world *dynamics.World
+			if trial%2 == 1 {
+				world = scriptWorld(t, r, nw, script, starts, frameLen)
+			}
+			fastLoss, naiveLoss := twinLoss(t, r, 0.5)
+			fast := scriptedAsyncEnv(t, nw, script, starts, frameLen, slotsPerFrame, fastLoss)
+			naive := scriptedAsyncEnv(t, nw, script, starts, frameLen, slotsPerFrame, naiveLoss)
+			fast.world, naive.world = world, world
+			delivered += resolveAllMatch(t, fast, naive, script)
+			for u := range script {
+				for _, g := range fast.frames[u] {
+					if g.action.Mode != radio.Receive {
+						continue
+					}
+					if mask := fast.maskFor(topology.NodeID(u), g); len(mask) > 1 {
+						wideWords++
+					}
+					if g.action.Channel >= 64 {
+						highChannels++
+					}
+				}
+			}
+		})
+	}
+	if wideWords == 0 || highChannels == 0 || delivered == 0 {
+		t.Fatalf("wide scenarios: %d multi-word masks, %d listening frames on channels ≥ 64, %d deliveries; want all positive",
+			wideWords, highChannels, delivered)
+	}
+	t.Logf("wide scenarios: %d multi-word masks, %d listening frames on channels ≥ 64, %d deliveries", wideWords, highChannels, delivered)
+}
+
+// twinLoss returns, with probability p, two identically seeded loss models
+// (one per resolver under comparison); otherwise two nils.
+func twinLoss(t *testing.T, r *rng.Source, p float64) (*LossModel, *LossModel) {
+	t.Helper()
+	if !r.Bernoulli(p) {
+		return nil, nil
+	}
+	prob := 0.1 + r.Float64()*0.6
+	lossSeed := r.Uint64()
+	a, err := NewLossModel(prob, rng.New(lossSeed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewLossModel(prob, rng.New(lossSeed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a, b
+}
+
+// resolveAllMatch resolves every scripted frame in node-major order through
+// both envs and requires identical deliveries; it returns their count.
+func resolveAllMatch(t *testing.T, fast, naive *asyncEnv, script [][]radio.Action) int {
+	t.Helper()
+	total := 0
+	for u := range script {
+		uid := topology.NodeID(u)
+		for f := range script[u] {
+			got := resolveScripted(fast, uid, f)
+			want := naive.resolveFrameNaive(uid, naive.frames[u][f])
+			sameDeliveries(t, u, f, got, want)
+			total += len(want)
+		}
+	}
+	return total
+}
+
+// wideAsyncScript builds a geometric network of 70–160 nodes over a
+// universe of 66–130 channels, so candidate rows span several NodeID words
+// and spans reach past channel 63, plus per-node frame scripts (6–10
+// frames) and start offsets.
+func wideAsyncScript(t *testing.T, r *rng.Source) (*topology.Network, [][]radio.Action, []float64, float64, int) {
+	t.Helper()
+	n := 70 + r.IntN(91)
+	nw, err := topology.GeometricConnected(n, 0.3, r, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := topology.AssignBernoulli(nw, 66+r.IntN(65), 0.12, r); err != nil {
+		t.Fatal(err)
+	}
+	slotsPerFrame := r.IntN(3) + 1
+	frames := 6 + r.IntN(5)
+	frameLen := 1 + r.Float64()*3
+	script := make([][]radio.Action, n)
+	starts := make([]float64, n)
+	for u := 0; u < n; u++ {
+		avail := nw.Avail(topology.NodeID(u))
+		script[u] = make([]radio.Action, frames)
+		for f := range script[u] {
+			c, err := avail.Pick(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mode := radio.Receive
+			switch r.IntN(4) {
+			case 0:
+				mode = radio.Quiet
+			case 1, 2:
+				mode = radio.Transmit
+			}
+			script[u][f] = radio.Action{Mode: mode, Channel: c}
+		}
+		starts[u] = r.Float64() * 2 * frameLen
+	}
+	return nw, script, starts, frameLen, slotsPerFrame
+}
+
+// scriptWorld returns a churning, moving world with primary users over nw
+// whose epochs are about a frame and a half long, so a script's listening
+// frames resolve against several epoch tables.
+func scriptWorld(t *testing.T, r *rng.Source, nw *topology.Network, script [][]radio.Action, starts []float64, frameLen float64) *dynamics.World {
+	t.Helper()
+	epochLen := 1.5 * frameLen
+	horizon := int((slices.Max(starts)+float64(len(script[0])+1)*frameLen)/epochLen) + 1
+	world, err := dynamics.NewWorld(nw, dynamics.Spec{
+		EpochLen: epochLen,
+		Churn:    &dynamics.Churn{JoinFraction: 0.3, JoinWindow: 3, LeaveFraction: 0.2, LeaveWindow: 4},
+		Mobility: &dynamics.Mobility{Speed: 0.05, Radius: 0.3, Pause: 1},
+		Primary:  &dynamics.Primary{Events: 3, Duration: 2, Radius: 0.3},
+	}, horizon, r.Split())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return world
 }
 
 // TestTxBucketsCoverOverlaps pins the transmit bucket table's superset
-// property, on which collectSlots' skip rests: for every listening frame
-// and every transmit frame on its channel that overlaps it for a positive
-// length, the sender's bit is set in one of the listening frame's buckets.
+// property, on which collectSlots' mask AND rests: for every listening
+// frame and every transmit frame on its channel that overlaps it for a
+// positive length, the sender's bit is set in txWord over the listening
+// frame's half-open bucket range (buckets).
 // Clocks start at random offsets and drift as random walks at the maximum
 // asynchronous drift, so frames run up to 1/(1−δ) nominal frames long and
 // touch two or three buckets; 1–5 slots per frame; up to 130 nodes, so
 // masks span several words. Frames enter the env through appendFrame, as
 // in the engines. The test also requires overlaps found only in a frame's
 // last bucket, so a probe that stops one bucket short fails it.
+//
+// The aligned trials run ideal clocks whose frames start on whole frame
+// multiples from the origin, so every frame end falls exactly on a bucket
+// boundary. There the filter must be exact: a sender's bit is set iff it
+// has an overlapping transmit frame on the channel. A closed range
+// [bucket(start), bucket(end)] on either side would also report the
+// sender's next frame and fail.
 func TestTxBucketsCoverOverlaps(t *testing.T) {
 	root := rng.New(2323)
-	lastOnly := 0
-	for trial := 0; trial < 30; trial++ {
+	lastOnly, exact := 0, 0
+	for trial := 0; trial < 42; trial++ {
 		r := root.Split()
+		aligned := trial >= 30
 		n := 2 + r.IntN(129)
 		nw, err := topology.Clique(n)
 		if err != nil {
@@ -383,13 +534,20 @@ func TestTxBucketsCoverOverlaps(t *testing.T) {
 		}
 		slotsPerFrame := 1 + r.IntN(5)
 		frameLen := 0.5 + r.Float64()*3
+		if aligned {
+			// Dyadic slot lengths keep every boundary sum exact.
+			frameLen = float64(slotsPerFrame) * []float64{0.25, 0.5, 1, 2}[r.IntN(4)]
+		}
 		timelines := make([]*clock.Timeline, n)
 		for u := range timelines {
-			drift, err := clock.NewRandomWalk(clock.MaxAsyncDrift, 0.05, r.Split())
-			if err != nil {
+			start := r.Float64() * 8 * frameLen
+			var drift clock.DriftProcess
+			if aligned {
+				start = float64(r.IntN(8)) * frameLen
+			} else if drift, err = clock.NewRandomWalk(clock.MaxAsyncDrift, 0.05, r.Split()); err != nil {
 				t.Fatal(err)
 			}
-			if timelines[u], err = clock.NewTimeline(r.Float64()*8*frameLen, frameLen, slotsPerFrame, drift); err != nil {
+			if timelines[u], err = clock.NewTimeline(start, frameLen, slotsPerFrame, drift); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -413,22 +571,34 @@ func TestTxBucketsCoverOverlaps(t *testing.T) {
 					continue
 				}
 				c := g.action.Channel
-				first, last := env.bucket(g.start), env.bucket(g.end)
+				first, last := env.buckets(g.start, g.end)
+				if aligned && first != last {
+					t.Fatalf("trial %d: aligned frame [%v, %v) spans buckets %d..%d", trial, g.start, g.end, first, last)
+				}
 				for w := 0; w < n; w++ {
 					if w == u {
 						continue
 					}
+					overlap := false
 					for _, fr := range env.frames[w] {
 						if fr.action.Mode != radio.Transmit || fr.action.Channel != c || fr.start >= g.end || fr.end <= g.start {
 							continue
 						}
-						if !env.txOn(topology.NodeID(w), c, first, last) {
-							t.Fatalf("trial %d: listener %d frame [%v, %v) on channel %d misses sender %d's overlapping frame [%v, %v)",
-								trial, u, g.start, g.end, c, w, fr.start, fr.end)
-						}
-						if last > first && !env.txOn(topology.NodeID(w), c, first, last-1) {
+						overlap = true
+						if last > first && env.txWord(c, w>>6, first, last-1)>>(w&63)&1 == 0 {
 							lastOnly++
 						}
+					}
+					set := env.txWord(c, w>>6, first, last)>>(w&63)&1 != 0
+					switch {
+					case overlap && !set:
+						t.Fatalf("trial %d: listener %d frame [%v, %v) on channel %d misses sender %d's overlapping frame",
+							trial, u, g.start, g.end, c, w)
+					case aligned && set && !overlap:
+						t.Fatalf("trial %d: aligned listener %d frame [%v, %v) on channel %d reports sender %d, which has no overlapping transmit frame",
+							trial, u, g.start, g.end, c, w)
+					case aligned && set:
+						exact++
 					}
 				}
 			}
@@ -437,17 +607,81 @@ func TestTxBucketsCoverOverlaps(t *testing.T) {
 	if lastOnly == 0 {
 		t.Fatal("no overlap was visible only in a listening frame's last bucket; the probe's upper end went untested")
 	}
-	t.Logf("%d overlaps visible only in the last bucket", lastOnly)
+	if exact == 0 {
+		t.Fatal("no aligned overlap was found; the exact case went untested")
+	}
+	t.Logf("%d overlaps visible only in the last bucket, %d aligned overlaps", lastOnly, exact)
 }
 
-// TestResolveFrameCursorRobust pins the frame-search cursors to the
-// reference under call orders the engines never produce: every frame of a
-// scenario resolved in shuffled order, some frames twice in a row, and one
-// scratch env reused across scenarios of different n and frame counts, so
-// cursors left by one scenario point anywhere in — or past the end of — the
-// next one's tables. The cursors are only search hints: every delivery list
-// must equal the reference's. Both envs resolve the same sequence with
-// identically seeded loss models, so draw order is compared too.
+// TestFrameIndexMatchesScan pins frameFrom — the frame index appendFrame
+// fills — to a linear scan: for every sender and every bucket b from well
+// before its first frame to well past its last, the first frame starting
+// in bucket b or later. Clocks drift as random walks at the maximum
+// asynchronous drift from random starts, with 1–5 slots per frame; the
+// probes cover the buckets of exact frame starts, every bucket boundary in
+// between (buckets no frame starts in included), buckets before the first
+// frame and past the last one. One scratch serves every trial, so the
+// index must also shed a previous run's longer tables.
+func TestFrameIndexMatchesScan(t *testing.T) {
+	root := rng.New(7117)
+	sc := NewAsyncScratch()
+	for trial := 0; trial < 40; trial++ {
+		r := root.Split()
+		n := 1 + r.IntN(6)
+		nw, err := topology.Clique(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := topology.AssignHomogeneous(nw, 2); err != nil {
+			t.Fatal(err)
+		}
+		slotsPerFrame := 1 + r.IntN(5)
+		frameLen := 0.5 + r.Float64()*3
+		timelines := make([]*clock.Timeline, n)
+		for u := range timelines {
+			drift, err := clock.NewRandomWalk(clock.MaxAsyncDrift, 0.05, r.Split())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if timelines[u], err = clock.NewTimeline(r.Float64()*6*frameLen, frameLen, slotsPerFrame, drift); err != nil {
+				t.Fatal(err)
+			}
+		}
+		env := sc.envFor(nw, timelines, slotsPerFrame, nil)
+		frames := 1 + r.IntN(60)
+		for u := 0; u < n; u++ {
+			for f := 0; f < frames; f++ {
+				env.appendFrame(u, radio.Action{Mode: radio.Transmit, Channel: 0})
+			}
+		}
+		for w := 0; w < n; w++ {
+			wf := env.frames[w]
+			lastBucket := env.bucket(wf[len(wf)-1].start)
+			for b := -2; b <= lastBucket+3; b++ {
+				want := len(wf)
+				for f, fr := range wf {
+					if env.bucket(fr.start) >= b {
+						want = f
+						break
+					}
+				}
+				if got := env.frameFrom(w, b); got != want {
+					t.Fatalf("trial %d: sender %d bucket %d (frames start in buckets %d..%d): frameFrom %d, scan %d",
+						trial, w, b, env.bucket(wf[0].start), lastBucket, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestResolveFrameCursorRobust pins the resolver's per-sender search state
+// (the frame index) to the reference under call orders the engines never
+// produce: every frame of a scenario resolved in shuffled order, some
+// frames twice in a row, and one scratch env reused across scenarios of
+// different n and frame counts, so the index, masks and bucket table a
+// scenario leaves behind are longer than the next one's. Every delivery
+// list must equal the reference's. Both envs resolve the same sequence
+// with identically seeded loss models, so draw order is compared too.
 func TestResolveFrameCursorRobust(t *testing.T) {
 	root := rng.New(15150)
 	sc := NewAsyncScratch() // one env for every scenario
@@ -498,7 +732,7 @@ func TestResolveFrameCursorRobust(t *testing.T) {
 		})
 	}
 	if shrank == 0 {
-		t.Fatal("no scenario followed a longer one; stale out-of-range cursors went untested")
+		t.Fatal("no scenario followed a longer one; stale out-of-range index entries went untested")
 	}
 }
 

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+
 	"m2hew/internal/channel"
 	"m2hew/internal/clock"
 	"m2hew/internal/metrics"
@@ -242,9 +244,10 @@ func (sc *SyncScratch) localSlotBuf(n int) []int {
 }
 
 // AsyncScratch holds the per-run state of RunAsync and RunAsyncOnline for
-// reuse across runs: the frame tables, the transmit bucket table, the
-// reception resolver's buffers, the delivery list, and (opt-in) the clock
-// timelines.
+// reuse across runs: the frame tables and frame index, the transmit bucket
+// table, the compiled candidate masks (per network, and per epoch of a
+// dynamic run), the reception resolver's buffers, the delivery list, and
+// (opt-in) the clock timelines.
 // A scratch belongs to one goroutine at a time; runs borrow it for their
 // whole duration. The zero value is not ready — use NewAsyncScratch.
 //
@@ -256,16 +259,19 @@ func (sc *SyncScratch) localSlotBuf(n int) []int {
 // Reset (or use a fresh scratch).
 type AsyncScratch struct {
 	// RecycleTimelines additionally pools the per-node clock.Timeline
-	// objects, resetting them in place each run instead of allocating fresh
-	// ones. Timelines escape the engine through AsyncResult.Timelines, so
-	// this is safe only when the caller does not use a result's Timelines
-	// (FullFrames, MinFullFrames, drift audits) after starting the next run
-	// with the same scratch. Paths that audit timelines after a whole batch
-	// (e.g. harness.AsyncConfigs consumers) must leave this off.
+	// objects (and random-walk drift memos), resetting them in place each
+	// run instead of allocating fresh ones. Timelines escape the engine
+	// through AsyncResult.Timelines, so this is safe only when the caller
+	// does not use a result's Timelines (FullFrames, MinFullFrames, drift
+	// audits) after starting the next run with the same scratch.
+	// harness.AsyncTrials sets it on its batch-private scratches and drops
+	// the Timelines from the results it returns; paths that audit timelines
+	// after a whole batch (harness.AsyncConfigs consumers) leave it off.
 	RecycleTimelines bool
 
 	nwKey    *topology.Network
 	cands    [][]topology.Candidate
+	masks    candMasks // cands compiled for the resolver
 	msgAvail []channel.Set
 	target   *metrics.TargetIndex // shared read-only, as in SyncScratch
 	channels int                  // max channel ID of the network, plus one
@@ -273,8 +279,13 @@ type AsyncScratch struct {
 	timelines  []*clock.Timeline
 	rateBufs   [][]float64
 	frames     [][]asyncFrame
+	byBucket   [][]int32
+	bbBase     []int32
 	deliveries []delivery
 	env        asyncEnv
+
+	// Per-listener look-ahead horizons of a RunAsync run.
+	ahead []aheadMark
 
 	// Online-engine per-run buffers.
 	nextEnd []float64
@@ -308,6 +319,7 @@ func (sc *AsyncScratch) networkTables(nw *topology.Network) ([][]topology.Candid
 		if id, ok := nw.Universe().Max(); ok {
 			sc.channels = int(id) + 1
 		}
+		sc.masks.compile(sc.cands, sc.channels)
 	}
 	return sc.cands, sc.msgAvail, sc.target
 }
@@ -349,46 +361,50 @@ func (sc *AsyncScratch) timelineSlice(n int) []*clock.Timeline {
 	return sc.timelines[:n]
 }
 
-// frameTables returns the per-node frame tables, each inner slice empty
-// but keeping the capacity earlier runs grew (reserveFrames sizes them to
-// the frames a run resolves; both engines append as frames generate).
-func (sc *AsyncScratch) frameTables(n int) [][]asyncFrame {
+// frameTables returns the per-node frame tables and frame index (see
+// asyncEnv.byBucket), each inner slice empty but keeping the capacity
+// earlier runs grew (reserveFrames sizes them to the frames a run
+// resolves; both engines append as frames generate).
+func (sc *AsyncScratch) frameTables(n int) ([][]asyncFrame, [][]int32, []int32) {
 	if cap(sc.frames) < n {
 		fr := make([][]asyncFrame, n)
 		copy(fr, sc.frames)
 		sc.frames = fr
+		bb := make([][]int32, n)
+		copy(bb, sc.byBucket)
+		sc.byBucket = bb
+		sc.bbBase = make([]int32, n)
 	}
-	sc.frames = sc.frames[:n]
+	sc.frames, sc.byBucket = sc.frames[:n], sc.byBucket[:n]
 	for u := range sc.frames {
 		sc.frames[u] = sc.frames[u][:0]
+		sc.byBucket[u] = sc.byBucket[u][:0]
 	}
-	return sc.frames
+	return sc.frames, sc.byBucket, sc.bbBase[:n]
 }
 
 // envFor primes the embedded resolver env for a run on nw whose clocks are
 // timelines (one per node, already built: the transmit buckets start at the
-// earliest node start and last one nominal frame). The frame tables and the
-// bucket table start empty; frames enter them only through appendFrame.
-// The env's internal buffers (txBuf, sweepBuf, flagBuf, outBuf, seenBuf)
-// persist across runs by design: resolveFrame already reuses them
-// frame-to-frame and overwrites before reading. The frame-search cursors
-// persist too, grown to n: a stale cursor is only a search hint (see
-// seekFrame).
+// earliest node start and last one nominal frame). The frame tables, frame
+// index and bucket table start empty; frames enter them only through
+// appendFrame. The network's compiled candidate masks come from the
+// network cache; no epoch's masks are compiled yet. The env's internal
+// buffers (txBuf, sweepBuf, flagBuf, outBuf, seenBuf) persist across runs
+// by design: resolveFrame already reuses them frame-to-frame and
+// overwrites before reading.
 func (sc *AsyncScratch) envFor(nw *topology.Network, timelines []*clock.Timeline, slotsPerFrame int, loss *LossModel) *asyncEnv {
 	n := nw.N()
 	env := &sc.env
 	env.nw = nw
 	env.cands, _, _ = sc.networkTables(nw)
-	env.frames = sc.frameTables(n)
+	env.masks = &sc.masks
+	env.frames, env.byBucket, env.bbBase = sc.frameTables(n)
 	env.timelines = timelines
 	env.slotsPerFrame = slotsPerFrame
 	env.loss = loss
-	if len(env.cursor) < n {
-		env.cursor = make([]int32, n)
-	}
-	env.origin, env.perBucket = 0, 1
+	env.origin, env.frameLen = 0, 1
 	if len(timelines) > 0 {
-		env.origin, env.perBucket = timelines[0].Start(), 1/timelines[0].FrameLen()
+		env.origin, env.frameLen = timelines[0].Start(), timelines[0].FrameLen()
 	}
 	for _, tl := range timelines {
 		env.origin = min(env.origin, tl.Start())
@@ -397,15 +413,17 @@ func (sc *AsyncScratch) envFor(nw *topology.Network, timelines []*clock.Timeline
 	env.words = (n + 63) / 64
 	env.txBuckets = env.txBuckets[:0]
 	env.world = nil // engines running on a dynamic world set it after
+	env.epochIdx, env.epochUsed = env.epochIdx[:0], 0
 	env.lastCollected = 0
 	return env
 }
 
 // reserveFrames pre-sizes, for frames frames per node, every timeline's
-// boundary cache, every drift memo and every frame table, so the lazy
-// caches and appends fill existing capacity instead of doubling their way
-// up. Capacity only: no value changes, and a table may still grow past it
-// (the look-ahead generates senders out to a listening frame's end).
+// boundary cache, every drift memo, every frame table and every frame
+// index, so the lazy caches and appends fill existing capacity instead of
+// doubling their way up. Capacity only: no value changes, and a table may
+// still grow past it (the look-ahead generates senders out to a listening
+// frame's end).
 // Windowed RunAsync runs call it once per window with the window's end;
 // one-pass runs call it once with MaxFrames.
 func (env *asyncEnv) reserveFrames(nodes []AsyncNode, frames int) {
@@ -418,7 +436,32 @@ func (env *asyncEnv) reserveFrames(nodes []AsyncNode, frames int) {
 			copy(grown, fr)
 			env.frames[u] = grown
 		}
+		// At the paper's drift bound a frame lasts at most 1/(1−δ) = 7/6
+		// nominal frames, so k frames start within about 7k/6 buckets.
+		if bb := env.byBucket[u]; cap(bb) < frames+frames/6+1 {
+			grown := make([]int32, len(bb), frames+frames/6+1)
+			copy(grown, bb)
+			env.byBucket[u] = grown
+		}
 	}
+}
+
+// aheadMark is what RunAsync knows after one listener's last look-ahead:
+// every sender in the listener's candidate row of epoch epoch has frames
+// out to to, or has used its budget.
+type aheadMark struct {
+	to    float64
+	epoch int
+}
+
+// aheadMarks returns the per-listener look-ahead marks, grown to n and
+// reset to "none yet" (every frame ends past −Inf).
+func (sc *AsyncScratch) aheadMarks(n int) []aheadMark {
+	sc.ahead = resize(sc.ahead, n)
+	for u := range sc.ahead {
+		sc.ahead[u] = aheadMark{to: math.Inf(-1)}
+	}
+	return sc.ahead
 }
 
 // deliveryBuf returns the empty delivery accumulator.

@@ -174,9 +174,9 @@ func TestRunSyncScratchMatchesFresh(t *testing.T) {
 // TestRunAsyncScratchMatchesFresh covers both asynchronous engines and, for
 // RunAsync, both scratch modes (with and without timeline recycling). The
 // churn and mobility trials, some lossy, resolve each listening frame
-// against its epoch's candidate row while the scratch's frame-search
-// cursors carry over from other listeners, epochs and runs of different n
-// and frame budgets.
+// against its epoch's compiled candidate masks while the scratch's frame
+// index, bucket table and mask pools carry over from runs of different n,
+// worlds and frame budgets.
 func TestRunAsyncScratchMatchesFresh(t *testing.T) {
 	nwA := scratchTestNetwork(t, 10, 0.5, 3)
 	nwB := scratchTestNetwork(t, 6, 0.6, 4)

@@ -108,3 +108,60 @@ func TestDeriveGeometricCandidatesMatchesNaive(t *testing.T) {
 		}
 	}
 }
+
+// TestDeriveGeometricCandidatesArena pins the arena layout: every row's
+// capacity equals its length, so appending to one row reallocates it
+// instead of overwriting the next row's first candidate, and a deriver
+// reused across snapshots returns tables that equal a fresh derivation and
+// survive the deriver's later calls untouched.
+func TestDeriveGeometricCandidatesArena(t *testing.T) {
+	r := rng.New(5)
+	var d GeometricDeriver
+	var kept [][][]Candidate
+	var keptWant [][][]Candidate
+	for trial := 0; trial < 12; trial++ {
+		n := 20 + r.IntN(60)
+		nodes := make([]Node, n)
+		for i := range nodes {
+			avail := channel.NewSet()
+			for c := channel.ID(0); c < 70; c++ {
+				if r.Bernoulli(0.1) {
+					avail.Add(c)
+				}
+			}
+			nodes[i] = Node{ID: NodeID(i), X: r.Float64(), Y: r.Float64(), Avail: avail}
+		}
+		radius := 0.2 + r.Float64()*0.3
+		got := d.Derive(nodes, radius, nil, nil)
+		want := DeriveGeometricCandidates(nodes, radius, nil, nil)
+		kept, keptWant = append(kept, got), append(keptWant, want)
+		rows := 0
+		for u, row := range got {
+			if cap(row) != len(row) {
+				t.Fatalf("trial %d: row %d has capacity %d for %d candidates", trial, u, cap(row), len(row))
+			}
+			if len(row) == 0 || u+1 == len(got) || len(got[u+1]) == 0 {
+				continue
+			}
+			rows++
+			next := got[u+1][0].From
+			grown := append(row, Candidate{From: -1})
+			if got[u+1][0].From != next || &grown[0] == &row[0] {
+				t.Fatalf("trial %d: appending to row %d wrote into row %d", trial, u, u+1)
+			}
+		}
+		if rows == 0 {
+			t.Fatalf("trial %d: no adjacent non-empty rows; the capacity check went untested", trial)
+		}
+	}
+	// Every table the deriver returned still equals its fresh twin.
+	for i := range kept {
+		for u := range keptWant[i] {
+			if !slices.EqualFunc(kept[i][u], keptWant[i][u], func(a, b Candidate) bool {
+				return a.From == b.From && a.Span.Equal(b.Span)
+			}) {
+				t.Fatalf("table %d row %d changed after later derivations:\n got %v\nwant %v", i, u, kept[i][u], keptWant[i][u])
+			}
+		}
+	}
+}
