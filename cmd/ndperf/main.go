@@ -143,12 +143,6 @@ func run(out, metricsPath, diagAddr, cpuProf, memProf string) (retErr error) {
 		fmt.Fprintln(os.Stderr, "ndperf: diagnostics on", srv.URL())
 		diagStarted(srv.URL())
 	}
-	recycling := func() *sim.AsyncScratch {
-		sc := sim.NewAsyncScratch()
-		// Safe here: no row reads result Timelines after the next run.
-		sc.RecycleTimelines = true
-		return sc
-	}
 	// Dynamic worlds for the large-n rows: churn (with a primary user) on
 	// the 200-node sync scenario, mobility on the 100-node async one. Each
 	// run gets a fresh world from a fixed seed so the per-epoch rebuild
@@ -189,10 +183,10 @@ func run(out, metricsPath, diagAddr, cpuProf, memProf string) (retErr error) {
 		// Steady state: one scratch reused across runs, the per-worker trial
 		// loop configuration. The gap to the rows above is the reuse saving.
 		syncRow(benchSync("RunSyncScratch", nw, params.Delta, 2000, sim.NewSyncScratch(), nil, nil, agg)),
-		benchAsync("RunAsyncScratch", sim.RunAsync, nw, params.Delta, 800, recycling(), nil, agg),
+		benchAsync("RunAsyncScratch", sim.RunAsync, nw, params.Delta, 800, sim.NewAsyncScratch(), nil, agg),
 		// Large-n regime (shorter horizons keep wall time comparable).
 		syncRow(benchSync("RunSyncN200", nw200, nw200.ComputeParams().Delta, 500, sim.NewSyncScratch(), nil, nil, nil)),
-		benchAsync("RunAsyncN100", sim.RunAsync, nw100, nw100.ComputeParams().Delta, 200, recycling(), nil, nil),
+		benchAsync("RunAsyncN100", sim.RunAsync, nw100, nw100.ComputeParams().Delta, 200, sim.NewAsyncScratch(), nil, nil),
 		// Very-large-n regime: the streamed-CSR 100k scenario on the tiled
 		// parallel resolver. A short horizon keeps the row ~1s/op; deltaEst
 		// is fixed (ComputeParams at 100k would dominate setup).
@@ -201,7 +195,7 @@ func run(out, metricsPath, diagAddr, cpuProf, memProf string) (retErr error) {
 		// The gap to the static rows above is the dynamics overhead (epoch
 		// snapshots, activity gating, growable coverage).
 		syncRow(benchSync("RunSyncChurn", nw200, nw200.ComputeParams().Delta, 500, sim.NewSyncScratch(), nil, churnWorld, nil)),
-		benchAsync("RunAsyncMobility", sim.RunAsync, nw100, nw100.ComputeParams().Delta, 200, recycling(), mobilityWorld, nil),
+		benchAsync("RunAsyncMobility", sim.RunAsync, nw100, nw100.ComputeParams().Delta, 200, sim.NewAsyncScratch(), mobilityWorld, nil),
 	}
 	if rowErr != nil {
 		return rowErr

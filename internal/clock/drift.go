@@ -18,6 +18,7 @@
 package clock
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -61,7 +62,7 @@ type RandomWalk struct {
 	Delta float64 // drift bound δ
 	Step  float64 // maximum per-slot rate change
 
-	rng   *rng.Source
+	rng   *rng.Source // nil once ReleaseRateBuf consumed the walk
 	rates []float64
 }
 
@@ -118,27 +119,37 @@ func (w *RandomWalk) ReserveSlots(n int) {
 	w.rates = rates
 }
 
+// ErrDriftConsumed is returned by AdoptRateBuf on a walk whose rate memo
+// was released: its rng stream has advanced past the released rates, so it
+// can no longer reproduce them.
+var ErrDriftConsumed = errors.New("drift consumed by an earlier run")
+
 // AdoptRateBuf hands the walk a recycled backing array for its rate memo.
 // Materialized rates (if any) are copied over, so the process keeps
 // returning the same value for every previously-queried slot; a buffer no
-// larger than the current capacity is ignored. Engine scratch that pools
-// rate buffers across trials discovers this method via a type assertion.
-func (w *RandomWalk) AdoptRateBuf(buf []float64) {
-	if cap(buf) <= cap(w.rates) {
-		return
+// larger than the current capacity is ignored. It fails with
+// ErrDriftConsumed once the walk's memo has been released. Engine scratch
+// that pools rate buffers across runs discovers this method via a type
+// assertion.
+func (w *RandomWalk) AdoptRateBuf(buf []float64) error {
+	if w.rng == nil {
+		return ErrDriftConsumed
 	}
-	w.rates = append(buf[:0], w.rates...)
+	if cap(buf) > cap(w.rates) {
+		w.rates = append(buf[:0], w.rates...)
+	}
+	return nil
 }
 
 // ReleaseRateBuf detaches and returns the rate memo's backing array so a
-// pool can hand it to the next trial's walk. The walk must not be queried
-// afterwards: the memo is gone but the rng stream has advanced, so a later
-// Rate call would materialize different values. Engines call this at the
-// end of a run under the same caller contract that permits timeline
-// recycling (no reads of a prior run's drifts after the next run starts).
+// pool can hand it to the next run's walk, and consumes the walk: it drops
+// the rng too, whose stream has advanced past the released rates, so no
+// later query can materialize a different walk. The asynchronous engines
+// call this at the end of every run, so a run consumes its random-walk
+// drifts.
 func (w *RandomWalk) ReleaseRateBuf() []float64 {
 	buf := w.rates
-	w.rates = nil
+	w.rates, w.rng = nil, nil
 	return buf
 }
 

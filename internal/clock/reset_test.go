@@ -1,6 +1,7 @@
 package clock
 
 import (
+	"errors"
 	"testing"
 
 	"m2hew/internal/rng"
@@ -166,6 +167,9 @@ func TestRandomWalkRateBufPool(t *testing.T) {
 	}
 	if again := pooled.ReleaseRateBuf(); cap(again) != 0 {
 		t.Fatal("second ReleaseRateBuf returned a live buffer")
+	}
+	if err := pooled.AdoptRateBuf(make([]float64, 0, 800)); !errors.Is(err, ErrDriftConsumed) {
+		t.Fatalf("AdoptRateBuf on a released walk = %v, want ErrDriftConsumed", err)
 	}
 	// A fresh walk adopting the released buffer produces its own stream
 	// allocation-free for in-capacity queries.

@@ -129,7 +129,7 @@ func E4(opts Options) (*Table, error) {
 				continue
 			}
 			afterTs = append(afterTs, res.CompletionTime-res.Ts)
-			minFrames = append(minFrames, float64(res.MinFullFrames(res.Ts, res.CompletionTime)))
+			minFrames = append(minFrames, float64(res.MinFullFrames))
 		}
 		timeSum := metrics.Summarize(afterTs)
 		frameSum := metrics.Summarize(minFrames)

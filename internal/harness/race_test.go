@@ -234,45 +234,3 @@ func TestAsyncTrialsMatchesAsyncConfigs(t *testing.T) {
 		}
 	}
 }
-
-// TestAsyncTrialsRecyclesTimelines pins AsyncTrials' timeline contract: a
-// trial on the worker's scratch runs with timeline recycling and returns
-// no Timelines (they belong to the worker's next trial), while a config
-// carrying its own Scratch keeps that scratch's choice and its Timelines.
-func TestAsyncTrialsRecyclesTimelines(t *testing.T) {
-	nw, err := topology.Clique(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := topology.AssignHomogeneous(nw, 2); err != nil {
-		t.Fatal(err)
-	}
-	own := sim.NewAsyncScratch()
-	root := rng.New(4)
-	results, err := AsyncTrials(6, func(trial int) (sim.AsyncConfig, error) {
-		nodes := make([]sim.AsyncNode, nw.N())
-		for u := range nodes {
-			p, err := core.NewAsync(nw.Avail(topology.NodeID(u)), 4, root.Split())
-			if err != nil {
-				return sim.AsyncConfig{}, err
-			}
-			nodes[u] = sim.AsyncNode{Protocol: p, Start: float64(u) * 0.3}
-		}
-		cfg := sim.AsyncConfig{Network: nw, Nodes: nodes, FrameLen: 1, MaxFrames: 200}
-		if trial == 5 {
-			cfg.Scratch = own
-		}
-		return cfg, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range results[:5] {
-		if res.Timelines != nil || res.Coverage == nil {
-			t.Fatalf("trial %d: Timelines %v, Coverage %v; want nil timelines and a coverage", i, res.Timelines, res.Coverage)
-		}
-	}
-	if own.RecycleTimelines || len(results[5].Timelines) != nw.N() {
-		t.Fatalf("own-scratch trial: recycling %v, %d timelines; want off and %d", own.RecycleTimelines, len(results[5].Timelines), nw.N())
-	}
-}

@@ -28,11 +28,7 @@ func (s *Scratch) Sync() *sim.SyncScratch {
 }
 
 // Async returns the worker's asynchronous engine scratch, for
-// sim.AsyncConfig.Scratch. It starts with timeline recycling off:
-// AsyncConfigs callers may audit result Timelines after the whole batch
-// returns (E4 counts full frames), which recycling would invalidate. AsyncTrials, whose
-// results drop their Timelines, turns it on for its batch; so may any
-// caller that provably drops Timelines per trial.
+// sim.AsyncConfig.Scratch.
 func (s *Scratch) Async() *sim.AsyncScratch {
 	if s.asyncSc == nil {
 		s.asyncSc = sim.NewAsyncScratch()

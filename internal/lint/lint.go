@@ -266,7 +266,7 @@ const HotpathDirective = "//nd:hotpath"
 // contract. The scratchalias analyzer accepts the annotation in place of an
 // in-function ReleaseRateBuf call:
 //
-//	//nd:scratch-owner buffers are reclaimed by reclaimRateBufs at run end
+//	//nd:scratch-owner finishRun releases every adopted buffer at run end
 const ScratchOwnerDirective = "//nd:scratch-owner"
 
 // FuncHasDirective reports whether fn's doc comment contains a line whose

@@ -8,8 +8,8 @@
 //   - Adopt/release pairing: a function that hands a pooled buffer to a
 //     consumer with AdoptRateBuf must either take them back with
 //     ReleaseRateBuf in the same function, or carry an //nd:scratch-owner
-//     directive naming who reclaims them (sim.adoptRateBuf does: run-end
-//     reclamation is reclaimRateBufs' job).
+//     directive naming who reclaims them (sim.AsyncScratch.clocks does:
+//     run-end reclamation is finishRun's job).
 //   - No use after handoff: once a buffer obtained from ReleaseRateBuf has
 //     been pushed back into a pool (appended to a free list or re-adopted),
 //     the local variable is a dangling alias; further reads race with the
@@ -19,9 +19,7 @@
 //     a struct field (or a composite literal that is itself stored) makes
 //     the struct describe a future run's data. Passing such a literal
 //     directly onward as a call argument is the engines' event-emission
-//     idiom and stays within the borrow contract, so it is allowed; the
-//     deliberate Timelines escape in the async results carries a documented
-//     suppression (the RecycleTimelines contract transfers ownership).
+//     idiom and stays within the borrow contract, so it is allowed.
 package scratchalias
 
 import (

@@ -34,7 +34,8 @@ type AsyncNode struct {
 	Drift clock.DriftProcess
 }
 
-// AsyncConfig configures an asynchronous run.
+// AsyncConfig configures an asynchronous run. A run consumes its nodes: it
+// advances their protocols and drift processes, so a config runs once.
 type AsyncConfig struct {
 	// Network is the topology with channel assignment; required.
 	Network *topology.Network
@@ -65,12 +66,11 @@ type AsyncConfig struct {
 	// deliveries, then EventFrameResolve. Compose several consumers with
 	// MultiObserver.
 	Observer Observer
-	// Scratch, if non-nil, supplies reusable per-run state — frame tables,
-	// resolver buffers, delivery list, optionally pooled timelines — so
-	// repeated runs on one goroutine stop re-allocating it (see
-	// AsyncScratch for the ownership and network-mutation contract). Nil
-	// means the run allocates a private scratch; results are identical
-	// either way.
+	// Scratch, if non-nil, supplies reusable per-run state — timelines,
+	// frame tables, resolver buffers, delivery list — so repeated runs on
+	// one goroutine stop re-allocating it (see AsyncScratch for the
+	// ownership and network-mutation contract). Nil means the run
+	// allocates a private scratch; results are identical either way.
 	Scratch *AsyncScratch
 	// Dynamics, if non-nil, runs the simulation on a time-varying world:
 	// each listening frame resolves against the reception structure of the
@@ -99,15 +99,14 @@ type AsyncResult struct {
 	// Coverage is the oracle's link coverage record (times are real times
 	// of the clear slot's end).
 	Coverage *metrics.Coverage
-	// Timelines holds each node's clock timeline, for bound auditing.
-	Timelines []*clock.Timeline
+	// MinFullFrames is the smallest per-node count of full frames lying
+	// entirely within [Ts, CompletionTime] — the "M full frames since T_s"
+	// of Theorem 9 — counting only the FrameBudget frames the run resolved;
+	// valid only when Complete.
+	MinFullFrames int
 	// FrameBudget is the per-node frame count the run resolved: every
 	// node's frames [0, FrameBudget) were decided and resolved. It is
 	// AsyncConfig.MaxFrames unless RunAsync stopped early at completion.
-	// FullFrames and MinFullFrames never count frames past it: a timeline
-	// extends lazily to any index, but frames beyond the budget were never
-	// simulated — no protocol decision exists for them. Zero means unknown
-	// (results not produced by an engine) and disables the clamp.
 	FrameBudget int
 }
 
@@ -199,25 +198,9 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 	// are sized window by window in phase 2 (reserveFrames: values never
 	// move, only capacity), so a windowed run that stops early never
 	// reserves the rest of MaxFrames.
-	timelines := sc.timelineSlice(n)
-	ts := 0.0
-	for u := 0; u < n; u++ {
-		nc := cfg.Nodes[u]
-		if nc.Start > ts {
-			ts = nc.Start
-		}
-		tl, err := sc.timelineFor(u, nc.Start, cfg.FrameLen, slotsPerFrame, nc.Drift)
-		if err != nil {
-			return nil, fmt.Errorf("sim: node %d clock: %w", u, err)
-		}
-		if sc.RecycleTimelines {
-			// Same caller contract as timeline recycling: a prior trial's
-			// drift is never queried again, so its memo's backing array can
-			// seed this trial's walk (capacity only — the rates this walk
-			// returns are generated from its own rng as usual).
-			sc.adoptRateBuf(nc.Drift)
-		}
-		timelines[u] = tl
+	timelines, ts, err := sc.clocks(cfg.Nodes, cfg.FrameLen, slotsPerFrame)
+	if err != nil {
+		return nil, err
 	}
 
 	// Phase 2: resolve receptions, generating frames on demand. generate
@@ -326,23 +309,7 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 	}
 
 	sc.deliveries = pending[:0] // keep any capacity the run grew
-
-	if sc.RecycleTimelines {
-		// All timeline (and hence drift) reads for this run are done; pull
-		// the rate memos' backing arrays back for the next trial.
-		sc.reclaimRateBufs(cfg.Nodes)
-	}
-
-	// The result escapes by design: one allocation per run, and Timelines
-	// hands the scratch-pooled timelines to the caller under the
-	// RecycleTimelines ownership contract (AsyncScratch documents it).
-	//ndlint:ignore hotalloc one result allocation per run, not per frame
-	result := &AsyncResult{Ts: ts, Coverage: coverage, Timelines: timelines, FrameBudget: hi} //ndlint:ignore scratchalias Timelines ownership transfers per the RecycleTimelines contract
-	if coverage.Complete() {
-		result.Complete = true
-		result.CompletionTime, _ = coverage.CompletionTime()
-	}
-	return result, nil
+	return sc.finishRun(cfg.Nodes, ts, coverage, hi), nil
 }
 
 // cmpDelivery orders deliveries chronologically, ties broken by receiver
@@ -509,37 +476,4 @@ func sharedMsgAvail(nw *topology.Network) []channel.Set {
 		}
 	}
 	return out
-}
-
-// FullFrames returns the number of full frames of node u that lie entirely
-// within the real-time interval [from, to] — the quantity Theorem 9 counts
-// ("each node has executed at least M full frames since T_s"). Counting
-// stops at the run's frame budget (FrameBudget): an interval reaching past
-// the frames the engine resolved counts only those, instead of walking the
-// lazily-extending timeline into frames no protocol ever decided.
-func (r *AsyncResult) FullFrames(u topology.NodeID, from, to float64) int {
-	tl := r.Timelines[u]
-	f := tl.FirstFullFrameAfter(from)
-	count := 0
-	for ; r.FrameBudget == 0 || f < r.FrameBudget; f++ {
-		_, end := tl.FrameInterval(f)
-		if end > to {
-			break
-		}
-		count++
-	}
-	return count
-}
-
-// MinFullFrames returns the smallest per-node count of full frames within
-// [from, to] over all nodes.
-func (r *AsyncResult) MinFullFrames(from, to float64) int {
-	minCount := -1
-	for u := range r.Timelines {
-		c := r.FullFrames(topology.NodeID(u), from, to)
-		if minCount < 0 || c < minCount {
-			minCount = c
-		}
-	}
-	return minCount
 }

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"m2hew/internal/radio"
 	"m2hew/internal/topology"
 )
@@ -47,22 +45,13 @@ func RunAsyncOnline(cfg AsyncConfig) (*AsyncResult, error) {
 	if sc == nil {
 		sc = NewAsyncScratch()
 	}
-	timelines := sc.timelineSlice(n)
+	timelines, ts, err := sc.clocks(cfg.Nodes, cfg.FrameLen, slotsPerFrame)
+	if err != nil {
+		return nil, err
+	}
 	cands, msgAvail, target := sc.networkTables(nw)
 	for u := range cfg.Nodes {
 		reserveNeighbors(cfg.Nodes[u].Protocol, cands[u])
-	}
-	ts := 0.0
-	for u := 0; u < n; u++ {
-		nc := cfg.Nodes[u]
-		if nc.Start > ts {
-			ts = nc.Start
-		}
-		tl, err := sc.timelineFor(u, nc.Start, cfg.FrameLen, slotsPerFrame, nc.Drift)
-		if err != nil {
-			return nil, fmt.Errorf("sim: node %d clock: %w", u, err)
-		}
-		timelines[u] = tl
 	}
 	env := sc.envFor(nw, timelines, slotsPerFrame, cfg.Loss)
 	env.world = cfg.Dynamics
@@ -104,7 +93,6 @@ func RunAsyncOnline(cfg AsyncConfig) (*AsyncResult, error) {
 	// reaches before that frame resolves.
 	world := cfg.Dynamics
 	coverage := runCoverage(target, world)
-	result := &AsyncResult{Ts: ts, Coverage: coverage, Timelines: timelines, FrameBudget: cfg.MaxFrames} //ndlint:ignore scratchalias Timelines ownership transfers per the RecycleTimelines contract
 	mask := observerMask(cfg.Observer)
 	announceEpoch := func(e int) {
 		enterEpoch(cfg.Observer, mask, world.At(e), float64(e)*world.EpochLen(), 0, coverage)
@@ -201,9 +189,5 @@ func RunAsyncOnline(cfg AsyncConfig) (*AsyncResult, error) {
 		nextEnd[u] = end
 	}
 
-	if coverage.Complete() {
-		result.Complete = true
-		result.CompletionTime, _ = coverage.CompletionTime()
-	}
-	return result, nil
+	return sc.finishRun(cfg.Nodes, ts, coverage, cfg.MaxFrames), nil
 }

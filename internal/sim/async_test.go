@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"m2hew/internal/channel"
@@ -304,13 +306,34 @@ func TestAsyncOnDeliverChronological(t *testing.T) {
 	}
 }
 
+// scriptOf spells a per-frame action script on channel 0: 'T' transmits,
+// 'R' listens, anything else is quiet.
+func scriptOf(frames string) *scriptAsync {
+	s := &scriptAsync{}
+	for _, c := range frames {
+		switch c {
+		case 'T':
+			s.actions = append(s.actions, tx(0))
+		case 'R':
+			s.actions = append(s.actions, rx(0))
+		default:
+			s.actions = append(s.actions, quiet())
+		}
+	}
+	return s
+}
+
 func TestAsyncFullFrames(t *testing.T) {
 	nw := pairNet(t, channel.NewSet(0), channel.NewSet(0))
+	// Ideal clocks, unit slots. Node 0 frames [0,3), [3,6), [6,9), ...;
+	// node 1 starts at 1: [1,4), [4,7), [7,10), ... Node 1's frame-1
+	// transmission reaches node 0's frame-1 listen in slot [4,5); node 0's
+	// frame-2 transmission reaches node 1's frame-2 listen in slot [7,8).
 	res, err := RunAsync(AsyncConfig{
 		Network: nw,
 		Nodes: []AsyncNode{
-			{Protocol: &scriptAsync{}},
-			{Protocol: &scriptAsync{}, Start: 1},
+			{Protocol: scriptOf("RRTq")},
+			{Protocol: scriptOf("qTRq"), Start: 1},
 		},
 		FrameLen:  3,
 		MaxFrames: 10,
@@ -318,17 +341,106 @@ func TestAsyncFullFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Node 0 (ideal clock, start 0): frames [0,3), [3,6), ... Full frames
-	// within [0, 9] = 3.
-	if got := res.FullFrames(0, 0, 9); got != 3 {
-		t.Fatalf("FullFrames(0,0,9) = %d, want 3", got)
+	if !res.Complete || res.Ts != 1 || res.CompletionTime != 8 {
+		t.Fatalf("(Complete, Ts, CompletionTime) = (%v, %v, %v), want (true, 1, 8)", res.Complete, res.Ts, res.CompletionTime)
 	}
-	// Node 1 starts at 1: frames [1,4), [4,7), [7,10). Within [0,9]: 2.
-	if got := res.FullFrames(1, 0, 9); got != 2 {
-		t.Fatalf("FullFrames(1,0,9) = %d, want 2", got)
+	// Within [1, 8]: node 0 has frame [3,6) only, node 1 has [1,4) and
+	// [4,7).
+	if res.MinFullFrames != 1 {
+		t.Fatalf("MinFullFrames = %d, want 1", res.MinFullFrames)
 	}
-	if got := res.MinFullFrames(0, 9); got != 2 {
-		t.Fatalf("MinFullFrames = %d, want 2", got)
+}
+
+// TestMinFullFramesMatchesTwinTimelines checks the engines' in-run frame
+// count against a reference walk over freshly built twin timelines: the
+// same starts, and drifts drawn from the same seeds. RunAsync runs both
+// windowed (stopping at completion) and as one full pass; RunAsyncOnline
+// always runs its whole budget. Each shape runs on a reused scratch, so
+// the pooled timelines and rate memos of earlier runs carry over.
+func TestMinFullFramesMatchesTwinTimelines(t *testing.T) {
+	nw := scratchTestNetwork(t, 9, 0.5, 31)
+	forceSinglePass := OnlyEvents(MaskOf(EventFrameStart), ObserverFunc(func(Event) {}))
+	shapes := []struct {
+		name   string
+		engine func(AsyncConfig) (*AsyncResult, error)
+		obs    Observer
+	}{
+		{"windowed", RunAsync, nil},
+		{"single-pass", RunAsync, forceSinglePass},
+		{"online", RunAsyncOnline, nil},
+	}
+	const maxFrames = 3000
+	for _, shape := range shapes {
+		scratch := NewAsyncScratch()
+		for _, ideal := range []bool{true, false} {
+			for seed := uint64(40); seed < 44; seed++ {
+				build := func() []AsyncNode {
+					nodes := benchAsyncNodesT(t, nw, 4, rng.New(seed))
+					if ideal {
+						for u := range nodes {
+							nodes[u].Drift = nil
+						}
+					}
+					return nodes
+				}
+				res, err := shape.engine(AsyncConfig{
+					Network: nw, Nodes: build(), FrameLen: 3, MaxFrames: maxFrames,
+					Observer: shape.obs, Scratch: scratch,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.Complete {
+					t.Fatalf("%s ideal=%v seed %d: incomplete", shape.name, ideal, seed)
+				}
+				if shape.name == "windowed" && res.FrameBudget >= maxFrames {
+					t.Fatalf("windowed seed %d resolved all %d frames; want an early stop", seed, res.FrameBudget)
+				}
+				want := res.FrameBudget
+				for u, nc := range build() {
+					tl, err := clock.NewTimeline(nc.Start, 3, 3, nc.Drift)
+					if err != nil {
+						t.Fatal(err)
+					}
+					count := 0
+					for f := tl.FirstFullFrameAfter(res.Ts); f < res.FrameBudget; f++ {
+						if _, end := tl.FrameInterval(f); end > res.CompletionTime {
+							break
+						}
+						count++
+					}
+					if u == 0 || count < want {
+						want = count
+					}
+				}
+				if res.MinFullFrames != want {
+					t.Fatalf("%s ideal=%v seed %d: MinFullFrames %d, twin timelines %d", shape.name, ideal, seed, res.MinFullFrames, want)
+				}
+			}
+		}
+	}
+}
+
+// TestConsumedDriftRejected pins that a run consumes its random-walk
+// drifts: a second run handed one of them fails at clock set-up, naming the
+// node, instead of silently drawing a different walk.
+func TestConsumedDriftRejected(t *testing.T) {
+	nw := scratchTestNetwork(t, 6, 0.6, 32)
+	for _, eng := range []struct {
+		name   string
+		engine func(AsyncConfig) (*AsyncResult, error)
+	}{{"RunAsync", RunAsync}, {"RunAsyncOnline", RunAsyncOnline}} {
+		name, engine := eng.name, eng.engine
+		first := benchAsyncNodesT(t, nw, 4, rng.New(1))
+		if _, err := engine(AsyncConfig{Network: nw, Nodes: first, FrameLen: 3, MaxFrames: 100}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		again := benchAsyncNodesT(t, nw, 4, rng.New(2))
+		again[3].Drift = first[3].Drift
+		_, err := engine(AsyncConfig{Network: nw, Nodes: again, FrameLen: 3, MaxFrames: 100})
+		if !errors.Is(err, clock.ErrDriftConsumed) || !strings.Contains(err.Error(), "node 3 clock") {
+			t.Fatalf("%s: reused drift gave %v; want node 3's drift rejected as consumed", name, err)
+		}
 	}
 }
 

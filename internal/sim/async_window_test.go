@@ -159,8 +159,8 @@ func TestAsyncWindowsMatchSinglePass(t *testing.T) {
 			if !reflect.DeepEqual(windowed.Coverage.Curve(), single.Coverage.Curve()) {
 				t.Fatal("coverage curves differ")
 			}
-			if w, s := windowed.MinFullFrames(windowed.Ts, windowed.CompletionTime), single.MinFullFrames(single.Ts, single.CompletionTime); w != s {
-				t.Fatalf("MinFullFrames: windowed %d, single pass %d", w, s)
+			if windowed.MinFullFrames != single.MinFullFrames {
+				t.Fatalf("MinFullFrames: windowed %d, single pass %d", windowed.MinFullFrames, single.MinFullFrames)
 			}
 			for u := range protos {
 				a, b := protos[u].Neighbors(), full[u].Neighbors()

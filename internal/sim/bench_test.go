@@ -146,14 +146,12 @@ func BenchmarkRunSyncScratch(b *testing.B) {
 }
 
 // BenchmarkRunAsyncScratch is BenchmarkRunAsync at steady state: one scratch
-// with timeline recycling reused across iterations (the bench never reads
-// result Timelines, so recycling is safe). This is the configuration the
-// m2hew trial loop runs per worker.
+// reused across iterations. This is the configuration the m2hew trial loop
+// runs per worker.
 func BenchmarkRunAsyncScratch(b *testing.B) {
 	nw := benchNetwork(b)
 	params := nw.ComputeParams()
 	scratch := NewAsyncScratch()
-	scratch.RecycleTimelines = true
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := RunAsync(AsyncConfig{
@@ -240,7 +238,6 @@ func BenchmarkRunAsyncN100(b *testing.B) {
 	nw := benchNetworkN(b, 100, 0.16)
 	params := nw.ComputeParams()
 	scratch := NewAsyncScratch()
-	scratch.RecycleTimelines = true
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := RunAsync(AsyncConfig{
@@ -258,8 +255,8 @@ func BenchmarkRunAsyncN100(b *testing.B) {
 // BenchmarkRunAsyncMobility is an E21-shaped run: a 16-node near-clique
 // with ideal clocks and identical starts on a random-waypoint world whose
 // edges are re-derived every epoch, 3000 frames in one pass (a dynamic run
-// takes no frame windows), on a reused scratch with timeline recycling as
-// harness.AsyncTrials runs it. Each iteration builds a fresh world, so
+// takes no frame windows), on a reused scratch as harness.AsyncTrials runs
+// it. Each iteration builds a fresh world, so
 // epoch derivation and per-epoch mask compilation are in the measurement.
 func BenchmarkRunAsyncMobility(b *testing.B) {
 	const frameLen, frames, epochLen = 3.0, 3000, 50.0
@@ -277,7 +274,6 @@ func BenchmarkRunAsyncMobility(b *testing.B) {
 	}
 	spec := dynamics.Spec{EpochLen: epochLen, Mobility: &dynamics.Mobility{Speed: 0.02, Radius: 0.7, Pause: 1}}
 	scratch := NewAsyncScratch()
-	scratch.RecycleTimelines = true
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		root := rng.New(uint64(i) + 1)

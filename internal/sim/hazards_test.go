@@ -3,8 +3,8 @@ package sim
 // Regression tests for engine hot-path hazards fixed alongside the resolver
 // rework: the Heard-list seam (engines must snapshot a reporter's list at
 // delivery time into their own buffer, and lend it to the receiver for the
-// Deliver call only) and the FullFrames/MinFullFrames frame-budget clamp
-// (bound audits must not count frames past the simulated horizon).
+// Deliver call only) and the MinFullFrames frame-budget clamp (bound
+// audits must not count frames past the simulated horizon).
 
 import (
 	"testing"
@@ -155,41 +155,36 @@ func TestAsyncHeardSnapshotNotAliased(t *testing.T) {
 // audit must count only frames the engine actually simulated, not walk the
 // lazily extending timeline into frames no protocol ever decided.
 func TestFullFramesStopAtFrameBudget(t *testing.T) {
-	nw, err := topology.Clique(2)
+	nw, err := topology.Clique(3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := topology.AssignHomogeneous(nw, 1); err != nil {
 		t.Fatal(err)
 	}
+	// Ideal clocks, unit slots, 11 frames each. Node 0 runs [0, 33); nodes
+	// 1 and 2 start at T_s = 18 and run [18, 51). Node 0 reaches both in
+	// [18, 21), hears 1 in [21, 24) and 2 in [24, 27), 1 reaches 2 in
+	// [27, 30), and the last link, 2→1, is covered in slot [48, 49) of
+	// their frame 10. Node 0 resolved only 5 frames after T_s (its frames
+	// 6–10); an unclamped walk of its timeline to 49 would count 10.
 	res, err := RunAsync(AsyncConfig{
 		Network: nw,
 		Nodes: []AsyncNode{
-			{Protocol: &scriptAsync{}}, // all-quiet
-			{Protocol: &scriptAsync{}},
+			{Protocol: scriptOf("qqqqqqTRRqq")},
+			{Protocol: scriptOf("RTqTqqqqqqR"), Start: 18},
+			{Protocol: scriptOf("RqTRqqqqqqT"), Start: 18},
 		},
-		FrameLen:  1,
-		MaxFrames: 5,
+		FrameLen:  3,
+		MaxFrames: 11,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// An interval reaching far past the horizon: only the 5 simulated
-	// frames may count.
-	if got := res.FullFrames(0, 0, 1000); got != 5 {
-		t.Errorf("FullFrames over a past-horizon interval = %d, want 5", got)
+	if !res.Complete || res.Ts != 18 || res.CompletionTime != 49 {
+		t.Fatalf("(Complete, Ts, CompletionTime) = (%v, %v, %v), want (true, 18, 49)", res.Complete, res.Ts, res.CompletionTime)
 	}
-	if got := res.MinFullFrames(0, 1000); got != 5 {
-		t.Errorf("MinFullFrames over a past-horizon interval = %d, want 5", got)
-	}
-	// Within the horizon the clamp is inert.
-	if got := res.FullFrames(0, 0, 3.5); got != 3 {
-		t.Errorf("FullFrames within the horizon = %d, want 3", got)
-	}
-	// FrameBudget 0 (a result not produced by an engine) disables the
-	// clamp: the timeline extends to whatever the interval needs.
-	unclamped := &AsyncResult{Timelines: res.Timelines}
-	if got := unclamped.FullFrames(0, 0, 10.5); got != 10 {
-		t.Errorf("unclamped FullFrames = %d, want 10", got)
+	if res.MinFullFrames != 5 {
+		t.Errorf("MinFullFrames over a past-horizon interval = %d, want 5", res.MinFullFrames)
 	}
 }

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"slices"
 
 	"m2hew/internal/channel"
 	"m2hew/internal/clock"
@@ -244,31 +246,20 @@ func (sc *SyncScratch) localSlotBuf(n int) []int {
 }
 
 // AsyncScratch holds the per-run state of RunAsync and RunAsyncOnline for
-// reuse across runs: the frame tables and frame index, the transmit bucket
-// table, the compiled candidate masks (per network, and per epoch of a
-// dynamic run), the reception resolver's buffers, the delivery list, and
-// (opt-in) the clock timelines.
+// reuse across runs: the clock timelines and pooled random-walk rate memos,
+// the frame tables and frame index, the transmit bucket table, the compiled
+// candidate masks (per network, and per epoch of a dynamic run), the
+// reception resolver's buffers and the delivery list.
 // A scratch belongs to one goroutine at a time; runs borrow it for their
 // whole duration. The zero value is not ready — use NewAsyncScratch.
 //
-// Reuse is invisible in results: frame tables are fully overwritten (or
-// re-sliced empty) before resolution reads them, resolver buffers already
-// carried per-frame reuse semantics within a run, and no scratch state feeds
-// an rng draw. The derived network tables are cached keyed by network
-// pointer; a caller that mutates a network in place between runs must call
-// Reset (or use a fresh scratch).
+// Reuse is invisible in results: timelines are reset in place, frame tables
+// are fully overwritten (or re-sliced empty) before resolution reads them,
+// resolver buffers already carried per-frame reuse semantics within a run,
+// and no scratch state feeds an rng draw. The derived network tables are
+// cached keyed by network pointer; a caller that mutates a network in place
+// between runs must call Reset (or use a fresh scratch).
 type AsyncScratch struct {
-	// RecycleTimelines additionally pools the per-node clock.Timeline
-	// objects (and random-walk drift memos), resetting them in place each
-	// run instead of allocating fresh ones. Timelines escape the engine
-	// through AsyncResult.Timelines, so this is safe only when the caller
-	// does not use a result's Timelines (FullFrames, MinFullFrames, drift
-	// audits) after starting the next run with the same scratch.
-	// harness.AsyncTrials sets it on its batch-private scratches and drops
-	// the Timelines from the results it returns; paths that audit timelines
-	// after a whole batch (harness.AsyncConfigs consumers) leave it off.
-	RecycleTimelines bool
-
 	nwKey    *topology.Network
 	cands    [][]topology.Candidate
 	masks    candMasks // cands compiled for the resolver
@@ -324,41 +315,42 @@ func (sc *AsyncScratch) networkTables(nw *topology.Network) ([][]topology.Candid
 	return sc.cands, sc.msgAvail, sc.target
 }
 
-// timelineFor returns the timeline for node u initialized with the given
-// parameters. With RecycleTimelines it resets a pooled timeline in place;
-// otherwise it allocates fresh (the object escapes through the result).
-func (sc *AsyncScratch) timelineFor(u int, start, frameLen float64, slotsPerFrame int, drift clock.DriftProcess) (*clock.Timeline, error) {
-	if !sc.RecycleTimelines {
-		return clock.NewTimeline(start, frameLen, slotsPerFrame, drift)
-	}
-	for len(sc.timelines) <= u {
-		sc.timelines = append(sc.timelines, nil)
-	}
-	if tl := sc.timelines[u]; tl != nil {
-		if err := tl.Reset(start, frameLen, slotsPerFrame, drift); err != nil {
-			return nil, err
+// clocks sets up a run's per-node clocks: it resets the scratch's pooled
+// timelines in place for nodes, hands each random-walk drift a pooled rate
+// buffer and returns the timelines with T_s, the latest node start. A drift
+// whose memo an earlier run released is rejected, naming its node: its rng
+// stream has advanced, so it would draw a different walk.
+//
+//nd:scratch-owner finishRun releases every adopted buffer at run end
+func (sc *AsyncScratch) clocks(nodes []AsyncNode, frameLen float64, slotsPerFrame int) ([]*clock.Timeline, float64, error) {
+	if grow := len(nodes) - len(sc.timelines); grow > 0 {
+		block := make([]clock.Timeline, grow)
+		sc.timelines = slices.Grow(sc.timelines, grow)
+		for i := range block {
+			sc.timelines = append(sc.timelines, &block[i])
 		}
-		return tl, nil
 	}
-	tl, err := clock.NewTimeline(start, frameLen, slotsPerFrame, drift)
-	if err != nil {
-		return nil, err
+	timelines := sc.timelines[:len(nodes)]
+	ts := 0.0
+	for u, nc := range nodes {
+		if nc.Start > ts {
+			ts = nc.Start
+		}
+		err := timelines[u].Reset(nc.Start, frameLen, slotsPerFrame, nc.Drift)
+		if p, ok := nc.Drift.(rateBufPooler); ok && err == nil {
+			var buf []float64
+			if n := len(sc.rateBufs); n > 0 {
+				buf = sc.rateBufs[n-1]
+				sc.rateBufs[n-1] = nil
+				sc.rateBufs = sc.rateBufs[:n-1]
+			}
+			err = p.AdoptRateBuf(buf)
+		}
+		if err != nil {
+			return nil, 0, fmt.Errorf("sim: node %d clock: %w", u, err)
+		}
 	}
-	sc.timelines[u] = tl
-	return tl, nil
-}
-
-// timelineSlice returns the n-length timeline slice handed to the result.
-// With RecycleTimelines the slice itself is pooled too; otherwise it is
-// fresh, since AsyncResult.Timelines escapes.
-func (sc *AsyncScratch) timelineSlice(n int) []*clock.Timeline {
-	if !sc.RecycleTimelines {
-		return make([]*clock.Timeline, n)
-	}
-	for len(sc.timelines) < n {
-		sc.timelines = append(sc.timelines, nil)
-	}
-	return sc.timelines[:n]
+	return timelines, ts, nil
 }
 
 // frameTables returns the per-node frame tables and frame index (see
@@ -500,42 +492,53 @@ func reserveDrift(d clock.DriftProcess, slots int) {
 }
 
 // rateBufPooler is implemented by drift processes (clock.RandomWalk) whose
-// rate-memo backing array can be recycled across trials. Adopting changes
-// capacity only, never values; releasing leaves the process unqueryable, so
-// the pool operates only under the RecycleTimelines contract (the caller
-// never touches a prior run's drifts once the next run starts).
+// rate-memo backing array is recycled across runs. Adopting changes capacity
+// only, never values, and fails on a process an earlier run released;
+// releasing leaves the process consumed.
 type rateBufPooler interface {
-	AdoptRateBuf(buf []float64)
+	AdoptRateBuf(buf []float64) error
 	ReleaseRateBuf() []float64
 }
 
-// adoptRateBuf seeds a fresh trial's drift with a pooled backing array.
-//
-//nd:scratch-owner reclaimRateBufs releases every adopted buffer at run end
-func (sc *AsyncScratch) adoptRateBuf(d clock.DriftProcess) {
-	p, ok := d.(rateBufPooler)
-	if !ok {
-		return
+// finishRun ends an asynchronous run on the clocks set up by clocks: it
+// fills the result — completion and, for a complete run, MinFullFrames
+// over the budget frames every node resolved — and then takes every node
+// drift's rate buffer back into the pool. A drift shared between nodes
+// releases once (later releases return nil).
+func (sc *AsyncScratch) finishRun(nodes []AsyncNode, ts float64, coverage *metrics.Coverage, budget int) *AsyncResult {
+	result := &AsyncResult{Ts: ts, Coverage: coverage, FrameBudget: budget}
+	if coverage.Complete() {
+		result.Complete = true
+		result.CompletionTime, _ = coverage.CompletionTime()
+		result.MinFullFrames = minFullFrames(sc.timelines[:len(nodes)], ts, result.CompletionTime, budget)
 	}
-	if n := len(sc.rateBufs); n > 0 {
-		buf := sc.rateBufs[n-1]
-		sc.rateBufs[n-1] = nil
-		sc.rateBufs = sc.rateBufs[:n-1]
-		p.AdoptRateBuf(buf)
+	sc.rateBufs = slices.Grow(sc.rateBufs, len(nodes))
+	for i := range nodes {
+		if p, ok := nodes[i].Drift.(rateBufPooler); ok {
+			if buf := p.ReleaseRateBuf(); cap(buf) > 0 {
+				sc.rateBufs = append(sc.rateBufs, buf)
+			}
+		}
 	}
+	return result
 }
 
-// reclaimRateBufs takes every node drift's rate buffer back into the pool
-// at the end of a run. A drift shared between nodes releases once (later
-// releases return nil); nil or tiny buffers are dropped.
-func (sc *AsyncScratch) reclaimRateBufs(nodes []AsyncNode) {
-	for i := range nodes {
-		p, ok := nodes[i].Drift.(rateBufPooler)
-		if !ok {
-			continue
+// minFullFrames returns the smallest per-node count of full frames lying
+// entirely within the real-time interval [from, to] — the "M full frames
+// since T_s" of Theorem 9. Only the budget frames the run resolved count: a
+// timeline extends lazily to any index, but no protocol decided a frame
+// past the budget. A node's walk stops once it reaches the running minimum.
+func minFullFrames(timelines []*clock.Timeline, from, to float64, budget int) int {
+	least := budget
+	for _, tl := range timelines {
+		count := 0
+		for f := tl.FirstFullFrameAfter(from); f < budget && count < least; f++ {
+			if _, end := tl.FrameInterval(f); end > to {
+				break
+			}
+			count++
 		}
-		if buf := p.ReleaseRateBuf(); cap(buf) > 0 {
-			sc.rateBufs = append(sc.rateBufs, buf)
-		}
+		least = count
 	}
+	return least
 }

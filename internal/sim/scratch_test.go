@@ -81,8 +81,7 @@ type asyncTrial struct {
 
 // asyncFingerprint does the same for an asynchronous engine (RunAsync or
 // RunAsyncOnline), adding each listening frame's collected and delivered
-// counts. Timelines are deliberately not part of the fingerprint: with
-// RecycleTimelines they are pooled and not stable across runs.
+// counts and MinFullFrames.
 func asyncFingerprint(t *testing.T, engine func(AsyncConfig) (*AsyncResult, error), tr asyncTrial, scratch *AsyncScratch) string {
 	t.Helper()
 	root := rng.New(tr.seed)
@@ -123,8 +122,8 @@ func asyncFingerprint(t *testing.T, engine func(AsyncConfig) (*AsyncResult, erro
 	if err != nil {
 		t.Fatal(err)
 	}
-	fmt.Fprintf(&sb, "complete=%v at=%v ts=%v curve=%v\n",
-		res.Complete, res.CompletionTime, res.Ts, res.Coverage.Curve())
+	fmt.Fprintf(&sb, "complete=%v at=%v ts=%v frames=%d curve=%v\n",
+		res.Complete, res.CompletionTime, res.Ts, res.MinFullFrames, res.Coverage.Curve())
 	return sb.String()
 }
 
@@ -171,12 +170,12 @@ func TestRunSyncScratchMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestRunAsyncScratchMatchesFresh covers both asynchronous engines and, for
-// RunAsync, both scratch modes (with and without timeline recycling). The
-// churn and mobility trials, some lossy, resolve each listening frame
-// against its epoch's compiled candidate masks while the scratch's frame
-// index, bucket table and mask pools carry over from runs of different n,
-// worlds and frame budgets.
+// TestRunAsyncScratchMatchesFresh covers both asynchronous engines, each
+// reusing one scratch across the trials: its timelines, random-walk rate
+// memos, frame index, bucket table and mask pools carry over from runs of
+// different n, worlds and frame budgets. The churn and mobility trials,
+// some lossy, resolve each listening frame against its epoch's compiled
+// candidate masks.
 func TestRunAsyncScratchMatchesFresh(t *testing.T) {
 	nwA := scratchTestNetwork(t, 10, 0.5, 3)
 	nwB := scratchTestNetwork(t, 6, 0.6, 4)
@@ -203,19 +202,13 @@ func TestRunAsyncScratchMatchesFresh(t *testing.T) {
 		{"RunAsyncOnline", RunAsyncOnline},
 	}
 	for _, eng := range engines {
-		for _, recycle := range []bool{false, true} {
-			if recycle && eng.name == "RunAsyncOnline" {
-				continue // recycling is a RunAsync-path option
-			}
-			scratch := NewAsyncScratch()
-			scratch.RecycleTimelines = recycle
-			for i, tr := range trials {
-				fresh := asyncFingerprint(t, eng.engine, tr, nil)
-				reused := asyncFingerprint(t, eng.engine, tr, scratch)
-				if fresh != reused {
-					t.Fatalf("%s recycle=%v trial %d: scratch-reuse run diverged from fresh run\nfresh:\n%s\nreused:\n%s",
-						eng.name, recycle, i, fresh, reused)
-				}
+		scratch := NewAsyncScratch()
+		for i, tr := range trials {
+			fresh := asyncFingerprint(t, eng.engine, tr, nil)
+			reused := asyncFingerprint(t, eng.engine, tr, scratch)
+			if fresh != reused {
+				t.Fatalf("%s trial %d: scratch-reuse run diverged from fresh run\nfresh:\n%s\nreused:\n%s",
+					eng.name, i, fresh, reused)
 			}
 		}
 	}
@@ -264,11 +257,18 @@ func TestRunSyncSteadyStateAllocs(t *testing.T) {
 }
 
 // TestRunAsyncSteadyStateAllocs pins the asynchronous engine's steady state
-// under the trial-loop configuration (warm scratch + timeline recycling).
+// under the trial-loop configuration (a warm scratch). A run consumes its
+// nodes, so each run takes a node set built before the measurement.
 func TestRunAsyncSteadyStateAllocs(t *testing.T) {
 	nw := scratchTestNetwork(t, 12, 0.45, 6)
-	nodes := benchAsyncNodesT(t, nw, 4, rng.New(10))
+	root := rng.New(10)
+	var sets [][]AsyncNode
+	for range 1 + 2*6 { // the warm-up, then AllocsPerRun's 1+5 runs twice
+		sets = append(sets, benchAsyncNodesT(t, nw, 4, root))
+	}
 	run := func(scratch *AsyncScratch) {
+		nodes := sets[0]
+		sets = sets[1:]
 		if _, err := RunAsync(AsyncConfig{
 			Network:   nw,
 			Nodes:     nodes,
@@ -280,18 +280,15 @@ func TestRunAsyncSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	scratch := NewAsyncScratch()
-	scratch.RecycleTimelines = true
 	run(scratch) // warm
 	steady := testing.AllocsPerRun(5, func() { run(scratch) })
 	fresh := testing.AllocsPerRun(5, func() { run(nil) })
 	t.Logf("RunAsync allocs/run: steady=%.0f fresh=%.0f", steady, fresh)
-	// Measured ~66 steady vs ~196 fresh: timelines, frame tables, resolver
-	// buffers, and delivery queues all reuse; what remains is the per-run
-	// result. (The fresh side shrank when InboundCandidates moved to the
-	// flat shared-span arena build, so the ratio here matches the sync
-	// twin's 2x rather than the original 3x.) The benchmark config (n=30,
-	// 800 frames), where timeline slots dominate, shows the full >5x
-	// bytes/op reduction.
+	// Measured ~16 steady vs ~223 fresh: timelines, rate memos, frame
+	// tables, resolver buffers and delivery queues all reuse; what remains
+	// is the per-run result and each fresh protocol's neighbor-table slab
+	// (12 nodes). The benchmark config (n=30, 800 frames), where timeline
+	// slots dominate, shows the full >5x bytes/op reduction.
 	if steady*2 > fresh {
 		t.Fatalf("steady-state RunAsync allocates %.0f/run, fresh %.0f/run; want at least 2x reduction", steady, fresh)
 	}

@@ -677,11 +677,7 @@ func runAsync(n *Network, cfg RunConfig, sc analytic.Scenario, scratch *harness.
 		Dynamics:  world,
 	}
 	if scratch != nil {
-		// The Report never reads result Timelines, so this path can also
-		// pool the timeline objects across a worker's trials.
-		asc := scratch.Async()
-		asc.RecycleTimelines = true
-		simCfg.Scratch = asc
+		simCfg.Scratch = scratch.Async()
 	}
 	var (
 		res *sim.AsyncResult
