@@ -47,7 +47,16 @@ func E5(opts Options) (*Table, error) {
 			units),
 		Columns: []string{"eq6 bound", "sync measured", "sync/bound", "lem5 bound", "async measured", "async/bound"},
 	}
+	// Prepare every row's instrumented runs first, row by row and sync
+	// before async (fixing the random streams), then execute them all in
+	// one batch through the harness, so each worker's scratch carries over
+	// from row to row; the runs only touch their own pre-split sources.
 	root := rng.New(opts.Seed)
+	var (
+		jobs   []func(*harness.Scratch) (float64, error)
+		labels []string
+		bounds [][2]float64 // per row: Eq. (6) and Lemma 5 bounds
+	)
 	for _, cf := range configs {
 		nw, err := topology.Star(cf.delta + 1)
 		if err != nil {
@@ -65,10 +74,6 @@ func E5(opts Options) (*Table, error) {
 		if err := sc.Validate(); err != nil {
 			return nil, fmt.Errorf("E5: %w", err)
 		}
-
-		// Prepare both instrumented runs sequentially (fixing the random
-		// streams), then execute them in parallel through the harness; the
-		// runs only touch their own pre-split sources.
 		syncJob, err := e5SyncJob(nw, deltaEst, units, root)
 		if err != nil {
 			return nil, fmt.Errorf("E5 sync: %w", err)
@@ -77,23 +82,26 @@ func E5(opts Options) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E5 async: %w", err)
 		}
-		jobs := []func(*harness.Scratch) (float64, error){syncJob, asyncJob}
-		freqs := make([]float64, len(jobs))
-		if err := harness.RunScratch(len(jobs), func(i int, sc *harness.Scratch) error {
-			f, err := jobs[i](sc)
-			if err != nil {
-				return err
-			}
-			freqs[i] = f
-			return nil
-		}); err != nil {
-			return nil, fmt.Errorf("E5: %w", err)
+		jobs = append(jobs, syncJob, asyncJob)
+		labels = append(labels, fmt.Sprintf("S=%d Δ=%d", cf.s, cf.delta))
+		bounds = append(bounds, [2]float64{sc.Eq6CoverageBound(), sc.Lemma5CoverageBound()})
+	}
+	freqs := make([]float64, len(jobs))
+	if err := harness.RunScratch(len(jobs), func(i int, sc *harness.Scratch) error {
+		f, err := jobs[i](sc)
+		if err != nil {
+			return err
 		}
-		syncFreq, asyncFreq := freqs[0], freqs[1]
-		eq6 := sc.Eq6CoverageBound()
-		lem5 := sc.Lemma5CoverageBound()
+		freqs[i] = f
+		return nil
+	}); err != nil {
+		return nil, fmt.Errorf("E5: %w", err)
+	}
+	for i, label := range labels {
+		syncFreq, asyncFreq := freqs[2*i], freqs[2*i+1]
+		eq6, lem5 := bounds[i][0], bounds[i][1]
 		table.Rows = append(table.Rows, Row{
-			Label: fmt.Sprintf("S=%d Δ=%d", cf.s, cf.delta),
+			Label: label,
 			Values: []float64{
 				eq6, syncFreq, syncFreq / eq6,
 				lem5, asyncFreq, asyncFreq / lem5,

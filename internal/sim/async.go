@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 
-	"m2hew/internal/channel"
 	"m2hew/internal/clock"
 	"m2hew/internal/dynamics"
 	"m2hew/internal/metrics"
@@ -208,12 +207,10 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 	// bucket table; before a listening frame resolves, every candidate
 	// transmitter is generated out to the frame's end, which is exactly
 	// the coverage collectSlots needs.
-	cands, msgAvail, target := sc.networkTables(nw)
+	env := sc.envFor(nw, cfg.Dynamics, timelines, slotsPerFrame, cfg.Loss)
 	for u := range cfg.Nodes {
-		reserveNeighbors(cfg.Nodes[u].Protocol, cands[u])
+		reserveNeighbors(cfg.Nodes[u].Protocol, env.cands[u])
 	}
-	env := sc.envFor(nw, timelines, slotsPerFrame, cfg.Loss)
-	env.world = cfg.Dynamics
 	mask := observerMask(cfg.Observer)
 	wantStart, wantResolve := mask.Has(EventFrameStart), mask.Has(EventFrameResolve)
 	var deliverObs Observer
@@ -230,7 +227,7 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 	if cfg.Dynamics == nil && (cfg.Loss == nil || cfg.Loss.Prob <= 0) && !wantStart && !wantResolve && deliverObs == nil {
 		window = firstAsyncWindow
 	}
-	coverage := runCoverage(target, cfg.Dynamics) // a dynamic target grows after the one window
+	coverage := runCoverage(sc.target, cfg.Dynamics) // a dynamic target grows after the one window
 	pending := sc.deliveryBuf()
 	ahead := sc.aheadMarks(n)
 	maxEnd := 0.0
@@ -301,7 +298,7 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 			}
 		}
 		slices.SortFunc(pending, cmpDelivery)
-		applied := sc.applyDeliveries(pending, safe, cfg.Nodes, msgAvail, coverage, deliverObs)
+		applied := sc.applyDeliveries(pending, safe, cfg.Nodes, coverage, deliverObs)
 		pending = pending[:copy(pending, pending[applied:])]
 		if coverage.Complete() {
 			break
@@ -342,32 +339,41 @@ func cmpDelivery(a, b delivery) int {
 // its completion needs, in O(log MaxFrames) windows.
 const firstAsyncWindow = 64
 
-// applyDeliveries applies the leading deliveries of ds (sorted by
-// cmpDelivery) whose time is at most safe: the receiver's protocol gets the
-// message, coverage observes the link and obs, if non-nil, gets an
-// EventDeliver. It returns how many it applied.
+// applyDeliveries applies, through deliver, the leading deliveries of ds
+// (sorted by cmpDelivery) whose time is at most safe, and returns how many
+// it applied.
 //
 //nd:hotpath
-func (sc *AsyncScratch) applyDeliveries(ds []delivery, safe float64, nodes []AsyncNode, msgAvail []channel.Set, coverage *metrics.Coverage, obs Observer) int {
+func (sc *AsyncScratch) applyDeliveries(ds []delivery, safe float64, nodes []AsyncNode, coverage *metrics.Coverage, obs Observer) int {
 	for i, d := range ds {
 		if d.at > safe {
 			return i
 		}
-		msg := radio.Message{From: d.from, Avail: msgAvail[d.from]}
-		if hr, ok := nodes[d.from].Protocol.(HeardReporter); ok {
-			sc.heard = hr.AppendHeard(sc.heard[:0])
-			msg.Heard = borrowHeard(sc.heard)
-		}
-		nodes[d.to].Protocol.Deliver(msg)
-		coverage.Observe(topology.Link{From: d.from, To: d.to}, d.at)
-		if obs != nil {
-			obs.OnEvent(Event{
-				Kind: EventDeliver, Time: d.at,
-				From: d.from, To: d.to, Channel: d.ch,
-			})
-		}
+		sc.deliver(d, nodes, coverage, obs)
 	}
 	return len(ds)
+}
+
+// deliver is both asynchronous engines' one delivery tail: the receiver's
+// protocol gets the sender's message — its shared availability set and,
+// from a HeardReporter, a heard-list snapshot — coverage observes the
+// link, and obs, if non-nil, gets an EventDeliver.
+//
+//nd:hotpath
+func (sc *AsyncScratch) deliver(d delivery, nodes []AsyncNode, coverage *metrics.Coverage, obs Observer) {
+	msg := radio.Message{From: d.from, Avail: sc.msgAvail[d.from]}
+	if hr, ok := nodes[d.from].Protocol.(HeardReporter); ok {
+		sc.heard = hr.AppendHeard(sc.heard[:0])
+		msg.Heard = borrowHeard(sc.heard)
+	}
+	nodes[d.to].Protocol.Deliver(msg)
+	coverage.Observe(topology.Link{From: d.from, To: d.to}, d.at)
+	if obs != nil {
+		obs.OnEvent(Event{
+			Kind: EventDeliver, Time: d.at,
+			From: d.from, To: d.to, Channel: d.ch,
+		})
+	}
 }
 
 // lookAhead generates every sender in row out to end, or to its budget of
@@ -453,27 +459,4 @@ func enterEpoch(obs Observer, mask EventMask, ep *dynamics.Epoch, at float64, sl
 			coverage.AddTarget(topology.Link{From: c.From, To: topology.NodeID(u)}, at)
 		}
 	}
-}
-
-// sharedMsgAvail copies each node's available set once per network; every
-// message from the same sender shares the copy (see radio.Message for the
-// read-only contract). One copy per node replaces one clone per delivery,
-// and the copies share one word arena, so the table costs two allocations
-// at any n.
-func sharedMsgAvail(nw *topology.Network) []channel.Set {
-	out := make([]channel.Set, nw.N())
-	words := 0
-	for u := range out {
-		words += len(nw.Avail(topology.NodeID(u)).Words())
-	}
-	arena := make([]uint64, words)
-	words = 0
-	for u := range out {
-		avail := nw.Avail(topology.NodeID(u))
-		if w := len(avail.Words()); w > 0 {
-			out[u] = avail.CopyInto(channel.ArenaSet(arena[words : words+w : words+w]))
-			words += w
-		}
-	}
-	return out
 }

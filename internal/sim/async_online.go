@@ -49,12 +49,10 @@ func RunAsyncOnline(cfg AsyncConfig) (*AsyncResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	cands, msgAvail, target := sc.networkTables(nw)
+	env := sc.envFor(nw, cfg.Dynamics, timelines, slotsPerFrame, cfg.Loss)
 	for u := range cfg.Nodes {
-		reserveNeighbors(cfg.Nodes[u].Protocol, cands[u])
+		reserveNeighbors(cfg.Nodes[u].Protocol, env.cands[u])
 	}
-	env := sc.envFor(nw, timelines, slotsPerFrame, cfg.Loss)
-	env.world = cfg.Dynamics
 	env.reserveFrames(cfg.Nodes, cfg.MaxFrames)
 
 	// generate appends node u's next frame (env.generate). Returns false
@@ -92,7 +90,7 @@ func RunAsyncOnline(cfg AsyncConfig) (*AsyncResult, error) {
 	// the epoch of its listening frame's start, which the advance below
 	// reaches before that frame resolves.
 	world := cfg.Dynamics
-	coverage := runCoverage(target, world)
+	coverage := runCoverage(sc.target, world)
 	mask := observerMask(cfg.Observer)
 	announceEpoch := func(e int) {
 		enterEpoch(cfg.Observer, mask, world.At(e), float64(e)*world.EpochLen(), 0, coverage)
@@ -151,20 +149,8 @@ func RunAsyncOnline(cfg AsyncConfig) (*AsyncResult, error) {
 		}
 		delivered := 0
 		for _, d := range env.resolveFrame(uid, g, mask) {
-			msg := radio.Message{From: d.from, Avail: msgAvail[d.from]}
-			if hr, ok := cfg.Nodes[d.from].Protocol.(HeardReporter); ok {
-				sc.heard = hr.AppendHeard(sc.heard[:0])
-				msg.Heard = borrowHeard(sc.heard)
-			}
-			cfg.Nodes[d.to].Protocol.Deliver(msg)
-			coverage.Observe(topology.Link{From: d.from, To: d.to}, d.at)
+			sc.deliver(d, cfg.Nodes, coverage, cfg.Observer)
 			delivered++
-			if cfg.Observer != nil {
-				cfg.Observer.OnEvent(Event{
-					Kind: EventDeliver, Time: d.at,
-					From: d.from, To: d.to, Channel: d.ch,
-				})
-			}
 		}
 		if cfg.Observer != nil && g.action.Mode == radio.Receive {
 			cfg.Observer.OnEvent(Event{

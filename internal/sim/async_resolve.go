@@ -44,7 +44,7 @@ type idxSlot struct {
 type asyncEnv struct {
 	nw            *topology.Network
 	cands         [][]topology.Candidate // per listener: decodable transmitters
-	masks         *candMasks             // cands compiled (static runs)
+	masks         *candMasks             // cands compiled (static runs; nil on dynamic ones)
 	world         *dynamics.World        // nil for static runs
 	frames        [][]asyncFrame         // per node, in start order; appended as generated
 	timelines     []*clock.Timeline
@@ -93,118 +93,6 @@ type asyncEnv struct {
 	// recent resolveFrame call collected (0 for non-listening frames) —
 	// the engines' EventFrameResolve accounting.
 	lastCollected int
-}
-
-// maskWord is one word of a listener's candidate mask on one channel: bit
-// j is set iff NodeID 64·w+j is a candidate whose span holds the channel.
-type maskWord struct {
-	bits uint64
-	w    int32
-}
-
-// candMasks is a candidate table compiled for the asynchronous resolver:
-// for every (listener, channel) pair, the NodeID words occupied by the
-// listener's candidates whose span holds the channel, ascending, each with
-// those candidates' bits. A row holds at most one word per candidate, so
-// the table is linear in the candidate table whatever n is. Rows are
-// ascending by From (InboundCandidates and DeriveGeometricCandidates
-// guarantee it), so walking a mask's set bits word by word visits the
-// candidates in row order.
-type candMasks struct {
-	channels int
-	off      []int32 // per row u·channels+c: first entry; len rows+1
-	ents     []maskWord
-	fill     []int32 // compile scratch, one per channel
-}
-
-// compile packs cands into m for channels channels (channel IDs at or past
-// it are dropped, as no listener can tune to them), reusing m's storage.
-func (m *candMasks) compile(cands [][]topology.Candidate, channels int) {
-	m.channels = channels
-	m.off = resize(m.off, len(cands)*channels+1)
-	m.fill = resize(m.fill, channels)
-	off, fill := m.off, m.fill
-
-	// Pass 1: count each row's distinct words, parked at off[r+1] until
-	// the prefix sum. A row ascends by From, so a word repeats only back to
-	// back: fill[c] holds the last word counted on channel c.
-	off[0] = 0
-	for u, row := range cands {
-		base := u * channels
-		for c := range fill {
-			fill[c] = -1
-			off[base+c+1] = 0
-		}
-		for _, cand := range row {
-			w := int32(cand.From >> 6)
-			for i, sw := range cand.Span.Words() {
-				for sw != 0 {
-					c := i*64 + bits.TrailingZeros64(sw)
-					sw &= sw - 1
-					if c >= channels {
-						break
-					}
-					if fill[c] != w {
-						fill[c] = w
-						off[base+c+1]++
-					}
-				}
-			}
-		}
-	}
-	for r := 1; r < len(off); r++ {
-		off[r] += off[r-1]
-	}
-
-	// Pass 2: fill the rows; fill[c] is now the next free entry of the
-	// listener's channel-c row.
-	m.ents = resize(m.ents, int(off[len(off)-1]))
-	ents := m.ents
-	for u, row := range cands {
-		base := u * channels
-		copy(fill, off[base:base+channels])
-		for _, cand := range row {
-			w := int32(cand.From >> 6)
-			bit := uint64(1) << (uint(cand.From) & 63)
-			for i, sw := range cand.Span.Words() {
-				for sw != 0 {
-					c := i*64 + bits.TrailingZeros64(sw)
-					sw &= sw - 1
-					if c >= channels {
-						break
-					}
-					k := fill[c]
-					if k > off[base+c] && ents[k-1].w == w {
-						ents[k-1].bits |= bit
-						continue
-					}
-					ents[k] = maskWord{bits: bit, w: w}
-					fill[c]++
-				}
-			}
-		}
-	}
-}
-
-// row returns listener u's mask on channel c (empty past the table's
-// channels).
-//
-//nd:hotpath
-func (m *candMasks) row(u topology.NodeID, c channel.ID) []maskWord {
-	if int(c) >= m.channels {
-		return nil
-	}
-	r := int(u)*m.channels + int(c)
-	return m.ents[m.off[r]:m.off[r+1]]
-}
-
-// resize returns s re-sliced to length n, reallocating only when its
-// capacity falls short; contents are unspecified.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
 }
 
 // candsFor returns the candidate table row the resolver should use for

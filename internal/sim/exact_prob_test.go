@@ -119,9 +119,8 @@ func exactProbNetwork(t *testing.T, kind string, seed uint64, radius float64) *t
 // TestSyncDecodeCountsMatchExactProb runs Algorithm 3 for a fixed number
 // of slots (RunToMaxSlots) on geometric, dropped-direction, span-capped and
 // block-overlap networks, on every resolver path — the single tile
-// loss-free and lossy, the multi-tile path, and the scalar scan forced
-// through the mask-budget hook — and confirms each path from the run's
-// internals. Every link's decode count must pass a two-sided binomial test
+// loss-free and lossy, and the multi-tile path — and confirms each path
+// from the run's internals. Every link's decode count must pass a two-sided binomial test
 // against the exact per-slot probability at a Bonferroni-corrected
 // family-wise α, and no listener may decode a non-candidate.
 func TestSyncDecodeCountsMatchExactProb(t *testing.T) {
@@ -132,16 +131,14 @@ func TestSyncDecodeCountsMatchExactProb(t *testing.T) {
 		alpha    = 1e-3 // family-wise
 	)
 	paths := []struct {
-		name   string
-		loss   float64
-		tiled  bool
-		budget int
-		slots  func(Internals) int64
+		name  string
+		loss  float64
+		tiled bool
+		slots func(Internals) int64
 	}{
-		{"single-tile", 0, false, 0, func(in Internals) int64 { return in.KernelSlots }},
-		{"single-tile-lossy", 0.25, false, 0, func(in Internals) int64 { return in.KernelSlots }},
-		{"multi-tile", 0, true, 0, func(in Internals) int64 { return in.TiledSlots }},
-		{"scalar", 0, false, 1, func(in Internals) int64 { return in.ScalarSlots }},
+		{"single-tile", 0, false, func(in Internals) int64 { return in.KernelSlots }},
+		{"single-tile-lossy", 0.25, false, func(in Internals) int64 { return in.KernelSlots }},
+		{"multi-tile", 0, true, func(in Internals) int64 { return in.TiledSlots }},
 	}
 	type check struct {
 		label string
@@ -167,11 +164,9 @@ func TestSyncDecodeCountsMatchExactProb(t *testing.T) {
 				protos[u] = counters[u]
 			}
 			rec := &InternalsRecorder{}
-			scratch := NewSyncScratch()
-			scratch.maskBudget = path.budget
 			cfg := SyncConfig{
 				Network: nw, Protocols: protos, MaxSlots: slots, RunToMaxSlots: true,
-				Observer: rec, Scratch: scratch,
+				Observer: rec,
 			}
 			if path.loss > 0 {
 				var err error

@@ -27,20 +27,17 @@ package sim
 type Internals struct {
 	// SlotsSimulated mirrors SyncResult.SlotsSimulated.
 	SlotsSimulated int64
-	// TiledSlots, KernelSlots and ScalarSlots attribute the run's slots to
-	// the resolver path that executed them; their sum always equals
-	// SlotsSimulated. TiledSlots counts multi-tile slots, KernelSlots the
-	// single tile's word-kernel slots and ScalarSlots its scalar-scan
-	// slots. The tiling is fixed for a whole run, so one counter carries
-	// every slot — except that the single tile's over-budget mask tables
-	// (a static run's, or a dynamic run's epochs) move their slots from
-	// the kernel to ScalarSlots.
+	// TiledSlots and KernelSlots attribute the run's slots to the resolver
+	// path that executed them: TiledSlots counts multi-tile slots and
+	// KernelSlots the single tile's. The tiling is fixed for a whole run,
+	// so one of the two carries every slot.
 	TiledSlots  int64
 	KernelSlots int64
-	ScalarSlots int64
-	// BatchedSlots is always zero: the channel-major batched resolver it
-	// counted is gone and its slots run on the kernel. The field stays
-	// until the repository benchmark stops reading it.
+	// ScalarSlots and BatchedSlots are always zero: the scalar candidate
+	// scan and the channel-major batched resolver they counted are gone,
+	// and their slots run on the single tile's kernel. The fields stay
+	// until the repository benchmark stops reading them.
+	ScalarSlots  int64
 	BatchedSlots int64
 	// HaloExchanges counts multi-tile halo segment copies from a NEIGHBOR
 	// tile (a tile reading its own transmitter mask does not count);
@@ -49,11 +46,6 @@ type Internals struct {
 	// active nodes) rather than per slot.
 	HaloExchanges   int64
 	HaloWordsCopied int64
-	// MaskBudgetOverruns counts packed candidate-mask tables that exceeded
-	// their word budget, forcing the scalar path on slots the kernel could
-	// otherwise have served: 1 for an over-budget static run, and one per
-	// over-budget epoch table of a dynamic run.
-	MaskBudgetOverruns int64
 	// StepperBatches counts the slots' decision rounds (one per slot);
 	// StepperBatchNodes sums their sizes (protocol Step calls), so the
 	// mean round size is StepperBatchNodes/StepperBatches. MaxStepperBatch
@@ -77,7 +69,6 @@ func (in *Internals) Merge(o Internals) {
 	in.HaloWordsCopied += o.HaloWordsCopied
 	in.KernelSlots += o.KernelSlots
 	in.ScalarSlots += o.ScalarSlots
-	in.MaskBudgetOverruns += o.MaskBudgetOverruns
 	in.StepperBatches += o.StepperBatches
 	in.StepperBatchNodes += o.StepperBatchNodes
 	if o.MaxStepperBatch > in.MaxStepperBatch {

@@ -87,12 +87,12 @@ func TestInternalsPathAttributionSumsToSlots(t *testing.T) {
 			if in.SlotsSimulated != int64(res.SlotsSimulated) {
 				t.Errorf("SlotsSimulated = %d, result says %d", in.SlotsSimulated, res.SlotsSimulated)
 			}
-			if in.BatchedSlots != 0 {
-				t.Errorf("BatchedSlots = %d; the batched path is gone", in.BatchedSlots)
+			if in.BatchedSlots != 0 || in.ScalarSlots != 0 {
+				t.Errorf("BatchedSlots = %d, ScalarSlots = %d; both paths are gone", in.BatchedSlots, in.ScalarSlots)
 			}
-			if sum := in.TiledSlots + in.KernelSlots + in.ScalarSlots; sum != in.SlotsSimulated {
-				t.Errorf("path attribution sum = %d, want %d (tiled %d, kernel %d, scalar %d)",
-					sum, in.SlotsSimulated, in.TiledSlots, in.KernelSlots, in.ScalarSlots)
+			if sum := in.TiledSlots + in.KernelSlots; sum != in.SlotsSimulated {
+				t.Errorf("path attribution sum = %d, want %d (tiled %d, kernel %d)",
+					sum, in.SlotsSimulated, in.TiledSlots, in.KernelSlots)
 			}
 			if got := tc.want(in); got != in.SlotsSimulated {
 				t.Errorf("expected path carries %d of %d slots: %+v", got, in.SlotsSimulated, in)
@@ -148,25 +148,20 @@ func TestInternalsScratchTableReuse(t *testing.T) {
 	}
 }
 
-// TestInternalsMaskBudgetOverrun pins what finalizeInternals derives from
-// the run's tallies: the slots the scalar fallback did not take land on the
-// kernel, and the scratch-table flag is reported.
-// Overrun counting itself (one per over-budget table, the scalar slots of
-// over-budget epochs) is pinned end to end in sync_dynamic_test.go by
-// TestSyncStaticMaskOverrun and TestSyncDynamicMixedBudget.
-func TestInternalsMaskBudgetOverrun(t *testing.T) {
-	kernel := &syncRun{}
-	kernel.internals.ScalarSlots = 40
-	if in := kernel.finalizeInternals(100, false); in.ScalarSlots != 40 || in.KernelSlots != 60 || in.BatchedSlots != 0 || in.ScratchTableMisses != 1 {
-		t.Errorf("kernel run with 40 scalar slots: %+v, want 40 scalar, 60 kernel slots, table miss", in)
-	}
-	overBudget := &syncRun{}
-	overBudget.internals.ScalarSlots = 100
-	if in := overBudget.finalizeInternals(100, true); in.ScalarSlots != 100 || in.KernelSlots != 0 || in.ScratchTableHits != 1 {
-		t.Errorf("run with every epoch over budget: %+v, want 100 scalar slots, table hit", in)
-	}
-	if in := (&syncRun{}).finalizeInternals(100, true); in.KernelSlots != 100 || in.ScalarSlots != 0 || in.ScratchTableHits != 1 {
-		t.Errorf("kernel run: %+v, want 100 kernel slots, table hit", in)
+// TestInternalsFinalizeAttribution pins what finalizeInternals derives
+// from a single-tile run: every slot lands on the kernel, the retired
+// scalar and batched counters stay zero, and the scratch-table flag is
+// reported. Multi-tile attribution is pinned end to end by
+// TestSyncTiledInternals.
+func TestInternalsFinalizeAttribution(t *testing.T) {
+	for _, hit := range []bool{false, true} {
+		in := (&syncRun{}).finalizeInternals(100, hit)
+		if in.SlotsSimulated != 100 || in.KernelSlots != 100 || in.TiledSlots != 0 || in.ScalarSlots != 0 || in.BatchedSlots != 0 {
+			t.Errorf("single-tile run: %+v, want all 100 slots on the kernel", in)
+		}
+		if hits, misses := in.ScratchTableHits, in.ScratchTableMisses; hit && (hits != 1 || misses != 0) || !hit && (hits != 0 || misses != 1) {
+			t.Errorf("table hit %v reported as %d hits, %d misses", hit, hits, misses)
+		}
 	}
 }
 

@@ -162,7 +162,7 @@ func scriptTables(t *testing.T, sc *AsyncScratch, nw *topology.Network, script [
 		}
 		timelines[u] = tl
 	}
-	env := sc.envFor(nw, timelines, slotsPerFrame, loss)
+	env := sc.envFor(nw, nil, timelines, slotsPerFrame, loss)
 	for u := 0; u < n; u++ {
 		for _, a := range script[u] {
 			env.appendFrame(u, a)
@@ -551,7 +551,7 @@ func TestTxBucketsCoverOverlaps(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		env := NewAsyncScratch().envFor(nw, timelines, slotsPerFrame, nil)
+		env := NewAsyncScratch().envFor(nw, nil, timelines, slotsPerFrame, nil)
 		for u := 0; u < n; u++ {
 			avail := nw.Avail(topology.NodeID(u))
 			for f := 0; f < 30; f++ {
@@ -647,7 +647,7 @@ func TestFrameIndexMatchesScan(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		env := sc.envFor(nw, timelines, slotsPerFrame, nil)
+		env := sc.envFor(nw, nil, timelines, slotsPerFrame, nil)
 		frames := 1 + r.IntN(60)
 		for u := 0; u < n; u++ {
 			for f := 0; f < frames; f++ {

@@ -7,6 +7,7 @@ import (
 
 	"m2hew/internal/channel"
 	"m2hew/internal/clock"
+	"m2hew/internal/dynamics"
 	"m2hew/internal/metrics"
 	"m2hew/internal/radio"
 	"m2hew/internal/topology"
@@ -21,31 +22,19 @@ import (
 // before it is read (actions, candidate tables) or re-zeroed on acquisition
 // (the tiles' transmitter masks and counts), and no scratch state feeds an rng
 // draw. The derived network tables (inbound candidates, shared message
-// availability sets) are cached keyed by network pointer; a caller that
-// mutates a network in place between runs must call Reset (or use a fresh
-// scratch) so the tables are rebuilt.
+// availability sets, candidate masks) are cached keyed by network pointer; a
+// caller that mutates a network in place between runs must call Reset (or
+// use a fresh scratch) so the tables are rebuilt.
 type SyncScratch struct {
-	nwKey    *topology.Network
-	cands    [][]topology.Candidate
-	msgAvail []channel.Set
-	masks    *topology.CandidateMasks
-	// epochMasks is the dynamic runs' candidate-mask table, repacked in
-	// place from each changed epoch snapshot (see epochMasksFor); it never
-	// aliases masks, the static network's cached table.
-	epochMasks *topology.CandidateMasks
-	// maskBudget, when positive, replaces syncMaskWordBudget for this
-	// scratch's single-tile mask tables — the hook tests shrink to force
-	// the scalar fallback on small networks. Set it before the scratch's
-	// first run: the static table is cached per network.
-	maskBudget int
-	// target is the coverage target index (CSR over the discoverable
-	// links), shared read-only by every run's Coverage on this network. A
-	// network switch allocates a new index and never rewrites the old one,
-	// so a Coverage returned earlier stays valid.
-	target *metrics.TargetIndex
+	netTables
+	// epochMasks is the dynamic runs' candidate masks, recompiled in place
+	// from each changed epoch snapshot; it never aliases the network's
+	// cached masks.
+	epochMasks candMasks
 
-	// singleTile is the tile scratch of the cached network's single tile
-	// (see sync_tiled.go), built at the first run that needs it.
+	// singleTile is the single tile's scratch (see sync_tiled.go), built at
+	// the first run that needs it and rebuilt only when a run's node or
+	// channel count outgrows it.
 	singleTile []tileState
 
 	// Multi-tile state, cached keyed by (network, tiling) pair: the
@@ -68,12 +57,6 @@ type SyncScratch struct {
 	hrs    []HeardReporter
 }
 
-// syncMaskWordBudget caps the single tile's packed candidate-mask table at
-// 8 MB; larger networks — and dynamic epochs whose table would pass it —
-// stay on the scalar resolver (multi-tile halo-local masks are the path to
-// large n, not a giant NodeID-space table).
-const syncMaskWordBudget = 1 << 20
-
 // NewSyncScratch returns an empty scratch ready for use.
 func NewSyncScratch() *SyncScratch {
 	return &SyncScratch{}
@@ -81,103 +64,55 @@ func NewSyncScratch() *SyncScratch {
 
 // Reset invalidates the network-derived caches. Buffer capacity is kept.
 func (sc *SyncScratch) Reset() {
-	sc.nwKey = nil
-	sc.cands = nil
-	sc.msgAvail = nil
-	sc.masks = nil
-	sc.target = nil
-	sc.singleTile = nil
+	sc.reset()
 	sc.tileNW = nil
 	sc.tileTL = nil
 	sc.tileMasks = nil
 	sc.tiles = nil
 }
 
-// networkTables returns the network-derived tables — the inbound-candidate
-// table, the shared message availability sets, the single tile's
-// channel-major candidate masks (nil when over the word budget; the run
-// falls back to the scalar resolver) and the discoverable-link coverage target index, copied
-// from the candidate table — rebuilding them only when the network changed
-// since the last run. A cold build makes a constant number of allocations
-// at any network size. hit reports
-// whether the cached tables were reused (the engine-internals scratch
-// hit/miss counter).
-func (sc *SyncScratch) networkTables(nw *topology.Network) (_ [][]topology.Candidate, _ []channel.Set, _ *topology.CandidateMasks, _ *metrics.TargetIndex, hit bool) {
-	hit = sc.nwKey == nw
-	if !hit {
-		sc.nwKey = nw
-		sc.cands = nw.InboundCandidates()
-		sc.msgAvail = sharedMsgAvail(nw)
-		channels := 0
-		if id, ok := nw.Universe().Max(); ok {
-			channels = int(id) + 1
-		}
-		sc.masks = topology.NewCandidateMasks(sc.cands, channels, sc.maskWords())
-		sc.target = metrics.NewTargetIndexFromCandidates(sc.cands)
-		sc.singleTile = nil
-	}
-	return sc.cands, sc.msgAvail, sc.masks, sc.target, hit
-}
-
-// maskWords returns the single tile's candidate-mask word budget.
-func (sc *SyncScratch) maskWords() int {
-	if sc.maskBudget > 0 {
-		return sc.maskBudget
-	}
-	return syncMaskWordBudget
-}
-
-// epochMasksFor repacks a dynamic run's epoch candidate table into the
-// scratch-owned epoch mask table, reusing its storage across epochs and
-// runs, and returns it — or nil when the table is over budget, sending the
-// epoch's slots to the scalar resolver.
-func (sc *SyncScratch) epochMasksFor(cands [][]topology.Candidate, channels int) *topology.CandidateMasks {
-	if sc.epochMasks == nil {
-		sc.epochMasks = new(topology.CandidateMasks)
-	}
-	if !sc.epochMasks.Rebuild(cands, channels, sc.maskWords()) {
-		return nil
-	}
-	return sc.epochMasks
-}
-
-// syncTileMaskWordBudget returns the multi-tile packed-mask budget: the
-// single tile's budget, scaled linearly past it — a listener's halo-local
-// row spans at most its 3×3 halo (a constant for radius-matched tilings),
-// so the packed table is O(n) by construction and a linear budget admits
-// every well-tiled network while still refusing a pathological blowup.
+// syncTileMaskWordBudget returns the multi-tile packed-mask budget: 128
+// words per node, and at least 8 MB — a listener's halo-local row spans
+// at most its 3×3 halo (a constant for radius-matched tilings), so the
+// packed table is O(n) by construction and a linear budget admits every
+// well-tiled network while still refusing a pathological blowup, which
+// then runs on the single tile.
 func syncTileMaskWordBudget(n int) int {
-	if scaled := 128 * n; scaled > syncMaskWordBudget {
-		return scaled
-	}
-	return syncMaskWordBudget
+	return max(128*n, 1<<20)
 }
 
-// singleTileState returns the tile scratch of the cached network's single
-// tile — a 1×1 tiling, whose local indexes are NodeIDs — building it at
-// first use per network and re-zeroing the per-run state either way.
-func (sc *SyncScratch) singleTileState(channels int) []tileState {
-	if sc.singleTile == nil {
-		tl, _ := topology.NewTiling(sc.nwKey, 1, 1) // cannot fail: the network is set and the grid positive
-		sc.singleTile = buildTileStates(tl, channels)
+// singleTileState returns the single tile's scratch — one tile holding
+// every node, whose local indexes and mask bits are NodeIDs — sized for n
+// nodes and channels channels, and re-zeroes its per-run state.
+func (sc *SyncScratch) singleTileState(n, channels int) []tileState {
+	words := (n + 63) / 64
+	if len(sc.singleTile) == 0 || sc.singleTile[0].words != words || len(sc.singleTile[0].txOn) != channels || cap(sc.singleTile[0].rxL) < n {
+		sc.singleTile = []tileState{{
+			words:     words,
+			localTx:   make([]uint64, channels*words),
+			txOn:      make([]int32, channels),
+			txTouched: make([]channel.ID, 0, 8),
+			rxL:       make([]int32, 0, n),
+			rxC:       make([]channel.ID, 0, n),
+		}}
 	}
 	resetTileStates(sc.singleTile)
 	return sc.singleTile
 }
 
 // tileState returns the multi-tile halo-local candidate masks and
-// per-tile scratch for the (network, tiling) pair, rebuilding on a key
+// per-tile scratch for the loaded network and tiling tl, rebuilding on a key
 // change and re-zeroing the per-run state either way. A nil mask table
 // (halo violation — the tiling is finer than the network's reach — or
 // budget overrun, or no channels) disables the multi-tile path for the
 // run; the caller falls back to the single tile.
-func (sc *SyncScratch) tileState(nw *topology.Network, tl *topology.Tiling, cands [][]topology.Candidate, channels int) (*topology.CandidateMasks, []tileState) {
-	if sc.tileNW != nw || sc.tileTL != tl {
-		sc.tileNW, sc.tileTL = nw, tl
-		sc.tileMasks = topology.NewTileMasks(tl, cands, channels, syncTileMaskWordBudget(tl.N()))
+func (sc *SyncScratch) tileState(tl *topology.Tiling) (*topology.CandidateMasks, []tileState) {
+	if sc.tileNW != sc.nwKey || sc.tileTL != tl {
+		sc.tileNW, sc.tileTL = sc.nwKey, tl
+		sc.tileMasks = topology.NewTileMasks(tl, sc.cands, sc.channels, syncTileMaskWordBudget(tl.N()))
 		sc.tiles = nil
 		if sc.tileMasks != nil {
-			sc.tiles = buildTileStates(tl, channels)
+			sc.tiles = buildTileStates(tl, sc.channels)
 		}
 	}
 	if sc.tileMasks == nil {
@@ -260,12 +195,7 @@ func (sc *SyncScratch) localSlotBuf(n int) []int {
 // cached keyed by network pointer; a caller that mutates a network in place
 // between runs must call Reset (or use a fresh scratch).
 type AsyncScratch struct {
-	nwKey    *topology.Network
-	cands    [][]topology.Candidate
-	masks    candMasks // cands compiled for the resolver
-	msgAvail []channel.Set
-	target   *metrics.TargetIndex // shared read-only, as in SyncScratch
-	channels int                  // max channel ID of the network, plus one
+	netTables
 
 	timelines  []*clock.Timeline
 	rateBufs   [][]float64
@@ -293,26 +223,7 @@ func NewAsyncScratch() *AsyncScratch {
 
 // Reset invalidates the network-derived caches. Buffer capacity is kept.
 func (sc *AsyncScratch) Reset() {
-	sc.nwKey = nil
-	sc.cands = nil
-	sc.msgAvail = nil
-	sc.target = nil
-}
-
-// networkTables mirrors SyncScratch.networkTables.
-func (sc *AsyncScratch) networkTables(nw *topology.Network) ([][]topology.Candidate, []channel.Set, *metrics.TargetIndex) {
-	if sc.nwKey != nw {
-		sc.nwKey = nw
-		sc.cands = nw.InboundCandidates()
-		sc.msgAvail = sharedMsgAvail(nw)
-		sc.target = metrics.NewTargetIndexFromCandidates(sc.cands)
-		sc.channels = 0
-		if id, ok := nw.Universe().Max(); ok {
-			sc.channels = int(id) + 1
-		}
-		sc.masks.compile(sc.cands, sc.channels)
-	}
-	return sc.cands, sc.msgAvail, sc.target
+	sc.reset()
 }
 
 // clocks sets up a run's per-node clocks: it resets the scratch's pooled
@@ -375,21 +286,27 @@ func (sc *AsyncScratch) frameTables(n int) ([][]asyncFrame, [][]int32, []int32) 
 	return sc.frames, sc.byBucket, sc.bbBase[:n]
 }
 
-// envFor primes the embedded resolver env for a run on nw whose clocks are
-// timelines (one per node, already built: the transmit buckets start at the
-// earliest node start and last one nominal frame). The frame tables, frame
-// index and bucket table start empty; frames enter them only through
-// appendFrame. The network's compiled candidate masks come from the
-// network cache; no epoch's masks are compiled yet. The env's internal
+// envFor primes the embedded resolver env for a run on nw, in world (nil
+// for a static run), whose clocks are timelines (one per node, already
+// built: the transmit buckets start at the earliest node start and last one
+// nominal frame). The frame tables, frame index and bucket table start
+// empty; frames enter them only through appendFrame. A static run's
+// compiled candidate masks come from the network cache; a dynamic run
+// compiles each epoch's as it first needs them (epochMasks). The env's internal
 // buffers (txBuf, sweepBuf, flagBuf, outBuf, seenBuf) persist across runs
 // by design: resolveFrame already reuses them frame-to-frame and
 // overwrites before reading.
-func (sc *AsyncScratch) envFor(nw *topology.Network, timelines []*clock.Timeline, slotsPerFrame int, loss *LossModel) *asyncEnv {
+func (sc *AsyncScratch) envFor(nw *topology.Network, world *dynamics.World, timelines []*clock.Timeline, slotsPerFrame int, loss *LossModel) *asyncEnv {
 	n := nw.N()
 	env := &sc.env
 	env.nw = nw
-	env.cands, _, _ = sc.networkTables(nw)
-	env.masks = &sc.masks
+	sc.load(nw)
+	env.cands = sc.cands
+	env.world = world
+	env.masks = nil
+	if world == nil {
+		env.masks = sc.candRows()
+	}
 	env.frames, env.byBucket, env.bbBase = sc.frameTables(n)
 	env.timelines = timelines
 	env.slotsPerFrame = slotsPerFrame
@@ -404,7 +321,6 @@ func (sc *AsyncScratch) envFor(nw *topology.Network, timelines []*clock.Timeline
 	env.channels = sc.channels
 	env.words = (n + 63) / 64
 	env.txBuckets = env.txBuckets[:0]
-	env.world = nil // engines running on a dynamic world set it after
 	env.epochIdx, env.epochUsed = env.epochIdx[:0], 0
 	env.lastCollected = 0
 	return env

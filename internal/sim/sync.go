@@ -34,9 +34,10 @@
 // four rounds on a worker pool: the rounds that call protocols (decide,
 // deliver) sweep contiguous NodeID chunks, in the memory order of the
 // per-node state, and the mask rounds (scatter, resolve) run per spatial
-// tile. Every other run uses a single tile holding every node, resolved
-// inline in ascending NodeID order, which keeps the per-listener event
-// and loss-draw order.
+// tile, on candidate rows in each tile's halo bit space. Every other run
+// uses a single tile holding every node, resolved inline in ascending
+// NodeID order on the NodeID-space candidate rows the asynchronous engines
+// read too, which keeps the per-listener event and loss-draw order.
 //
 // Both engines stop once coverage is complete. RunSync checks after every
 // slot (unless RunToMaxSlots is set or a dynamic world may still grow the
@@ -123,9 +124,9 @@ type SyncConfig struct {
 	// engages only when its gate holds — static world, loss-free, no
 	// per-listener event subscription, and a halo-clean in-budget mask
 	// table; otherwise the run takes the single tile that every run
-	// without a Tiling takes, deterministically. Workers call different nodes' protocols
-	// concurrently, which is sound because each protocol touches only its
-	// own state and private rng stream.
+	// without a Tiling takes, deterministically. Workers call different
+	// nodes' protocols concurrently, which is sound because each protocol
+	// touches only its own state and private rng stream.
 	Tiling *topology.Tiling
 	// TileWorkers bounds the multi-tile path's parallelism (caller
 	// included), capped at the tile count. 0 picks GOMAXPROCS; 1 runs every
@@ -146,10 +147,8 @@ type SyncConfig struct {
 	// when links stop appearing; discovery latency comes from
 	// Coverage.Latencies. Mutually exclusive with StartSlots — churn
 	// schedules subsume staggered starts. Dynamic runs resolve on the
-	// single tile over a candidate-mask table repacked in place whenever
-	// the epoch's candidate table changes; an epoch whose table exceeds
-	// the mask budget resolves on the scalar path. Results are identical
-	// on every path.
+	// single tile over candidate masks recompiled in place whenever the
+	// epoch's candidate table changes.
 	Dynamics *dynamics.World
 }
 
@@ -232,24 +231,20 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 	//
 	//   - cands[u] lists the only transmitters listener u can ever decode
 	//     (adjacency, direction and link span resolved up front by the
-	//     topology layer), so the scalar resolver walks a flat slice — and
-	//     the tile pipeline reads the same table packed channel-major into
-	//     word masks (see syncRun for the per-run tiling contract);
+	//     topology layer); the tile pipeline reads it packed channel-major
+	//     into word masks (see syncRun for the per-run tiling contract);
 	//   - msgAvail[v] is the one immutable copy of A(v) shared by every
 	//     message from v; see radio.Message for the ownership contract.
 	sc := cfg.Scratch
 	if sc == nil {
 		sc = NewSyncScratch()
 	}
-	cands, msgAvail, masks, target, tablesHit := sc.networkTables(nw)
-	coverage := runCoverage(target, world) // a dynamic target grows at epoch boundaries below
+	tablesHit := sc.load(nw)
+	cands, channels := sc.cands, sc.channels
+	coverage := runCoverage(sc.target, world) // a dynamic target grows at epoch boundaries below
 	epochSlots := 0
 	if world != nil {
 		epochSlots, _ = world.EpochSlots() // error ruled out by validate
-	}
-	channels := 0
-	if id, ok := nw.Universe().Max(); ok {
-		channels = int(id) + 1
 	}
 	//ndlint:ignore hotalloc one result allocation per run, not per slot
 	result := &SyncResult{Coverage: coverage}
@@ -260,9 +255,7 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 	run.obs = cfg.Observer
 	run.loss = cfg.Loss
 	run.coverage = coverage
-	run.curCands = cands    //ndlint:ignore scratchalias syncRun is a run-scoped local; the field dies with the run, before the scratch is recycled
-	run.msgAvail = msgAvail // covered by the directive above (own line + next)
-	run.masks = masks       // a dynamic run swaps in each epoch's table below
+	run.msgAvail = sc.msgAvail
 	run.startSlots = cfg.StartSlots
 	run.actions = sc.actionBuf(n)
 	if channels <= 64 {
@@ -277,12 +270,6 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 				run.avail1[u] = w[0]
 			}
 		}
-	}
-	run.lossFree = cfg.Loss == nil || cfg.Loss.Prob <= 0
-	// A static run without a mask table resolves every slot on the scalar
-	// scan; a dynamic run packs each epoch's table below.
-	if world == nil && masks == nil {
-		run.internals.MaskBudgetOverruns = 1
 	}
 	// The observer's subscription (EventMasker; AllEvents when undeclared)
 	// gates each emission site, and an observer subscribed to no
@@ -307,8 +294,9 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 	// (nil on halo violation or budget overrun — the deterministic
 	// fallback to the single tile). Worker setup is per-run: the pool's
 	// goroutines live exactly as long as the run.
-	if cfg.Tiling != nil && world == nil && run.lossFree && !perListener {
-		if tm, tiles := sc.tileState(nw, cfg.Tiling, cands, channels); tm != nil {
+	lossFree := cfg.Loss == nil || cfg.Loss.Prob <= 0
+	if cfg.Tiling != nil && world == nil && lossFree && !perListener {
+		if tm, tiles := sc.tileState(cfg.Tiling); tm != nil {
 			workers := cfg.TileWorkers
 			if workers == 0 {
 				workers = runtime.GOMAXPROCS(0)
@@ -317,7 +305,7 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 			if t := cfg.Tiling.Tiles(); workers > t {
 				workers = t
 			}
-			run.tl, run.masks = cfg.Tiling, tm
+			run.tl, run.tileMasks = cfg.Tiling, tm
 			run.tiles = tiles //ndlint:ignore scratchalias syncRun is run-scoped; the field dies with the run, before the scratch is recycled
 			run.chunks, run.senders = sc.nodeChunks(n, chunkCount(n, workers))
 			for i := range run.chunks {
@@ -329,9 +317,15 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 		}
 	}
 	if run.pool == nil {
-		run.tiles = sc.singleTileState(channels)
+		run.tiles = sc.singleTileState(n, channels)
+		// A static run resolves on the network's candidate masks, compiled
+		// at their first use; a dynamic run compiles each epoch's below.
+		if world == nil {
+			run.masks = sc.candRows()
+		} else {
+			run.masks = &sc.epochMasks
+		}
 	}
-	run.storeActions = run.wantSlot || run.masks == nil
 	// run.hrs stays nil unless some protocol reports heard-lists, so plain
 	// runs skip the per-delivery probe.
 	for u, p := range cfg.Protocols {
@@ -344,8 +338,8 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 		reserveNeighbors(p, cands[u])
 	}
 
-	// Dynamic-run state: the current epoch snapshot (its candidate table
-	// replaces the static one in run.curCands and, packed, in run.masks)
+	// Dynamic-run state: the current epoch snapshot (its candidate table,
+	// compiled in run.masks, replaces the static one)
 	// and per-node local-slot counters — a node's decision index is its
 	// count of active slots, not the global slot, so a churned node's
 	// private rng stream pauses while it is out of the network.
@@ -359,18 +353,13 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 		// boundary and grow the coverage target (enterEpoch).
 		if world != nil {
 			if e := slot / epochSlots; cur == nil || (e != cur.Index && e < world.Horizon()) {
-				first := cur == nil
+				prev := cur
 				cur = world.At(e)
 				run.active = cur.Active
 				// Unchanged epochs share their predecessor's table, so the
-				// masks are repacked only when the table itself changed.
-				if first || !sameTable(cur.Cands, run.curCands) {
-					run.curCands = cur.Cands
-					run.masks = sc.epochMasksFor(cur.Cands, channels)
-					if run.masks == nil {
-						run.internals.MaskBudgetOverruns++
-					}
-					run.storeActions = run.wantSlot || run.masks == nil
+				// masks are recompiled only when the table itself changed.
+				if prev == nil || !sameTable(cur.Cands, prev.Cands) {
+					run.masks.compile(cur.Cands, channels)
 				}
 				enterEpoch(cfg.Observer, mask, cur, float64(slot), slot, coverage)
 			}
@@ -382,8 +371,8 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 		// transmits on the listener's channel over an operating link,
 		// consumed in ascending candidate order, stopping at the second
 		// surviving transmission (resolveSlotNaive in the differential
-		// tests re-states this order from first principles; every lossy
-		// phase B preserves it).
+		// tests re-states this order from first principles; the single
+		// tile's phase B preserves it).
 		if err := run.runSlot(slot); err != nil {
 			return nil, err
 		}
@@ -414,7 +403,7 @@ func (r *syncRun) startPool(workers int) {
 	r.pool = tilepool.New(workers)
 	r.fnDecide = func(ci int) { r.decideChunk(ci) }
 	r.fnScatter = func(ti int) { r.scatterTile(ti) }
-	r.fnResolve = func(ti int) { r.tileSlotB(ti) }
+	r.fnResolve = func(ti int) { r.resolveTile(ti) }
 	r.fnDeliver = func(ci int) { r.deliverChunk(ci) }
 }
 
@@ -429,13 +418,11 @@ func (r *syncRun) stopPool() {
 }
 
 // finalizeInternals completes the run's internals report. The tiling is
-// fixed per run, and only the single tile's scalar fallback is counted as
-// it happens: every other slot lands on TiledSlots on a multi-tile run and
+// fixed per run, so every slot lands on TiledSlots on a multi-tile run and
 // on KernelSlots on the single tile. tablesHit reports scratch
 // network-table reuse.
 func (r *syncRun) finalizeInternals(slots int64, tablesHit bool) Internals {
-	in := r.internals
-	in.SlotsSimulated = slots
+	in := Internals{SlotsSimulated: slots}
 	for i := range r.tiles {
 		ts := &r.tiles[i]
 		in.StepperBatches += ts.batches
@@ -447,7 +434,7 @@ func (r *syncRun) finalizeInternals(slots int64, tablesHit bool) Internals {
 	if r.pool != nil {
 		in.TiledSlots = slots
 	} else {
-		in.KernelSlots = slots - in.ScalarSlots
+		in.KernelSlots = slots
 	}
 	if tablesHit {
 		in.ScratchTableHits = 1

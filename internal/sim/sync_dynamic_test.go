@@ -1,10 +1,10 @@
 package sim
 
 // Differential tests for dynamic worlds on the word-kernel resolver: a
-// dynamic run resolves on the kernel path over a candidate-mask table
-// repacked per changed epoch, and must match — coverage, latencies,
-// completion and the full event stream — the same seeded run forced onto
-// the scalar candidate scan through the scratch's mask-budget hook.
+// dynamic run resolves on candidate masks recompiled per changed epoch,
+// and every idle, collision and delivery event must match a scan of the
+// epoch's candidate lists over the run's own slot actions, with an
+// identically seeded loss stream.
 
 import (
 	"fmt"
@@ -60,9 +60,8 @@ func (sc dynScenario) world(t *testing.T) *dynamics.World {
 }
 
 // run executes the scenario with a fresh world, seeded protocols and loss
-// stream, on a fresh scratch whose mask budget is budget (0: the default).
-// full attaches an observer subscribed to every event kind.
-func (sc dynScenario) run(t *testing.T, lossy, full bool, budget int) dynPathRun {
+// stream. full attaches an observer subscribed to every event kind.
+func (sc dynScenario) run(t *testing.T, lossy, full bool) dynPathRun {
 	t.Helper()
 	var out dynPathRun
 	rec := &InternalsRecorder{}
@@ -75,27 +74,103 @@ func (sc dynScenario) run(t *testing.T, lossy, full bool, budget int) dynPathRun
 			out.events = append(out.events, recordEvent(e))
 		}))
 	}
-	scratch := NewSyncScratch()
-	scratch.maskBudget = budget
 	cfg := SyncConfig{
 		Network:   sc.nw,
 		Protocols: syncProtos(t, sc.nw, 55),
 		MaxSlots:  sc.maxSlots,
 		Dynamics:  sc.world(t),
 		Observer:  obs,
-		Scratch:   scratch,
-	}
-	if lossy {
-		var err error
-		if cfg.Loss, err = NewLossModel(0.3, rng.New(99)); err != nil {
-			t.Fatal(err)
-		}
+		Loss:      sc.loss(t, lossy),
 	}
 	res, err := RunSync(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out.res, out.in = res, rec.Last
+	return out
+}
+
+// loss returns the scenario's seeded loss model when lossy, else nil.
+func (sc dynScenario) loss(t *testing.T, lossy bool) *LossModel {
+	t.Helper()
+	if !lossy {
+		return nil
+	}
+	m, err := NewLossModel(0.3, rng.New(99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// scanSlot is the reference for the single tile's candidate-mask walk: the
+// candidate scan. Each listener, in ascending NodeID order, scans its
+// candidate list for transmitters on its channel over an operating link,
+// drawing one erasure per match and stopping at the second surviving
+// transmission; it then records exactly one idle, collision (naming the
+// first survivor) or delivery event.
+func scanSlot(slot int, cands [][]topology.Candidate, actions []radio.Action, loss *LossModel) []eventRec {
+	var out []eventRec
+	for u, a := range actions {
+		if a.Mode != radio.Receive {
+			continue
+		}
+		c := a.Channel
+		var sender, first topology.NodeID
+		senders := 0
+		for _, cand := range cands[u] {
+			if tx := actions[cand.From]; tx.Mode != radio.Transmit || tx.Channel != c || !cand.Span.Contains(c) {
+				continue
+			}
+			if loss.erased() {
+				continue
+			}
+			if senders == 0 {
+				first = cand.From
+			}
+			senders++
+			sender = cand.From
+			if senders > 1 {
+				break
+			}
+		}
+		ev := eventRec{kind: EventIdle, slot: slot, to: topology.NodeID(u), channel: c, time: float64(slot)}
+		switch senders {
+		case 0:
+		case 1:
+			ev.kind, ev.from = EventDeliver, sender
+		default:
+			ev.kind, ev.from = EventCollision, first
+		}
+		out = append(out, ev)
+	}
+	return out
+}
+
+// scanReference replays the candidate scan over an observed run's slot
+// actions, each slot on the candidate table of its epoch (the last one
+// past the world's horizon).
+func (sc dynScenario) scanReference(t *testing.T, run dynPathRun, lossy bool) []eventRec {
+	t.Helper()
+	w := sc.world(t)
+	n := sc.nw.N()
+	loss := sc.loss(t, lossy)
+	var out []eventRec
+	for slot := 0; slot < run.res.SlotsSimulated; slot++ {
+		e := min(slot/int(sc.spec.EpochLen), w.Horizon()-1)
+		out = append(out, scanSlot(slot, w.At(e).Cands, run.acts[slot*n:(slot+1)*n], loss)...)
+	}
+	return out
+}
+
+// listenerEvents returns a run's idle, collision and delivery events.
+func listenerEvents(run dynPathRun) []eventRec {
+	var out []eventRec
+	for _, e := range run.events {
+		if e.kind == EventIdle || e.kind == EventCollision || e.kind == EventDeliver {
+			out = append(out, e)
+		}
+	}
 	return out
 }
 
@@ -159,112 +234,44 @@ func dynScenarios(t *testing.T) []dynScenario {
 	}
 }
 
-// TestSyncDynamicPathsMatchScalar runs each dynamic world with and without
-// loss, unobserved and under a full per-listener observer, on the kernel
-// path the engine selects and forced onto the scalar scan by a one-word
-// mask budget. The two must agree on coverage, latencies, completion and
-// every event.
-func TestSyncDynamicPathsMatchScalar(t *testing.T) {
+// TestSyncDynamicMatchesCandidateScan runs each dynamic world with and
+// without loss under a full per-listener observer, on the candidate masks
+// the engine recompiles per epoch, and pins every idle, collision and
+// delivery event to the candidate scan (scanReference) replayed over the
+// run's slot actions with an identically seeded loss stream. An
+// unobserved run must match the observed one.
+func TestSyncDynamicMatchesCandidateScan(t *testing.T) {
 	for _, sc := range dynScenarios(t) {
 		for _, lossy := range []bool{false, true} {
 			for _, full := range []bool{false, true} {
 				label := fmt.Sprintf("%s/lossy=%v/observer=%v", sc.label, lossy, full)
 				t.Run(label, func(t *testing.T) {
-					fast := sc.run(t, lossy, full, 0)
-					scalar := sc.run(t, lossy, full, 1)
-					if fast.in.KernelSlots != fast.in.SlotsSimulated || fast.in.ScalarSlots != 0 || fast.in.MaskBudgetOverruns != 0 {
-						t.Fatalf("kernel run path attribution: %+v", fast.in)
+					observed := sc.run(t, lossy, true)
+					if observed.in.KernelSlots != observed.in.SlotsSimulated {
+						t.Fatalf("path attribution: %+v", observed.in)
 					}
-					if scalar.in.ScalarSlots != scalar.in.SlotsSimulated || scalar.in.MaskBudgetOverruns == 0 {
-						t.Fatalf("forced-scalar run path attribution: %+v", scalar.in)
+					if !full {
+						quiet := sc.run(t, lossy, false)
+						if quiet.in.KernelSlots != quiet.in.SlotsSimulated {
+							t.Fatalf("unobserved run path attribution: %+v", quiet.in)
+						}
+						sameDynRun(t, label, quiet, dynPathRun{res: observed.res})
+						return
 					}
-					if full && len(fast.events) == 0 {
-						t.Fatal("full observer saw no events")
+					got, want := listenerEvents(observed), sc.scanReference(t, observed, lossy)
+					if len(want) == 0 {
+						t.Fatal("the run resolved no listener")
 					}
-					sameDynRun(t, label, fast, scalar)
+					if !slices.Equal(got, want) {
+						for i := range min(len(got), len(want)) {
+							if got[i] != want[i] {
+								t.Fatalf("%s: listener event %d = %+v, candidate scan %+v", label, i, got[i], want[i])
+							}
+						}
+						t.Fatalf("%s: %d listener events, candidate scan %d", label, len(got), len(want))
+					}
 				})
 			}
 		}
-	}
-}
-
-// TestSyncDynamicMixedBudget sets the mask budget between the smallest and
-// largest epoch tables of each world, so some epochs resolve on the kernel
-// and others fall back to the scalar scan within one run — the
-// per-epoch switch itself must be invisible in results and events.
-func TestSyncDynamicMixedBudget(t *testing.T) {
-	for _, sc := range dynScenarios(t) {
-		w := sc.world(t)
-		channels := 0
-		if id, ok := sc.nw.Universe().Max(); ok {
-			channels = int(id) + 1
-		}
-		var sizes []int
-		for e := 0; e < w.Horizon(); e++ {
-			sizes = append(sizes, topology.NewCandidateMasks(w.At(e).Cands, channels, 0).PackedWords())
-		}
-		slices.Sort(sizes)
-		budget := sizes[len(sizes)/2]
-		if budget == sizes[len(sizes)-1] {
-			t.Fatalf("%s: epoch tables all pack to %d words; no budget splits them", sc.label, budget)
-		}
-		for _, lossy := range []bool{false, true} {
-			label := fmt.Sprintf("%s/lossy=%v/budget=%d", sc.label, lossy, budget)
-			t.Run(label, func(t *testing.T) {
-				mixed := sc.run(t, lossy, true, budget)
-				scalar := sc.run(t, lossy, true, 1)
-				if mixed.in.ScalarSlots == 0 || mixed.in.ScalarSlots == mixed.in.SlotsSimulated || mixed.in.MaskBudgetOverruns == 0 {
-					t.Fatalf("budget %d did not split the run between paths: %+v", budget, mixed.in)
-				}
-				if mixed.in.KernelSlots+mixed.in.ScalarSlots != mixed.in.SlotsSimulated {
-					t.Fatalf("path attribution does not sum to the run: %+v", mixed.in)
-				}
-				sameDynRun(t, label, mixed, scalar)
-				// Unobserved and loss-free, the run splits the same way.
-				if !lossy {
-					quiet := sc.run(t, false, false, budget)
-					sameCoverage(t, label+" unobserved", quiet.res.Coverage, scalar.res.Coverage)
-					if quiet.in.KernelSlots+quiet.in.ScalarSlots != quiet.in.SlotsSimulated || quiet.in.KernelSlots == 0 {
-						t.Fatalf("unobserved mixed run attribution: %+v", quiet.in)
-					}
-				}
-			})
-		}
-	}
-}
-
-// TestSyncStaticMaskOverrun forces a static network's mask table over
-// budget end to end: the run resolves every slot on the scalar scan,
-// reports one overrun, and matches the kernel-path run.
-func TestSyncStaticMaskOverrun(t *testing.T) {
-	nw := diffNet(t, 9, 12)
-	run := func(budget int, obs Observer, rec *InternalsRecorder) *SyncResult {
-		scratch := NewSyncScratch()
-		scratch.maskBudget = budget
-		res, err := RunSync(SyncConfig{
-			Network:   nw,
-			Protocols: syncProtos(t, nw, 55),
-			MaxSlots:  600,
-			Observer:  MultiObserver(rec, obs),
-			Scratch:   scratch,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	var fastEv, slowEv []eventRec
-	fastRec, slowRec := &InternalsRecorder{}, &InternalsRecorder{}
-	fast := run(0, ObserverFunc(func(e Event) { fastEv = append(fastEv, recordEvent(e)) }), fastRec)
-	slow := run(1, ObserverFunc(func(e Event) { slowEv = append(slowEv, recordEvent(e)) }), slowRec)
-	if in := slowRec.Last; in.MaskBudgetOverruns != 1 || in.ScalarSlots != in.SlotsSimulated {
-		t.Fatalf("over-budget static run: %+v, want 1 overrun and every slot scalar", in)
-	}
-	if in := fastRec.Last; in.MaskBudgetOverruns != 0 || in.KernelSlots != in.SlotsSimulated {
-		t.Fatalf("in-budget static run: %+v, want every slot on the kernel path", in)
-	}
-	sameCoverage(t, "static overrun", slow.Coverage, fast.Coverage)
-	if !slices.Equal(fastEv, slowEv) {
-		t.Fatal("static overrun: event streams differ")
 	}
 }

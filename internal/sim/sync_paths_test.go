@@ -2,8 +2,7 @@ package sim
 
 // Differential sweep for RunSync's per-run resolver path selection (see
 // syncRun in sync_resolve.go). Without a tiling the engine resolves on the
-// single tile's word kernel, or on the scalar candidate scan when the
-// mask table is over budget; the observer's event subscription and the
+// single tile's word kernel; the observer's event subscription and the
 // loss model pick which events the kernel emits and whether it draws.
 // Every configuration must behave as if it executed resolveSlotNaive's
 // listener-major loop; these tests replay the same seeded scenarios
@@ -15,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"m2hew/internal/channel"
 	"m2hew/internal/dynamics"
 	"m2hew/internal/radio"
 	"m2hew/internal/rng"
@@ -405,8 +405,8 @@ func TestSyncSingleTileSteadyStateAllocs(t *testing.T) {
 
 // TestSyncDynamicsObserverInvariance covers the dynamics axis of the
 // resolver sweep: churn and primary-user epochs resolve on the kernel
-// paths over per-epoch masks (TestSyncDynamicPathsMatchScalar pins them to
-// the scalar scan), and the observer's subscription (full, deliveries-only,
+// over per-epoch masks (TestSyncDynamicMatchesCandidateScan pins them to
+// the candidate scan), and the observer's subscription (full, deliveries-only,
 // slot-only, none) changes only which events are constructed — never
 // coverage. A want-gate that accidentally guarded a delivery or a loss draw
 // would split these.
@@ -450,5 +450,86 @@ func TestSyncDynamicsObserverInvariance(t *testing.T) {
 			run(OnlyEvents(MaskOf(EventDeliver), ObserverFunc(func(Event) {})), lossy).Coverage)
 		sameCoverage(t, "dynamics slot-only", base.Coverage,
 			run(OnlyEvents(MaskOf(EventSlot), ObserverFunc(func(Event) {})), lossy).Coverage)
+	}
+}
+
+// TestSyncSingleTileLargeNetwork runs the single tile on a 20000-node
+// geometric network whose candidate rows, packed as NodeID word windows
+// (each row spanning its lowest to its highest candidate word), would take
+// more than 2^20 words — the 8 MB past which that layout sent every slot to
+// a scalar candidate scan. Loss-free and lossy, every slot must resolve on
+// the kernel and deliver exactly what resolveSlotNaive does.
+func TestSyncSingleTileLargeNetwork(t *testing.T) {
+	const n, radius, slots = 20000, 0.0125, 4
+	r := rng.New(2028)
+	nw, err := topology.Geometric(n, radius, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := topology.AssignUniformK(nw, 6, 3, r); err != nil {
+		t.Fatal(err)
+	}
+	maxID, _ := nw.Universe().Max()
+	windows := 0
+	for _, list := range nw.InboundCandidates() {
+		for c := channel.ID(0); c <= maxID; c++ {
+			lo, hi := -1, -1
+			for _, cand := range list { // ascending From
+				if cand.Span.Contains(c) {
+					if lo < 0 {
+						lo = int(cand.From >> 6)
+					}
+					hi = int(cand.From >> 6)
+				}
+			}
+			if lo >= 0 {
+				windows += hi - lo + 1
+			}
+		}
+	}
+	if windows <= 1<<20 {
+		t.Fatalf("NodeID word windows total %d words, not past 2^20", windows)
+	}
+
+	script := make([][]radio.Action, slots)
+	for s := range script {
+		script[s] = make([]radio.Action, n)
+		for u := range script[s] {
+			c, err := nw.Avail(topology.NodeID(u)).Pick(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch x := r.IntN(10); {
+			case x < 2:
+				script[s][u] = radio.Action{Mode: radio.Transmit, Channel: c}
+			case x < 7:
+				script[s][u] = radio.Action{Mode: radio.Receive, Channel: c}
+			default:
+				script[s][u] = radio.Action{Mode: radio.Quiet}
+			}
+		}
+	}
+	for _, lossy := range []bool{false, true} {
+		loss := func() *LossModel {
+			if !lossy {
+				return nil
+			}
+			m, err := NewLossModel(0.3, rng.New(2029))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}
+		label := fmt.Sprintf("lossy=%v", lossy)
+		flat := naiveDeliveries(nw, script, loss())
+		if len(flat) == 0 {
+			t.Fatalf("%s: the reference delivered nothing", label)
+		}
+		rec := &InternalsRecorder{}
+		got := runScripted(t, nw, script, SyncConfig{Loss: loss(), Observer: rec})
+		comparePerNode(t, label, got, perNode(n, flat))
+		if in := rec.Last; in.KernelSlots != in.SlotsSimulated || in.SlotsSimulated != slots {
+			t.Fatalf("%s: internals %+v, want all %d slots on the kernel", label, in, slots)
+		}
 	}
 }

@@ -25,26 +25,24 @@ import (
 //     no per-listener event subscription, halo-clean in-budget masks). A
 //     slot is four rounds on a tilepool: the protocol-facing decide and
 //     deliver rounds sweep contiguous NodeID chunks, and the scatter and
-//     resolve rounds run per tile, reading the tile's candidate-mask rows
-//     as one contiguous span of the tile-major table. The deliver round
-//     also applies coverage: each chunk writes the coverage words that
-//     begin in its listeners' position range, and the caller observes the
-//     few deliveries that fall in a word another chunk owns.
+//     resolve rounds run per tile, reading the tile's halo-space
+//     candidate-mask rows (topology.CandidateMasks) as one contiguous span
+//     of the tile-major table. The deliver round also applies coverage:
+//     each chunk writes the coverage words that begin in its listeners'
+//     position range, and the caller observes the few deliveries that fall
+//     in a word another chunk owns.
 //   - single tile: every other run. One tile holds every node, so local
-//     indexes and mask bits are NodeIDs and the halo is the tile itself.
-//     The phases run inline, and listeners resolve in ascending NodeID
-//     order — preserving the event contract and the loss-model draw order
-//     — each through one word-kernel intersection; the lossy variant walks
-//     the surviving overlap bits in candidate order, drawing exactly as the
-//     scalar scan would. Slots without a mask table — a static network
-//     whose table exceeded its budget (the whole run), or a dynamic epoch
-//     whose table did (until the next table change) — resolve phase B on
-//     the scalar candidate scan instead.
+//     indexes and transmitter-mask bits are NodeIDs. The phases run inline,
+//     and listeners resolve in ascending NodeID order — preserving the
+//     event contract and the loss-model draw order — each by walking its
+//     NodeID-space candidate-mask row (candMasks) against the slot's
+//     transmitter words, drawing, on a lossy run, exactly as a scan of the
+//     candidate list would.
 //
 // The single tile serves dynamic worlds too: masks then holds the current
-// epoch's candidate table, repacked in scratch-owned storage whenever the
+// epoch's candidate table, recompiled in scratch-owned storage whenever the
 // world's table changes (Epoch.Cands lists candidates ascending by From,
-// so mask bits enumerate them in the scalar scan's order).
+// so mask bits enumerate them in candidate order).
 type syncRun struct {
 	nw       *topology.Network
 	protos   []SyncProtocol
@@ -52,12 +50,12 @@ type syncRun struct {
 	loss     *LossModel
 	coverage *metrics.Coverage
 
-	curCands [][]topology.Candidate
 	msgAvail []channel.Set
-	// masks holds the candidate rows in the run's bit space — NodeIDs on
-	// the single tile, halo bits on a multi-tile run; nil sends the single
-	// tile's phase B to the scalar scan.
-	masks *topology.CandidateMasks
+	// masks holds the single tile's NodeID-space candidate rows: the
+	// network's, or on a dynamic run the current epoch's. tileMasks holds
+	// a multi-tile run's rows in halo bit space.
+	masks     *candMasks
+	tileMasks *topology.CandidateMasks
 
 	// The tile pipeline: the per-tile state and, on a multi-tile run only,
 	// the tiling, the worker pool, the round closures handed to it (built
@@ -85,28 +83,20 @@ type syncRun struct {
 	avail1  []uint64
 	hrs     []HeardReporter // per-node heard reporters; nil when the run has none
 
-	lossFree bool
-
-	// Engine-internals tallies (see internals.go): integer arithmetic on
-	// run-local fields, gated per slot by tallyInternals so runs without an
-	// InternalsSink pay one dead boolean test.
+	// tallyInternals gates the per-tile engine-internals tallies (see
+	// internals.go) per slot, so runs without an InternalsSink pay one dead
+	// boolean test.
 	tallyInternals bool
-	internals      Internals
 
 	// Per-kind observation gates: obs != nil AND the observer's
 	// subscription (EventMasker; AllEvents when undeclared) includes the
 	// kind. Emission sites test one boolean instead of re-deriving the
-	// mask per event.
+	// mask per event. The single tile stores each decision in actions[u]
+	// only for the slot event, the one reader of the slice there.
 	wantDeliver bool
 	wantColl    bool
 	wantIdle    bool
 	wantSlot    bool
-	// storeActions gates the per-decision actions[u] stores: the scalar
-	// resolver reads them back and the slot event borrows the slice, but
-	// with a mask table and EventSlot unsubscribed nothing ever reads
-	// them. A dynamic run re-derives it whenever its mask table appears or
-	// vanishes.
-	storeActions bool
 
 	// ev is the slot-scoped event template: Time and Slot are set once per
 	// slot (runSlot), the per-event fields (Kind, From, To, Channel) are
@@ -164,98 +154,53 @@ func (r *syncRun) emit(kind EventKind, from, to topology.NodeID, c channel.ID) {
 	r.obs.OnEvent(r.ev)
 }
 
-// resolveLossy resolves one lossy listener of tile ti: it intersects the
-// listener's mask row with the transmitter words of its halo word by word
-// and walks the overlap bits in ascending candidate order, drawing exactly
-// as the scalar scan would — one draw per candidate transmitting on the
-// listener's channel over an operating link, stopping at the second
-// surviving transmission. Words without overlap consume no draws, so
-// certain silence costs none.
+// tileSlotB is the single tile's phase B. Each listener, in ascending
+// NodeID order, walks its candidate-mask row against its channel's
+// transmitter mask entry by entry, e.bits & txw[e.w]: the overlap bits are
+// exactly its candidates transmitting on its channel over an operating
+// link, visited in ascending candidate order. A lossy run draws one
+// erasure per visited bit, and the walk stops at the second surviving
+// transmission — the candidate scan's draw contract — so words without
+// overlap, and channels nobody transmits on, consume no draws. The
+// collision event reports only the first surviving transmitter. Idle,
+// collision and delivery events are emitted inline in listener order.
 //
 //nd:hotpath
-func (r *syncRun) resolveLossy(ti int, ts *tileState, uid topology.NodeID, c channel.ID, row, txw []uint64, lo int) {
-	txw = txw[lo:]
-	var sender, firstSender topology.NodeID
-	senders := 0
-scan:
-	for i, rw := range row {
-		w := rw & txw[i]
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			w &= w - 1
-			// Unreliable channels: the transmission may fade at uid.
-			if r.loss.erased() {
-				continue
-			}
-			v := r.haloNode(ti, ts, (lo+i)<<6+b)
-			if senders == 0 {
-				firstSender = v
-			}
-			senders++
-			sender = v
-			if senders > 1 {
-				break scan // collision; no need to scan further
-			}
-		}
-	}
-	switch {
-	case senders == 1:
-		r.deliver(ts, sender, uid, c)
-	case senders == 0:
-		if r.wantIdle {
-			r.emit(EventIdle, 0, uid, c)
-		}
-	case r.wantColl:
-		r.emit(EventCollision, firstSender, uid, c)
-	}
-}
-
-// resolveScalar is the single tile's phase B for slots without a mask
-// table (over-budget networks and epochs): the candidate-list scan over
-// the slot's stored actions.
-//
-//nd:hotpath
-func (r *syncRun) resolveScalar(ts *tileState) {
+func (r *syncRun) tileSlotB() {
+	ts := &r.tiles[0]
+	at := float64(r.slot)
 	for i, li := range ts.rxL {
-		uid, c := ts.nodes[li], ts.rxC[i]
-		if ts.txOn[c] == 0 {
-			// Nobody transmits on c: certain silence, no draws.
-			if r.wantIdle {
-				r.emit(EventIdle, 0, uid, c)
-			}
-			continue
-		}
+		uid, c := topology.NodeID(li), ts.rxC[i]
 		var sender, firstSender topology.NodeID
 		senders := 0
-		for _, cand := range r.curCands[uid] {
-			if r.actions[cand.From].Mode != radio.Transmit || r.actions[cand.From].Channel != c {
-				continue
-			}
-			// The link must operate on c (span precomputed per candidate;
-			// adjacency and direction already hold for every candidate).
-			if !cand.Span.Contains(c) {
-				continue
-			}
-			// Unreliable channels: the transmission may fade at uid.
-			if r.loss.erased() {
-				continue
-			}
-			if senders == 0 {
-				firstSender = cand.From
-			}
-			senders++
-			sender = cand.From
-			if senders > 1 {
-				break // collision; no need to scan further
+		if ts.txOn[c] != 0 {
+			txw := ts.localTx[int(c)*ts.words : (int(c)+1)*ts.words]
+		scan:
+			for _, e := range r.masks.row(uid, c) {
+				for w := e.bits & txw[e.w]; w != 0; w &= w - 1 {
+					// Unreliable channels: the transmission may fade at uid.
+					if r.loss.erased() {
+						continue
+					}
+					v := topology.NodeID(int(e.w)<<6 | bits.TrailingZeros64(w))
+					if senders == 0 {
+						firstSender = v
+					}
+					senders++
+					sender = v
+					if senders > 1 {
+						break scan // collision; no need to scan further
+					}
+				}
 			}
 		}
-		// Silence or collision: the node hears nothing useful. The
-		// collision event reports only the first surviving transmitter —
-		// scanning past the second would consume extra loss draws and
-		// break the reproducibility contract.
 		switch {
 		case senders == 1:
-			r.deliver(ts, sender, uid, c)
+			ts.heard = r.deliverMsg(ts.heard, sender, uid)
+			r.coverage.Observe(topology.Link{From: sender, To: uid}, at)
+			if r.wantDeliver {
+				r.emit(EventDeliver, sender, uid, c)
+			}
 		case senders == 0:
 			if r.wantIdle {
 				r.emit(EventIdle, 0, uid, c)
@@ -263,26 +208,6 @@ func (r *syncRun) resolveScalar(ts *tileState) {
 		case r.wantColl:
 			r.emit(EventCollision, firstSender, uid, c)
 		}
-	}
-}
-
-// deliver is the one delivery tail of a resolved listener. A multi-tile
-// run records the sender in the listener's NodeID-indexed slot, which the
-// deliver round reads, applying the delivery and its coverage.
-// The single tile delivers inline, observes the link on the coverage
-// oracle (which ignores repeat observations of a covered link) and emits
-// the delivery event, in listener order.
-//
-//nd:hotpath
-func (r *syncRun) deliver(ts *tileState, sender, uid topology.NodeID, c channel.ID) {
-	if r.pool != nil {
-		r.senders[uid] = int32(sender)
-		return
-	}
-	ts.heard = r.deliverMsg(ts.heard, sender, uid)
-	r.coverage.Observe(topology.Link{From: sender, To: uid}, float64(r.slot))
-	if r.wantDeliver {
-		r.emit(EventDeliver, sender, uid, c)
 	}
 }
 

@@ -14,15 +14,17 @@ import (
 // (topology.CandidateMasks) against its channel's halo transmitter mask,
 // and delivers each unique survivor to the listener's protocol.
 //
-// Most runs use a single tile holding every node (see syncRun). Its halo
-// is the tile itself, and a slot runs inline on the caller as two phases:
+// Most runs use a single tile holding every node (see syncRun). Its local
+// indexes are NodeIDs, so its transmitter masks are in the bit space of the
+// NodeID-space candidate masks (candMasks) and need no halo, and a slot
+// runs inline on the caller as two phases:
 //
 //	phase A  clear the tile's per-slot state, step every node's protocol
 //	         in ascending NodeID order, validate, and scatter transmitters
 //	         into the per-channel masks and listeners into the listener
 //	         list;
-//	phase B  resolve each listener, in ascending NodeID order, and deliver
-//	         inline.
+//	phase B  resolve each listener, in ascending NodeID order, on its
+//	         candidate-mask row, and deliver inline.
 //
 // A multi-tile run (cfg.Tiling, cell side ≥ radius) runs a slot as four
 // fork-join rounds on a tilepool, each pool join a barrier. Per-node
@@ -69,8 +71,9 @@ import (
 //   - resolution: each listener is resolved by exactly one tile (its own),
 //     against a halo mask that the barrier guarantees is the slot's
 //     complete transmitter picture within radio reach (NewTileMasks proved
-//     structurally that no candidate lies outside the halo), through the
-//     same OverlapResolve kernel;
+//     structurally that no candidate lies outside the halo): its halo row
+//     holds the same candidates as its NodeID row, so a lone survivor is
+//     the same sender;
 //   - effects: with no loss model there are no shared-rng draws to order,
 //     with no per-listener events there is no event order to preserve, a
 //     listener receives at most one delivery per slot, and half duplex
@@ -92,19 +95,16 @@ import (
 //     stepped nodes), in the scatter round, so StepperBatches and its
 //     means do not depend on the chunking.
 
-// tileState is one tile's scratch: the scatter buffers, the halo assembly,
-// and the tile's internals tallies. Workers touch only their own tile's
-// state during a round (resolve additionally READS neighbor tiles' scatter
-// outputs, sequenced by the pool barrier), so no two goroutines ever write
-// the same state.
+// tileState is one tile's scratch: the scatter buffers, the halo assembly
+// (multi-tile runs only), and the tile's internals tallies. Workers touch
+// only their own tile's state during a round (resolve additionally READS
+// neighbor tiles' scatter outputs, sequenced by the pool barrier), so no
+// two goroutines ever write the same state.
 type tileState struct {
-	nodes     []topology.NodeID // the tile's nodes, ascending (shared storage)
+	nodes     []topology.NodeID // the tile's nodes, ascending (shared storage; nil on the single tile)
 	first     int               // position of nodes[0] in the tiling's tile-major order
 	words     int               // word width of the tile's own segment
 	haloWords int               // word width of the tile's halo space
-	// ownHalo marks a tile whose halo is only itself (a single tile): its
-	// halo bits are its local indexes, and phase B reads localTx directly.
-	ownHalo bool
 
 	localTx   []uint64 // channel-major transmitter masks, channels × words
 	txOn      []int32  // per-channel transmitter count in this tile
@@ -157,8 +157,8 @@ func chunkCount(n, workers int) int {
 	return max(1, min(4*workers, n/minChunkNodes))
 }
 
-// buildTileStates sizes one tileState per tile for the given tiling and
-// channel count.
+// buildTileStates sizes one tileState per tile of a multi-tile run for
+// the given tiling and channel count.
 func buildTileStates(tl *topology.Tiling, channels int) []tileState {
 	tiles := make([]tileState, tl.Tiles())
 	first := 0
@@ -169,18 +169,15 @@ func buildTileStates(tl *topology.Tiling, channels int) []tileState {
 		first += len(ts.nodes)
 		ts.words = tl.TileWords(t)
 		ts.haloWords = tl.HaloWords(t)
-		ts.ownHalo = len(tl.HaloTiles(t)) == 1
 		n := len(ts.nodes)
 		ts.localTx = make([]uint64, channels*ts.words)
 		ts.txOn = make([]int32, channels)
 		ts.txTouched = make([]channel.ID, 0, 8)
 		ts.rxL = make([]int32, 0, n)
 		ts.rxC = make([]channel.ID, 0, n)
-		if !ts.ownHalo {
-			ts.halo = make([]uint64, channels*ts.haloWords)
-			ts.haloStamp = make([]int, channels)
-			ts.haloLive = make([]bool, channels)
-		}
+		ts.halo = make([]uint64, channels*ts.haloWords)
+		ts.haloStamp = make([]int, channels)
+		ts.haloLive = make([]bool, channels)
 	}
 	return tiles
 }
@@ -222,11 +219,10 @@ func resetNodeChunks(chunks []nodeChunk, senders []int32) {
 }
 
 // runSlot executes one slot. On the single tile: phase A, the error check,
-// the slot event, and phase B (or the scalar scan), all inline. On a
-// multi-tile run: the decide round, the error sweep, the slot event, the
-// scatter, resolve and deliver rounds (coverage is applied in the last),
-// and the commit of each chunk's coverage shard with its deferred
-// deliveries.
+// the slot event, and phase B, all inline. On a multi-tile run: the decide
+// round, the error sweep, the slot event, the scatter, resolve and deliver
+// rounds (coverage is applied in the last), and the commit of each chunk's
+// coverage shard with its deferred deliveries.
 //
 //nd:hotpath
 func (r *syncRun) runSlot(slot int) error {
@@ -261,8 +257,9 @@ func (r *syncRun) runSlot(slot int) error {
 		})
 	}
 
-	switch {
-	case r.pool != nil:
+	if r.pool == nil {
+		r.tileSlotB()
+	} else {
 		r.pool.Run(len(r.tiles), r.fnScatter)
 		r.pool.Run(len(r.tiles), r.fnResolve)
 		r.pool.Run(len(r.chunks), r.fnDeliver)
@@ -276,11 +273,6 @@ func (r *syncRun) runSlot(slot int) error {
 			}
 			ch.deferred = ch.deferred[:0]
 		}
-	case r.masks == nil:
-		r.resolveScalar(&r.tiles[0])
-		r.internals.ScalarSlots++
-	default:
-		r.tileSlotB(0)
 	}
 	return nil
 }
@@ -321,8 +313,9 @@ func (r *syncRun) tileSlotA() {
 	stepped := 0
 	active, locals, startSlots, actions, protos := r.active, r.locals, r.startSlots, r.actions, r.protos
 	txOn, localTx, words := ts.txOn, ts.localTx, ts.words
-	// A node's position in the tile is its local index.
-	for li, u := range ts.nodes {
+	// A node's NodeID is its local index.
+	for u := range topology.NodeID(len(protos)) {
+		li := int(u)
 		local := slot
 		switch {
 		case active != nil:
@@ -366,7 +359,7 @@ func (r *syncRun) tileSlotA() {
 			ts.err, ts.errNode = r.invalid(u, slot, a), u
 			return
 		}
-		if r.storeActions {
+		if r.wantSlot {
 			actions[u] = a
 		}
 	}
@@ -479,56 +472,31 @@ func (r *syncRun) deliverChunk(ci int) {
 	ch.heard = heard
 }
 
-// tileSlotB resolves one tile's listeners — the single tile's phase B, a
-// multi-tile run's resolve round: one OverlapResolve per listener — or, on
-// a lossy run, the per-bit overlap walk — against its channel's halo
-// transmitter mask (the tile's own words when its halo is only itself),
-// with the idle, collision and delivery events of a single-tile run
-// emitted inline in listener order.
+// resolveTile is a multi-tile run's resolve round for one tile: each
+// listener, in local order, intersects its candidate-mask row — the tile's
+// rows are one span of the table, read in local order — with its channel's
+// halo transmitter mask through one OverlapResolve, and a lone survivor
+// goes to the listener's sender slot. The multi-tile gate rules out loss
+// and per-listener events, so nothing here draws or emits.
 //
 //nd:hotpath
-func (r *syncRun) tileSlotB(ti int) {
+func (r *syncRun) resolveTile(ti int) {
 	ts := &r.tiles[ti]
 	for i, li := range ts.rxL {
-		uid, c := ts.nodes[li], ts.rxC[i]
-		var txw []uint64
-		live := ts.txOn[c] != 0
-		if ts.ownHalo {
-			txw = ts.localTx[int(c)*ts.words : (int(c)+1)*ts.words]
-		} else {
-			txw, live = r.haloTx(ti, ts, c)
-		}
+		c := ts.rxC[i]
+		txw, live := r.haloTx(ti, ts, c)
 		if !live {
-			// Nobody within radio reach of the tile transmits on c:
-			// certain silence, no draws.
-			if r.wantIdle {
-				r.emit(EventIdle, 0, uid, c)
-			}
-			continue
+			continue // nobody within radio reach of the tile transmits on c
 		}
-		// The tile's rows are one span of the table, read in local order.
-		row, lo := r.masks.RowAt(ts.first+int(li), c)
-		if !r.lossFree {
-			r.resolveLossy(ti, ts, uid, c, row, txw, lo)
-			continue
-		}
-		count, first := channel.OverlapResolve(row, txw[lo:])
-		switch {
-		case count == 1:
-			r.deliver(ts, r.haloNode(ti, ts, lo<<6+first), uid, c)
-		case count == 0:
-			if r.wantIdle {
-				r.emit(EventIdle, 0, uid, c)
-			}
-		case r.wantColl:
-			r.emit(EventCollision, r.haloNode(ti, ts, lo<<6+first), uid, c)
+		row, lo := r.tileMasks.RowAt(ts.first+int(li), c)
+		if count, first := channel.OverlapResolve(row, txw[lo:]); count == 1 {
+			r.senders[ts.nodes[li]] = int32(r.tl.HaloNode(ti, lo<<6+first))
 		}
 	}
 }
 
-// haloTx returns the halo transmitter mask for channel c of tile ti, whose
-// halo spans neighbor tiles, and whether any transmitter within it is
-// live. The first listener on c each slot assembles the channel's halo
+// haloTx returns the halo transmitter mask for channel c of tile ti, and
+// whether any transmitter within it is live. The first listener on c each slot assembles the channel's halo
 // mask, writing every segment (copied or zeroed) so stale bits from
 // earlier slots never survive.
 //
@@ -559,14 +527,4 @@ func (r *syncRun) haloTx(ti int, ts *tileState, c channel.ID) ([]uint64, bool) {
 	}
 	ts.haloLive[c] = live
 	return halo, live
-}
-
-// haloNode maps a bit of tile ti's halo space back to its node.
-//
-//nd:hotpath
-func (r *syncRun) haloNode(ti int, ts *tileState, bit int) topology.NodeID {
-	if ts.ownHalo {
-		return ts.nodes[bit]
-	}
-	return r.tl.HaloNode(ti, bit)
 }

@@ -140,7 +140,7 @@ func (o *RunObserver) OnEvent(e sim.Event) {
 // internals report (resolver path, stepper batching, scratch table reuse)
 // is retained for Stats and the Aggregate merge. Attaching a RunObserver
 // subscribes to every event kind, so the report will attribute the run's
-// slots to the single tile's kernel (or scalar) path — the path that
+// slots to the single tile's kernel path — the path that
 // actually executed under observation; see sim/internals.go.
 func (o *RunObserver) OnInternals(in sim.Internals) {
 	o.internals.Merge(in)
@@ -299,8 +299,6 @@ type Aggregate struct {
 	haloExchanges   *Counter
 	haloWords       *Counter
 	kernelSlots     *Counter
-	scalarSlots     *Counter
-	maskOverruns    *Counter
 	stepperBatches  *Counter
 	stepperNodes    *Counter
 	scratchHits     *Counter
@@ -361,8 +359,6 @@ func NewAggregate(reg *Registry, opts ...AggregateOption) *Aggregate {
 	a.haloExchanges = reg.Counter("nd_halo_exchanges_total", "multi-tile halo segment copies from neighbor tiles")
 	a.haloWords = reg.Counter("nd_halo_words_copied_total", "words copied across tile halos")
 	a.kernelSlots = reg.Counter("nd_resolver_kernel_slots_total", "sync slots resolved on the single-tile word kernel (runs without a multi-tile tiling)")
-	a.scalarSlots = reg.Counter("nd_resolver_scalar_slots_total", "sync slots resolved on the scalar candidate-scan path")
-	a.maskOverruns = reg.Counter("nd_mask_budget_overruns_total", "sync candidate-mask tables (a static run's, or a dynamic epoch's) that exceeded their word budget")
 	a.stepperBatches = reg.Counter("nd_stepper_batches_total", "sync decision rounds (one per slot)")
 	a.stepperNodes = reg.Counter("nd_stepper_batch_nodes_total", "protocol steps across all sync decision rounds")
 	a.scratchHits = reg.Counter("nd_scratch_table_hits_total", "sync runs that reused the scratch's cached network tables")
@@ -408,8 +404,6 @@ func (a *Aggregate) TrialDone(obs sim.Observer) {
 	a.haloExchanges.Add(o.internals.HaloExchanges)
 	a.haloWords.Add(o.internals.HaloWordsCopied)
 	a.kernelSlots.Add(o.internals.KernelSlots)
-	a.scalarSlots.Add(o.internals.ScalarSlots)
-	a.maskOverruns.Add(o.internals.MaskBudgetOverruns)
 	a.stepperBatches.Add(o.internals.StepperBatches)
 	a.stepperNodes.Add(o.internals.StepperBatchNodes)
 	a.scratchHits.Add(o.internals.ScratchTableHits)

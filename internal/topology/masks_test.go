@@ -33,18 +33,17 @@ func TestTileMasksMatchCandidates(t *testing.T) {
 
 // testMasksMatchCandidates is the packer table test: on each seeded
 // network (channels assigned, directions dropped and spans restricted at
-// random) it packs the candidate table in every bit space — NodeIDs, the
-// single tile, a 2×2 grid and, for geometric networks, the radius-matched
-// tiling — and pins every (listener, channel) row to the candidates it was
-// packed from. Mapped back through HaloNode, a row must list exactly the
-// listener's candidates on that channel in ascending NodeID order; in
-// NodeID space and on the single tile the bits themselves enumerate them
-// in that order, and the single tile's bit is the NodeID. It also pins the
-// row layout (checkMaskLayout): every table holds the rows of a reference
-// packed in NodeID order, the NodeID-space and single-tile tables are that
-// reference word for word, and a halo-space table lays each tile's rows
-// out as one contiguous span in tiling order. Budgets refuse a halo-space
-// table exactly below its packed size.
+// random) it packs the candidate table in the halo bit space of every
+// tiling — the single tile, a 2×2 grid and, for geometric networks, the
+// radius-matched tiling — and pins every (listener, channel) row to the
+// candidates it was packed from. Mapped back through HaloNode, a row must
+// list exactly the listener's candidates on that channel in ascending
+// NodeID order; on the single tile the bits themselves enumerate them in
+// that order, and each bit is the NodeID. It also pins the row layout
+// (checkMaskLayout): every table holds the rows of a reference packed in
+// NodeID order, the single-tile table is that reference word for word,
+// and a multi-tile table lays each tile's rows out as one contiguous span
+// in tiling order. Budgets refuse a table exactly below its packed size.
 func testMasksMatchCandidates(t *testing.T, seed uint64, trials int, network func(*rng.Source) (*Network, float64, error)) {
 	root := rng.New(seed)
 	for trial := 0; trial < trials; trial++ {
@@ -77,12 +76,6 @@ func testMasksMatchCandidates(t *testing.T, seed uint64, trials int, network fun
 				t.Skip("no channels assigned")
 			}
 
-			flat := NewCandidateMasks(cands, channels, 0)
-			if flat == nil || flat.Tiling() != nil {
-				t.Fatal("unbudgeted NodeID-space build failed")
-			}
-			checkMaskRows(t, "node-ids", flat, cands, channels)
-			checkMaskLayout(t, "node-ids", flat, cands, channels)
 			tilings := []struct {
 				label string
 				cols  int
@@ -93,14 +86,11 @@ func testMasksMatchCandidates(t *testing.T, seed uint64, trials int, network fun
 					t.Fatal(err)
 				}
 				m := NewTileMasks(tl, cands, channels, 0)
-				if m == nil {
+				if m == nil || m.Tiling() != tl {
 					t.Fatalf("%s: build failed", tc.label) // a ≤2×2 grid's halos hold every tile
 				}
 				checkMaskRows(t, tc.label, m, cands, channels)
 				checkMaskLayout(t, tc.label, m, cands, channels)
-				if tc.cols == 1 && !sameMasks(m, flat) {
-					t.Fatal("single tile: bits differ from NodeIDs")
-				}
 			}
 			if radius > 0 {
 				tl, err := TilingByRadius(nw, radius, r.IntN(16)+1)
@@ -142,16 +132,17 @@ func checkMaskRows(t *testing.T, label string, m *CandidateMasks, cands [][]Cand
 			for wi, w := range row {
 				for ; w != 0; w &= w - 1 {
 					bit := (lo+wi)<<6 + bits.TrailingZeros64(w)
-					v := NodeID(bit)
-					if tl != nil {
-						if v = tl.HaloNode(tl.TileOf(NodeID(u)), bit); v < 0 {
-							t.Fatalf("%s: listener %d channel %d: bit %d maps to padding", label, u, c, bit)
-						}
+					v := tl.HaloNode(tl.TileOf(NodeID(u)), bit)
+					if v < 0 {
+						t.Fatalf("%s: listener %d channel %d: bit %d maps to padding", label, u, c, bit)
+					}
+					if tl.Tiles() == 1 && int(v) != bit {
+						t.Fatalf("%s: listener %d channel %d: single-tile bit %d is node %d", label, u, c, bit, v)
 					}
 					got = append(got, v)
 				}
 			}
-			if tl != nil && tl.Tiles() > 1 {
+			if tl.Tiles() > 1 {
 				slices.Sort(got) // halo segments follow tile order, not NodeID order
 			}
 			if !slices.Equal(got, want) {
@@ -161,7 +152,7 @@ func checkMaskRows(t *testing.T, label string, m *CandidateMasks, cands [][]Cand
 	}
 }
 
-// nodeOrderTable is the reference packing: m's bit space, with rows
+// nodeOrderTable is the reference packing: m's halo bit space, with rows
 // numbered by NodeID and laid out in NodeID order, each row the word
 // window of its candidates' bits.
 type nodeOrderTable struct {
@@ -176,7 +167,7 @@ func packNodeOrder(m *CandidateMasks, cands [][]Candidate, channels int) nodeOrd
 			var on []int
 			for _, cand := range list {
 				if cand.Span.Contains(channel.ID(c)) {
-					on = append(on, m.bit(u, cand.From))
+					on = append(on, m.tl.haloBit(m.tl.TileOf(NodeID(u)), cand.From))
 				}
 			}
 			lo := 0
@@ -197,16 +188,16 @@ func packNodeOrder(m *CandidateMasks, cands [][]Candidate, channels int) nodeOrd
 
 // checkMaskLayout pins m's rows to the reference packed in NodeID order
 // (see testMasksMatchCandidates). Every row — looked up by NodeID with Row
-// and by position with RowAt — holds the reference row's words. With no
-// tiling or a single tile the whole table is the reference, word for word.
-// With a tiling, walking the tiles in order and each tile's nodes in local
-// order visits positions 0, 1, … and rows that start where the previous
-// one ended, so each tile's rows form one contiguous ascending span.
+// and by position with RowAt — holds the reference row's words. On a
+// single tile the whole table is the reference, word for word. Walking the
+// tiles in order and each tile's nodes in local order visits positions
+// 0, 1, … and rows that start where the previous one ended, so each tile's
+// rows form one contiguous ascending span.
 func checkMaskLayout(t *testing.T, label string, m *CandidateMasks, cands [][]Candidate, channels int) {
 	t.Helper()
 	ref := packNodeOrder(m, cands, channels)
 	tl := m.Tiling()
-	if tl == nil || tl.Tiles() == 1 {
+	if tl.Tiles() == 1 {
 		if !slices.Equal(m.lo, ref.lo) || !slices.Equal(m.off, ref.off) || !slices.Equal(m.words, ref.words) {
 			t.Fatalf("%s: table differs from the NodeID-order packing", label)
 		}
@@ -220,14 +211,6 @@ func checkMaskLayout(t *testing.T, label string, m *CandidateMasks, cands [][]Ca
 			t.Fatalf("%s: listener %d (position %d) channel %d: Row %v@%d, RowAt %v@%d, reference %v@%d",
 				label, u, p, c, row, lo, at, atLo, want, wantLo)
 		}
-	}
-	if tl == nil {
-		for u := range cands {
-			for c := 0; c < channels; c++ {
-				sameRow(u, u, c)
-			}
-		}
-		return
 	}
 	p, next := 0, int32(0)
 	for tile := 0; tile < tl.Tiles(); tile++ {
@@ -251,8 +234,9 @@ func checkMaskLayout(t *testing.T, label string, m *CandidateMasks, cands [][]Ca
 	}
 }
 
-// TestCandidateMasksBudget verifies the size gate: a budget below the
-// packed size rejects the build, at or above accepts it.
+// TestCandidateMasksBudget verifies the size gate on a coordinate-free
+// network's single tile: a budget below the packed size rejects the build,
+// at or above accepts it.
 func TestCandidateMasksBudget(t *testing.T) {
 	r := rng.New(5)
 	nw, err := ErdosRenyi(30, 0.5, r)
@@ -262,14 +246,18 @@ func TestCandidateMasksBudget(t *testing.T) {
 	if err := AssignUniformK(nw, 4, 2, r); err != nil {
 		t.Fatal(err)
 	}
-	m := NewCandidateMasks(nw.InboundCandidates(), 4, 0)
+	tl, err := NewTiling(nw, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewTileMasks(tl, nw.InboundCandidates(), 4, 0)
 	if m == nil || m.PackedWords() == 0 {
 		t.Fatal("expected a non-empty packed table")
 	}
-	if got := NewCandidateMasks(nw.InboundCandidates(), 4, m.PackedWords()-1); got != nil {
+	if got := NewTileMasks(tl, nw.InboundCandidates(), 4, m.PackedWords()-1); got != nil {
 		t.Fatal("under-budget build should return nil")
 	}
-	if got := NewCandidateMasks(nw.InboundCandidates(), 4, m.PackedWords()); got == nil {
+	if got := NewTileMasks(tl, nw.InboundCandidates(), 4, m.PackedWords()); got == nil {
 		t.Fatal("at-budget build should succeed")
 	}
 }
@@ -287,7 +275,11 @@ func TestCandidateMasksRowWindows(t *testing.T) {
 	if err := AssignHomogeneous(nw, 1); err != nil {
 		t.Fatal(err)
 	}
-	m := NewCandidateMasks(nw.InboundCandidates(), 1, 0)
+	tl, err := NewTiling(nw, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewTileMasks(tl, nw.InboundCandidates(), 1, 0)
 	if m == nil {
 		t.Fatal("build failed")
 	}
@@ -300,126 +292,6 @@ func TestCandidateMasksRowWindows(t *testing.T) {
 	// 200 nodes × ≤2 words bounds the whole table well under 200×4.
 	if m.PackedWords() > 400 {
 		t.Fatalf("packed size %d exceeds the windowed bound", m.PackedWords())
-	}
-}
-
-// randomCandTable returns an n-listener candidate table with ascending
-// From lists; a listener's list is empty with probability pEmpty, and spans
-// draw from universe channels, which may exceed the packed channel count.
-func randomCandTable(r *rng.Source, n, universe int, density, pEmpty float64) [][]Candidate {
-	cands := make([][]Candidate, n)
-	for u := range cands {
-		if r.Bernoulli(pEmpty) {
-			continue
-		}
-		for v := 0; v < n; v++ {
-			if v == u || !r.Bernoulli(density) {
-				continue
-			}
-			var span channel.Set
-			for c := 0; c < universe; c++ {
-				if r.Bernoulli(0.5) {
-					span.Add(channel.ID(c))
-				}
-			}
-			if !span.IsEmpty() {
-				cands[u] = append(cands[u], Candidate{From: NodeID(v), Span: span})
-			}
-		}
-	}
-	return cands
-}
-
-// sameMasks reports whether two tables pack identically (in any bit
-// space).
-func sameMasks(a, b *CandidateMasks) bool {
-	return a.channels == b.channels && slices.Equal(a.lo, b.lo) &&
-		slices.Equal(a.off, b.off) && slices.Equal(a.words, b.words)
-}
-
-// TestCandidateMasksRebuildInPlace rebuilds one table in place over a
-// sequence that grows, shrinks, changes channel count, has empty rows, is
-// entirely empty, has no listeners, and overruns its budget; after every
-// step the table must equal a fresh NewCandidateMasks of the same input
-// (and both must refuse the same inputs).
-func TestCandidateMasksRebuildInPlace(t *testing.T) {
-	r := rng.New(77)
-	type step struct {
-		n, universe, channels int
-		density, pEmpty       float64
-		budget                int
-	}
-	steps := []step{
-		{n: 20, universe: 3, channels: 3, density: 0.3, pEmpty: 0.2},
-		{n: 150, universe: 6, channels: 6, density: 0.2, pEmpty: 0.1},   // grows past two words
-		{n: 9, universe: 4, channels: 2, density: 0.5, pEmpty: 0.3},     // shrinks; spans past the channel count
-		{n: 70, universe: 5, channels: 5, density: 0.1, pEmpty: 0.6},    // many empty rows
-		{n: 40, universe: 3, channels: 3, density: 0, pEmpty: 0},        // every row empty
-		{n: 0, universe: 3, channels: 3},                                // nothing to pack
-		{n: 130, universe: 6, channels: 6, density: 0.3, budget: 50},    // over budget
-		{n: 90, universe: 6, channels: 7, density: 0.15, pEmpty: 0.2},   // after a refused rebuild
-		{n: 1, universe: 2, channels: 2},                                // a lone listener
-		{n: 128, universe: 8, channels: 8, density: 0.25, pEmpty: 0.05}, // exactly two words
-	}
-	m := new(CandidateMasks)
-	for i, s := range steps {
-		cands := randomCandTable(r, s.n, s.universe, s.density, s.pEmpty)
-		fresh := NewCandidateMasks(cands, s.channels, s.budget)
-		ok := m.Rebuild(cands, s.channels, s.budget)
-		if ok != (fresh != nil) {
-			t.Fatalf("step %d: Rebuild ok=%v, NewCandidateMasks nil=%v", i, ok, fresh == nil)
-		}
-		if ok && !sameMasks(m, fresh) {
-			t.Fatalf("step %d: in-place rebuild differs from a fresh build", i)
-		}
-	}
-
-	// A halo-space table rebuilds in its tiling's bit space and refuses a
-	// table its tiling does not partition.
-	nw, err := Geometric(80, 0.2, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := AssignUniformK(nw, 4, 2, r); err != nil {
-		t.Fatal(err)
-	}
-	tl, err := TilingByRadius(nw, 0.2, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cands := nw.InboundCandidates()
-	tm := NewTileMasks(tl, cands, 2, 0)
-	if tm == nil || !tm.Rebuild(cands, 4, 0) || !sameMasks(tm, NewTileMasks(tl, cands, 4, 0)) || tm.Tiling() != tl {
-		t.Fatal("halo-space rebuild differs from a fresh build")
-	}
-	if tm.Rebuild(cands[:79], 4, 0) {
-		t.Fatal("halo-space rebuild accepted a table of another size")
-	}
-}
-
-// TestCandidateMasksRebuildAllocs: once a table has grown to the largest
-// input, rebuilding it in place from smaller ones allocates nothing.
-func TestCandidateMasksRebuildAllocs(t *testing.T) {
-	r := rng.New(78)
-	big := randomCandTable(r, 200, 8, 0.3, 0)
-	small := [][][]Candidate{
-		randomCandTable(r, 150, 8, 0.2, 0.1),
-		randomCandTable(r, 30, 6, 0.5, 0.3),
-		randomCandTable(r, 200, 8, 0.05, 0.5),
-	}
-	m := NewCandidateMasks(big, 8, 0)
-	if m == nil {
-		t.Fatal("unbudgeted build returned nil")
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		for _, cands := range small {
-			if !m.Rebuild(cands, 8, 0) {
-				t.Fatal("rebuild refused an in-budget table")
-			}
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("in-place rebuilds allocated %.1f objects per run, want 0", allocs)
 	}
 }
 
