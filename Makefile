@@ -66,12 +66,15 @@ fma-scan:
 # Everything the GitHub Actions pipeline runs, locally and in order. The
 # test pass shuffles execution order, the bench smoke compiles and runs each
 # fast-package benchmark once so harness breakage surfaces before merge, the
+# parallel sync path's tests run under -race again at GOMAXPROCS 1 and 4 (so
+# its chunk rounds get more workers than a 2-core runner has cores), the
 # 386 pass catches code that assumes a 64-bit int, and the bench gate compares a fresh throughput snapshot against the committed
 # BENCH_3.json via cmd/ndstat.
 ci: build vet fmt-check lint fma-scan
 	$(GO) test -shuffle=on ./...
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./internal/sim/... ./internal/harness/... ./internal/telemetry/... ./internal/dynamics/... ./internal/channel/... ./internal/topology/... ./internal/core/...
 	$(GO) test -race ./internal/harness/... ./internal/experiment/... ./internal/trace/... ./internal/sim/... ./internal/telemetry/... ./internal/dynamics/... ./internal/channel/... ./internal/topology/... ./internal/diag/... ./internal/metrics/...
+	$(GO) test -race -cpu 1,4 -run Tiled ./internal/sim/
 	$(MAKE) test-386
 	$(MAKE) bench-gate
 	$(MAKE) perfbench-smoke
@@ -136,10 +139,12 @@ bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' ./...
 	$(GO) run ./cmd/ndperf -out BENCH_3.json
 
-# Off-CI scale soak: one million nodes (CSR-streamed geometric graph, mean
-# degree ~15) resolved on the tiled parallel path. Allocates tens of GB and
-# runs for minutes; run by hand when touching the tiled engine, the CSR
-# generators, or the halo kernels. Prints per-stage timings; writes nothing.
+# Off-CI scale soak: one million nodes (CSR-streamed geometric graph in
+# Morton order, mean degree ~15) resolved on the parallel NodeID-chunk path.
+# Holds about 2 GB and runs for about ten seconds on a 2-core host; run by
+# hand when touching the parallel sync path, the candidate masks or the CSR
+# generators. Prints per-stage timings and the live heap after a GC; writes
+# nothing.
 soak-1m:
 	$(GO) run ./cmd/ndperf -soak1m
 

@@ -288,7 +288,7 @@ func benchNetwork100k() (*topology.Network, *topology.Tiling, error) {
 // countingUniform is Algorithm 3 with a delivery counter. The sync rows
 // count deliveries per node and sum them after each run: an EventDeliver
 // subscription would make every run emit per-listener events, which keeps
-// it off the multi-tile path.
+// it off the parallel path.
 type countingUniform struct {
 	*core.SyncUniform
 	deliveries int64
@@ -300,7 +300,7 @@ func (c *countingUniform) Deliver(msg radio.Message) {
 }
 
 // benchSync measures one synchronous row. A row with a tiling fails unless
-// every slot of every run took the multi-tile path, so it cannot silently
+// every slot of every run took the parallel path, so it cannot silently
 // measure the single tile.
 func benchSync(name string, nw *topology.Network, deltaEst, maxSlots int, scratch *sim.SyncScratch, tiling *topology.Tiling, world func() *dynamics.World, agg *telemetry.Aggregate) (benchRow, error) {
 	var (
@@ -349,7 +349,7 @@ func benchSync(name string, nw *topology.Network, deltaEst, maxSlots int, scratc
 				agg.TrialDone(tele)
 			}
 			if rec != nil && rec.Last.TiledSlots != int64(r.SlotsSimulated) {
-				pathErr = fmt.Errorf("%s: %d of %d slots took the multi-tile path", name, rec.Last.TiledSlots, r.SlotsSimulated)
+				pathErr = fmt.Errorf("%s: %d of %d slots took the parallel path", name, rec.Last.TiledSlots, r.SlotsSimulated)
 				b.FailNow()
 			}
 			for u := range counted {

@@ -14,10 +14,11 @@ import (
 
 // soak1M is the off-CI scale soak behind `make soak-1m`: one million nodes
 // at the same mean degree (~15) as the RunSyncN100k row, streamed into a
-// CSR adjacency and resolved on the tiled parallel path. It is a memory
-// and wall-clock ceiling check, not a benchmark — it runs once, reports
-// each stage's cost plus the engine-internals tallies, and writes no
-// snapshot (timings at this scale are too machine-bound to gate on).
+// CSR adjacency in Morton order and resolved on the parallel sync path. It
+// is a memory and wall-clock ceiling check, not a benchmark — it runs once,
+// reports each stage's cost, the parallel slot count and the live heap
+// after a GC, and writes no snapshot (timings at this scale are too
+// machine-bound to gate on).
 func soak1M(w io.Writer) error {
 	const (
 		n        = 1_000_000
@@ -59,12 +60,14 @@ func soak1M(w io.Writer) error {
 	fmt.Fprintf(w, "protos   %12v\n", time.Since(t0).Round(time.Millisecond))
 
 	rec := &sim.InternalsRecorder{}
+	sc := sim.NewSyncScratch()
 	t0 = time.Now()
 	res, err := sim.RunSync(sim.SyncConfig{
 		Network:       nw,
 		Protocols:     protos,
 		MaxSlots:      slots,
 		RunToMaxSlots: true,
+		Scratch:       sc,
 		Tiling:        tl,
 		Observer:      rec,
 	})
@@ -72,14 +75,19 @@ func soak1M(w io.Writer) error {
 		return err
 	}
 	runDur := time.Since(t0)
+	// The live heap: what the network, the protocols, the scratch's
+	// derived tables and the result hold once the run's garbage is
+	// collected.
+	runtime.GC()
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
 	fmt.Fprintf(w, "run      %12v  %.1fms/slot\n", runDur.Round(time.Millisecond),
 		float64(runDur.Milliseconds())/float64(res.SlotsSimulated))
-	fmt.Fprintf(w, "slots=%d progress=%.3f tiled_slots=%d halo_exchanges=%d halo_words=%d heap=%.1fGB total=%v\n",
-		res.SlotsSimulated, res.Coverage.Progress(),
-		rec.Last.TiledSlots, rec.Last.HaloExchanges, rec.Last.HaloWordsCopied,
+	fmt.Fprintf(w, "slots=%d progress=%.3f tiled_slots=%d live_heap=%.2fGB total=%v\n",
+		res.SlotsSimulated, res.Coverage.Progress(), rec.Last.TiledSlots,
 		float64(m.HeapAlloc)/1e9, time.Since(start).Round(time.Millisecond))
+	runtime.KeepAlive(protos)
+	runtime.KeepAlive(sc)
 	if rec.Last.TiledSlots != int64(res.SlotsSimulated) {
 		return fmt.Errorf("soak ran %d slots but only %d on the tiled path", res.SlotsSimulated, rec.Last.TiledSlots)
 	}

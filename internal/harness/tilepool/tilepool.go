@@ -6,12 +6,12 @@
 // It is deliberately independent of internal/sim (which cannot import
 // internal/harness — harness sits above sim) and of internal/harness's
 // trial pipeline (which parallelizes across whole trials, not within one).
-// The contract the tiled engine needs is narrow: Run(n, fn) returns only
-// after every index has been processed exactly once, and everything the
-// workers wrote happens-before Run's return (the two-phase halo barrier is
-// built from two Run calls per slot). Determinism is the caller's problem:
-// fn must confine its writes to per-index state, which is exactly what the
-// per-tile scratch does.
+// The contract the parallel sync path needs is narrow: Run(n, fn) returns
+// only after every index has been processed exactly once, and everything
+// the workers wrote happens-before Run's return (each slot's decide and
+// resolve rounds are one Run call each). Determinism is the caller's
+// problem: fn must confine its writes to per-index state, which is exactly
+// what the per-chunk scratch does.
 package tilepool
 
 import (

@@ -25,10 +25,10 @@ func TestRunCoversEveryIndexOnce(t *testing.T) {
 	}
 }
 
-// TestRunBarrierPublishesWrites pins the happens-before edge the halo
-// exchange relies on: plain (non-atomic) writes from one round are visible
-// to the next round's workers and to the caller. Run under -race this is
-// the halo-barrier stress test.
+// TestRunBarrierPublishesWrites pins the happens-before edge the parallel
+// sync path's rounds rely on: plain (non-atomic) writes from one round are
+// visible to the next round's workers and to the caller. Run under -race
+// this is the round-barrier stress test.
 func TestRunBarrierPublishesWrites(t *testing.T) {
 	p := New(4)
 	defer p.Close()
@@ -38,7 +38,8 @@ func TestRunBarrierPublishesWrites(t *testing.T) {
 	for round := 0; round < 200; round++ {
 		p.Run(n, func(i int) { a[i] = round + i })
 		// Phase two reads every phase-one slot a worker may not have
-		// written itself — exactly the halo-publish pattern.
+		// written itself — exactly how the resolve round reads the
+		// transmitter masks the decide round set.
 		p.Run(n, func(i int) {
 			sum := 0
 			for j := i; j < i+8; j++ {

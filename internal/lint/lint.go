@@ -269,14 +269,28 @@ const HotpathDirective = "//nd:hotpath"
 //	//nd:scratch-owner finishRun releases every adopted buffer at run end
 const ScratchOwnerDirective = "//nd:scratch-owner"
 
+// RunScopedDirective marks a struct type whose values live no longer than
+// one engine run (sim's syncRun, the asynchronous resolver env): the
+// scratchalias analyzer lets such a struct hold slices borrowed from a
+// scratch, which are only recycled after the run ends.
+//
+//	//nd:run-scoped the run ends before its scratch is recycled
+const RunScopedDirective = "//nd:run-scoped"
+
 // FuncHasDirective reports whether fn's doc comment contains a line whose
 // directive prefix is exactly directive (an //nd:... machine comment, per
 // the go doc-comment directive convention).
 func FuncHasDirective(fn *ast.FuncDecl, directive string) bool {
-	if fn.Doc == nil {
+	return HasDirective(fn.Doc, directive)
+}
+
+// HasDirective reports whether the doc comment doc contains a line whose
+// directive prefix is exactly directive.
+func HasDirective(doc *ast.CommentGroup, directive string) bool {
+	if doc == nil {
 		return false
 	}
-	for _, c := range fn.Doc.List {
+	for _, c := range doc.List {
 		text := c.Text
 		if text == directive || strings.HasPrefix(text, directive+" ") {
 			return true

@@ -15,11 +15,15 @@
 //     the local variable is a dangling alias; further reads race with the
 //     next borrower.
 //   - No aliasing scratch-owned slices into escaping structs: a slice
-//     returned by a *Scratch method is recycled next run, so storing it in
-//     a struct field (or a composite literal that is itself stored) makes
-//     the struct describe a future run's data. Passing such a literal
-//     directly onward as a call argument is the engines' event-emission
-//     idiom and stays within the borrow contract, so it is allowed.
+//     returned by a *Scratch method, or read from a slice field of a
+//     *Scratch value (its own or one promoted from an embedded cache such
+//     as sim's netTables), is recycled next run, so storing it in a struct
+//     field (or a composite literal that is itself stored) makes the struct
+//     describe a future run's data. Passing such a literal directly onward
+//     as a call argument is the engines' event-emission idiom and stays
+//     within the borrow contract, so it is allowed, and so is storing into
+//     a struct type declared //nd:run-scoped, whose values die with the
+//     run.
 package scratchalias
 
 import (
@@ -40,6 +44,7 @@ var Analyzer = &lint.Analyzer{
 }
 
 func run(pass *lint.Pass) error {
+	scoped := runScopedTypes(pass)
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -48,7 +53,7 @@ func run(pass *lint.Pass) error {
 			}
 			checkAdoptRelease(pass, fn)
 			checkUseAfterHandoff(pass, fn)
-			checkScratchAlias(pass, fn)
+			checkScratchAlias(pass, fn, scoped)
 		}
 	}
 	return nil
@@ -163,38 +168,47 @@ func usesObject(pass *lint.Pass, id *ast.Ident, obj types.Object) bool {
 }
 
 // checkScratchAlias tracks variables bound to slices returned by *Scratch
-// methods and flags stores that make them outlive the run.
-func checkScratchAlias(pass *lint.Pass, fn *ast.FuncDecl) {
+// methods or read from *Scratch slice fields, and flags stores of them, or
+// of such field reads directly, that make them outlive the run. Stores into
+// the scoped (run-scoped) struct types are allowed.
+func checkScratchAlias(pass *lint.Pass, fn *ast.FuncDecl, scoped map[types.Object]bool) {
 	owned := make(map[types.Object]bool)
+	bind := func(lhs ast.Expr) {
+		id, ok := lhs.(*ast.Ident)
+		if !ok || id.Name == "_" {
+			return
+		}
+		obj := pass.Info.Defs[id]
+		if obj == nil {
+			obj = pass.Info.Uses[id]
+		}
+		if obj != nil && isSliceType(obj.Type()) {
+			owned[obj] = true
+		}
+	}
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
 		if !ok {
 			return true
 		}
 		// Both x := sc.m(...) and x, y := sc.m(...) (tuple results) bind
-		// scratch-owned slices.
+		// scratch-owned slices, and so do x := sc.f and x, y := sc.f, sc.g.
 		if len(as.Rhs) == 1 {
 			if call, ok := as.Rhs[0].(*ast.CallExpr); ok && scratchMethod(pass, call) {
 				for _, lhs := range as.Lhs {
-					id, ok := lhs.(*ast.Ident)
-					if !ok || id.Name == "_" {
-						continue
-					}
-					obj := pass.Info.Defs[id]
-					if obj == nil {
-						obj = pass.Info.Uses[id]
-					}
-					if obj != nil && isSliceType(obj.Type()) {
-						owned[obj] = true
-					}
+					bind(lhs)
+				}
+			}
+		}
+		if len(as.Lhs) == len(as.Rhs) {
+			for i, rhs := range as.Rhs {
+				if scratchField(pass, rhs) {
+					bind(as.Lhs[i])
 				}
 			}
 		}
 		return true
 	})
-	if len(owned) == 0 {
-		return
-	}
 	var stack []ast.Node
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		if n == nil {
@@ -202,54 +216,83 @@ func checkScratchAlias(pass *lint.Pass, fn *ast.FuncDecl) {
 			return true
 		}
 		stack = append(stack, n)
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := pass.Info.Uses[id]
-		if obj == nil || !owned[obj] {
+		var e ast.Expr
+		switch x := n.(type) {
+		case *ast.Ident:
+			if obj := pass.Info.Uses[x]; obj == nil || !owned[obj] {
+				return true
+			}
+			e = x
+		case *ast.SelectorExpr:
+			if !scratchField(pass, x) {
+				return true
+			}
+			e = x
+		default:
 			return true
 		}
 		if len(stack) < 2 {
 			return true
 		}
+		name := types.ExprString(e)
 		switch parent := stack[len(stack)-2].(type) {
 		case *ast.AssignStmt:
 			// x.F = v: the struct now aliases the scratch buffer.
-			if !isLHS(parent, id) {
-				for _, lhs := range parent.Lhs {
-					if _, isSel := lhs.(*ast.SelectorExpr); isSel {
-						pass.Reportf(id.Pos(), "scratch-owned slice %s stored into a struct field: it is recycled next run; copy it or transfer ownership", id.Name)
-						return true
-					}
+			for _, lhs := range storeTargets(parent, e) {
+				if sel, isSel := lhs.(*ast.SelectorExpr); isSel && !scoped[namedOf(pass.Info.TypeOf(sel.X))] {
+					pass.Reportf(e.Pos(), "scratch-owned slice %s stored into a struct field: it is recycled next run; copy it or transfer ownership", name)
+					return true
 				}
 			}
 		case *ast.KeyValueExpr:
-			if parent.Value == id {
-				reportLiteralAlias(pass, id, stack)
+			if parent.Value == e {
+				reportLiteralAlias(pass, e, name, stack, scoped)
 			}
 		case *ast.CompositeLit:
-			reportLiteralAlias(pass, id, stack)
+			reportLiteralAlias(pass, e, name, stack, scoped)
 		}
 		return true
 	})
 }
 
+// storeTargets returns the assignment targets as stores e into: the
+// matching target of a one-to-one assignment, every target of a tuple
+// assignment, none when e is itself a target.
+func storeTargets(as *ast.AssignStmt, e ast.Expr) []ast.Expr {
+	if isLHS(as, e) {
+		return nil
+	}
+	if len(as.Lhs) == len(as.Rhs) {
+		for i, rhs := range as.Rhs {
+			if rhs == e {
+				return as.Lhs[i : i+1]
+			}
+		}
+	}
+	return as.Lhs
+}
+
 // reportLiteralAlias flags a scratch-owned slice used as a composite
-// literal element, unless the literal is itself a direct call argument —
-// the engines' inline Event{Actions: actions} emission, which stays inside
-// the borrow contract.
-func reportLiteralAlias(pass *lint.Pass, id *ast.Ident, stack []ast.Node) {
+// literal element, unless the literal is of a run-scoped type or is itself
+// a direct call argument — the engines' inline Event{Actions: actions}
+// emission, which stays inside the borrow contract.
+func reportLiteralAlias(pass *lint.Pass, e ast.Expr, name string, stack []ast.Node, scoped map[types.Object]bool) {
 	// Walk out of the literal (through KeyValueExpr, the literal itself,
 	// and an optional &) and look at what holds it.
 	i := len(stack) - 2
 	for i >= 0 {
-		switch stack[i].(type) {
-		case *ast.KeyValueExpr, *ast.CompositeLit:
+		switch x := stack[i].(type) {
+		case *ast.KeyValueExpr:
+			i--
+			continue
+		case *ast.CompositeLit:
+			if scoped[namedOf(pass.Info.TypeOf(x))] {
+				return // the literal dies with the run
+			}
 			i--
 			continue
 		case *ast.UnaryExpr:
-			if u := stack[i].(*ast.UnaryExpr); u.Op == token.AND {
+			if x.Op == token.AND {
 				i--
 				continue
 			}
@@ -261,7 +304,57 @@ func reportLiteralAlias(pass *lint.Pass, id *ast.Ident, stack []ast.Node) {
 			return // literal passed straight to a callee: borrow, not escape
 		}
 	}
-	pass.Reportf(id.Pos(), "scratch-owned slice %s aliased into a composite literal that outlives the call: copy it or transfer ownership", id.Name)
+	pass.Reportf(e.Pos(), "scratch-owned slice %s aliased into a composite literal that outlives the call: copy it or transfer ownership", name)
+}
+
+// runScopedTypes returns the package's type names declared with the
+// run-scoped directive.
+func runScopedTypes(pass *lint.Pass) map[types.Object]bool {
+	scoped := make(map[types.Object]bool)
+	for _, f := range pass.Files {
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts := spec.(*ast.TypeSpec)
+				doc := ts.Doc
+				if doc == nil && len(gd.Specs) == 1 {
+					doc = gd.Doc
+				}
+				if lint.HasDirective(doc, lint.RunScopedDirective) {
+					scoped[pass.Info.Defs[ts.Name]] = true
+				}
+			}
+		}
+	}
+	return scoped
+}
+
+// scratchField reports whether e reads a slice field of a value whose named
+// type ends in "Scratch", promoted fields included.
+func scratchField(pass *lint.Pass, e ast.Expr) bool {
+	sel, ok := e.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	if s := pass.Info.Selections[sel]; s == nil || s.Kind() != types.FieldVal || !isSliceType(s.Type()) {
+		return false
+	}
+	named := namedOf(pass.Info.TypeOf(sel.X))
+	return named != nil && strings.HasSuffix(named.Name(), "Scratch")
+}
+
+// namedOf returns the type name of t or of the type t points to, or nil.
+func namedOf(t types.Type) types.Object {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj()
+	}
+	return nil
 }
 
 // scratchMethod reports whether call invokes a method on a receiver whose
@@ -271,19 +364,8 @@ func scratchMethod(pass *lint.Pass, call *ast.CallExpr) bool {
 	if !ok {
 		return false
 	}
-	tv, ok := pass.Info.Types[sel.X]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	t := tv.Type
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	return strings.HasSuffix(named.Obj().Name(), "Scratch")
+	named := namedOf(pass.Info.TypeOf(sel.X))
+	return named != nil && strings.HasSuffix(named.Name(), "Scratch")
 }
 
 // methodName returns the selector name call invokes, or "".

@@ -182,3 +182,74 @@ func coverageOnSharedIndex(sc *indexScratch, key, rows int) *coverage {
 	idx := sc.targetIndexFor(key, rows)
 	return &coverage{index: idx, at: make([]float64, rows)}
 }
+
+// tables mimics sim's netTables: the network-derived tables a scratch
+// embeds, read by the engines as promoted fields.
+type tables struct {
+	cands    []int
+	msgAvail [][]int
+	channels int
+}
+
+// netScratch mimics sim.SyncScratch: it embeds the table cache and owns a
+// field of its own.
+type netScratch struct {
+	tables
+	actions []int
+}
+
+// fieldIntoResult stores scratch fields, promoted and own, straight into a
+// long-lived struct.
+func fieldIntoResult(sc *netScratch, r *result) {
+	r.actions = sc.cands   // want "scratch-owned slice sc.cands stored into a struct field"
+	r.actions = sc.actions // want "scratch-owned slice sc.actions stored into a struct field"
+}
+
+// fieldBoundIntoResult binds the promoted fields first, the way RunSync
+// reads them, and stores one.
+func fieldBoundIntoResult(sc *netScratch, r *result) int {
+	cands, channels := sc.cands, sc.channels
+	r.actions = cands // want "scratch-owned slice cands stored into a struct field"
+	return channels
+}
+
+// fieldIntoLiteral wraps a promoted field in an escaping literal.
+func fieldIntoLiteral(sc *netScratch) *result {
+	return &result{actions: sc.cands} // want "scratch-owned slice sc.cands aliased into a composite literal"
+}
+
+// scopedRun mimics sim's syncRun: it dies with the run, so it may borrow
+// the scratch's tables.
+//
+//nd:run-scoped the run ends before its scratch is recycled
+type scopedRun struct {
+	cands    []int
+	msgAvail [][]int
+	out      *result
+}
+
+// fieldIntoScopedRun is the sanctioned shape: stores into a run-scoped
+// struct, by field, through a bound variable and in a literal.
+func fieldIntoScopedRun(sc *netScratch, run *scopedRun) *scopedRun {
+	run.msgAvail = sc.msgAvail
+	cands := sc.cands
+	run.cands = cands
+	return &scopedRun{cands: sc.cands, msgAvail: sc.msgAvail}
+}
+
+// fieldThroughScopedRun stores into a long-lived struct that a run-scoped
+// one points to: the exemption covers the run-scoped struct's own fields
+// only.
+func fieldThroughScopedRun(sc *netScratch, run *scopedRun) {
+	run.out.actions = sc.actions // want "scratch-owned slice sc.actions stored into a struct field"
+}
+
+// fieldReadsOnly reads scratch fields for local use and emission: no store.
+func fieldReadsOnly(sc *netScratch) int {
+	total := 0
+	for _, c := range sc.cands {
+		total += c
+	}
+	emit(event{actions: sc.actions})
+	return total + len(sc.msgAvail)
+}

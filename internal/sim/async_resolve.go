@@ -41,6 +41,8 @@ type idxSlot struct {
 // pre-generating engine (RunAsync) and the online engine (RunAsyncOnline)
 // resolve receptions through it, so the two implementations share the exact
 // reception semantics and can be differentially tested against each other.
+//
+//nd:run-scoped envFor re-points every borrowed table at the start of each run
 type asyncEnv struct {
 	nw            *topology.Network
 	cands         [][]topology.Candidate // per listener: decodable transmitters

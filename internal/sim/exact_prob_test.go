@@ -119,7 +119,7 @@ func exactProbNetwork(t *testing.T, kind string, seed uint64, radius float64) *t
 // TestSyncDecodeCountsMatchExactProb runs Algorithm 3 for a fixed number
 // of slots (RunToMaxSlots) on geometric, dropped-direction, span-capped and
 // block-overlap networks, on every resolver path — the single tile
-// loss-free and lossy, and the multi-tile path — and confirms each path
+// loss-free and lossy, and the parallel path — and confirms each path
 // from the run's internals. Every link's decode count must pass a two-sided binomial test
 // against the exact per-slot probability at a Bonferroni-corrected
 // family-wise α, and no listener may decode a non-candidate.

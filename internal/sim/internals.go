@@ -17,9 +17,9 @@ package sim
 //   - Zero allocation when used: Internals is a plain value passed by
 //     value; per-slot tallying is integer arithmetic on run-local fields.
 //   - Zero perturbation: a sink whose EventMask is zero keeps the
-//     multi-tile path and the engine's event-free fast paths — reading the
+//     parallel path and the engine's event-free fast paths — reading the
 //     internals never changes which internals there are to read. (A full
-//     observer still moves a multi-tile run to the single tile, because
+//     observer still moves a parallel run to the single tile, because
 //     per-listener events need listener order; the report then says so.)
 
 // Internals is one synchronous run's engine-internals summary. All fields
@@ -27,10 +27,11 @@ package sim
 type Internals struct {
 	// SlotsSimulated mirrors SyncResult.SlotsSimulated.
 	SlotsSimulated int64
-	// TiledSlots and KernelSlots attribute the run's slots to the resolver
-	// path that executed them: TiledSlots counts multi-tile slots and
-	// KernelSlots the single tile's. The tiling is fixed for a whole run,
-	// so one of the two carries every slot.
+	// TiledSlots and KernelSlots attribute the run's slots to the path
+	// that executed them: TiledSlots counts the parallel path's slots (a
+	// run with a Tiling whose gate holds) and KernelSlots the single
+	// tile's. The path is fixed for a whole run, so one of the two carries
+	// every slot.
 	TiledSlots  int64
 	KernelSlots int64
 	// ScalarSlots and BatchedSlots are always zero: the scalar candidate
@@ -39,14 +40,14 @@ type Internals struct {
 	// until the repository benchmark stops reading them.
 	ScalarSlots  int64
 	BatchedSlots int64
-	// HaloExchanges counts multi-tile halo segment copies from a NEIGHBOR
-	// tile (a tile reading its own transmitter mask does not count);
-	// HaloWordsCopied sums their word widths. Both are zero on the single
-	// tile. Multi-tile runs attribute decision rounds per (slot, tile with
-	// active nodes) rather than per slot.
+	// HaloExchanges and HaloWordsCopied are always zero: the parallel path
+	// resolves on NodeID-space transmitter masks that every chunk reads in
+	// place, so no tile copies a neighbor's halo any more. The fields stay
+	// until the repository benchmark stops reading them.
 	HaloExchanges   int64
 	HaloWordsCopied int64
-	// StepperBatches counts the slots' decision rounds (one per slot);
+	// StepperBatches counts the slots' decision rounds (one per slot, on
+	// either path);
 	// StepperBatchNodes sums their sizes (protocol Step calls), so the
 	// mean round size is StepperBatchNodes/StepperBatches. MaxStepperBatch
 	// is the largest single round.
@@ -69,6 +70,7 @@ func (in *Internals) Merge(o Internals) {
 	in.HaloWordsCopied += o.HaloWordsCopied
 	in.KernelSlots += o.KernelSlots
 	in.ScalarSlots += o.ScalarSlots
+	in.BatchedSlots += o.BatchedSlots
 	in.StepperBatches += o.StepperBatches
 	in.StepperBatchNodes += o.StepperBatchNodes
 	if o.MaxStepperBatch > in.MaxStepperBatch {
@@ -105,7 +107,7 @@ func (m maskedObserver) OnInternals(in Internals) {
 }
 
 // InternalsRecorder captures engine-internals reports while subscribing to
-// no events at all, so attaching one preserves the engine's multi-tile
+// no events at all, so attaching one preserves the engine's parallel
 // path and event-free fast paths — the production shape for counters that must
 // not perturb what they measure, and the reference observer for the
 // perturbation guards in the tests.

@@ -8,6 +8,7 @@ package sim
 // allocation profile of an unobserved run.
 
 import (
+	"reflect"
 	"testing"
 
 	"m2hew/internal/dynamics"
@@ -151,7 +152,7 @@ func TestInternalsScratchTableReuse(t *testing.T) {
 // TestInternalsFinalizeAttribution pins what finalizeInternals derives
 // from a single-tile run: every slot lands on the kernel, the retired
 // scalar and batched counters stay zero, and the scratch-table flag is
-// reported. Multi-tile attribution is pinned end to end by
+// reported. Parallel-path attribution is pinned end to end by
 // TestSyncTiledInternals.
 func TestInternalsFinalizeAttribution(t *testing.T) {
 	for _, hit := range []bool{false, true} {
@@ -178,6 +179,31 @@ func TestInternalsMergeAcrossRuns(t *testing.T) {
 	}
 	if total != want {
 		t.Errorf("merged = %+v, want %+v", total, want)
+	}
+}
+
+// TestInternalsMergeSumsEveryCounter sets every field of two reports to
+// distinct values and requires Merge to sum each one, MaxStepperBatch
+// excepted (it takes the max), so a counter added later cannot be dropped.
+func TestInternalsMergeSumsEveryCounter(t *testing.T) {
+	var a, b Internals
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		va.Field(i).SetInt(int64(i + 1))
+		vb.Field(i).SetInt(int64(100 * (i + 1)))
+	}
+	got := a
+	got.Merge(b)
+	vg := reflect.ValueOf(got)
+	for i := 0; i < vg.NumField(); i++ {
+		name := vg.Type().Field(i).Name
+		want := va.Field(i).Int() + vb.Field(i).Int()
+		if name == "MaxStepperBatch" {
+			want = max(va.Field(i).Int(), vb.Field(i).Int())
+		}
+		if v := vg.Field(i).Int(); v != want {
+			t.Errorf("merged %s = %d, want %d", name, v, want)
+		}
 	}
 }
 

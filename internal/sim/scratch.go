@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 
-	"m2hew/internal/channel"
 	"m2hew/internal/clock"
 	"m2hew/internal/dynamics"
 	"m2hew/internal/metrics"
@@ -20,11 +19,11 @@ import (
 //
 // Reuse is invisible in results: every buffer is either fully overwritten
 // before it is read (actions, candidate tables) or re-zeroed on acquisition
-// (the tiles' transmitter masks and counts), and no scratch state feeds an rng
-// draw. The derived network tables (inbound candidates, shared message
-// availability sets, candidate masks) are cached keyed by network pointer; a
-// caller that mutates a network in place between runs must call Reset (or
-// use a fresh scratch) so the tables are rebuilt.
+// (the transmitter masks and the chunks' lists and errors), and no scratch
+// state feeds an rng draw. The derived network tables (inbound candidates,
+// shared message availability sets, candidate masks) are cached keyed by
+// network pointer; a caller that mutates a network in place between runs
+// must call Reset (or use a fresh scratch) so the tables are rebuilt.
 type SyncScratch struct {
 	netTables
 	// epochMasks is the dynamic runs' candidate masks, recompiled in place
@@ -32,21 +31,12 @@ type SyncScratch struct {
 	// cached masks.
 	epochMasks candMasks
 
-	// singleTile is the single tile's scratch (see sync_tiled.go), built at
-	// the first run that needs it and rebuilt only when a run's node or
-	// channel count outgrows it.
-	singleTile []tileState
-
-	// Multi-tile state, cached keyed by (network, tiling) pair: the
-	// halo-local candidate masks and the per-tile scratch.
-	tileNW    *topology.Network
-	tileTL    *topology.Tiling
-	tileMasks *topology.CandidateMasks
-	tiles     []tileState
-	// The multi-tile rounds' NodeID-order state: the decide and deliver
-	// chunks and the NodeID-indexed sender slots (see nodeChunks).
-	chunks  []nodeChunk
-	senders []int32
+	// The slot pipeline's buffers (see slotState): the NodeID chunks, which
+	// keep their listener lists and heard-list buffers across runs, the
+	// transmitter masks and the per-channel transmitter slots.
+	chunks []nodeChunk
+	tx     []uint64
+	txSlot []int
 
 	actions []radio.Action
 	locals  []int
@@ -65,76 +55,36 @@ func NewSyncScratch() *SyncScratch {
 // Reset invalidates the network-derived caches. Buffer capacity is kept.
 func (sc *SyncScratch) Reset() {
 	sc.reset()
-	sc.tileNW = nil
-	sc.tileTL = nil
-	sc.tileMasks = nil
-	sc.tiles = nil
 }
 
-// syncTileMaskWordBudget returns the multi-tile packed-mask budget: 128
-// words per node, and at least 8 MB — a listener's halo-local row spans
-// at most its 3×3 halo (a constant for radius-matched tilings), so the
-// packed table is O(n) by construction and a linear budget admits every
-// well-tiled network while still refusing a pathological blowup, which
-// then runs on the single tile.
-func syncTileMaskWordBudget(n int) int {
-	return max(128*n, 1<<20)
-}
-
-// singleTileState returns the single tile's scratch — one tile holding
-// every node, whose local indexes and mask bits are NodeIDs — sized for n
-// nodes and channels channels, and re-zeroes its per-run state.
-func (sc *SyncScratch) singleTileState(n, channels int) []tileState {
-	words := (n + 63) / 64
-	if len(sc.singleTile) == 0 || sc.singleTile[0].words != words || len(sc.singleTile[0].txOn) != channels || cap(sc.singleTile[0].rxL) < n {
-		sc.singleTile = []tileState{{
-			words:     words,
-			localTx:   make([]uint64, channels*words),
-			txOn:      make([]int32, channels),
-			txTouched: make([]channel.ID, 0, 8),
-			rxL:       make([]int32, 0, n),
-			rxC:       make([]channel.ID, 0, n),
-		}}
+// slotState returns a run's count NodeID chunks over n nodes (chunkBounds),
+// its transmitter masks for channels channels and its per-channel
+// transmitter slots, reusing scratch capacity and re-zeroing all three: an
+// errored previous run may have returned mid-slot with live bits, lists
+// and errors in place.
+func (sc *SyncScratch) slotState(n, channels, count int) ([]nodeChunk, []uint64, []int) {
+	sc.tx = resize(sc.tx, channels*((n+63)/64))
+	clear(sc.tx)
+	sc.txSlot = resize(sc.txSlot, channels)
+	for c := range sc.txSlot {
+		sc.txSlot[c] = -1
 	}
-	resetTileStates(sc.singleTile)
-	return sc.singleTile
-}
-
-// tileState returns the multi-tile halo-local candidate masks and
-// per-tile scratch for the loaded network and tiling tl, rebuilding on a key
-// change and re-zeroing the per-run state either way. A nil mask table
-// (halo violation — the tiling is finer than the network's reach — or
-// budget overrun, or no channels) disables the multi-tile path for the
-// run; the caller falls back to the single tile.
-func (sc *SyncScratch) tileState(tl *topology.Tiling) (*topology.CandidateMasks, []tileState) {
-	if sc.tileNW != sc.nwKey || sc.tileTL != tl {
-		sc.tileNW, sc.tileTL = sc.nwKey, tl
-		sc.tileMasks = topology.NewTileMasks(tl, sc.cands, sc.channels, syncTileMaskWordBudget(tl.N()))
-		sc.tiles = nil
-		if sc.tileMasks != nil {
-			sc.tiles = buildTileStates(tl, sc.channels)
-		}
+	if len(sc.chunks) < count {
+		sc.chunks = append(sc.chunks, make([]nodeChunk, count-len(sc.chunks))...)
 	}
-	if sc.tileMasks == nil {
-		return nil, nil
+	chunks := sc.chunks[:count]
+	for i := range chunks {
+		ch := &chunks[i]
+		ch.lo, ch.hi = chunkBounds(i, count, n)
+		ch.txOn = resize(ch.txOn, channels)
+		clear(ch.txOn)
+		ch.txTouched = slices.Grow(ch.txTouched[:0], channels)
+		ch.rxU = slices.Grow(ch.rxU[:0], int(ch.hi-ch.lo))
+		ch.rxC = slices.Grow(ch.rxC[:0], int(ch.hi-ch.lo))
+		ch.err, ch.errNode = nil, 0
+		ch.deferred = ch.deferred[:0]
 	}
-	resetTileStates(sc.tiles)
-	return sc.tileMasks, sc.tiles
-}
-
-// nodeChunks returns a multi-tile run's count NodeID chunks over n nodes
-// and its n sender slots, reusing scratch capacity (the chunks keep their
-// heard-list buffers) and resetting both either way (resetNodeChunks).
-func (sc *SyncScratch) nodeChunks(n, count int) ([]nodeChunk, []int32) {
-	if cap(sc.chunks) < count {
-		sc.chunks = make([]nodeChunk, count)
-	}
-	if cap(sc.senders) < n {
-		sc.senders = make([]int32, n)
-	}
-	chunks, senders := sc.chunks[:count], sc.senders[:n]
-	resetNodeChunks(chunks, senders)
-	return chunks, senders
+	return chunks, sc.tx, sc.txSlot
 }
 
 // actionBuf returns the per-node action buffer, grown to n. Entries are

@@ -27,17 +27,15 @@
 // the tests pin the lazy engines to replays of decisions pre-generated
 // node-major, the order the engines used before they became incremental.
 //
-// RunSync runs every slot through one tile pipeline (sync_tiled.go):
-// nodes step and their decisions scatter into per-tile transmitter word
-// masks, and each listener's packed candidate-mask row is intersected
-// against them. A run with a Tiling that passes its gate runs a slot as
-// four rounds on a worker pool: the rounds that call protocols (decide,
-// deliver) sweep contiguous NodeID chunks, in the memory order of the
-// per-node state, and the mask rounds (scatter, resolve) run per spatial
-// tile, on candidate rows in each tile's halo bit space. Every other run
-// uses a single tile holding every node, resolved inline in ascending
-// NodeID order on the NodeID-space candidate rows the asynchronous engines
-// read too, which keeps the per-listener event and loss-draw order.
+// RunSync runs every slot through one pipeline (sync_tiled.go) of two
+// rounds over NodeID chunks: nodes step and set their bits in NodeID-space
+// transmitter word masks, and each listener's candidate-mask row — the
+// one packed table, which the asynchronous engines read too — is walked
+// against its channel's mask. A run with a Tiling that passes its gate
+// splits the nodes into chunks starting on multiples of 64 and runs each
+// round on a worker pool; every other run uses a single chunk holding
+// every node, the single tile, resolved inline in ascending NodeID order,
+// which keeps the per-listener event and loss-draw order.
 //
 // Both engines stop once coverage is complete. RunSync checks after every
 // slot (unless RunToMaxSlots is set or a dynamic world may still grow the
@@ -67,11 +65,11 @@ import (
 // Engines query it at delivery time, so the list reflects everything the
 // sender had heard before the delivered transmission. AppendHeard appends
 // the list, ascending, to dst and returns the extended slice; it must only
-// read the reporter's state: a multi-tile run's deliver round queries one
+// read the reporter's state: a parallel run's resolve round queries one
 // sender from several workers at once, each delivering to its own NodeID
 // chunk's listeners. The engines pass a buffer they reuse across
-// deliveries (one per NodeID chunk on a multi-tile run) and lend it to the
-// receiver as radio.Message.Heard for the Deliver call only.
+// deliveries (one per NodeID chunk) and lend it to the receiver as
+// radio.Message.Heard for the Deliver call only.
 type HeardReporter interface {
 	AppendHeard(dst []topology.NodeID) []topology.NodeID
 }
@@ -114,26 +112,25 @@ type SyncConfig struct {
 	// the ownership and network-mutation contract). Nil means the run
 	// allocates a private scratch; results are identical either way.
 	Scratch *SyncScratch
-	// Tiling, if non-nil, requests the multi-tile parallel path: each slot
-	// runs as four rounds on a fork-join worker pool — protocol steps and
-	// deliveries over contiguous NodeID chunks, transmitter-mask scatter
-	// and resolution per tile with a deterministic halo exchange (see
-	// sync_tiled.go) — byte-identical to the single-tile run at matched
-	// seed. The tiling must partition this network's nodes with cell side
-	// ≥ the connection radius (TilingByRadius). The multi-tile path
-	// engages only when its gate holds — static world, loss-free, no
-	// per-listener event subscription, and a halo-clean in-budget mask
-	// table; otherwise the run takes the single tile that every run
-	// without a Tiling takes, deterministically. Workers call different
-	// nodes' protocols concurrently, which is sound because each protocol
-	// touches only its own state and private rng stream.
+	// Tiling, if non-nil, requests the parallel path: each slot runs as
+	// two rounds (decide, resolve) over NodeID chunks that start on
+	// multiples of 64, on a fork-join worker pool (see sync_tiled.go),
+	// byte-identical to the single-tile run at matched seed. The engine
+	// reads nothing from the tiling but its node count, which must match
+	// the network's; any network qualifies, whatever its coordinates. The
+	// parallel path engages only when its gate holds — static world,
+	// loss-free, no per-listener event subscription; otherwise the run
+	// takes the single tile that every run without a Tiling takes,
+	// deterministically. Workers call different nodes' protocols
+	// concurrently, which is sound because each protocol touches only its
+	// own state and private rng stream.
 	Tiling *topology.Tiling
-	// TileWorkers bounds the multi-tile path's parallelism (caller
-	// included), capped at the tile count. 0 picks GOMAXPROCS; 1 runs every
-	// round serially (useful for differential tests). The NodeID chunk
-	// count follows from it and the node count: four chunks per worker, of
-	// at least 256 nodes. Ignored without Tiling. Worker count never
-	// affects results, only wall-clock.
+	// TileWorkers bounds the parallel path's parallelism (caller
+	// included), capped at the chunk count. 0 picks GOMAXPROCS; 1 runs
+	// every round serially on the caller (useful for differential tests).
+	// The NodeID chunk count follows from it and the node count: four
+	// chunks per worker, of at least 256 nodes. Ignored without Tiling.
+	// Worker count never affects results, only wall-clock.
 	TileWorkers int
 	// Dynamics, if non-nil, runs the simulation on a time-varying world:
 	// reception structure, activity and channel availability follow the
@@ -231,8 +228,8 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 	//
 	//   - cands[u] lists the only transmitters listener u can ever decode
 	//     (adjacency, direction and link span resolved up front by the
-	//     topology layer); the tile pipeline reads it packed channel-major
-	//     into word masks (see syncRun for the per-run tiling contract);
+	//     topology layer); the slot pipeline reads it compiled into
+	//     candidate masks (see syncRun for the two run shapes);
 	//   - msgAvail[v] is the one immutable copy of A(v) shared by every
 	//     message from v; see radio.Message for the ownership contract.
 	sc := cfg.Scratch
@@ -274,7 +271,7 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 	// The observer's subscription (EventMasker; AllEvents when undeclared)
 	// gates each emission site, and an observer subscribed to no
 	// per-listener kind frees the engine from the per-listener event order
-	// entirely — such runs may take the multi-tile path exactly like
+	// entirely — such runs may take the parallel path exactly like
 	// observerless ones (slot and epoch events are unaffected: every run
 	// emits them identically).
 	mask := observerMask(cfg.Observer)
@@ -289,42 +286,36 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 	run.wantIdle = mask.Has(EventIdle)
 	run.wantSlot = mask.Has(EventSlot)
 	perListener := run.wantDeliver || run.wantColl || run.wantIdle
-	// The multi-tile path needs a static, loss-free run with no
-	// per-listener events, and requires the halo-local mask table to build
-	// (nil on halo violation or budget overrun — the deterministic
-	// fallback to the single tile). Worker setup is per-run: the pool's
-	// goroutines live exactly as long as the run.
+	// The parallel path needs a static, loss-free run with no per-listener
+	// events. Worker setup is per-run: the pool's goroutines live exactly
+	// as long as the run.
 	lossFree := cfg.Loss == nil || cfg.Loss.Prob <= 0
-	if cfg.Tiling != nil && world == nil && lossFree && !perListener {
-		if tm, tiles := sc.tileState(cfg.Tiling); tm != nil {
-			workers := cfg.TileWorkers
-			if workers == 0 {
-				workers = runtime.GOMAXPROCS(0)
-			}
-			// Workers beyond the tile count would never find work.
-			if t := cfg.Tiling.Tiles(); workers > t {
-				workers = t
-			}
-			run.tl, run.tileMasks = cfg.Tiling, tm
-			run.tiles = tiles //ndlint:ignore scratchalias syncRun is run-scoped; the field dies with the run, before the scratch is recycled
-			run.chunks, run.senders = sc.nodeChunks(n, chunkCount(n, workers))
-			for i := range run.chunks {
-				ch := &run.chunks[i]
-				ch.shard = coverage.Shard(ch.lo, ch.hi)
-			}
+	run.tiled = cfg.Tiling != nil && world == nil && lossFree && !perListener
+	chunks := 1
+	if run.tiled {
+		workers := cfg.TileWorkers
+		if workers == 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+		chunks = chunkCount(n, workers)
+		// Workers beyond the chunk count would never find work.
+		if workers = min(workers, chunks); workers > 1 {
 			run.startPool(workers)
-			defer run.stopPool()
 		}
 	}
-	if run.pool == nil {
-		run.tiles = sc.singleTileState(n, channels)
-		// A static run resolves on the network's candidate masks, compiled
-		// at their first use; a dynamic run compiles each epoch's below.
-		if world == nil {
-			run.masks = sc.candRows()
-		} else {
-			run.masks = &sc.epochMasks
-		}
+	run.words = (n + 63) / 64
+	run.chunks, run.tx, run.txSlot = sc.slotState(n, channels, chunks)
+	for i := range run.chunks {
+		ch := &run.chunks[i]
+		ch.shard = coverage.Shard(ch.lo, ch.hi)
+	}
+	defer run.release()
+	// A static run resolves on the network's candidate masks, compiled at
+	// their first use; a dynamic run compiles each epoch's below.
+	if world == nil {
+		run.masks = sc.candRows()
+	} else {
+		run.masks = &sc.epochMasks
 	}
 	// run.hrs stays nil unless some protocol reports heard-lists, so plain
 	// runs skip the per-delivery probe.
@@ -365,14 +356,14 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 			}
 		}
 
-		// One slot of the tile pipeline: protocol steps, the slot event,
+		// One slot of the pipeline: protocol steps, the slot event,
 		// resolution and delivery. The loss-model draw order is part of the
 		// reproducibility contract: exactly one draw per candidate that
 		// transmits on the listener's channel over an operating link,
 		// consumed in ascending candidate order, stopping at the second
 		// surviving transmission (resolveSlotNaive in the differential
 		// tests re-states this order from first principles; the single
-		// tile's phase B preserves it).
+		// tile's resolve round preserves it).
 		if err := run.runSlot(slot); err != nil {
 			return nil, err
 		}
@@ -397,41 +388,38 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 	return result, nil
 }
 
-// startPool starts the multi-tile run's worker pool and binds its four
-// round closures, once per run.
+// startPool starts the parallel run's worker pool and binds its two round
+// closures, once per run.
 func (r *syncRun) startPool(workers int) {
 	r.pool = tilepool.New(workers)
-	r.fnDecide = func(ci int) { r.decideChunk(ci) }
-	r.fnScatter = func(ti int) { r.scatterTile(ti) }
-	r.fnResolve = func(ti int) { r.resolveTile(ti) }
-	r.fnDeliver = func(ci int) { r.deliverChunk(ci) }
+	r.fnDecide = func(ci int) { r.decide(ci) }
+	r.fnResolve = func(ci int) { r.resolve(ci) }
 }
 
-// stopPool stops the multi-tile run's worker pool and drops the chunks'
+// release stops the run's worker pool, if any, and drops the chunks'
 // coverage shards: the scratch keeps the chunks, and must not keep the
 // run's coverage alive with them.
-func (r *syncRun) stopPool() {
-	r.pool.Close()
+func (r *syncRun) release() {
+	if r.pool != nil {
+		r.pool.Close()
+	}
 	for i := range r.chunks {
 		r.chunks[i].shard = metrics.Shard{}
 	}
 }
 
-// finalizeInternals completes the run's internals report. The tiling is
-// fixed per run, so every slot lands on TiledSlots on a multi-tile run and
+// finalizeInternals completes the run's internals report. The path is
+// fixed per run, so every slot lands on TiledSlots on a parallel run and
 // on KernelSlots on the single tile. tablesHit reports scratch
 // network-table reuse.
 func (r *syncRun) finalizeInternals(slots int64, tablesHit bool) Internals {
-	in := Internals{SlotsSimulated: slots}
-	for i := range r.tiles {
-		ts := &r.tiles[i]
-		in.StepperBatches += ts.batches
-		in.StepperBatchNodes += ts.batchNodes
-		in.MaxStepperBatch = max(in.MaxStepperBatch, ts.maxBatch)
-		in.HaloExchanges += ts.haloEx
-		in.HaloWordsCopied += ts.haloWordsCopied
+	in := Internals{
+		SlotsSimulated:    slots,
+		StepperBatches:    r.batches,
+		StepperBatchNodes: r.batchNodes,
+		MaxStepperBatch:   r.maxBatch,
 	}
-	if r.pool != nil {
+	if r.tiled {
 		in.TiledSlots = slots
 	} else {
 		in.KernelSlots = slots

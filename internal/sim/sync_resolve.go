@@ -16,33 +16,31 @@ import (
 // It exists so the slot loop decomposes into //nd:hotpath methods instead
 // of one megafunction.
 //
-// Every slot runs on one tile pipeline (sync_tiled.go): nodes step and
-// their decisions scatter into per-tile transmitter masks, and listeners
-// resolve against candidate-mask rows. A run takes one of two tilings for
-// its whole length:
+// Every slot runs on one pipeline (sync_tiled.go): the decide round steps
+// the nodes and sets their transmitter bits in NodeID-space word masks,
+// and the resolve round walks each listener's candidate-mask row
+// (candMasks) against them. Both rounds run per NodeID chunk. A run takes
+// one of two shapes for its whole length:
 //
-//   - multi-tile: cfg.Tiling, when its gate holds (static world, loss-free,
-//     no per-listener event subscription, halo-clean in-budget masks). A
-//     slot is four rounds on a tilepool: the protocol-facing decide and
-//     deliver rounds sweep contiguous NodeID chunks, and the scatter and
-//     resolve rounds run per tile, reading the tile's halo-space
-//     candidate-mask rows (topology.CandidateMasks) as one contiguous span
-//     of the tile-major table. The deliver round also applies coverage:
-//     each chunk writes the coverage words that begin in its listeners'
-//     position range, and the caller observes the few deliveries that fall
-//     in a word another chunk owns.
-//   - single tile: every other run. One tile holds every node, so local
-//     indexes and transmitter-mask bits are NodeIDs. The phases run inline,
-//     and listeners resolve in ascending NodeID order — preserving the
-//     event contract and the loss-model draw order — each by walking its
-//     NodeID-space candidate-mask row (candMasks) against the slot's
-//     transmitter words, drawing, on a lossy run, exactly as a scan of the
-//     candidate list would.
+//   - parallel: cfg.Tiling, when its gate holds (static world, loss-free,
+//     no per-listener event subscription). The chunks start on multiples
+//     of 64 nodes, and with more than one worker each round runs on a
+//     tilepool. The resolve round also applies coverage: each chunk writes
+//     the coverage words that begin in its listeners' position range, and
+//     the caller observes the few deliveries that fall in a word another
+//     chunk owns.
+//   - single tile: every other run. One chunk holds every node and the
+//     rounds run inline, so listeners resolve in ascending NodeID order —
+//     preserving the event contract and the loss-model draw order — each
+//     drawing, on a lossy run, exactly as a scan of the candidate list
+//     would.
 //
 // The single tile serves dynamic worlds too: masks then holds the current
 // epoch's candidate table, recompiled in scratch-owned storage whenever the
 // world's table changes (Epoch.Cands lists candidates ascending by From,
 // so mask bits enumerate them in candidate order).
+//
+//nd:run-scoped each RunSync call makes its own syncRun, which dies with the run
 type syncRun struct {
 	nw       *topology.Network
 	protos   []SyncProtocol
@@ -51,26 +49,25 @@ type syncRun struct {
 	coverage *metrics.Coverage
 
 	msgAvail []channel.Set
-	// masks holds the single tile's NodeID-space candidate rows: the
-	// network's, or on a dynamic run the current epoch's. tileMasks holds
-	// a multi-tile run's rows in halo bit space.
-	masks     *candMasks
-	tileMasks *topology.CandidateMasks
+	// masks holds the NodeID-space candidate rows: the network's, or on a
+	// dynamic run the current epoch's.
+	masks *candMasks
 
-	// The tile pipeline: the per-tile state and, on a multi-tile run only,
-	// the tiling, the worker pool, the round closures handed to it (built
-	// once per run), the NodeID chunks of the decide and deliver rounds
-	// with one coverage shard each, and the NodeID-indexed sender slots
-	// (noSender when empty) that carry resolved deliveries from the
-	// resolve round to the deliver round.
-	tl                                        *topology.Tiling
-	tiles                                     []tileState
-	pool                                      *tilepool.Pool
-	fnDecide, fnScatter, fnResolve, fnDeliver func(int)
-	chunks                                    []nodeChunk
-	senders                                   []int32
+	// The slot pipeline: the transmitter masks (channel-major, words words
+	// per channel), the slot each channel last had a transmitter in
+	// (txSlot[c] == slot: some chunk set a bit on c this slot), the NodeID
+	// chunks, and on a parallel run with more than one worker the pool and
+	// the round closures handed to it (built once per run). tiled marks the
+	// parallel path for the internals report.
+	words               int
+	tx                  []uint64
+	txSlot              []int
+	chunks              []nodeChunk
+	tiled               bool
+	pool                *tilepool.Pool
+	fnDecide, fnResolve func(int)
 
-	// Per-slot inputs to the phases: the slot, and each node's decision
+	// Per-slot inputs to the rounds: the slot, and each node's decision
 	// index — slot − startSlots[u] with staggered starts, or, in a dynamic
 	// world, locals[u], the node's count of active slots (nodes inactive in
 	// the current epoch stay quiet).
@@ -83,16 +80,17 @@ type syncRun struct {
 	avail1  []uint64
 	hrs     []HeardReporter // per-node heard reporters; nil when the run has none
 
-	// tallyInternals gates the per-tile engine-internals tallies (see
-	// internals.go) per slot, so runs without an InternalsSink pay one dead
-	// boolean test.
-	tallyInternals bool
+	// tallyInternals gates the engine-internals tallies (see internals.go)
+	// per slot, so runs without an InternalsSink pay one dead boolean test:
+	// the decision rounds, their summed sizes and the largest.
+	tallyInternals                bool
+	batches, batchNodes, maxBatch int64
 
 	// Per-kind observation gates: obs != nil AND the observer's
 	// subscription (EventMasker; AllEvents when undeclared) includes the
 	// kind. Emission sites test one boolean instead of re-deriving the
-	// mask per event. The single tile stores each decision in actions[u]
-	// only for the slot event, the one reader of the slice there.
+	// mask per event. The decide round stores each decision in actions[u]
+	// only for the slot event, the one reader of the slice.
 	wantDeliver bool
 	wantColl    bool
 	wantIdle    bool
@@ -154,27 +152,30 @@ func (r *syncRun) emit(kind EventKind, from, to topology.NodeID, c channel.ID) {
 	r.obs.OnEvent(r.ev)
 }
 
-// tileSlotB is the single tile's phase B. Each listener, in ascending
+// resolve is the resolve round for one chunk. Each listener, in ascending
 // NodeID order, walks its candidate-mask row against its channel's
-// transmitter mask entry by entry, e.bits & txw[e.w]: the overlap bits are
+// transmitter mask entry by entry, e.bits & tx[e.w]: the overlap bits are
 // exactly its candidates transmitting on its channel over an operating
 // link, visited in ascending candidate order. A lossy run draws one
 // erasure per visited bit, and the walk stops at the second surviving
 // transmission — the candidate scan's draw contract — so words without
-// overlap, and channels nobody transmits on, consume no draws. The
+// overlap, and channels nobody transmits on, consume no draws. A lone
+// survivor is delivered and its link observed on the chunk's shard. The
 // collision event reports only the first surviving transmitter. Idle,
-// collision and delivery events are emitted inline in listener order.
+// collision and delivery events are emitted inline in listener order; the
+// parallel gate keeps loss and these events on the one-chunk inline run.
 //
 //nd:hotpath
-func (r *syncRun) tileSlotB() {
-	ts := &r.tiles[0]
+func (r *syncRun) resolve(ci int) {
+	ch := &r.chunks[ci]
 	at := float64(r.slot)
-	for i, li := range ts.rxL {
-		uid, c := topology.NodeID(li), ts.rxC[i]
+	heard := ch.heard
+	for i, uid := range ch.rxU {
+		c := ch.rxC[i]
 		var sender, firstSender topology.NodeID
 		senders := 0
-		if ts.txOn[c] != 0 {
-			txw := ts.localTx[int(c)*ts.words : (int(c)+1)*ts.words]
+		if r.txSlot[c] == r.slot {
+			txw := r.tx[int(c)*r.words : (int(c)+1)*r.words]
 		scan:
 			for _, e := range r.masks.row(uid, c) {
 				for w := e.bits & txw[e.w]; w != 0; w &= w - 1 {
@@ -196,8 +197,10 @@ func (r *syncRun) tileSlotB() {
 		}
 		switch {
 		case senders == 1:
-			ts.heard = r.deliverMsg(ts.heard, sender, uid)
-			r.coverage.Observe(topology.Link{From: sender, To: uid}, at)
+			heard = r.deliverMsg(heard, sender, uid)
+			if l := (topology.Link{From: sender, To: uid}); !ch.shard.Observe(l, at) {
+				ch.deferred = append(ch.deferred, l)
+			}
 			if r.wantDeliver {
 				r.emit(EventDeliver, sender, uid, c)
 			}
@@ -209,6 +212,7 @@ func (r *syncRun) tileSlotB() {
 			r.emit(EventCollision, firstSender, uid, c)
 		}
 	}
+	ch.heard = heard
 }
 
 // deliverMsg builds sender's message — its shared availability set and,

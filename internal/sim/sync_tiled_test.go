@@ -1,12 +1,12 @@
 package sim
 
-// Differential sweep for the tiled parallel resolver (sync_tiled.go). The
-// tiled path must be byte-identical to the single-threaded engine at
-// matched seed across tile counts, worker counts, boundary-straddling
-// radii and staggered starts — and must fall back to the single-threaded
-// resolvers, deterministically, whenever a precondition fails (loss,
-// dynamics, per-listener observers, non-concurrent steppers, tilings
-// finer than the connection radius).
+// Differential sweep for the parallel (tiled) slot path (sync_tiled.go).
+// The parallel path must be byte-identical to the single tile at matched
+// seed across tilings, worker counts, chunk boundaries and staggered
+// starts, on any network, tilings finer than the connection radius and
+// coordinate-free networks included — and must fall back to the single
+// tile, deterministically, whenever its gate fails (loss, dynamics,
+// per-listener observers).
 
 import (
 	"fmt"
@@ -24,8 +24,8 @@ import (
 )
 
 // tiledNet builds a connected geometric network with a uniform-k channel
-// assignment — the tiled path's home turf: every node has coordinates, so
-// any grid tiling with cell side ≥ radius partitions it halo-cleanly.
+// assignment, on which TilingByRadius and NewTiling build grids over the
+// node coordinates.
 func tiledNet(t *testing.T, seed uint64, n int, radius float64) *topology.Network {
 	t.Helper()
 	r := rng.New(seed)
@@ -109,35 +109,35 @@ func runTiledSeeded(t *testing.T, nw *topology.Network, seed uint64, tl *topolog
 	return res, rec.Last
 }
 
-// TestSyncTiledMatchesSingleThreaded is the tentpole's byte-identity sweep:
-// the same seeded protocols on the same network must produce identical
-// results — completion slot, slot count, full coverage record — across the
-// single-threaded engine and the tiled engine at tile counts 1, 2, 4 and
-// 16 and worker counts 1, 2 and GOMAXPROCS.
+// TestSyncTiledMatchesSingleThreaded is the byte-identity sweep: the same
+// seeded protocols on the same network must produce identical results —
+// completion slot, slot count, full coverage record — across the single
+// tile and the parallel path at tile counts 1, 2, 4 and 16 and worker
+// counts 1, 2 and GOMAXPROCS. The small networks run as one NodeID chunk;
+// the 1100-node one splits into several at every worker count.
 func TestSyncTiledMatchesSingleThreaded(t *testing.T) {
-	const maxSlots = 4000
 	for _, tc := range []struct {
-		seed   uint64
-		n      int
-		radius float64
+		seed     uint64
+		n        int
+		radius   float64
+		maxSlots int
 	}{
-		{1, 24, 0.45},
-		{7, 40, 0.3},
-		{23, 60, 0.26},
+		{1, 24, 0.45, 4000},
+		{7, 40, 0.3, 4000},
+		{23, 60, 0.26, 4000},
+		{31, 1100, 0.07, 300},
 	} {
 		nw := tiledNet(t, tc.seed, tc.n, tc.radius)
+		if tc.n > 1000 && chunkCount(tc.n, 1) < 4 {
+			t.Fatalf("%d nodes split into %d chunks", tc.n, chunkCount(tc.n, 1))
+		}
+		maxSlots := tc.maxSlots
 		base, baseIn := runTiledSeeded(t, nw, tc.seed+100, nil, 0, maxSlots)
 		if baseIn.TiledSlots != 0 {
 			t.Fatalf("seed %d: baseline run took the tiled path", tc.seed)
 		}
 		for _, grid := range [][2]int{{1, 1}, {2, 1}, {2, 2}, {4, 4}} {
 			cols, rows := grid[0], grid[1]
-			// Grids finer than the radius allows are still legal configs:
-			// the run falls back (covered by TestSyncTiledFallsBack); here
-			// we only sweep halo-clean grids.
-			if 1.0/float64(cols) < tc.radius || 1.0/float64(rows) < tc.radius {
-				continue
-			}
 			tl := mustTiling(t, nw, cols, rows)
 			for _, workers := range []int{1, 2, 0} {
 				label := fmt.Sprintf("seed %d grid %dx%d workers %d", tc.seed, cols, rows, workers)
@@ -158,11 +158,9 @@ func TestSyncTiledMatchesSingleThreaded(t *testing.T) {
 	}
 }
 
-// TestSyncTiledScriptedMatchesNaive pins the tiled resolver's deliveries to
-// resolveSlotNaive on seeded random geometric scenarios — including graphs
-// where links straddle tile boundaries, the case the halo exchange exists
-// for. Tilings come from TilingByRadius, so cell side ≥ radius by
-// construction.
+// TestSyncTiledScriptedMatchesNaive pins the parallel path's deliveries to
+// resolveSlotNaive on seeded random geometric scenarios, with tilings from
+// TilingByRadius and random worker counts.
 func TestSyncTiledScriptedMatchesNaive(t *testing.T) {
 	root := rng.New(20260811)
 	engaged := 0
@@ -187,10 +185,9 @@ func TestSyncTiledScriptedMatchesNaive(t *testing.T) {
 			}
 		})
 	}
-	// The sweep is only meaningful if the tiled path actually ran for most
-	// scenarios (a mask-budget or halo fallback on every trial would pass
-	// vacuously).
-	if engaged < 40 {
+	// The sweep is only meaningful if the parallel path actually ran: a
+	// fallback would pass vacuously.
+	if engaged != 60 {
 		t.Fatalf("tiled path engaged in only %d/60 scenarios", engaged)
 	}
 }
@@ -267,9 +264,8 @@ func TestSyncTiledStartSlotsMatchNaive(t *testing.T) {
 }
 
 // TestSyncTiledFallsBack sweeps every precondition that must force the
-// deterministic single-threaded fallback: a loss model, a dynamic world, a
-// per-listener observer subscription, and a tiling finer than the
-// connection radius (halo violation).
+// deterministic single-threaded fallback: a loss model, a dynamic world
+// and a per-listener observer subscription.
 // In each case the run must succeed, report zero tiled slots, and — where a
 // loss-free static baseline exists — match the non-tiled run exactly.
 func TestSyncTiledFallsBack(t *testing.T) {
@@ -358,75 +354,53 @@ func TestSyncTiledFallsBack(t *testing.T) {
 		sameCoverage(t, "observer fallback", base.Coverage, res.Coverage)
 	})
 
-	t.Run("halo violation", func(t *testing.T) {
-		// An 8×8 grid on a radius-0.4 graph puts candidates outside the 3×3
-		// halo; TileMasks refuses and the engine falls back.
-		fine := mustTiling(t, nw, 8, 8)
-		got, in := runTiledSeeded(t, nw, 77, fine, 0, maxSlots)
-		if in.TiledSlots != 0 {
-			t.Fatalf("halo-violating tiling took the tiled path")
-		}
-		sameCoverage(t, "halo fallback", base.Coverage, got.Coverage)
-	})
 }
 
-// TestSyncTiledInternals pins the tiled path's internals attribution: every
-// slot lands on TiledSlots, decision rounds are attributed per (slot, tile
-// with active nodes), and a multi-tile run on a connected graph performs
-// halo exchanges.
+// TestSyncTiledInternals pins the tiled path's internals attribution:
+// every slot lands on TiledSlots, decision rounds are counted one per
+// slot as on the single tile, whatever the tiling, and the halo counters
+// stay zero.
 func TestSyncTiledInternals(t *testing.T) {
 	nw := tiledNet(t, 11, 48, 0.3)
-	tl := mustTiling(t, nw, 3, 3)
-	res, in := runTiledSeeded(t, nw, 42, tl, 0, 4000)
-	slots := int64(res.SlotsSimulated)
-	if in.TiledSlots != slots || in.BatchedSlots != 0 || in.KernelSlots != 0 || in.ScalarSlots != 0 {
-		t.Fatalf("path attribution: %+v (slots %d)", in, slots)
-	}
-	if in.TiledSlots+in.KernelSlots+in.ScalarSlots != in.SlotsSimulated {
-		t.Fatalf("path slots do not sum to SlotsSimulated: %+v", in)
-	}
-	// Uniform starts: every tile steps one round per slot, covering all its
-	// nodes, so rounds = slots × tiles and round nodes = slots × n.
-	if want := slots * int64(tl.Tiles()); in.StepperBatches != want {
-		t.Fatalf("StepperBatches = %d, want %d", in.StepperBatches, want)
-	}
-	if want := slots * int64(nw.N()); in.StepperBatchNodes != want {
-		t.Fatalf("StepperBatchNodes = %d, want %d", in.StepperBatchNodes, want)
-	}
-	if in.MaxStepperBatch <= 0 || in.MaxStepperBatch > int64(nw.N()) {
-		t.Fatalf("MaxStepperBatch = %d", in.MaxStepperBatch)
-	}
-	if in.HaloExchanges <= 0 || in.HaloWordsCopied < in.HaloExchanges {
-		t.Fatalf("halo tallies: exchanges %d, words %d", in.HaloExchanges, in.HaloWordsCopied)
-	}
-	// Single-tile runs have no neighbors to exchange with.
-	_, in1 := runTiledSeeded(t, nw, 42, mustTiling(t, nw, 1, 1), 0, 4000)
-	if in1.TiledSlots == 0 {
-		t.Fatal("single-tile run did not take the tiled path")
-	}
-	if in1.HaloExchanges != 0 || in1.HaloWordsCopied != 0 {
-		t.Fatalf("single-tile halo tallies: %+v", in1)
+	for _, grid := range []int{1, 3} {
+		tl := mustTiling(t, nw, grid, grid)
+		res, in := runTiledSeeded(t, nw, 42, tl, 0, 4000)
+		slots := int64(res.SlotsSimulated)
+		if in.TiledSlots != slots || in.BatchedSlots != 0 || in.KernelSlots != 0 || in.ScalarSlots != 0 {
+			t.Fatalf("%dx%d: path attribution: %+v (slots %d)", grid, grid, in, slots)
+		}
+		// Uniform starts: one round per slot covering all nodes, so round
+		// nodes = slots × n.
+		if in.StepperBatches != slots {
+			t.Fatalf("%dx%d: StepperBatches = %d, want %d", grid, grid, in.StepperBatches, slots)
+		}
+		if want := slots * int64(nw.N()); in.StepperBatchNodes != want || in.MaxStepperBatch != int64(nw.N()) {
+			t.Fatalf("%dx%d: StepperBatchNodes = %d, MaxStepperBatch = %d, want %d and %d", grid, grid, in.StepperBatchNodes, in.MaxStepperBatch, want, nw.N())
+		}
+		if in.HaloExchanges != 0 || in.HaloWordsCopied != 0 {
+			t.Fatalf("%dx%d: halo tallies: %+v", grid, grid, in)
+		}
 	}
 }
 
-// TestSyncTiledRaceStress drives parallel tiled runs at full worker count —
-// the halo-barrier data-race canary for `go test -race ./internal/sim/`.
+// TestSyncTiledRaceStress drives parallel runs at full worker count — the
+// round-barrier data-race canary for `go test -race ./internal/sim/`.
 func TestSyncTiledRaceStress(t *testing.T) {
-	nw := tiledNet(t, 3, 96, 0.22)
-	tl, err := topology.TilingByRadius(nw, 0.22, 16)
+	nw := tiledNet(t, 3, 1000, 0.07)
+	tl, err := topology.TilingByRadius(nw, 0.07, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tl.Tiles() < 4 {
-		t.Fatalf("stress tiling has only %d tiles", tl.Tiles())
+	if workers := runtime.GOMAXPROCS(0); workers > 1 && chunkCount(nw.N(), workers) < 2 {
+		t.Fatalf("stress network splits into %d chunk at %d workers", chunkCount(nw.N(), workers), workers)
 	}
 	scratch := NewSyncScratch()
-	base, _ := runTiledSeeded(t, nw, 8, nil, 0, 600)
+	base, _ := runTiledSeeded(t, nw, 8, nil, 0, 400)
 	for i := 0; i < 4; i++ {
 		res, err := RunSync(SyncConfig{
 			Network:     nw,
 			Protocols:   syncProtos(t, nw, 8),
-			MaxSlots:    600,
+			MaxSlots:    400,
 			Tiling:      tl,
 			TileWorkers: runtime.GOMAXPROCS(0),
 			Scratch:     scratch,
@@ -440,13 +414,16 @@ func TestSyncTiledRaceStress(t *testing.T) {
 
 // TestSyncTiledSteadyStateAllocs bounds the tiled path's per-run
 // allocations on a warm scratch and pins them independent of the slot
-// count: the per-slot machinery must live entirely off the per-tile
+// count: the per-slot machinery must live entirely off the per-chunk
 // scratch, leaving only fixed per-run setup (pool, closures, result,
 // coverage, message sets).
 func TestSyncTiledSteadyStateAllocs(t *testing.T) {
 	r := rng.New(17)
-	nw := tiledNet(t, 17, 64, 0.26)
+	nw := tiledNet(t, 17, 600, 0.09)
 	tl := mustTiling(t, nw, 3, 3)
+	if chunkCount(nw.N(), 2) < 2 {
+		t.Fatal("the measured runs would not start a pool")
+	}
 	// Stateless fixed-action protocols: the measurement isolates the engine
 	// from protocol-side discovery-state growth (which scales with coverage,
 	// not with the engine's slot machinery).
@@ -478,7 +455,7 @@ func TestSyncTiledSteadyStateAllocs(t *testing.T) {
 			}
 		}
 	}
-	run(64)() // warm the scratch and the per-tile delivery queues
+	run(64)() // warm the scratch and the per-chunk listener lists
 	short := testing.AllocsPerRun(5, run(16))
 	long := testing.AllocsPerRun(5, run(64))
 	if long > short+8 {
@@ -552,9 +529,9 @@ func logProtos(t *testing.T, nw *topology.Network, seed uint64, ack bool) ([]Syn
 	return protos, logs
 }
 
-// callLogNet is a geometric network of about 4000 nodes with its
-// radius-safe tiling: many tiles, and several NodeID chunks per worker at
-// every worker count.
+// callLogNet is a spatially numbered geometric network of 4000 nodes with
+// a radius-matched tiling: several NodeID chunks per worker at every
+// worker count.
 func callLogNet(t *testing.T) (*topology.Network, *topology.Tiling) {
 	t.Helper()
 	const n, radius = 4000, 0.03
@@ -570,13 +547,10 @@ func callLogNet(t *testing.T) (*topology.Network, *topology.Tiling) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tl.Tiles() < 64 {
-		t.Fatalf("call-log tiling has only %d tiles", tl.Tiles())
-	}
 	return nw, tl
 }
 
-// TestSyncTiledCallLogMatchesSingleTile pins the multi-tile path to the
+// TestSyncTiledCallLogMatchesSingleTile pins the parallel path to the
 // single tile call by call: every node must see the identical sequence of
 // Step(local) and Deliver(from, Heard) calls — the interleaving adaptive
 // protocols depend on, not only the coverage it produces — at worker
@@ -629,7 +603,7 @@ func TestSyncTiledCallLogMatchesSingleTile(t *testing.T) {
 				label := fmt.Sprintf("ack %v staggered %v workers %d", ack, staggered, workers)
 				got, in := run(tl, workers)
 				if in.TiledSlots != slots {
-					t.Fatalf("%s: %d of %d slots on the multi-tile path", label, in.TiledSlots, slots)
+					t.Fatalf("%s: %d of %d slots on the parallel path", label, in.TiledSlots, slots)
 				}
 				for u := range want {
 					if !slices.EqualFunc(got[u].log, want[u].log, func(a, b callRec) bool {
@@ -659,9 +633,8 @@ func (f *faultSync) Step(local int) radio.Action {
 	return f.SyncProtocol.Step(local)
 }
 
-// TestSyncTiledErrorMatchesSingleTile pins multi-tile error reporting to
-// the single tile's: two nodes in different tiles and different NodeID
-// chunks fail in the same slot, and the run must report the lower one with
+// TestSyncTiledErrorMatchesSingleTile pins parallel-path error reporting to
+// the single tile's: two nodes in different NodeID chunks fail in the same slot, and the run must report the lower one with
 // the identical message at every worker count. A following run on the same
 // scratch must succeed and match a fresh run: the failed slot leaves no
 // state behind.
@@ -669,8 +642,8 @@ func TestSyncTiledErrorMatchesSingleTile(t *testing.T) {
 	const slots, failAt = 12, 5
 	nw, tl := callLogNet(t)
 	lo, hi := topology.NodeID(37), topology.NodeID(nw.N()-41)
-	if tl.TileOf(lo) == tl.TileOf(hi) {
-		t.Fatalf("nodes %d and %d share tile %d", lo, hi, tl.TileOf(lo))
+	if _, first := chunkBounds(0, chunkCount(nw.N(), 1), nw.N()); hi < first {
+		t.Fatalf("nodes %d and %d share the first NodeID chunk [0, %d)", lo, hi, first)
 	}
 	outOfSet := func(u topology.NodeID) radio.Action {
 		for c := channel.ID(0); ; c++ {
@@ -716,7 +689,7 @@ func TestSyncTiledErrorMatchesSingleTile(t *testing.T) {
 			sc := NewSyncScratch()
 			got := run(tl, workers, sc)
 			if got == nil || got.Error() != want.Error() {
-				t.Fatalf("%s: multi-tile error %v, want %v", label, got, want)
+				t.Fatalf("%s: parallel-path error %v, want %v", label, got, want)
 			}
 			rec := &InternalsRecorder{}
 			res, err := RunSync(SyncConfig{
@@ -727,19 +700,19 @@ func TestSyncTiledErrorMatchesSingleTile(t *testing.T) {
 				t.Fatalf("%s: run after the error: %v", label, err)
 			}
 			if rec.Last.TiledSlots != slots {
-				t.Fatalf("%s: run after the error left the multi-tile path: %+v", label, rec.Last)
+				t.Fatalf("%s: run after the error left the parallel path: %+v", label, rec.Last)
 			}
 			sameCoverage(t, label+" (run after the error)", fresh.Coverage, res.Coverage)
 		}
 	}
 }
 
-// TestSyncTiledCoverageShardWords pins the multi-tile run's coverage apply
+// TestSyncTiledCoverageShardWords pins the parallel run's coverage apply
 // where two NodeID chunks meet. Coverage positions number links by
 // listener, so a chunk's links form one position range, and each chunk
 // writes the 64-position words that begin in its range; a delivery in the
 // word its range begins inside is deferred to the caller. On a 4000-node
-// radius-matched tiling whose chunk starts fall mid-word, at workers 1, 2
+// network whose chunk starts fall mid-word in position space, at workers 1, 2
 // and GOMAXPROCS, the coverage after every slot — FirstCovered of every
 // link, Remaining and Curve — must equal the single tile's, and some
 // delivery must have landed in a deferred word.
@@ -816,11 +789,12 @@ func TestSyncTiledCoverageShardWords(t *testing.T) {
 
 	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 		// The deferred positions: from each later chunk's first position up
-		// to the next word start (resetNodeChunks splits as here).
-		count := chunkCount(n, min(workers, tl.Tiles()))
+		// to the next word start.
+		count := chunkCount(n, workers)
 		var deferred []int
 		for i := 1; i < count; i++ {
-			for p := rowStart[i*n/count]; p&63 != 0; p++ {
+			lo, _ := chunkBounds(i, count, n)
+			for p := rowStart[lo]; p&63 != 0; p++ {
 				deferred = append(deferred, p)
 			}
 		}
@@ -833,7 +807,7 @@ func TestSyncTiledCoverageShardWords(t *testing.T) {
 			label := fmt.Sprintf("workers %d slot %d", workers, s)
 			got, in := run(sc, tl, workers, s)
 			if in.TiledSlots != int64(s) {
-				t.Fatalf("%s: %d of %d slots on the multi-tile path", label, in.TiledSlots, s)
+				t.Fatalf("%s: %d of %d slots on the parallel path", label, in.TiledSlots, s)
 			}
 			sameCoverage(t, label, base[s].Coverage, got.Coverage)
 			for _, l := range links {
@@ -853,6 +827,101 @@ func TestSyncTiledCoverageShardWords(t *testing.T) {
 		}
 		if hits == 0 {
 			t.Fatalf("workers %d: no delivery landed in the %d deferred positions", workers, len(deferred))
+		}
+	}
+}
+
+// TestSyncTiledNeedsNoHalo pins the parallel path on networks whose
+// tilings say nothing about reach: a geometric network under a grid much
+// finer than its radius, and a coordinate-free Erdős–Rényi network (every
+// node at the origin) under a multi-tile grid. Both have a node count that
+// is not a multiple of 64 and split into at least three NodeID chunks at
+// every worker count. Every slot must take the parallel path, and each
+// node's call log, the coverage record and the error of a run with two
+// scripted bad decisions must equal the single tile's.
+func TestSyncTiledNeedsNoHalo(t *testing.T) {
+	const slots, failAt = 40, 7
+	r := rng.New(2811)
+	er, err := topology.ErdosRenyi(900, 0.02, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := topology.AssignUniformK(er, 6, 3, r); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		label string
+		nw    *topology.Network
+		grid  int
+	}{
+		{"geometric 16x16 under radius 0.1", tiledNet(t, 29, 1000, 0.1), 16},
+		{"erdos-renyi 4x4", er, 4},
+	} {
+		nw, n := tc.nw, tc.nw.N()
+		tl := mustTiling(t, nw, tc.grid, tc.grid)
+		if n%64 == 0 || chunkCount(n, 1) < 3 {
+			t.Fatalf("%s: %d nodes in %d chunks", tc.label, n, chunkCount(n, 1))
+		}
+		run := func(tiling *topology.Tiling, workers int, ack bool) (*SyncResult, []*logSync, Internals) {
+			protos, logs := logProtos(t, nw, 31, ack)
+			rec := &InternalsRecorder{}
+			res, err := RunSync(SyncConfig{
+				Network:       nw,
+				Protocols:     protos,
+				MaxSlots:      slots,
+				RunToMaxSlots: true,
+				Tiling:        tiling,
+				TileWorkers:   workers,
+				Observer:      rec,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res, logs, rec.Last
+		}
+		// Two nodes in the first and last chunk fail in the same slot.
+		lo, hi := topology.NodeID(5), topology.NodeID(n-3)
+		failing := func(tiling *topology.Tiling, workers int) error {
+			protos := syncProtos(t, nw, 5)
+			for _, u := range []topology.NodeID{hi, lo} {
+				protos[u] = &faultSync{SyncProtocol: protos[u], at: failAt, bad: radio.Action{Mode: radio.Mode(9)}}
+			}
+			_, err := RunSync(SyncConfig{
+				Network: nw, Protocols: protos, MaxSlots: slots, RunToMaxSlots: true,
+				Tiling: tiling, TileWorkers: workers,
+			})
+			return err
+		}
+		wantErr := failing(nil, 0)
+		if wantErr == nil || !strings.Contains(wantErr.Error(), fmt.Sprintf("node %d slot %d", lo, failAt)) {
+			t.Fatalf("%s: single-tile error %v", tc.label, wantErr)
+		}
+		for _, ack := range []bool{false, true} {
+			want, wantLogs, _ := run(nil, 0, ack)
+			if want.Coverage.Progress() == 0 {
+				t.Fatalf("%s: single-tile run covered nothing", tc.label)
+			}
+			for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+				label := fmt.Sprintf("%s ack %v workers %d", tc.label, ack, workers)
+				got, logs, in := run(tl, workers, ack)
+				if in.TiledSlots != int64(got.SlotsSimulated) {
+					t.Fatalf("%s: %d of %d slots on the parallel path", label, in.TiledSlots, got.SlotsSimulated)
+				}
+				sameCoverage(t, label, want.Coverage, got.Coverage)
+				for u := range wantLogs {
+					if !slices.EqualFunc(logs[u].log, wantLogs[u].log, func(a, b callRec) bool {
+						return a.deliver == b.deliver && a.local == b.local && a.act == b.act &&
+							a.from == b.from && slices.Equal(a.heard, b.heard)
+					}) {
+						t.Fatalf("%s: node %d call log differs", label, u)
+					}
+				}
+				if !ack {
+					if err := failing(tl, workers); err == nil || err.Error() != wantErr.Error() {
+						t.Fatalf("%s: error %v, want %v", label, err, wantErr)
+					}
+				}
+			}
 		}
 	}
 }

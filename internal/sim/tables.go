@@ -14,8 +14,8 @@ import (
 // compiled to candidate masks. The tables are keyed by network pointer;
 // a caller that mutates a network in place between runs must reset the
 // cache so they are rebuilt. The masks compile lazily, at the first run
-// that resolves on them: a multi-tile synchronous run never reads them,
-// and a dynamic run compiles each epoch's table instead.
+// that resolves on them: a dynamic run compiles each epoch's table
+// instead.
 type netTables struct {
 	nwKey    *topology.Network
 	cands    [][]topology.Candidate
@@ -110,8 +110,9 @@ type maskWord struct {
 // (InboundCandidates, DeriveGeometricCandidates and dynamic epoch tables
 // guarantee it), so walking a row's set bits word by word visits the
 // candidates in row order — the order every loss draw follows. The
-// synchronous single tile ANDs each entry with the slot's transmitter word
-// e.w, the asynchronous resolver with the transmit bucket table's.
+// synchronous engine ANDs each entry with the slot's transmitter word
+// e.w, on either path, the asynchronous resolver with the transmit bucket
+// table's.
 type candMasks struct {
 	channels int
 	off      []int32 // per row u·channels+c: first entry; len rows+1

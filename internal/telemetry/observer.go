@@ -296,8 +296,6 @@ type Aggregate struct {
 
 	// Engine-internals series (sim.Internals; sync engine only).
 	tiledSlots      *Counter
-	haloExchanges   *Counter
-	haloWords       *Counter
 	kernelSlots     *Counter
 	stepperBatches  *Counter
 	stepperNodes    *Counter
@@ -327,12 +325,6 @@ func PerNodeLatency(max int) AggregateOption {
 	return func(a *Aggregate) { a.perNodeMax = max }
 }
 
-// LatencyBounds overrides DefaultLatencyBounds for the discovery-latency
-// histograms.
-func LatencyBounds(bounds []float64) AggregateOption {
-	return func(a *Aggregate) { a.latBounds = bounds }
-}
-
 // NewAggregate registers the run-telemetry metric set in reg and returns
 // the aggregate that feeds it.
 func NewAggregate(reg *Registry, opts ...AggregateOption) *Aggregate {
@@ -355,10 +347,8 @@ func NewAggregate(reg *Registry, opts ...AggregateOption) *Aggregate {
 	a.joins = reg.Counter("nd_joins_total", "nodes joining the network at epoch boundaries")
 	a.leaves = reg.Counter("nd_leaves_total", "nodes leaving the network at epoch boundaries")
 	a.channelLosses = reg.Counter("nd_channel_losses_total", "channels vacated to primary users at epoch boundaries")
-	a.tiledSlots = reg.Counter("nd_resolver_tiled_slots_total", "sync slots resolved on the multi-tile parallel path")
-	a.haloExchanges = reg.Counter("nd_halo_exchanges_total", "multi-tile halo segment copies from neighbor tiles")
-	a.haloWords = reg.Counter("nd_halo_words_copied_total", "words copied across tile halos")
-	a.kernelSlots = reg.Counter("nd_resolver_kernel_slots_total", "sync slots resolved on the single-tile word kernel (runs without a multi-tile tiling)")
+	a.tiledSlots = reg.Counter("nd_resolver_tiled_slots_total", "sync slots resolved on the parallel path")
+	a.kernelSlots = reg.Counter("nd_resolver_kernel_slots_total", "sync slots resolved on the single tile (runs without a tiling, or whose gate fails)")
 	a.stepperBatches = reg.Counter("nd_stepper_batches_total", "sync decision rounds (one per slot)")
 	a.stepperNodes = reg.Counter("nd_stepper_batch_nodes_total", "protocol steps across all sync decision rounds")
 	a.scratchHits = reg.Counter("nd_scratch_table_hits_total", "sync runs that reused the scratch's cached network tables")
@@ -401,8 +391,6 @@ func (a *Aggregate) TrialDone(obs sim.Observer) {
 	a.leaves.Add(o.leaves)
 	a.channelLosses.Add(o.channelLosses)
 	a.tiledSlots.Add(o.internals.TiledSlots)
-	a.haloExchanges.Add(o.internals.HaloExchanges)
-	a.haloWords.Add(o.internals.HaloWordsCopied)
 	a.kernelSlots.Add(o.internals.KernelSlots)
 	a.stepperBatches.Add(o.internals.StepperBatches)
 	a.stepperNodes.Add(o.internals.StepperBatchNodes)

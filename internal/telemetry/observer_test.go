@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -235,7 +236,6 @@ func TestAggregateInternalsCounters(t *testing.T) {
 	o3 := agg.TrialObserver(4, 2).(*RunObserver)
 	o3.OnInternals(sim.Internals{
 		SlotsSimulated: 40, TiledSlots: 40,
-		HaloExchanges: 12, HaloWordsCopied: 96,
 		StepperBatches: 160, StepperBatchNodes: 640, MaxStepperBatch: 4,
 		ScratchTableHits: 1,
 	})
@@ -244,8 +244,6 @@ func TestAggregateInternalsCounters(t *testing.T) {
 	snap := reg.Snapshot()
 	for name, want := range map[string]float64{
 		"nd_resolver_tiled_slots_total":  40,
-		"nd_halo_exchanges_total":        12,
-		"nd_halo_words_copied_total":     96,
 		"nd_resolver_kernel_slots_total": 150,
 		"nd_stepper_batches_total":       310,
 		"nd_stepper_batch_nodes_total":   1130,
@@ -257,9 +255,10 @@ func TestAggregateInternalsCounters(t *testing.T) {
 			t.Errorf("%s = %v, want %v", name, v, want)
 		}
 	}
-	// No series reports the retired scalar path or mask budget.
+	// No series reports the retired scalar path, mask budget or halo
+	// exchange.
 	for _, m := range snap {
-		if m.Name == "nd_resolver_scalar_slots_total" || m.Name == "nd_mask_budget_overruns_total" {
+		if m.Name == "nd_resolver_scalar_slots_total" || m.Name == "nd_mask_budget_overruns_total" || strings.HasPrefix(m.Name, "nd_halo_") {
 			t.Errorf("%s is still exported", m.Name)
 		}
 	}

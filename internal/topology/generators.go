@@ -27,6 +27,13 @@ func Geometric(n int, radius float64, r *rng.Source) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
+	return geometricOn(nodes, radius), nil
+}
+
+// geometricOn builds the geometric graph of radius over placed nodes,
+// numbered as given.
+func geometricOn(nodes []Node, radius float64) *Network {
+	n := len(nodes)
 	off := make([]int32, n+1) // degree counts, then row offsets
 	visitGeometricPairs(nodes, radius, func(i, j int32) {
 		off[i+1]++
@@ -47,7 +54,7 @@ func Geometric(n int, radius float64, r *rng.Source) (*Network, error) {
 	for i := 0; i < n; i++ {
 		adj[i] = arena[off[i]:off[i+1]:off[i+1]]
 	}
-	return &Network{nodes: nodes, adj: adj}, nil
+	return &Network{nodes: nodes, adj: adj}
 }
 
 // ErdosRenyi builds a G(n, p) random graph: each of the n·(n−1)/2 possible
@@ -179,12 +186,18 @@ func Pair() (*Network, error) {
 // the algorithms are per-link — but most experiments want connected
 // multi-hop networks.
 func GeometricConnected(n int, radius float64, r *rng.Source, attempts int) (*Network, error) {
+	return retryConnected(n, radius, r, attempts, Geometric)
+}
+
+// retryConnected calls build until it returns a connected graph or
+// attempts (50 when not positive) are exhausted.
+func retryConnected(n int, radius float64, r *rng.Source, attempts int, build func(int, float64, *rng.Source) (*Network, error)) (*Network, error) {
 	if attempts <= 0 {
 		attempts = 50
 	}
 	var lastErr error
 	for i := 0; i < attempts; i++ {
-		nw, err := Geometric(n, radius, r)
+		nw, err := build(n, radius, r)
 		if err != nil {
 			return nil, err
 		}

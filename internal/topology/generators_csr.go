@@ -92,16 +92,62 @@ func placeNodes(n int, radius float64, r *rng.Source) ([]Node, error) {
 	return nodes, nil
 }
 
-// GeometricCSR is Geometric, whose streamed build already stores the
-// adjacency as a CSR arena; the name is kept for the scale benchmarks.
+// GeometricCSR draws the same points as Geometric — the same rng draws,
+// so the same point set — and numbers them along a Morton (Z-order) curve
+// of their coordinates: a node's ID is its rank by a 16-bit-per-axis
+// interleaved key, ties kept in draw order. Nodes close in the plane are
+// then mostly close in NodeID order, so a listener's neighbors, and the
+// per-node state the engines keep in NodeID order, sit in few cache lines
+// and few NodeID words. The adjacency is Geometric's under the
+// permutation. The scale scenarios (100k and 1M nodes) build their
+// networks through it.
 func GeometricCSR(n int, radius float64, r *rng.Source) (*Network, error) {
-	return Geometric(n, radius, r)
+	nodes, err := placeNodes(n, radius, r)
+	if err != nil {
+		return nil, err
+	}
+	return geometricOn(mortonOrder(nodes), radius), nil
 }
 
-// GeometricConnectedCSR is GeometricConnected, kept under the scale
-// benchmarks' name like GeometricCSR.
+// GeometricConnectedCSR is GeometricConnected on GeometricCSR's numbering:
+// it accepts the instance GeometricConnected accepts at the same seed,
+// renumbered.
 func GeometricConnectedCSR(n int, radius float64, r *rng.Source, attempts int) (*Network, error) {
-	return GeometricConnected(n, radius, r, attempts)
+	return retryConnected(n, radius, r, attempts, GeometricCSR)
+}
+
+// mortonOrder returns nodes renumbered in ascending Morton key of their
+// coordinates, equal keys in their given order. Keys are integers (each
+// coordinate scaled to 16 bits), so the order is the same on every
+// architecture.
+func mortonOrder(nodes []Node) []Node {
+	keyed := make([]uint64, len(nodes))
+	for i, nd := range nodes {
+		key := spreadBits(axisKey(nd.X)) | spreadBits(axisKey(nd.Y))<<1
+		keyed[i] = uint64(key)<<32 | uint64(i) // the index breaks ties
+	}
+	slices.Sort(keyed)
+	out := make([]Node, len(nodes))
+	for id, k := range keyed {
+		out[id] = nodes[uint32(k)]
+		out[id].ID = NodeID(id)
+	}
+	return out
+}
+
+// axisKey scales a unit-square coordinate to 16 bits, clamping it to the
+// square first.
+func axisKey(x float64) uint32 {
+	return uint32(min(max(x, 0), 1) * (1<<16 - 1))
+}
+
+// spreadBits moves bit i of a 16-bit value to bit 2i.
+func spreadBits(v uint32) uint32 {
+	v = (v | v<<8) & 0x00FF00FF
+	v = (v | v<<4) & 0x0F0F0F0F
+	v = (v | v<<2) & 0x33333333
+	v = (v | v<<1) & 0x55555555
+	return v
 }
 
 // StreamStats summarizes a geometric instance from the streaming pair scan

@@ -2,18 +2,18 @@ package topology
 
 import (
 	"fmt"
-	"reflect"
+	"slices"
 	"testing"
 
 	"m2hew/internal/rng"
 )
 
-// TestGeometricCSRMatchesGeometric pins the streamed CSR build (Geometric,
-// and GeometricCSR, its scale-benchmark name) to the edge-list reference:
-// the all-pairs scan fed through newNetwork's dedup and per-row sort, on
-// the same node placement. Identical nodes and sorted adjacency make
-// everything downstream — spans, candidate tables, engines —
-// indistinguishable.
+// TestGeometricCSRMatchesGeometric pins the streamed CSR build and
+// GeometricCSR's numbering. Geometric must equal the edge-list reference —
+// the all-pairs scan fed through newNetwork's dedup and per-row sort — on
+// the node placement the rng draws give. GeometricCSR must hold the same
+// point set, numbered densely in ascending Morton key (draw order among
+// equal keys), with Geometric's adjacency under that permutation.
 func TestGeometricCSRMatchesGeometric(t *testing.T) {
 	root := rng.New(61)
 	for trial := 0; trial < 40; trial++ {
@@ -21,55 +21,118 @@ func TestGeometricCSRMatchesGeometric(t *testing.T) {
 		n := int(seed%300) + 1
 		radius := 0.02 + float64(seed%97)/97*0.5
 		t.Run(fmt.Sprintf("trial%02d", trial), func(t *testing.T) {
-			b, err := GeometricCSR(n, radius, rng.New(seed))
+			a, err := Geometric(n, radius, rng.New(seed))
 			if err != nil {
 				t.Fatal(err)
 			}
-			nodes := b.Nodes()
-			a, err := newNetwork(nodes, geometricEdgesNaive(nodes, radius))
-			if err != nil {
-				t.Fatal(err)
-			}
+			nodes := a.Nodes()
 			r := rng.New(seed)
 			for _, nd := range nodes {
 				if x, y := r.Float64(), r.Float64(); nd.X != x || nd.Y != y {
 					t.Fatalf("node %d placed at (%v, %v), draws give (%v, %v)", nd.ID, nd.X, nd.Y, x, y)
 				}
 			}
-			if a.EdgeCount() != b.EdgeCount() {
-				t.Fatalf("edge counts differ: %d vs %d", a.EdgeCount(), b.EdgeCount())
+			ref, err := newNetwork(nodes, geometricEdgesNaive(nodes, radius))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref.EdgeCount() != a.EdgeCount() {
+				t.Fatalf("edge counts differ: %d vs %d", ref.EdgeCount(), a.EdgeCount())
 			}
 			for u := 0; u < n; u++ {
-				ga, gb := a.Neighbors(NodeID(u)), b.Neighbors(NodeID(u))
-				if len(ga) != len(gb) {
-					t.Fatalf("node %d: degree %d vs %d", u, len(ga), len(gb))
-				}
-				for i := range ga {
-					if ga[i] != gb[i] {
-						t.Fatalf("node %d: adjacency differs at %d: %v vs %v", u, i, ga, gb)
-					}
+				if want, got := ref.Neighbors(NodeID(u)), a.Neighbors(NodeID(u)); !slices.Equal(got, want) {
+					t.Fatalf("node %d: adjacency %v, reference %v", u, got, want)
 				}
 			}
+			b, err := GeometricCSR(n, radius, rng.New(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkMortonRelabel(t, a, b)
 		})
 	}
 }
 
-// TestGeometricConnectedCSRMatchesRetryLoop pins the retrying variant: the
-// accepted instance is the one GeometricConnected accepts at the same seed.
+// mortonKeyRef is the reference Morton key, interleaved bit by bit: bit i
+// of the x key goes to bit 2i, bit i of the y key to bit 2i+1.
+func mortonKeyRef(nd Node) uint32 {
+	kx, ky := uint32(nd.X*65535), uint32(nd.Y*65535)
+	key := uint32(0)
+	for i := 0; i < 16; i++ {
+		key |= (kx>>i&1)<<(2*i) | (ky>>i&1)<<(2*i+1)
+	}
+	return key
+}
+
+// checkMortonRelabel pins b as a's spatial renumbering: b's IDs are dense,
+// its node i sits at the point a's node perm[i] sits at, perm is a
+// permutation that ascends by Morton key and, among equal keys, by a's ID,
+// and b's adjacency is a's mapped through perm, rows ascending.
+func checkMortonRelabel(t *testing.T, a, b *Network) {
+	t.Helper()
+	n := a.N()
+	if b.N() != n || b.EdgeCount() != a.EdgeCount() {
+		t.Fatalf("relabelled network has %d nodes and %d edges, want %d and %d", b.N(), b.EdgeCount(), n, a.EdgeCount())
+	}
+	at := make(map[[2]float64]NodeID, n)
+	for _, nd := range a.Nodes() {
+		at[[2]float64{nd.X, nd.Y}] = nd.ID
+	}
+	if len(at) != n {
+		t.Skip("two draws coincide")
+	}
+	perm := make([]NodeID, n)
+	seen := make([]bool, n)
+	for i, nd := range b.Nodes() {
+		if nd.ID != NodeID(i) {
+			t.Fatalf("node %d carries ID %d", i, nd.ID)
+		}
+		old, ok := at[[2]float64{nd.X, nd.Y}]
+		if !ok || seen[old] {
+			t.Fatalf("node %d at (%v, %v) is not a distinct point of the draws", i, nd.X, nd.Y)
+		}
+		perm[i], seen[old] = old, true
+		if i > 0 {
+			prev := b.Node(NodeID(i - 1))
+			kp, k := mortonKeyRef(prev), mortonKeyRef(nd)
+			if kp > k || (kp == k && perm[i-1] > old) {
+				t.Fatalf("nodes %d and %d out of Morton order: keys %#x, %#x, draws %d, %d", i-1, i, kp, k, perm[i-1], old)
+			}
+		}
+	}
+	for u := 0; u < n; u++ {
+		got := b.Neighbors(NodeID(u))
+		if !slices.IsSorted(got) {
+			t.Fatalf("node %d: row %v not ascending", u, got)
+		}
+		mapped := make([]NodeID, len(got))
+		for i, v := range got {
+			mapped[i] = perm[v]
+		}
+		slices.Sort(mapped)
+		if want := a.Neighbors(perm[u]); !slices.Equal(mapped, want) {
+			t.Fatalf("node %d (drawn %d): neighbors %v map to %v, want %v", u, perm[u], got, mapped, want)
+		}
+	}
+}
+
+// TestGeometricConnectedCSRMatchesRetryLoop pins the retrying variant: at
+// the same seed it accepts the instance GeometricConnected accepts, in
+// GeometricCSR's numbering.
 func TestGeometricConnectedCSRMatchesRetryLoop(t *testing.T) {
-	a, err := GeometricConnected(60, 0.2, rng.New(67), 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := GeometricConnectedCSR(60, 0.2, rng.New(67), 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.Nodes(), b.Nodes()) || a.EdgeCount() != b.EdgeCount() {
-		t.Fatal("connected instances differ at matched seed")
-	}
-	if !b.Connected() {
-		t.Fatal("CSR instance not connected")
+	for _, seed := range []uint64{67, 68, 69} {
+		a, err := GeometricConnected(60, 0.2, rng.New(seed), 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := GeometricConnectedCSR(60, 0.2, rng.New(seed), 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkMortonRelabel(t, a, b)
+		if !b.Connected() {
+			t.Fatalf("seed %d: CSR instance not connected", seed)
+		}
 	}
 }
 
