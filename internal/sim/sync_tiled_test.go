@@ -39,14 +39,41 @@ func tiledNet(t *testing.T, seed uint64, n int, radius float64) *topology.Networ
 	return nw
 }
 
-// randomGeoScenario is randomScenario's geometric twin: a connected
-// geometric graph (nodes carry coordinates, so tilings exist) plus a
+// randomGeoScenario is randomScenario's geometric twin: a geometric graph
+// (nodes carry coordinates, so tilings exist) of 8–31 nodes plus a
 // scripted action schedule with the same 0/1/2+ transmitter density mix.
+// Such a network runs as one NodeID chunk.
 func randomGeoScenario(t *testing.T, r *rng.Source) (*topology.Network, [][]radio.Action, float64) {
 	t.Helper()
 	n := r.IntN(24) + 8
-	radius := 0.25 + r.Float64()*0.35
-	nw, err := topology.Geometric(n, radius, r)
+	return geoScenario(t, r, n, 0.25+r.Float64()*0.35)
+}
+
+// largeGeoScenario is randomGeoScenario on 1100–1399 spatially numbered
+// nodes: at least three NodeID chunks at every worker count, so a run
+// with two or more workers starts its pool.
+func largeGeoScenario(t *testing.T, r *rng.Source) (*topology.Network, [][]radio.Action, float64) {
+	t.Helper()
+	n := 1100 + r.IntN(300)
+	nw, script, radius := geoScenario(t, r, n, 0.06+r.Float64()*0.02)
+	for _, workers := range []int{1, 2, 3, 4, runtime.GOMAXPROCS(0)} {
+		if count := chunkCount(n, workers); count < 3 {
+			t.Fatalf("%d nodes split into %d chunks at %d workers", n, count, workers)
+		}
+	}
+	return nw, script, radius
+}
+
+// geoScenario draws a geometric graph of n nodes and the given radius,
+// spatially numbered when n exceeds a word, with a Bernoulli channel
+// assignment and a random action script.
+func geoScenario(t *testing.T, r *rng.Source, n int, radius float64) (*topology.Network, [][]radio.Action, float64) {
+	t.Helper()
+	build := topology.Geometric
+	if n > 64 {
+		build = topology.GeometricCSR
+	}
+	nw, err := build(n, radius, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,17 +217,47 @@ func TestSyncTiledScriptedMatchesNaive(t *testing.T) {
 	if engaged != 60 {
 		t.Fatalf("tiled path engaged in only %d/60 scenarios", engaged)
 	}
+	// Multi-chunk scenarios, at every worker count up to four: chunk
+	// boundaries, the pool's rounds and cross-chunk deliveries.
+	for trial := 0; trial < 3; trial++ {
+		r := root.Split()
+		t.Run(fmt.Sprintf("large%d", trial), func(t *testing.T) {
+			nw, script, radius := largeGeoScenario(t, r)
+			want := perNode(nw.N(), naiveDeliveries(nw, script, nil))
+			tl, err := topology.TilingByRadius(nw, radius, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 2, 3, 4} {
+				rec := &InternalsRecorder{}
+				got := runScripted(t, nw, script, SyncConfig{
+					Tiling:      tl,
+					TileWorkers: workers,
+					Observer:    rec,
+				})
+				comparePerNode(t, fmt.Sprintf("tiled scripted, workers %d", workers), got, want)
+				if rec.Last.TiledSlots != int64(len(script)) {
+					t.Fatalf("workers %d: tiled path ran %d of %d slots", workers, rec.Last.TiledSlots, len(script))
+				}
+			}
+		})
+	}
 }
 
 // TestSyncTiledStartSlotsMatchNaive covers staggered starts on the tiled
 // path: quiet prefixes pause per-node decision streams identically to the
-// serial engine.
+// serial engine. The last scenarios split into several NodeID chunks and
+// run at every worker count up to four.
 func TestSyncTiledStartSlotsMatchNaive(t *testing.T) {
 	root := rng.New(20260812)
-	for trial := 0; trial < 30; trial++ {
+	for trial := 0; trial < 32; trial++ {
 		r := root.Split()
+		scenario, workerCounts := randomGeoScenario, []int{2}
+		if trial >= 30 {
+			scenario, workerCounts = largeGeoScenario, []int{1, 2, 3, 4}
+		}
 		t.Run(fmt.Sprintf("scenario%03d", trial), func(t *testing.T) {
-			nw, script, radius := randomGeoScenario(t, r)
+			nw, script, radius := scenario(t, r)
 			n := nw.N()
 			starts := make([]int, n)
 			maxStart := 0
@@ -231,34 +288,41 @@ func TestSyncTiledStartSlotsMatchNaive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			protos := make([]SyncProtocol, n)
-			scripts := make([]*scriptSync, n)
-			for u := 0; u < n; u++ {
-				actions := make([]radio.Action, len(script))
-				for s := range script {
-					actions[s] = script[s][u]
+			for _, workers := range workerCounts {
+				protos := make([]SyncProtocol, n)
+				scripts := make([]*scriptSync, n)
+				for u := 0; u < n; u++ {
+					actions := make([]radio.Action, len(script))
+					for s := range script {
+						actions[s] = script[s][u]
+					}
+					scripts[u] = &scriptSync{actions: actions}
+					protos[u] = scripts[u]
 				}
-				scripts[u] = &scriptSync{actions: actions}
-				protos[u] = scripts[u]
-			}
-			if _, err := RunSync(SyncConfig{
-				Network:       nw,
-				Protocols:     protos,
-				StartSlots:    starts,
-				MaxSlots:      slots,
-				RunToMaxSlots: true,
-				Tiling:        tl,
-				TileWorkers:   2,
-			}); err != nil {
-				t.Fatal(err)
-			}
-			got := make([][]refDelivery, n)
-			for u, s := range scripts {
-				for _, msg := range s.delivered {
-					got[u] = append(got[u], refDelivery{from: msg.From, to: topology.NodeID(u)})
+				rec := &InternalsRecorder{}
+				if _, err := RunSync(SyncConfig{
+					Network:       nw,
+					Protocols:     protos,
+					StartSlots:    starts,
+					MaxSlots:      slots,
+					RunToMaxSlots: true,
+					Tiling:        tl,
+					TileWorkers:   workers,
+					Observer:      rec,
+				}); err != nil {
+					t.Fatal(err)
 				}
+				if rec.Last.TiledSlots != int64(slots) {
+					t.Fatalf("workers %d: tiled path ran %d of %d slots", workers, rec.Last.TiledSlots, slots)
+				}
+				got := make([][]refDelivery, n)
+				for u, s := range scripts {
+					for _, msg := range s.delivered {
+						got[u] = append(got[u], refDelivery{from: msg.From, to: topology.NodeID(u)})
+					}
+				}
+				comparePerNode(t, fmt.Sprintf("tiled start slots, workers %d", workers), got, want)
 			}
-			comparePerNode(t, "tiled start slots", got, want)
 		})
 	}
 }

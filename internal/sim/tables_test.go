@@ -125,3 +125,23 @@ func TestCandMasksMatchCandidates(t *testing.T) {
 		t.Fatalf("recompiles into grown storage allocated %.1f objects per run, want 0", allocs)
 	}
 }
+
+// BenchmarkCandMasksCompile measures the cold candidate-mask build of a
+// scale network, built outside the timer.
+func BenchmarkCandMasksCompile(b *testing.B) {
+	nw, err := topology.GeometricCSR(100_000, 0.007, rng.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := topology.AssignUniformK(nw, 8, 4, rng.New(2)); err != nil {
+		b.Fatal(err)
+	}
+	cands := nw.InboundCandidates()
+	b.Run("n100k", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var m candMasks
+			m.compile(cands, 8)
+		}
+	})
+}

@@ -13,15 +13,18 @@ import (
 // radius. This is the standard model for wireless ad hoc deployments and the
 // default topology of the experiment suite.
 //
-// The pair scan (visitGeometricPairs) runs over a spatial grid-bucket index
-// and streams twice — degree count, then fill — into one flat NodeID arena
-// whose rows are handed out as subslices. Rows arrive already sorted (row u
-// receives each partner v<u while the scan's outer index is v, in ascending
-// v, then each v>u while the outer index is u, in ascending v), so no edge
-// list, dedup map or per-row sort is needed. Peak overhead beyond the
-// finished adjacency is O(n), which is what lets 100k–1M-node topologies
-// fit in memory. Node placement is the only rng use, so a seeded network
-// is a pure function of (n, radius, seed).
+// The pair scan runs once over a spatial grid-bucket index (cellGrid),
+// writing each node's partners above it into one partner arena; a count, a
+// prefix sum and a scatter then build the symmetric adjacency in one flat
+// NodeID arena whose rows are handed out as subslices. Rows come out
+// sorted (row u receives each partner v<u while the scatter replays v's
+// partners, in ascending v, then its own partners above it, ascending),
+// so no edge list, dedup map or per-row sort is needed. Peak overhead
+// beyond the finished adjacency is O(n + m) on uniform placements (the
+// partner arena holds at most the grid's candidate pairs, a constant
+// factor above the pairs kept), which is what lets 100k–1M-node
+// topologies fit in memory. Node placement is the only rng use, so a
+// seeded network is a pure function of (n, radius, seed).
 func Geometric(n int, radius float64, r *rng.Source) (*Network, error) {
 	nodes, err := placeNodes(n, radius, r)
 	if err != nil {
@@ -31,25 +34,37 @@ func Geometric(n int, radius float64, r *rng.Source) (*Network, error) {
 }
 
 // geometricOn builds the geometric graph of radius over placed nodes,
-// numbered as given.
+// numbered as given. The partner arena is sized by the grid's candidate
+// bound, so it never grows and the allocation count is constant in n.
 func geometricOn(nodes []Node, radius float64) *Network {
 	n := len(nodes)
+	g := newCellGrid(nodes, radius)
+	up := make([]int32, 0, g.candidateBound()) // each node's partners above it, node by node
+	upDeg := make([]int32, n)                  // node i's partner count in up
+	for i := range nodes {
+		at := len(up)
+		up = g.upper(nodes, i, up)
+		upDeg[i] = int32(len(up) - at)
+	}
+
 	off := make([]int32, n+1) // degree counts, then row offsets
-	visitGeometricPairs(nodes, radius, func(i, j int32) {
-		off[i+1]++
+	for _, j := range up {
 		off[j+1]++
-	})
+	}
 	for i := 0; i < n; i++ {
-		off[i+1] += off[i]
+		off[i+1] += off[i] + upDeg[i]
 	}
 	arena := make([]NodeID, off[n])
 	cur := slices.Clone(off[:n]) // fill cursors
-	visitGeometricPairs(nodes, radius, func(i, j int32) {
-		arena[cur[i]] = NodeID(j)
-		cur[i]++
-		arena[cur[j]] = NodeID(i)
-		cur[j]++
-	})
+	for i := 0; i < n; i++ {
+		for _, j := range up[:upDeg[i]] {
+			arena[cur[i]] = NodeID(j)
+			cur[i]++
+			arena[cur[j]] = NodeID(i)
+			cur[j]++
+		}
+		up = up[upDeg[i]:]
+	}
 	adj := make([][]NodeID, n)
 	for i := 0; i < n; i++ {
 		adj[i] = arena[off[i]:off[i+1]:off[i+1]]

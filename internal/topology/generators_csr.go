@@ -10,14 +10,46 @@ import (
 
 // visitGeometricPairs enumerates every pair of nodes within radius in
 // ascending (i, j) order with i < j — exactly the order of the all-pairs
-// scan — calling visit once per pair. It is the shared core of Geometric
-// (which streams the pairs into a CSR adjacency without an edge list),
-// DeriveGeometricCandidates (which builds candidate tables per epoch) and
-// GeometricStreamStats (which keeps only O(n) counters). The scan runs over
-// a spatial grid-bucket index: cell side ≥ radius so all partners of a node
-// lie in its 3×3 cell neighborhood, cols capped at ⌈√n⌉ to bound the cell
-// count by O(n) when the radius is tiny.
+// scan — calling visit once per pair. It streams, keeping only the cell
+// grid and one node's partners, for DeriveGeometricCandidates (which
+// builds candidate tables per epoch) and GeometricStreamStats (which keeps
+// only O(n) counters); Geometric runs the same per-node scan through
+// geometricOn instead.
 func visitGeometricPairs(nodes []Node, radius float64, visit func(i, j int32)) {
+	g := newCellGrid(nodes, radius)
+	var part []int32
+	for i := range nodes {
+		part = g.upper(nodes, i, part[:0])
+		for _, j := range part {
+			visit(int32(i), j)
+		}
+	}
+}
+
+// cellGrid is the pair scan's spatial index: the unit square cut into
+// cols×cols cells of side ≥ radius, so every partner of a node lies in its
+// 3×3 cell neighborhood, with cols capped at ⌈√n⌉ to bound the cell count
+// by O(n) when the radius is tiny. The nodes are counting-sorted by cell
+// into one arena, ascending within a cell, so three horizontally adjacent
+// cells are one contiguous run of it.
+type cellGrid struct {
+	cols  int
+	start []int32 // per cell: its first arena position; len cols²+1
+	arena []int32 // node indices, cell by cell
+	cell  []int32 // per node: its cell, row-major
+
+	radius float64
+	// A squared distance below in2 is within radius and one above out2 is
+	// not, exactly as math.Hypot(dx, dy) <= radius decides: the computed
+	// squares and their sum, radius² and Hypot are each within a few ulps
+	// (relative 2⁻⁵⁰) of their exact values, far inside the 2⁻²⁰ margin.
+	// That holds while radius² is a normal float64 clear of overflow, so
+	// outside [1e-150, 1e150] (or for a negative or NaN radius) the band
+	// is everything and every pair goes to Hypot.
+	in2, out2 float64
+}
+
+func newCellGrid(nodes []Node, radius float64) cellGrid {
 	n := len(nodes)
 	cols := int(math.Ceil(math.Sqrt(float64(n))))
 	if radius > 0 {
@@ -29,50 +61,92 @@ func visitGeometricPairs(nodes []Node, radius float64, visit func(i, j int32)) {
 		cols = 1 // radius ≥ 1: one cell, the scan degenerates to all pairs
 	}
 	cellOf := func(coord float64) int {
-		c := int(coord * float64(cols))
-		if c < 0 {
-			c = 0
-		}
-		if c >= cols {
-			c = cols - 1
-		}
-		return c
+		return min(max(int(coord*float64(cols)), 0), cols-1)
 	}
-	buckets := make([][]int32, cols*cols)
+	g := cellGrid{
+		cols:   cols,
+		start:  make([]int32, cols*cols+1),
+		arena:  make([]int32, n),
+		cell:   make([]int32, n),
+		radius: radius,
+		in2:    -1,
+		out2:   math.Inf(1),
+	}
+	if radius >= 1e-150 && radius <= 1e150 {
+		r2 := radius * radius
+		g.in2, g.out2 = r2*(1-0x1p-20), r2*(1+0x1p-20)
+	}
 	for i, nd := range nodes {
 		c := cellOf(nd.Y)*cols + cellOf(nd.X)
-		buckets[c] = append(buckets[c], int32(i))
+		g.cell[i] = int32(c)
+		g.start[c+1]++
 	}
-	var cand []int32
-	for i := 0; i < n; i++ {
-		cx, cy := cellOf(nodes[i].X), cellOf(nodes[i].Y)
-		cand = cand[:0]
-		for dy := -1; dy <= 1; dy++ {
-			y := cy + dy
-			if y < 0 || y >= cols {
+	for c := 1; c < len(g.start); c++ {
+		g.start[c] += g.start[c-1]
+	}
+	fill := slices.Clone(g.start[:cols*cols])
+	for i, c := range g.cell {
+		g.arena[fill[c]] = int32(i)
+		fill[c]++
+	}
+	return g
+}
+
+// around returns the cell rows y0..y1 and columns x0..x1 of cell c's 3×3
+// neighborhood.
+func (g *cellGrid) around(c int32) (y0, y1, x0, x1 int) {
+	cy, cx := int(c)/g.cols, int(c)%g.cols
+	return max(cy-1, 0), min(cy+1, g.cols-1), max(cx-1, 0), min(cx+1, g.cols-1)
+}
+
+// run returns the arena run of cells x0..x1 in cell row y.
+func (g *cellGrid) run(y, x0, x1 int) []int32 {
+	return g.arena[g.start[y*g.cols+x0]:g.start[y*g.cols+x1+1]]
+}
+
+// upper appends node i's partners j > i within radius to out, ascending.
+// The radius test runs before the sort, so only the survivors are sorted;
+// it is math.Hypot(dx, dy) <= radius, settled from the squared distance
+// outside the band around radius² (in2, out2) and by Hypot inside it. A
+// NaN squared distance is inside the band.
+func (g *cellGrid) upper(nodes []Node, i int, out []int32) []int32 {
+	base := len(out)
+	x, y := nodes[i].X, nodes[i].Y
+	y0, y1, x0, x1 := g.around(g.cell[i])
+	for row := y0; row <= y1; row++ {
+		for _, j := range g.run(row, x0, x1) {
+			if int(j) <= i {
 				continue
 			}
-			for dx := -1; dx <= 1; dx++ {
-				x := cx + dx
-				if x < 0 || x >= cols {
-					continue
-				}
-				for _, j := range buckets[y*cols+x] {
-					if int(j) > i {
-						cand = append(cand, j)
-					}
-				}
-			}
-		}
-		// Bucket visit order is spatial; restore ascending-j emission order.
-		slices.Sort(cand)
-		for _, j := range cand {
-			dx, dy := nodes[i].X-nodes[j].X, nodes[i].Y-nodes[j].Y
-			if math.Hypot(dx, dy) <= radius {
-				visit(int32(i), j)
+			dx, dy := x-nodes[j].X, y-nodes[j].Y
+			d2 := float64(dx*dx) + float64(dy*dy) // conversions keep the sum unfused
+			if d2 < g.in2 || !(d2 > g.out2) && math.Hypot(dx, dy) <= g.radius {
+				out = append(out, j)
 			}
 		}
 	}
+	// Bucket visit order is spatial; restore ascending-j order.
+	slices.Sort(out[base:])
+	return out
+}
+
+// candidateBound returns the number of pairs i < j whose cells are
+// neighbors — every pair upper tests, so a bound on the pairs it keeps.
+// The neighbor relation is symmetric, so the sum over nodes of their 3×3
+// neighborhoods' sizes counts each such pair twice and each node once.
+func (g *cellGrid) candidateBound() int {
+	sum := 0
+	for c := range len(g.start) - 1 {
+		size := int(g.start[c+1] - g.start[c])
+		if size == 0 {
+			continue
+		}
+		y0, y1, x0, x1 := g.around(int32(c))
+		for row := y0; row <= y1; row++ {
+			sum += size * len(g.run(row, x0, x1))
+		}
+	}
+	return (sum - len(g.cell)) / 2
 }
 
 // placeNodes validates a geometric instance's size and radius and places

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -256,5 +257,127 @@ func checkInboundCandidates(t *testing.T, name string, nw *Network) {
 				t.Fatalf("%s node %d cand %d: span %v, want %v", name, u, i, got[u][i].Span, want[u][i].Span)
 			}
 		}
+	}
+}
+
+// sameAdjacency fails the test unless a and b hold the same rows.
+func sameAdjacency(t *testing.T, label string, a, b *Network) {
+	t.Helper()
+	if a.N() != b.N() || a.EdgeCount() != b.EdgeCount() {
+		t.Fatalf("%s: %d nodes and %d edges, want %d and %d", label, a.N(), a.EdgeCount(), b.N(), b.EdgeCount())
+	}
+	for u := 0; u < a.N(); u++ {
+		if got, want := a.Neighbors(NodeID(u)), b.Neighbors(NodeID(u)); !slices.Equal(got, want) {
+			t.Fatalf("%s: node %d: adjacency %v, want %v", label, u, got, want)
+		}
+	}
+}
+
+// TestGeometricOnMatchesNaive pins the one-pass pair scan to the
+// all-pairs reference's adjacency (math.Hypot on every pair) on random
+// placements with radii above and below the ⌈√n⌉ cell cap, radius 0, one
+// cell (radius ≥ 1), nodes on the square's edges and corners, and partners
+// a hair inside and outside the radius, where the squared-distance test
+// must defer to Hypot.
+func TestGeometricOnMatchesNaive(t *testing.T) {
+	r := rng.New(29)
+	type scanCase struct {
+		nodes  []Node
+		radius float64
+	}
+	var cases []scanCase
+	for _, c := range []struct {
+		n      int
+		radius float64
+	}{
+		{1, 0.3}, {2, 0.5}, {3, 0.9}, {10, 0}, {10, 1}, {10, 1.5}, {64, 0.01},
+		{200, 0.05}, {500, 0.08}, {997, 0.04}, {1500, 0.03},
+	} {
+		nodes := make([]Node, c.n)
+		for i := range nodes {
+			nodes[i] = Node{ID: NodeID(i), X: r.Float64(), Y: r.Float64()}
+		}
+		cases = append(cases, scanCase{nodes, c.radius})
+	}
+	edge := []Node{
+		{X: 0, Y: 0}, {X: 1, Y: 1}, {X: 0, Y: 1}, {X: 1, Y: 0}, {X: 0.5, Y: 0},
+		{X: 0.5, Y: 1}, {X: 0, Y: 0.5}, {X: 1, Y: 0.5}, {X: 0.25, Y: 0.25},
+		{X: 0.75, Y: 0.75}, {X: 0.999999, Y: 0.999999}, {X: 0.5, Y: 0.5},
+	}
+	for i := range edge {
+		edge[i].ID = NodeID(i)
+	}
+	for _, radius := range []float64{0, 0.25, 0.5, 0.75, 1, 2} {
+		cases = append(cases, scanCase{edge, radius})
+	}
+	// Partners at radius scaled by 1 ± a few ulps and 1 ± 2⁻³⁰…2⁻¹⁹, on
+	// both sides of the squared-distance band and inside it, and radii
+	// below the band's range, which go to Hypot alone.
+	for _, radius := range []float64{0.001, 0.03, 0.1, 0.3} {
+		var near []Node
+		for k := 0; k < 40; k++ {
+			cx, cy := 0.3+0.4*r.Float64(), 0.3+0.4*r.Float64()
+			theta := 2 * math.Pi * r.Float64()
+			near = append(near, Node{X: cx, Y: cy})
+			for _, f := range []float64{0x1p-52, 0x1p-51, 3 * 0x1p-52, 0x1p-30, 0x1p-22, 0x1p-21, 0x1p-20, 0x1p-19} {
+				for _, s := range []float64{1 - f, 1 + f} {
+					near = append(near, Node{X: cx + s*radius*math.Cos(theta), Y: cy + s*radius*math.Sin(theta)})
+				}
+			}
+			near = append(near, Node{X: cx + radius*math.Cos(theta), Y: cy + radius*math.Sin(theta)})
+		}
+		for i := range near {
+			near[i].ID = NodeID(i)
+		}
+		cases = append(cases, scanCase{near, radius})
+	}
+	tiny := []Node{{ID: 0}, {ID: 1, X: 1e-160}, {ID: 2, X: 2e-160, Y: 1e-160}, {ID: 3, X: 5e-324}}
+	for _, radius := range []float64{1e-160, 1.5e-160, 1e-300} {
+		cases = append(cases, scanCase{tiny, radius})
+	}
+	for _, c := range cases {
+		ref, err := newNetwork(c.nodes, geometricEdgesNaive(c.nodes, c.radius))
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("n=%d radius=%v", len(c.nodes), c.radius)
+		sameAdjacency(t, label, geometricOn(c.nodes, c.radius), ref)
+	}
+}
+
+// TestGeometricOnAllocsConstant pins the pair scan's allocation count: the
+// same at n = 1000 and n = 20000, so the grid is one counting-sorted arena
+// and the partner arena never grows.
+func TestGeometricOnAllocsConstant(t *testing.T) {
+	allocs := func(n int, radius float64) float64 {
+		nodes, err := placeNodes(n, radius, rng.New(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(3, func() { geometricOn(nodes, radius) })
+	}
+	if small, large := allocs(1000, 0.06), allocs(20000, 0.013); small != large {
+		t.Fatalf("geometricOn makes %v allocations at n=1000 and %v at n=20000", small, large)
+	}
+}
+
+// BenchmarkGeometricCSR measures a scale network's construction: placement,
+// Morton numbering and the pair scan.
+func BenchmarkGeometricCSR(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		n      int
+		radius float64
+	}{
+		{"n100k", 100_000, 0.007},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := GeometricCSR(c.n, c.radius, rng.New(uint64(i)+1)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
