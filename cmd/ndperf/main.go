@@ -2,7 +2,8 @@
 // scenarios (the geometric networks of internal/sim's benchmarks) and
 // writes a machine-readable snapshot to BENCH_3.json: ns per operation, ns
 // per resolved slot, allocations, and delivery throughput for the
-// synchronous and both asynchronous engines, plus steady-state rows that
+// synchronous and asynchronous engines (the asynchronous one both stopping
+// at completion and running its whole horizon), plus steady-state rows that
 // reuse one sim scratch across runs (the trial-loop configuration),
 // large-n rows (200-node sync, 100-node async), and dynamic rows that run
 // the same large-n scenarios on a churn / mobility world so the epoch
@@ -14,12 +15,13 @@
 // hot-path regression shows up as a diff instead of an anecdote.
 //
 // The workloads mirror BenchmarkRunSync / BenchmarkRunAsync /
-// BenchmarkRunAsyncOnline and their Scratch / large-n variants exactly
+// BenchmarkRunAsyncFull and their Scratch / large-n variants exactly
 // (same topology seeds, protocol seeds, and horizons) with one addition:
 // deliveries are tallied so throughput can be reported per second of
 // engine time. The sync rows count them per node, without an event
 // subscription, so the tally never changes the path a row measures; the
-// async rows count them with an EventDeliver observer.
+// async rows count them, and the frames each run resolved, with an
+// observer, which never changes how long a run lasts.
 package main
 
 import (
@@ -178,15 +180,17 @@ func run(out, metricsPath, diagAddr, cpuProf, memProf string) (retErr error) {
 	}
 	rows := []benchRow{
 		syncRow(benchSync("RunSync", nw, params.Delta, 2000, nil, nil, nil, agg)),
-		benchAsync("RunAsync", sim.RunAsync, nw, params.Delta, 800, nil, nil, agg),
-		benchAsync("RunAsyncOnline", sim.RunAsyncOnline, nw, params.Delta, 800, nil, nil, agg),
+		benchAsync("RunAsync", false, nw, params.Delta, 800, nil, nil, agg),
+		// The whole horizon: the work the termination runs do. The row kept
+		// its name from when a second engine did this.
+		benchAsync("RunAsyncOnline", true, nw, params.Delta, 800, nil, nil, agg),
 		// Steady state: one scratch reused across runs, the per-worker trial
 		// loop configuration. The gap to the rows above is the reuse saving.
 		syncRow(benchSync("RunSyncScratch", nw, params.Delta, 2000, sim.NewSyncScratch(), nil, nil, agg)),
-		benchAsync("RunAsyncScratch", sim.RunAsync, nw, params.Delta, 800, sim.NewAsyncScratch(), nil, agg),
+		benchAsync("RunAsyncScratch", false, nw, params.Delta, 800, sim.NewAsyncScratch(), nil, agg),
 		// Large-n regime (shorter horizons keep wall time comparable).
 		syncRow(benchSync("RunSyncN200", nw200, nw200.ComputeParams().Delta, 500, sim.NewSyncScratch(), nil, nil, nil)),
-		benchAsync("RunAsyncN100", sim.RunAsync, nw100, nw100.ComputeParams().Delta, 200, sim.NewAsyncScratch(), nil, nil),
+		benchAsync("RunAsyncN100", false, nw100, nw100.ComputeParams().Delta, 200, sim.NewAsyncScratch(), nil, nil),
 		// Very-large-n regime: the streamed-CSR 100k scenario on the tiled
 		// parallel resolver. A short horizon keeps the row ~1s/op; deltaEst
 		// is fixed (ComputeParams at 100k would dominate setup).
@@ -195,7 +199,7 @@ func run(out, metricsPath, diagAddr, cpuProf, memProf string) (retErr error) {
 		// The gap to the static rows above is the dynamics overhead (epoch
 		// snapshots, activity gating, growable coverage).
 		syncRow(benchSync("RunSyncChurn", nw200, nw200.ComputeParams().Delta, 500, sim.NewSyncScratch(), nil, churnWorld, nil)),
-		benchAsync("RunAsyncMobility", sim.RunAsync, nw100, nw100.ComputeParams().Delta, 200, sim.NewAsyncScratch(), mobilityWorld, nil),
+		benchAsync("RunAsyncMobility", false, nw100, nw100.ComputeParams().Delta, 200, sim.NewAsyncScratch(), mobilityWorld, nil),
 	}
 	if rowErr != nil {
 		return rowErr
@@ -364,15 +368,15 @@ func benchSync(name string, nw *topology.Network, deltaEst, maxSlots int, scratc
 	return row(name, res, deliveries, float64(slots)/float64(res.N)), nil
 }
 
-func benchAsync(name string, engine func(sim.AsyncConfig) (*sim.AsyncResult, error), nw *topology.Network, deltaEst, maxFrames int, scratch *sim.AsyncScratch, world func() *dynamics.World, agg *telemetry.Aggregate) benchRow {
+func benchAsync(name string, runToMax bool, nw *topology.Network, deltaEst, maxFrames int, scratch *sim.AsyncScratch, world func() *dynamics.World, agg *telemetry.Aggregate) benchRow {
 	const (
 		frameLen      = 3.0
 		slotsPerFrame = 3
 	)
-	var deliveries int64
+	var deliveries, frames int64
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
-		deliveries = 0
+		deliveries, frames = 0, 0
 		for i := 0; i < b.N; i++ {
 			root := rng.New(uint64(i) + 1)
 			nodes := make([]sim.AsyncNode, nw.N())
@@ -389,19 +393,24 @@ func benchAsync(name string, engine func(sim.AsyncConfig) (*sim.AsyncResult, err
 			}
 			tele := teleObserver(agg, nw)
 			cfg := sim.AsyncConfig{
-				Network:   nw,
-				Nodes:     nodes,
-				FrameLen:  frameLen,
-				MaxFrames: maxFrames,
-				Scratch:   scratch,
-				Observer: sim.MultiObserver(sim.OnlyEvents(sim.MaskOf(sim.EventDeliver), sim.ObserverFunc(func(e sim.Event) {
-					deliveries++
+				Network:        nw,
+				Nodes:          nodes,
+				FrameLen:       frameLen,
+				MaxFrames:      maxFrames,
+				RunToMaxFrames: runToMax,
+				Scratch:        scratch,
+				Observer: sim.MultiObserver(sim.OnlyEvents(sim.MaskOf(sim.EventDeliver, sim.EventFrameStart), sim.ObserverFunc(func(e sim.Event) {
+					if e.Kind == sim.EventDeliver {
+						deliveries++
+					} else {
+						frames++
+					}
 				})), tele),
 			}
 			if world != nil {
 				cfg.Dynamics = world()
 			}
-			if _, err := engine(cfg); err != nil {
+			if _, err := sim.RunAsync(cfg); err != nil {
 				b.Fatal(err)
 			}
 			if agg != nil {
@@ -409,7 +418,9 @@ func benchAsync(name string, engine func(sim.AsyncConfig) (*sim.AsyncResult, err
 			}
 		}
 	})
-	return row(name, res, deliveries, float64(maxFrames*slotsPerFrame))
+	// A run that stops at completion resolves fewer than maxFrames frames
+	// per node: slots_per_op is the mean per-node count it resolved.
+	return row(name, res, deliveries, float64(frames*slotsPerFrame)/float64(res.N*nw.N()))
 }
 
 // benchKernels measures the channel package's word-level bitset kernels on

@@ -87,9 +87,9 @@ func (t *Timeline) Reset(start, frameLen float64, slotsPerFrame int, drift Drift
 // Reserve pre-sizes the boundary cache for at least slots slots, so
 // subsequent lazy extension appends into existing capacity instead of growing
 // the array by doubling. Values never change, only capacity. The
-// asynchronous engines call it with the frames they are about to resolve:
-// once per frame window as the windows double, or once with the whole frame
-// budget for a one-pass run.
+// asynchronous engine calls it with the frames it is about to resolve:
+// each time a run that can stop early doubles its reservation, or once
+// with the whole frame budget for a run that cannot.
 func (t *Timeline) Reserve(slots int) {
 	need := slots + 1 // bounds holds slot starts plus the final end boundary
 	if cap(t.bounds) >= need {

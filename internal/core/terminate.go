@@ -94,7 +94,11 @@ func (p *SyncTerminating) Terminated() bool { return p.done }
 func (p *SyncTerminating) ActiveSlots() int { return p.active }
 
 // AsyncTerminating wraps an asynchronous protocol with the quiescence rule,
-// counted in frames.
+// counted in frames. It is adaptive — its schedule depends on what it has
+// received — so it relies on the engine delivering every message before the
+// node's next frame decision, as sim.RunAsync does, and its behaviour plays
+// out after coverage completes, so its runs set
+// sim.AsyncConfig.RunToMaxFrames.
 type AsyncTerminating struct {
 	inner     AsyncDiscoverer
 	idleLimit int

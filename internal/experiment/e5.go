@@ -164,11 +164,12 @@ func e5AsyncJob(nw *topology.Network, deltaEst, frames int, root *rng.Source) (f
 	return func(sc *harness.Scratch) (float64, error) {
 		covered := make(map[int]bool, frames)
 		_, err := sim.RunAsync(sim.AsyncConfig{
-			Network:   nw,
-			Nodes:     nodes,
-			FrameLen:  e4FrameLen,
-			MaxFrames: frames,
-			Scratch:   sc.Async(),
+			Network:        nw,
+			Nodes:          nodes,
+			FrameLen:       e4FrameLen,
+			MaxFrames:      frames,
+			RunToMaxFrames: true,
+			Scratch:        sc.Async(),
 			Observer: sim.DeliverObserver(func(at float64, from, to topology.NodeID, _ channel.ID) {
 				if from == 1 && to == 0 {
 					covered[int(at/e4FrameLen)] = true

@@ -20,8 +20,8 @@
 //     returning it. Spread-copying (append(dst, e.Actions...)) and passing
 //     it to a function are fine: copies are the documented boundary
 //     discipline (see radio.Message.Heard);
-//   - re-entering the engines (sim.RunSync / RunAsync / RunAsyncOnline)
-//     from inside a callback, which would recursively recycle the very
+//   - re-entering the engines (sim.RunSync / RunAsync) from inside a
+//     callback, which would recursively recycle the very
 //     buffers the outer callback is holding.
 package obspure
 
@@ -274,7 +274,7 @@ func checkReentry(pass *lint.Pass, call *ast.CallExpr) {
 		return
 	}
 	switch fn.Name() {
-	case "RunSync", "RunAsync", "RunAsyncOnline":
+	case "RunSync", "RunAsync":
 		pass.Reportf(call.Pos(), "%s re-enters the engine from inside a callback: the engine recycles the buffers this callback is borrowing", fn.Name())
 	}
 }

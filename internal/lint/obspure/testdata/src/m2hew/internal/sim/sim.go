@@ -31,6 +31,3 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) { return &SyncResult{}, nil }
 
 // RunAsync is the asynchronous engine entry point.
 func RunAsync(cfg SyncConfig) (*SyncResult, error) { return &SyncResult{}, nil }
-
-// RunAsyncOnline is the online asynchronous engine entry point.
-func RunAsyncOnline(cfg SyncConfig) (*SyncResult, error) { return &SyncResult{}, nil }

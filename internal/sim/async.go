@@ -2,8 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
-	"slices"
 
 	"m2hew/internal/clock"
 	"m2hew/internal/dynamics"
@@ -48,25 +46,28 @@ type AsyncConfig struct {
 	// experiment uses other values.
 	SlotsPerFrame int
 	// MaxFrames bounds the simulation: each node executes at most this many
-	// frames (RunAsync may stop earlier, once coverage is complete; see
-	// AsyncResult.FrameBudget); required, > 0.
+	// frames (a static run stops earlier, once coverage is complete, unless
+	// RunToMaxFrames is set); required, > 0.
 	MaxFrames int
+	// RunToMaxFrames keeps simulating after full coverage, so every node
+	// executes its MaxFrames frames (used by adaptive protocols whose
+	// behaviour continues past completion, such as termination, and by
+	// experiments that audit steady-state behaviour). Default is to stop at
+	// completion; a dynamic run always runs to MaxFrames.
+	RunToMaxFrames bool
 	// Loss, if non-nil, erases arriving transmission slots per receiver
 	// listening frame with the model's probability (unreliable channels).
 	Loss *LossModel
-	// Observer, if non-nil, receives an EventFrameStart for every frame,
-	// an EventFrameResolve for every listening frame, and an EventDeliver
-	// for every clear reception (RunAsync skips kinds outside the
-	// observer's EventMasker subscription). Emission order differs between
-	// engines: RunAsync emits frame events node-major during its resolution
-	// pass (ascending node, then frame index) and all deliveries afterwards
-	// in chronological order; RunAsyncOnline emits events grouped per frame
-	// in global frame-end order — EventFrameStart, that frame's
-	// deliveries, then EventFrameResolve. Compose several consumers with
-	// MultiObserver.
+	// Observer, if non-nil, receives, as far as its EventMasker
+	// subscription reaches, the events of each frame at the frame's end, in
+	// global frame-end order: EventFrameStart, then, for a listening frame,
+	// an EventDeliver for each clear reception and an EventFrameResolve.
+	// Dynamic runs announce each epoch (enterEpoch) before the first frame
+	// ending in it. The observer never changes how long a run lasts.
+	// Compose several consumers with MultiObserver.
 	Observer Observer
 	// Scratch, if non-nil, supplies reusable per-run state — timelines,
-	// frame tables, resolver buffers, delivery list — so repeated runs on
+	// frame tables, resolver buffers, the frame queue — so repeated runs on
 	// one goroutine stop re-allocating it (see AsyncScratch for the
 	// ownership and network-mutation contract). Nil means the run
 	// allocates a private scratch; results are identical either way.
@@ -79,8 +80,7 @@ type AsyncConfig struct {
 	// but an inactive node appears in no epoch's candidate table, so it
 	// neither delivers nor receives while out of the network. The coverage
 	// target grows with each epoch's link set (births at the epoch start
-	// time). RunAsync resolves node-major and emits no dynamics events;
-	// RunAsyncOnline processes chronologically and does.
+	// time), so a dynamic run never stops before MaxFrames.
 	Dynamics *dynamics.World
 }
 
@@ -100,13 +100,9 @@ type AsyncResult struct {
 	Coverage *metrics.Coverage
 	// MinFullFrames is the smallest per-node count of full frames lying
 	// entirely within [Ts, CompletionTime] — the "M full frames since T_s"
-	// of Theorem 9 — counting only the FrameBudget frames the run resolved;
-	// valid only when Complete.
+	// of Theorem 9 — counting only frames within MaxFrames; valid only
+	// when Complete.
 	MinFullFrames int
-	// FrameBudget is the per-node frame count the run resolved: every
-	// node's frames [0, FrameBudget) were decided and resolved. It is
-	// AsyncConfig.MaxFrames unless RunAsync stopped early at completion.
-	FrameBudget int
 }
 
 // asyncFrame is one generated frame of one node.
@@ -145,34 +141,32 @@ func (c *AsyncConfig) validate() error {
 	return nil
 }
 
-// RunAsync executes an asynchronous simulation.
+// RunAsync executes an asynchronous simulation with online delivery:
+// frames resolve in global frame-end order, and every clear message is
+// delivered to its receiver's protocol before that protocol makes its next
+// frame decision. Adaptive protocols — the termination wrapper
+// core.AsyncTerminating, whose schedule depends on what it received — need
+// exactly that; for the paper's oblivious protocols the tests pin the run to
+// replays of decisions pre-generated up front.
 //
-// Frame decisions are generated incrementally: a node's protocol is asked
-// for its next frame (NextFrame) when the resolution pass first needs it —
-// either because the pass reached the frame itself, or because the frame
-// might overlap a neighbor's listening frame under resolution. Each node's
-// decisions are still drawn in ascending frame order from its own private
-// rng stream, so the cross-node interleaving (which differs from the old
-// generate-everything-first pass) is invisible in results. Resolution walks
-// frames node-major and applies deliveries afterwards in chronological
-// order, so the messages a protocol has seen when asked for a decision do
-// not follow real time. Oblivious protocols never look, which is why the
-// differential tests can pin this engine to RunAsyncOnline and to replays
-// of pre-generated decisions; adaptive protocols need RunAsyncOnline.
+// A node's protocol is asked for its next frame (NextFrame) when its
+// previous frame resolves, so each node's decisions are drawn in ascending
+// frame order from its own private rng stream. The scheduler pops the
+// earliest unresolved frame end, ties to the lower NodeID, from a binary
+// heap. When node u's frame pops, every other node's oldest unresolved
+// frame ends at or after it (or the node has used its MaxFrames), and
+// frames never skip time, so every transmission overlapping u's frame is
+// known and the shared resolver can run. A listening frame's deliveries go
+// out at its end, in resolveFrame's order: the decode point is the slot
+// end, but the protocol can only act on it at its next frame boundary.
 //
-// The node-major pass runs in frame windows: frames [0, 64) of every node,
-// then the next 128, doubling. After each window the deliveries no later
-// frame can precede — those ending by the earliest end of any node's last
-// resolved frame — are applied, and the run stops once coverage is
-// complete, like RunSync. The applied deliveries are a prefix of the full
-// pass's chronological order, so coverage, completion time and neighbor
-// tables are the full pass's; only FrameBudget records the stop, and
-// protocols receive no deliveries after it. Windows require a static world,
-// no loss and an observer subscribed to none of EventFrameStart,
-// EventFrameResolve and EventDeliver; any other run resolves all MaxFrames
-// frames of every node in one pass. Per-node state — timeline boundaries,
-// drift memos, frame tables — is reserved window by window, so a run that
-// stops early never pays for the rest of MaxFrames.
+// A static run stops at the first frame that completes coverage, as
+// RunSync does, unless RunToMaxFrames is set; a dynamic run always runs
+// every node's MaxFrames, since a later epoch may still grow the target.
+// A run that can stop reserves per-node state — timeline boundaries,
+// drift memos, frame tables — for 64 frames and doubles it as the run
+// needs more, so it never pays for the rest of MaxFrames; any other run
+// reserves MaxFrames once.
 //
 //nd:hotpath
 func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
@@ -190,174 +184,181 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 	if sc == nil {
 		sc = NewAsyncScratch()
 	}
-
-	// Phase 1: clocks. Drift draws happen lazily, in ascending slot order
-	// per node's own drift rng, exactly as they did when frames were
-	// generated eagerly. The boundary caches, drift memos and frame tables
-	// are sized window by window in phase 2 (reserveFrames: values never
-	// move, only capacity), so a windowed run that stops early never
-	// reserves the rest of MaxFrames.
 	timelines, ts, err := sc.clocks(cfg.Nodes, cfg.FrameLen, slotsPerFrame)
 	if err != nil {
 		return nil, err
 	}
-
-	// Phase 2: resolve receptions, generating frames on demand. generate
-	// appends node v's next frame to its frame table and the transmit
-	// bucket table; before a listening frame resolves, every candidate
-	// transmitter is generated out to the frame's end, which is exactly
-	// the coverage collectSlots needs.
 	env := sc.envFor(nw, cfg.Dynamics, timelines, slotsPerFrame, cfg.Loss)
 	for u := range cfg.Nodes {
 		reserveNeighbors(cfg.Nodes[u].Protocol, env.cands[u])
 	}
+	world := cfg.Dynamics
+	stops := world == nil && !cfg.RunToMaxFrames
+	reserved := cfg.MaxFrames
+	if stops {
+		reserved = min(firstReservedFrames, cfg.MaxFrames)
+	}
+	env.reserveFrames(cfg.Nodes, reserved)
+
+	// Dynamic runs grow the coverage target as the run crosses epoch
+	// boundaries (enterEpoch), starting with epoch 0, so every delivery
+	// finds its link already targeted: a delivered link existed in the
+	// epoch of its listening frame's start, which the advance below
+	// reaches before that frame resolves.
+	coverage := runCoverage(sc.target, world)
 	mask := observerMask(cfg.Observer)
 	wantStart, wantResolve := mask.Has(EventFrameStart), mask.Has(EventFrameResolve)
 	var deliverObs Observer
 	if mask.Has(EventDeliver) {
 		deliverObs = cfg.Observer
 	}
-	// The pass runs in frame windows [lo, hi) so it can stop once coverage
-	// is final. Windows need a static world (the target cannot grow), no
-	// loss (the erasure draws are consumed node-major, so windows would
-	// reorder them) and no frame or delivery subscription (their event
-	// order is the full node-major pass); any other run takes one window
-	// of MaxFrames, the full pass.
-	window := cfg.MaxFrames
-	if cfg.Dynamics == nil && (cfg.Loss == nil || cfg.Loss.Prob <= 0) && !wantStart && !wantResolve && deliverObs == nil {
-		window = firstAsyncWindow
+	nextEpoch := 1
+	if world != nil {
+		enterEpoch(cfg.Observer, mask, world.At(0), 0, 0, coverage)
 	}
-	coverage := runCoverage(sc.target, cfg.Dynamics) // a dynamic target grows after the one window
-	pending := sc.deliveryBuf()
-	ahead := sc.aheadMarks(n)
-	maxEnd := 0.0
-	hi := 0
-	for lo := 0; lo < cfg.MaxFrames; lo, window = hi, 2*window {
-		hi = lo + min(window, cfg.MaxFrames-lo)
-		env.reserveFrames(cfg.Nodes, hi)
-		for u := 0; u < n; u++ {
-			uid := topology.NodeID(u)
-			for f := lo; f < hi; f++ {
-				if len(env.frames[u]) <= f {
-					if err := env.generate(u, cfg.Nodes[u].Protocol); err != nil {
-						return nil, err
-					}
-				}
-				g := env.frames[u][f]
-				if g.end > maxEnd {
-					maxEnd = g.end
-				}
-				if wantStart {
-					cfg.Observer.OnEvent(Event{
-						Kind: EventFrameStart, Time: g.start, Slot: f,
-						Node: uid, Action: g.action,
-					})
-				}
-				// A listening frame's candidate row drives the look-ahead
-				// below, its compiled mask the resolution. The look-ahead
-				// runs only when the frame ends past the horizon the
-				// listener's last look-ahead on the same epoch's row left.
-				var mrow []maskWord
-				if g.action.Mode == radio.Receive {
-					mrow = env.maskFor(uid, g)
-					if e := env.epochOf(g); g.end > ahead[u].to || e != ahead[u].epoch {
-						to, err := env.lookAhead(env.candsFor(uid, g), g.end, cfg.Nodes, cfg.MaxFrames)
-						if err != nil {
-							return nil, err
-						}
-						ahead[u] = aheadMark{to: to, epoch: e}
-					}
-				}
-				ds := env.resolveFrame(uid, g, mrow)
-				pending = append(pending, ds...)
-				if wantResolve && g.action.Mode == radio.Receive {
-					cfg.Observer.OnEvent(Event{
-						Kind: EventFrameResolve, Time: g.end, Slot: f,
-						Node: uid, Action: g.action,
-						Collected: env.lastCollected, Delivered: len(ds),
-					})
-				}
+
+	// Prime every node with its first frame; the queue holds each node's
+	// oldest unresolved frame end.
+	queue := sc.frameQueue(n)
+	for u := 0; u < n; u++ {
+		if err := env.generate(u, cfg.Nodes[u].Protocol); err != nil {
+			return nil, err
+		}
+		queue = append(queue, frameEnd{end: env.frames[u][0].end, node: topology.NodeID(u)})
+	}
+	queue.init()
+
+	for len(queue) > 0 {
+		// Only a popped node generates, one frame at a time, after its
+		// last frame resolved: the popped frame is the node's last.
+		uid := queue[0].node
+		u := int(uid)
+		f := len(env.frames[u]) - 1
+		g := env.frames[u][f]
+
+		// Cross epoch boundaries up to this frame's end before resolving
+		// it: frame ends pop in ascending order, so the advance is
+		// monotone, and any link this frame delivers on was born in an
+		// epoch at or before the one containing its start.
+		if world != nil {
+			for last := world.EpochOf(g.end); nextEpoch <= last; nextEpoch++ {
+				enterEpoch(cfg.Observer, mask, world.At(nextEpoch), float64(nextEpoch)*world.EpochLen(), 0, coverage)
 			}
 		}
-		if cfg.Dynamics != nil {
-			// Dynamic runs take one window, so maxEnd is final here: the
-			// target is the union of the epoch link sets through the epoch
-			// containing it, each link born at its first epoch's start.
-			for e := 0; e <= cfg.Dynamics.EpochOf(maxEnd); e++ {
-				enterEpoch(nil, 0, cfg.Dynamics.At(e), float64(e)*cfg.Dynamics.EpochLen(), 0, coverage)
-			}
+
+		// The frame's events go out at its resolution point, its end;
+		// EventFrameStart still carries the frame's real start time.
+		if wantStart {
+			cfg.Observer.OnEvent(Event{
+				Kind: EventFrameStart, Time: g.start, Slot: f,
+				Node: uid, Action: g.action,
+			})
 		}
-		// Every frame before hi is resolved on every node. A delivery from
-		// a later frame ends a slot inside it, strictly after its start,
-		// which is at or after safe; so the pending deliveries up to safe
-		// are exactly the next stretch of the run's chronological order.
-		safe := math.Inf(1)
-		if hi < cfg.MaxFrames {
-			for u := 0; u < n; u++ {
-				safe = min(safe, env.frames[u][hi-1].end)
-			}
+		var mrow []maskWord
+		if g.action.Mode == radio.Receive {
+			mrow = env.maskFor(uid, g)
 		}
-		slices.SortFunc(pending, cmpDelivery)
-		applied := sc.applyDeliveries(pending, safe, cfg.Nodes, coverage, deliverObs)
-		pending = pending[:copy(pending, pending[applied:])]
-		if coverage.Complete() {
+		ds := env.resolveFrame(uid, g, mrow)
+		for _, d := range ds {
+			sc.deliver(d, cfg.Nodes, coverage, deliverObs)
+		}
+		if wantResolve && g.action.Mode == radio.Receive {
+			cfg.Observer.OnEvent(Event{
+				Kind: EventFrameResolve, Time: g.end, Slot: f,
+				Node: uid, Action: g.action,
+				Collected: env.lastCollected, Delivered: len(ds),
+			})
+		}
+		if stops && coverage.Complete() {
 			break
 		}
-	}
 
-	sc.deliveries = pending[:0] // keep any capacity the run grew
-	return sc.finishRun(cfg.Nodes, ts, coverage, hi), nil
+		// Generate u's next frame: its protocol has now seen everything it
+		// could have heard.
+		next := f + 1
+		if next == cfg.MaxFrames {
+			queue.pop()
+			continue
+		}
+		if next == reserved {
+			reserved = min(2*reserved, cfg.MaxFrames)
+			env.reserveFrames(cfg.Nodes, reserved)
+		}
+		if err := env.generate(u, cfg.Nodes[u].Protocol); err != nil {
+			return nil, err
+		}
+		queue[0].end = env.frames[u][next].end
+		queue.down(0)
+	}
+	return sc.finishRun(cfg.Nodes, ts, coverage, cfg.MaxFrames), nil
 }
 
-// cmpDelivery orders deliveries chronologically, ties broken by receiver
-// then sender. Distinct deliveries never compare equal — a sender delivers
-// at most once per receiver frame and its slot end times are distinct — so
-// the unstable sort is deterministic (the asynchronous engines' byte-for-
-// byte reproducibility rests on this). A named comparator keeps the sort
-// closure-free on the hot path.
-func cmpDelivery(a, b delivery) int {
-	switch {
-	case a.at < b.at:
-		return -1
-	case a.at > b.at:
-		return 1
-	case a.to < b.to:
-		return -1
-	case a.to > b.to:
-		return 1
-	case a.from < b.from:
-		return -1
-	case a.from > b.from:
-		return 1
-	default:
-		return 0
+// firstReservedFrames is the per-node frame count a run that can stop
+// early reserves first; each later reservation doubles it, so such a run
+// reserves at most about twice the frames its completion needs.
+const firstReservedFrames = 64
+
+// frameEnd is one entry of RunAsync's scheduler: node's oldest unresolved
+// frame ends at end.
+type frameEnd struct {
+	end  float64
+	node topology.NodeID
+}
+
+// frameQueue is a binary min-heap of frame ends, ordered by before.
+type frameQueue []frameEnd
+
+// before orders frame ends by end, ties to the lower NodeID. Entries never
+// compare equal (each node has one), so the pop sequence is fully
+// determined.
+func (a frameEnd) before(b frameEnd) bool {
+	return a.end < b.end || a.end == b.end && a.node < b.node
+}
+
+// init establishes the heap order over the whole queue.
+func (q frameQueue) init() {
+	for i := len(q)/2 - 1; i >= 0; i-- {
+		q.down(i)
 	}
 }
 
-// firstAsyncWindow is the frame count of RunAsync's first window; each
-// later window doubles, so a run resolves at most about twice the frames
-// its completion needs, in O(log MaxFrames) windows.
-const firstAsyncWindow = 64
-
-// applyDeliveries applies, through deliver, the leading deliveries of ds
-// (sorted by cmpDelivery) whose time is at most safe, and returns how many
-// it applied.
+// down restores the heap order below entry i after its key grew, moving
+// the entry down a hole rather than swapping it level by level.
 //
 //nd:hotpath
-func (sc *AsyncScratch) applyDeliveries(ds []delivery, safe float64, nodes []AsyncNode, coverage *metrics.Coverage, obs Observer) int {
-	for i, d := range ds {
-		if d.at > safe {
-			return i
+func (q frameQueue) down(i int) {
+	x := q[i]
+	for {
+		c := 2*i + 1
+		if c >= len(q) {
+			break
 		}
-		sc.deliver(d, nodes, coverage, obs)
+		if r := c + 1; r < len(q) && q[r].before(q[c]) {
+			c = r
+		}
+		if !q[c].before(x) {
+			break
+		}
+		q[i] = q[c]
+		i = c
 	}
-	return len(ds)
+	q[i] = x
 }
 
-// deliver is both asynchronous engines' one delivery tail: the receiver's
-// protocol gets the sender's message — its shared availability set and,
-// from a HeardReporter, a heard-list snapshot — coverage observes the
-// link, and obs, if non-nil, gets an EventDeliver.
+// pop removes the queue's first entry.
+func (q *frameQueue) pop() {
+	last := len(*q) - 1
+	(*q)[0] = (*q)[last]
+	*q = (*q)[:last]
+	if last > 0 {
+		q.down(0)
+	}
+}
+
+// deliver is RunAsync's delivery tail: the receiver's protocol gets the
+// sender's message — its shared availability set and, from a
+// HeardReporter, a heard-list snapshot — coverage observes the link, and
+// obs, if non-nil, gets an EventDeliver.
 //
 //nd:hotpath
 func (sc *AsyncScratch) deliver(d delivery, nodes []AsyncNode, coverage *metrics.Coverage, obs Observer) {
@@ -376,37 +377,10 @@ func (sc *AsyncScratch) deliver(d delivery, nodes []AsyncNode, coverage *metrics
 	}
 }
 
-// lookAhead generates every sender in row out to end, or to its budget of
-// frames, as a listening frame ending at end needs before it resolves. It
-// returns the horizon: the earliest last-frame end among the senders with
-// budget left. Frames only grow, so until a listening frame on the same
-// row ends past the horizon, a look-ahead would generate nothing.
-//
-//nd:hotpath
-func (env *asyncEnv) lookAhead(row []topology.Candidate, end float64, nodes []AsyncNode, budget int) (float64, error) {
-	horizon := math.Inf(1)
-	for _, cand := range row {
-		w := int(cand.From)
-		for len(env.frames[w]) < budget {
-			if last := len(env.frames[w]); last > 0 && env.frames[w][last-1].end >= end {
-				break
-			}
-			if err := env.generate(w, nodes[w].Protocol); err != nil {
-				return 0, err
-			}
-		}
-		if k := len(env.frames[w]); k < budget {
-			horizon = min(horizon, env.frames[w][k-1].end)
-		}
-	}
-	return horizon, nil
-}
-
 // generate asks node v's protocol p for its next frame decision, validates
 // it, and appends the frame to the env's frame and transmit bucket tables
-// (appendFrame; a table grows past its reservation when the look-ahead
-// outruns the window being resolved). Both asynchronous engines generate
-// exclusively through it, always in ascending frame order per node.
+// (appendFrame). RunAsync generates exclusively through it, in ascending
+// frame order per node.
 //
 //nd:hotpath
 func (env *asyncEnv) generate(v int, p AsyncProtocol) error {

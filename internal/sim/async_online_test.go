@@ -1,5 +1,9 @@
 package sim
 
+// Tests of RunAsync's online delivery: every clear message reaches its
+// receiver before the receiver's next frame decision, so adaptive protocols
+// (termination, echo probes, chaos protocols) behave as they would on air.
+
 import (
 	"math"
 	"testing"
@@ -12,84 +16,8 @@ import (
 	"m2hew/internal/topology"
 )
 
-// buildAsyncNodes constructs core.Async protocols with drifting clocks and
-// scattered starts for a network, deterministically from seed.
-func buildAsyncNodes(t *testing.T, nw *topology.Network, deltaEst int, seed uint64) []AsyncNode {
-	t.Helper()
-	root := rng.New(seed)
-	nodes := make([]AsyncNode, nw.N())
-	for u := 0; u < nw.N(); u++ {
-		p, err := core.NewAsync(nw.Avail(topology.NodeID(u)), deltaEst, root.Split())
-		if err != nil {
-			t.Fatal(err)
-		}
-		drift, err := clock.NewRandomWalk(clock.MaxAsyncDrift, 0.03, root.Split())
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[u] = AsyncNode{Protocol: p, Start: root.Float64() * 12, Drift: drift}
-	}
-	return nodes
-}
-
-// TestOnlineOfflineEquivalence is the differential test between the two
-// asynchronous engines: for the paper's oblivious protocols they must agree
-// on every link's first coverage time.
-func TestOnlineOfflineEquivalence(t *testing.T) {
-	build := func() (*topology.Network, error) {
-		nw, err := topology.Ring(6)
-		if err != nil {
-			return nil, err
-		}
-		return nw, topology.AssignBlockOverlap(nw, 2, 1)
-	}
-	nwA, err := build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	nwB, err := build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mkCfg := func(nw *topology.Network) AsyncConfig {
-		return AsyncConfig{
-			Network:   nw,
-			Nodes:     buildAsyncNodes(t, nw, 2, 777),
-			FrameLen:  3,
-			MaxFrames: 2500,
-		}
-	}
-	offline, err := RunAsync(mkCfg(nwA))
-	if err != nil {
-		t.Fatal(err)
-	}
-	online, err := RunAsyncOnline(mkCfg(nwB))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if offline.Complete != online.Complete {
-		t.Fatalf("completion disagrees: offline %v online %v", offline.Complete, online.Complete)
-	}
-	if !offline.Complete {
-		t.Fatal("scenario did not complete; equivalence test vacuous")
-	}
-	for _, l := range nwA.DiscoverableLinks() {
-		a, okA := offline.Coverage.FirstCovered(l)
-		b, okB := online.Coverage.FirstCovered(l)
-		if okA != okB {
-			t.Fatalf("link %v covered in one engine only", l)
-		}
-		if math.Abs(a-b) > 1e-9 {
-			t.Fatalf("link %v covered at %v offline vs %v online", l, a, b)
-		}
-	}
-	if math.Abs(offline.CompletionTime-online.CompletionTime) > 1e-9 {
-		t.Fatalf("completion times differ: %v vs %v", offline.CompletionTime, online.CompletionTime)
-	}
-}
-
 func TestOnlineValidation(t *testing.T) {
-	if _, err := RunAsyncOnline(AsyncConfig{}); err == nil {
+	if _, err := RunAsync(AsyncConfig{}); err == nil {
 		t.Fatal("empty config accepted")
 	}
 }
@@ -98,7 +26,7 @@ func TestOnlineScriptedReception(t *testing.T) {
 	nw := pairNet(t, channel.NewSet(0), channel.NewSet(0))
 	sender := &scriptAsync{actions: []radio.Action{tx(0)}}
 	receiver := &scriptAsync{actions: []radio.Action{rx(0)}}
-	res, err := RunAsyncOnline(AsyncConfig{
+	res, err := RunAsync(AsyncConfig{
 		Network:   nw,
 		Nodes:     []AsyncNode{{Protocol: sender}, {Protocol: receiver}},
 		FrameLen:  3,
@@ -117,8 +45,8 @@ func TestOnlineScriptedReception(t *testing.T) {
 }
 
 // adaptiveProbe flips to permanent quiet the moment it has received any
-// message — behaviour that the pre-generating engine cannot honour but the
-// online engine must.
+// message — behaviour an engine that decided frames ahead of delivery could
+// not honour.
 type adaptiveProbe struct {
 	heard     bool
 	txFrames  int
@@ -142,7 +70,7 @@ func TestOnlineDeliversBeforeNextDecision(t *testing.T) {
 	nw := pairNet(t, channel.NewSet(0), channel.NewSet(0))
 	sender := &adaptiveProbe{transmits: true}
 	listener := &adaptiveProbe{}
-	_, err := RunAsyncOnline(AsyncConfig{
+	_, err := RunAsync(AsyncConfig{
 		Network:   nw,
 		Nodes:     []AsyncNode{{Protocol: sender}, {Protocol: listener}},
 		FrameLen:  3,
@@ -167,7 +95,7 @@ func TestOnlineDeliversBeforeNextDecision(t *testing.T) {
 }
 
 // echoProbe listens until it hears something, then transmits forever. Used
-// to verify the online engine feeds deliveries back into behaviour.
+// to verify the engine feeds deliveries back into behaviour.
 type echoProbe struct {
 	heard    bool
 	txFrames int
@@ -192,7 +120,7 @@ func TestOnlineAdaptiveEcho(t *testing.T) {
 	// online delivery.
 	starter := &scriptAsync{actions: []radio.Action{tx(0), tx(0), rx(0)}}
 	echo := &echoProbe{}
-	res, err := RunAsyncOnline(AsyncConfig{
+	res, err := RunAsync(AsyncConfig{
 		Network:   nw,
 		Nodes:     []AsyncNode{{Protocol: starter}, {Protocol: echo}},
 		FrameLen:  3,
@@ -235,11 +163,14 @@ func TestOnlineWithTerminatingWrapper(t *testing.T) {
 		wrappers[u] = wrapped
 		nodes[u] = AsyncNode{Protocol: wrapped}
 	}
-	res, err := RunAsyncOnline(AsyncConfig{
-		Network:   nw,
-		Nodes:     nodes,
-		FrameLen:  3,
-		MaxFrames: 3000,
+	// Termination plays out after coverage completes, so the run goes on
+	// to its horizon.
+	res, err := RunAsync(AsyncConfig{
+		Network:        nw,
+		Nodes:          nodes,
+		FrameLen:       3,
+		MaxFrames:      3000,
+		RunToMaxFrames: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -262,8 +193,8 @@ func TestOnlineWithTerminatingWrapper(t *testing.T) {
 
 // chaosProtocol behaves adaptively and erratically: its per-frame choice
 // depends on how many messages it has heard so far. It exists to stress the
-// online engine's scheduling invariant with behaviour the paper's protocols
-// never exhibit.
+// engine's scheduling invariant with behaviour the paper's protocols never
+// exhibit.
 type chaosProtocol struct {
 	avail  channel.Set
 	rng    *rng.Source
@@ -298,7 +229,7 @@ func (p *chaosProtocol) Deliver(radio.Message) { p.heard++ }
 
 func TestOnlineEngineAdaptiveChaos(t *testing.T) {
 	// Random networks × random adaptive protocols × drifting clocks: the
-	// online engine must never panic, deliveries must be causally ordered
+	// engine must never panic, deliveries must be causally ordered
 	// per receiver, and every node must be driven for exactly MaxFrames.
 	root := rng.New(987654)
 	for trial := 0; trial < 25; trial++ {
@@ -324,11 +255,12 @@ func TestOnlineEngineAdaptiveChaos(t *testing.T) {
 			nodes[u] = AsyncNode{Protocol: p, Start: r.Float64() * 9, Drift: drift}
 		}
 		var lastAt float64
-		res, err := RunAsyncOnline(AsyncConfig{
-			Network:   nw,
-			Nodes:     nodes,
-			FrameLen:  2.5,
-			MaxFrames: maxFrames,
+		_, err = RunAsync(AsyncConfig{
+			Network:        nw,
+			Nodes:          nodes,
+			FrameLen:       2.5,
+			MaxFrames:      maxFrames,
+			RunToMaxFrames: true,
 			Observer: ObserverFunc(func(e Event) {
 				if e.Kind != EventDeliver {
 					return
@@ -346,7 +278,6 @@ func TestOnlineEngineAdaptiveChaos(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_ = res
 		for u, p := range protos {
 			if p.frames != maxFrames {
 				t.Fatalf("trial %d node %d driven for %d frames, want %d", trial, u, p.frames, maxFrames)

@@ -37,10 +37,9 @@ type idxSlot struct {
 // asyncEnv bundles the state the frame-reception resolver reads, plus the
 // scratch buffers it reuses across frames (an env belongs to one run on one
 // goroutine; resolveFrame is called once per listening frame, so per-frame
-// allocations would dominate the engine's allocation profile). Both the
-// pre-generating engine (RunAsync) and the online engine (RunAsyncOnline)
-// resolve receptions through it, so the two implementations share the exact
-// reception semantics and can be differentially tested against each other.
+// allocations would dominate the engine's allocation profile). RunAsync
+// resolves every listening frame through it; the differential tests pin it
+// to a brute-force reference resolver.
 //
 //nd:run-scoped envFor re-points every borrowed table at the start of each run
 type asyncEnv struct {
@@ -93,46 +92,25 @@ type asyncEnv struct {
 
 	// lastCollected is the number of candidate transmission slots the most
 	// recent resolveFrame call collected (0 for non-listening frames) —
-	// the engines' EventFrameResolve accounting.
+	// the engine's EventFrameResolve accounting.
 	lastCollected int
 }
 
-// candsFor returns the candidate table row the resolver should use for
-// listener uid's frame g: the static network table, or — for dynamic runs —
-// the table of the epoch containing the frame's start. A listener inactive
-// in that epoch has no candidates (and an inactive transmitter appears in
-// no row), so churn gates reception in both directions through the table
-// alone. Sampling at the frame start pins each frame to exactly one epoch;
-// a transmission straddling the boundary counts iff the listening frame it
+// maskFor returns listener uid's candidate mask on frame g's channel:
+// from the static network table, or — for dynamic runs — from the table of
+// the epoch containing the frame's start. A listener inactive in that
+// epoch has no candidates (and an inactive transmitter appears in no row),
+// so churn gates reception in both directions through the table alone.
+// Sampling at the frame start pins each frame to exactly one epoch; a
+// transmission straddling the boundary counts iff the listening frame it
 // lands in started while the link existed.
-//
-//nd:hotpath
-func (env *asyncEnv) candsFor(uid topology.NodeID, g asyncFrame) []topology.Candidate {
-	if env.world == nil {
-		return env.cands[uid]
-	}
-	return env.world.At(env.epochOf(g)).Cands[uid]
-}
-
-// maskFor returns the compiled form of candsFor(uid, g) on g's channel:
-// the listener's candidate mask, from the static table or from the table
-// of the epoch containing the frame's start.
 //
 //nd:hotpath
 func (env *asyncEnv) maskFor(uid topology.NodeID, g asyncFrame) []maskWord {
 	if env.world == nil {
 		return env.masks.row(uid, g.action.Channel)
 	}
-	return env.epochMasks(env.epochOf(g)).row(uid, g.action.Channel)
-}
-
-// epochOf returns the epoch containing frame g's start: the epoch whose
-// tables resolve g (0 for static runs).
-func (env *asyncEnv) epochOf(g asyncFrame) int {
-	if env.world == nil {
-		return 0
-	}
-	return env.world.EpochOf(g.start)
+	return env.epochMasks(env.world.EpochOf(g.start)).row(uid, g.action.Channel)
 }
 
 // epochMasks returns epoch e's compiled candidate table, compiling it at
@@ -186,11 +164,10 @@ func (env *asyncEnv) epochMasks(e int) *candMasks {
 // the all-pairs scan from first principles, including loss-model draw
 // order (all draws happen during collection).
 //
-// Frames of neighbors must cover the real-time extent of g; the caller
-// guarantees this (RunAsync generates every candidate sender's frames out
-// to g's end before resolving g, RunAsyncOnline maintains it as a
-// scheduling invariant). The returned slice is owned by
-// the env and is invalidated by the next resolveFrame call.
+// Frames of neighbors must cover the real-time extent of g; RunAsync's
+// frame-end order guarantees this (every other node's oldest unresolved
+// frame ends at or after g). The returned slice is owned by the env and is
+// invalidated by the next resolveFrame call.
 //
 //nd:hotpath
 func (env *asyncEnv) resolveFrame(uid topology.NodeID, g asyncFrame, mask []maskWord) []delivery {
@@ -298,9 +275,9 @@ func (env *asyncEnv) collectSlots(g asyncFrame, mask []maskWord) []txSlot {
 // table and frame index, and marks it in the transmit bucket table: the
 // table grows to cover the frame's buckets, and a transmit frame sets v's
 // bit on its channel in every one of them (see buckets). It is the one way
-// frames enter an env (the engines' generate, and the resolver tests'
-// scripted tables). The frame table may reallocate: it is sized to the
-// frames the run resolves, not to MaxFrames.
+// frames enter an env (the engine's generate, and the resolver tests'
+// scripted tables). The frame table may reallocate past its reservation
+// (reserveFrames).
 //
 //nd:hotpath
 func (env *asyncEnv) appendFrame(v int, a radio.Action) {

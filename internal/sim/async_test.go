@@ -351,26 +351,16 @@ func TestAsyncFullFrames(t *testing.T) {
 	}
 }
 
-// TestMinFullFramesMatchesTwinTimelines checks the engines' in-run frame
+// TestMinFullFramesMatchesTwinTimelines checks the engine's in-run frame
 // count against a reference walk over freshly built twin timelines: the
-// same starts, and drifts drawn from the same seeds. RunAsync runs both
-// windowed (stopping at completion) and as one full pass; RunAsyncOnline
-// always runs its whole budget. Each shape runs on a reused scratch, so
-// the pooled timelines and rate memos of earlier runs carry over.
+// same starts, and drifts drawn from the same seeds. Each run goes both
+// stopping at completion and with RunToMaxFrames, each shape on a reused
+// scratch, so the pooled timelines and rate memos of earlier runs carry
+// over.
 func TestMinFullFramesMatchesTwinTimelines(t *testing.T) {
 	nw := scratchTestNetwork(t, 9, 0.5, 31)
-	forceSinglePass := OnlyEvents(MaskOf(EventFrameStart), ObserverFunc(func(Event) {}))
-	shapes := []struct {
-		name   string
-		engine func(AsyncConfig) (*AsyncResult, error)
-		obs    Observer
-	}{
-		{"windowed", RunAsync, nil},
-		{"single-pass", RunAsync, forceSinglePass},
-		{"online", RunAsyncOnline, nil},
-	}
 	const maxFrames = 3000
-	for _, shape := range shapes {
+	for _, runToMax := range []bool{false, true} {
 		scratch := NewAsyncScratch()
 		for _, ideal := range []bool{true, false} {
 			for seed := uint64(40); seed < 44; seed++ {
@@ -383,27 +373,24 @@ func TestMinFullFramesMatchesTwinTimelines(t *testing.T) {
 					}
 					return nodes
 				}
-				res, err := shape.engine(AsyncConfig{
+				res, err := RunAsync(AsyncConfig{
 					Network: nw, Nodes: build(), FrameLen: 3, MaxFrames: maxFrames,
-					Observer: shape.obs, Scratch: scratch,
+					RunToMaxFrames: runToMax, Scratch: scratch,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !res.Complete {
-					t.Fatalf("%s ideal=%v seed %d: incomplete", shape.name, ideal, seed)
+					t.Fatalf("runToMax=%v ideal=%v seed %d: incomplete", runToMax, ideal, seed)
 				}
-				if shape.name == "windowed" && res.FrameBudget >= maxFrames {
-					t.Fatalf("windowed seed %d resolved all %d frames; want an early stop", seed, res.FrameBudget)
-				}
-				want := res.FrameBudget
+				want := maxFrames
 				for u, nc := range build() {
 					tl, err := clock.NewTimeline(nc.Start, 3, 3, nc.Drift)
 					if err != nil {
 						t.Fatal(err)
 					}
 					count := 0
-					for f := tl.FirstFullFrameAfter(res.Ts); f < res.FrameBudget; f++ {
+					for f := tl.FirstFullFrameAfter(res.Ts); f < maxFrames; f++ {
 						if _, end := tl.FrameInterval(f); end > res.CompletionTime {
 							break
 						}
@@ -414,7 +401,7 @@ func TestMinFullFramesMatchesTwinTimelines(t *testing.T) {
 					}
 				}
 				if res.MinFullFrames != want {
-					t.Fatalf("%s ideal=%v seed %d: MinFullFrames %d, twin timelines %d", shape.name, ideal, seed, res.MinFullFrames, want)
+					t.Fatalf("runToMax=%v ideal=%v seed %d: MinFullFrames %d, twin timelines %d", runToMax, ideal, seed, res.MinFullFrames, want)
 				}
 			}
 		}
@@ -426,21 +413,15 @@ func TestMinFullFramesMatchesTwinTimelines(t *testing.T) {
 // node, instead of silently drawing a different walk.
 func TestConsumedDriftRejected(t *testing.T) {
 	nw := scratchTestNetwork(t, 6, 0.6, 32)
-	for _, eng := range []struct {
-		name   string
-		engine func(AsyncConfig) (*AsyncResult, error)
-	}{{"RunAsync", RunAsync}, {"RunAsyncOnline", RunAsyncOnline}} {
-		name, engine := eng.name, eng.engine
-		first := benchAsyncNodesT(t, nw, 4, rng.New(1))
-		if _, err := engine(AsyncConfig{Network: nw, Nodes: first, FrameLen: 3, MaxFrames: 100}); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		again := benchAsyncNodesT(t, nw, 4, rng.New(2))
-		again[3].Drift = first[3].Drift
-		_, err := engine(AsyncConfig{Network: nw, Nodes: again, FrameLen: 3, MaxFrames: 100})
-		if !errors.Is(err, clock.ErrDriftConsumed) || !strings.Contains(err.Error(), "node 3 clock") {
-			t.Fatalf("%s: reused drift gave %v; want node 3's drift rejected as consumed", name, err)
-		}
+	first := benchAsyncNodesT(t, nw, 4, rng.New(1))
+	if _, err := RunAsync(AsyncConfig{Network: nw, Nodes: first, FrameLen: 3, MaxFrames: 100}); err != nil {
+		t.Fatal(err)
+	}
+	again := benchAsyncNodesT(t, nw, 4, rng.New(2))
+	again[3].Drift = first[3].Drift
+	_, err := RunAsync(AsyncConfig{Network: nw, Nodes: again, FrameLen: 3, MaxFrames: 100})
+	if !errors.Is(err, clock.ErrDriftConsumed) || !strings.Contains(err.Error(), "node 3 clock") {
+		t.Fatalf("reused drift gave %v; want node 3's drift rejected as consumed", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"m2hew/internal/channel"
@@ -15,22 +16,37 @@ import (
 	"m2hew/internal/topology"
 )
 
-// windowScenario is one seeded RunAsync configuration of the windowed-pass
-// differential test. build returns a fresh config (protocols and drifts
-// carry state) on the shared network, plus the protocols whose neighbor
-// tables the test compares and the log of their Deliver calls.
+// windowScenario is one seeded RunAsync configuration of the stop-rule
+// differential tests. build returns a fresh run (protocols and drifts carry
+// state) on the shared network.
 type windowScenario struct {
 	name  string
-	build func(t *testing.T) (AsyncConfig, []*core.Async, *[]topology.Link)
+	build func(t *testing.T) windowRun
+}
+
+// windowRun is one built scenario: its config, the protocols whose
+// neighbor tables the tests compare, the log of their Deliver calls and
+// each node's count of NextFrame calls.
+type windowRun struct {
+	cfg    AsyncConfig
+	protos []*core.Async
+	log    *[]topology.Link
+	calls  []int
 }
 
 // loggedAsync is Algorithm 4 appending each message it is handed to a log
-// shared by all nodes of a run, so the test sees the engine's global
-// delivery order.
+// shared by all nodes of a run, so the tests see the engine's global
+// delivery order, and counting its NextFrame calls.
 type loggedAsync struct {
 	*core.Async
-	id  topology.NodeID
-	log *[]topology.Link
+	id    topology.NodeID
+	log   *[]topology.Link
+	calls *int
+}
+
+func (p loggedAsync) NextFrame(frame int) radio.Action {
+	*p.calls++
+	return p.Async.NextFrame(frame)
 }
 
 func (p loggedAsync) Deliver(msg radio.Message) {
@@ -79,31 +95,31 @@ func windowScenarios(t *testing.T) []windowScenario {
 		if err := topology.AssignBernoulli(nw, 5, 0.5, r); err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, windowScenario{name: name, build: func(t *testing.T) (AsyncConfig, []*core.Async, *[]topology.Link) {
+		out = append(out, windowScenario{name: name, build: func(t *testing.T) windowRun {
 			root := rng.New(seed + 1000)
 			const frameLen = 3
 			nodes := make([]AsyncNode, nw.N())
-			protos := make([]*core.Async, nw.N())
-			log := new([]topology.Link)
+			run := windowRun{protos: make([]*core.Async, nw.N()), log: new([]topology.Link), calls: make([]int, nw.N())}
 			for u := range nodes {
 				p, err := core.NewAsyncSlots(nw.Avail(topology.NodeID(u)), 6, slots, root.Split())
 				if err != nil {
 					t.Fatal(err)
 				}
-				protos[u] = p
+				run.protos[u] = p
 				nodes[u] = AsyncNode{
-					Protocol: loggedAsync{Async: p, id: topology.NodeID(u), log: log},
+					Protocol: loggedAsync{Async: p, id: topology.NodeID(u), log: run.log, calls: &run.calls[u]},
 					Start:    root.Float64() * spread * frameLen,
 					Drift:    windowDrift(t, drift, u, root.Split()),
 				}
 			}
-			return AsyncConfig{
+			run.cfg = AsyncConfig{
 				Network:       nw,
 				Nodes:         nodes,
 				FrameLen:      frameLen,
 				SlotsPerFrame: slots,
 				MaxFrames:     maxFrames,
-			}, protos, log
+			}
+			return run
 		}})
 	}
 	seed := uint64(9100)
@@ -121,79 +137,117 @@ func windowScenarios(t *testing.T) []windowScenario {
 	return out
 }
 
+// sameRunResults fails unless two runs of one scenario agree on every
+// result the paper's claims read: completion, its time and T_s, the
+// coverage curve, MinFullFrames and every node's neighbor table.
+func sameRunResults(t *testing.T, what string, a, b windowRun, ra, rb *AsyncResult) {
+	t.Helper()
+	if ra.Complete != rb.Complete || ra.CompletionTime != rb.CompletionTime || ra.Ts != rb.Ts {
+		t.Fatalf("%s: (Complete, CompletionTime, Ts) (%v, %v, %v) vs (%v, %v, %v)",
+			what, ra.Complete, ra.CompletionTime, ra.Ts, rb.Complete, rb.CompletionTime, rb.Ts)
+	}
+	if !reflect.DeepEqual(ra.Coverage.Curve(), rb.Coverage.Curve()) {
+		t.Fatalf("%s: coverage curves differ", what)
+	}
+	if ra.MinFullFrames != rb.MinFullFrames {
+		t.Fatalf("%s: MinFullFrames %d vs %d", what, ra.MinFullFrames, rb.MinFullFrames)
+	}
+	for u := range a.protos {
+		na, nb := a.protos[u].Neighbors(), b.protos[u].Neighbors()
+		if !reflect.DeepEqual(na.Neighbors(), nb.Neighbors()) {
+			t.Fatalf("%s: node %d neighbors %v vs %v", what, u, na.Neighbors(), nb.Neighbors())
+		}
+		for _, v := range na.Neighbors() {
+			ca, _ := na.Common(v)
+			cb, _ := nb.Common(v)
+			if !ca.Equal(cb) {
+				t.Fatalf("%s: node %d neighbor %d: common %v vs %v", what, u, v, ca, cb)
+			}
+		}
+	}
+}
+
+// runWindow runs a built scenario.
+func runWindow(t *testing.T, run windowRun) *AsyncResult {
+	t.Helper()
+	res, err := RunAsync(run.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestAsyncWindowsMatchSinglePass is the differential test of RunAsync's
-// frame windows: each scenario runs once plain (windowed, stopping at
-// completion) and once with a no-op observer subscribed to EventFrameStart,
-// which forces the single full pass. Every result the paper's claims read
-// must agree exactly, and the windowed run's protocols must have been handed
-// a prefix of the single pass's chronological delivery sequence.
+// stop at completion: each scenario runs once stopping and once with
+// RunToMaxFrames, the single pass over every node's MaxFrames. Every result the paper's claims read must agree
+// exactly, the stopping run's protocols must have been handed a prefix of
+// the full run's delivery sequence, and no node of the stopping run may
+// have decided more frames than in the full run.
 func TestAsyncWindowsMatchSinglePass(t *testing.T) {
-	forceSinglePass := OnlyEvents(MaskOf(EventFrameStart), ObserverFunc(func(Event) {}))
 	stopped := 0
 	for _, sc := range windowScenarios(t) {
 		t.Run(sc.name, func(t *testing.T) {
-			cfg, protos, windowedLog := sc.build(t)
-			windowed, err := RunAsync(cfg)
-			if err != nil {
-				t.Fatal(err)
+			stopping := sc.build(t)
+			rs := runWindow(t, stopping)
+			full := sc.build(t)
+			full.cfg.RunToMaxFrames = true
+			rf := runWindow(t, full)
+			sameRunResults(t, "stopping vs full", stopping, full, rs, rf)
+			if s, f := *stopping.log, *full.log; len(s) > len(f) || !reflect.DeepEqual(s, f[:len(s)]) {
+				t.Fatalf("stopping run's deliveries (%d) are not a prefix of the full run's (%d)", len(s), len(f))
 			}
-			cfg, full, singleLog := sc.build(t)
-			cfg.Observer = forceSinglePass
-			single, err := RunAsync(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if single.FrameBudget != cfg.MaxFrames {
-				t.Fatalf("single pass resolved %d frames, want %d", single.FrameBudget, cfg.MaxFrames)
-			}
-			if windowed.FrameBudget > single.FrameBudget {
-				t.Fatalf("windowed run resolved %d frames, past the budget %d", windowed.FrameBudget, single.FrameBudget)
-			}
-			if windowed.Complete != single.Complete {
-				t.Fatalf("Complete: windowed %v, single pass %v", windowed.Complete, single.Complete)
-			}
-			if windowed.CompletionTime != single.CompletionTime || windowed.Ts != single.Ts {
-				t.Fatalf("(CompletionTime, Ts): windowed (%v, %v), single pass (%v, %v)",
-					windowed.CompletionTime, windowed.Ts, single.CompletionTime, single.Ts)
-			}
-			if !reflect.DeepEqual(windowed.Coverage.Curve(), single.Coverage.Curve()) {
-				t.Fatal("coverage curves differ")
-			}
-			if windowed.MinFullFrames != single.MinFullFrames {
-				t.Fatalf("MinFullFrames: windowed %d, single pass %d", windowed.MinFullFrames, single.MinFullFrames)
-			}
-			for u := range protos {
-				a, b := protos[u].Neighbors(), full[u].Neighbors()
-				if !reflect.DeepEqual(a.Neighbors(), b.Neighbors()) {
-					t.Fatalf("node %d neighbors: windowed %v, single pass %v", u, a.Neighbors(), b.Neighbors())
+			fewer := false
+			for u, c := range stopping.calls {
+				if full.calls[u] != full.cfg.MaxFrames {
+					t.Fatalf("full run: node %d decided %d frames, want %d", u, full.calls[u], full.cfg.MaxFrames)
 				}
-				for _, v := range a.Neighbors() {
-					ca, _ := a.Common(v)
-					cb, _ := b.Common(v)
-					if !ca.Equal(cb) {
-						t.Fatalf("node %d neighbor %d: common %v vs %v", u, v, ca, cb)
-					}
+				if c > full.calls[u] {
+					t.Fatalf("node %d decided %d frames stopping, %d in the full run", u, c, full.calls[u])
 				}
+				fewer = fewer || c < full.calls[u]
 			}
-			if w, s := *windowedLog, *singleLog; len(w) > len(s) || !reflect.DeepEqual(w, s[:len(w)]) {
-				t.Fatalf("windowed deliveries (%d) are not a prefix of the single pass's (%d)", len(w), len(s))
+			if fewer && !rs.Complete {
+				t.Fatal("an incomplete run stopped before MaxFrames")
 			}
-			if windowed.Complete && windowed.FrameBudget < cfg.MaxFrames {
+			if fewer {
 				stopped++
 			}
 		})
 	}
-	// The grid must exercise the stop itself, not only windows that run
-	// to the horizon.
+	// The grid must exercise the stop itself, not only runs to the horizon.
 	if stopped == 0 {
 		t.Fatal("no scenario stopped before MaxFrames; the test is vacuous")
 	}
 }
 
-// TestAsyncSinglePassGate pins the windows' gate: runs that are lossy,
-// dynamic, or observed for frame or delivery events resolve every node's
-// full MaxFrames even when coverage completes early, while a mask-0
-// observer leaves the windows on.
+// TestAsyncObservedMatchesUnobserved pins that an observer never changes a
+// run: each scenario runs with no observer and with one subscribed to every
+// event kind, and the two must agree on every result and on every node's
+// NextFrame call count.
+func TestAsyncObservedMatchesUnobserved(t *testing.T) {
+	for _, sc := range windowScenarios(t) {
+		t.Run(sc.name, func(t *testing.T) {
+			plain := sc.build(t)
+			rp := runWindow(t, plain)
+			observed := sc.build(t)
+			events := 0
+			observed.cfg.Observer = ObserverFunc(func(Event) { events++ })
+			ro := runWindow(t, observed)
+			if events == 0 {
+				t.Fatal("the observer saw no event")
+			}
+			sameRunResults(t, "unobserved vs observed", plain, observed, rp, ro)
+			if !reflect.DeepEqual(plain.calls, observed.calls) {
+				t.Fatalf("NextFrame calls: unobserved %v, observed %v", plain.calls, observed.calls)
+			}
+		})
+	}
+}
+
+// TestAsyncSinglePassGate pins which runs resolve every node's full
+// MaxFrames: a dynamic run and one with RunToMaxFrames do, even when
+// coverage completes early; every other run stops at completion, whether
+// lossy or observed for any event kind.
 func TestAsyncSinglePassGate(t *testing.T) {
 	sc := windowScenarios(t)[0]
 	noop := ObserverFunc(func(Event) {})
@@ -210,7 +264,7 @@ func TestAsyncSinglePassGate(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg.Loss = loss
-		}, true},
+		}, false},
 		{"dynamic", func(t *testing.T, cfg *AsyncConfig) {
 			const epochLen = 60
 			epochs := int(float64(cfg.MaxFrames)*cfg.FrameLen*(1+clock.MaxAsyncDrift)/epochLen) + 1
@@ -223,41 +277,42 @@ func TestAsyncSinglePassGate(t *testing.T) {
 			}
 			cfg.Dynamics = w
 		}, true},
+		{"run-to-max-frames", func(_ *testing.T, cfg *AsyncConfig) { cfg.RunToMaxFrames = true }, true},
 		{"frame-start observer", func(_ *testing.T, cfg *AsyncConfig) {
 			cfg.Observer = OnlyEvents(MaskOf(EventFrameStart), noop)
-		}, true},
+		}, false},
 		{"frame-resolve observer", func(_ *testing.T, cfg *AsyncConfig) {
 			cfg.Observer = OnlyEvents(MaskOf(EventFrameResolve), noop)
-		}, true},
+		}, false},
 		{"deliver observer", func(_ *testing.T, cfg *AsyncConfig) {
 			cfg.Observer = DeliverObserver(func(float64, topology.NodeID, topology.NodeID, channel.ID) {})
-		}, true},
-		{"unmasked observer", func(_ *testing.T, cfg *AsyncConfig) { cfg.Observer = noop }, true},
+		}, false},
+		{"unmasked observer", func(_ *testing.T, cfg *AsyncConfig) { cfg.Observer = noop }, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			cfg, _, _ := sc.build(t)
-			c.edit(t, &cfg)
-			res, err := RunAsync(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cfg.Dynamics == nil && !res.Complete {
+			run := sc.build(t)
+			c.edit(t, &run.cfg)
+			res := runWindow(t, run)
+			if run.cfg.Dynamics == nil && !res.Complete {
 				t.Fatal("scenario did not complete; the gate test is vacuous")
 			}
-			if full := res.FrameBudget == cfg.MaxFrames; full != c.fullPass {
-				t.Fatalf("resolved %d of %d frames; want full pass %v", res.FrameBudget, cfg.MaxFrames, c.fullPass)
+			full := true
+			for _, calls := range run.calls {
+				full = full && calls == run.cfg.MaxFrames
+			}
+			if full != c.fullPass {
+				t.Fatalf("NextFrame calls %v of %d frames; want full pass %v", run.calls, run.cfg.MaxFrames, c.fullPass)
 			}
 		})
 	}
 }
 
-// TestRunAsyncWindowSizedState guards the window sizing of RunAsync's
-// per-run state: a windowed run with a budget of a million frames that
-// completes within its first windows must allocate for the frames it
-// resolves — timeline boundaries, drift memos, frame tables and the
-// transmit bucket table — not for MaxFrames (which would be hundreds of MB
-// on these four nodes).
+// TestRunAsyncWindowSizedState guards the sizing of RunAsync's per-run
+// state: a run with a budget of a million frames that completes within its
+// first reservations must allocate for the frames it resolves — timeline
+// boundaries, drift memos, frame tables and the transmit bucket table —
+// not for MaxFrames (which would be hundreds of MB on these four nodes).
 func TestRunAsyncWindowSizedState(t *testing.T) {
 	nw, err := topology.Clique(4)
 	if err != nil {
@@ -268,6 +323,8 @@ func TestRunAsyncWindowSizedState(t *testing.T) {
 	}
 	root := rng.New(404)
 	nodes := make([]AsyncNode, nw.N())
+	calls := make([]int, nw.N())
+	log := new([]topology.Link)
 	for u := range nodes {
 		p, err := core.NewAsync(nw.Avail(topology.NodeID(u)), 2, root.Split())
 		if err != nil {
@@ -277,7 +334,10 @@ func TestRunAsyncWindowSizedState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes[u] = AsyncNode{Protocol: p, Start: root.Float64() * 6, Drift: drift}
+		nodes[u] = AsyncNode{
+			Protocol: loggedAsync{Async: p, id: topology.NodeID(u), log: log, calls: &calls[u]},
+			Start:    root.Float64() * 6, Drift: drift,
+		}
 	}
 	const maxFrames = 1_000_000
 	var before, after runtime.MemStats
@@ -287,13 +347,13 @@ func TestRunAsyncWindowSizedState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Complete || res.FrameBudget > 3*firstAsyncWindow {
-		t.Fatalf("run complete=%v after %d frames; the guard needs a run that stops within its first two windows", res.Complete, res.FrameBudget)
+	if !res.Complete || slices.Max(calls) > 3*firstReservedFrames {
+		t.Fatalf("run complete=%v after %v frames; the guard needs a run that stops within its first two reservations", res.Complete, calls)
 	}
 	const limit = 2 << 20
 	got := after.TotalAlloc - before.TotalAlloc
-	t.Logf("%d of %d frames resolved, %d bytes allocated", res.FrameBudget, maxFrames, got)
+	t.Logf("%v of %d frames decided, %d bytes allocated", calls, maxFrames, got)
 	if got > limit {
-		t.Fatalf("windowed RunAsync resolving %d of %d frames allocated %d bytes; want at most %d", res.FrameBudget, maxFrames, got, limit)
+		t.Fatalf("RunAsync deciding %v of %d frames allocated %d bytes; want at most %d", calls, maxFrames, got, limit)
 	}
 }

@@ -22,17 +22,24 @@ import (
 
 // asyncRefDelivery is one reception per the reference resolver.
 type asyncRefDelivery struct {
-	from, to topology.NodeID
-	at       float64
+	from topology.NodeID
+	at   float64
 }
 
-// referenceResolveAsync recomputes all receptions of a scripted async run.
+// listenerFrame names one listening frame: node to's frame frame.
+type listenerFrame struct {
+	to    topology.NodeID
+	frame int
+}
+
+// referenceResolveAsync recomputes all receptions of a scripted async run,
+// per listening frame, each frame's deliveries ascending by sender.
 func referenceResolveAsync(
 	nw *topology.Network,
 	script [][]radio.Action,
 	timelines []*clock.Timeline,
 	slotsPerFrame int,
-) []asyncRefDelivery {
+) map[listenerFrame][]asyncRefDelivery {
 	type interval struct {
 		start, end float64
 		from       topology.NodeID
@@ -51,7 +58,7 @@ func referenceResolveAsync(
 			}
 		}
 	}
-	var out []asyncRefDelivery
+	out := make(map[listenerFrame][]asyncRefDelivery)
 	for u := 0; u < nw.N(); u++ {
 		uid := topology.NodeID(u)
 		for f, a := range script[u] {
@@ -97,20 +104,16 @@ func referenceResolveAsync(
 					best[cand.from] = cand.end
 				}
 			}
+			var ds []asyncRefDelivery
 			for from, at := range best {
-				out = append(out, asyncRefDelivery{from: from, to: uid, at: at})
+				ds = append(ds, asyncRefDelivery{from: from, at: at})
+			}
+			sort.Slice(ds, func(i, j int) bool { return ds[i].from < ds[j].from })
+			if len(ds) > 0 {
+				out[listenerFrame{to: uid, frame: f}] = ds
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].at != out[j].at {
-			return out[i].at < out[j].at
-		}
-		if out[i].to != out[j].to {
-			return out[i].to < out[j].to
-		}
-		return out[i].from < out[j].from
-	})
 	return out
 }
 
@@ -179,16 +182,29 @@ func TestAsyncEngineMatchesReference(t *testing.T) {
 				timelines[u] = tl
 			}
 
-			var got []asyncRefDelivery
+			// The engine's deliveries, per listening frame: a frame's
+			// deliveries go out just before its EventFrameResolve.
+			got := make(map[listenerFrame][]asyncRefDelivery)
+			var pending []asyncRefDelivery
 			_, err = RunAsync(AsyncConfig{
-				Network:       nw,
-				Nodes:         nodes,
-				FrameLen:      frameLen,
-				SlotsPerFrame: slotsPerFrame,
-				MaxFrames:     frames,
+				Network:        nw,
+				Nodes:          nodes,
+				FrameLen:       frameLen,
+				SlotsPerFrame:  slotsPerFrame,
+				MaxFrames:      frames,
+				RunToMaxFrames: true,
 				Observer: ObserverFunc(func(e Event) {
-					if e.Kind == EventDeliver {
-						got = append(got, asyncRefDelivery{from: e.From, to: e.To, at: e.Time})
+					switch e.Kind {
+					case EventDeliver:
+						pending = append(pending, asyncRefDelivery{from: e.From, at: e.Time})
+					case EventFrameResolve:
+						if len(pending) != e.Delivered {
+							t.Fatalf("node %d frame %d: %d deliveries, EventFrameResolve says %d", e.Node, e.Slot, len(pending), e.Delivered)
+						}
+						if len(pending) > 0 {
+							got[listenerFrame{to: e.Node, frame: e.Slot}] = pending
+							pending = nil
+						}
 					}
 				}),
 			})
@@ -197,13 +213,18 @@ func TestAsyncEngineMatchesReference(t *testing.T) {
 			}
 			want := referenceResolveAsync(nw, script, timelines, slotsPerFrame)
 			if len(got) != len(want) {
-				t.Fatalf("engine delivered %d, reference %d\nengine: %v\nreference: %v",
+				t.Fatalf("engine delivered in %d listening frames, reference %d\nengine: %v\nreference: %v",
 					len(got), len(want), got, want)
 			}
-			for i := range want {
-				if got[i].from != want[i].from || got[i].to != want[i].to ||
-					math.Abs(got[i].at-want[i].at) > 1e-9 {
-					t.Fatalf("delivery %d: engine %+v, reference %+v", i, got[i], want[i])
+			for lf, w := range want {
+				g := got[lf]
+				if len(g) != len(w) {
+					t.Fatalf("node %d frame %d: engine %v, reference %v", lf.to, lf.frame, g, w)
+				}
+				for i := range w {
+					if g[i].from != w[i].from || math.Abs(g[i].at-w[i].at) > 1e-9 {
+						t.Fatalf("node %d frame %d delivery %d: engine %+v, reference %+v", lf.to, lf.frame, i, g[i], w[i])
+					}
 				}
 			}
 		})

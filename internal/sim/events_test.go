@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"m2hew/internal/channel"
+	"m2hew/internal/clock"
 	"m2hew/internal/radio"
 	"m2hew/internal/topology"
 	"m2hew/internal/trace"
@@ -83,25 +84,41 @@ func asyncEventPair(t *testing.T, obs Observer) AsyncConfig {
 	}
 }
 
+// TestAsyncFrameEvents pins RunAsync's one emission order: each frame's
+// events go out together at its end, frames in global frame-end order
+// (ties to the lower node) — EventFrameStart, then a listening frame's
+// deliveries, then its EventFrameResolve. Node 0's transmit frames emit
+// only their start. Each listening frame of node 1 fully contains one
+// 3-slot transmit frame of node 0: Collected = 3 slots, Delivered = 1 (one
+// delivery per sender per frame).
 func TestAsyncFrameEvents(t *testing.T) {
+	checkAsyncPairEvents(t, false)
+}
+
+// TestAsyncOnlineFrameEvents pins the same order when the run keeps going
+// to MaxFrames instead of stopping at full coverage: the frame-by-frame
+// emission does not depend on the stopping rule.
+func TestAsyncOnlineFrameEvents(t *testing.T) {
+	checkAsyncPairEvents(t, true)
+}
+
+func checkAsyncPairEvents(t *testing.T, runToMax bool) {
+	t.Helper()
 	var got []Event
 	cfg := asyncEventPair(t, ObserverFunc(func(e Event) { got = append(got, e) }))
+	cfg.RunToMaxFrames = runToMax
 	if _, err := RunAsync(cfg); err != nil {
 		t.Fatal(err)
 	}
-	// Node-major frame events first (RunAsync resolves node by node), then
-	// all deliveries chronologically. Each listening frame of node 1 fully
-	// contains one 3-slot transmit frame of node 0: Collected = 3 slots,
-	// Delivered = 1 (one delivery per sender per frame).
 	want := []Event{
 		{Kind: EventFrameStart, Time: 0, Slot: 0, Node: 0, Action: tx(0)},
-		{Kind: EventFrameStart, Time: 3, Slot: 1, Node: 0, Action: tx(0)},
 		{Kind: EventFrameStart, Time: 0, Slot: 0, Node: 1, Action: rx(0)},
-		{Kind: EventFrameResolve, Time: 3, Slot: 0, Node: 1, Action: rx(0), Collected: 3, Delivered: 1},
-		{Kind: EventFrameStart, Time: 3, Slot: 1, Node: 1, Action: rx(0)},
-		{Kind: EventFrameResolve, Time: 6, Slot: 1, Node: 1, Action: rx(0), Collected: 3, Delivered: 1},
 		{Kind: EventDeliver, Time: 1, From: 0, To: 1, Channel: 0},
+		{Kind: EventFrameResolve, Time: 3, Slot: 0, Node: 1, Action: rx(0), Collected: 3, Delivered: 1},
+		{Kind: EventFrameStart, Time: 3, Slot: 1, Node: 0, Action: tx(0)},
+		{Kind: EventFrameStart, Time: 3, Slot: 1, Node: 1, Action: rx(0)},
 		{Kind: EventDeliver, Time: 4, From: 0, To: 1, Channel: 0},
+		{Kind: EventFrameResolve, Time: 6, Slot: 1, Node: 1, Action: rx(0), Collected: 3, Delivered: 1},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("got %d events, want %d:\n%+v", len(got), len(want), got)
@@ -113,33 +130,80 @@ func TestAsyncFrameEvents(t *testing.T) {
 	}
 }
 
-func TestAsyncOnlineFrameEvents(t *testing.T) {
-	var got []Event
-	cfg := asyncEventPair(t, ObserverFunc(func(e Event) { got = append(got, e) }))
-	if _, err := RunAsyncOnline(cfg); err != nil {
+// TestAsyncFrameOrder pins RunAsync's scheduler against a linear-scan
+// reference: frames resolve by earliest end, ties to the lowest NodeID.
+// Aligned ideal clocks starting half a frame apart give most frame ends
+// several owners, so the ties decide much of the order.
+func TestAsyncFrameOrder(t *testing.T) {
+	const (
+		n         = 37
+		frameLen  = 3.0
+		maxFrames = 12
+	)
+	nw, err := topology.Clique(n)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Online order: frames grouped at their resolution point, in global
-	// frame-end order (ties broken by ascending node): node 0's tx frame
-	// (start only), then node 1's rx frame with its delivery bracketed by
-	// start/resolve.
-	want := []Event{
-		{Kind: EventFrameStart, Time: 0, Slot: 0, Node: 0, Action: tx(0)},
-		{Kind: EventFrameStart, Time: 0, Slot: 0, Node: 1, Action: rx(0)},
-		{Kind: EventDeliver, Time: 1, From: 0, To: 1, Channel: 0},
-		{Kind: EventFrameResolve, Time: 3, Slot: 0, Node: 1, Action: rx(0), Collected: 3, Delivered: 1},
-		{Kind: EventFrameStart, Time: 3, Slot: 1, Node: 0, Action: tx(0)},
-		{Kind: EventFrameStart, Time: 3, Slot: 1, Node: 1, Action: rx(0)},
-		{Kind: EventDeliver, Time: 4, From: 0, To: 1, Channel: 0},
-		{Kind: EventFrameResolve, Time: 6, Slot: 1, Node: 1, Action: rx(0), Collected: 3, Delivered: 1},
+	if err := topology.AssignHomogeneous(nw, 1); err != nil {
+		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d events, want %d:\n%+v", len(got), len(want), got)
-	}
-	for i := range want {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Errorf("event %d = %+v, want %+v", i, got[i], want[i])
+	nodes := make([]AsyncNode, n)
+	ends := make([][]float64, n)
+	for u := range nodes {
+		// Starts cycle through 0, 1.5, …, 6 in a stride that scatters
+		// each start class over the NodeID range.
+		start := float64((u*3)%5) * frameLen / 2
+		nodes[u] = AsyncNode{Protocol: scriptOf("TRqR"[u%4:]), Start: start}
+		tl, err := clock.NewTimeline(start, frameLen, 3, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for f := 0; f < maxFrames; f++ {
+			_, end := tl.FrameInterval(f)
+			ends[u] = append(ends[u], end)
+		}
+	}
+	type frameID struct {
+		node  topology.NodeID
+		frame int
+	}
+	var got []frameID
+	if _, err := RunAsync(AsyncConfig{
+		Network: nw, Nodes: nodes, FrameLen: frameLen, MaxFrames: maxFrames, RunToMaxFrames: true,
+		Observer: OnlyEvents(MaskOf(EventFrameStart), ObserverFunc(func(e Event) {
+			got = append(got, frameID{e.Node, e.Slot})
+		})),
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	var want []frameID
+	next := make([]int, n)
+	ties := 0
+	for {
+		best := -1
+		for u := 0; u < n; u++ {
+			if next[u] == maxFrames {
+				continue
+			}
+			if best >= 0 && ends[u][next[u]] == ends[best][next[best]] {
+				ties++
+			}
+			if best < 0 || ends[u][next[u]] < ends[best][next[best]] {
+				best = u
+			}
+		}
+		if best < 0 {
+			break
+		}
+		want = append(want, frameID{topology.NodeID(best), next[best]})
+		next[best]++
+	}
+	if ties < n*maxFrames/2 {
+		t.Fatalf("only %d tied frame ends; the order test needs many", ties)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("frame order differs from the linear scan:\nengine %v\nscan   %v", got, want)
 	}
 }
 
@@ -215,24 +279,26 @@ func asyncAllocConfig(t *testing.T) (AsyncConfig, []*sinkAsync) {
 	return AsyncConfig{Network: nw, Nodes: nodes, FrameLen: 3, MaxFrames: 64}, sinks
 }
 
-// TestAsyncNilObserverNoAllocs pins the asynchronous engines' telemetry
+// TestAsyncNilObserverNoAllocs pins the asynchronous engine's telemetry
 // cost at zero when disabled: with a nil observer the frame-event emission
-// sites construct no Event values, so the engines perform only their fixed
-// per-run setup (timelines, frame tables, env scratch, coverage). The
-// budget sits far below the 64-frame × 4-node horizon, so one hidden
-// per-frame or per-event allocation blows it.
+// sites construct no Event values, so the engine performs only its fixed
+// per-run setup (timelines, frame tables, env scratch, coverage), whether
+// it stops at completion or runs its whole horizon. The budget sits far
+// below the 64-frame × 4-node horizon, so one hidden per-frame or
+// per-event allocation blows it.
 func TestAsyncNilObserverNoAllocs(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		run  func(AsyncConfig) (*AsyncResult, error)
+		name     string
+		runToMax bool
 	}{
-		{"RunAsync", RunAsync},
-		{"RunAsyncOnline", RunAsyncOnline},
+		{"RunAsync", false},
+		{"RunToMaxFrames", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg, sinks := asyncAllocConfig(t)
+			cfg.RunToMaxFrames = tc.runToMax
 			allocs := testing.AllocsPerRun(10, func() {
-				if _, err := tc.run(cfg); err != nil {
+				if _, err := RunAsync(cfg); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -111,11 +111,11 @@ func (p *recordingAsync) Deliver(msg radio.Message) {
 
 func TestAsyncHeardSnapshotNotAliased(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		run  func(AsyncConfig) (*AsyncResult, error)
+		name     string
+		runToMax bool
 	}{
-		{"RunAsync", RunAsync},
-		{"RunAsyncOnline", RunAsyncOnline},
+		{"RunAsync", false},
+		{"RunToMaxFrames", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			nw, err := topology.Clique(2)
@@ -127,11 +127,12 @@ func TestAsyncHeardSnapshotNotAliased(t *testing.T) {
 			}
 			sender := &heardAsync{h: []topology.NodeID{42}}
 			receiver := &recordingAsync{owner: sender.h}
-			if _, err := tc.run(AsyncConfig{
-				Network:   nw,
-				Nodes:     []AsyncNode{{Protocol: sender}, {Protocol: receiver}},
-				FrameLen:  3,
-				MaxFrames: 4,
+			if _, err := RunAsync(AsyncConfig{
+				Network:        nw,
+				Nodes:          []AsyncNode{{Protocol: sender}, {Protocol: receiver}},
+				FrameLen:       3,
+				MaxFrames:      4,
+				RunToMaxFrames: tc.runToMax,
 			}); err != nil {
 				t.Fatal(err)
 			}

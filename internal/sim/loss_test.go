@@ -221,8 +221,8 @@ func newCoreAsync(t *testing.T, nw *topology.Network, u topology.NodeID, root *r
 }
 
 func TestOnlineEngineWithLoss(t *testing.T) {
-	// The online engine consumes erasure draws in chronological order
-	// (different from the offline engine), but must still complete.
+	// Erasure draws are consumed in frame-end order; the run must still
+	// complete.
 	nw := pairNet(t, channel.NewSet(0), channel.NewSet(0))
 	root := rng.New(321)
 	nodes := make([]AsyncNode, 2)
@@ -237,7 +237,7 @@ func TestOnlineEngineWithLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunAsyncOnline(AsyncConfig{
+	res, err := RunAsync(AsyncConfig{
 		Network:   nw,
 		Nodes:     nodes,
 		FrameLen:  3,
@@ -248,14 +248,14 @@ func TestOnlineEngineWithLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Complete {
-		t.Fatalf("online engine with loss incomplete: %s", res.Coverage)
+		t.Fatalf("lossy run incomplete: %s", res.Coverage)
 	}
 }
 
 // TestAsyncEnginesRejectLossWithoutRng is the async-side regression test
 // for the hand-constructed loss model footgun: &LossModel{Prob: p} with no
-// Rng used to nil-panic at the first erasure draw mid-run; both async
-// engines must reject it at config validation instead.
+// Rng used to nil-panic at the first erasure draw mid-run; the async engine
+// must reject it at config validation instead.
 func TestAsyncEnginesRejectLossWithoutRng(t *testing.T) {
 	nw := pairNet(t, channel.NewSet(0), channel.NewSet(0))
 	cfg := func() AsyncConfig {
@@ -269,9 +269,6 @@ func TestAsyncEnginesRejectLossWithoutRng(t *testing.T) {
 	}
 	if _, err := RunAsync(cfg()); err == nil {
 		t.Error("RunAsync accepted a loss model with no rng")
-	}
-	if _, err := RunAsyncOnline(cfg()); err == nil {
-		t.Error("RunAsyncOnline accepted a loss model with no rng")
 	}
 	// Prob 0 without an rng models a reliable channel and stays valid.
 	ok := cfg()

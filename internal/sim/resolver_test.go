@@ -187,6 +187,16 @@ func resolveScripted(env *asyncEnv, uid topology.NodeID, f int) []delivery {
 	return env.resolveFrame(uid, g, env.maskFor(uid, g))
 }
 
+// candsFor returns the candidate table row maskFor compiles for listener
+// uid's frame g: the static network table, or the table of the epoch
+// containing the frame's start.
+func (env *asyncEnv) candsFor(uid topology.NodeID, g asyncFrame) []topology.Candidate {
+	if env.world == nil {
+		return env.cands[uid]
+	}
+	return env.world.At(env.world.EpochOf(g.start)).Cands[uid]
+}
+
 // resolveFrameNaive is the asynchronous reference resolver: frame reception
 // restated from first principles, allocating fresh state per frame. Each
 // candidate's first overlapping frame comes from a plain lower bound over

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"m2hew/internal/clock"
@@ -130,37 +129,31 @@ func (sc *SyncScratch) localSlotBuf(n int) []int {
 	return locals
 }
 
-// AsyncScratch holds the per-run state of RunAsync and RunAsyncOnline for
-// reuse across runs: the clock timelines and pooled random-walk rate memos,
-// the frame tables and frame index, the transmit bucket table, the compiled
-// candidate masks (per network, and per epoch of a dynamic run), the
-// reception resolver's buffers and the delivery list.
+// AsyncScratch holds the per-run state of RunAsync for reuse across runs:
+// the clock timelines and pooled random-walk rate memos, the frame tables
+// and frame index, the transmit bucket table, the compiled candidate masks
+// (per network, and per epoch of a dynamic run), the reception resolver's
+// buffers and the frame queue.
 // A scratch belongs to one goroutine at a time; runs borrow it for their
 // whole duration. The zero value is not ready — use NewAsyncScratch.
 //
 // Reuse is invisible in results: timelines are reset in place, frame tables
-// are fully overwritten (or re-sliced empty) before resolution reads them,
-// resolver buffers already carried per-frame reuse semantics within a run,
-// and no scratch state feeds an rng draw. The derived network tables are
-// cached keyed by network pointer; a caller that mutates a network in place
-// between runs must call Reset (or use a fresh scratch).
+// are re-sliced empty before the run appends to them, resolver buffers
+// already carried per-frame reuse semantics within a run, the frame queue
+// is refilled from empty, and no scratch state feeds an rng draw. The
+// derived network tables are cached keyed by network pointer; a caller
+// that mutates a network in place between runs must call Reset (or use a
+// fresh scratch).
 type AsyncScratch struct {
 	netTables
 
-	timelines  []*clock.Timeline
-	rateBufs   [][]float64
-	frames     [][]asyncFrame
-	byBucket   [][]int32
-	bbBase     []int32
-	deliveries []delivery
-	env        asyncEnv
-
-	// Per-listener look-ahead horizons of a RunAsync run.
-	ahead []aheadMark
-
-	// Online-engine per-run buffers.
-	nextEnd []float64
-	pending []int
+	timelines []*clock.Timeline
+	rateBufs  [][]float64
+	frames    [][]asyncFrame
+	byBucket  [][]int32
+	bbBase    []int32
+	queue     frameQueue
+	env       asyncEnv
 
 	// heard is the heard-list snapshot lent to each Deliver call.
 	heard []topology.NodeID
@@ -217,7 +210,7 @@ func (sc *AsyncScratch) clocks(nodes []AsyncNode, frameLen float64, slotsPerFram
 // frameTables returns the per-node frame tables and frame index (see
 // asyncEnv.byBucket), each inner slice empty but keeping the capacity
 // earlier runs grew (reserveFrames sizes them to the frames a run
-// resolves; both engines append as frames generate).
+// resolves; RunAsync appends as frames generate).
 func (sc *AsyncScratch) frameTables(n int) ([][]asyncFrame, [][]int32, []int32) {
 	if cap(sc.frames) < n {
 		fr := make([][]asyncFrame, n)
@@ -279,11 +272,9 @@ func (sc *AsyncScratch) envFor(nw *topology.Network, world *dynamics.World, time
 // reserveFrames pre-sizes, for frames frames per node, every timeline's
 // boundary cache, every drift memo, every frame table and every frame
 // index, so the lazy caches and appends fill existing capacity instead of
-// doubling their way up. Capacity only: no value changes, and a table may
-// still grow past it (the look-ahead generates senders out to a listening
-// frame's end).
-// Windowed RunAsync runs call it once per window with the window's end;
-// one-pass runs call it once with MaxFrames.
+// doubling their way up. Capacity only: no value changes. A run that can
+// stop early calls it with 64 frames and again, doubled, each time a node
+// reaches the reservation; any other run calls it once with MaxFrames.
 func (env *asyncEnv) reserveFrames(nodes []AsyncNode, frames int) {
 	slots := frames * env.slotsPerFrame
 	for u, tl := range env.timelines {
@@ -304,43 +295,10 @@ func (env *asyncEnv) reserveFrames(nodes []AsyncNode, frames int) {
 	}
 }
 
-// aheadMark is what RunAsync knows after one listener's last look-ahead:
-// every sender in the listener's candidate row of epoch epoch has frames
-// out to to, or has used its budget.
-type aheadMark struct {
-	to    float64
-	epoch int
-}
-
-// aheadMarks returns the per-listener look-ahead marks, grown to n and
-// reset to "none yet" (every frame ends past −Inf).
-func (sc *AsyncScratch) aheadMarks(n int) []aheadMark {
-	sc.ahead = resize(sc.ahead, n)
-	for u := range sc.ahead {
-		sc.ahead[u] = aheadMark{to: math.Inf(-1)}
-	}
-	return sc.ahead
-}
-
-// deliveryBuf returns the empty delivery accumulator.
-func (sc *AsyncScratch) deliveryBuf() []delivery {
-	return sc.deliveries[:0]
-}
-
-// onlineBufs returns the online engine's frame-end / pending-index buffers,
-// grown to n. nextEnd is fully initialized by the engine's priming loop;
-// pending is zeroed here because the engine relies on all-zero initial
-// indexes.
-func (sc *AsyncScratch) onlineBufs(n int) ([]float64, []int) {
-	if cap(sc.nextEnd) < n {
-		sc.nextEnd = make([]float64, n)
-		sc.pending = make([]int, n)
-	}
-	pending := sc.pending[:n]
-	for i := range pending {
-		pending[i] = 0
-	}
-	return sc.nextEnd[:n], pending
+// frameQueue returns the empty frame queue, with room for n nodes.
+func (sc *AsyncScratch) frameQueue(n int) frameQueue {
+	sc.queue = slices.Grow(sc.queue[:0], n)
+	return sc.queue
 }
 
 // slotReserver is implemented by drift processes that can pre-size their
@@ -368,11 +326,11 @@ type rateBufPooler interface {
 
 // finishRun ends an asynchronous run on the clocks set up by clocks: it
 // fills the result — completion and, for a complete run, MinFullFrames
-// over the budget frames every node resolved — and then takes every node
+// over the budget frames of every node — and then takes every node
 // drift's rate buffer back into the pool. A drift shared between nodes
 // releases once (later releases return nil).
 func (sc *AsyncScratch) finishRun(nodes []AsyncNode, ts float64, coverage *metrics.Coverage, budget int) *AsyncResult {
-	result := &AsyncResult{Ts: ts, Coverage: coverage, FrameBudget: budget}
+	result := &AsyncResult{Ts: ts, Coverage: coverage}
 	if coverage.Complete() {
 		result.Complete = true
 		result.CompletionTime, _ = coverage.CompletionTime()
@@ -391,9 +349,10 @@ func (sc *AsyncScratch) finishRun(nodes []AsyncNode, ts float64, coverage *metri
 
 // minFullFrames returns the smallest per-node count of full frames lying
 // entirely within the real-time interval [from, to] — the "M full frames
-// since T_s" of Theorem 9. Only the budget frames the run resolved count: a
-// timeline extends lazily to any index, but no protocol decided a frame
-// past the budget. A node's walk stops once it reaches the running minimum.
+// since T_s" of Theorem 9. Only frames within the budget, MaxFrames, count:
+// a timeline extends lazily to any index, but no protocol decides a frame
+// past the budget. Every counted frame ends by the completion time, so a
+// run that stopped at completion resolved it. A node's walk stops once it reaches the running minimum.
 func minFullFrames(timelines []*clock.Timeline, from, to float64, budget int) int {
 	least := budget
 	for _, tl := range timelines {

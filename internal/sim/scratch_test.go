@@ -79,10 +79,10 @@ type asyncTrial struct {
 	loss      float64        // 0: reliable channels
 }
 
-// asyncFingerprint does the same for an asynchronous engine (RunAsync or
-// RunAsyncOnline), adding each listening frame's collected and delivered
-// counts and MinFullFrames.
-func asyncFingerprint(t *testing.T, engine func(AsyncConfig) (*AsyncResult, error), tr asyncTrial, scratch *AsyncScratch) string {
+// asyncFingerprint does the same for the asynchronous engine, stopping at
+// completion or run to MaxFrames, adding each listening frame's collected
+// and delivered counts and MinFullFrames.
+func asyncFingerprint(t *testing.T, runToMax bool, tr asyncTrial, scratch *AsyncScratch) string {
 	t.Helper()
 	root := rng.New(tr.seed)
 	nodes := benchAsyncNodesT(t, tr.nw, 4, root)
@@ -102,14 +102,15 @@ func asyncFingerprint(t *testing.T, engine func(AsyncConfig) (*AsyncResult, erro
 		}
 	}
 	var sb strings.Builder
-	res, err := engine(AsyncConfig{
-		Network:   tr.nw,
-		Nodes:     nodes,
-		FrameLen:  3,
-		MaxFrames: tr.maxFrames,
-		Loss:      loss,
-		Dynamics:  world,
-		Scratch:   scratch,
+	res, err := RunAsync(AsyncConfig{
+		Network:        tr.nw,
+		Nodes:          nodes,
+		FrameLen:       3,
+		MaxFrames:      tr.maxFrames,
+		RunToMaxFrames: runToMax,
+		Loss:           loss,
+		Dynamics:       world,
+		Scratch:        scratch,
 		Observer: ObserverFunc(func(e Event) {
 			switch e.Kind {
 			case EventDeliver:
@@ -170,8 +171,9 @@ func TestRunSyncScratchMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestRunAsyncScratchMatchesFresh covers both asynchronous engines, each
-// reusing one scratch across the trials: its timelines, random-walk rate
+// TestRunAsyncScratchMatchesFresh covers the asynchronous engine, stopping
+// at completion and run to MaxFrames, each reusing one scratch across the
+// trials: its timelines, random-walk rate
 // memos, frame index, bucket table and mask pools carry over from runs of
 // different n, worlds and frame budgets. The churn and mobility trials,
 // some lossy, resolve each listening frame against its epoch's compiled
@@ -194,21 +196,14 @@ func TestRunAsyncScratchMatchesFresh(t *testing.T) {
 		{nwA, 300, 150, churn, 0}, {nwB, 301, 60, mobility, 0.2}, {nwA, 302, 90, churn, 0.2},
 		{nwB, 303, 150, mobility, 0}, {nwA, 304, 50, mobility, 0.2}, {nwB, 305, 120, churn, 0},
 	}
-	engines := []struct {
-		name   string
-		engine func(AsyncConfig) (*AsyncResult, error)
-	}{
-		{"RunAsync", RunAsync},
-		{"RunAsyncOnline", RunAsyncOnline},
-	}
-	for _, eng := range engines {
+	for _, runToMax := range []bool{false, true} {
 		scratch := NewAsyncScratch()
 		for i, tr := range trials {
-			fresh := asyncFingerprint(t, eng.engine, tr, nil)
-			reused := asyncFingerprint(t, eng.engine, tr, scratch)
+			fresh := asyncFingerprint(t, runToMax, tr, nil)
+			reused := asyncFingerprint(t, runToMax, tr, scratch)
 			if fresh != reused {
-				t.Fatalf("%s trial %d: scratch-reuse run diverged from fresh run\nfresh:\n%s\nreused:\n%s",
-					eng.name, i, fresh, reused)
+				t.Fatalf("runToMax=%v trial %d: scratch-reuse run diverged from fresh run\nfresh:\n%s\nreused:\n%s",
+					runToMax, i, fresh, reused)
 			}
 		}
 	}
@@ -285,7 +280,7 @@ func TestRunAsyncSteadyStateAllocs(t *testing.T) {
 	fresh := testing.AllocsPerRun(5, func() { run(nil) })
 	t.Logf("RunAsync allocs/run: steady=%.0f fresh=%.0f", steady, fresh)
 	// Measured ~16 steady vs ~223 fresh: timelines, rate memos, frame
-	// tables, resolver buffers and delivery queues all reuse; what remains
+	// tables, resolver buffers and the frame queue all reuse; what remains
 	// is the per-run result and each fresh protocol's neighbor-table slab
 	// (12 nodes). The benchmark config (n=30, 800 frames), where timeline
 	// slots dominate, shows the full >5x bytes/op reduction.

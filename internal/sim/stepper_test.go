@@ -304,20 +304,20 @@ func TestAsyncPregenDifferential(t *testing.T) {
 	const maxFrames = 400
 	for _, seed := range []uint64{2, 9} {
 		nw := diffNet(t, seed, 12)
-		run := func(engine func(AsyncConfig) (*AsyncResult, error), pregen bool) *AsyncResult {
+		run := func(runToMax, pregen bool) *AsyncResult {
 			t.Helper()
 			nodes := asyncNodes(t, nw, seed+500)
 			if pregen {
 				nodes = pregenAsync(t, nodes, maxFrames)
 			}
-			res, err := engine(AsyncConfig{Network: nw, Nodes: nodes, FrameLen: 3, MaxFrames: maxFrames})
+			res, err := RunAsync(AsyncConfig{Network: nw, Nodes: nodes, FrameLen: 3, MaxFrames: maxFrames, RunToMaxFrames: runToMax})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res
 		}
-		sameCoverage(t, "async batch", run(RunAsync, false).Coverage, run(RunAsync, true).Coverage)
-		sameCoverage(t, "async online", run(RunAsyncOnline, false).Coverage, run(RunAsyncOnline, true).Coverage)
+		sameCoverage(t, "async", run(false, false).Coverage, run(false, true).Coverage)
+		sameCoverage(t, "async to max frames", run(true, false).Coverage, run(true, true).Coverage)
 	}
 }
 
@@ -329,7 +329,7 @@ func TestAsyncPregenDifferentialDynamics(t *testing.T) {
 		Churn:    &dynamics.Churn{JoinFraction: 0.3, JoinWindow: 6, LeaveFraction: 0.2, LeaveWindow: 8},
 		Primary:  &dynamics.Primary{Events: 2, Duration: 4, Radius: 0.4},
 	}
-	run := func(engine func(AsyncConfig) (*AsyncResult, error), pregen bool) *AsyncResult {
+	run := func(pregen bool) *AsyncResult {
 		t.Helper()
 		nodes := asyncNodes(t, nw, 800)
 		if pregen {
@@ -339,16 +339,11 @@ func TestAsyncPregenDifferentialDynamics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := engine(AsyncConfig{Network: nw, Nodes: nodes, FrameLen: 3, MaxFrames: maxFrames, Dynamics: world})
+		res, err := RunAsync(AsyncConfig{Network: nw, Nodes: nodes, FrameLen: 3, MaxFrames: maxFrames, Dynamics: world})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	sameCoverage(t, "async batch+dynamics", run(RunAsync, false).Coverage, run(RunAsync, true).Coverage)
-	sameCoverage(t, "async online+dynamics", run(RunAsyncOnline, false).Coverage, run(RunAsyncOnline, true).Coverage)
-	// The two async engines deliver in different orders but must agree on
-	// what was ever covered for oblivious protocols, dynamics included.
-	batch, online := run(RunAsync, false), run(RunAsyncOnline, false)
-	sameCoverage(t, "async batch vs online dynamics", batch.Coverage, online.Coverage)
+	sameCoverage(t, "async+dynamics", run(false).Coverage, run(true).Coverage)
 }

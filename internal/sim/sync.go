@@ -19,13 +19,14 @@
 //
 // Decision generation is incremental: both engines call each node's
 // protocol (SyncProtocol.Step, AsyncProtocol.NextFrame) for its next
-// decision at the moment the simulation first needs it, which is what lets
+// decision at the moment the simulation first needs it, after every
+// message the node could have heard before it, which is what lets
 // time-varying runs (the Dynamics config fields) pause churned-out nodes
-// without desynchronizing their private rng streams. Because every protocol
-// draws only from its own per-node stream, the call order across nodes is
-// invisible in results: for oblivious protocols (the paper's algorithms)
-// the tests pin the lazy engines to replays of decisions pre-generated
-// node-major, the order the engines used before they became incremental.
+// without desynchronizing their private rng streams, and what adaptive
+// protocols (termination) need. Because every protocol draws only from its
+// own per-node stream, the call order across nodes is invisible in
+// results: for oblivious protocols (the paper's algorithms) the tests pin
+// the lazy engines to replays of decisions pre-generated node-major.
 //
 // RunSync runs every slot through one pipeline (sync_tiled.go) of two
 // rounds over NodeID chunks: nodes step and set their bits in NodeID-space
@@ -39,13 +40,9 @@
 //
 // Both engines stop once coverage is complete. RunSync checks after every
 // slot (unless RunToMaxSlots is set or a dynamic world may still grow the
-// target). RunAsync resolves node-major in frame windows of 64, 128, 256,
-// … frames; after each window it applies exactly the deliveries no
-// unresolved frame can precede, which keeps the chronological delivery
-// order, and stops when coverage is complete. The windows need a static
-// world, no loss and an observer subscribed to none of EventFrameStart,
-// EventFrameResolve and EventDeliver; any other asynchronous run resolves
-// all MaxFrames frames of every node.
+// target). RunAsync resolves frames in global frame-end order and checks
+// after every frame (unless RunToMaxFrames is set or the world is
+// dynamic). An observer never changes how long a run lasts.
 package sim
 
 import (

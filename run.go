@@ -672,24 +672,17 @@ func runAsync(n *Network, cfg RunConfig, sc analytic.Scenario, scratch *harness.
 		Nodes:     nodes,
 		FrameLen:  cfg.FrameLen,
 		MaxFrames: maxFrames,
-		Loss:      loss,
-		Observer:  traceObs,
-		Dynamics:  world,
+		// As in the synchronous run: with termination active the nodes must
+		// notice quiescence after oracle completion, so run out the horizon.
+		RunToMaxFrames: cfg.TerminateAfterIdle > 0,
+		Loss:           loss,
+		Observer:       traceObs,
+		Dynamics:       world,
 	}
 	if scratch != nil {
 		simCfg.Scratch = scratch.Async()
 	}
-	var (
-		res *sim.AsyncResult
-		err error
-	)
-	if cfg.TerminateAfterIdle > 0 {
-		// The termination wrapper is adaptive (its schedule depends on what
-		// it received), which requires the online engine.
-		res, err = sim.RunAsyncOnline(simCfg)
-	} else {
-		res, err = sim.RunAsync(simCfg)
-	}
+	res, err := sim.RunAsync(simCfg)
 	if err != nil {
 		return nil, fmt.Errorf("m2hew: %w", err)
 	}
