@@ -141,10 +141,11 @@ bench:
 
 # Off-CI scale soak: one million nodes (CSR-streamed geometric graph in
 # Morton order, mean degree ~15) resolved on the parallel NodeID-chunk path.
-# Holds about 2 GB and runs for about ten seconds on a 2-core host; run by
-# hand when touching the parallel sync path, the candidate masks or the CSR
-# generators. Prints per-stage timings and the live heap after a GC; writes
-# nothing.
+# Holds a live heap of about 1.3 GB after its run, 0.26 GB of it the
+# scratch's network tables, and runs for about seven seconds on a 2-core
+# host; run by hand when touching the parallel sync path, the candidate
+# masks or the CSR generators. Prints per-stage timings, the live heap
+# after a GC and the tables' TableBytes; writes nothing.
 soak-1m:
 	$(GO) run ./cmd/ndperf -soak1m
 

@@ -16,9 +16,9 @@ import (
 // at the same mean degree (~15) as the RunSyncN100k row, streamed into a
 // CSR adjacency in Morton order and resolved on the parallel sync path. It
 // is a memory and wall-clock ceiling check, not a benchmark — it runs once,
-// reports each stage's cost, the parallel slot count and the live heap
-// after a GC, and writes no snapshot (timings at this scale are too
-// machine-bound to gate on).
+// reports each stage's cost, the parallel slot count, the live heap after
+// a GC and the scratch's network tables within it (TableBytes), and writes
+// no snapshot (timings at this scale are too machine-bound to gate on).
 func soak1M(w io.Writer) error {
 	const (
 		n        = 1_000_000
@@ -83,9 +83,9 @@ func soak1M(w io.Writer) error {
 	runtime.ReadMemStats(&m)
 	fmt.Fprintf(w, "run      %12v  %.1fms/slot\n", runDur.Round(time.Millisecond),
 		float64(runDur.Milliseconds())/float64(res.SlotsSimulated))
-	fmt.Fprintf(w, "slots=%d progress=%.3f tiled_slots=%d live_heap=%.2fGB total=%v\n",
+	fmt.Fprintf(w, "slots=%d progress=%.3f tiled_slots=%d live_heap=%.2fGB tables=%.2fGB total=%v\n",
 		res.SlotsSimulated, res.Coverage.Progress(), rec.Last.TiledSlots,
-		float64(m.HeapAlloc)/1e9, time.Since(start).Round(time.Millisecond))
+		float64(m.HeapAlloc)/1e9, float64(sc.TableBytes())/1e9, time.Since(start).Round(time.Millisecond))
 	runtime.KeepAlive(protos)
 	runtime.KeepAlive(sc)
 	if rec.Last.TiledSlots != int64(res.SlotsSimulated) {

@@ -14,6 +14,7 @@ package metrics
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -23,25 +24,26 @@ import (
 // TargetIndex is a static coverage target in CSR form, numbered the way
 // the engines enumerate links: row u lists, ascending, the senders v of
 // u's target links (v, u) — for a discoverable-link target exactly the
-// From column of InboundCandidates row u. Memory is O(links) and a
-// membership query is one binary search in the listener's row. An index
-// is immutable once built; it is meant to be built once per network and
-// shared read-only by every run's Coverage on that network (see
-// NewCoverageOn and NewGrowingCoverage).
+// From column of InboundCandidates row u, so RowLen(u) is u's inbound
+// candidate count. Senders are stored as int32, 4 bytes per link. Memory
+// is O(links) and a membership query is one binary search in the
+// listener's row. An index is immutable once built; it is meant to be
+// built once per network and shared read-only by every run's Coverage on
+// that network (see NewCoverageOn and NewGrowingCoverage).
 type TargetIndex struct {
 	// off[u] .. off[u+1] is row u's window into from; len(off) is one past
 	// the largest To.
 	off  []int64
-	from []topology.NodeID
+	from []int32
 }
 
 // NewTargetIndex builds the CSR index of links, in any order: it sorts
 // and deduplicates a copy by (To, From), so the caller's slice is never
-// modified. It returns nil when a link has a negative endpoint — such
-// links have no CSR row.
+// modified. It returns nil when a link has a negative endpoint or a
+// sender past the int32 range — such links have no CSR row.
 func NewTargetIndex(links []topology.Link) *TargetIndex {
 	for _, l := range links {
-		if l.From < 0 || l.To < 0 {
+		if l.To < 0 || !senderFits(l.From) {
 			return nil
 		}
 	}
@@ -56,11 +58,11 @@ func NewTargetIndex(links []topology.Link) *TargetIndex {
 	}
 	idx := &TargetIndex{
 		off:  make([]int64, rows+1),
-		from: make([]topology.NodeID, len(links)),
+		from: make([]int32, len(links)),
 	}
 	for i, l := range links {
 		idx.off[l.To+1] = int64(i + 1)
-		idx.from[i] = l.From
+		idx.from[i] = int32(l.From)
 	}
 	// Empty rows end where the previous row ends.
 	for u := 1; u <= rows; u++ {
@@ -75,7 +77,8 @@ func NewTargetIndex(links []topology.Link) *TargetIndex {
 // lists those v ascending, so row u is a copy of cands[u]'s From column.
 // The result equals NewTargetIndex(nw.DiscoverableLinks()) for the network
 // the table was built from, without materializing or sorting the link
-// list: two O(links) arrays, filled in one pass over the table.
+// list: two O(links) arrays, filled in one pass over the table. NodeIDs
+// index a network's nodes, so every From fits the int32 sender column.
 func NewTargetIndexFromCandidates(cands [][]topology.Candidate) *TargetIndex {
 	// Rows run to the largest listener, as NewTargetIndex sizes them.
 	rows, links := 0, 0
@@ -87,11 +90,11 @@ func NewTargetIndexFromCandidates(cands [][]topology.Candidate) *TargetIndex {
 	}
 	idx := &TargetIndex{
 		off:  make([]int64, rows+1),
-		from: make([]topology.NodeID, 0, links),
+		from: make([]int32, 0, links),
 	}
 	for u, list := range cands[:rows] {
 		for _, c := range list {
-			idx.from = append(idx.from, c.From)
+			idx.from = append(idx.from, int32(c.From))
 		}
 		idx.off[u+1] = int64(len(idx.from))
 	}
@@ -101,24 +104,45 @@ func NewTargetIndexFromCandidates(cands [][]topology.Candidate) *TargetIndex {
 // Len returns the number of target links.
 func (x *TargetIndex) Len() int { return len(x.from) }
 
+// RowLen returns the number of target links into listener u — for a
+// discoverable-link index, u's inbound candidate count. Listeners past the
+// last indexed row read 0, as do negative ones.
+func (x *TargetIndex) RowLen(u topology.NodeID) int {
+	if u < 0 || int(u) >= len(x.off)-1 {
+		return 0
+	}
+	return int(x.off[u+1] - x.off[u])
+}
+
+// Bytes returns the memory the index holds, by capacity.
+func (x *TargetIndex) Bytes() int64 {
+	return int64(cap(x.off))*8 + int64(cap(x.from))*4
+}
+
+// senderFits reports whether v fits the int32 sender column: non-negative
+// and, where int is 64 bits wide, below 2³¹.
+func senderFits(v topology.NodeID) bool { return uint(v) <= math.MaxInt32 }
+
 // find returns link l's position in the index, or -1 when l is not a
-// target link.
+// target link. A sender outside the column's range is rejected before
+// the search, so no truncated ID can match.
 //
 //nd:hotpath
 func (x *TargetIndex) find(l topology.Link) int {
-	if l.To < 0 || int(l.To) >= len(x.off)-1 {
+	if l.To < 0 || int(l.To) >= len(x.off)-1 || !senderFits(l.From) {
 		return -1
 	}
+	from := int32(l.From)
 	lo, hi := x.off[l.To], x.off[l.To+1]
 	for lo < hi {
 		mid := (lo + hi) >> 1
-		if x.from[mid] < l.From {
+		if x.from[mid] < from {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < x.off[l.To+1] && x.from[lo] == l.From {
+	if lo < x.off[l.To+1] && x.from[lo] == from {
 		return int(lo)
 	}
 	return -1
@@ -180,7 +204,8 @@ func NewCoverage(links []topology.Link) *Coverage {
 	if idx := NewTargetIndex(links); idx != nil {
 		return NewCoverageOn(idx)
 	}
-	// A negative endpoint has no CSR row: the whole target is tail.
+	// A negative endpoint or an out-of-range sender has no CSR row: the
+	// whole target is tail.
 	c := NewGrowingCoverage(nil)
 	for _, l := range links {
 		c.AddTarget(l, 0)
@@ -454,7 +479,7 @@ func (c *Coverage) Uncovered() []topology.Link {
 	for u := 0; u+1 < len(c.index.off); u++ {
 		for i := c.index.off[u]; i < c.index.off[u+1]; i++ {
 			if c.targeted(int(i)) && !c.covered(int(i)) {
-				out = append(out, topology.Link{From: c.index.from[i], To: topology.NodeID(u)})
+				out = append(out, topology.Link{From: topology.NodeID(c.index.from[i]), To: topology.NodeID(u)})
 			}
 		}
 	}

@@ -8,6 +8,8 @@ package metrics
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -310,6 +312,91 @@ func TestTargetIndexFromCandidatesMatchesLinks(t *testing.T) {
 		if !slices.Equal(got.off, want.off) || !slices.Equal(got.from, want.from) {
 			t.Fatalf("trial %d (n=%d): candidate index\n off  %v\n from %v\nwant\n off  %v\n from %v",
 				trial, nw.N(), got.off, got.from, want.off, want.from)
+		}
+	}
+}
+
+// TestTargetIndexRowLenMatchesCandidates pins RowLen, the engines'
+// neighbor-reserve hint, to the inbound candidate count of every node on
+// the candidate-index test's random networks — dropped directions, span
+// overrides, isolated nodes, and candidate-less nodes past the last
+// listener, which have no row. Negative listeners read 0 too.
+func TestTargetIndexRowLenMatchesCandidates(t *testing.T) {
+	root := rng.New(3107)
+	trailing := 0
+	for trial := 0; trial < 300; trial++ {
+		nw := candidateTestNetwork(t, root.Split())
+		cands := nw.InboundCandidates()
+		idx := NewTargetIndexFromCandidates(cands)
+		for u, row := range cands {
+			if got := idx.RowLen(topology.NodeID(u)); got != len(row) {
+				t.Fatalf("trial %d (n=%d): RowLen(%d) = %d, want %d", trial, nw.N(), u, got, len(row))
+			}
+		}
+		if got := idx.RowLen(-1); got != 0 {
+			t.Fatalf("trial %d: RowLen(-1) = %d, want 0", trial, got)
+		}
+		if len(idx.off)-1 < nw.N() {
+			trailing++
+		}
+	}
+	if trailing == 0 {
+		t.Fatal("no network ended in candidate-less nodes; RowLen past the last row went untested")
+	}
+	t.Logf("%d/300 networks end in candidate-less nodes", trailing)
+}
+
+// TestTargetIndexRejectsOutOfRangeSenders pins the int32 sender column's
+// guard: a negative sender, or where int is 64 bits wide one at or past
+// 2³¹, finds no position in the index, so find, Coverage.Observe and
+// Shard.Observe reject it even when its truncation to int32 is an indexed
+// sender, while the largest int32 sender is found and reported by
+// Uncovered unchanged. A target naming an out-of-range sender cannot be
+// indexed; NewCoverage keeps it in the tail, where it matches exactly.
+func TestTargetIndexRejectsOutOfRangeSenders(t *testing.T) {
+	links := []topology.Link{{From: 5, To: 3}, {From: math.MaxInt32, To: 3}, {From: 0, To: 4}}
+	idx := NewTargetIndex(links)
+	bad := []topology.NodeID{-1, -5, math.MinInt32}
+	wides := []int64{5 + 1<<32, 5 - 1<<32, math.MaxInt32 + 1, math.MinInt32 - 1}
+	if bits.UintSize == 64 {
+		for _, wide := range wides {
+			bad = append(bad, topology.NodeID(wide))
+		}
+	}
+	c := NewCoverageOn(idx)
+	shard := c.Shard(0, 5)
+	for _, from := range bad {
+		for _, to := range []topology.NodeID{3, 4} {
+			l := topology.Link{From: from, To: to}
+			if i := idx.find(l); i != -1 {
+				t.Fatalf("find(%v) = %d, want -1", l, i)
+			}
+			if shard.Observe(l, 1) {
+				t.Fatalf("Shard.Observe accepted %v", l)
+			}
+			if c.Observe(l, 1) {
+				t.Fatalf("Coverage.Observe accepted %v", l)
+			}
+		}
+	}
+	if got, want := c.NonTargetObservations(), 2*len(bad); got != want || c.Remaining() != len(links) {
+		t.Fatalf("after out-of-range senders: %d non-target observations (want %d), %d remaining (want %d)",
+			got, want, c.Remaining(), len(links))
+	}
+	if !c.Observe(topology.Link{From: math.MaxInt32, To: 3}, 2) {
+		t.Fatal("the largest int32 sender was not found")
+	}
+	if got, want := c.Uncovered(), []topology.Link{{From: 0, To: 4}, {From: 5, To: 3}}; !slices.Equal(got, want) {
+		t.Fatalf("Uncovered = %v, want %v", got, want)
+	}
+	if bits.UintSize == 64 {
+		wide := topology.Link{From: topology.NodeID(wides[0]), To: 3}
+		if NewTargetIndex(append(slices.Clone(links), wide)) != nil {
+			t.Fatal("a sender past int32 was indexed")
+		}
+		tail := NewCoverage([]topology.Link{wide})
+		if tail.Observe(topology.Link{From: 5, To: 3}, 1) || !tail.Observe(wide, 1) || !tail.Complete() {
+			t.Fatal("a tail target past int32 did not match exactly")
 		}
 	}
 }

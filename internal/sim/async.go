@@ -190,7 +190,7 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 	}
 	env := sc.envFor(nw, cfg.Dynamics, timelines, slotsPerFrame, cfg.Loss)
 	for u := range cfg.Nodes {
-		reserveNeighbors(cfg.Nodes[u].Protocol, env.cands[u])
+		reserveNeighbors(cfg.Nodes[u].Protocol, sc.target.RowLen(topology.NodeID(u)))
 	}
 	world := cfg.Dynamics
 	stops := world == nil && !cfg.RunToMaxFrames

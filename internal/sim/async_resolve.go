@@ -44,10 +44,9 @@ type idxSlot struct {
 //nd:run-scoped envFor re-points every borrowed table at the start of each run
 type asyncEnv struct {
 	nw            *topology.Network
-	cands         [][]topology.Candidate // per listener: decodable transmitters
-	masks         *candMasks             // cands compiled (static runs; nil on dynamic ones)
-	world         *dynamics.World        // nil for static runs
-	frames        [][]asyncFrame         // per node, in start order; appended as generated
+	masks         *candMasks      // the network's candidate masks (static runs; nil on dynamic ones)
+	world         *dynamics.World // nil for static runs
+	frames        [][]asyncFrame  // per node, in start order; appended as generated
 	timelines     []*clock.Timeline
 	slotsPerFrame int
 	loss          *LossModel

@@ -95,10 +95,10 @@ func TestAsyncFrameEvents(t *testing.T) {
 	checkAsyncPairEvents(t, false)
 }
 
-// TestAsyncOnlineFrameEvents pins the same order when the run keeps going
-// to MaxFrames instead of stopping at full coverage: the frame-by-frame
-// emission does not depend on the stopping rule.
-func TestAsyncOnlineFrameEvents(t *testing.T) {
+// TestAsyncFrameEventsRunToMaxFrames pins the same order when the run
+// keeps going to MaxFrames instead of stopping at full coverage: the
+// frame-by-frame emission does not depend on the stopping rule.
+func TestAsyncFrameEventsRunToMaxFrames(t *testing.T) {
 	checkAsyncPairEvents(t, true)
 }
 

@@ -220,7 +220,7 @@ func newCoreAsync(t *testing.T, nw *topology.Network, u topology.NodeID, root *r
 	return core.NewAsync(nw.Avail(u), 2, root.Split())
 }
 
-func TestOnlineEngineWithLoss(t *testing.T) {
+func TestAsyncEngineWithLoss(t *testing.T) {
 	// Erasure draws are consumed in frame-end order; the run must still
 	// complete.
 	nw := pairNet(t, channel.NewSet(0), channel.NewSet(0))

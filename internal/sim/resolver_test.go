@@ -187,12 +187,13 @@ func resolveScripted(env *asyncEnv, uid topology.NodeID, f int) []delivery {
 	return env.resolveFrame(uid, g, env.maskFor(uid, g))
 }
 
-// candsFor returns the candidate table row maskFor compiles for listener
-// uid's frame g: the static network table, or the table of the epoch
-// containing the frame's start.
+// candsFor returns the candidate table row maskFor resolves on for
+// listener uid's frame g: the static network table, built here from the
+// network rather than read from the engine's scratch, or the table of the
+// epoch containing the frame's start.
 func (env *asyncEnv) candsFor(uid topology.NodeID, g asyncFrame) []topology.Candidate {
 	if env.world == nil {
-		return env.cands[uid]
+		return env.nw.InboundCandidates()[uid]
 	}
 	return env.world.At(env.world.EpochOf(g.start)).Cands[uid]
 }

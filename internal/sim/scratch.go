@@ -17,12 +17,13 @@ import (
 // their whole duration. The zero value is not ready — use NewSyncScratch.
 //
 // Reuse is invisible in results: every buffer is either fully overwritten
-// before it is read (actions, candidate tables) or re-zeroed on acquisition
+// before it is read (actions, candidate masks) or re-zeroed on acquisition
 // (the transmitter masks and the chunks' lists and errors), and no scratch
-// state feeds an rng draw. The derived network tables (inbound candidates,
-// shared message availability sets, candidate masks) are cached keyed by
-// network pointer; a caller that mutates a network in place between runs
-// must call Reset (or use a fresh scratch) so the tables are rebuilt.
+// state feeds an rng draw. The derived network tables (shared message
+// availability sets, coverage target index, candidate masks) are cached
+// keyed by network pointer; a caller that mutates a network in place
+// between runs must call Reset (or use a fresh scratch) so the tables are
+// rebuilt.
 type SyncScratch struct {
 	netTables
 	// epochMasks is the dynamic runs' candidate masks, recompiled in place
@@ -244,11 +245,10 @@ func (sc *AsyncScratch) envFor(nw *topology.Network, world *dynamics.World, time
 	env := &sc.env
 	env.nw = nw
 	sc.load(nw)
-	env.cands = sc.cands
 	env.world = world
 	env.masks = nil
 	if world == nil {
-		env.masks = sc.candRows()
+		env.masks = &sc.masks
 	}
 	env.frames, env.byBucket, env.bbBase = sc.frameTables(n)
 	env.timelines = timelines

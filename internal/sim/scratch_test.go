@@ -342,10 +342,11 @@ func TestSyncScratchCoverageSurvivesNetworkSwitch(t *testing.T) {
 }
 
 // TestNetworkTablesAllocsConstant pins the cold derived-table build —
-// candidates, shared message sets, coverage target and compiled candidate
-// masks, the cache both engines' scratches embed — to a constant number of
-// allocations: the same count at n=500 and n=5000, so the build cannot
-// grow per-node or per-edge allocations again.
+// the transient candidate table, shared message sets, coverage target and
+// eagerly compiled candidate masks, the cache both engines' scratches
+// embed — to a constant number of allocations: the same count at n=500
+// and n=5000, so the build cannot grow per-node or per-edge allocations
+// again.
 func TestNetworkTablesAllocsConstant(t *testing.T) {
 	allocs := func(rows int) float64 {
 		nw, err := topology.Grid(rows, 50)
@@ -358,7 +359,7 @@ func TestNetworkTablesAllocsConstant(t *testing.T) {
 		return testing.AllocsPerRun(3, func() {
 			var tables netTables
 			tables.load(nw)
-			if len(tables.candRows().ents) == 0 {
+			if len(tables.masks.ents) == 0 {
 				t.Fatal("no candidate masks compiled")
 			}
 		})

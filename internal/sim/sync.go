@@ -223,10 +223,10 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 	// Reception-resolution state, built (or borrowed from the scratch) once
 	// per run and reused across slots:
 	//
-	//   - cands[u] lists the only transmitters listener u can ever decode
-	//     (adjacency, direction and link span resolved up front by the
-	//     topology layer); the slot pipeline reads it compiled into
-	//     candidate masks (see syncRun for the two run shapes);
+	//   - the candidate masks hold, per listener u and channel, the only
+	//     transmitters u can ever decode (adjacency, direction and link
+	//     span resolved up front by the topology layer; see syncRun for the
+	//     two run shapes);
 	//   - msgAvail[v] is the one immutable copy of A(v) shared by every
 	//     message from v; see radio.Message for the ownership contract.
 	sc := cfg.Scratch
@@ -234,7 +234,7 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 		sc = NewSyncScratch()
 	}
 	tablesHit := sc.load(nw)
-	cands, channels := sc.cands, sc.channels
+	channels := sc.channels
 	coverage := runCoverage(sc.target, world) // a dynamic target grows at epoch boundaries below
 	epochSlots := 0
 	if world != nil {
@@ -307,10 +307,10 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 		ch.shard = coverage.Shard(ch.lo, ch.hi)
 	}
 	defer run.release()
-	// A static run resolves on the network's candidate masks, compiled at
-	// their first use; a dynamic run compiles each epoch's below.
+	// A static run resolves on the network's candidate masks; a dynamic run
+	// compiles each epoch's below.
 	if world == nil {
-		run.masks = sc.candRows()
+		run.masks = &sc.masks
 	} else {
 		run.masks = &sc.epochMasks
 	}
@@ -323,7 +323,7 @@ func RunSync(cfg SyncConfig) (*SyncResult, error) {
 			}
 			run.hrs[u] = hr
 		}
-		reserveNeighbors(p, cands[u])
+		reserveNeighbors(p, sc.target.RowLen(topology.NodeID(u)))
 	}
 
 	// Dynamic-run state: the current epoch snapshot (its candidate table,

@@ -107,11 +107,12 @@ type syncRun struct {
 // NeighborReserver is optionally implemented by protocols whose discovery
 // state can be pre-sized: the engines call it once per run with the
 // expected number of discoveries — the node's inbound candidate count, the
-// neighbors it can ever hear on the static network — replacing
-// per-discovery growth cascades with one sized allocation. The hint must
-// stay lazy: implementations allocate at the first discovery, not in this
-// call, so a large run whose nodes mostly discover little pays only for
-// what they record. Implementations must not change results — reserving
+// neighbors it can ever hear on the static network, read off its coverage
+// target index row (metrics.TargetIndex.RowLen) — replacing per-discovery
+// growth cascades with one sized allocation. The hint must stay lazy:
+// implementations allocate at the first discovery, not in this call, so a
+// large run whose nodes mostly discover little pays only for what they
+// record. Implementations must not change results — reserving
 // moves allocation timing only (core's NeighborTable.Reserve is the model).
 type NeighborReserver interface {
 	ReserveNeighbors(expected int)
@@ -119,9 +120,9 @@ type NeighborReserver interface {
 
 // reserveNeighbors announces a node's inbound candidate count to its
 // protocol, when the protocol can use it.
-func reserveNeighbors(p any, cands []topology.Candidate) {
+func reserveNeighbors(p any, expected int) {
 	if r, ok := p.(NeighborReserver); ok {
-		r.ReserveNeighbors(len(cands))
+		r.ReserveNeighbors(expected)
 	}
 }
 

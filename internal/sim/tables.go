@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/bits"
+	"unsafe"
 
 	"m2hew/internal/channel"
 	"m2hew/internal/metrics"
@@ -9,66 +10,66 @@ import (
 )
 
 // netTables is the network-derived table cache both scratches embed: the
-// inbound-candidate table, the shared message availability sets, the
-// coverage target index, the channel count and the candidate table
-// compiled to candidate masks. The tables are keyed by network pointer;
-// a caller that mutates a network in place between runs must reset the
-// cache so they are rebuilt. The masks compile lazily, at the first run
-// that resolves on them: a dynamic run compiles each epoch's table
-// instead.
+// shared message availability sets, the coverage target index, the
+// channel count and the static candidate masks. load builds the
+// inbound-candidate table only to derive these from it and keeps none of
+// it: the runs resolve on the masks, and a node's inbound candidate count
+// (the NeighborReserver hint) is its target index row length. The tables
+// are keyed by network pointer; a caller that mutates a network in place
+// between runs must reset the cache so they are rebuilt. A dynamic run
+// resolves on each epoch's table instead of the static masks.
 type netTables struct {
 	nwKey    *topology.Network
-	cands    [][]topology.Candidate
 	msgAvail []channel.Set
 	// target is the coverage target index (CSR over the discoverable
 	// links), shared read-only by every run's Coverage on this network. A
 	// network switch allocates a new index and never rewrites the old one,
 	// so a Coverage returned earlier stays valid.
 	target   *metrics.TargetIndex
-	channels int // max channel ID of the network, plus one
-
-	rows      candMasks // cands compiled; valid only when rowsReady
-	rowsReady bool
+	channels int       // max channel ID of the network, plus one
+	masks    candMasks // the inbound-candidate table compiled
 }
 
-// load points the cache at nw, rebuilding the tables (all but the masks,
-// which candRows compiles) when the network changed since the last run,
-// and reports whether the cached tables were reused — the
-// engine-internals scratch hit/miss counter. A cold build makes a
-// constant number of allocations at any network size.
+// load points the cache at nw, rebuilding the tables when the network
+// changed since the last run, and reports whether the cached tables were
+// reused — the engine-internals scratch hit/miss counter. A cold build
+// makes a constant number of allocations at any network size, the
+// transient candidate table's included.
 func (t *netTables) load(nw *topology.Network) (hit bool) {
 	if t.nwKey == nw {
 		return true
 	}
 	t.nwKey = nw
-	t.cands = nw.InboundCandidates()
+	cands := nw.InboundCandidates()
 	t.msgAvail = sharedMsgAvail(nw)
-	t.target = metrics.NewTargetIndexFromCandidates(t.cands)
+	t.target = metrics.NewTargetIndexFromCandidates(cands)
 	t.channels = 0
 	if id, ok := nw.Universe().Max(); ok {
 		t.channels = int(id) + 1
 	}
-	t.rowsReady = false
+	t.masks.compile(cands, t.channels)
 	return false
-}
-
-// candRows returns the loaded network's candidate masks, compiling them
-// into the cache's reused storage at their first use per network.
-func (t *netTables) candRows() *candMasks {
-	if !t.rowsReady {
-		t.rows.compile(t.cands, t.channels)
-		t.rowsReady = true
-	}
-	return &t.rows
 }
 
 // reset invalidates the cache; the masks keep their storage.
 func (t *netTables) reset() {
 	t.nwKey = nil
-	t.cands = nil
 	t.msgAvail = nil
 	t.target = nil
-	t.rowsReady = false
+}
+
+// TableBytes returns the memory the cached network tables hold, by
+// capacity: the shared message sets (headers and word arena), the target
+// index and the candidate masks, whose storage outlives a reset.
+func (t *netTables) TableBytes() int64 {
+	b := int64(cap(t.msgAvail))*int64(unsafe.Sizeof(channel.Set{})) + t.masks.bytes()
+	for _, s := range t.msgAvail {
+		b += int64(cap(s.Words())) * 8
+	}
+	if t.target != nil {
+		b += t.target.Bytes()
+	}
+	return b
 }
 
 // sharedMsgAvail copies each node's available set once per network; every
@@ -188,6 +189,11 @@ func (m *candMasks) compile(cands [][]topology.Candidate, channels int) {
 			}
 		}
 	}
+}
+
+// bytes returns the memory the masks hold, by capacity.
+func (m *candMasks) bytes() int64 {
+	return int64(cap(m.off)+cap(m.fill))*4 + int64(cap(m.ents))*int64(unsafe.Sizeof(maskWord{}))
 }
 
 // row returns listener u's mask on channel c (empty past the table's

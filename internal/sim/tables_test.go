@@ -3,10 +3,12 @@ package sim
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
 	"slices"
 	"testing"
 
 	"m2hew/internal/channel"
+	"m2hew/internal/radio"
 	"m2hew/internal/rng"
 	"m2hew/internal/topology"
 )
@@ -126,9 +128,10 @@ func TestCandMasksMatchCandidates(t *testing.T) {
 	}
 }
 
-// BenchmarkCandMasksCompile measures the cold candidate-mask build of a
-// scale network, built outside the timer.
-func BenchmarkCandMasksCompile(b *testing.B) {
+// scaleTestNetwork builds a 100k-node scale network: a streamed geometric
+// graph of mean degree about 15 with uniform 4-of-8 channels.
+func scaleTestNetwork(b *testing.B) *topology.Network {
+	b.Helper()
 	nw, err := topology.GeometricCSR(100_000, 0.007, rng.New(1))
 	if err != nil {
 		b.Fatal(err)
@@ -136,7 +139,13 @@ func BenchmarkCandMasksCompile(b *testing.B) {
 	if err := topology.AssignUniformK(nw, 8, 4, rng.New(2)); err != nil {
 		b.Fatal(err)
 	}
-	cands := nw.InboundCandidates()
+	return nw
+}
+
+// BenchmarkCandMasksCompile measures the cold candidate-mask build of a
+// scale network, built outside the timer.
+func BenchmarkCandMasksCompile(b *testing.B) {
+	cands := scaleTestNetwork(b).InboundCandidates()
 	b.Run("n100k", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -144,4 +153,124 @@ func BenchmarkCandMasksCompile(b *testing.B) {
 			m.compile(cands, 8)
 		}
 	})
+}
+
+// BenchmarkNetTablesLoad measures the cold derived-table build on the
+// scale network, built outside the timer: the transient candidate table,
+// the shared message sets, the target index and the candidate masks. It
+// reports what the cache keeps (TableBytes) as table_MB.
+func BenchmarkNetTablesLoad(b *testing.B) {
+	nw := scaleTestNetwork(b)
+	b.Run("n100k", func(b *testing.B) {
+		b.ReportAllocs()
+		var tables netTables
+		for i := 0; i < b.N; i++ {
+			tables = netTables{}
+			tables.load(nw)
+		}
+		b.ReportMetric(float64(tables.TableBytes())/1e6, "table_MB")
+	})
+}
+
+// TestScratchRetainsOnlyCompiledTables pins what a loaded scratch keeps
+// of the network tables: the live heap a load adds, after a GC, must come
+// to 0.8–1.25× the TableBytes it accounts (message sets, target index,
+// candidate masks), so no transient table — the inbound-candidate table
+// the masks and the index are built from — outlives the load.
+func TestScratchRetainsOnlyCompiledTables(t *testing.T) {
+	r := rng.New(5)
+	nw, err := topology.GeometricConnectedCSR(20_000, 0.0155, r, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := topology.AssignUniformK(nw, 8, 4, r); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	sc := NewSyncScratch()
+	sc.load(nw)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	grew := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	tables := sc.TableBytes()
+	runtime.KeepAlive(sc)
+	ratio := float64(grew) / float64(tables)
+	t.Logf("live heap grew %d B for %d B of tables (%.2f×)", grew, tables, ratio)
+	if ratio < 0.8 || ratio > 1.25 {
+		t.Fatalf("a loaded scratch grew the live heap by %.2f× its TableBytes (%d of %d B); want 0.8–1.25×", ratio, grew, tables)
+	}
+}
+
+// reserveProbe is a quiet sync and async protocol that records the
+// neighbor-reserve hint the engines hand it.
+type reserveProbe struct{ hint int }
+
+func (p *reserveProbe) Step(int) radio.Action         { return radio.Action{Mode: radio.Quiet} }
+func (p *reserveProbe) NextFrame(int) radio.Action    { return radio.Action{Mode: radio.Quiet} }
+func (p *reserveProbe) Deliver(radio.Message)         {}
+func (p *reserveProbe) ReserveNeighbors(expected int) { p.hint = expected }
+
+// TestEnginesReserveInboundCandidateCounts pins the hint both engines hand
+// a NeighborReserver, read off the coverage target index, to the node's
+// inbound candidate count: on a network with dropped directions and a
+// last node whose spans are all emptied, so it has no index row.
+func TestEnginesReserveInboundCandidateCounts(t *testing.T) {
+	r := rng.New(31)
+	nw, err := topology.GeometricConnected(60, 0.3, r, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := topology.AssignUniformK(nw, 6, 3, r); err != nil {
+		t.Fatal(err)
+	}
+	if err := topology.DropRandomDirections(nw, 0.4, r); err != nil {
+		t.Fatal(err)
+	}
+	last := topology.NodeID(nw.N() - 1)
+	for _, v := range nw.Neighbors(last) {
+		if err := nw.RestrictSpan(last, v, channel.Set{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cands := nw.InboundCandidates()
+	if len(cands[last]) != 0 {
+		t.Fatal("the last node kept candidates")
+	}
+	check := func(engine string, probes []*reserveProbe) {
+		t.Helper()
+		for u, p := range probes {
+			if p.hint != len(cands[u]) {
+				t.Fatalf("%s: node %d reserved %d, want its %d inbound candidates", engine, u, p.hint, len(cands[u]))
+			}
+		}
+	}
+	probes := func() []*reserveProbe {
+		ps := make([]*reserveProbe, nw.N())
+		for u := range ps {
+			ps[u] = &reserveProbe{hint: -1}
+		}
+		return ps
+	}
+
+	syncProbes := probes()
+	protos := make([]SyncProtocol, nw.N())
+	for u, p := range syncProbes {
+		protos[u] = p
+	}
+	if _, err := RunSync(SyncConfig{Network: nw, Protocols: protos, MaxSlots: 1}); err != nil {
+		t.Fatal(err)
+	}
+	check("RunSync", syncProbes)
+
+	asyncProbes := probes()
+	nodes := make([]AsyncNode, nw.N())
+	for u, p := range asyncProbes {
+		nodes[u] = AsyncNode{Protocol: p}
+	}
+	if _, err := RunAsync(AsyncConfig{Network: nw, Nodes: nodes, FrameLen: 3, MaxFrames: 1}); err != nil {
+		t.Fatal(err)
+	}
+	check("RunAsync", asyncProbes)
 }
